@@ -183,7 +183,7 @@ func runWorld(table gamestate.Table, dir string, nodes int, scenario string, tic
 			if err != nil {
 				log.Fatalf("world: standby %d: %v", i, err)
 			}
-			sh, err := replication.StartShipper(n.E, pc, replication.ShipperOptions{MaxLagTicks: 64})
+			sh, err := replication.StartShipper(n.E, pc, replication.StreamOptions{MaxLagTicks: 64})
 			if err != nil {
 				log.Fatalf("world: shipper %d: %v", i, err)
 			}

@@ -64,6 +64,10 @@ func TestDeviceWriteBudgetTears(t *testing.T) {
 	if _, err := d.ReadAt(got[:1], 0); err != nil {
 		t.Fatalf("reads must survive a dead writer: %v", err)
 	}
+	// The death is one fault, however many ops hit the dead device after it.
+	if got := d.Injected(); got != 1 {
+		t.Fatalf("Injected() = %d after one death and two post-death ops, want 1", got)
+	}
 }
 
 func TestDeviceNthOpReplayable(t *testing.T) {

@@ -114,6 +114,16 @@ func (d *Device) err(op string, n int64) error {
 	return &Error{Site: d.site, Op: op, N: n}
 }
 
+// deadErr is the typed fault a dead device (WriteBudget exhausted) answers
+// every later write and sync with. The death itself was the injected fault
+// and was counted once, by the write that crossed the budget; how many ops
+// run into the dead device afterwards depends on how the caller's
+// goroutines race to it, so they are deliberately not counted — Injected
+// stays a function of (seed, site).
+func (d *Device) deadErr(op string, n int64) error {
+	return &Error{Site: d.site, Op: op, N: n}
+}
+
 // ReadAt implements disk.Device.
 func (d *Device) ReadAt(p []byte, off int64) (int, error) {
 	d.mu.Lock()
@@ -149,9 +159,8 @@ func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 	n := d.writes
 	stall := d.faults.StallProb > 0 && d.rng.Float64() < d.faults.StallProb
 	if d.dead {
-		err := d.err("write", n)
 		d.mu.Unlock()
-		return 0, err
+		return 0, d.deadErr("write", n)
 	}
 	fail := d.faults.WriteErrEvery > 0 && n%d.faults.WriteErrEvery == 0
 	if d.faults.WriteErrProb > 0 && d.rng.Float64() < d.faults.WriteErrProb {
@@ -203,9 +212,8 @@ func (d *Device) Sync() error {
 	n := d.syncs
 	stall := d.faults.StallProb > 0 && d.rng.Float64() < d.faults.StallProb
 	if d.dead {
-		err := d.err("sync", n)
 		d.mu.Unlock()
-		return err
+		return d.deadErr("sync", n)
 	}
 	fail := d.faults.SyncErrProb > 0 && d.rng.Float64() < d.faults.SyncErrProb
 	var ierr error

@@ -82,7 +82,7 @@ func TestRecoveryModeEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						sh, err := replication.StartShipper(n.E, pc, replication.ShipperOptions{MaxLagTicks: 64})
+						sh, err := replication.StartShipper(n.E, pc, replication.StreamOptions{MaxLagTicks: 64})
 						if err != nil {
 							t.Fatal(err)
 						}

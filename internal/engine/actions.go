@@ -84,65 +84,27 @@ type ReplayActionFunc func(tick uint64, payload []byte, w *TickWriter) error
 func (e *Engine) ApplyActionTick(payload []byte, apply func(w *TickWriter) error) error {
 	e.tickMu.Lock()
 	defer e.tickMu.Unlock()
-	if e.closed {
-		return errors.New("engine: closed")
+	if e.log != nil && e.opts.ReplayAction == nil {
+		return errors.New("engine: ApplyActionTick requires Options.ReplayAction")
 	}
-	if e.standby {
-		return errors.New("engine: standby engines accept only replicated ticks until Promote")
-	}
-	if err := e.cp.err(); err != nil {
-		return fmt.Errorf("engine: checkpoint writer failed: %w", err)
-	}
-	if e.log != nil {
-		if e.opts.ReplayAction == nil {
-			return errors.New("engine: ApplyActionTick requires Options.ReplayAction")
-		}
-		e.encBuf = append(e.encBuf[:0], recAction)
-		e.encBuf = append(e.encBuf, payload...)
-		if err := e.log.Append(e.tick, e.encBuf); err != nil {
-			return err
-		}
-		if e.opts.SyncEveryTick {
-			if err := e.log.Sync(); err != nil {
-				return err
+	w := TickWriter{e: e}
+	return e.commit(false, 1,
+		func(int) []byte {
+			e.encBuf = append(append(e.encBuf[:0], recAction), payload...)
+			return e.encBuf
+		},
+		func() (int64, error) {
+			if err := apply(&w); err != nil {
+				return 0, fmt.Errorf("engine: action apply: %w", err)
 			}
-		}
-	}
-	w := &TickWriter{e: e}
-	if err := apply(w); err != nil {
-		return fmt.Errorf("engine: action apply: %w", err)
-	}
-	pause := e.cp.endTick(e.tick)
-	e.drainCompleted()
-	e.stats.Ticks++
-	e.stats.UpdatesApplied += w.applied
-	e.stats.PauseTotal += pause
-	if e.opts.KeepTickStats {
-		e.stats.TickTimings = append(e.stats.TickTimings, TickTiming{Pause: pause})
-	}
-	tick := e.tick
-	e.tick++
-	e.notifySubs(tick)
-	return nil
-}
-
-// replayRecord applies one logged record during serial recovery: the
-// shard-filtered dispatch over the full object range.
-func (e *Engine) replayRecord(tick uint64, body []byte, updBuf *[]wal.Update) (int64, error) {
-	return e.replayRecordRange(0, e.store.NumObjects(), tick, body, updBuf)
-}
-
-// replayRecordShard applies one logged record restricted to one shard's
-// object range: the parallel recovery pipeline hands every record to every
-// shard's replay worker, and each worker keeps only the effects its shard
-// owns.
-func (e *Engine) replayRecordShard(shard int, tick uint64, body []byte, updBuf *[]wal.Update) (int64, error) {
-	lo, hi := e.plan.objRange(shard)
-	return e.replayRecordRange(lo, hi, tick, body, updBuf)
+			return w.applied, nil
+		})
 }
 
 // replayRecordRange dispatches one logged record on its kind tag, keeping
-// only effects on objects in [lo, hi): update batches are filtered by the
+// only effects on objects in [lo, hi) — the whole object space under serial
+// recovery, one shard's range under the parallel pipeline, which hands every
+// record to every shard's replay worker. Update batches are filtered by the
 // updated object's owner; action records are re-executed with a
 // range-filtered TickWriter. It returns the number of cell writes applied,
 // so the per-shard counts sum to the serial path's total.
@@ -158,15 +120,7 @@ func (e *Engine) replayRecordRange(lo, hi int, tick uint64, body []byte, updBuf 
 		if err != nil {
 			return 0, err
 		}
-		var n int64
-		for _, u := range *updBuf {
-			if obj := int(e.store.ObjectOf(u.Cell)); obj < lo || obj >= hi {
-				continue
-			}
-			e.store.SetCell(u.Cell, u.Value)
-			n++
-		}
-		return n, nil
+		return e.replayUpdates(*updBuf, lo, hi), nil
 	case recAction:
 		if e.opts.ReplayAction == nil {
 			return 0, fmt.Errorf("engine: log holds action records but no ReplayAction was provided")
@@ -186,16 +140,23 @@ func (e *Engine) replayRecordRange(lo, hi int, tick uint64, body []byte, updBuf 
 		if err != nil {
 			return 0, err
 		}
-		var n int64
-		for _, u := range upds {
-			if obj := int(e.store.ObjectOf(u.Cell)); obj < lo || obj >= hi {
-				continue
-			}
-			e.store.SetCell(u.Cell, u.Value)
-			n++
-		}
-		return n, nil
+		return e.replayUpdates(upds, lo, hi), nil
 	default:
 		return 0, fmt.Errorf("engine: unknown log record kind %d at tick %d", kind, tick)
 	}
+}
+
+// replayUpdates writes the updates whose object falls in [lo, hi) straight
+// into the slab (recovery marks everything dirty afterwards, so no
+// checkpointer bookkeeping) and returns how many it kept.
+func (e *Engine) replayUpdates(upds []wal.Update, lo, hi int) int64 {
+	var n int64
+	for _, u := range upds {
+		if obj := int(e.store.ObjectOf(u.Cell)); obj < lo || obj >= hi {
+			continue
+		}
+		e.store.SetCell(u.Cell, u.Value)
+		n++
+	}
+	return n
 }

@@ -83,6 +83,7 @@ func (c *atomicCP) bootstrap() (*disk.Backup, uint64, bool) {
 func (c *atomicCP) copyRange(src []uint64, loWord, hiWord int) {
 	sz := c.store.ObjSize()
 	slab := c.store.Slab()
+	copied := 0
 	for wi := loWord; wi < hiWord; wi++ {
 		word := src[wi]
 		c.writeSet[wi] = word
@@ -91,9 +92,11 @@ func (c *atomicCP) copyRange(src []uint64, loWord, hiWord int) {
 			b := bits.TrailingZeros64(word)
 			obj := wi<<6 + b
 			copy(c.side[obj*sz:(obj+1)*sz], slab[obj*sz:(obj+1)*sz])
+			copied += sz
 			word &= word - 1
 		}
 	}
+	c.st.PauseBytes.Add(int64(copied))
 }
 
 func (c *atomicCP) endTick(tick uint64) time.Duration {

@@ -71,6 +71,11 @@ type CPStats struct {
 	Copies       atomic.Int64 // copy-on-update pre-image copies
 	PauseTotal   atomic.Int64 // nanoseconds
 	PauseMax     atomic.Int64 // nanoseconds
+	// PauseBytes counts the bytes copied synchronously inside the pauses:
+	// the full state for naive, the dirty objects for atomic-copy, the
+	// bitmap words for copy-on-update. It is the pause's deterministic
+	// size, where PauseTotal is its wall-clock cost on this host.
+	PauseBytes atomic.Int64
 }
 
 func (s *CPStats) recordPause(d time.Duration) {
@@ -325,6 +330,7 @@ func (c *naiveCP) endTick(tick uint64) time.Duration {
 	}
 	pause := time.Since(begin)
 	c.st.recordPause(pause)
+	c.st.PauseBytes.Add(int64(len(c.shadow)))
 	c.epoch++
 	c.inFlight.Store(true)
 	c.jobs <- naiveJob{epoch: c.epoch, tick: tick, begin: begin, pause: pause}
@@ -596,6 +602,7 @@ func (c *couCP) endTick(tick uint64) time.Duration {
 	}
 	pause := time.Since(begin)
 	c.st.recordPause(pause)
+	c.st.PauseBytes.Add(int64(8 * len(src)))
 	c.epoch++
 	c.cur = backup ^ 1
 	c.inFlight.Store(true)

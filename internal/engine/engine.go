@@ -214,18 +214,21 @@ func open(opts Options, parallel bool, peer *RecoverSource, tail func() (recover
 		// when an install is the final record (crash right after a
 		// migration cutover, before its first tick).
 		var res recovery.Result
-		type ranTick struct {
-			tick uint64
-			saw  bool
+		// ranNext[w] is one past the last tick replay worker w saw a
+		// non-install record for; 0 means none.
+		var ranNext []uint64
+		ran := func(w int, tick uint64, body []byte) {
+			if len(body) > 0 && body[0] != recInstall {
+				ranNext[w] = tick + 1
+			}
 		}
-		var lastRun []ranTick
 		if parallel {
 			// The pipeline is partitioned exactly like the engine: one
 			// restore reader and one replay worker per shard, each owning
 			// its plan range of the slab.
 			ranges := make([]recovery.ShardRange, e.plan.count())
 			scratch := make([][]wal.Update, e.plan.count())
-			lastRun = make([]ranTick, e.plan.count())
+			ranNext = make([]uint64, e.plan.count())
 			for s := range ranges {
 				lo, hi := e.plan.objRange(s)
 				ranges[s] = recovery.ShardRange{Lo: lo, Hi: hi}
@@ -234,39 +237,29 @@ func open(opts Options, parallel bool, peer *RecoverSource, tail func() (recover
 				A: backups[0], B: backups[1], Slab: store.Slab(), Log: log,
 				Ranges: ranges,
 				Apply: func(shard int, tick uint64, body []byte) (int64, error) {
-					if len(body) > 0 && body[0] != recInstall {
-						lastRun[shard].tick, lastRun[shard].saw = tick, true
-					}
-					return e.replayRecordShard(shard, tick, body, &scratch[shard])
+					ran(shard, tick, body)
+					return e.replayRecordRange(ranges[shard].Lo, ranges[shard].Hi, tick, body, &scratch[shard])
 				},
 			}
 			if peer != nil {
 				popts.Image = peer.Image
 				popts.Prelude, err = peer.Prelude()
-				if err != nil {
-					log.Close()
-					return nil, pres, err
-				}
 			}
-			if tail != nil {
+			if err == nil && tail != nil {
 				popts.Tail, err = tail()
-				if err != nil {
-					log.Close()
-					return nil, pres, err
-				}
 			}
-			pres, err = recovery.RecoverParallel(popts)
-			res = pres.Result
+			if err == nil {
+				pres, err = recovery.RecoverParallel(popts)
+				res = pres.Result
+			}
 		} else {
 			var updBuf []wal.Update
 			var replayed int64
-			lastRun = make([]ranTick, 1)
+			ranNext = make([]uint64, 1)
 			res, err = recovery.RunRecords(backups[0], backups[1], store.Slab(), log,
 				func(tick uint64, body []byte) error {
-					if len(body) > 0 && body[0] != recInstall {
-						lastRun[0].tick, lastRun[0].saw = tick, true
-					}
-					n, rerr := e.replayRecord(tick, body, &updBuf)
+					ran(0, tick, body)
+					n, rerr := e.replayRecordRange(0, store.NumObjects(), tick, body, &updBuf)
 					replayed += n
 					return rerr
 				})
@@ -276,65 +269,25 @@ func open(opts Options, parallel bool, peer *RecoverSource, tail func() (recover
 			log.Close()
 			return nil, pres, err
 		}
+		next := uint64(0) // first tick the restored image does not cover
+		if res.Restored {
+			next = res.AsOfTick + 1
+		}
 		if tail != nil {
 			// Heal the local log with the tail records it was missing, so the
-			// directory recovers to the same tick on its own next time. The
-			// skip rules mirror the pipeline's: whole ticks the log already
-			// ran, plus the first LastTickRecords records of a torn final
-			// tick (the tail stream carries each tick's records in log
-			// order, so the torn tick is completed record-by-record).
+			// directory recovers to the same tick on its own next time.
 			src, terr := tail()
+			if terr == nil {
+				terr = healLog(log, src, next, pres, pres.LastTickRecords)
+			}
 			if terr != nil {
 				log.Close()
 				return nil, pres, terr
 			}
-			floor := uint64(0)
-			if res.Restored {
-				floor = res.AsOfTick + 1
-			}
-			skip := pres.LastTickRecords
-			healed := false
-			for {
-				tick, payload, ok, terr := src.Next()
-				if terr != nil {
-					log.Close()
-					return nil, pres, fmt.Errorf("engine: log heal: %w", terr)
-				}
-				if !ok {
-					break
-				}
-				if tick < floor {
-					continue
-				}
-				if pres.SawLogTick {
-					if tick < pres.LastLogTick {
-						continue
-					}
-					if tick == pres.LastLogTick && skip > 0 {
-						skip--
-						continue
-					}
-				}
-				if terr := log.Append(tick, payload); terr != nil {
-					log.Close()
-					return nil, pres, fmt.Errorf("engine: log heal: %w", terr)
-				}
-				healed = true
-			}
-			if healed {
-				if terr := log.Sync(); terr != nil {
-					log.Close()
-					return nil, pres, fmt.Errorf("engine: log heal: %w", terr)
-				}
-			}
 		}
-		next := uint64(0)
-		if res.Restored {
-			next = res.AsOfTick + 1
-		}
-		for _, lr := range lastRun {
-			if lr.saw && lr.tick+1 > next {
-				next = lr.tick + 1
+		for _, n := range ranNext {
+			if n > next {
+				next = n
 			}
 		}
 		res.NextTick = next
@@ -420,9 +373,6 @@ func (e *Engine) Store() *Store { return e.store }
 // NextTick returns the tick the next ApplyTick call will be logged as.
 func (e *Engine) NextTick() uint64 { return e.tick }
 
-// Mode returns the engine's recovery method.
-func (e *Engine) Mode() Mode { return e.opts.Mode }
-
 // Table returns the state geometry the engine was opened with.
 func (e *Engine) Table() gamestate.Table { return e.opts.Table }
 
@@ -440,28 +390,61 @@ func (e *Engine) ApplyTick(updates []wal.Update) error {
 // cross-shard contention. Call it like ApplyTick — once per game tick, from
 // one coordinating goroutine. With a single-shard plan it is ApplyTick.
 func (e *Engine) ApplyTickParallel(updates []wal.Update) error {
-	return e.applyTick(updates, e.pool != nil)
+	return e.applyTick(updates, true)
 }
 
 func (e *Engine) applyTick(updates []wal.Update, parallel bool) error {
 	e.tickMu.Lock()
 	defer e.tickMu.Unlock()
-	if e.closed {
+	return e.commit(false, 1,
+		func(int) []byte {
+			e.encBuf = wal.EncodeUpdates(append(e.encBuf[:0], recUpdates), updates)
+			return e.encBuf
+		},
+		func() (int64, error) {
+			e.applyBatch(updates, parallel)
+			return int64(len(updates)), nil
+		})
+}
+
+// guard is the precondition every mutation of the engine shares: open, on
+// the right side of Promote (standby names the side the caller serves), and
+// with a healthy checkpoint writer.
+func (e *Engine) guard(standby bool) error {
+	switch {
+	case e.closed:
 		return errors.New("engine: closed")
-	}
-	if e.standby {
+	case standby && !e.standby:
+		return errors.New("engine: IngestReplicated on a non-standby engine")
+	case !standby && e.standby:
 		return errors.New("engine: standby engines accept only replicated ticks until Promote")
 	}
 	if err := e.cp.err(); err != nil {
 		return fmt.Errorf("engine: checkpoint writer failed: %w", err)
 	}
+	return nil
+}
+
+// commit runs one tick through the engine's only durability ordering (see
+// DESIGN.md, "Tick commit"): guards → append → fsync → apply → endTick →
+// stats/telemetry → advance → notify. Every entry point — update batches,
+// action ticks, envelope ticks, replicated ticks — supplies just what is its
+// own: record(i) returns the i-th of nrec encoded log record bodies (kind tag
+// included; called only on a durable engine, and valid until the next call),
+// and apply mutates the slab through the checkpointer and returns the number
+// of cell writes. The caller holds tickMu. An error means the tick did not
+// commit: the tick counter has not advanced and no subscriber was told.
+func (e *Engine) commit(standby bool, nrec int, record func(i int) []byte, apply func() (int64, error)) error {
+	if err := e.guard(standby); err != nil {
+		return err
+	}
 	// Logical logging first: a tick is replayable before its effects are in
 	// volatile memory only.
 	if e.log != nil {
-		e.encBuf = append(e.encBuf[:0], recUpdates)
-		e.encBuf = wal.EncodeUpdates(e.encBuf, updates)
-		if err := e.log.Append(e.tick, e.encBuf); err != nil {
-			return err
+		for i := 0; i < nrec; i++ {
+			if err := e.log.Append(e.tick, record(i)); err != nil {
+				return err
+			}
 		}
 		if e.opts.SyncEveryTick {
 			if err := e.log.Sync(); err != nil {
@@ -471,13 +454,9 @@ func (e *Engine) applyTick(updates []wal.Update, parallel bool) error {
 	}
 
 	applyStart := time.Now()
-	if parallel {
-		e.pool.run(updates)
-	} else {
-		for _, u := range updates {
-			e.cp.onUpdate(e.store.ObjectOf(u.Cell))
-			e.store.SetCell(u.Cell, u.Value)
-		}
+	applied, err := apply()
+	if err != nil {
+		return err
 	}
 	applyDur := time.Since(applyStart)
 
@@ -485,11 +464,11 @@ func (e *Engine) applyTick(updates []wal.Update, parallel bool) error {
 	e.drainCompleted()
 
 	e.stats.Ticks++
-	e.stats.UpdatesApplied += int64(len(updates))
+	e.stats.UpdatesApplied += applied
 	e.stats.ApplyTotal += applyDur
 	e.stats.PauseTotal += pause
 	telTicks.Inc()
-	telUpdates.Add(uint64(len(updates)))
+	telUpdates.Add(uint64(applied))
 	telApplyWall.ObserveDuration(applyDur)
 	if pause > 0 {
 		telPause.ObserveDuration(pause)
@@ -502,6 +481,20 @@ func (e *Engine) applyTick(updates []wal.Update, parallel bool) error {
 	e.tick++
 	e.notifySubs(tick)
 	return nil
+}
+
+// applyBatch applies one update batch through the checkpointer: fanned out
+// across the shard workers when parallel is set and the plan has more than
+// one shard, inline on the calling goroutine otherwise.
+func (e *Engine) applyBatch(updates []wal.Update, parallel bool) {
+	if parallel && e.pool != nil {
+		e.pool.run(updates)
+		return
+	}
+	for _, u := range updates {
+		e.cp.onUpdate(e.store.ObjectOf(u.Cell))
+		e.store.SetCell(u.Cell, u.Value)
+	}
 }
 
 // drainCompleted consumes checkpoint completions: record them, rotate the

@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/recovery"
 	"repro/internal/wal"
@@ -73,58 +72,19 @@ func DecodeEnvelopeRecord(body []byte) (Envelope, error) {
 func (e *Engine) ApplyTickEnvelopes(envs []Envelope) error {
 	e.tickMu.Lock()
 	defer e.tickMu.Unlock()
-	if e.closed {
-		return errors.New("engine: closed")
-	}
-	if e.standby {
-		return errors.New("engine: standby engines accept only replicated ticks until Promote")
-	}
-	if err := e.cp.err(); err != nil {
-		return fmt.Errorf("engine: checkpoint writer failed: %w", err)
-	}
-	if e.log != nil {
-		for _, env := range envs {
-			e.encBuf = EncodeEnvelopeRecord(e.encBuf[:0], env)
-			if err := e.log.Append(e.tick, e.encBuf); err != nil {
-				return err
+	return e.commit(false, len(envs),
+		func(i int) []byte {
+			e.encBuf = EncodeEnvelopeRecord(e.encBuf[:0], envs[i])
+			return e.encBuf
+		},
+		func() (int64, error) {
+			var applied int64
+			for _, env := range envs {
+				e.applyBatch(env.Updates, env.Origin < 0)
+				applied += int64(len(env.Updates))
 			}
-		}
-		if e.opts.SyncEveryTick {
-			if err := e.log.Sync(); err != nil {
-				return err
-			}
-		}
-	}
-
-	applyStart := time.Now()
-	var applied int64
-	for _, env := range envs {
-		if env.Origin < 0 && e.pool != nil {
-			e.pool.run(env.Updates)
-		} else {
-			for _, u := range env.Updates {
-				e.cp.onUpdate(e.store.ObjectOf(u.Cell))
-				e.store.SetCell(u.Cell, u.Value)
-			}
-		}
-		applied += int64(len(env.Updates))
-	}
-	applyDur := time.Since(applyStart)
-
-	pause := e.cp.endTick(e.tick)
-	e.drainCompleted()
-	e.stats.Ticks++
-	e.stats.UpdatesApplied += applied
-	e.stats.ApplyTotal += applyDur
-	e.stats.PauseTotal += pause
-	if e.opts.KeepTickStats {
-		e.stats.TickTimings = append(e.stats.TickTimings,
-			TickTiming{Apply: applyDur, Pause: pause})
-	}
-	tick := e.tick
-	e.tick++
-	e.notifySubs(tick)
-	return nil
+			return applied, nil
+		})
 }
 
 // RecoverWithTail opens an engine like RecoverFrom, then extends replay past

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/recovery"
+	"repro/internal/wal"
 )
 
 // Peer-RAM recovery: RecoverFromPeer is RecoverFrom with the restore side
@@ -146,31 +148,47 @@ func (e *Engine) healFromPeer(src *RecoverSource, pres recovery.ParallelResult) 
 	if err != nil {
 		return err
 	}
-	appended := false
+	return healLog(e.log, rs, 0, pres, skipAtLast)
+}
+
+// healLog appends to log, then syncs, every record of src the log is
+// missing, so the directory recovers to the same tick from local state
+// alone. src carries each tick's records in log order; the skip rules
+// mirror the recovery pipeline's: records below floor (covered by the
+// restored image), whole ticks the log already ran, and the first skip
+// records of the log's final tick — the ones a torn tick did get down —
+// are passed over, so a torn tick is completed record-by-record.
+func healLog(log *wal.Log, src recovery.RecordSource, floor uint64, pres recovery.ParallelResult, skip int) error {
+	healed := false
 	for {
-		tick, payload, ok, err := rs.Next()
+		tick, payload, ok, err := src.Next()
 		if err != nil {
-			return err
+			return fmt.Errorf("engine: log heal: %w", err)
 		}
 		if !ok {
 			break
+		}
+		if tick < floor {
+			continue
 		}
 		if pres.SawLogTick {
 			if tick < pres.LastLogTick {
 				continue // already in the local log
 			}
-			if tick == pres.LastLogTick && skipAtLast > 0 {
-				skipAtLast--
-				continue // local copy intact; skip the peer's duplicate
+			if tick == pres.LastLogTick && skip > 0 {
+				skip--
+				continue // local copy intact; skip the duplicate
 			}
 		}
-		if err := e.log.Append(tick, payload); err != nil {
-			return err
+		if err := log.Append(tick, payload); err != nil {
+			return fmt.Errorf("engine: log heal: %w", err)
 		}
-		appended = true
+		healed = true
 	}
-	if appended {
-		return e.log.Sync()
+	if healed {
+		if err := log.Sync(); err != nil {
+			return fmt.Errorf("engine: log heal: %w", err)
+		}
 	}
 	return nil
 }

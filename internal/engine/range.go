@@ -61,15 +61,6 @@ func (e *Engine) SnapshotRange(lo, hi int) (nextTick uint64, data []byte, err er
 func (e *Engine) InstallRange(lo, hi int, data []byte) error {
 	e.tickMu.Lock()
 	defer e.tickMu.Unlock()
-	if e.closed {
-		return errors.New("engine: closed")
-	}
-	if e.standby {
-		return errors.New("engine: standby engines accept only replicated ticks until Promote")
-	}
-	if err := e.cp.err(); err != nil {
-		return fmt.Errorf("engine: checkpoint writer failed: %w", err)
-	}
 	if lo < 0 || hi > e.store.NumObjects() || lo >= hi {
 		return fmt.Errorf("engine: install range [%d,%d) outside [0,%d)", lo, hi, e.store.NumObjects())
 	}
@@ -79,21 +70,35 @@ func (e *Engine) InstallRange(lo, hi int, data []byte) error {
 	if e.tick == 0 {
 		return errors.New("engine: install range before any tick was applied")
 	}
-	tick := e.tick
 	if e.log != nil {
 		e.encBuf = appendInstallRecord(e.encBuf[:0], lo, hi, data)
-		if err := e.log.Append(tick, e.encBuf); err != nil {
+	}
+	return e.install(false, e.encBuf, lo, hi, data)
+}
+
+// install is the one path a range install takes into the engine, on the
+// owner (InstallRange) and on its standby (ingestInstall). It is
+// deliberately not a tick and does not go through commit: the record is
+// logged at the next tick without advancing it, and it is always synced —
+// the cluster's routing cutover happens right after the call, and a crash
+// must never leave the new owner without the range it now owns. body is the
+// encoded recInstall record (read only on a durable engine).
+func (e *Engine) install(standby bool, body []byte, lo, hi int, data []byte) error {
+	if err := e.guard(standby); err != nil {
+		return err
+	}
+	if e.log != nil {
+		if err := e.log.Append(e.tick, body); err != nil {
 			return err
 		}
-		// Always durable: the cluster's routing cutover happens right after
-		// this call, and a crash must never leave the new owner without the
-		// range it now owns.
 		if err := e.log.Sync(); err != nil {
 			return err
 		}
 	}
 	e.installObjects(lo, hi, data)
-	e.notifySubs(tick - 1)
+	if e.tick > 0 {
+		e.notifySubs(e.tick - 1)
+	}
 	return nil
 }
 
@@ -159,10 +164,10 @@ func (e *Engine) replayInstall(payload []byte, lo, hi int) (int64, error) {
 
 // ingestInstall applies a replicated install record on a standby. The
 // primary logs installs at its next tick, so the record arrives with tick
-// equal to the standby's expected next tick but — like on the primary —
-// does not advance it: the tick's regular record follows. It is logged to
-// the standby's own WAL and applied through the checkpointer, mirroring
-// InstallRange (including the unconditional sync).
+// equal to the standby's expected next tick (IngestReplicated checked) but —
+// like on the primary — does not advance it: the tick's regular record
+// follows. It is logged to the standby's own WAL and applied through the
+// checkpointer exactly like InstallRange (see install).
 func (e *Engine) ingestInstall(tick uint64, body []byte) error {
 	lo, hi, data, err := decodeInstall(body[1:], e.store.ObjSize())
 	if err != nil {
@@ -171,17 +176,5 @@ func (e *Engine) ingestInstall(tick uint64, body []byte) error {
 	if hi > e.store.NumObjects() {
 		return fmt.Errorf("engine: replicated install range [%d,%d) outside [0,%d)", lo, hi, e.store.NumObjects())
 	}
-	if e.log != nil {
-		if err := e.log.Append(tick, body); err != nil {
-			return err
-		}
-		if err := e.log.Sync(); err != nil {
-			return err
-		}
-	}
-	e.installObjects(lo, hi, data)
-	if tick > 0 {
-		e.notifySubs(tick - 1)
-	}
-	return nil
+	return e.install(true, body, lo, hi, data)
 }

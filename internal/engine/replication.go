@@ -79,13 +79,7 @@ func (e *Engine) SubscribeTicks() (*TickSub, error) {
 	if e.log == nil {
 		return nil, errors.New("engine: replication requires a durable log (not InMemory)")
 	}
-	s := &TickSub{c: make(chan uint64, 1), e: e}
-	s.C = s.c
-	e.replMu.Lock()
-	e.subs = append(e.subs, s)
-	e.hasSubs.Store(true)
-	e.replMu.Unlock()
-	return s, nil
+	return e.subscribe(false), nil
 }
 
 // SubscribeCommits registers a commit-only tick subscription: C delivers the
@@ -96,10 +90,14 @@ func (e *Engine) SubscribeTicks() (*TickSub, error) {
 // nothing" and NeedFrom should not be called). It is the session gateway's
 // delta fan-out hook: the gateway rides the same commit signal the
 // replication shipper does, without the durability coupling.
-func (e *Engine) SubscribeCommits() *TickSub {
-	s := &TickSub{c: make(chan uint64, 1), e: e, commitOnly: true}
+func (e *Engine) SubscribeCommits() *TickSub { return e.subscribe(true) }
+
+func (e *Engine) subscribe(commitOnly bool) *TickSub {
+	s := &TickSub{c: make(chan uint64, 1), e: e, commitOnly: commitOnly}
 	s.C = s.c
-	s.need.Store(^uint64(0))
+	if commitOnly {
+		s.need.Store(^uint64(0))
+	}
 	e.replMu.Lock()
 	e.subs = append(e.subs, s)
 	e.hasSubs.Store(true)
@@ -162,12 +160,7 @@ func (e *Engine) retainFrom(keepFrom uint64) uint64 {
 // concurrently with the tick loop — it serializes with ApplyTick on the
 // engine's tick mutex, so the copy never observes a half-applied tick.
 func (e *Engine) Snapshot() (nextTick uint64, data []byte, err error) {
-	e.tickMu.Lock()
-	defer e.tickMu.Unlock()
-	if e.closed {
-		return 0, nil, errors.New("engine: closed")
-	}
-	return e.tick, append([]byte(nil), e.store.Slab()...), nil
+	return e.SnapshotRange(0, e.store.NumObjects())
 }
 
 // WALDir returns the directory of the engine's logical log, or "" for an
@@ -237,17 +230,18 @@ func (e *Engine) writeBootstrapImage(asOfTick uint64) error {
 		return nil // ModeNone (nextTick 0 only): nothing to seed
 	}
 	hdr := disk.Header{Epoch: epoch, AsOfTick: asOfTick}
-	if err := b.WriteHeader(hdr); err != nil {
-		return fmt.Errorf("engine: bootstrap image: %w", err)
+	err := b.WriteHeader(hdr)
+	if err == nil {
+		err = b.WriteRunVec(0, chunkSlices(e.store.Slab()))
 	}
-	if err := b.WriteRunVec(0, chunkSlices(e.store.Slab())); err != nil {
-		return fmt.Errorf("engine: bootstrap image: %w", err)
+	if err == nil {
+		err = b.Sync()
 	}
-	if err := b.Sync(); err != nil {
-		return fmt.Errorf("engine: bootstrap image: %w", err)
+	if err == nil {
+		hdr.Complete = true
+		err = b.WriteHeader(hdr)
 	}
-	hdr.Complete = true
-	if err := b.WriteHeader(hdr); err != nil {
+	if err != nil {
 		return fmt.Errorf("engine: bootstrap image: %w", err)
 	}
 	e.cpEpoch.Store(epoch)
@@ -266,77 +260,45 @@ func (e *Engine) writeBootstrapImage(asOfTick uint64) error {
 func (e *Engine) IngestReplicated(tick uint64, body []byte) error {
 	e.tickMu.Lock()
 	defer e.tickMu.Unlock()
-	if e.closed {
-		return errors.New("engine: closed")
-	}
-	if !e.standby {
-		return errors.New("engine: IngestReplicated on a non-standby engine")
-	}
-	if err := e.cp.err(); err != nil {
-		return fmt.Errorf("engine: checkpoint writer failed: %w", err)
-	}
 	if len(body) == 0 {
 		return fmt.Errorf("engine: empty replicated record at tick %d", tick)
 	}
 	if tick != e.tick {
 		return fmt.Errorf("engine: replication gap: got tick %d, want %d", tick, e.tick)
 	}
-	if body[0] == recInstall {
+	// The record is interpreted before it is logged, so a body this engine
+	// cannot apply never reaches its WAL.
+	var apply func() (int64, error)
+	switch kind, payload := body[0], body[1:]; kind {
+	case recInstall:
 		// A range install is logged at the primary's next tick but does not
 		// advance it (InstallRange); mirror that — the tick's regular
 		// record follows at the same tick number.
 		return e.ingestInstall(tick, body)
-	}
-	if e.log != nil {
-		if err := e.log.Append(tick, body); err != nil {
-			return err
-		}
-		if e.opts.SyncEveryTick {
-			if err := e.log.Sync(); err != nil {
-				return err
-			}
-		}
-	}
-
-	kind, payload := body[0], body[1:]
-	var applied int64
-	switch kind {
 	case recUpdates:
 		var err error
-		e.ingestBuf, err = wal.DecodeUpdates(e.ingestBuf[:0], payload)
-		if err != nil {
+		if e.ingestBuf, err = wal.DecodeUpdates(e.ingestBuf[:0], payload); err != nil {
 			return fmt.Errorf("engine: replicated tick %d: %w", tick, err)
 		}
-		if e.pool != nil {
-			e.pool.run(e.ingestBuf)
-		} else {
-			for _, u := range e.ingestBuf {
-				e.cp.onUpdate(e.store.ObjectOf(u.Cell))
-				e.store.SetCell(u.Cell, u.Value)
-			}
+		apply = func() (int64, error) {
+			e.applyBatch(e.ingestBuf, true)
+			return int64(len(e.ingestBuf)), nil
 		}
-		applied = int64(len(e.ingestBuf))
 	case recAction:
 		if e.opts.ReplayAction == nil {
 			return fmt.Errorf("engine: replicated action tick %d but no ReplayAction was provided", tick)
 		}
-		w := &TickWriter{e: e}
-		if err := e.opts.ReplayAction(tick, payload, w); err != nil {
-			return fmt.Errorf("engine: replicated action tick %d: %w", tick, err)
+		apply = func() (int64, error) {
+			w := TickWriter{e: e}
+			if err := e.opts.ReplayAction(tick, payload, &w); err != nil {
+				return 0, fmt.Errorf("engine: replicated action tick %d: %w", tick, err)
+			}
+			return w.applied, nil
 		}
-		applied = w.applied
 	default:
 		return fmt.Errorf("engine: unknown replicated record kind %d at tick %d", kind, tick)
 	}
-
-	pause := e.cp.endTick(tick)
-	e.drainCompleted()
-	e.stats.Ticks++
-	e.stats.UpdatesApplied += applied
-	e.stats.PauseTotal += pause
-	e.tick = tick + 1
-	e.notifySubs(tick)
-	return nil
+	return e.commit(true, 1, func(int) []byte { return body }, apply)
 }
 
 // Promote seals the standby and makes it a primary: ingested ticks are

@@ -444,7 +444,7 @@ func chaosReplinkCell(table gamestate.Table, src workload.Source, ref []byte, se
 	if err != nil {
 		return cell, err
 	}
-	sh, err := replication.StartResilientShipper(p, shipDial, replication.ShipperOptions{MaxLagTicks: 8}, fast)
+	sh, err := replication.StartResilientShipper(p, shipDial, replication.StreamOptions{MaxLagTicks: 8}, fast)
 	if err != nil {
 		sb.Close()
 		return cell, err

@@ -383,7 +383,7 @@ func clusterBenchCell(table gamestate.Table, src workload.Source, ref []byte,
 				c.Close()
 				return row, err
 			}
-			sh, err := replication.StartShipper(n.E, pc, replication.ShipperOptions{MaxLagTicks: 64})
+			sh, err := replication.StartShipper(n.E, pc, replication.StreamOptions{MaxLagTicks: 64})
 			if err != nil {
 				sb.Close()
 				c.Close()

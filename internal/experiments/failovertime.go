@@ -244,7 +244,7 @@ func failoverPoint(s Scale, seed int64, updates, lag, shards, logTicks int,
 		p.Close()
 		return row, err
 	}
-	sh, err := replication.StartShipper(p, pc, replication.ShipperOptions{MaxLagTicks: lag})
+	sh, err := replication.StartShipper(p, pc, replication.StreamOptions{MaxLagTicks: lag})
 	if err != nil {
 		sb.Close()
 		p.Close()

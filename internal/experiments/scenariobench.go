@@ -448,7 +448,7 @@ func scenarioBenchCell(table gamestate.Table, src workload.Source, ref []byte,
 		p.Close()
 		return cell, err
 	}
-	sh, err := replication.StartShipper(p, pc, replication.ShipperOptions{MaxLagTicks: opts.LagBudget})
+	sh, err := replication.StartShipper(p, pc, replication.StreamOptions{MaxLagTicks: opts.LagBudget})
 	if err != nil {
 		sb.Close()
 		p.Close()

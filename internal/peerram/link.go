@@ -2,7 +2,6 @@ package peerram
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -13,49 +12,12 @@ import (
 	"repro/internal/wal"
 )
 
-// ErrStopped reports a sender or holder shut down by Stop rather than by a
-// stream failure.
-var ErrStopped = errors.New("peerram: stopped")
-
-// SenderOptions configures an owner-side replica sender.
-type SenderOptions struct {
-	// MaxLagTicks bounds the shipped-but-unacknowledged delta ticks, the
-	// same back-pressure contract as the warm-standby shipper. <=0 means 64.
-	MaxLagTicks int
-	// IdlePoll is the WAL tail reader's fallback poll interval when no
-	// tick-commit signal arrives. <=0 means 5ms.
-	IdlePoll time.Duration
-}
-
-func (o *SenderOptions) defaults() {
-	if o.MaxLagTicks <= 0 {
-		o.MaxLagTicks = 64
-	}
-	if o.IdlePoll <= 0 {
-		o.IdlePoll = 5 * time.Millisecond
-	}
-}
-
-// SenderStats is a snapshot of a sender's progress counters.
-type SenderStats struct {
-	// ImagesShipped counts checkpoint images (the initial bootstrap plus
-	// every RefreshImage); ImageBytes is the compressed size of the latest.
-	ImagesShipped int64
-	ImageBytes    int64
-	// DeltaTicks and DeltaBytes count shipped tick bundles (compressed).
-	DeltaTicks int64
-	DeltaBytes int64
-	// Acked is the holder's retention watermark: the first tick it still
-	// needs. Every tick below it is safe in the holder's RAM.
-	Acked    uint64
-	HasAcked bool
-}
-
 // Sender streams one engine's checkpoint image and dirty-since-cut tick
 // deltas into one peer's replica store. It is the warm-standby shipper with
 // the standby replaced by compressed RAM: the same WAL tail-follow woken by
-// the engine's tick-commit signal, the same CRC framing, the same ack-based
-// retention (the holder's watermark feeds TickSub.NeedFrom), and no fsync
+// the engine's tick-commit signal, and the same ack-bounded
+// replication.Stream underneath — CRC framing, lag gate, ack-based
+// retention (the holder's watermark feeds TickSub.NeedFrom) — with no fsync
 // anywhere on the tick path.
 //
 // Deltas are shipped one complete tick per frame: the sender holds a tick's
@@ -65,18 +27,11 @@ type SenderStats struct {
 // replica never holds a torn tick.
 type Sender struct {
 	e    *engine.Engine
-	conn net.Conn
-	opts SenderOptions
+	st   *replication.Stream
+	opts replication.StreamOptions
 	sub  *engine.TickSub
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	stats   SenderStats
-	err     error
-	stopped bool
-
 	refresh chan chan error
-	stop    chan struct{}
 	done    chan struct{}
 }
 
@@ -84,43 +39,35 @@ type Sender struct {
 // streaming to conn (the holder's end is a Holder). It returns immediately;
 // the initial image ships on a background goroutine. The caller must Stop
 // the sender before closing the engine.
-func StartSender(e *engine.Engine, conn net.Conn, opts SenderOptions) (*Sender, error) {
-	opts.defaults()
+func StartSender(e *engine.Engine, conn net.Conn, opts replication.StreamOptions) (*Sender, error) {
+	opts = opts.WithDefaults()
 	sub, err := e.SubscribeTicks()
 	if err != nil {
 		return nil, err
 	}
 	s := &Sender{
 		e:       e,
-		conn:    conn,
+		st:      replication.NewStream(conn, opts),
 		opts:    opts,
 		sub:     sub,
 		refresh: make(chan chan error, 1),
-		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	s.cond = sync.NewCond(&s.mu)
 	go s.run()
 	return s, nil
 }
 
 func (s *Sender) run() {
 	defer close(s.done)
-	err := s.ship()
-	s.mu.Lock()
-	if s.err == nil && err != nil && !s.stopped {
-		s.err = err
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.conn.Close() //nolint:errcheck // unblocks the holder; best effort
+	s.st.Fail(s.ship())
+	s.st.Stop() //nolint:errcheck // closes the conn (unblocks the holder) and joins the ack reader
 	s.sub.Close()
 }
 
 // shipImage snapshots the engine, compresses the slab, and ships it as one
 // image frame. It returns the image floor (the first tick the image does
 // not cover) so the delta stream can skip everything below it.
-func (s *Sender) shipImage(scratch *[]byte) (uint64, error) {
+func (s *Sender) shipImage() (uint64, error) {
 	nextTick, snap, err := s.e.Snapshot()
 	if err != nil {
 		return 0, err
@@ -136,27 +83,25 @@ func (s *Sender) shipImage(scratch *[]byte) (uint64, error) {
 	body = binary.LittleEndian.AppendUint64(body, nextTick)
 	body = binary.LittleEndian.AppendUint64(body, uint64(len(snap)))
 	body = append(body, comp...)
-	if *scratch, err = replication.WriteFrame(s.conn, *scratch, body); err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	s.stats.ImagesShipped++
-	s.stats.ImageBytes = int64(len(comp))
-	s.mu.Unlock()
-	return nextTick, nil
+	return nextTick, s.st.Send(body)
 }
 
 // ship is the sender's main line: initial image, then the commit-gated
 // bundle loop tail-following the engine's WAL.
 func (s *Sender) ship() error {
-	var scratch []byte
-	floor, err := s.shipImage(&scratch)
+	floor, err := s.shipImage()
 	if err != nil {
 		return err
 	}
 	s.sub.NeedFrom(floor)
 
-	go s.ackLoop()
+	// The holder acks with its retention watermark — the first tick it still
+	// needs, everything below being safe in its RAM — which is the stream's
+	// own form and exactly what the engine's log retention takes.
+	s.st.StartAcks(replication.FrameReplicaAck, func(w uint64) uint64 {
+		s.sub.NeedFrom(w)
+		return w
+	})
 
 	tail := wal.NewTailReader(s.e.WALDir(), floor)
 	defer tail.Close()
@@ -176,7 +121,7 @@ func (s *Sender) ship() error {
 		if err != nil {
 			return err
 		}
-		if err := s.waitLag(cur, floor); err != nil {
+		if err := s.st.WaitLag(cur, floor); err != nil {
 			return err
 		}
 		body := make([]byte, 0, 17+len(comp))
@@ -184,19 +129,12 @@ func (s *Sender) ship() error {
 		body = binary.LittleEndian.AppendUint64(body, cur)
 		body = binary.LittleEndian.AppendUint64(body, uint64(len(recs)))
 		body = append(body, comp...)
-		if scratch, err = replication.WriteFrame(s.conn, scratch, body); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.stats.DeltaTicks++
-		s.stats.DeltaBytes += int64(len(comp))
-		s.mu.Unlock()
 		have, recs = false, recs[:0]
-		return nil
+		return s.st.Send(body)
 	}
 	for {
 		select {
-		case <-s.stop:
+		case <-s.st.Stopped():
 			return nil
 		default:
 		}
@@ -236,10 +174,10 @@ func (s *Sender) ship() error {
 			}
 		}
 		select {
-		case <-s.stop:
+		case <-s.st.Stopped():
 			return nil
 		case reply := <-s.refresh:
-			nt, err := s.shipImage(&scratch)
+			nt, err := s.shipImage()
 			if err != nil {
 				reply <- err
 				return err
@@ -255,67 +193,6 @@ func (s *Sender) ship() error {
 			commit, sawComm = c, true
 		case <-time.After(s.opts.IdlePoll):
 		}
-	}
-}
-
-// waitLag blocks until shipping tick keeps the in-flight window within
-// MaxLagTicks, the stream dies, or the sender stops.
-func (s *Sender) waitLag(tick, floor uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.stopped {
-			return ErrStopped
-		}
-		if s.err != nil {
-			return s.err
-		}
-		ackFrom := floor
-		if s.stats.HasAcked && s.stats.Acked > ackFrom {
-			ackFrom = s.stats.Acked
-		}
-		if ackFrom > tick || tick-ackFrom+1 <= uint64(s.opts.MaxLagTicks) {
-			return nil
-		}
-		s.cond.Wait()
-	}
-}
-
-// ackLoop consumes the holder's watermark stream, wakes the lag gate, and
-// feeds the watermark to the engine's log retention.
-func (s *Sender) ackLoop() {
-	var buf []byte
-	for {
-		body, nbuf, err := replication.ReadFrame(s.conn, buf)
-		if err != nil {
-			s.mu.Lock()
-			if s.err == nil && !s.stopped {
-				s.err = fmt.Errorf("peerram: ack stream: %w", err)
-			}
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			return
-		}
-		buf = nbuf
-		if len(body) != 9 || body[0] != replication.FrameReplicaAck {
-			s.mu.Lock()
-			if s.err == nil {
-				s.err = fmt.Errorf("peerram: malformed ack frame (type %d, %d bytes)", body[0], len(body))
-			}
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			return
-		}
-		w := binary.LittleEndian.Uint64(body[1:])
-		s.mu.Lock()
-		if !s.stats.HasAcked || w > s.stats.Acked {
-			s.stats.Acked, s.stats.HasAcked = w, true
-		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		// Ack-based retention: the holder's RAM covers everything below w,
-		// so the engine's log may reclaim it.
-		s.sub.NeedFrom(w)
 	}
 }
 
@@ -339,65 +216,24 @@ func (s *Sender) RefreshImage() error {
 }
 
 func (s *Sender) failure() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return s.err
+	if err := s.st.Err(); err != nil {
+		return err
 	}
-	return ErrStopped
+	return replication.ErrStopped
 }
 
 // AwaitAck blocks until the holder's watermark passes tick (its RAM covers
 // everything at or below tick), the stream fails, or the timeout elapses.
 func (s *Sender) AwaitAck(tick uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	timer := time.AfterFunc(timeout, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer timer.Stop()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.stats.HasAcked && s.stats.Acked > tick {
-			return nil
-		}
-		if s.err != nil {
-			return s.err
-		}
-		if s.stopped {
-			return ErrStopped
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("peerram: tick %d not replicated within %v", tick, timeout)
-		}
-		s.cond.Wait()
-	}
-}
-
-// Stats returns a snapshot of the sender's counters.
-func (s *Sender) Stats() SenderStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	return s.st.AwaitAck(tick, timeout)
 }
 
 // Stop tears the link down and joins the goroutines. It returns the first
 // stream error, or nil if the link was healthy.
 func (s *Sender) Stop() error {
-	s.mu.Lock()
-	if !s.stopped {
-		s.stopped = true
-		close(s.stop)
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.conn.Close() //nolint:errcheck // unblocks both loops
+	s.st.Stop() //nolint:errcheck // reported below, once run has latched its own
 	<-s.done
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
+	return s.st.Err()
 }
 
 // Holder is the receiving end of one replica link: it ingests image and

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/replication"
 )
 
 // DefaultK is the replication factor when Options.K is unset: each
@@ -37,7 +38,7 @@ type Options struct {
 	// the cluster size minus one. <=0 means DefaultK.
 	K int
 	// MaxLagTicks and IdlePoll configure every link's sender; zero values
-	// take the SenderOptions defaults.
+	// take the replication.StreamOptions defaults.
 	MaxLagTicks int
 	IdlePoll    time.Duration
 }
@@ -87,10 +88,6 @@ func NewMesh(n int, opts Options) *Mesh {
 	return m
 }
 
-// K returns the effective replication factor (0 on a single-node mesh:
-// there is no peer to hold anything).
-func (m *Mesh) K() int { return m.opts.K }
-
 // Holders returns the nodes holding owner's replica: the K ring successors.
 func (m *Mesh) Holders(owner int) []int {
 	holders := make([]int, 0, m.opts.K)
@@ -122,7 +119,7 @@ func (m *Mesh) Attach(owner int, e *engine.Engine) error {
 	if len(m.links[owner]) > 0 {
 		return fmt.Errorf("peerram: node %d already attached", owner)
 	}
-	sopts := SenderOptions{MaxLagTicks: m.opts.MaxLagTicks, IdlePoll: m.opts.IdlePoll}
+	sopts := replication.StreamOptions{MaxLagTicks: m.opts.MaxLagTicks, IdlePoll: m.opts.IdlePoll}
 	for _, h := range m.Holders(owner) {
 		sc, hc := net.Pipe()
 		recv := StartHolder(owner, m.stores[h], hc)
@@ -283,19 +280,4 @@ func (m *Mesh) MemStats() []int64 {
 	}
 	m.updateReplicaBytes()
 	return stats
-}
-
-// Close stops every remaining link. Stores stay readable (a closed mesh can
-// still serve Source), matching the "surviving RAM outlives the cluster"
-// model.
-func (m *Mesh) Close() {
-	m.mu.Lock()
-	owners := make([]int, 0, len(m.links))
-	for o := range m.links {
-		owners = append(owners, o)
-	}
-	m.mu.Unlock()
-	for _, o := range owners {
-		m.Detach(o)
-	}
 }

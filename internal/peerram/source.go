@@ -45,10 +45,6 @@ func (s *RestoreSource) Info() (epoch, nextTick uint64, err error) {
 	return s.rep.epoch, s.rep.nextTick, nil
 }
 
-// DeltaTicks returns the number of tick bundles the replica carries past
-// its image cut.
-func (s *RestoreSource) DeltaTicks() int { return len(s.rep.deltas) }
-
 // materialize inflates the compressed image exactly once; every shard's
 // ReadRange then copies out of the shared buffer.
 func (s *RestoreSource) materialize() error {

@@ -55,7 +55,7 @@ func TestShipperReshipsBoundaryInstall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := StartShipper(p, pc, ShipperOptions{})
+	sh, err := StartShipper(p, pc, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,16 +146,14 @@ func readFrame(r io.Reader, buf []byte) (body, nextBuf []byte, err error) {
 
 // sendSnapshot ships a tick-consistent image as snapBegin, snapChunk* and
 // snapEnd frames: the bootstrap leg shared by standby sessions (whole
-// slab) and range transfers (one object range). scratch is reused and
-// returned possibly grown.
-func sendSnapshot(w io.Writer, scratch []byte, nextTick uint64, data []byte) ([]byte, error) {
+// slab) and range transfers (one object range).
+func (s *Stream) sendSnapshot(nextTick uint64, data []byte) error {
 	begin := make([]byte, 0, 17)
 	begin = append(begin, ftSnapBegin)
 	begin = binary.LittleEndian.AppendUint64(begin, nextTick)
 	begin = binary.LittleEndian.AppendUint64(begin, uint64(len(data)))
-	var err error
-	if scratch, err = writeFrame(w, scratch, begin); err != nil {
-		return scratch, err
+	if err := s.Send(begin); err != nil {
+		return err
 	}
 	chunk := make([]byte, 0, 9+snapChunkSize)
 	for off := 0; off < len(data); off += snapChunkSize {
@@ -166,11 +164,11 @@ func sendSnapshot(w io.Writer, scratch []byte, nextTick uint64, data []byte) ([]
 		chunk = append(chunk[:0], ftSnapChunk)
 		chunk = binary.LittleEndian.AppendUint64(chunk, uint64(off))
 		chunk = append(chunk, data[off:end]...)
-		if scratch, err = writeFrame(w, scratch, chunk); err != nil {
-			return scratch, err
+		if err := s.Send(chunk); err != nil {
+			return err
 		}
 	}
-	return writeFrame(w, scratch, []byte{ftSnapEnd})
+	return s.Send([]byte{ftSnapEnd})
 }
 
 // recvSnapshot collects the snapshot sent by sendSnapshot, enforcing the
@@ -250,9 +248,13 @@ func decodeHello(typ byte, body []byte) (hello, error) {
 	return h, nil
 }
 
+// errGeometry marks a handshake whose two ends disagree on the state
+// geometry: no retry can fix it (resilient sessions treat it as fatal).
+var errGeometry = errors.New("replication: geometry mismatch")
+
 func (h hello) check(peer hello) error {
 	if h != peer {
-		return fmt.Errorf("replication: geometry mismatch: local %d×%dB objects (cell %dB), peer %d×%dB (cell %dB)",
+		return fmt.Errorf("%w: local %d×%dB objects (cell %dB), peer %d×%dB (cell %dB)", errGeometry,
 			h.objects, h.objSize, h.cellSize, peer.objects, peer.objSize, peer.cellSize)
 	}
 	return nil

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 
 	"repro/internal/wal"
 )
@@ -53,138 +52,61 @@ func (g RangeGeometry) hello() hello {
 func (g RangeGeometry) bytes() int { return (g.Hi - g.Lo) * g.ObjSize }
 
 // RangeSender is the source side of a range transfer. All methods are
-// called from one goroutine (the cluster coordinator, between ticks); a
-// background loop consumes the receiver's acks.
+// called from one goroutine (the cluster coordinator, between ticks); the
+// underlying Stream's reader consumes the receiver's acks.
 type RangeSender struct {
-	conn    net.Conn
-	scratch []byte
-	frame   []byte
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	acked    uint64
-	hasAcked bool
-	err      error
+	st    *Stream
+	frame []byte
 }
 
 // NewRangeSender performs the geometry handshake (hello ⇄ welcome) and
-// starts the ack loop. The receiver must be running on the other end.
+// starts the ack reader. The receiver must be running on the other end.
 func NewRangeSender(conn net.Conn, g RangeGeometry) (*RangeSender, error) {
-	s := &RangeSender{conn: conn}
-	s.cond = sync.NewCond(&s.mu)
-	var err error
-	local := g.hello()
-	if s.scratch, err = writeFrame(conn, s.scratch, encodeHello(ftHello, local)); err != nil {
-		return nil, fmt.Errorf("replication: range handshake: %w", err)
-	}
-	body, _, err := readFrame(conn, nil)
-	if err != nil {
-		return nil, fmt.Errorf("replication: range handshake: %w", err)
-	}
-	peer, err := decodeHello(ftWelcome, body)
-	if err != nil {
+	s := &RangeSender{st: NewStream(conn, StreamOptions{})}
+	if _, err := s.st.handshake(g.hello()); err != nil {
 		return nil, err
 	}
-	if err := local.check(peer); err != nil {
-		return nil, err
-	}
-	go s.ackLoop()
+	// The receiver acks the last tick it staged.
+	s.st.StartAcks(ftAck, func(tick uint64) uint64 { return tick + 1 })
 	return s, nil
-}
-
-func (s *RangeSender) ackLoop() {
-	var buf []byte
-	for {
-		body, nbuf, err := readFrame(s.conn, buf)
-		if err != nil {
-			s.fail(err)
-			return
-		}
-		buf = nbuf
-		tick, err := decodeU64(ftAck, body)
-		if err != nil {
-			s.fail(err)
-			return
-		}
-		s.mu.Lock()
-		s.acked, s.hasAcked = tick, true
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
-}
-
-func (s *RangeSender) fail(err error) {
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
 }
 
 // SendSnapshot ships the range bytes, consistent as of nextTick-1, in
 // snapshot frames. Tick frames from nextTick on follow via SendTick.
 func (s *RangeSender) SendSnapshot(nextTick uint64, data []byte) error {
-	var err error
-	s.scratch, err = sendSnapshot(s.conn, s.scratch, nextTick, data)
-	return err
+	return s.st.sendSnapshot(nextTick, data)
 }
 
 // SendTick streams one tick's updates for the range (already filtered to it
 // by the router). Empty batches are sent too: the receiver's applied
 // watermark must advance every tick so cutover is a pure tick comparison.
+// The transfer is driven in lock-step with the tick barrier, so there is no
+// lag gate here — only the error latch.
 func (s *RangeSender) SendTick(tick uint64, updates []wal.Update) error {
-	if err := s.Err(); err != nil {
+	if err := s.st.Err(); err != nil {
 		return err
 	}
 	s.frame = append(s.frame[:0], ftTick)
 	s.frame = binary.LittleEndian.AppendUint64(s.frame, tick)
 	s.frame = wal.EncodeUpdates(s.frame, updates)
-	var err error
-	s.scratch, err = writeFrame(s.conn, s.scratch, s.frame)
-	return err
+	return s.st.Send(s.frame)
 }
 
 // SendCut ends the stream: the receiver owns the range from cutTick on.
 // The sender must have streamed every tick below cutTick.
 func (s *RangeSender) SendCut(cutTick uint64) error {
-	var err error
-	s.scratch, err = writeFrame(s.conn, s.scratch, u64Frame(ftCut, cutTick))
-	return err
+	return s.st.Send(u64Frame(ftCut, cutTick))
 }
 
 // AwaitApplied blocks until the receiver has staged every tick up to and
 // including tick, or the session fails.
-func (s *RangeSender) AwaitApplied(tick uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.hasAcked && s.acked >= tick {
-			return nil
-		}
-		if s.err != nil {
-			return s.err
-		}
-		s.cond.Wait()
-	}
-}
-
-// Applied returns the receiver's staged high-water tick.
-func (s *RangeSender) Applied() (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.acked, s.hasAcked
-}
+func (s *RangeSender) AwaitApplied(tick uint64) error { return s.st.AwaitAck(tick, 0) }
 
 // Err returns the first session error, nil while healthy.
-func (s *RangeSender) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
+func (s *RangeSender) Err() error { return s.st.Err() }
 
-// Close tears the session down (the ack loop exits on the closed conn).
-func (s *RangeSender) Close() error { return s.conn.Close() }
+// Close tears the session down and joins the ack reader.
+func (s *RangeSender) Close() error { return s.st.Stop() }
 
 // RangeReceiver is the target side: it stages the snapshot and the streamed
 // ticks into a side buffer and acknowledges progress. Run blocks until the
@@ -221,21 +143,9 @@ func (r *RangeReceiver) Run() error {
 }
 
 func (r *RangeReceiver) run() error {
-	local := r.geom.hello()
-	var scratch []byte
-	body, rbuf, err := readFrame(r.conn, nil)
-	if err != nil {
-		return fmt.Errorf("replication: range handshake: %w", err)
-	}
-	peer, err := decodeHello(ftHello, body)
+	rbuf, scratch, err := acceptHandshake(r.conn, r.geom.hello())
 	if err != nil {
 		return err
-	}
-	if err := local.check(peer); err != nil {
-		return err
-	}
-	if scratch, err = writeFrame(r.conn, scratch, encodeHello(ftWelcome, local)); err != nil {
-		return fmt.Errorf("replication: range handshake: %w", err)
 	}
 
 	// Bootstrap: the range snapshot.
@@ -253,6 +163,7 @@ func (r *RangeReceiver) run() error {
 	// Stream: stage each tick's updates into the side buffer, ack, until
 	// the cut.
 	var updates []wal.Update
+	var body []byte
 	for {
 		body, rbuf, err = readFrame(r.conn, rbuf)
 		if err != nil {

@@ -80,7 +80,7 @@ func TestPromotionCrashEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sh, err := StartShipper(p, pc, ShipperOptions{MaxLagTicks: 8})
+			sh, err := StartShipper(p, pc, StreamOptions{MaxLagTicks: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,7 +220,7 @@ func TestMidStreamCutSealsAtWholeTick(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sh, err := StartShipper(p, cut, ShipperOptions{MaxLagTicks: 64})
+			sh, err := StartShipper(p, cut, StreamOptions{MaxLagTicks: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,7 +270,7 @@ func TestBackpressureBoundsInFlightTicks(t *testing.T) {
 	}
 	defer p.Close()
 	pc, sc := net.Pipe()
-	sh, err := StartShipper(p, pc, ShipperOptions{MaxLagTicks: maxLag})
+	sh, err := StartShipper(p, pc, StreamOptions{MaxLagTicks: maxLag})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestActionReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := StartShipper(p, pc, ShipperOptions{})
+	sh, err := StartShipper(p, pc, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestHandshakeRejectsGeometryMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := StartShipper(p, pc, ShipperOptions{})
+	sh, err := StartShipper(p, pc, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,14 +80,8 @@ func StartResilientStandby(opts engine.Options, dial func() (net.Conn, error), r
 	if dial == nil {
 		return nil, errors.New("replication: resilient standby needs a dial function")
 	}
-	sb := &Standby{
-		opts:  opts,
-		dial:  dial,
-		ropts: ropts,
-		stop:  make(chan struct{}),
-		ready: make(chan struct{}),
-		done:  make(chan struct{}),
-	}
+	sb := newStandby(opts, nil)
+	sb.dial, sb.ropts = dial, ropts
 	go sb.run()
 	return sb, nil
 }
@@ -117,7 +111,7 @@ func (sb *Standby) runResilient() {
 		conn, err := sb.dial()
 		if err != nil {
 			lastErr = err
-			if !sb.sleep(b.Next()) {
+			if !sleepOrStop(sb.stop, b.Next()) {
 				sb.seal(stopCause(lastErr))
 				return
 			}
@@ -149,20 +143,20 @@ func (sb *Standby) runResilient() {
 		if progressed {
 			b.Reset()
 		}
-		if !sb.sleep(b.Next()) {
+		if !sleepOrStop(sb.stop, b.Next()) {
 			sb.seal(stopCause(lastErr))
 			return
 		}
 	}
 }
 
-// sleep waits d or until the stop channel closes; it reports whether the
-// loop should continue.
-func (sb *Standby) sleep(d time.Duration) bool {
+// sleepOrStop waits d or until stop closes; it reports whether the
+// reconnect loop should continue.
+func sleepOrStop(stop <-chan struct{}, d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
-	case <-sb.stop:
+	case <-stop:
 		return false
 	case <-t.C:
 		return true
@@ -188,7 +182,7 @@ func stopCause(lastErr error) error {
 type ResilientShipper struct {
 	e     *engine.Engine
 	dial  func() (net.Conn, error)
-	opts  ShipperOptions
+	opts  StreamOptions
 	ropts ResilientOptions
 	sub   *engine.TickSub // retention pin: always acked+1
 
@@ -208,7 +202,7 @@ type ResilientShipper struct {
 // dial is called once per session attempt (the standby end decides, via
 // the resume handshake, whether it needs a bootstrap or a mid-stream
 // pickup). The caller must Stop it before closing the engine.
-func StartResilientShipper(e *engine.Engine, dial func() (net.Conn, error), opts ShipperOptions, ropts ResilientOptions) (*ResilientShipper, error) {
+func StartResilientShipper(e *engine.Engine, dial func() (net.Conn, error), opts StreamOptions, ropts ResilientOptions) (*ResilientShipper, error) {
 	if dial == nil {
 		return nil, errors.New("replication: resilient shipper needs a dial function")
 	}
@@ -259,7 +253,7 @@ func (r *ResilientShipper) run() {
 		conn, err := r.dial()
 		if err != nil {
 			lastErr = err
-			if !r.sleep(b.Next()) {
+			if !sleepOrStop(r.stop, b.Next()) {
 				return
 			}
 			continue
@@ -268,7 +262,7 @@ func (r *ResilientShipper) run() {
 		if err != nil {
 			conn.Close() //nolint:errcheck
 			lastErr = err
-			if !r.sleep(b.Next()) {
+			if !sleepOrStop(r.stop, b.Next()) {
 				return
 			}
 			continue
@@ -292,7 +286,7 @@ func (r *ResilientShipper) run() {
 		if progressed {
 			b.Reset()
 		}
-		if !r.sleep(b.Next()) {
+		if !sleepOrStop(r.stop, b.Next()) {
 			return
 		}
 	}
@@ -366,20 +360,19 @@ func (r *ResilientShipper) Err() error {
 	return r.err
 }
 
-// Done is closed when the supervisor has stopped retrying.
-func (r *ResilientShipper) Done() <-chan struct{} { return r.done }
-
 // AwaitAck blocks until the standby has acknowledged tick — across however
 // many sessions that takes — the supervisor gives up, or the timeout
-// elapses.
+// elapses. The waiting itself is the live session's (Stream.AwaitAck), in
+// short slices so a session that dies mid-wait hands over to its successor.
 func (r *ResilientShipper) AwaitAck(tick uint64, timeout time.Duration) error {
+	const slice = 5 * time.Millisecond
 	deadline := time.Now().Add(timeout)
 	for {
 		if a, ok := r.Acked(); ok && a >= tick {
 			return nil
 		}
 		r.mu.Lock()
-		err, stopped := r.err, r.stopped
+		err, stopped, cur := r.err, r.stopped, r.cur
 		r.mu.Unlock()
 		if err != nil {
 			return err
@@ -387,22 +380,13 @@ func (r *ResilientShipper) AwaitAck(tick uint64, timeout time.Duration) error {
 		if stopped {
 			return ErrStopped
 		}
-		if time.Now().After(deadline) {
+		left := time.Until(deadline)
+		if left <= 0 {
 			return fmt.Errorf("replication: tick %d not acknowledged within %v", tick, timeout)
 		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// sleep waits d or until Stop; it reports whether the loop should continue.
-func (r *ResilientShipper) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-r.stop:
-		return false
-	case <-t.C:
-		return true
+		if cur == nil || cur.AwaitAck(tick, min(left, slice)) != nil {
+			time.Sleep(time.Millisecond) // between sessions, or this one is dead or slow: look again
+		}
 	}
 }
 

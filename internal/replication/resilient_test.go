@@ -74,7 +74,7 @@ func TestResilientPairSurvivesRepeatedSevers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := StartResilientShipper(p, shipDial, ShipperOptions{}, ResilientOptions{Backoff: fast})
+	sh, err := StartResilientShipper(p, shipDial, StreamOptions{}, ResilientOptions{Backoff: fast})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package replication
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -10,31 +9,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/wal"
 )
-
-// ErrStopped reports a shipper shut down by Stop rather than by a stream
-// failure.
-var ErrStopped = errors.New("replication: shipper stopped")
-
-// ShipperOptions configures a primary-side shipper.
-type ShipperOptions struct {
-	// MaxLagTicks bounds the number of shipped-but-unacknowledged ticks:
-	// the shipper stalls (never drops, never reorders) once the standby
-	// falls this many ticks behind, which in turn bounds the standby's
-	// replay lag — the warm-failover budget. <=0 means 64.
-	MaxLagTicks int
-	// IdlePoll is the tail reader's fallback poll interval when no
-	// tick-commit signal arrives (e.g. the primary is idle). <=0 means 5ms.
-	IdlePoll time.Duration
-}
-
-func (o *ShipperOptions) defaults() {
-	if o.MaxLagTicks <= 0 {
-		o.MaxLagTicks = 64
-	}
-	if o.IdlePoll <= 0 {
-		o.IdlePoll = 5 * time.Millisecond
-	}
-}
 
 // ShipperStats is a snapshot of a shipper's progress counters.
 type ShipperStats struct {
@@ -53,21 +27,17 @@ type ShipperStats struct {
 
 // Shipper streams a primary engine to one standby: bootstrap snapshot
 // first, then live WAL records tail-followed from the engine's log
-// directory, with ack-bounded in-flight ticks. Start it with StartShipper;
-// it runs until the connection breaks, the engine closes, or Stop.
+// directory, over an ack-bounded Stream. Start it with StartShipper; it
+// runs until the connection breaks, the engine closes, or Stop.
 type Shipper struct {
 	e    *engine.Engine
-	conn net.Conn
-	opts ShipperOptions
+	st   *Stream
+	opts StreamOptions
 	sub  *engine.TickSub
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	stats   ShipperStats
-	err     error // first stream error (nil after a clean Stop)
-	stopped bool
+	mu    sync.Mutex
+	stats ShipperStats // Acked/HasAcked are filled from the stream on read
 
-	stop chan struct{}
 	done chan struct{}
 }
 
@@ -76,34 +46,27 @@ type Shipper struct {
 // run on background goroutines (the two ends of a connection can therefore
 // be started from one goroutine, in either order). The caller must Stop the
 // shipper before closing the engine.
-func StartShipper(e *engine.Engine, conn net.Conn, opts ShipperOptions) (*Shipper, error) {
-	opts.defaults()
+func StartShipper(e *engine.Engine, conn net.Conn, opts StreamOptions) (*Shipper, error) {
+	opts = opts.WithDefaults()
 	sub, err := e.SubscribeTicks()
 	if err != nil {
 		return nil, err
 	}
 	s := &Shipper{
 		e:    e,
-		conn: conn,
+		st:   NewStream(conn, opts),
 		opts: opts,
 		sub:  sub,
-		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	s.cond = sync.NewCond(&s.mu)
 	go s.run()
 	return s, nil
 }
 
 func (s *Shipper) run() {
 	defer close(s.done)
-	err := s.ship()
-	s.mu.Lock()
-	if s.err == nil && err != nil && !s.stopped {
-		s.err = err
-	}
-	s.mu.Unlock()
-	s.conn.Close() //nolint:errcheck // unblocks the peer; best effort
+	s.st.Fail(s.ship())
+	s.st.Stop() //nolint:errcheck // closes the conn (unblocks the peer) and joins the ack reader
 	s.sub.Close()
 }
 
@@ -111,25 +74,12 @@ func (s *Shipper) run() {
 // tail-follow loop.
 func (s *Shipper) ship() error {
 	store := s.e.Store()
-	local := hello{
+	rbuf, err := s.st.handshake(hello{
 		objects:  uint64(store.NumObjects()),
 		objSize:  uint32(store.ObjSize()),
 		cellSize: 4,
-	}
-	var scratch, rbuf []byte
-	var err error
-	if scratch, err = writeFrame(s.conn, scratch, encodeHello(ftHello, local)); err != nil {
-		return fmt.Errorf("replication: handshake: %w", err)
-	}
-	body, rbuf, err := readFrame(s.conn, rbuf)
+	})
 	if err != nil {
-		return fmt.Errorf("replication: handshake: %w", err)
-	}
-	peer, err := decodeHello(ftWelcome, body)
-	if err != nil {
-		return err
-	}
-	if err := local.check(peer); err != nil {
 		return err
 	}
 
@@ -137,7 +87,7 @@ func (s *Shipper) ship() error {
 	// fresh standby (0) gets the full bootstrap; a reconnecting one (v>0)
 	// skips the snapshot and the stream picks up at tick v-1 — its own WAL
 	// and checkpoints already cover everything below.
-	body, rbuf, err = readFrame(s.conn, rbuf)
+	body, _, err := readFrame(s.st.conn, rbuf)
 	if err != nil {
 		return fmt.Errorf("replication: resume: %w", err)
 	}
@@ -147,31 +97,29 @@ func (s *Shipper) ship() error {
 	}
 
 	var nextTick uint64
+	var snap []byte
 	if resume == 0 {
 		// Bootstrap: a consistent image as of nextTick-1, shipped in
 		// chunks. The engine keeps ticking while this streams; the WAL
 		// retains everything from nextTick for us (NeedFrom below).
-		var snap []byte
 		if nextTick, snap, err = s.e.Snapshot(); err != nil {
-			return err
-		}
-		s.sub.NeedFrom(nextTick)
-		s.mu.Lock()
-		s.stats.StartTick = nextTick
-		s.stats.SnapshotBytes = int64(len(snap))
-		s.mu.Unlock()
-		if scratch, err = sendSnapshot(s.conn, scratch, nextTick, snap); err != nil {
 			return err
 		}
 	} else {
 		nextTick = resume - 1
-		s.sub.NeedFrom(nextTick)
-		s.mu.Lock()
-		s.stats.StartTick = nextTick
-		s.mu.Unlock()
+	}
+	s.sub.NeedFrom(nextTick)
+	s.mu.Lock()
+	s.stats.StartTick = nextTick
+	s.stats.SnapshotBytes = int64(len(snap))
+	s.mu.Unlock()
+	if resume == 0 {
+		if err := s.st.sendSnapshot(nextTick, snap); err != nil {
+			return err
+		}
 	}
 
-	go s.ackLoop()
+	s.st.StartAcks(ftAck, s.onAck)
 
 	// The live stream: tail-follow the WAL, framing every record with
 	// tick >= nextTick. TryNext is non-blocking; on a dry tail we wait for
@@ -187,7 +135,7 @@ func (s *Shipper) ship() error {
 	var frame []byte
 	for {
 		select {
-		case <-s.stop:
+		case <-s.st.Stopped():
 			return nil
 		default:
 		}
@@ -197,7 +145,7 @@ func (s *Shipper) ship() error {
 		}
 		if !ok {
 			select {
-			case <-s.stop:
+			case <-s.st.Stopped():
 				return nil
 			case <-s.sub.C:
 			case <-time.After(s.opts.IdlePoll):
@@ -207,144 +155,69 @@ func (s *Shipper) ship() error {
 		if tick < nextTick {
 			continue // covered by the snapshot
 		}
-		if err := s.waitLag(tick, nextTick); err != nil {
+		if err := s.st.WaitLag(tick, nextTick); err != nil {
 			return err
 		}
 		frame = tickFrame(frame, tick, payload)
-		if scratch, err = writeFrame(s.conn, scratch, frame); err != nil {
+		if err := s.st.Send(frame); err != nil {
 			return err
 		}
 		s.mu.Lock()
 		s.stats.TicksShipped++
 		s.stats.BytesShipped += int64(len(frame))
 		s.stats.Shipped, s.stats.HasShipped = tick, true
-		lag := tick - s.stats.Acked
-		hasAcked := s.stats.HasAcked
 		s.mu.Unlock()
 		telTicksShipped.Inc()
 		telBytesShipped.Add(uint64(len(frame)))
 		telShippedTick.Set(int64(tick))
-		if hasAcked {
-			telLagTicks.Set(int64(lag))
+		if acked, ok := s.st.Acked(); ok {
+			telLagTicks.Set(lagTicks(tick, acked))
 		}
 		// Retention deliberately does NOT advance here: ticks in
 		// (acked, shipped] stay in the primary's log until the standby
-		// acknowledges them (ackLoop), so a severed connection can resume
+		// acknowledges them (onAck), so a severed connection can resume
 		// from the standby's durable watermark instead of re-bootstrapping.
 	}
 }
 
-// waitLag blocks until shipping tick would keep the in-flight window within
-// MaxLagTicks, the stream dies, or the shipper stops.
-func (s *Shipper) waitLag(tick, startTick uint64) error {
+// onAck is the stream's ack hook: tick is the standby's high-water applied
+// tick. Everything at or below it is applied (and durable per the standby's
+// sync policy) on the other end; only then may the primary's log reclaim it.
+func (s *Shipper) onAck(tick uint64) (next uint64) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.stopped {
-			return ErrStopped
-		}
-		if s.err != nil {
-			return s.err
-		}
-		var inFlight uint64
-		if s.stats.HasAcked {
-			inFlight = tick - s.stats.Acked
-		} else {
-			inFlight = tick - startTick + 1
-		}
-		if inFlight <= uint64(s.opts.MaxLagTicks) {
-			return nil
-		}
-		s.cond.Wait()
-	}
+	shipped := s.stats.Shipped // 0 until the first tick ships
+	s.mu.Unlock()
+	telAckedTick.Set(int64(tick))
+	telLagTicks.Set(lagTicks(shipped, tick))
+	s.sub.NeedFrom(tick + 1)
+	return tick + 1
 }
 
-// ackLoop consumes the standby's acknowledgement stream and wakes the lag
-// gate. It owns the connection's read half.
-func (s *Shipper) ackLoop() {
-	var buf []byte
-	for {
-		body, nbuf, err := readFrame(s.conn, buf)
-		if err != nil {
-			s.mu.Lock()
-			if s.err == nil && !s.stopped {
-				s.err = fmt.Errorf("replication: ack stream: %w", err)
-			}
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			return
-		}
-		buf = nbuf
-		tick, err := decodeU64(ftAck, body)
-		if err != nil {
-			s.mu.Lock()
-			if s.err == nil {
-				s.err = err
-			}
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			return
-		}
-		s.mu.Lock()
-		s.stats.Acked, s.stats.HasAcked = tick, true
-		lag := int64(0)
-		if s.stats.HasShipped && s.stats.Shipped > tick {
-			lag = int64(s.stats.Shipped - tick)
-		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		telAckedTick.Set(int64(tick))
-		telLagTicks.Set(lag)
-		// Ack-based retention: everything at or below the acked tick is
-		// applied (and durable per the standby's sync policy) on the other
-		// end; only then may the primary's log reclaim it.
-		s.sub.NeedFrom(tick + 1)
+// lagTicks is shipped minus acked, floored at zero (a bootstrap or resume
+// ack can sit ahead of the first shipped tick).
+func lagTicks(shipped, acked uint64) int64 {
+	if shipped <= acked {
+		return 0
 	}
+	return int64(shipped - acked)
 }
 
 // Stats returns a snapshot of the shipper's counters.
 func (s *Shipper) Stats() ShipperStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	st := s.stats
+	st.Acked, st.HasAcked = s.st.Acked()
+	return st
 }
 
 // Acked returns the standby's high-water applied tick.
-func (s *Shipper) Acked() (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats.Acked, s.stats.HasAcked
-}
+func (s *Shipper) Acked() (uint64, bool) { return s.st.Acked() }
 
 // AwaitAck blocks until the standby has acknowledged tick, the stream
 // fails, or the timeout elapses.
 func (s *Shipper) AwaitAck(tick uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	// The cond is woken by every ack; a timer goroutine breaks the wait on
-	// timeout so a dead stream cannot park us forever.
-	timer := time.AfterFunc(timeout, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer timer.Stop()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.stats.HasAcked && s.stats.Acked >= tick {
-			return nil
-		}
-		if s.err != nil {
-			return s.err
-		}
-		if s.stopped {
-			return ErrStopped
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("replication: tick %d not acknowledged within %v", tick, timeout)
-		}
-		s.cond.Wait()
-	}
+	return s.st.AwaitAck(tick, timeout)
 }
 
 // Done is closed when the shipper has fully stopped.
@@ -352,24 +225,13 @@ func (s *Shipper) Done() <-chan struct{} { return s.done }
 
 // Err returns the stream error that ended the shipper, nil while running or
 // after a clean Stop.
-func (s *Shipper) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
+func (s *Shipper) Err() error { return s.st.Err() }
 
 // Stop tears the session down: the connection is closed (the standby sees
 // the stream end and can promote) and the goroutines joined. It returns the
 // first stream error, or nil if the session was healthy.
 func (s *Shipper) Stop() error {
-	s.mu.Lock()
-	if !s.stopped {
-		s.stopped = true
-		close(s.stop)
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.conn.Close() //nolint:errcheck // unblocks both loops
+	s.st.Stop() //nolint:errcheck // reported below, once run has latched its own
 	<-s.done
-	return s.Err()
+	return s.st.Err()
 }

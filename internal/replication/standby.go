@@ -78,15 +78,19 @@ func StartStandby(opts engine.Options, conn net.Conn) (*Standby, error) {
 	if err := opts.Table.Validate(); err != nil {
 		return nil, err
 	}
-	sb := &Standby{
+	sb := newStandby(opts, conn)
+	go sb.run()
+	return sb, nil
+}
+
+func newStandby(opts engine.Options, conn net.Conn) *Standby {
+	return &Standby{
 		conn:  conn,
 		opts:  opts,
 		stop:  make(chan struct{}),
 		ready: make(chan struct{}),
 		done:  make(chan struct{}),
 	}
-	go sb.run()
-	return sb, nil
 }
 
 func (sb *Standby) run() {
@@ -124,75 +128,58 @@ func (sb *Standby) serveConn(conn net.Conn) error {
 		objSize:  uint32(sb.opts.Table.ObjSize),
 		cellSize: uint32(sb.opts.Table.CellSize),
 	}
-	var rbuf, scratch []byte
-	body, rbuf, err := readFrame(conn, rbuf)
-	if err != nil {
-		return fmt.Errorf("replication: handshake: %w", err)
+	rbuf, scratch, err := acceptHandshake(conn, local)
+	if errors.Is(err, errGeometry) {
+		return &fatalError{err} // geometry never changes; retrying cannot help
 	}
-	peer, err := decodeHello(ftHello, body)
 	if err != nil {
 		return err
 	}
-	if err := local.check(peer); err != nil {
-		return &fatalError{err} // geometry never changes; retrying cannot help
-	}
-	if scratch, err = writeFrame(conn, scratch, encodeHello(ftWelcome, local)); err != nil {
-		return fmt.Errorf("replication: handshake: %w", err)
-	}
 
+	// Resume negotiation. A fresh standby (no engine yet) asks for the
+	// bootstrap snapshot with 0; a reconnecting one already holds everything
+	// below its engine's NextTick (own WAL + checkpoints), so it skips the
+	// snapshot and has the stream pick up exactly where it cut — the +1 bias
+	// distinguishes "resume at tick 0" from "fresh".
 	sb.mu.Lock()
 	e := sb.e
 	sb.mu.Unlock()
+	var next, resume uint64
+	if e != nil {
+		next = e.NextTick()
+		resume = next + 1
+	}
+	if scratch, err = writeFrame(conn, scratch, u64Frame(ftResume, resume)); err != nil {
+		return fmt.Errorf("replication: resume: %w", err)
+	}
 	if e == nil {
-		// Fresh standby: request the bootstrap snapshot, then open the
-		// engine from it (OpenStandby persists it as the bootstrap
-		// checkpoint image, so the standby is recoverable before the first
-		// streamed tick lands).
-		if scratch, err = writeFrame(conn, scratch, u64Frame(ftResume, 0)); err != nil {
-			return fmt.Errorf("replication: resume: %w", err)
-		}
-		nextTick, snap, nbuf, err := recvSnapshot(conn, rbuf, uint64(sb.opts.Table.StateBytes()))
-		if err != nil {
+		// Open the engine from the snapshot (OpenStandby persists it as the
+		// bootstrap checkpoint image, so the standby is recoverable before
+		// the first streamed tick lands).
+		var snap []byte
+		if next, snap, rbuf, err = recvSnapshot(conn, rbuf, uint64(sb.opts.Table.StateBytes())); err != nil {
 			return err
 		}
-		rbuf = nbuf
-		total := uint64(len(snap))
-		if e, err = engine.OpenStandby(sb.opts, nextTick, snap); err != nil {
+		if e, err = engine.OpenStandby(sb.opts, next, snap); err != nil {
 			return &fatalError{err} // a broken local dir stays broken
 		}
 		sb.mu.Lock()
 		sb.e = e
-		sb.stats.StartTick = nextTick
-		sb.stats.SnapshotBytes = int64(total)
-		if nextTick > 0 {
-			sb.stats.Applied, sb.stats.HasApplied = nextTick-1, true
+		sb.stats.StartTick = next
+		sb.stats.SnapshotBytes = int64(len(snap))
+		if next > 0 {
+			sb.stats.Applied, sb.stats.HasApplied = next-1, true
 		}
 		sb.mu.Unlock()
 		close(sb.ready)
-		// Acknowledge the bootstrap: the snapshot covers every tick below
-		// nextTick and is durably persisted as the standby's first
-		// checkpoint image, so the shipper's ack watermark starts fully
-		// covered — a caught-up standby is observable even when nothing
-		// streams.
-		if nextTick > 0 {
-			if scratch, err = writeFrame(conn, scratch, u64Frame(ftAck, nextTick-1)); err != nil {
-				return err
-			}
-		}
-	} else {
-		// Reconnect: the engine already holds everything below NextTick
-		// (its own WAL + checkpoints), so skip the snapshot and have the
-		// stream pick up exactly where it cut. The +1 bias distinguishes
-		// "resume at tick 0" from "fresh".
-		next := e.NextTick()
-		if scratch, err = writeFrame(conn, scratch, u64Frame(ftResume, next+1)); err != nil {
-			return fmt.Errorf("replication: resume: %w", err)
-		}
-		// Re-seed the new session's ack watermark with the durable state.
-		if next > 0 {
-			if scratch, err = writeFrame(conn, scratch, u64Frame(ftAck, next-1)); err != nil {
-				return err
-			}
+	}
+	// Seed the session's ack watermark with the durable state: the snapshot
+	// (persisted as the first checkpoint image) or the engine's own log and
+	// checkpoints cover every tick below next, so a caught-up standby is
+	// observable even when nothing streams.
+	if next > 0 {
+		if scratch, err = writeFrame(conn, scratch, u64Frame(ftAck, next-1)); err != nil {
+			return err
 		}
 	}
 
@@ -200,6 +187,7 @@ func (sb *Standby) serveConn(conn net.Conn) error {
 	// (its own WAL append + checkpointer bookkeeping), then acknowledge.
 	// A read error at any byte position is the seal point — the partial
 	// frame (if any) is discarded and every fully applied tick stands.
+	var body []byte
 	for {
 		body, rbuf, err = readFrame(conn, rbuf)
 		if err != nil {

@@ -180,7 +180,7 @@ func RecoverEngine(opts EngineOptions) (*Engine, ParallelRecoveryResult, error) 
 type Shipper = replication.Shipper
 
 // ShipperOptions configures a primary-side shipper (replay-lag budget).
-type ShipperOptions = replication.ShipperOptions
+type ShipperOptions = replication.StreamOptions
 
 // Standby mirrors a primary into its own engine directory and can be
 // promoted to primary when the stream dies.
