@@ -3,7 +3,10 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 
@@ -304,5 +307,56 @@ func TestClusterTickActions(t *testing.T) {
 	}
 	if err := rc.TickActions([][]byte{nil, action(0, 128, 1)}); err != nil {
 		t.Fatalf("action tick after cutover: %v", err)
+	}
+}
+
+// TestCheckpointWorldNamesSegmentsByFirstRecord: after a coordinated cut
+// taken between ticks, every node's newest log segment is named for the tick
+// of the first record later appended to it — the invariant that lets each
+// node's recovery skip the sealed segments the cut made stale.
+func TestCheckpointWorldNamesSegmentsByFirstRecord(t *testing.T) {
+	tab := testTable()
+	dir := t.TempDir()
+	c, err := New(Options{Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ticks = 12
+	for i := 0; i < ticks; i++ {
+		if err := c.Tick(testBatch(tab, i, 200)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.CheckpointWorld(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Tick(testBatch(tab, ticks, 200)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil { // flushes every node's log
+		t.Fatal(err)
+	}
+	for _, n := range c.Nodes() {
+		names, err := filepath.Glob(filepath.Join(n.E.WALDir(), "wal-*.seg"))
+		if err != nil || len(names) == 0 {
+			t.Fatalf("node %d: segments %v, err %v", n.Index, names, err)
+		}
+		sort.Strings(names) // zero-padded: name order is tick order
+		var newest uint64
+		if _, err := fmt.Sscanf(filepath.Base(names[len(names)-1]), "wal-%d.seg", &newest); err != nil {
+			t.Fatal(err)
+		}
+		if newest != ticks {
+			t.Errorf("node %d: newest segment named %d after a cut as of tick %d, want %d", n.Index, newest, ticks-1, ticks)
+		}
+		r, err := wal.NewReader(n.E.WALDir(), newest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, _, err := r.Next()
+		r.Close()
+		if err != nil || first != newest {
+			t.Errorf("node %d: segment %d starts with tick %d (err %v)", n.Index, newest, first, err)
+		}
 	}
 }

@@ -461,7 +461,7 @@ func (e *Engine) commit(standby bool, nrec int, record func(i int) []byte, apply
 	applyDur := time.Since(applyStart)
 
 	pause := e.cp.endTick(e.tick)
-	e.drainCompleted()
+	e.drainCompleted(e.tick + 1) // this tick's records are already appended
 
 	e.stats.Ticks++
 	e.stats.UpdatesApplied += applied
@@ -499,18 +499,22 @@ func (e *Engine) applyBatch(updates []wal.Update, parallel bool) {
 
 // drainCompleted consumes checkpoint completions: record them, rotate the
 // logical log, and prune segments the double backup has made obsolete.
-func (e *Engine) drainCompleted() {
+// nextTick is the tick the next log record will carry.
+func (e *Engine) drainCompleted(nextTick uint64) {
 	for {
 		select {
 		case info := <-e.cp.completed():
-			e.recordCheckpoint(info)
+			e.recordCheckpoint(info, nextTick)
 		default:
 			return
 		}
 	}
 }
 
-func (e *Engine) recordCheckpoint(info CheckpointInfo) {
+// recordCheckpoint books a completed checkpoint and rotates the log so the
+// new segment is named nextTick, the tick of the first record it will hold —
+// the name is what lets recovery skip the sealed segments before it.
+func (e *Engine) recordCheckpoint(info CheckpointInfo, nextTick uint64) {
 	e.stats.Checkpoints = append(e.stats.Checkpoints, info)
 	e.cpEpoch.Store(info.Epoch)
 	telCheckpoints.Inc()
@@ -520,7 +524,7 @@ func (e *Engine) recordCheckpoint(info CheckpointInfo) {
 		// image; keep one prior image's worth for safety, and never prune
 		// past a replication subscriber's watermark — a shipper may still
 		// be streaming segments the checkpoint has made redundant locally.
-		if err := e.log.Rotate(e.tick + 1); err == nil {
+		if err := e.log.Rotate(nextTick); err == nil {
 			// While degraded (one backup family sick), pruning stops: the
 			// survivor's images are the only complete family left, and if
 			// that device also turns unreadable at recovery time the full
@@ -555,7 +559,7 @@ func (e *Engine) CheckpointNow() (CheckpointInfo, error) {
 	// Record any already-queued completion first, so the info returned
 	// below describes a checkpoint that finished during this call rather
 	// than one that finished before it.
-	e.drainCompleted()
+	e.drainCompleted(e.tick)
 	for {
 		// endTick is a no-op while a flush is in flight; keeping it inside
 		// the loop means an aborted flush (a backup went sick mid-write and
@@ -567,7 +571,7 @@ func (e *Engine) CheckpointNow() (CheckpointInfo, error) {
 			if !ok {
 				return CheckpointInfo{}, errors.New("engine: checkpointer stopped")
 			}
-			e.recordCheckpoint(info)
+			e.recordCheckpoint(info, e.tick)
 			return info, nil
 		case <-time.After(10 * time.Millisecond):
 			if err := e.cp.err(); err != nil {

@@ -162,7 +162,7 @@ func TestRecoverWithTail(t *testing.T) {
 	}
 
 	tail := func() (recovery.RecordSource, error) {
-		r, err := wal.NewReader(inboxDir)
+		r, err := wal.NewReader(inboxDir, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -315,6 +315,8 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 	var lastTick uint64
 	sawTick := false
 	var readerErr error
+	var logBytes int64 // bytes of the local log read
+	logSkipped := 0    // stale sealed segments left unopened
 	workerDone := make(chan struct{})
 	if opts.Log != nil {
 		feeds := make([]chan walRec, n)
@@ -381,34 +383,29 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 			}
 		}
 		if readerErr == nil {
-			r, err := opts.Log.NewReader()
-			if err != nil {
-				readerErr = err
-			} else {
-				for {
-					tick, payload, err := r.Next()
-					if err == io.EOF {
-						break
-					}
-					if err != nil {
-						readerErr = fmt.Errorf("recovery: replay: %w", err)
-						break
-					}
-					if !res.SawLogTick || tick > res.LastLogTick {
-						res.LastLogTick, res.SawLogTick = tick, true
-						res.LastTickRecords = 1
-					} else if tick == res.LastLogTick {
-						res.LastTickRecords++
-					}
-					if tick < from {
-						continue
-					}
-					if sawPrelude && tick <= preludeLast {
-						continue // the prelude already carried this tick
-					}
-					fan(tick, payload)
+			// The reader starts at the first segment that can hold a record
+			// at or above from; sealed segments before it are never opened.
+			end, err := scanLog(opts.Log, from, func(tick uint64, payload []byte) {
+				if tick < from {
+					return
 				}
-				r.Close() //nolint:errcheck // read-only handles
+				if sawPrelude && tick <= preludeLast {
+					return // the prelude already carried this tick
+				}
+				fan(tick, payload)
+			})
+			logBytes, logSkipped = end.bytes, end.skipped
+			// The log's last tick is counted before any skip. When it is at or
+			// above from, every record carrying it was in a segment just read.
+			// Otherwise (a crash right after a checkpoint rotated the log) it
+			// may sit in a skipped segment, and only an unskipped read tells.
+			if err == nil && end.skipped > 0 && !(end.saw && end.lastTick >= from) {
+				end, err = scanLog(opts.Log, 0, func(uint64, []byte) {})
+				logBytes += end.bytes
+			}
+			res.LastLogTick, res.SawLogTick, res.LastTickRecords = end.lastTick, end.saw, end.lastRecords
+			if err != nil {
+				readerErr = fmt.Errorf("recovery: replay: %w", err)
 			}
 		}
 		// Tail last: it extends history past the local log, skipping the span
@@ -497,7 +494,9 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 			telemetry.RecordSpan("recovery/replay", firstApply, replayEnd,
 				telemetry.Int("shards", int64(len(ranges))),
 				telemetry.Int("replayed_ticks", int64(res.ReplayedTicks)),
-				telemetry.Int("replayed_updates", res.ReplayedUpdates))
+				telemetry.Int("replayed_updates", res.ReplayedUpdates),
+				telemetry.Int("log_bytes", logBytes),
+				telemetry.Int("segments_skipped", int64(logSkipped)))
 		}
 		telemetry.RecordSpan("recovery/pipeline", start, start.Add(res.TotalDuration),
 			telemetry.Int("shards", int64(len(ranges))),
@@ -513,4 +512,42 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// logEnd is what one read of the local log found: where its records end
+// (ParallelResult's LastLogTick, SawLogTick and LastTickRecords) and how
+// much of it the read touched.
+type logEnd struct {
+	lastTick    uint64
+	saw         bool
+	lastRecords int
+	bytes       int64 // read from segment files
+	skipped     int   // sealed segments below from, left unopened
+}
+
+// scanLog reads log from the first segment that can hold tick from and
+// hands every record to each, in log order.
+func scanLog(log *wal.Log, from uint64, each func(tick uint64, payload []byte)) (end logEnd, err error) {
+	r, err := log.NewReader(from)
+	if err != nil {
+		return end, err
+	}
+	defer func() {
+		end.bytes, end.skipped = r.BytesRead(), r.Skipped()
+		r.Close() //nolint:errcheck // read-only handles
+	}()
+	for {
+		tick, payload, err := r.Next()
+		if err == io.EOF {
+			return end, nil
+		}
+		if err != nil {
+			return end, err
+		}
+		if !end.saw || tick > end.lastTick {
+			end.lastTick, end.saw, end.lastRecords = tick, true, 0
+		}
+		end.lastRecords++
+		each(tick, payload)
+	}
 }

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/disk"
+	"repro/internal/telemetry"
 	"repro/internal/wal"
 )
 
@@ -349,5 +353,133 @@ func TestChooseBackupFailsWhenBothUnusable(t *testing.T) {
 	// Two erroring backups: still an error.
 	if _, _, err := ChooseBackup(bad, bad); err == nil {
 		t.Error("two faulted backups chosen silently")
+	}
+}
+
+// unskippedLogStats reads every segment of dir, as a recovery that skips
+// nothing would, and returns what it must report about the log's end.
+func unskippedLogStats(t *testing.T, dir string) (last uint64, saw bool, lastRecs int) {
+	t.Helper()
+	r, err := wal.NewReader(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for {
+		tick, _, err := r.Next()
+		if err == io.EOF {
+			return last, saw, lastRecs
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !saw || tick > last {
+			last, saw, lastRecs = tick, true, 0
+		}
+		lastRecs++
+	}
+}
+
+// TestRecoverParallelSkipsStaleSegments: the pipeline starts at the first
+// segment that can hold a record the image does not cover, and still
+// reports the log's last tick exactly as an unskipped read would — also
+// when every segment it kept is empty and the last tick sits in a skipped
+// one. The replay span says what was read.
+func TestRecoverParallelSkipsStaleSegments(t *testing.T) {
+	const asOf = 19 // image covers ticks 0..19: replay starts at 20
+	for _, tc := range []struct {
+		name string
+		// tail lists the ticks appended after the rotation at asOf+1.
+		tail        []uint64
+		emptyRotate bool // seal the (empty) segment asOf+1 too
+		wantSkipped int64
+	}{
+		{name: "tail", tail: []uint64{20, 21, 22, 22}, wantSkipped: 1},
+		{name: "kept segment empty"},
+		{name: "kept segments empty", emptyRotate: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := pBackup(t, disk.NewMem()), pBackup(t, disk.NewMem())
+			dir := t.TempDir()
+			log := buildWorkload(t, a, dir, asOf, asOf+1, 11)
+			defer log.Close()
+			if err := log.Append(asOf, wal.EncodeUpdates(nil, nil)); err != nil { // two records at the stale segment's last tick
+				t.Fatal(err)
+			}
+			if err := log.Rotate(asOf + 1); err != nil {
+				t.Fatal(err)
+			}
+			if tc.emptyRotate {
+				if err := log.Rotate(asOf + 5); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rng := rand.New(rand.NewSource(3))
+			for _, tick := range tc.tail {
+				batch := []wal.Update{{Cell: uint32(rng.Intn(pCells)), Value: rng.Uint32()}}
+				if err := log.Append(tick, wal.EncodeUpdates(nil, batch)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := log.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			wantLast, wantSaw, wantRecs := unskippedLogStats(t, dir)
+
+			serialSlab := make([]byte, pObj*pObjSize)
+			if _, err := RunRecords(a, b, serialSlab, log, func(_ uint64, payload []byte) error {
+				_, err := applyFiltered(serialSlab, 0, pObj, payload)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+
+			telemetry.Enable()
+			defer telemetry.Disable()
+			telemetry.ResetSpans()
+			slab := make([]byte, pObj*pObjSize)
+			res, err := RecoverParallel(ParallelOptions{
+				A: a, B: b, Slab: slab, Log: log, Shards: 2,
+				Apply: func(shard int, _ uint64, payload []byte) (int64, error) {
+					lo, hi := rangeOf(2, shard)
+					return applyFiltered(slab, lo, hi, payload)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(slab, serialSlab) {
+				t.Error("recovery that skips the stale segment differs from serial")
+			}
+			if res.LastLogTick != wantLast || res.SawLogTick != wantSaw || res.LastTickRecords != wantRecs {
+				t.Errorf("log end (%d, %v, %d records), an unskipped read reports (%d, %v, %d)",
+					res.LastLogTick, res.SawLogTick, res.LastTickRecords, wantLast, wantSaw, wantRecs)
+			}
+			if want := len(tc.tail); int(res.Shards[0].Records) != want {
+				t.Errorf("shard 0 applied %d records, want %d", res.Shards[0].Records, want)
+			}
+			if tc.wantSkipped == 0 {
+				return // nothing applied: no replay span
+			}
+			for _, sp := range telemetry.Spans() {
+				if sp.Name != "recovery/replay" {
+					continue
+				}
+				attrs := map[string]int64{}
+				for _, at := range sp.Attrs {
+					attrs[at.Key] = at.Int
+				}
+				info, err := os.Stat(filepath.Join(dir, fmt.Sprintf("wal-%020d.seg", asOf+1)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if attrs["segments_skipped"] != tc.wantSkipped || attrs["log_bytes"] != info.Size() {
+					t.Errorf("replay span says %d segments skipped, %d log bytes; want %d and %d",
+						attrs["segments_skipped"], attrs["log_bytes"], tc.wantSkipped, info.Size())
+				}
+				return
+			}
+			t.Error("no recovery/replay span recorded")
+		})
 	}
 }

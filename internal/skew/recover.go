@@ -92,7 +92,7 @@ func (s *cappedSource) Next() (uint64, []byte, bool, error) {
 // cut reconstruction must scan; the inboxes are pruned to roughly a window's
 // worth of ticks, so the scan is short.
 func inboxLastTick(dir string) (last uint64, any bool, err error) {
-	r, err := wal.NewReader(dir)
+	r, err := wal.NewReader(dir, 0)
 	if err != nil {
 		return 0, false, err
 	}
@@ -124,7 +124,7 @@ func rebuildInbox(dir string, cut uint64) error {
 	if err != nil {
 		return err
 	}
-	r, err := wal.NewReader(dir)
+	r, err := wal.NewReader(dir, 0)
 	if err != nil {
 		out.Close()
 		return err
@@ -262,7 +262,7 @@ func Recover(root string, opts Options) (*Cluster, *WorldRecovery, error) {
 				if !haveCut {
 					return &cappedSource{}, nil
 				}
-				r, err := wal.NewReader(dir)
+				r, err := wal.NewReader(dir, 0)
 				if err != nil {
 					return nil, err
 				}

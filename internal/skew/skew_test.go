@@ -144,7 +144,7 @@ type walRecord struct {
 
 func walRecords(t *testing.T, dir string) []walRecord {
 	t.Helper()
-	r, err := wal.NewReader(dir)
+	r, err := wal.NewReader(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestCrashRecoverExactlyOnce(t *testing.T) {
 			}
 			seen := map[key]int{}
 			for i := 0; i < n; i++ {
-				r, err := wal.NewReader(walDirs[i])
+				r, err := wal.NewReader(walDirs[i], 0)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -44,7 +44,7 @@ func TestReaderMatchesReplay(t *testing.T) {
 			}
 		}
 	}
-	r, err := l.NewReader()
+	r, err := l.NewReader(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestConcurrentReaders(t *testing.T) {
 	errs := make([]error, workers)
 	readers := make([]*Reader, workers)
 	for w := range readers {
-		r, err := l.NewReader()
+		r, err := l.NewReader(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func TestReaderTornTailEndsCleanly(t *testing.T) {
 	}
 	f.Close()
 
-	r, err := NewReader(dir)
+	r, err := NewReader(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestReaderSealedSegmentCorruptionIsAnError(t *testing.T) {
 	}
 	f.Close()
 
-	r, err := NewReader(dir)
+	r, err := NewReader(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestReaderOnClosedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	if _, err := l.NewReader(); err != ErrClosed {
+	if _, err := l.NewReader(0); err != ErrClosed {
 		t.Errorf("NewReader on closed log = %v, want ErrClosed", err)
 	}
 }

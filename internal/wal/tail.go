@@ -2,7 +2,6 @@ package wal
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 )
@@ -32,9 +31,8 @@ type TailReader struct {
 	from     uint64 // segments whose successor starts at or below from are skipped
 	cur      uint64 // start tick of the open (or last finished) segment
 	curValid bool
-	f        *os.File
-	off      int64
-	err      error // sticky: sealed-segment corruption never silently resumes
+	sc       segScanner // sc.f is nil between segments
+	err      error      // sticky: sealed-segment corruption never silently resumes
 }
 
 // NewTailReader opens a tail-follow reader over dir. Records with tick
@@ -47,15 +45,15 @@ func NewTailReader(dir string, from uint64) *TailReader {
 }
 
 // TryNext returns the next complete record, or ok=false when the reader has
-// caught up with the writer's durable frontier. The payload is freshly
-// allocated and safe to retain. Errors (sealed-segment corruption, I/O
-// failures) are sticky.
+// caught up with the writer's durable frontier. The payload is a read-only
+// slice of a freshly read chunk and safe to retain. Errors (sealed-segment
+// corruption, I/O failures) are sticky.
 func (t *TailReader) TryNext() (tick uint64, payload []byte, ok bool, err error) {
 	if t.err != nil {
 		return 0, nil, false, t.err
 	}
 	for {
-		if t.f == nil {
+		if t.sc.f == nil {
 			opened, err := t.openNext()
 			if err != nil {
 				t.err = err
@@ -65,18 +63,13 @@ func (t *TailReader) TryNext() (tick uint64, payload []byte, ok bool, err error)
 				return 0, nil, false, nil // no (further) segment yet
 			}
 		}
-		tick, payload, n, err := t.parseAt(t.off)
-		if err != nil {
-			t.err = err
-			return 0, nil, false, err
+		tick, payload, ok, err := t.parse()
+		if ok || err != nil {
+			return tick, payload, ok, err
 		}
-		if n > 0 {
-			t.off += n
-			return tick, payload, true, nil
-		}
-		// The frame at t.off does not (yet) parse. If a newer segment
-		// exists, the writer sealed this one before creating it, so the
-		// content here is final — but the successor may have appeared
+		// The frame at the read offset does not (yet) parse. If a newer
+		// segment exists, the writer sealed this one before creating it, so
+		// the content here is final — but the successor may have appeared
 		// between our failed parse and the check, so parse once more
 		// before judging the tail. The sealed check lists the (few-entry)
 		// log directory; it runs once per caught-up probe — one tick
@@ -89,26 +82,15 @@ func (t *TailReader) TryNext() (tick uint64, payload []byte, ok bool, err error)
 		if !sealed {
 			return 0, nil, false, nil // live tail: frame still being appended
 		}
-		if tick, payload, n, err := t.parseAt(t.off); err != nil {
-			t.err = err
-			return 0, nil, false, err
-		} else if n > 0 {
-			t.off += n
-			return tick, payload, true, nil
+		if tick, payload, ok, err := t.parse(); ok || err != nil {
+			return tick, payload, ok, err
 		}
-		info, err := t.f.Stat()
-		if err != nil {
-			t.err = fmt.Errorf("wal: %w", err)
-			return 0, nil, false, t.err
-		}
-		if t.off < info.Size() {
-			t.err = fmt.Errorf("wal: segment %s corrupt at offset %d of %d",
-				segName(t.cur), t.off, info.Size())
+		if t.sc.off < t.sc.size {
+			t.err = corruptErr(t.cur, t.sc.off, t.sc.size)
 			return 0, nil, false, t.err
 		}
 		// Cleanly consumed to the end of a sealed segment: advance.
-		t.f.Close() //nolint:errcheck // read-only handle
-		t.f = nil
+		t.Close() //nolint:errcheck // read-only handle
 	}
 }
 
@@ -138,8 +120,7 @@ func (t *TailReader) openNext() (bool, error) {
 			}
 			return false, fmt.Errorf("wal: %w", err)
 		}
-		t.f = f
-		t.off = 0
+		t.sc = segScanner{f: f}
 		t.cur, t.curValid = next, true
 		return true, nil
 	}
@@ -161,13 +142,9 @@ func (t *TailReader) pickNext(starts []uint64) (uint64, bool) {
 	if len(starts) == 0 {
 		return 0, false
 	}
-	pick := starts[0]
-	for _, s := range starts[1:] {
-		if s <= t.from {
-			pick = s
-		}
-	}
-	return pick, true
+	skip := firstNeeded(starts, t.from)
+	telSegsSkipped.Add(uint64(skip))
+	return starts[skip], true
 }
 
 // sealed reports whether a segment newer than the open one exists — the
@@ -186,29 +163,27 @@ func (t *TailReader) sealed() (bool, error) {
 	return false, nil
 }
 
-// parseAt reads the frame at off via a positioned view of the segment,
-// through the package's single frame parser. n=0 with a nil error means no
-// complete valid frame is present there (torn tail, corruption — the
-// caller judges which); a non-nil error is a real device failure and is
-// made sticky by TryNext rather than reading as "nothing yet" forever.
-func (t *TailReader) parseAt(off int64) (tick uint64, payload []byte, n int64, err error) {
-	sr := io.NewSectionReader(t.f, off, 1<<62-off)
-	tick, payload, n, ok, err := parseRecord(sr)
+// parse returns the frame at the read offset through the package's single
+// frame scanner. ok=false with a nil error means no complete valid frame is
+// present there (torn tail, corruption — the caller judges which); a
+// non-nil error is a real device failure and is made sticky here rather
+// than reading as "nothing yet" forever.
+func (t *TailReader) parse() (tick uint64, payload []byte, ok bool, err error) {
+	off := t.sc.off
+	tick, payload, ok, err = t.sc.next()
 	if err != nil {
-		return 0, nil, 0, fmt.Errorf("wal: segment %s at offset %d: %w", segName(t.cur), off, err)
+		t.err = fmt.Errorf("wal: segment %s at offset %d: %w", segName(t.cur), off, err)
+		return 0, nil, false, t.err
 	}
-	if !ok {
-		return 0, nil, 0, nil
-	}
-	return tick, payload, n, nil
+	return tick, payload, ok, nil
 }
 
 // Close releases the reader's file handle. The reader must not be used
 // afterwards.
 func (t *TailReader) Close() error {
-	if t.f != nil {
-		err := t.f.Close()
-		t.f = nil
+	if t.sc.f != nil {
+		err := t.sc.f.Close()
+		t.sc.f = nil
 		return err
 	}
 	return nil

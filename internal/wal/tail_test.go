@@ -284,7 +284,7 @@ func TestTailMatchesReaderOnQuiescentLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := NewReader(dir)
+	r, err := NewReader(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,10 @@
 // of the newest complete checkpoint to reach the exact crash tick.
 //
 // The log is a directory of append-only segment files. Records are CRC
-// framed; a torn tail (crash mid-append) is detected and truncated on open.
-// Segments rotate when a checkpoint completes, so segments wholly covered by
-// the double backup can be pruned.
+// framed; a torn tail (crash mid-append) is detected and truncated before
+// the first byte is appended after a reopen. Segments rotate when a
+// checkpoint completes, so segments wholly covered by the double backup can
+// be pruned — and skipped by a recovery that does not need them.
 package wal
 
 import (
@@ -41,14 +42,18 @@ var ErrClosed = errors.New("wal: log is closed")
 
 // Log is a tick-granular logical log.
 type Log struct {
-	mu       sync.Mutex
-	dir      string
+	mu  sync.Mutex
+	dir string
+	// f and bw are nil from Open until the tail of the final segment has
+	// been measured and truncated (see ensureTail).
 	f        *os.File
 	bw       *bufio.Writer
 	segStart uint64
+	segEmpty bool // no record in the active segment yet
 	lastTick uint64
 	hasTick  bool
 	closed   bool
+	hdr      [16]byte // Append's frame header scratch (a local would escape)
 }
 
 func segName(start uint64) string {
@@ -86,8 +91,12 @@ func segments(dir string) ([]uint64, error) {
 	return starts, nil
 }
 
-// Open opens (creating if necessary) the log in dir and positions the writer
-// after the last valid record, truncating any torn tail left by a crash.
+// Open opens (creating if necessary) the log in dir. Finding the end of the
+// final segment — and truncating any torn tail a crash left there — is
+// deferred: a recovery reader that walks that segment anyway reports its
+// valid length (see Log.NewReader), and otherwise the first Append, Sync,
+// Rotate or Close scans it. Either way the tail is truncated before a byte
+// is appended.
 func Open(dir string) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -103,29 +112,7 @@ func Open(dir string) (*Log, error) {
 		}
 		return l, nil
 	}
-	last := starts[len(starts)-1]
-	path := filepath.Join(dir, segName(last))
-	validLen, lastTick, hasTick, err := scanSegment(path, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	if err := f.Truncate(validLen); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	l.f = f
-	l.bw = bufio.NewWriterSize(f, 1<<16)
-	l.segStart = last
-	l.lastTick = lastTick
-	l.hasTick = hasTick
+	l.segStart = starts[len(starts)-1]
 	return l, nil
 }
 
@@ -138,6 +125,62 @@ func (l *Log) openSegment(start uint64) error {
 	l.f = f
 	l.bw = bufio.NewWriterSize(f, 1<<16)
 	l.segStart = start
+	l.segEmpty = true
+	return nil
+}
+
+// ensureTail makes the log writable after Open: unless a reader already
+// reported the final segment's valid length, scan it now. Caller holds mu.
+func (l *Log) ensureTail() error {
+	if l.f != nil {
+		return nil
+	}
+	r := &Reader{dir: l.dir, starts: []uint64{l.segStart}}
+	defer r.Close()
+	for {
+		if _, _, err := r.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			return err
+		}
+	}
+	return l.openTail(r.sc.off, r.segTick, r.segHas)
+}
+
+// tailScanned is a reader's report that the segment starting at start holds
+// validLen bytes of valid frames, the last at lastTick. If that is the final
+// segment and its tail is still unmeasured, the log truncates it there and
+// positions the writer — the scan Open deferred, done by a read that was
+// happening anyway.
+func (l *Log) tailScanned(start uint64, validLen int64, lastTick uint64, hasTick bool) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed || l.f != nil || start != l.segStart {
+		return nil
+	}
+	return l.openTail(validLen, lastTick, hasTick)
+}
+
+// openTail opens the final segment for appending after validLen bytes,
+// cutting off whatever a crash left beyond them. Caller holds mu.
+func (l *Log) openTail(validLen int64, lastTick uint64, hasTick bool) error {
+	f, err := os.OpenFile(filepath.Join(l.dir, segName(l.segStart)), os.O_RDWR, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	if err := f.Truncate(validLen); err != nil {
+		f.Close()
+		return fmt.Errorf("wal: truncate torn tail: %w", err)
+	}
+	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+		f.Close()
+		return fmt.Errorf("wal: %w", err)
+	}
+	l.f = f
+	l.bw = bufio.NewWriterSize(f, 1<<16)
+	l.segEmpty = validLen == 0
+	l.lastTick = lastTick
+	l.hasTick = hasTick
 	return nil
 }
 
@@ -152,23 +195,25 @@ func (l *Log) Append(tick uint64, payload []byte) error {
 	if l.closed {
 		return ErrClosed
 	}
+	if err := l.ensureTail(); err != nil {
+		return err
+	}
 	if l.hasTick && tick < l.lastTick {
 		return fmt.Errorf("wal: tick %d before last appended %d", tick, l.lastTick)
 	}
-	var hdr [16]byte
-	body := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint64(body, tick)
-	copy(body[8:], payload)
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(body))
-	// Bytes 8..16 of the header are reserved (zero) and covered by the
-	// length sanity check on read.
-	if _, err := l.bw.Write(hdr[:8]); err != nil {
+	// Frame: u32 length | u32 crc | u64 tick | payload, the CRC taken over
+	// tick and payload in place — no staging copy of the record.
+	hdr := l.hdr[:]
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(8+len(payload)))
+	binary.LittleEndian.PutUint64(hdr[8:], tick)
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.Update(crc32.ChecksumIEEE(hdr[8:]), crc32.IEEETable, payload))
+	if _, err := l.bw.Write(hdr); err != nil {
 		return err
 	}
-	if _, err := l.bw.Write(body); err != nil {
+	if _, err := l.bw.Write(payload); err != nil {
 		return err
 	}
+	l.segEmpty = false
 	l.lastTick = tick
 	l.hasTick = true
 	telAppendBytes.Add(uint64(16 + len(payload)))
@@ -186,6 +231,9 @@ func (l *Log) Flush() error {
 	if l.closed {
 		return ErrClosed
 	}
+	if l.bw == nil {
+		return nil // nothing appended since Open
+	}
 	return l.bw.Flush()
 }
 
@@ -200,6 +248,9 @@ func (l *Log) Sync() error {
 	if l.closed {
 		return ErrClosed
 	}
+	if err := l.ensureTail(); err != nil {
+		return err
+	}
 	if err := l.bw.Flush(); err != nil {
 		return err
 	}
@@ -212,11 +263,27 @@ func (l *Log) Sync() error {
 
 // Rotate seals the active segment and starts a new one whose records begin
 // at nextTick. The engine rotates when a checkpoint completes.
+//
+// A segment's name is a promise readers skip by: every record in the
+// segments before it has a tick below it. So a name at or below the last
+// tick already logged (a range install is logged at the tick about to run)
+// is raised to one past it — too high is merely not skippable, too low
+// would hide a record from recovery. Rotating to the start of an active
+// segment that is still empty has nothing to seal and is a no-op.
 func (l *Log) Rotate(nextTick uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
+	}
+	if err := l.ensureTail(); err != nil {
+		return err
+	}
+	if l.segEmpty && nextTick == l.segStart {
+		return nil
+	}
+	if !l.segEmpty && nextTick <= l.lastTick {
+		nextTick = l.lastTick + 1
 	}
 	if nextTick <= l.segStart && l.segStart != 0 {
 		return fmt.Errorf("wal: rotate to %d not after segment start %d", nextTick, l.segStart)
@@ -266,6 +333,10 @@ func (l *Log) Close() error {
 	if l.closed {
 		return nil
 	}
+	if err := l.ensureTail(); err != nil {
+		l.closed = true
+		return err
+	}
 	l.closed = true
 	if err := l.bw.Flush(); err != nil {
 		l.f.Close()
@@ -278,12 +349,12 @@ func (l *Log) Close() error {
 	return l.f.Close()
 }
 
-// Replay invokes fn for every record with tick >= from, across all segments
-// in order. A torn tail in the final segment is skipped silently (those
-// ticks were never acknowledged as durable); corruption in the middle of the
-// log is reported as an error.
+// Replay invokes fn for every record with tick >= from, in order, reading
+// only the segments that can hold one. A torn tail in the final segment is
+// skipped silently (those ticks were never acknowledged as durable);
+// corruption in the middle of the log is reported as an error.
 func (l *Log) Replay(from uint64, fn func(tick uint64, payload []byte) error) error {
-	r, err := l.NewReader()
+	r, err := l.NewReader(from)
 	if err != nil {
 		return err
 	}
@@ -302,72 +373,5 @@ func (l *Log) Replay(from uint64, fn func(tick uint64, payload []byte) error) er
 		if err := fn(tick, payload); err != nil {
 			return err
 		}
-	}
-}
-
-// parseRecord reads one CRC-framed record from r: the single source of
-// truth for the frame layout (u32 length | u32 crc | u64 tick | payload)
-// shared by the open-time scan, the batch Reader and the tail-follow
-// reader. ok=false with a nil error means no complete valid frame is there
-// — a torn tail or corruption; the caller decides which. A non-nil error
-// is a real device failure, never frame content (end-of-data conditions
-// map to ok=false).
-func parseRecord(r io.Reader) (tick uint64, payload []byte, size int64, ok bool, err error) {
-	var hdr [8]byte
-	if _, e := io.ReadFull(r, hdr[:]); e != nil {
-		return 0, nil, 0, false, readErr(e)
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:])
-	wantCRC := binary.LittleEndian.Uint32(hdr[4:])
-	if length < 8 || length > maxRecordSize {
-		return 0, nil, 0, false, nil // corrupt length
-	}
-	body := make([]byte, length)
-	if _, e := io.ReadFull(r, body); e != nil {
-		return 0, nil, 0, false, readErr(e)
-	}
-	if crc32.ChecksumIEEE(body) != wantCRC {
-		return 0, nil, 0, false, nil // corrupt body
-	}
-	return binary.LittleEndian.Uint64(body), body[8:], int64(8) + int64(length), true, nil
-}
-
-// readErr keeps end-of-data out of the error channel: a short read at the
-// end of the data is a torn tail (frame content), not a device failure.
-func readErr(e error) error {
-	if e == io.EOF || e == io.ErrUnexpectedEOF {
-		return nil
-	}
-	return e
-}
-
-// scanSegment reads records from a segment, calling fn (if non-nil) for each
-// valid one. It returns the byte offset after the last valid record, the
-// last tick seen, and whether any record was seen. A torn or corrupt tail
-// simply ends the scan; device read failures and errors from fn abort it.
-func scanSegment(path string, fn func(uint64, []byte) error, _ int) (validLen int64, lastTick uint64, hasTick bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, false, fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	var off int64
-	for {
-		tick, payload, size, ok, err := parseRecord(br)
-		if err != nil {
-			return off, lastTick, hasTick, fmt.Errorf("wal: %w", err)
-		}
-		if !ok {
-			return off, lastTick, hasTick, nil // clean EOF, torn or corrupt tail
-		}
-		if fn != nil {
-			if err := fn(tick, payload); err != nil {
-				return off, lastTick, hasTick, err
-			}
-		}
-		off += size
-		lastTick = tick
-		hasTick = true
 	}
 }
