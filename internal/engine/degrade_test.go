@@ -32,13 +32,16 @@ func (d *flakyDev) Sync() error {
 	return d.Device.Sync()
 }
 
+// checkpointingModes is every mode that writes images.
+var checkpointingModes = []Mode{ModeNaiveSnapshot, ModeCopyOnUpdate, ModeAtomicCopy, ModeDribble}
+
 // TestCheckpointDegradeSurvivesOneSickBackup drives an engine into a
 // mid-flush device failure on one backup and proves the degrade contract:
 // ticking continues, later checkpoints land on the survivor, CheckpointNow
 // does not hang on the aborted flush, and recovery from the directory (with
 // healthy devices) still reconstructs the exact state.
 func TestCheckpointDegradeSurvivesOneSickBackup(t *testing.T) {
-	for _, mode := range []Mode{ModeNaiveSnapshot, ModeCopyOnUpdate, ModeAtomicCopy} {
+	for _, mode := range checkpointingModes {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			table := gamestate.Table{Rows: 256, Cols: 4, CellSize: 4, ObjSize: 64}
@@ -117,6 +120,62 @@ func TestCheckpointDegradeSurvivesOneSickBackup(t *testing.T) {
 			}
 			if got := re.Store().Slab(); string(got) != string(want) {
 				t.Fatal("recovered state differs from the degraded engine's")
+			}
+		})
+	}
+}
+
+// TestCheckpointBothBackupsSickIsFatal is the other half of the degrade
+// rule: when the survivor fails too there is no healthy family left, so the
+// writer's error reaches every caller — CheckpointNow returns it instead of
+// waiting for a completion that cannot come, and the engine refuses further
+// ticks.
+func TestCheckpointBothBackupsSickIsFatal(t *testing.T) {
+	for _, mode := range checkpointingModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			sickErr := errors.New("disk: medium died")
+			var trip atomic.Bool
+			e, err := Open(Options{
+				Table: gamestate.Table{Rows: 256, Cols: 4, CellSize: 4, ObjSize: 64},
+				Dir:   t.TempDir(), Mode: mode,
+				DeviceFactory: func(path string) (disk.Device, error) {
+					dev, err := disk.OpenFile(path)
+					if err != nil {
+						return nil, err
+					}
+					return &flakyDev{Device: dev, trip: &trip, err: sickErr}, nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := []wal.Update{{Cell: 3, Value: 1}}
+			if err := e.ApplyTick(batch); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.CheckpointNow(); err != nil {
+				t.Fatal(err)
+			}
+			trip.Store(true)
+			if err := e.ApplyTick(batch); err != nil {
+				t.Fatal(err)
+			}
+			// The first failure degrades, the retry against the survivor
+			// fails too: CheckpointNow must come back with the device error.
+			if _, err := e.CheckpointNow(); !errors.Is(err, sickErr) {
+				t.Fatalf("CheckpointNow with both backups sick: %v, want %v", err, sickErr)
+			}
+			if !e.CheckpointDegraded() {
+				t.Error("engine with two sick backups does not report degraded")
+			}
+			if err := e.ApplyTick(batch); !errors.Is(err, sickErr) {
+				t.Fatalf("ApplyTick after the fatal failure: %v, want %v", err, sickErr)
+			}
+			if _, err := e.CheckpointNow(); !errors.Is(err, sickErr) {
+				t.Fatalf("second CheckpointNow: %v, want %v", err, sickErr)
+			}
+			if err := e.Close(); !errors.Is(err, sickErr) {
+				t.Fatalf("Close: %v, want %v", err, sickErr)
 			}
 		})
 	}

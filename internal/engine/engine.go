@@ -316,24 +316,7 @@ func open(opts Options, parallel bool, peer *RecoverSource, tail func() (recover
 		}
 	}
 
-	switch opts.Mode {
-	case ModeNone:
-		e.cp = newNop()
-	case ModeNaiveSnapshot:
-		e.cp = newNaive(store, backups, startEpoch, firstBackup, e.plan)
-	case ModeCopyOnUpdate:
-		c := newCOU(store, backups, startEpoch, firstBackup, e.plan)
-		c.markAllDirty() // disk images' dirty sets are unknown after restart
-		e.cp = c
-	case ModeAtomicCopy:
-		c := newAtomicCopy(store, backups, startEpoch, firstBackup, e.plan)
-		c.markAllDirty()
-		e.cp = c
-	case ModeDribble:
-		c := newCOU(store, backups, startEpoch, firstBackup, e.plan)
-		c.fullSet = true
-		e.cp = c
-	}
+	e.cp = newCheckpointer(opts.Mode, store, backups, startEpoch, firstBackup, e.plan)
 	e.cpEpoch.Store(startEpoch)
 	if e.plan.count() > 1 {
 		e.pool = newApplyPool(e.plan.count(), e.applyShard)
@@ -497,45 +480,49 @@ func (e *Engine) applyBatch(updates []wal.Update, parallel bool) {
 	}
 }
 
-// drainCompleted consumes checkpoint completions: record them, rotate the
-// logical log, and prune segments the double backup has made obsolete.
-// nextTick is the tick the next log record will carry.
+// drainCompleted consumes the checkpoint writer's pending reports. nextTick
+// is the tick the next log record will carry.
 func (e *Engine) drainCompleted(nextTick uint64) {
 	for {
 		select {
-		case info := <-e.cp.completed():
-			e.recordCheckpoint(info, nextTick)
+		case ev := <-e.cp.completed():
+			e.recordCheckpoint(ev, nextTick, true)
 		default:
 			return
 		}
 	}
 }
 
-// recordCheckpoint books a completed checkpoint and rotates the log so the
-// new segment is named nextTick, the tick of the first record it will hold —
-// the name is what lets recovery skip the sealed segments before it.
-func (e *Engine) recordCheckpoint(info CheckpointInfo, nextTick uint64) {
+// recordCheckpoint books a committed image — the one place Stats, /metrics,
+// the epoch mirror and the prune floor learn of it; an abandoned flush
+// committed nothing and is not booked. With rotate set (a log record can
+// still follow) it also rotates the log so the new segment is named
+// nextTick, the tick of the first record it will hold — the name is what
+// lets recovery skip the sealed segments before it.
+func (e *Engine) recordCheckpoint(ev cpEvent, nextTick uint64, rotate bool) {
+	if ev.abandoned {
+		return
+	}
+	info := ev.CheckpointInfo
 	e.stats.Checkpoints = append(e.stats.Checkpoints, info)
 	e.cpEpoch.Store(info.Epoch)
 	telCheckpoints.Inc()
 	telCkptBytes.Add(uint64(info.Bytes))
-	if e.log != nil {
-		// Records at or before info.AsOfTick are covered by the new
-		// image; keep one prior image's worth for safety, and never prune
-		// past a replication subscriber's watermark — a shipper may still
-		// be streaming segments the checkpoint has made redundant locally.
-		if err := e.log.Rotate(nextTick); err == nil {
-			// While degraded (one backup family sick), pruning stops: the
-			// survivor's images are the only complete family left, and if
-			// that device also turns unreadable at recovery time the full
-			// log is the last line of defense. Retention over reclamation.
-			if e.havePrev && !e.cp.degraded() {
-				_ = e.log.Prune(e.retainFrom(e.prevAsOf + 1))
-			}
+	// Records at or before info.AsOfTick are covered by the new image;
+	// keep one prior image's worth for safety, and never prune past a
+	// replication subscriber's watermark — a shipper may still be
+	// streaming segments the checkpoint has made redundant locally.
+	if rotate && e.log != nil && e.log.Rotate(nextTick) == nil {
+		// While degraded (one backup family sick), pruning stops: the
+		// survivor's images are the only complete family left, and if
+		// that device also turns unreadable at recovery time the full
+		// log is the last line of defense. Retention over reclamation.
+		if e.havePrev && !e.cp.degraded() {
+			_ = e.log.Prune(e.retainFrom(e.prevAsOf + 1))
 		}
-		e.prevAsOf = info.AsOfTick
-		e.havePrev = true
 	}
+	e.prevAsOf = info.AsOfTick
+	e.havePrev = true
 }
 
 // CheckpointNow begins a checkpoint of the current state if none is in
@@ -553,30 +540,27 @@ func (e *Engine) CheckpointNow() (CheckpointInfo, error) {
 	if e.tick == 0 {
 		return CheckpointInfo{}, errors.New("engine: no ticks applied")
 	}
-	if err := e.cp.err(); err != nil {
-		return CheckpointInfo{}, fmt.Errorf("engine: checkpoint writer failed: %w", err)
-	}
 	// Record any already-queued completion first, so the info returned
 	// below describes a checkpoint that finished during this call rather
 	// than one that finished before it.
 	e.drainCompleted(e.tick)
 	for {
-		// endTick is a no-op while a flush is in flight; keeping it inside
-		// the loop means an aborted flush (a backup went sick mid-write and
-		// the job was abandoned without a completion) restarts against the
-		// surviving backup instead of parking this wait forever.
+		// Every pass either finds the writer dead or leaves a flush in flight
+		// — endTick is a no-op while one already is — and every flush ends in
+		// exactly one event, so the receive below cannot park forever. An
+		// abandoned flush (a backup went sick mid-write) loops: the next cut
+		// targets the surviving backup, or the check finds the fatal error.
+		if err := e.cp.err(); err != nil {
+			return CheckpointInfo{}, fmt.Errorf("engine: checkpoint writer failed: %w", err)
+		}
 		e.cp.endTick(e.tick - 1)
-		select {
-		case info, ok := <-e.cp.completed():
-			if !ok {
-				return CheckpointInfo{}, errors.New("engine: checkpointer stopped")
-			}
-			e.recordCheckpoint(info, e.tick)
-			return info, nil
-		case <-time.After(10 * time.Millisecond):
-			if err := e.cp.err(); err != nil {
-				return CheckpointInfo{}, fmt.Errorf("engine: checkpoint writer failed: %w", err)
-			}
+		ev, ok := <-e.cp.completed()
+		if !ok {
+			return CheckpointInfo{}, errors.New("engine: checkpointer stopped")
+		}
+		e.recordCheckpoint(ev, e.tick, true)
+		if !ev.abandoned {
+			return ev.CheckpointInfo, nil
 		}
 	}
 }
@@ -628,9 +612,10 @@ func (e *Engine) Close() error {
 		e.pool.close()
 	}
 	cpErr := e.cp.close()
-	// Collect completions that landed during shutdown.
-	for info := range e.cp.completed() {
-		e.stats.Checkpoints = append(e.stats.Checkpoints, info)
+	// Book completions that landed during shutdown; no record follows them,
+	// so the log is left as it is.
+	for ev := range e.cp.completed() {
+		e.recordCheckpoint(ev, e.tick, false)
 	}
 	var logErr error
 	if e.log != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/disk"
 	"repro/internal/wal"
 )
 
@@ -219,34 +218,18 @@ func OpenStandby(opts Options, nextTick uint64, data []byte) (*Engine, error) {
 }
 
 // writeBootstrapImage persists the freshly installed snapshot as a complete
-// checkpoint image, using the same invalidate → data → sync → commit
-// protocol as the checkpointer. It runs before any ingest, while the
-// checkpointer is idle, and leaves the checkpointer targeting the other
-// backup with a later epoch — exactly the state recovery would have set up
-// had this image been restored from disk.
+// checkpoint image through the checkpointer's own commit protocol. It runs
+// before any ingest, while the checkpointer is idle, and leaves it targeting
+// the other backup with a later epoch — exactly the state recovery would
+// have set up had this image been restored from disk.
 func (e *Engine) writeBootstrapImage(asOfTick uint64) error {
-	b, epoch, ok := e.cp.bootstrap()
-	if !ok {
-		return nil // ModeNone (nextTick 0 only): nothing to seed
-	}
-	hdr := disk.Header{Epoch: epoch, AsOfTick: asOfTick}
-	err := b.WriteHeader(hdr)
-	if err == nil {
-		err = b.WriteRunVec(0, chunkSlices(e.store.Slab()))
-	}
-	if err == nil {
-		err = b.Sync()
-	}
-	if err == nil {
-		hdr.Complete = true
-		err = b.WriteHeader(hdr)
-	}
+	ev, ok, err := e.cp.bootstrap(asOfTick)
 	if err != nil {
 		return fmt.Errorf("engine: bootstrap image: %w", err)
 	}
-	e.cpEpoch.Store(epoch)
-	e.prevAsOf = asOfTick
-	e.havePrev = true
+	if ok { // not ModeNone (nextTick 0 only): there was something to seed
+		e.recordCheckpoint(ev, e.tick, false)
+	}
 	return nil
 }
 

@@ -73,6 +73,26 @@ func (p shardPlan) objRange(s int) (lo, hi int) {
 	return lo, hi
 }
 
+// eachShard runs fn once per shard with the shard's object range: inline
+// for a single shard, otherwise one goroutine per shard, all joined before
+// it returns. It is the fan-out of the tick-end copies and the image flush.
+func (p shardPlan) eachShard(fn func(s, lo, hi int)) {
+	if p.shards == 1 {
+		fn(0, 0, p.n)
+		return
+	}
+	var wg sync.WaitGroup
+	for s := 0; s < p.shards; s++ {
+		lo, hi := p.objRange(s)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(s, lo, hi)
+		}()
+	}
+	wg.Wait()
+}
+
 // applyPool is the engine's set of persistent tick-apply workers: one per
 // shard, each applying only the updates whose object falls in its range.
 // Every worker scans the whole batch and filters — the scan parallelizes

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -9,8 +10,7 @@ import (
 )
 
 func TestHistogramZeroObservations(t *testing.T) {
-	h := NewHistogram("test_hist_empty_ns", "empty histogram")
-	s := h.Snapshot()
+	s := tHistEmpty.Snapshot()
 	if s.Count != 0 || s.Sum != 0 || s.BucketTotal() != 0 {
 		t.Fatalf("empty histogram not empty: %+v", s)
 	}
@@ -54,19 +54,21 @@ func TestHistogramBucketPlacement(t *testing.T) {
 func TestHistogramMaxBucketOverflow(t *testing.T) {
 	Enable()
 	defer Disable()
-	h := NewHistogram("test_hist_overflow_ns", "overflow histogram")
+	h := tHistOverflow
+	base := h.Snapshot()
 	h.Observe(math.MaxUint64)
 	h.Observe(1 << 63)
 	h.Observe(0)
 	s := h.Snapshot()
-	if s.Buckets[64] != 2 {
-		t.Fatalf("max bucket holds %d, want 2", s.Buckets[64])
+	if got := s.Buckets[64] - base.Buckets[64]; got != 2 {
+		t.Fatalf("max bucket gained %d, want 2", got)
 	}
-	if s.Buckets[0] != 1 {
-		t.Fatalf("zero bucket holds %d, want 1", s.Buckets[0])
+	if got := s.Buckets[0] - base.Buckets[0]; got != 1 {
+		t.Fatalf("zero bucket gained %d, want 1", got)
 	}
-	if s.Count != 3 || s.BucketTotal() != 3 {
-		t.Fatalf("count %d / bucket total %d, want 3 / 3", s.Count, s.BucketTotal())
+	if s.Count-base.Count != 3 || s.BucketTotal() != s.Count {
+		t.Fatalf("count %d (gained %d) / bucket total %d, want a gain of 3 and equal totals",
+			s.Count, s.Count-base.Count, s.BucketTotal())
 	}
 	// The two huge values wrap the uint64 sum; that is documented behavior
 	// for values near MaxUint64 and irrelevant for ns/bytes in practice —
@@ -75,7 +77,7 @@ func TestHistogramMaxBucketOverflow(t *testing.T) {
 	if err := WriteMetrics(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), `test_hist_overflow_ns_bucket{le="+Inf"} 3`) {
+	if !strings.Contains(sb.String(), fmt.Sprintf(`test_hist_overflow_ns_bucket{le="+Inf"} %d`, s.Count)) {
 		t.Error("exposition +Inf bucket does not hold every observation")
 	}
 }
@@ -83,7 +85,8 @@ func TestHistogramMaxBucketOverflow(t *testing.T) {
 func TestHistogramConcurrentObserve(t *testing.T) {
 	Enable()
 	defer Disable()
-	h := NewHistogram("test_hist_race_ns", "concurrency histogram")
+	h := tHistRace
+	base := h.Snapshot()
 	const (
 		workers = 8
 		perW    = 10_000
@@ -100,15 +103,15 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 	wg.Wait()
 	s := h.Snapshot()
-	if s.Count != workers*perW {
-		t.Fatalf("count = %d, want %d", s.Count, workers*perW)
+	if got := s.Count - base.Count; got != workers*perW {
+		t.Fatalf("count advanced by %d, want %d", got, workers*perW)
 	}
 	if s.BucketTotal() != s.Count {
 		t.Fatalf("bucket total %d != count %d after join", s.BucketTotal(), s.Count)
 	}
 	wantSum := uint64(workers*perW) * uint64(workers*perW-1) / 2
-	if s.Sum != wantSum {
-		t.Fatalf("sum = %d, want %d", s.Sum, wantSum)
+	if got := s.Sum - base.Sum; got != wantSum {
+		t.Fatalf("sum advanced by %d, want %d", got, wantSum)
 	}
 }
 
@@ -119,7 +122,7 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 func TestHistogramSnapshotWhileObserving(t *testing.T) {
 	Enable()
 	defer Disable()
-	h := NewHistogram("test_hist_snap_ns", "snapshot consistency histogram")
+	h := tHistSnap
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -157,14 +160,15 @@ func TestHistogramSnapshotWhileObserving(t *testing.T) {
 func TestObserveSinceZeroTime(t *testing.T) {
 	Enable()
 	defer Disable()
-	h := NewHistogram("test_hist_since_ns", "ObserveSince histogram")
+	h := tHistSince
+	base := h.Snapshot().Count
 	h.ObserveSince(time.Time{}) // disabled-path sentinel: must record nothing
-	if h.Snapshot().Count != 0 {
+	if h.Snapshot().Count != base {
 		t.Fatal("ObserveSince on a zero time recorded an observation")
 	}
 	t0 := time.Now()
 	h.ObserveSince(t0)
-	if h.Snapshot().Count != 1 {
+	if h.Snapshot().Count != base+1 {
 		t.Fatal("ObserveSince on a real time did not record")
 	}
 }

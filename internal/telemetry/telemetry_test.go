@@ -12,11 +12,18 @@ var (
 	tCounter = NewCounter("test_counter_total", "test counter")
 	tGauge   = NewGauge("test_gauge", "test gauge")
 	tVec     = NewCounterVec("test_vec_total", "site", "test vec")
+	tVecSum  = NewCounterVec("test_vec_total_sum", "k", "sum test")
+
+	tHistEmpty    = NewHistogram("test_hist_empty_ns", "empty histogram") // never observed
+	tHistOverflow = NewHistogram("test_hist_overflow_ns", "overflow histogram")
+	tHistRace     = NewHistogram("test_hist_race_ns", "concurrency histogram")
+	tHistSnap     = NewHistogram("test_hist_snap_ns", "snapshot consistency histogram")
+	tHistSince    = NewHistogram("test_hist_since_ns", "ObserveSince histogram")
 )
 
 func TestGateBlocksRecording(t *testing.T) {
 	Disable()
-	base := tCounter.Value()
+	base, vecBase := tCounter.Value(), tVec.Value("a")
 	tCounter.Inc()
 	tCounter.Add(41)
 	tGauge.Set(99)
@@ -24,8 +31,8 @@ func TestGateBlocksRecording(t *testing.T) {
 	if got := tCounter.Value(); got != base {
 		t.Fatalf("disabled counter moved: %d -> %d", base, got)
 	}
-	if tVec.Value("a") != 0 {
-		t.Fatalf("disabled vec child moved: %d", tVec.Value("a"))
+	if got := tVec.Value("a"); got != vecBase {
+		t.Fatalf("disabled vec child moved: %d -> %d", vecBase, got)
 	}
 
 	Enable()
@@ -41,8 +48,8 @@ func TestGateBlocksRecording(t *testing.T) {
 	if tGauge.Value() != 100 {
 		t.Fatalf("enabled gauge: got %d, want 100", tGauge.Value())
 	}
-	if v, ok := VecValue("test_vec_total", "a"); !ok || v != 2 {
-		t.Fatalf("VecValue = %d, %v; want 2, true", v, ok)
+	if v, ok := VecValue("test_vec_total", "a"); !ok || v != vecBase+2 {
+		t.Fatalf("VecValue = %d, %v; want %d, true", v, ok, vecBase+2)
 	}
 }
 
@@ -104,10 +111,10 @@ func TestExpositionFormat(t *testing.T) {
 func TestVecTotal(t *testing.T) {
 	Enable()
 	defer Disable()
-	v := NewCounterVec("test_vec_total_sum", "k", "sum test")
-	v.With("x").Add(3)
-	v.With("y").Add(4)
-	if v.Total() != 7 {
-		t.Fatalf("Total = %d, want 7", v.Total())
+	base := tVecSum.Total()
+	tVecSum.With("x").Add(3)
+	tVecSum.With("y").Add(4)
+	if got := tVecSum.Total() - base; got != 7 {
+		t.Fatalf("Total advanced by %d, want 7", got)
 	}
 }
