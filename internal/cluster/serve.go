@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,13 +16,12 @@ import (
 )
 
 // The cluster wire protocol: a coordinator drives N node processes over one
-// duplex connection each, reusing the replication frame format (u32 length,
-// u32 CRC32-IEEE, body; body byte 0 is the command). The tick barrier is
-// the coordinator's send-all-then-await-all round: a node acknowledges a
-// tick only after applying it, and the coordinator does not issue tick T+1
-// until every node acknowledged T — the distributed twin of the in-process
-// WaitGroup barrier. cmd/cluster wraps this in two process roles; the tests
-// drive it over net.Pipe.
+// framed duplex connection each (replication.Conn; body byte 0 is the
+// command). The tick barrier is the coordinator's send-all-then-await-all
+// round: a node acknowledges a tick only after applying it, and the
+// coordinator does not issue tick T+1 until every node acknowledged T — the
+// distributed twin of the in-process WaitGroup barrier. cmd/cluster wraps
+// this in two process roles; the tests drive it over net.Pipe.
 
 // Command bytes. The numeric range is disjoint from the replication
 // session's frame types so a mis-wired connection fails fast.
@@ -43,36 +43,30 @@ const (
 // clean Bye or peer close; an application error is reported to the
 // coordinator as a cmdErr frame and returned.
 func ServeNode(conn net.Conn, e *engine.Engine) error {
-	var rbuf, scratch []byte
+	c := replication.NewConn(conn, replication.MaxFrameSize)
 	var updates []wal.Update
 	fail := func(err error) error {
-		body := append([]byte{cmdErr}, err.Error()...)
-		scratch, _ = replication.WriteFrame(conn, scratch, body)
+		c.Send(append(c.Frame(cmdErr), err.Error()...)) //nolint:errcheck // err is what the caller gets either way
 		return err
 	}
 	for {
-		body, nbuf, err := replication.ReadFrame(conn, rbuf)
+		body, err := c.ReadFrame()
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe) {
 				return nil // coordinator went away; the engine stays as-is
 			}
 			return err
 		}
-		rbuf = nbuf
 		switch body[0] {
 		case cmdHello:
 			if len(body) != 33 {
 				return fail(errors.New("cluster: malformed hello"))
 			}
 			tab := e.Store().Table()
-			want := encodeTable(tab)
-			if string(body[1:]) != string(want[1:]) {
+			if !bytes.Equal(body[1:], appendTable(nil, tab)) {
 				return fail(fmt.Errorf("cluster: coordinator geometry differs from node table %v", tab))
 			}
-			reply := make([]byte, 0, 9)
-			reply = append(reply, cmdWelcome)
-			reply = binary.LittleEndian.AppendUint64(reply, e.NextTick())
-			if scratch, err = replication.WriteFrame(conn, scratch, reply); err != nil {
+			if err := c.SendU64(cmdWelcome, e.NextTick()); err != nil {
 				return err
 			}
 		case cmdTick:
@@ -89,10 +83,7 @@ func ServeNode(conn net.Conn, e *engine.Engine) error {
 			if err := e.ApplyTickParallel(updates); err != nil {
 				return fail(err)
 			}
-			reply := make([]byte, 0, 9)
-			reply = append(reply, cmdTickOK)
-			reply = binary.LittleEndian.AppendUint64(reply, tick)
-			if scratch, err = replication.WriteFrame(conn, scratch, reply); err != nil {
+			if err := c.SendU64(cmdTickOK, tick); err != nil {
 				return err
 			}
 		case cmdCheckpoint:
@@ -103,11 +94,7 @@ func ServeNode(conn net.Conn, e *engine.Engine) error {
 			if err != nil {
 				return fail(err)
 			}
-			reply := make([]byte, 0, 17)
-			reply = append(reply, cmdCheckpointOK)
-			reply = binary.LittleEndian.AppendUint64(reply, info.Epoch)
-			reply = binary.LittleEndian.AppendUint64(reply, info.AsOfTick)
-			if scratch, err = replication.WriteFrame(conn, scratch, reply); err != nil {
+			if err := c.SendU64(cmdCheckpointOK, info.Epoch, info.AsOfTick); err != nil {
 				return err
 			}
 		case cmdHashRange:
@@ -120,10 +107,7 @@ func ServeNode(conn net.Conn, e *engine.Engine) error {
 				return fail(fmt.Errorf("cluster: hash range [%d,%d) out of bounds", lo, hi))
 			}
 			sum := crc32.ChecksumIEEE(e.Store().SlabRange(lo, hi))
-			reply := make([]byte, 0, 9)
-			reply = append(reply, cmdHashOK)
-			reply = binary.LittleEndian.AppendUint64(reply, uint64(sum))
-			if scratch, err = replication.WriteFrame(conn, scratch, reply); err != nil {
+			if err := c.SendU64(cmdHashOK, uint64(sum)); err != nil {
 				return err
 			}
 		case cmdBye:
@@ -134,33 +118,25 @@ func ServeNode(conn net.Conn, e *engine.Engine) error {
 	}
 }
 
-// encodeTable frames a table geometry after a command byte slot.
-func encodeTable(t gamestate.Table) []byte {
-	b := make([]byte, 0, 33)
-	b = append(b, 0)
+// appendTable appends a table geometry: the hello frame's body after the
+// command byte.
+func appendTable(b []byte, t gamestate.Table) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(t.Rows))
 	b = binary.LittleEndian.AppendUint64(b, uint64(t.Cols))
 	b = binary.LittleEndian.AppendUint64(b, uint64(t.CellSize))
-	b = binary.LittleEndian.AppendUint64(b, uint64(t.ObjSize))
-	return b
+	return binary.LittleEndian.AppendUint64(b, uint64(t.ObjSize))
 }
 
 // RemoteNode is the coordinator's handle on one served node.
 type RemoteNode struct {
-	conn    net.Conn
-	scratch []byte
-	rbuf    []byte
-	frame   []byte
+	c *replication.Conn
 }
 
 // Attach performs the geometry handshake with a served node and returns its
 // next tick (0 fresh; the recovered world tick after a crash).
 func Attach(conn net.Conn, table gamestate.Table) (*RemoteNode, uint64, error) {
-	n := &RemoteNode{conn: conn}
-	hello := encodeTable(table)
-	hello[0] = cmdHello
-	var err error
-	if n.scratch, err = replication.WriteFrame(conn, n.scratch, hello); err != nil {
+	n := &RemoteNode{c: replication.NewConn(conn, replication.MaxFrameSize)}
+	if err := n.c.Send(appendTable(n.c.Frame(cmdHello), table)); err != nil {
 		return nil, 0, err
 	}
 	body, err := n.read(cmdWelcome, 9)
@@ -172,11 +148,10 @@ func Attach(conn net.Conn, table gamestate.Table) (*RemoteNode, uint64, error) {
 
 // read consumes one reply frame, surfacing node-reported errors.
 func (n *RemoteNode) read(want byte, wantLen int) ([]byte, error) {
-	body, nbuf, err := replication.ReadFrame(n.conn, n.rbuf)
+	body, err := n.c.ReadFrame()
 	if err != nil {
 		return nil, err
 	}
-	n.rbuf = nbuf
 	if body[0] == cmdErr {
 		return nil, fmt.Errorf("cluster: node error: %s", body[1:])
 	}
@@ -189,12 +164,8 @@ func (n *RemoteNode) read(want byte, wantLen int) ([]byte, error) {
 // SendTick issues one tick's batch without waiting for the ack: the
 // coordinator sends to every node, then awaits every ack — the barrier.
 func (n *RemoteNode) SendTick(tick uint64, batch []wal.Update) error {
-	n.frame = append(n.frame[:0], cmdTick)
-	n.frame = binary.LittleEndian.AppendUint64(n.frame, tick)
-	n.frame = wal.EncodeUpdates(n.frame, batch)
-	var err error
-	n.scratch, err = replication.WriteFrame(n.conn, n.scratch, n.frame)
-	return err
+	b := binary.LittleEndian.AppendUint64(n.c.Frame(cmdTick), tick)
+	return n.c.Send(wal.EncodeUpdates(b, batch))
 }
 
 // AwaitTick blocks until the node acknowledges the tick as applied.
@@ -212,11 +183,7 @@ func (n *RemoteNode) AwaitTick(tick uint64) error {
 // Checkpoint asks the node for an image covering cut and returns its
 // identity — one leg of a coordinated world checkpoint.
 func (n *RemoteNode) Checkpoint(cut uint64) (ImageID, error) {
-	req := make([]byte, 0, 9)
-	req = append(req, cmdCheckpoint)
-	req = binary.LittleEndian.AppendUint64(req, cut)
-	var err error
-	if n.scratch, err = replication.WriteFrame(n.conn, n.scratch, req); err != nil {
+	if err := n.c.SendU64(cmdCheckpoint, cut); err != nil {
 		return ImageID{}, err
 	}
 	body, err := n.read(cmdCheckpointOK, 17)
@@ -232,12 +199,7 @@ func (n *RemoteNode) Checkpoint(cut uint64) (ImageID, error) {
 // HashRange returns the node's CRC32 over objects [lo, hi): the cheap
 // world-verification primitive (byte-compare lives in-process).
 func (n *RemoteNode) HashRange(lo, hi int) (uint32, error) {
-	req := make([]byte, 0, 17)
-	req = append(req, cmdHashRange)
-	req = binary.LittleEndian.AppendUint64(req, uint64(lo))
-	req = binary.LittleEndian.AppendUint64(req, uint64(hi))
-	var err error
-	if n.scratch, err = replication.WriteFrame(n.conn, n.scratch, req); err != nil {
+	if err := n.c.SendU64(cmdHashRange, uint64(lo), uint64(hi)); err != nil {
 		return 0, err
 	}
 	body, err := n.read(cmdHashOK, 9)
@@ -249,10 +211,9 @@ func (n *RemoteNode) HashRange(lo, hi int) (uint32, error) {
 
 // Bye ends the session cleanly and closes the connection.
 func (n *RemoteNode) Bye() error {
-	var err error
-	if n.scratch, err = replication.WriteFrame(n.conn, n.scratch, []byte{cmdBye}); err != nil {
-		n.conn.Close()
+	if err := n.c.Send(n.c.Frame(cmdBye)); err != nil {
+		n.c.Close() //nolint:errcheck // the send error is the one to report
 		return err
 	}
-	return n.conn.Close()
+	return n.c.Close()
 }

@@ -32,8 +32,18 @@ func deflate(src []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// maxInflated is the most a DEFLATE stream of n bytes can expand to: a
+// length/distance pair costs at least two bits and yields at most 258 bytes,
+// 1032 bytes out per byte in.
+func maxInflated(n int) uint64 { return 1032 * uint64(n) }
+
 // inflate decompresses comp, which must inflate to exactly rawLen bytes.
+// rawLen sizes the output buffer, so one comp cannot reach is ErrRawLen
+// before anything is allocated.
 func inflate(comp []byte, rawLen int) ([]byte, error) {
+	if rawLen < 0 || uint64(rawLen) > maxInflated(len(comp)) {
+		return nil, fmt.Errorf("%w: %d bytes from a %d-byte stream", ErrRawLen, rawLen, len(comp))
+	}
 	zr := flate.NewReader(bytes.NewReader(comp))
 	defer zr.Close() //nolint:errcheck // read-only
 	raw := make([]byte, rawLen)

@@ -12,6 +12,11 @@ import (
 	"repro/internal/wal"
 )
 
+// idlePoll is the tail-follow loop's fallback wake-up when no tick-commit
+// signal arrives (the engine is idle, or a record was appended before the
+// sender subscribed).
+const idlePoll = 5 * time.Millisecond
+
 // Sender streams one engine's checkpoint image and dirty-since-cut tick
 // deltas into one peer's replica store. It is the warm-standby shipper with
 // the standby replaced by compressed RAM: the same WAL tail-follow woken by
@@ -26,10 +31,9 @@ import (
 // a connection cut can only ever cost whole ticks at the holder — the
 // replica never holds a torn tick.
 type Sender struct {
-	e    *engine.Engine
-	st   *replication.Stream
-	opts replication.StreamOptions
-	sub  *engine.TickSub
+	e   *engine.Engine
+	st  *replication.Stream
+	sub *engine.TickSub
 
 	refresh chan chan error
 	done    chan struct{}
@@ -40,7 +44,6 @@ type Sender struct {
 // the initial image ships on a background goroutine. The caller must Stop
 // the sender before closing the engine.
 func StartSender(e *engine.Engine, conn net.Conn, opts replication.StreamOptions) (*Sender, error) {
-	opts = opts.WithDefaults()
 	sub, err := e.SubscribeTicks()
 	if err != nil {
 		return nil, err
@@ -48,7 +51,6 @@ func StartSender(e *engine.Engine, conn net.Conn, opts replication.StreamOptions
 	s := &Sender{
 		e:       e,
 		st:      replication.NewStream(conn, opts),
-		opts:    opts,
 		sub:     sub,
 		refresh: make(chan chan error, 1),
 		done:    make(chan struct{}),
@@ -77,13 +79,10 @@ func (s *Sender) shipImage() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	body := make([]byte, 0, 25+len(comp))
-	body = append(body, replication.FrameReplicaImage)
-	body = binary.LittleEndian.AppendUint64(body, epoch)
-	body = binary.LittleEndian.AppendUint64(body, nextTick)
-	body = binary.LittleEndian.AppendUint64(body, uint64(len(snap)))
-	body = append(body, comp...)
-	return nextTick, s.st.Send(body)
+	b := binary.LittleEndian.AppendUint64(s.st.Frame(replication.FrameReplicaImage), epoch)
+	b = binary.LittleEndian.AppendUint64(b, nextTick)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(snap)))
+	return nextTick, s.st.Send(append(b, comp...))
 }
 
 // ship is the sender's main line: initial image, then the commit-gated
@@ -124,13 +123,10 @@ func (s *Sender) ship() error {
 		if err := s.st.WaitLag(cur, floor); err != nil {
 			return err
 		}
-		body := make([]byte, 0, 17+len(comp))
-		body = append(body, replication.FrameReplicaDelta)
-		body = binary.LittleEndian.AppendUint64(body, cur)
-		body = binary.LittleEndian.AppendUint64(body, uint64(len(recs)))
-		body = append(body, comp...)
+		b := binary.LittleEndian.AppendUint64(s.st.Frame(replication.FrameReplicaDelta), cur)
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(recs)))
 		have, recs = false, recs[:0]
-		return s.st.Send(body)
+		return s.st.Send(append(b, comp...))
 	}
 	for {
 		select {
@@ -191,7 +187,7 @@ func (s *Sender) ship() error {
 			reply <- nil
 		case c := <-s.sub.C:
 			commit, sawComm = c, true
-		case <-time.After(s.opts.IdlePoll):
+		case <-time.After(idlePoll):
 		}
 	}
 }
@@ -242,7 +238,7 @@ func (s *Sender) Stop() error {
 type Holder struct {
 	owner int
 	store *Store
-	conn  net.Conn
+	c     *replication.Conn
 
 	mu      sync.Mutex
 	err     error
@@ -252,7 +248,7 @@ type Holder struct {
 
 // StartHolder starts ingesting replica frames for owner into store.
 func StartHolder(owner int, store *Store, conn net.Conn) *Holder {
-	h := &Holder{owner: owner, store: store, conn: conn, done: make(chan struct{})}
+	h := &Holder{owner: owner, store: store, c: replication.NewConn(conn, replication.MaxFrameSize), done: make(chan struct{})}
 	go h.run()
 	return h
 }
@@ -265,17 +261,15 @@ func (h *Holder) run() {
 		h.err = err
 	}
 	h.mu.Unlock()
-	h.conn.Close() //nolint:errcheck // unblocks the sender; best effort
+	h.c.Close() //nolint:errcheck // unblocks the sender; best effort
 }
 
 func (h *Holder) serve() error {
-	var rbuf, scratch []byte
 	for {
-		body, nbuf, err := replication.ReadFrame(h.conn, rbuf)
+		body, err := h.c.ReadFrame()
 		if err != nil {
 			return err
 		}
-		rbuf = nbuf
 		var w uint64
 		switch body[0] {
 		case replication.FrameReplicaImage:
@@ -284,9 +278,11 @@ func (h *Holder) serve() error {
 			}
 			epoch := binary.LittleEndian.Uint64(body[1:])
 			nextTick := binary.LittleEndian.Uint64(body[9:])
-			rawLen := binary.LittleEndian.Uint64(body[17:])
-			comp := append([]byte(nil), body[25:]...) // rbuf is reused
-			if w, err = h.store.PutImage(h.owner, epoch, nextTick, int(rawLen), comp); err != nil {
+			rawLen, comp, err := replicaPayload(body[17:])
+			if err != nil {
+				return err
+			}
+			if w, err = h.store.PutImage(h.owner, epoch, nextTick, rawLen, comp); err != nil {
 				return err
 			}
 		case replication.FrameReplicaDelta:
@@ -294,21 +290,34 @@ func (h *Holder) serve() error {
 				return fmt.Errorf("peerram: short delta frame (%d bytes)", len(body))
 			}
 			tick := binary.LittleEndian.Uint64(body[1:])
-			rawLen := binary.LittleEndian.Uint64(body[9:])
-			comp := append([]byte(nil), body[17:]...)
-			if w, err = h.store.PutDelta(h.owner, tick, int(rawLen), comp); err != nil {
+			rawLen, comp, err := replicaPayload(body[9:])
+			if err != nil {
+				return err
+			}
+			if w, err = h.store.PutDelta(h.owner, tick, rawLen, comp); err != nil {
 				return err
 			}
 		default:
 			return fmt.Errorf("peerram: unexpected frame type %d", body[0])
 		}
-		ack := make([]byte, 0, 9)
-		ack = append(ack, replication.FrameReplicaAck)
-		ack = binary.LittleEndian.AppendUint64(ack, w)
-		if scratch, err = replication.WriteFrame(h.conn, scratch, ack); err != nil {
+		if err := h.c.SendU64(replication.FrameReplicaAck, w); err != nil {
 			return err
 		}
 	}
+}
+
+// replicaPayload splits the tail both replica frames share — u64 rawLen,
+// then the flate stream — copying the compressed bytes out of the read
+// buffer. rawLen comes from outside and later sizes the restore path's
+// buffer, so one DEFLATE cannot produce (ErrRawLen) is refused here, before
+// the store changes.
+func replicaPayload(p []byte) (rawLen int, comp []byte, err error) {
+	raw := binary.LittleEndian.Uint64(p)
+	comp = p[8:]
+	if raw > maxInflated(len(comp)) {
+		return 0, nil, fmt.Errorf("%w: frame declares %d bytes for a %d-byte stream", ErrRawLen, raw, len(comp))
+	}
+	return int(raw), append([]byte(nil), comp...), nil
 }
 
 // Err returns the stream error that ended the holder, nil while running or
@@ -324,7 +333,7 @@ func (h *Holder) Stop() error {
 	h.mu.Lock()
 	h.stopped = true
 	h.mu.Unlock()
-	h.conn.Close() //nolint:errcheck // unblocks the read loop
+	h.c.Close() //nolint:errcheck // unblocks the read loop
 	<-h.done
 	return h.Err()
 }

@@ -6,9 +6,9 @@
 // ReStore idea applied to the MMO tick engine.
 //
 // The replica stream is the warm-standby wire protocol with the standby
-// replaced by compressed bytes: the same length+CRC framing
-// (replication.WriteFrame/ReadFrame, frame types 10–12 alongside the
-// standby stream's 1–9), the same WAL tail-follow woken by the engine's
+// replaced by compressed bytes: the same framed connection
+// (replication.Conn, frame types 10–12 alongside the standby stream's
+// 1–9), the same WAL tail-follow woken by the engine's
 // tick-commit signal, and the same ack-based log retention — so replication
 // adds no connections of its own kind and no fsyncs to the tick path. On
 // recovery, a surviving holder's replica feeds engine.RecoverFromPeer: the
@@ -37,10 +37,9 @@ type Options struct {
 	// K is the number of peers holding each partition's replica, clamped to
 	// the cluster size minus one. <=0 means DefaultK.
 	K int
-	// MaxLagTicks and IdlePoll configure every link's sender; zero values
-	// take the replication.StreamOptions defaults.
+	// MaxLagTicks configures every link's sender; zero takes the
+	// replication.StreamOptions default.
 	MaxLagTicks int
-	IdlePoll    time.Duration
 }
 
 // link is one (owner → holder) replica stream.
@@ -119,7 +118,7 @@ func (m *Mesh) Attach(owner int, e *engine.Engine) error {
 	if len(m.links[owner]) > 0 {
 		return fmt.Errorf("peerram: node %d already attached", owner)
 	}
-	sopts := replication.StreamOptions{MaxLagTicks: m.opts.MaxLagTicks, IdlePoll: m.opts.IdlePoll}
+	sopts := replication.StreamOptions{MaxLagTicks: m.opts.MaxLagTicks}
 	for _, h := range m.Holders(owner) {
 		sc, hc := net.Pipe()
 		recv := StartHolder(owner, m.stores[h], hc)

@@ -2,12 +2,17 @@ package peerram
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/gamestate"
+	"repro/internal/replication"
 	"repro/internal/wal"
 )
 
@@ -239,5 +244,84 @@ func TestRestoreFaultFallsThrough(t *testing.T) {
 	defer de.Close()
 	if de.NextTick() != ticks || !bytes.Equal(de.Store().Slab(), want) {
 		t.Fatal("disk fallback diverged after failed peer restore")
+	}
+}
+
+// TestHostileRawLenFailsLinkAtIngest sends CRC-valid image and delta frames
+// whose declared raw length no DEFLATE stream of their size can produce
+// through a real Holder: the link must fail typed, with the store unchanged.
+func TestHostileRawLenFailsLinkAtIngest(t *testing.T) {
+	comp, err := deflate(make([]byte, 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lies := []uint64{1 << 63, 1<<63 - 1, maxInflated(len(comp)) + 1}
+	for _, delta := range []bool{false, true} {
+		for _, rawLen := range lies {
+			st := NewStore()
+			if _, err := st.PutImage(0, 1, 5, 4096, comp); err != nil {
+				t.Fatal(err)
+			}
+			before, _ := st.snapshot(0)
+			hc, sc := net.Pipe()
+			h := StartHolder(0, st, hc)
+			c := replication.NewConn(sc, replication.MaxFrameSize)
+			b := c.Frame(replication.FrameReplicaImage)
+			if delta {
+				b = binary.LittleEndian.AppendUint64(c.Frame(replication.FrameReplicaDelta), 5)
+			} else {
+				b = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(b, 2), 9)
+			}
+			b = binary.LittleEndian.AppendUint64(b, rawLen)
+			if err := c.Send(append(b, comp...)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.ReadFrame(); err == nil {
+				t.Fatalf("delta=%v rawLen=%d: holder acknowledged the frame", delta, rawLen)
+			}
+			<-h.done
+			if err := h.Err(); !errors.Is(err, ErrRawLen) {
+				t.Fatalf("delta=%v rawLen=%d: link ended with %v, want ErrRawLen", delta, rawLen, err)
+			}
+			h.Stop() //nolint:errcheck // already failed; joins
+			after, _ := st.snapshot(0)
+			if after.epoch != before.epoch || after.nextTick != before.nextTick || after.rawLen != before.rawLen ||
+				len(after.deltas) != 0 || st.CompressedBytes() != int64(len(comp)) {
+				t.Fatalf("delta=%v rawLen=%d: the refused frame changed the store", delta, rawLen)
+			}
+		}
+	}
+}
+
+// TestLyingStoredRawLenIsAnErrorNotAPanic seeds a store directly with
+// raw lengths the wire check would have refused: restoring from it must
+// return ErrRawLen — inflate allocates nothing and never panics.
+func TestLyingStoredRawLenIsAnErrorNotAPanic(t *testing.T) {
+	comp, err := deflate(make([]byte, 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rawLen := range []int{-1, math.MinInt, math.MaxInt, int(maxInflated(len(comp))) + 1} {
+		st := NewStore()
+		if _, err := st.PutImage(0, 1, 5, rawLen, comp); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.PutDelta(0, 5, rawLen, comp); err != nil {
+			t.Fatal(err)
+		}
+		src, err := NewRestoreSource(st, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.ReadRange(0, 1, make([]byte, 512)); !errors.Is(err, ErrRawLen) {
+			t.Fatalf("rawLen %d: image read returned %v, want ErrRawLen", rawLen, err)
+		}
+		recs, err := src.Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := recs.Next(); !errors.Is(err, ErrRawLen) {
+			t.Fatalf("rawLen %d: delta read returned %v, want ErrRawLen", rawLen, err)
+		}
 	}
 }

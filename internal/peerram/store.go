@@ -17,6 +17,10 @@ var (
 	// holding peer died while streaming its image or deltas into the
 	// recovering engine.
 	ErrReplicaGone = errors.New("peerram: replica holder died mid-restore")
+	// ErrRawLen reports a replica whose declared inflated size is one its
+	// compressed bytes cannot produce: a corrupt or hostile frame at ingest,
+	// a corrupt store entry at restore.
+	ErrRawLen = errors.New("peerram: impossible declared raw length")
 )
 
 // deltaBundle is one complete tick's worth of log records, compressed.

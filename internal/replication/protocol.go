@@ -32,8 +32,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 )
 
 // protocolVersion gates the handshake; both ends must match exactly.
@@ -68,10 +66,9 @@ const (
 	ftResume byte = 9 // nextTick+1 u64, or 0 for a fresh bootstrap
 )
 
-// Peer-RAM replica frames (internal/peerram). They ride the same
-// length+CRC framing (WriteFrame/ReadFrame) and the same ack-based
-// retention discipline as the warm-standby stream, multiplexed over the
-// cluster's existing connections — a replica holder is a tick-stream
+// Peer-RAM replica frames (internal/peerram). They ride the same framed
+// connection (Conn) and the same ack-based retention discipline as the
+// warm-standby stream, multiplexed over the cluster's existing connections — a replica holder is a tick-stream
 // consumer that keeps compressed bytes in RAM instead of a live engine.
 // Exported so internal/peerram can speak the protocol without a second
 // framing layer; values stay clear of the standby stream's 1–9.
@@ -93,126 +90,69 @@ const (
 	FrameReplicaAck byte = 12
 )
 
-// maxFrameSize bounds one frame; larger lengths mark a corrupt or hostile
-// stream. It must accommodate a whole tick record (mirrors wal's record
-// bound) plus the frame type byte and a snapshot chunk.
-const maxFrameSize = 1<<28 + 64
-
 // snapChunkSize is the snapshot transfer granule.
 const snapChunkSize = 256 << 10
-
-// Frame layout: u32 length, u32 CRC32-IEEE of the body, body. The body's
-// first byte is the frame type. Length counts the body only.
-
-// writeFrame sends one frame. scratch is reused across calls; the returned
-// slice is the (possibly grown) scratch buffer.
-func writeFrame(w io.Writer, scratch []byte, body []byte) ([]byte, error) {
-	scratch = scratch[:0]
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(body))
-	scratch = append(scratch, hdr[:]...)
-	scratch = append(scratch, body...)
-	_, err := w.Write(scratch)
-	return scratch, err
-}
-
-// readFrame reads one frame, reusing buf when it is large enough. The
-// returned body aliases the returned buffer and is valid until the next
-// call. io errors pass through unwrapped so callers can distinguish a cut
-// connection (seal point) from in-stream corruption.
-func readFrame(r io.Reader, buf []byte) (body, nextBuf []byte, err error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, buf, err
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:])
-	wantCRC := binary.LittleEndian.Uint32(hdr[4:])
-	if length == 0 || length > maxFrameSize {
-		return nil, buf, fmt.Errorf("replication: frame length %d out of range", length)
-	}
-	if cap(buf) < int(length) {
-		buf = make([]byte, length)
-	}
-	body = buf[:length]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, buf, err
-	}
-	if crc32.ChecksumIEEE(body) != wantCRC {
-		return nil, buf, errors.New("replication: frame checksum mismatch")
-	}
-	return body, buf, nil
-}
 
 // sendSnapshot ships a tick-consistent image as snapBegin, snapChunk* and
 // snapEnd frames: the bootstrap leg shared by standby sessions (whole
 // slab) and range transfers (one object range).
 func (s *Stream) sendSnapshot(nextTick uint64, data []byte) error {
-	begin := make([]byte, 0, 17)
-	begin = append(begin, ftSnapBegin)
-	begin = binary.LittleEndian.AppendUint64(begin, nextTick)
-	begin = binary.LittleEndian.AppendUint64(begin, uint64(len(data)))
-	if err := s.Send(begin); err != nil {
+	if err := s.c.SendU64(ftSnapBegin, nextTick, uint64(len(data))); err != nil {
 		return err
 	}
-	chunk := make([]byte, 0, 9+snapChunkSize)
 	for off := 0; off < len(data); off += snapChunkSize {
 		end := off + snapChunkSize
 		if end > len(data) {
 			end = len(data)
 		}
-		chunk = append(chunk[:0], ftSnapChunk)
-		chunk = binary.LittleEndian.AppendUint64(chunk, uint64(off))
-		chunk = append(chunk, data[off:end]...)
-		if err := s.Send(chunk); err != nil {
+		chunk := binary.LittleEndian.AppendUint64(s.c.Frame(ftSnapChunk), uint64(off))
+		if err := s.c.Send(append(chunk, data[off:end]...)); err != nil {
 			return err
 		}
 	}
-	return s.Send([]byte{ftSnapEnd})
+	return s.c.Send(s.c.Frame(ftSnapEnd))
 }
 
 // recvSnapshot collects the snapshot sent by sendSnapshot, enforcing the
-// expected size and in-order chunking. rbuf is the frame read buffer,
-// reused and returned possibly grown.
-func recvSnapshot(r io.Reader, rbuf []byte, want uint64) (nextTick uint64, snap, nextBuf []byte, err error) {
-	body, rbuf, err := readFrame(r, rbuf)
+// expected size and in-order chunking.
+func recvSnapshot(c *Conn, want uint64) (nextTick uint64, snap []byte, err error) {
+	body, err := c.ReadFrame()
 	if err != nil {
-		return 0, nil, rbuf, fmt.Errorf("replication: bootstrap: %w", err)
+		return 0, nil, fmt.Errorf("replication: bootstrap: %w", err)
 	}
 	if len(body) != 17 || body[0] != ftSnapBegin {
-		return 0, nil, rbuf, errors.New("replication: expected snapshot begin frame")
+		return 0, nil, errors.New("replication: expected snapshot begin frame")
 	}
 	nextTick = binary.LittleEndian.Uint64(body[1:])
 	total := binary.LittleEndian.Uint64(body[9:])
 	if total != want {
-		return 0, nil, rbuf, fmt.Errorf("replication: snapshot is %d bytes, state holds %d", total, want)
+		return 0, nil, fmt.Errorf("replication: snapshot is %d bytes, state holds %d", total, want)
 	}
 	snap = make([]byte, total)
 	received := uint64(0)
 	for {
-		body, rbuf, err = readFrame(r, rbuf)
-		if err != nil {
-			return 0, nil, rbuf, fmt.Errorf("replication: bootstrap: %w", err)
+		if body, err = c.ReadFrame(); err != nil {
+			return 0, nil, fmt.Errorf("replication: bootstrap: %w", err)
 		}
 		if body[0] == ftSnapEnd {
 			break
 		}
 		if len(body) < 9 || body[0] != ftSnapChunk {
-			return 0, nil, rbuf, errors.New("replication: expected snapshot chunk frame")
+			return 0, nil, errors.New("replication: expected snapshot chunk frame")
 		}
 		off := binary.LittleEndian.Uint64(body[1:])
 		data := body[9:]
 		if off != received || off+uint64(len(data)) > total {
-			return 0, nil, rbuf, fmt.Errorf("replication: snapshot chunk at %d out of order (have %d of %d)",
+			return 0, nil, fmt.Errorf("replication: snapshot chunk at %d out of order (have %d of %d)",
 				off, received, total)
 		}
 		copy(snap[off:], data)
 		received += uint64(len(data))
 	}
 	if received != total {
-		return 0, nil, rbuf, fmt.Errorf("replication: snapshot ended at %d of %d bytes", received, total)
+		return 0, nil, fmt.Errorf("replication: snapshot ended at %d of %d bytes", received, total)
 	}
-	return nextTick, snap, rbuf, nil
+	return nextTick, snap, nil
 }
 
 // hello is the geometry handshake, sent by the primary and echoed by the
@@ -223,29 +163,33 @@ type hello struct {
 	cellSize uint32
 }
 
-func encodeHello(typ byte, h hello) []byte {
-	body := make([]byte, 0, 1+len(magic)+16)
-	body = append(body, typ)
-	body = append(body, magic[:]...)
-	body = binary.LittleEndian.AppendUint64(body, h.objects)
-	body = binary.LittleEndian.AppendUint32(body, h.objSize)
-	body = binary.LittleEndian.AppendUint32(body, h.cellSize)
-	return body
+// send ships h as a handshake frame of the given type.
+func (h hello) send(c *Conn, typ byte) error {
+	b := append(c.Frame(typ), magic[:]...)
+	b = binary.LittleEndian.AppendUint64(b, h.objects)
+	b = binary.LittleEndian.AppendUint32(b, h.objSize)
+	b = binary.LittleEndian.AppendUint32(b, h.cellSize)
+	return c.Send(b)
 }
 
-func decodeHello(typ byte, body []byte) (hello, error) {
-	var h hello
+// expect reads the peer's handshake frame of the given type and checks its
+// geometry against h.
+func (h hello) expect(c *Conn, typ byte) error {
+	body, err := c.ReadFrame()
+	if err != nil {
+		return fmt.Errorf("replication: handshake: %w", err)
+	}
 	if len(body) != 1+len(magic)+16 || body[0] != typ {
-		return h, fmt.Errorf("replication: malformed handshake frame (type %d, %d bytes)", body[0], len(body))
+		return fmt.Errorf("replication: malformed handshake frame (type %d, %d bytes)", body[0], len(body))
 	}
 	if [8]byte(body[1:9]) != magic {
-		return h, errors.New("replication: peer is not speaking this protocol version")
+		return errors.New("replication: peer is not speaking this protocol version")
 	}
-	rest := body[9:]
-	h.objects = binary.LittleEndian.Uint64(rest[0:])
-	h.objSize = binary.LittleEndian.Uint32(rest[8:])
-	h.cellSize = binary.LittleEndian.Uint32(rest[12:])
-	return h, nil
+	return h.check(hello{
+		objects:  binary.LittleEndian.Uint64(body[9:]),
+		objSize:  binary.LittleEndian.Uint32(body[17:]),
+		cellSize: binary.LittleEndian.Uint32(body[21:]),
+	})
 }
 
 // errGeometry marks a handshake whose two ends disagree on the state
@@ -258,20 +202,6 @@ func (h hello) check(peer hello) error {
 			h.objects, h.objSize, h.cellSize, peer.objects, peer.objSize, peer.cellSize)
 	}
 	return nil
-}
-
-// tickFrame builds a ftTick body into scratch: type, tick, record body.
-func tickFrame(scratch []byte, tick uint64, record []byte) []byte {
-	scratch = append(scratch[:0], ftTick)
-	scratch = binary.LittleEndian.AppendUint64(scratch, tick)
-	return append(scratch, record...)
-}
-
-// u64Frame builds a body of type plus one u64 (acks, snapshot offsets).
-func u64Frame(typ byte, v uint64) []byte {
-	body := make([]byte, 0, 9)
-	body = append(body, typ)
-	return binary.LittleEndian.AppendUint64(body, v)
 }
 
 // decodeU64 parses a type-plus-u64 body.

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 
 	"repro/internal/wal"
@@ -55,15 +54,14 @@ func (g RangeGeometry) bytes() int { return (g.Hi - g.Lo) * g.ObjSize }
 // called from one goroutine (the cluster coordinator, between ticks); the
 // underlying Stream's reader consumes the receiver's acks.
 type RangeSender struct {
-	st    *Stream
-	frame []byte
+	st *Stream
 }
 
 // NewRangeSender performs the geometry handshake (hello ⇄ welcome) and
 // starts the ack reader. The receiver must be running on the other end.
 func NewRangeSender(conn net.Conn, g RangeGeometry) (*RangeSender, error) {
 	s := &RangeSender{st: NewStream(conn, StreamOptions{})}
-	if _, err := s.st.handshake(g.hello()); err != nil {
+	if err := s.st.handshake(g.hello()); err != nil {
 		return nil, err
 	}
 	// The receiver acks the last tick it staged.
@@ -86,16 +84,14 @@ func (s *RangeSender) SendTick(tick uint64, updates []wal.Update) error {
 	if err := s.st.Err(); err != nil {
 		return err
 	}
-	s.frame = append(s.frame[:0], ftTick)
-	s.frame = binary.LittleEndian.AppendUint64(s.frame, tick)
-	s.frame = wal.EncodeUpdates(s.frame, updates)
-	return s.st.Send(s.frame)
+	b := binary.LittleEndian.AppendUint64(s.st.Frame(ftTick), tick)
+	return s.st.Send(wal.EncodeUpdates(b, updates))
 }
 
 // SendCut ends the stream: the receiver owns the range from cutTick on.
 // The sender must have streamed every tick below cutTick.
 func (s *RangeSender) SendCut(cutTick uint64) error {
-	return s.st.Send(u64Frame(ftCut, cutTick))
+	return s.st.c.SendU64(ftCut, cutTick)
 }
 
 // AwaitApplied blocks until the receiver has staged every tick up to and
@@ -113,7 +109,7 @@ func (s *RangeSender) Close() error { return s.st.Stop() }
 // cut frame arrives (clean end) or the session fails; the staged buffer is
 // then ready for engine.InstallRange at the cutover barrier.
 type RangeReceiver struct {
-	conn net.Conn
+	c    *Conn
 	geom RangeGeometry
 
 	buf       []byte // the staged range, len == geom.bytes() after bootstrap
@@ -125,7 +121,7 @@ type RangeReceiver struct {
 
 // NewRangeReceiver prepares the target side of a transfer. Run drives it.
 func NewRangeReceiver(conn net.Conn, g RangeGeometry) *RangeReceiver {
-	return &RangeReceiver{conn: conn, geom: g}
+	return &RangeReceiver{c: NewConn(conn, MaxFrameSize), geom: g}
 }
 
 // Run performs the handshake, stages the snapshot and every streamed tick,
@@ -137,25 +133,25 @@ func NewRangeReceiver(conn net.Conn, g RangeGeometry) *RangeReceiver {
 func (r *RangeReceiver) Run() error {
 	err := r.run()
 	if err != nil {
-		r.conn.Close() //nolint:errcheck // unblocks the sender; best effort
+		r.c.Close() //nolint:errcheck // unblocks the sender; best effort
 	}
 	return err
 }
 
 func (r *RangeReceiver) run() error {
-	rbuf, scratch, err := acceptHandshake(r.conn, r.geom.hello())
+	err := acceptHandshake(r.c, r.geom.hello())
 	if err != nil {
 		return err
 	}
 
 	// Bootstrap: the range snapshot.
-	r.nextTick, r.buf, rbuf, err = recvSnapshot(r.conn, rbuf, uint64(r.geom.bytes()))
+	r.nextTick, r.buf, err = recvSnapshot(r.c, uint64(r.geom.bytes()))
 	if err != nil {
 		return err
 	}
 	if r.nextTick > 0 {
 		r.staged, r.stagedAny = r.nextTick-1, true
-		if scratch, err = writeFrame(r.conn, scratch, u64Frame(ftAck, r.nextTick-1)); err != nil {
+		if err := r.c.SendU64(ftAck, r.nextTick-1); err != nil {
 			return err
 		}
 	}
@@ -163,9 +159,8 @@ func (r *RangeReceiver) run() error {
 	// Stream: stage each tick's updates into the side buffer, ack, until
 	// the cut.
 	var updates []wal.Update
-	var body []byte
 	for {
-		body, rbuf, err = readFrame(r.conn, rbuf)
+		body, err := r.c.ReadFrame()
 		if err != nil {
 			return err
 		}
@@ -198,7 +193,7 @@ func (r *RangeReceiver) run() error {
 				}
 			}
 			r.staged, r.stagedAny = tick, true
-			if scratch, err = writeFrame(r.conn, scratch, u64Frame(ftAck, tick)); err != nil {
+			if err := r.c.SendU64(ftAck, tick); err != nil {
 				return err
 			}
 		default:
@@ -226,17 +221,3 @@ func (r *RangeReceiver) Buffer() []byte { return r.buf }
 // CutTick returns the first tick the receiver owns; valid after Run
 // returns nil.
 func (r *RangeReceiver) CutTick() uint64 { return r.cutTick }
-
-// WriteFrame and ReadFrame expose the replication wire format — u32 length,
-// u32 CRC32-IEEE, body — for other tick-synchronized protocols (the cluster
-// coordinator ⇄ node command stream). scratch/buf are reused across calls;
-// the returned slices are the possibly-grown buffers. The returned body
-// aliases buf and is valid until the next call.
-func WriteFrame(w io.Writer, scratch, body []byte) ([]byte, error) {
-	return writeFrame(w, scratch, body)
-}
-
-// ReadFrame reads one frame written by WriteFrame. See WriteFrame.
-func ReadFrame(r io.Reader, buf []byte) (body, nextBuf []byte, err error) {
-	return readFrame(r, buf)
-}

@@ -279,22 +279,19 @@ func TestBackpressureBoundsInFlightTicks(t *testing.T) {
 	// Hand-rolled standby: handshake + bootstrap, then receive ticks into
 	// a channel without acking.
 	local := hello{objects: uint64(tab.NumObjects()), objSize: uint32(tab.ObjSize), cellSize: 4}
-	var rbuf, scratch []byte
-	body, rbuf, err := readFrame(sc, rbuf)
-	if err != nil {
+	c := NewConn(sc, MaxFrameSize)
+	if err := local.expect(c, ftHello); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeHello(ftHello, body); err != nil {
+	if err := local.send(c, ftWelcome); err != nil {
 		t.Fatal(err)
 	}
-	if scratch, err = writeFrame(sc, scratch, encodeHello(ftWelcome, local)); err != nil {
-		t.Fatal(err)
-	}
-	if scratch, err = writeFrame(sc, scratch, u64Frame(ftResume, 0)); err != nil {
+	if err := c.SendU64(ftResume, 0); err != nil {
 		t.Fatal(err)
 	}
 	for {
-		if body, rbuf, err = readFrame(sc, rbuf); err != nil {
+		body, err := c.ReadFrame()
+		if err != nil {
 			t.Fatal(err)
 		}
 		if body[0] == ftSnapEnd {
@@ -303,11 +300,9 @@ func TestBackpressureBoundsInFlightTicks(t *testing.T) {
 	}
 	got := make(chan uint64, 64)
 	go func() {
-		var buf []byte
-		var b []byte
-		var err error
 		for {
-			if b, buf, err = readFrame(sc, buf); err != nil {
+			b, err := c.ReadFrame()
+			if err != nil {
 				close(got)
 				return
 			}
@@ -345,7 +340,7 @@ func TestBackpressureBoundsInFlightTicks(t *testing.T) {
 	}
 	// Acking frees one slot at a time.
 	for acked := uint64(0); acked < 8; acked++ {
-		if scratch, err = writeFrame(sc, scratch, u64Frame(ftAck, acked)); err != nil {
+		if err := c.SendU64(ftAck, acked); err != nil {
 			t.Fatal(err)
 		}
 		want := acked + maxLag

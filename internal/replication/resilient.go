@@ -86,36 +86,59 @@ func StartResilientStandby(opts engine.Options, dial func() (net.Conn, error), r
 	return sb, nil
 }
 
-// runResilient is the reconnecting session loop: dial, serve, classify the
-// end cause, back off, repeat. Called from run with done-closing deferred.
-func (sb *Standby) runResilient() {
-	b := sb.ropts.Backoff
-	var lastErr error
-	for {
+// supervise is the one reconnect loop, under both resilient ends. It calls
+// attempt (dial and run one session; n counts attempts from 1) until stop
+// closes, an attempt ends with a *fatalError, or ropts.MaxSessions attempts
+// have been made, pacing attempts with ropts.Backoff — rewound whenever a
+// session made progress, so a healthy-again link is retried eagerly. It
+// returns stopped=true with the last attempt's error when stop ended the
+// loop; otherwise the terminal error: the fatal one, or who "gave up".
+func supervise(who string, ropts ResilientOptions, stop <-chan struct{}, attempt func(n int) (progressed bool, err error)) (stopped bool, err error) {
+	b := ropts.Backoff
+	var last error
+	for n := 1; ; n++ {
 		select {
-		case <-sb.stop:
-			sb.seal(stopCause(lastErr))
-			return
+		case <-stop:
+			return true, last
 		default:
 		}
-		sb.mu.Lock()
-		if sb.ropts.MaxSessions > 0 && sb.stats.Sessions >= sb.ropts.MaxSessions {
-			n := sb.stats.Sessions
-			sb.mu.Unlock()
-			sb.seal(fmt.Errorf("replication: standby gave up after %d sessions: %w", n, lastErr))
-			return
+		if ropts.MaxSessions > 0 && n > ropts.MaxSessions {
+			return false, fmt.Errorf("replication: %s gave up after %d sessions: %w", who, n-1, last)
 		}
-		sb.stats.Sessions++
-		sb.mu.Unlock()
+		var progressed bool
+		progressed, last = attempt(n)
+		select {
+		case <-stop: // the stop cut this very session: not a retry
+			return true, last
+		default:
+		}
+		var fe *fatalError
+		if errors.As(last, &fe) {
+			return false, last
+		}
+		if progressed {
+			b.Reset()
+		}
+		t := time.NewTimer(b.Next())
+		select {
+		case <-stop:
+			t.Stop()
+			return true, last
+		case <-t.C:
+		}
+	}
+}
 
+// runResilient is the reconnecting standby: each attempt dials and serves
+// one stream session. Called from run with done-closing deferred.
+func (sb *Standby) runResilient() {
+	stopped, err := supervise("standby", sb.ropts, sb.stop, func(n int) (bool, error) {
+		sb.mu.Lock()
+		sb.stats.Sessions = n
+		sb.mu.Unlock()
 		conn, err := sb.dial()
 		if err != nil {
-			lastErr = err
-			if !sleepOrStop(sb.stop, b.Next()) {
-				sb.seal(stopCause(lastErr))
-				return
-			}
-			continue
+			return false, err
 		}
 		sb.mu.Lock()
 		sb.conn = conn
@@ -123,54 +146,20 @@ func (sb *Standby) runResilient() {
 		sb.mu.Unlock()
 		err = sb.serveConn(conn)
 		conn.Close() //nolint:errcheck
-		lastErr = err
-
-		select {
-		case <-sb.stop: // Promote/Close cut this very session: not a retry
-			sb.seal(stopCause(lastErr))
-			return
-		default:
-		}
 		var fe *fatalError
-		if errors.As(err, &fe) {
-			sb.seal(err)
-			return
-		}
 		sb.mu.Lock()
-		sb.stats.Reconnects++
-		progressed := sb.stats.TicksApplied > before
-		sb.mu.Unlock()
-		if progressed {
-			b.Reset()
+		defer sb.mu.Unlock()
+		if !sb.stopping && !errors.As(err, &fe) {
+			sb.stats.Reconnects++ // the session ended retryably
 		}
-		if !sleepOrStop(sb.stop, b.Next()) {
-			sb.seal(stopCause(lastErr))
-			return
-		}
+		return sb.stats.TicksApplied > before, err
+	})
+	if stopped && err == nil {
+		// A deliberate shutdown seals with the last stream error if one
+		// exists (the plain standby's "ended by some error" contract).
+		err = errors.New("replication: standby stopped")
 	}
-}
-
-// sleepOrStop waits d or until stop closes; it reports whether the
-// reconnect loop should continue.
-func sleepOrStop(stop <-chan struct{}, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-stop:
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// stopCause is the seal error for a deliberate shutdown: the last stream
-// error if one exists (mirrors the plain standby's "ended by some error"
-// contract), else a plain stopped marker.
-func stopCause(lastErr error) error {
-	if lastErr != nil {
-		return lastErr
-	}
-	return errors.New("replication: standby stopped")
+	sb.seal(err)
 }
 
 // ResilientShipper keeps one primary engine streaming to a (re)connecting
@@ -187,7 +176,7 @@ type ResilientShipper struct {
 	sub   *engine.TickSub // retention pin: always acked+1
 
 	mu       sync.Mutex
-	cur      *Shipper
+	cond     *sync.Cond // broadcast on every ack, on the terminal error and on Stop
 	acked    uint64
 	hasAcked bool
 	sessions int
@@ -219,6 +208,7 @@ func StartResilientShipper(e *engine.Engine, dial func() (net.Conn, error), opts
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
+	r.cond = sync.NewCond(&r.mu)
 	go r.run()
 	return r, nil
 }
@@ -226,123 +216,63 @@ func StartResilientShipper(e *engine.Engine, dial func() (net.Conn, error), opts
 func (r *ResilientShipper) run() {
 	defer close(r.done)
 	defer r.sub.Close()
-	b := r.ropts.Backoff
-	var lastErr error
-	for {
-		select {
-		case <-r.stop:
-			return
-		default:
-		}
+	stopped, err := supervise("shipper", r.ropts, r.stop, r.session)
+	if !stopped {
 		r.mu.Lock()
-		if r.ropts.MaxSessions > 0 && r.sessions >= r.ropts.MaxSessions {
-			n := r.sessions
-			if r.err == nil {
-				r.err = fmt.Errorf("replication: shipper gave up after %d sessions: %w", n, lastErr)
-			}
-			r.mu.Unlock()
-			return
-		}
-		r.sessions++
-		resumed := r.sessions > 1
+		r.err = err
+		r.cond.Broadcast()
 		r.mu.Unlock()
-		if resumed {
-			telResumes.Inc()
-		}
-
-		conn, err := r.dial()
-		if err != nil {
-			lastErr = err
-			if !sleepOrStop(r.stop, b.Next()) {
-				return
-			}
-			continue
-		}
-		sh, err := StartShipper(r.e, conn, r.opts)
-		if err != nil {
-			conn.Close() //nolint:errcheck
-			lastErr = err
-			if !sleepOrStop(r.stop, b.Next()) {
-				return
-			}
-			continue
-		}
-		r.mu.Lock()
-		r.cur = sh
-		base := r.acked
-		hasBase := r.hasAcked
-		r.mu.Unlock()
-
-		progressed := r.watch(sh, base, hasBase)
-		r.mu.Lock()
-		r.cur = nil
-		r.mu.Unlock()
-		lastErr = sh.Err()
-		select {
-		case <-r.stop:
-			return
-		default:
-		}
-		if progressed {
-			b.Reset()
-		}
-		if !sleepOrStop(r.stop, b.Next()) {
-			return
-		}
 	}
 }
 
-// watch follows one session until it ends or Stop: it folds the session's
-// acks into the supervisor watermark every poll so the retention pin and
-// AwaitAck observers track a live session, not just finished ones. It
-// reports whether the session advanced the watermark.
-func (r *ResilientShipper) watch(sh *Shipper, base uint64, hasBase bool) bool {
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.stop:
-			sh.Stop() //nolint:errcheck
-			r.fold(sh)
-			return false
-		case <-sh.Done():
-			r.fold(sh)
-			a, ok := r.Acked()
-			return ok && (!hasBase || a > base)
-		case <-tick.C:
-			r.fold(sh)
-		}
-	}
-}
-
-// fold merges a session's ack high-water into the supervisor and advances
-// the cross-session retention pin.
-func (r *ResilientShipper) fold(sh *Shipper) {
-	a, ok := sh.Acked()
-	if !ok {
-		return
-	}
+// session is one supervised attempt: dial, run a plain Shipper until it
+// ends or Stop, report whether it advanced the ack watermark.
+func (r *ResilientShipper) session(n int) (progressed bool, err error) {
 	r.mu.Lock()
-	if !r.hasAcked || a > r.acked {
-		r.acked, r.hasAcked = a, true
-	}
-	a = r.acked
+	r.sessions = n
+	base, hasBase := r.acked, r.hasAcked
 	r.mu.Unlock()
-	r.sub.NeedFrom(a + 1)
+	if n > 1 {
+		telResumes.Inc()
+	}
+	conn, err := r.dial()
+	if err != nil {
+		return false, err
+	}
+	sh, err := startShipper(r.e, conn, r.opts, r.noteAck)
+	if err != nil {
+		conn.Close() //nolint:errcheck
+		return false, err
+	}
+	select {
+	case <-r.stop:
+		sh.Stop() //nolint:errcheck // its error is read below
+	case <-sh.Done():
+	}
+	a, ok := r.Acked()
+	return ok && (!hasBase || a > base), sh.Err()
+}
+
+// noteAck is every session's ack hook: it folds the standby's applied tick
+// into the supervisor watermark, advances the cross-session retention pin
+// and wakes AwaitAck — as the ack arrives, on the session's reader goroutine.
+func (r *ResilientShipper) noteAck(tick uint64) {
+	r.mu.Lock()
+	if !r.hasAcked || tick > r.acked {
+		r.acked, r.hasAcked = tick, true
+	}
+	tick = r.acked
+	r.cond.Broadcast()
+	r.mu.Unlock()
+	r.sub.NeedFrom(tick + 1)
 }
 
 // Acked returns the high-water acknowledged tick across every session so
 // far, including the live one.
 func (r *ResilientShipper) Acked() (uint64, bool) {
 	r.mu.Lock()
-	a, ok, cur := r.acked, r.hasAcked, r.cur
-	r.mu.Unlock()
-	if cur != nil {
-		if ca, cok := cur.Acked(); cok && (!ok || ca > a) {
-			a, ok = ca, true
-		}
-	}
-	return a, ok
+	defer r.mu.Unlock()
+	return r.acked, r.hasAcked
 }
 
 // Sessions returns how many connection attempts were made.
@@ -361,33 +291,20 @@ func (r *ResilientShipper) Err() error {
 }
 
 // AwaitAck blocks until the standby has acknowledged tick — across however
-// many sessions that takes — the supervisor gives up, or the timeout
-// elapses. The waiting itself is the live session's (Stream.AwaitAck), in
-// short slices so a session that dies mid-wait hands over to its successor.
+// many sessions that takes — the supervisor gives up or is stopped, or the
+// timeout elapses (timeout <= 0 waits without a deadline).
 func (r *ResilientShipper) AwaitAck(tick uint64, timeout time.Duration) error {
-	const slice = 5 * time.Millisecond
-	deadline := time.Now().Add(timeout)
-	for {
-		if a, ok := r.Acked(); ok && a >= tick {
-			return nil
+	return waitTick(r.cond, tick, timeout, func() (bool, error) {
+		switch {
+		case r.hasAcked && r.acked >= tick:
+			return true, nil
+		case r.err != nil:
+			return false, r.err
+		case r.stopped:
+			return false, ErrStopped
 		}
-		r.mu.Lock()
-		err, stopped, cur := r.err, r.stopped, r.cur
-		r.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		if stopped {
-			return ErrStopped
-		}
-		left := time.Until(deadline)
-		if left <= 0 {
-			return fmt.Errorf("replication: tick %d not acknowledged within %v", tick, timeout)
-		}
-		if cur == nil || cur.AwaitAck(tick, min(left, slice)) != nil {
-			time.Sleep(time.Millisecond) // between sessions, or this one is dead or slow: look again
-		}
-	}
+		return false, nil
+	})
 }
 
 // Stop ends the supervisor and the live session, if any, and joins the
@@ -397,12 +314,9 @@ func (r *ResilientShipper) Stop() error {
 	if !r.stopped {
 		r.stopped = true
 		close(r.stop)
+		r.cond.Broadcast()
 	}
-	cur := r.cur
 	r.mu.Unlock()
-	if cur != nil {
-		cur.Stop() //nolint:errcheck // joined by the run loop via watch
-	}
 	<-r.done
 	return r.Err()
 }

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -9,6 +10,11 @@ import (
 	"repro/internal/engine"
 	"repro/internal/wal"
 )
+
+// idlePoll is the tail-follow loop's fallback wake-up when no tick-commit
+// signal arrives (the primary is idle, or a record was appended before the
+// shipper subscribed).
+const idlePoll = 5 * time.Millisecond
 
 // ShipperStats is a snapshot of a shipper's progress counters.
 type ShipperStats struct {
@@ -30,10 +36,10 @@ type ShipperStats struct {
 // directory, over an ack-bounded Stream. Start it with StartShipper; it
 // runs until the connection breaks, the engine closes, or Stop.
 type Shipper struct {
-	e    *engine.Engine
-	st   *Stream
-	opts StreamOptions
-	sub  *engine.TickSub
+	e     *engine.Engine
+	st    *Stream
+	sub   *engine.TickSub
+	acked func(tick uint64) // a supervisor's ack hook; nil for a plain shipper
 
 	mu    sync.Mutex
 	stats ShipperStats // Acked/HasAcked are filled from the stream on read
@@ -47,17 +53,22 @@ type Shipper struct {
 // be started from one goroutine, in either order). The caller must Stop the
 // shipper before closing the engine.
 func StartShipper(e *engine.Engine, conn net.Conn, opts StreamOptions) (*Shipper, error) {
-	opts = opts.WithDefaults()
+	return startShipper(e, conn, opts, nil)
+}
+
+// startShipper is StartShipper with acked, if non-nil, called on the ack
+// reader goroutine for every acknowledgement the standby sends.
+func startShipper(e *engine.Engine, conn net.Conn, opts StreamOptions, acked func(tick uint64)) (*Shipper, error) {
 	sub, err := e.SubscribeTicks()
 	if err != nil {
 		return nil, err
 	}
 	s := &Shipper{
-		e:    e,
-		st:   NewStream(conn, opts),
-		opts: opts,
-		sub:  sub,
-		done: make(chan struct{}),
+		e:     e,
+		st:    NewStream(conn, opts),
+		sub:   sub,
+		acked: acked,
+		done:  make(chan struct{}),
 	}
 	go s.run()
 	return s, nil
@@ -74,7 +85,7 @@ func (s *Shipper) run() {
 // tail-follow loop.
 func (s *Shipper) ship() error {
 	store := s.e.Store()
-	rbuf, err := s.st.handshake(hello{
+	err := s.st.handshake(hello{
 		objects:  uint64(store.NumObjects()),
 		objSize:  uint32(store.ObjSize()),
 		cellSize: 4,
@@ -87,7 +98,7 @@ func (s *Shipper) ship() error {
 	// fresh standby (0) gets the full bootstrap; a reconnecting one (v>0)
 	// skips the snapshot and the stream picks up at tick v-1 — its own WAL
 	// and checkpoints already cover everything below.
-	body, _, err := readFrame(s.st.conn, rbuf)
+	body, err := s.st.c.ReadFrame()
 	if err != nil {
 		return fmt.Errorf("replication: resume: %w", err)
 	}
@@ -123,7 +134,7 @@ func (s *Shipper) ship() error {
 
 	// The live stream: tail-follow the WAL, framing every record with
 	// tick >= nextTick. TryNext is non-blocking; on a dry tail we wait for
-	// the engine's tick-commit signal (or the idle poll, which covers
+	// the engine's tick-commit signal (or idlePoll, which covers
 	// records that were appended before we subscribed). Range installs need
 	// no special casing at the snapshot boundary: they are logged at the
 	// engine's next tick (>= our nextTick), so one sharing the snapshot's
@@ -132,7 +143,6 @@ func (s *Shipper) ship() error {
 	// contains is idempotent on the standby.
 	tail := wal.NewTailReader(s.e.WALDir(), nextTick)
 	defer tail.Close()
-	var frame []byte
 	for {
 		select {
 		case <-s.st.Stopped():
@@ -148,7 +158,7 @@ func (s *Shipper) ship() error {
 			case <-s.st.Stopped():
 				return nil
 			case <-s.sub.C:
-			case <-time.After(s.opts.IdlePoll):
+			case <-time.After(idlePoll):
 			}
 			continue
 		}
@@ -158,17 +168,18 @@ func (s *Shipper) ship() error {
 		if err := s.st.WaitLag(tick, nextTick); err != nil {
 			return err
 		}
-		frame = tickFrame(frame, tick, payload)
-		if err := s.st.Send(frame); err != nil {
+		b := binary.LittleEndian.AppendUint64(s.st.Frame(ftTick), tick)
+		if err := s.st.Send(append(b, payload...)); err != nil {
 			return err
 		}
+		shipped := 9 + len(payload) // the frame body: type, tick, record
 		s.mu.Lock()
 		s.stats.TicksShipped++
-		s.stats.BytesShipped += int64(len(frame))
+		s.stats.BytesShipped += int64(shipped)
 		s.stats.Shipped, s.stats.HasShipped = tick, true
 		s.mu.Unlock()
 		telTicksShipped.Inc()
-		telBytesShipped.Add(uint64(len(frame)))
+		telBytesShipped.Add(uint64(shipped))
 		telShippedTick.Set(int64(tick))
 		if acked, ok := s.st.Acked(); ok {
 			telLagTicks.Set(lagTicks(tick, acked))
@@ -190,6 +201,9 @@ func (s *Shipper) onAck(tick uint64) (next uint64) {
 	telAckedTick.Set(int64(tick))
 	telLagTicks.Set(lagTicks(shipped, tick))
 	s.sub.NeedFrom(tick + 1)
+	if s.acked != nil {
+		s.acked(tick)
+	}
 	return tick + 1
 }
 
@@ -210,9 +224,6 @@ func (s *Shipper) Stats() ShipperStats {
 	st.Acked, st.HasAcked = s.st.Acked()
 	return st
 }
-
-// Acked returns the standby's high-water applied tick.
-func (s *Shipper) Acked() (uint64, bool) { return s.st.Acked() }
 
 // AwaitAck blocks until the standby has acknowledged tick, the stream
 // fails, or the timeout elapses.

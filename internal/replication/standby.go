@@ -123,12 +123,13 @@ func (sb *Standby) seal(err error) {
 // connection is the normal "primary died" seal. Errors that redialing
 // cannot fix are wrapped in *fatalError.
 func (sb *Standby) serveConn(conn net.Conn) error {
+	c := NewConn(conn, MaxFrameSize)
 	local := hello{
 		objects:  uint64(sb.opts.Table.NumObjects()),
 		objSize:  uint32(sb.opts.Table.ObjSize),
 		cellSize: uint32(sb.opts.Table.CellSize),
 	}
-	rbuf, scratch, err := acceptHandshake(conn, local)
+	err := acceptHandshake(c, local)
 	if errors.Is(err, errGeometry) {
 		return &fatalError{err} // geometry never changes; retrying cannot help
 	}
@@ -149,7 +150,7 @@ func (sb *Standby) serveConn(conn net.Conn) error {
 		next = e.NextTick()
 		resume = next + 1
 	}
-	if scratch, err = writeFrame(conn, scratch, u64Frame(ftResume, resume)); err != nil {
+	if err := c.SendU64(ftResume, resume); err != nil {
 		return fmt.Errorf("replication: resume: %w", err)
 	}
 	if e == nil {
@@ -157,7 +158,7 @@ func (sb *Standby) serveConn(conn net.Conn) error {
 		// bootstrap checkpoint image, so the standby is recoverable before
 		// the first streamed tick lands).
 		var snap []byte
-		if next, snap, rbuf, err = recvSnapshot(conn, rbuf, uint64(sb.opts.Table.StateBytes())); err != nil {
+		if next, snap, err = recvSnapshot(c, uint64(sb.opts.Table.StateBytes())); err != nil {
 			return err
 		}
 		if e, err = engine.OpenStandby(sb.opts, next, snap); err != nil {
@@ -178,7 +179,7 @@ func (sb *Standby) serveConn(conn net.Conn) error {
 	// checkpoints cover every tick below next, so a caught-up standby is
 	// observable even when nothing streams.
 	if next > 0 {
-		if scratch, err = writeFrame(conn, scratch, u64Frame(ftAck, next-1)); err != nil {
+		if err := c.SendU64(ftAck, next-1); err != nil {
 			return err
 		}
 	}
@@ -187,9 +188,8 @@ func (sb *Standby) serveConn(conn net.Conn) error {
 	// (its own WAL append + checkpointer bookkeeping), then acknowledge.
 	// A read error at any byte position is the seal point — the partial
 	// frame (if any) is discarded and every fully applied tick stands.
-	var body []byte
 	for {
-		body, rbuf, err = readFrame(conn, rbuf)
+		body, err := c.ReadFrame()
 		if err != nil {
 			return err // stream end: sealed at the last complete tick
 		}
@@ -207,7 +207,7 @@ func (sb *Standby) serveConn(conn net.Conn) error {
 		sb.stats.TicksApplied++
 		sb.stats.Applied, sb.stats.HasApplied = tick, true
 		sb.mu.Unlock()
-		if scratch, err = writeFrame(conn, scratch, u64Frame(ftAck, tick)); err != nil {
+		if err := c.SendU64(ftAck, tick); err != nil {
 			return err
 		}
 	}

@@ -19,41 +19,26 @@ type StreamOptions struct {
 	// many ticks behind, which in turn bounds the peer's replay lag — the
 	// warm-failover budget. <=0 means 64.
 	MaxLagTicks int
-	// IdlePoll is the tail reader's fallback poll interval when no
-	// tick-commit signal arrives (e.g. the primary is idle). <=0 means 5ms.
-	IdlePoll time.Duration
 }
 
-// WithDefaults returns o with every unset field at its default.
-func (o StreamOptions) WithDefaults() StreamOptions {
-	if o.MaxLagTicks <= 0 {
-		o.MaxLagTicks = 64
-	}
-	if o.IdlePoll <= 0 {
-		o.IdlePoll = 5 * time.Millisecond
-	}
-	return o
-}
-
-// Stream is the sending end of one ack-bounded tick stream over the CRC
-// framing: the one mechanism under the warm-standby Shipper, the migration
+// Stream is the sending end of one ack-bounded tick stream over a framed
+// connection: the one mechanism under the warm-standby Shipper, the migration
 // RangeSender and the peer-RAM replica Sender. It owns the connection, the
-// write scratch, the peer's acknowledgement watermark with the goroutine
-// that reads it, the in-flight lag gate, the first-error latch and the
-// stopped flag. What travels in the frames — snapshots, WAL records, cut
-// markers, compressed bundles — stays with the caller.
+// peer's acknowledgement watermark with the goroutine that reads it, the
+// in-flight lag gate, the first-error latch and the stopped flag. What
+// travels in the frames — snapshots, WAL records, cut markers, compressed
+// bundles — stays with the caller.
 //
 // The watermark is kept in one form, "the first tick the peer has not
 // acknowledged", which is also the form engine.TickSub.NeedFrom takes.
 // Peers that acknowledge "applied through tick t" are normalised to t+1 by
 // the caller's StartAcks hook, not by a mode in here.
 //
-// Send is for a single writer goroutine; every other method is safe for
-// concurrent use.
+// Frame and Send are for a single writer goroutine; every other method is
+// safe for concurrent use.
 type Stream struct {
-	conn    net.Conn
-	maxLag  uint64
-	scratch []byte
+	c      *Conn
+	maxLag uint64
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -64,24 +49,26 @@ type Stream struct {
 	acks chan struct{} // closed when the ack reader exits; nil until StartAcks
 }
 
-// NewStream wraps conn; opts.MaxLagTicks is the WaitLag bound (IdlePoll is
-// the caller's own tail-follow setting).
+// NewStream wraps conn; opts.MaxLagTicks is the WaitLag bound.
 func NewStream(conn net.Conn, opts StreamOptions) *Stream {
+	if opts.MaxLagTicks <= 0 {
+		opts.MaxLagTicks = 64
+	}
 	s := &Stream{
-		conn:   conn,
-		maxLag: uint64(opts.WithDefaults().MaxLagTicks),
+		c:      NewConn(conn, MaxFrameSize),
+		maxLag: uint64(opts.MaxLagTicks),
 		stop:   make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-// Send writes one frame with the given body.
-func (s *Stream) Send(body []byte) error {
-	var err error
-	s.scratch, err = writeFrame(s.conn, s.scratch, body)
-	return err
-}
+// Frame starts a frame of the given type in the connection's write buffer;
+// the caller appends the body and hands the result to Send (see Conn.Frame).
+func (s *Stream) Frame(typ byte) []byte { return s.c.Frame(typ) }
+
+// Send ships a frame built on Frame's slice in one Write.
+func (s *Stream) Send(b []byte) error { return s.c.Send(b) }
 
 // StartAcks starts the goroutine that owns the connection's read half from
 // here on: every frame the peer sends must be an ackType frame carrying one
@@ -101,14 +88,12 @@ func (s *Stream) StartAcks(ackType byte, onAck func(v uint64) (next uint64)) {
 	s.mu.Unlock()
 	go func() {
 		defer close(done)
-		var buf []byte
 		for {
-			body, nbuf, err := readFrame(s.conn, buf)
+			body, err := s.c.ReadFrame()
 			if err != nil {
 				s.Fail(fmt.Errorf("replication: ack stream: %w", err))
 				return
 			}
-			buf = nbuf
 			v, err := decodeU64(ackType, body)
 			if err != nil {
 				s.Fail(err)
@@ -141,58 +126,62 @@ func (s *Stream) Fail(err error) {
 // stream carries, while that is higher) through tick — within the lag
 // bound, the stream fails, or it is stopped.
 func (s *Stream) WaitLag(tick, floor uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.stopped() {
-			return ErrStopped
+	return waitTick(s.cond, tick, 0, func() (bool, error) {
+		switch {
+		case s.stopped():
+			return false, ErrStopped
+		case s.err != nil:
+			return false, s.err
 		}
-		if s.err != nil {
-			return s.err
-		}
-		from := floor
-		if s.next > from {
-			from = s.next
-		}
+		from := max(floor, s.next)
 		// from > tick (an ack ahead of the send) first: tick-from would wrap.
-		if from > tick || tick-from+1 <= s.maxLag {
-			return nil
-		}
-		s.cond.Wait()
-	}
+		return from > tick || tick-from+1 <= s.maxLag, nil
+	})
 }
 
 // AwaitAck blocks until the peer has acknowledged tick, the stream fails or
 // is stopped, or the timeout elapses (timeout <= 0 waits without a deadline).
 func (s *Stream) AwaitAck(tick uint64, timeout time.Duration) error {
+	return waitTick(s.cond, tick, timeout, func() (bool, error) {
+		switch {
+		case s.next > tick:
+			return true, nil
+		case s.err != nil:
+			return false, s.err
+		case s.stopped():
+			return false, ErrStopped
+		}
+		return false, nil
+	})
+}
+
+// waitTick parks on cond until check — run under cond's lock, which the
+// caller must not hold — reports done or an error, or the timeout elapses
+// (timeout <= 0 waits without a deadline). Whoever changes what check reads
+// broadcasts on cond.
+func waitTick(cond *sync.Cond, tick uint64, timeout time.Duration, check func() (bool, error)) error {
 	timedOut := false
 	if timeout > 0 {
-		// The cond is woken by every ack; the timer breaks the wait on
-		// timeout so a silent stream cannot park the caller forever.
+		// The timer breaks the wait on timeout so a silent stream cannot
+		// park the caller forever.
 		timer := time.AfterFunc(timeout, func() {
-			s.mu.Lock()
+			cond.L.Lock()
 			timedOut = true
-			s.cond.Broadcast()
-			s.mu.Unlock()
+			cond.Broadcast()
+			cond.L.Unlock()
 		})
 		defer timer.Stop()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	cond.L.Lock()
+	defer cond.L.Unlock()
 	for {
-		if s.next > tick {
-			return nil
-		}
-		if s.err != nil {
-			return s.err
-		}
-		if s.stopped() {
-			return ErrStopped
+		if done, err := check(); done || err != nil {
+			return err
 		}
 		if timedOut {
 			return fmt.Errorf("replication: tick %d not acknowledged within %v", tick, timeout)
 		}
-		s.cond.Wait()
+		cond.Wait()
 	}
 }
 
@@ -239,7 +228,7 @@ func (s *Stream) Stop() error {
 	acks := s.acks
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.conn.Close() //nolint:errcheck // unblocks both directions; best effort
+	s.c.Close() //nolint:errcheck // unblocks both directions; best effort
 	if acks != nil {
 		<-acks
 	}
@@ -247,40 +236,22 @@ func (s *Stream) Stop() error {
 }
 
 // handshake runs the initiating side of the geometry handshake (hello ⇄
-// welcome) before StartAcks takes over the read half. It returns the frame
-// read buffer for the caller's next read.
-func (s *Stream) handshake(local hello) ([]byte, error) {
-	if err := s.Send(encodeHello(ftHello, local)); err != nil {
-		return nil, fmt.Errorf("replication: handshake: %w", err)
+// welcome) before StartAcks takes over the read half.
+func (s *Stream) handshake(local hello) error {
+	if err := local.send(s.c, ftHello); err != nil {
+		return fmt.Errorf("replication: handshake: %w", err)
 	}
-	body, rbuf, err := readFrame(s.conn, nil)
-	if err != nil {
-		return rbuf, fmt.Errorf("replication: handshake: %w", err)
-	}
-	peer, err := decodeHello(ftWelcome, body)
-	if err != nil {
-		return rbuf, err
-	}
-	return rbuf, local.check(peer)
+	return local.expect(s.c, ftWelcome)
 }
 
 // acceptHandshake is the answering side: read the hello, check it against
-// the local geometry, echo a welcome. scratch and the returned buffers are
-// the caller's reusable frame write and read buffers.
-func acceptHandshake(conn net.Conn, local hello) (rbuf, scratch []byte, err error) {
-	body, rbuf, err := readFrame(conn, nil)
-	if err != nil {
-		return rbuf, nil, fmt.Errorf("replication: handshake: %w", err)
+// the local geometry, echo a welcome.
+func acceptHandshake(c *Conn, local hello) error {
+	if err := local.expect(c, ftHello); err != nil {
+		return err
 	}
-	peer, err := decodeHello(ftHello, body)
-	if err != nil {
-		return rbuf, nil, err
+	if err := local.send(c, ftWelcome); err != nil {
+		return fmt.Errorf("replication: handshake: %w", err)
 	}
-	if err := local.check(peer); err != nil {
-		return rbuf, nil, err
-	}
-	if scratch, err = writeFrame(conn, nil, encodeHello(ftWelcome, local)); err != nil {
-		return rbuf, scratch, fmt.Errorf("replication: handshake: %w", err)
-	}
-	return rbuf, scratch, nil
+	return nil
 }

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"testing"
@@ -21,11 +22,10 @@ func newTestStream(t *testing.T) (st *Stream, peer net.Conn, ack func(tick uint6
 	sc, pc := net.Pipe()
 	st = NewStream(sc, StreamOptions{MaxLagTicks: streamTestLag})
 	st.StartAcks(ftAck, func(tick uint64) uint64 { return tick + 1 })
+	peerc := NewConn(pc, MaxFrameSize)
 	go func() { // drain the send direction; ends when either side closes
-		var buf []byte
 		for {
-			var err error
-			if _, buf, err = readFrame(pc, buf); err != nil {
+			if _, err := peerc.ReadFrame(); err != nil {
 				return
 			}
 		}
@@ -36,7 +36,7 @@ func newTestStream(t *testing.T) (st *Stream, peer net.Conn, ack func(tick uint6
 	})
 	return st, pc, func(tick uint64) {
 		t.Helper()
-		if _, err := writeFrame(pc, nil, u64Frame(ftAck, tick)); err != nil {
+		if err := peerc.SendU64(ftAck, tick); err != nil {
 			t.Fatalf("peer ack %d: %v", tick, err)
 		}
 	}
@@ -80,7 +80,7 @@ func TestStreamLagGateBlocksAtBoundAndOneAckReleases(t *testing.T) {
 		if err := within(t, "WaitLag inside the bound", async(func() error { return st.WaitLag(tick, 0) })); err != nil {
 			t.Fatalf("WaitLag(%d): %v", tick, err)
 		}
-		if err := st.Send(tickFrame(nil, tick, []byte{0})); err != nil {
+		if err := st.Send(append(binary.LittleEndian.AppendUint64(st.Frame(ftTick), tick), 0)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,19 +3,18 @@ package session
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"sync"
 
 	"repro/internal/gamestate"
+	"repro/internal/replication"
 	"repro/internal/wal"
 )
 
-// The wire protocol mirrors internal/replication's framing: every frame is
-// a u32 little-endian body length, a u32 CRC32-IEEE of the body, then the
-// body, whose first byte is the frame type. Corruption fails loudly at the
-// CRC, truncation at the length read. The session stream is:
+// The wire protocol rides internal/replication's framed connection
+// (replication.Conn): corruption fails loudly at the CRC, truncation at the
+// length read, and each frame goes out in one Write. The session stream is:
 //
 //	client → gateway: hello, then intent*        (then bye or EOF)
 //	gateway → client: welcome, then delta*
@@ -38,50 +37,12 @@ const (
 )
 
 // maxFrame bounds a frame body; larger lengths are treated as stream
-// corruption, like the replication reader does.
+// corruption. Tighter than the server-to-server bound: clients are untrusted.
 const maxFrame = 64 << 20
 
-var crcTable = crc32.IEEETable
-
-// writeFrame sends one length+CRC framed body.
-func writeFrame(w io.Writer, body []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(body, crcTable))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-// readFrame reads one framed body into buf (reused), verifying the CRC.
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n == 0 || n > maxFrame {
-		return nil, fmt.Errorf("session: frame length %d outside (0,%d]", n, maxFrame)
-	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	if got, want := crc32.Checksum(buf, crcTable), binary.LittleEndian.Uint32(hdr[4:8]); got != want {
-		return nil, fmt.Errorf("session: frame CRC %08x, want %08x", got, want)
-	}
-	return buf, nil
-}
-
-// helloBody encodes a hello frame: type, magic, id, interest, geometry.
-func helloBody(id uint64, interest Range, t gamestate.Table) []byte {
-	b := make([]byte, 0, 1+8+8+8+8+8+4+4)
-	b = append(b, frameHello)
+// appendHello appends a hello frame's body after the type byte: magic, id,
+// interest, geometry.
+func appendHello(b []byte, id uint64, interest Range, t gamestate.Table) []byte {
 	b = append(b, protoMagic...)
 	b = binary.LittleEndian.AppendUint64(b, id)
 	b = binary.LittleEndian.AppendUint64(b, uint64(interest.Lo))
@@ -101,7 +62,8 @@ func helloBody(id uint64, interest Range, t gamestate.Table) []byte {
 // session slot.
 func (g *Gateway) ServeConn(conn net.Conn) error {
 	defer conn.Close()
-	buf, err := readFrame(conn, nil)
+	c := replication.NewConn(conn, maxFrame)
+	buf, err := c.ReadFrame()
 	if err != nil {
 		return fmt.Errorf("session: hello: %w", err)
 	}
@@ -125,30 +87,25 @@ func (g *Gateway) ServeConn(conn net.Conn) error {
 	}
 	defer s.Close()
 
-	welcome := make([]byte, 0, 1+8+8)
-	welcome = append(welcome, frameWelcome)
-	welcome = append(welcome, protoMagic...)
-	welcome = binary.LittleEndian.AppendUint64(welcome, g.world.NextTick())
-	if err := writeFrame(conn, welcome); err != nil {
+	welcome := append(c.Frame(frameWelcome), protoMagic...)
+	if err := c.Send(binary.LittleEndian.AppendUint64(welcome, g.world.NextTick())); err != nil {
 		return err
 	}
 
-	// Writer: session deltas → delta frames. A write error closes the conn,
+	// Writer: session deltas → delta frames; from here on the connection's
+	// write half is this goroutine's alone. A write error closes the conn,
 	// which unblocks the reader loop below.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		out := make([]byte, 0, 4096)
 		for {
 			select {
 			case <-s.Gone():
 				return
 			case d := <-s.Deltas():
-				out = append(out[:0], frameDelta)
-				out = binary.LittleEndian.AppendUint64(out, d.Tick)
-				out = wal.EncodeUpdates(out, d.Updates)
-				if err := writeFrame(conn, out); err != nil {
+				out := binary.LittleEndian.AppendUint64(c.Frame(frameDelta), d.Tick)
+				if err := c.Send(wal.EncodeUpdates(out, d.Updates)); err != nil {
 					conn.Close()
 					return
 				}
@@ -161,7 +118,7 @@ func (g *Gateway) ServeConn(conn net.Conn) error {
 
 	var intents []wal.Update
 	for {
-		if buf, err = readFrame(conn, buf); err != nil {
+		if buf, err = c.ReadFrame(); err != nil {
 			if err == io.EOF {
 				return nil
 			}
@@ -188,60 +145,57 @@ func (g *Gateway) ServeConn(conn net.Conn) error {
 // deadline enforcement). Submit and ReadDelta may run on different
 // goroutines; neither is safe for concurrent use with itself.
 type Client struct {
-	conn net.Conn
+	c *replication.Conn
 	// NextTick is the world tick the gateway reported at handshake.
 	NextTick uint64
 
-	wmu  sync.Mutex
-	out  []byte
-	rbuf []byte
-	upd  []wal.Update
+	wmu sync.Mutex // the connection's write half: Submit and Close
+	upd []wal.Update
 }
 
 // NewClient performs the session handshake over conn: hello out, welcome
 // back. table must match the server's world geometry exactly.
 func NewClient(conn net.Conn, table gamestate.Table, id uint64, interest Range) (*Client, error) {
-	if err := writeFrame(conn, helloBody(id, interest, table)); err != nil {
+	c := replication.NewConn(conn, maxFrame)
+	if err := c.Send(appendHello(c.Frame(frameHello), id, interest, table)); err != nil {
 		return nil, err
 	}
-	buf, err := readFrame(conn, nil)
+	buf, err := c.ReadFrame()
 	if err != nil {
 		return nil, fmt.Errorf("session: welcome: %w", err)
 	}
 	if len(buf) != 1+8+8 || buf[0] != frameWelcome || string(buf[1:9]) != protoMagic {
 		return nil, fmt.Errorf("session: bad welcome frame (%d bytes)", len(buf))
 	}
-	return &Client{conn: conn, NextTick: binary.LittleEndian.Uint64(buf[9:17]), rbuf: buf}, nil
+	return &Client{c: c, NextTick: binary.LittleEndian.Uint64(buf[9:17])}, nil
 }
 
 // Submit sends one intent frame staging updates for the gateway's next tick.
 func (c *Client) Submit(updates []wal.Update) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.out = append(c.out[:0], frameIntent)
-	c.out = wal.EncodeUpdates(c.out, updates)
-	return writeFrame(c.conn, c.out)
+	return c.c.Send(wal.EncodeUpdates(c.c.Frame(frameIntent), updates))
 }
 
 // ReadDelta blocks for the next delta frame and returns its tick and
 // updates. The updates slice is reused by the next call.
 func (c *Client) ReadDelta() (tick uint64, updates []wal.Update, err error) {
-	c.rbuf, err = readFrame(c.conn, c.rbuf)
+	buf, err := c.c.ReadFrame()
 	if err != nil {
 		return 0, nil, err
 	}
-	if c.rbuf[0] != frameDelta || len(c.rbuf) < 9 {
-		return 0, nil, fmt.Errorf("session: expected delta frame, got type %d (%d bytes)", c.rbuf[0], len(c.rbuf))
+	if buf[0] != frameDelta || len(buf) < 9 {
+		return 0, nil, fmt.Errorf("session: expected delta frame, got type %d (%d bytes)", buf[0], len(buf))
 	}
-	tick = binary.LittleEndian.Uint64(c.rbuf[1:9])
-	c.upd, err = wal.DecodeUpdates(c.upd[:0], c.rbuf[9:])
+	tick = binary.LittleEndian.Uint64(buf[1:9])
+	c.upd, err = wal.DecodeUpdates(c.upd[:0], buf[9:])
 	return tick, c.upd, err
 }
 
 // Close sends a clean bye and closes the connection.
 func (c *Client) Close() error {
 	c.wmu.Lock()
-	writeFrame(c.conn, []byte{frameBye})
+	c.c.Send(c.c.Frame(frameBye)) //nolint:errcheck // best effort: the close below ends the session either way
 	c.wmu.Unlock()
-	return c.conn.Close()
+	return c.c.Close()
 }
