@@ -40,15 +40,14 @@
 // partition and why any rung fell through, and verifies the recovered world
 // byte-for-byte against the single-node reference.
 //
-// -coordination skew runs the world role under the bounded-skew discipline
-// (internal/skew) instead of the lock-step barrier: each node runs up to
-// -max-skew ticks ahead of the slowest, checkpoints are per-node and
-// staggered (-checkpoint-every, no coordinated cut), the crash leaves the
-// nodes at different ticks on purpose, and recovery reconstructs the
-// consistent cut from the logged-message store (skew.Recover), rolls the
-// laggards forward, re-dispatches the rolled-back ticks and verifies the
-// same byte identity. -recovery-mode does not apply: cut reconstruction
-// rides the disk pipeline.
+// -max-skew W (default 0, the lock-step barrier) runs the world role with
+// the nodes ticking up to W apart: checkpoints become per-node and staggered
+// (-checkpoint-every, no coordinated cut), the crash leaves the nodes at
+// different ticks on purpose, and recovery reconstructs the consistent cut
+// from the logged-message store, rolls the laggards forward, re-dispatches
+// the rolled-back ticks and verifies the same byte identity. Only the disk
+// rung is proven there: any other -recovery-mode with -max-skew > 0 exits
+// with the typed refusal (cluster.ErrNeedsBarrier).
 package main
 
 import (
@@ -67,7 +66,6 @@ import (
 	"repro/internal/gamestate"
 	"repro/internal/peerram"
 	"repro/internal/replication"
-	"repro/internal/skew"
 	"repro/internal/telemetry"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -90,9 +88,8 @@ func main() {
 		shards   = flag.Int("shards", 1, "node: engine shards")
 		mode     = flag.String("mode", "cou", "node: checkpoint method (cou | naive)")
 		wnodes   = flag.Int("world-nodes", 2, "world: in-process node count")
-		recMode  = flag.String("recovery-mode", "auto", "world: recovery ladder (auto | peerram | standby | disk); barrier coordination only")
-		coord    = flag.String("coordination", "barrier", "world: tick coordination (barrier | skew)")
-		maxSkew  = flag.Int("max-skew", 4, "world: bounded-skew window in ticks (skew coordination)")
+		recMode  = flag.String("recovery-mode", "auto", "world: recovery ladder (auto | peerram | standby | disk); only disk with -max-skew > 0")
+		maxSkew  = flag.Int("max-skew", 0, "world: coordination window in ticks, how far apart nodes may tick (0 = the lock-step barrier)")
 		netTO    = flag.Duration("net-timeout", 30*time.Second,
 			"bound on dial/accept and on any single command-stream read; a dead peer "+
 				"surfaces a typed timeout error instead of hanging (0 = wait forever)")
@@ -116,18 +113,11 @@ func main() {
 	case "coord":
 		runCoord(table, *nodes, *scenario, *ticks, *updates, *skew, *seed, *ckptEach, *netTO)
 	case "world":
-		switch *coord {
-		case "barrier":
-			rm, err := cluster.ParseRecoveryMode(*recMode)
-			if err != nil {
-				log.Fatal(err)
-			}
-			runWorld(table, *dir, *wnodes, *scenario, *ticks, *updates, *skew, *seed, *ckptEach, *shards, rm)
-		case "skew":
-			runWorldSkew(table, *dir, *wnodes, *scenario, *ticks, *updates, *skew, *seed, *ckptEach, *shards, *maxSkew)
-		default:
-			log.Fatalf("cluster: -coordination must be barrier or skew, got %q", *coord)
+		rm, err := cluster.ParseRecoveryMode(*recMode)
+		if err != nil {
+			log.Fatal(err)
 		}
+		runWorld(table, *dir, *wnodes, *scenario, *ticks, *updates, *skew, *seed, *ckptEach, *shards, rm, *maxSkew)
 	default:
 		fmt.Fprintln(os.Stderr, "cluster: -role must be node, coord or world")
 		flag.Usage()
@@ -135,11 +125,13 @@ func main() {
 	}
 }
 
-// runWorld runs the scenario on an in-process cluster, crashes it at the
-// final barrier, and recovers it down the requested recovery-mode ladder,
-// reporting which rung actually served each partition.
+// runWorld runs the scenario on an in-process cluster, crashes it — at the
+// final tick barrier at maxSkew 0, mid-window with the nodes at different
+// ticks past it — recovers it down the requested recovery-mode ladder,
+// re-dispatches whatever the crash rolled back (the workload is pure), and
+// verifies the result byte-for-byte against the single-node reference.
 func runWorld(table gamestate.Table, dir string, nodes int, scenario string, ticks, updates int,
-	skew float64, seed int64, ckptEach, shards int, rmode cluster.RecoveryMode) {
+	skew float64, seed int64, ckptEach, shards int, rmode cluster.RecoveryMode, maxSkew int) {
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "cluster-world")
 		if err != nil {
@@ -156,7 +148,12 @@ func runWorld(table gamestate.Table, dir string, nodes int, scenario string, tic
 	}
 
 	opts := cluster.Options{
-		Table: table, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: nodes, Shards: shards,
+		Table: table, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: nodes, Shards: shards, MaxSkew: maxSkew,
+	}
+	if maxSkew > 0 {
+		// Uncoordinated cuts from the node workers; the barrier world takes
+		// coordinated ones from the tick loop below.
+		opts.CheckpointEvery = ckptEach
 	}
 	var mesh *peerram.Mesh
 	if rmode == cluster.RecoveryAuto || rmode == cluster.RecoveryPeerRAM {
@@ -168,7 +165,7 @@ func runWorld(table gamestate.Table, dir string, nodes int, scenario string, tic
 		log.Fatal(err)
 	}
 	eff := len(c.Nodes())
-	log.Printf("world: %d nodes over %d objects, recovery mode %s", eff, table.NumObjects(), rmode)
+	log.Printf("world: %d nodes over %d objects, window %d, recovery mode %s", eff, table.NumObjects(), maxSkew, rmode)
 
 	// The standby rung mirrors every node over the warm-standby stream.
 	var standbys []*replication.Standby
@@ -204,31 +201,35 @@ func runWorld(table gamestate.Table, dir string, nodes int, scenario string, tic
 		if err := c.Tick(batch); err != nil {
 			log.Fatalf("world: tick %d: %v", t, err)
 		}
-		if ckptEach > 0 && (t+1)%ckptEach == 0 && t != ticks-1 {
+		if maxSkew == 0 && ckptEach > 0 && (t+1)%ckptEach == 0 && t != ticks-1 {
 			if _, err := c.CheckpointWorld(); err != nil {
 				log.Fatalf("world: checkpoint after tick %d: %v", t, err)
 			}
 		}
 	}
-	log.Printf("world: %d ticks in %v", ticks, time.Since(t0).Round(time.Millisecond))
+	log.Printf("world: %d ticks in %v (coordinator blocked on node progress for %v total)",
+		ticks, time.Since(t0).Round(time.Millisecond), c.BarrierWait().Round(time.Millisecond))
 	for i, sh := range shippers {
 		if err := sh.AwaitAck(uint64(ticks)-1, 30*time.Second); err != nil {
 			log.Fatalf("world: standby %d behind at the crash: %v", i, err)
 		}
 		sh.Stop() //nolint:errcheck // stream teardown
 	}
-	if err := c.Close(); err != nil { // crash at the final tick barrier
+	applied := make([]uint64, eff)
+	for i := range applied {
+		applied[i] = c.AppliedTick(i)
+	}
+	if err := c.Crash(); err != nil { // the tick barrier at window 0, mid-window past it
 		log.Fatal(err)
 	}
+	log.Printf("world: crash with node ticks %v", applied)
 	if mesh != nil {
 		var sum int64
 		for _, b := range mesh.MemStats() {
 			sum += b
 		}
-		log.Printf("world: crash; surviving peers hold %.1f KB of compressed replicas (%.1f KB/node)",
+		log.Printf("world: surviving peers hold %.1f KB of compressed replicas (%.1f KB/node)",
 			float64(sum)/1024, float64(sum)/1024/float64(eff))
-	} else {
-		log.Printf("world: crash")
 	}
 
 	rc, wr, err := cluster.Recover(dir, cluster.Options{
@@ -249,93 +250,7 @@ func runWorld(table gamestate.Table, dir string, nodes int, scenario string, tic
 		}
 		log.Print(line)
 	}
-	log.Printf("world: recovered to tick %d in %v (slowest partition)", wr.WorldTick, wr.Wall.Round(time.Millisecond))
-
-	// Verify per cell against the single-node serial reference.
-	ref, err := engine.Open(engine.Options{Table: table, Mode: engine.ModeNone, InMemory: true, Shards: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for t := 0; t < ticks; t++ {
-		cells, batch = workload.TickUpdates(src, t, cells, batch)
-		if err := ref.ApplyTick(batch); err != nil {
-			log.Fatal(err)
-		}
-	}
-	got := make([]byte, table.StateBytes())
-	if err := rc.ReadWorld(got); err != nil {
-		log.Fatal(err)
-	}
-	if wr.WorldTick != uint64(ticks) || !bytes.Equal(got, ref.Store().Slab()) {
-		log.Fatalf("world: recovered state DIVERGED from the single-node reference (tick %d, want %d)",
-			wr.WorldTick, ticks)
-	}
-	ref.Close()
-	fmt.Printf("world verified: %d nodes recovered via [%s] at tick %d — byte-identical to the single-node reference\n",
-		eff, joinModes(wr.Modes), ticks)
-}
-
-// runWorldSkew runs the scenario on an in-process bounded-skew cluster:
-// nodes tick up to maxSkew apart with staggered per-node checkpoints, the
-// crash leaves them at different ticks on purpose, skew.Recover
-// reconstructs the consistent cut from the logged-message store and rolls
-// the laggards forward, the coordinator re-dispatches the rolled-back ticks
-// (the workload is pure), and the result is verified byte-for-byte against
-// the single-node reference.
-func runWorldSkew(table gamestate.Table, dir string, nodes int, scenario string, ticks, updates int,
-	wskew float64, seed int64, ckptEach, shards, maxSkew int) {
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "cluster-skew-world")
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	}
-	src, err := workload.New(scenario, workload.Config{
-		Table: table, UpdatesPerTick: updates, Ticks: ticks, Skew: wskew, Seed: seed,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	c, err := skew.New(skew.Options{
-		Table: table, Dir: dir, Mode: engine.ModeCopyOnUpdate,
-		Nodes: nodes, Shards: shards, MaxSkew: maxSkew, CheckpointEvery: ckptEach,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	eff := len(c.Nodes())
-	log.Printf("world: %d nodes over %d objects, bounded-skew window %d, per-node checkpoints every %d ticks",
-		eff, table.NumObjects(), maxSkew, ckptEach)
-
-	var cells []uint32
-	var batch []wal.Update
-	t0 := time.Now()
-	for t := 0; t < ticks; t++ {
-		cells, batch = workload.TickUpdates(src, t, cells, batch)
-		if err := c.Tick(batch); err != nil {
-			log.Fatalf("world: tick %d: %v", t, err)
-		}
-	}
-	log.Printf("world: %d ticks dispatched in %v (coordinator blocked on the window for %v total)",
-		ticks, time.Since(t0).Round(time.Millisecond), c.WindowWait().Round(time.Millisecond))
-	applied := make([]uint64, eff)
-	for i := range applied {
-		applied[i] = c.AppliedTick(i)
-	}
-	if err := c.Crash(); err != nil { // mid-window: nodes at different ticks
-		log.Fatal(err)
-	}
-	log.Printf("world: crash with node ticks %v", applied)
-
-	rc, wr, err := skew.Recover(dir, skew.Options{Mode: engine.ModeCopyOnUpdate, Shards: shards})
-	if err != nil {
-		log.Fatalf("world: recovery: %v", err)
-	}
-	defer rc.Close()
-	log.Printf("world: cut reconstructed at tick %d; rolled forward %v ticks per node; recovered in %v (slowest partition)",
+	log.Printf("world: cut at tick %d; rolled forward %v ticks per node; recovered in %v (slowest partition)",
 		wr.Cut, wr.RolledForward, wr.Wall.Round(time.Millisecond))
 	for t := int(wr.WorldTick); t < ticks; t++ {
 		cells, batch = workload.TickUpdates(src, t, cells, batch)
@@ -348,36 +263,35 @@ func runWorldSkew(table gamestate.Table, dir string, nodes int, scenario string,
 	}
 
 	// Verify per cell against the single-node serial reference.
+	got := make([]byte, table.StateBytes())
+	if err := rc.ReadWorld(got); err != nil {
+		log.Fatal(err)
+	}
+	if rc.NextTick() != uint64(ticks) || !bytes.Equal(got, referenceSlab(table, src, ticks)) {
+		log.Fatalf("world: recovered state DIVERGED from the single-node reference (tick %d, want %d)",
+			rc.NextTick(), ticks)
+	}
+	fmt.Printf("world verified: %d nodes recovered via %v, cut %d, window %d — byte-identical to the single-node reference at tick %d\n",
+		eff, wr.Modes, wr.Cut, maxSkew, ticks)
+}
+
+// referenceSlab applies the scenario's first ticks ticks serially on one
+// in-memory engine: the single-node state every deployment must match.
+func referenceSlab(table gamestate.Table, src workload.Source, ticks int) []byte {
 	ref, err := engine.Open(engine.Options{Table: table, Mode: engine.ModeNone, InMemory: true, Shards: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer ref.Close()
+	var cells []uint32
+	var batch []wal.Update
 	for t := 0; t < ticks; t++ {
 		cells, batch = workload.TickUpdates(src, t, cells, batch)
 		if err := ref.ApplyTick(batch); err != nil {
 			log.Fatal(err)
 		}
 	}
-	got := make([]byte, table.StateBytes())
-	if err := rc.ReadWorld(got); err != nil {
-		log.Fatal(err)
-	}
-	if rc.NextTick() != uint64(ticks) || !bytes.Equal(got, ref.Store().Slab()) {
-		log.Fatalf("world: recovered state DIVERGED from the single-node reference (tick %d, want %d)",
-			rc.NextTick(), ticks)
-	}
-	ref.Close()
-	fmt.Printf("world verified: %d nodes, cut %d, window %d — byte-identical to the single-node reference at tick %d\n",
-		eff, wr.Cut, maxSkew, ticks)
-}
-
-// joinModes renders the per-partition served modes compactly.
-func joinModes(modes []cluster.RecoveryMode) string {
-	parts := make([]string, len(modes))
-	for i, m := range modes {
-		parts[i] = m.String()
-	}
-	return strings.Join(parts, ",")
+	return append([]byte(nil), ref.Store().Slab()...)
 }
 
 func runNode(table gamestate.Table, listen, dir string, shards int, mode string, netTO time.Duration) {
@@ -503,12 +417,12 @@ func runCoord(table gamestate.Table, nodeList, scenario string, ticks, updates i
 		if (ckptEach > 0 && (t+1)%ckptEach == 0) || t == ticks-1 {
 			c0 := time.Now()
 			for i, rn := range remotes {
-				img, err := rn.Checkpoint(uint64(t))
+				_, asOf, err := rn.Checkpoint(uint64(t))
 				if err != nil {
 					log.Fatalf("coord: node %d checkpoint: %v", i, err)
 				}
-				if img.AsOfTick < uint64(t) {
-					log.Fatalf("coord: node %d image as-of %d below cut %d", i, img.AsOfTick, t)
+				if asOf < uint64(t) {
+					log.Fatalf("coord: node %d image as-of %d below cut %d", i, asOf, t)
 				}
 			}
 			log.Printf("coord: coordinated world checkpoint, cut tick %d (%v)",
@@ -521,17 +435,7 @@ func runCoord(table gamestate.Table, nodeList, scenario string, ticks, updates i
 		(barrier / time.Duration(ran)).Round(time.Microsecond))
 
 	// Verify the world per owned range against a locally applied reference.
-	ref, err := engine.Open(engine.Options{Table: table, Mode: engine.ModeNone, InMemory: true, Shards: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for t := 0; t < ticks; t++ {
-		cells, batch = workload.TickUpdates(src, t, cells, batch)
-		if err := ref.ApplyTick(batch); err != nil {
-			log.Fatal(err)
-		}
-	}
-	slab := ref.Store().Slab()
+	slab := referenceSlab(table, src, ticks)
 	sz := table.ObjSize
 	for i, rn := range remotes {
 		for _, r := range m.NodeRanges(i) {
@@ -546,7 +450,6 @@ func runCoord(table gamestate.Table, nodeList, scenario string, ticks, updates i
 		}
 		rn.Bye() //nolint:errcheck // session teardown
 	}
-	ref.Close()
 	fmt.Printf("world verified: %d nodes, %d objects, tick %d — every owned range matches the single-node reference\n",
 		m.NumNodes, table.NumObjects(), ticks)
 }

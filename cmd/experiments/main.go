@@ -43,10 +43,10 @@
 // served mode and compressed replica RAM reported, and live partition
 // migration with a zero-blackout check and per-cell byte identity against
 // a single-node reference. -cluster-scenarios, -cluster-sizes and
-// -cluster-recovery-modes trim the sweep. -cluster-coordination adds the
-// tick-coordination axis: "skew" cells run the same scenarios under the
-// bounded-skew discipline (internal/skew, window -cluster-max-skew) with
-// live cross-partition messages, uncoordinated per-node cuts and
+// -cluster-recovery-modes trim the sweep. -cluster-max-skew is the
+// coordination-window axis (a list of cluster MaxSkew values, default 0 =
+// the barrier): a cell at a window > 0 runs the same scenarios with nodes
+// ticking up to that far apart, live cross-partition messages and
 // cut-reconstruction recovery, reporting the coordinator's per-tick blocked
 // time next to the barrier's. It is the measured successor of the
 // analytical multiserver model.
@@ -151,8 +151,7 @@ func main() {
 		clustScen  = flag.String("cluster-scenarios", "", "comma-separated clusterbench scenario filter (empty = hotspot,migration,flashcrowd)")
 		clustSize  = flag.String("cluster-sizes", "", "comma-separated clusterbench node counts (empty = 1,2,4)")
 		clustRec   = flag.String("cluster-recovery-modes", "", "comma-separated clusterbench recovery-mode axis (empty = disk,standby,peerram)")
-		clustCoord = flag.String("cluster-coordination", "", "comma-separated clusterbench tick-coordination axis: barrier and/or skew (empty = barrier)")
-		clustSkew  = flag.Int("cluster-max-skew", 0, "clusterbench bounded-skew window for skew cells (0 = default 4)")
+		clustSkews = flag.String("cluster-max-skew", "", "comma-separated clusterbench coordination-window axis, cluster MaxSkew values (empty = 0, the barrier)")
 		chaosScen  = flag.String("chaos-scenarios", "", "comma-separated chaosbench scenario filter (empty = flashcrowd,hotspot,migration)")
 		chaosSite  = flag.String("chaos-sites", "", "comma-separated chaosbench fault sites (empty = disk,replink,cluster,peerram)")
 		chaosSeed  = flag.String("chaos-seeds", "", "comma-separated chaosbench schedule seeds (empty = 1,2,3)")
@@ -205,8 +204,8 @@ func main() {
 		shards:    *shards, recLog: *recLog, recDisk: *recDisk,
 		foLog: *foLog, foUpd: *foUpd, foLag: *foLag, foShards: *foShards, foCheck: *foCheck,
 		clustScen: *clustScen, clustSize: *clustSize, clustRec: *clustRec,
-		clustCoord: *clustCoord, clustSkew: *clustSkew,
-		chaosScen: *chaosScen, chaosSite: *chaosSite, chaosSeed: *chaosSeed,
+		clustSkews: *clustSkews,
+		chaosScen:  *chaosScen, chaosSite: *chaosSite, chaosSeed: *chaosSeed,
 		gwProf: *gwProf, gwSize: *gwSize, gwClients: *gwClients,
 		benchScen: *benchScen, benchDisk: *benchDisk, benchOut: *benchOut, benchBase: *benchBase,
 		writeBase: *writeBase, gate: *gate, gateTol: *gateTol, gatePre: *gatePre}
@@ -269,8 +268,7 @@ type runner struct {
 	clustScen  string
 	clustSize  string
 	clustRec   string
-	clustCoord string
-	clustSkew  int
+	clustSkews string
 	chaosScen  string
 	chaosSite  string
 	chaosSeed  string
@@ -477,6 +475,14 @@ func (r *runner) clusterbench() {
 			}
 			sizes = append(sizes, n)
 		}
+		var windows []int
+		for _, v := range splitList(r.clustSkews) {
+			w, err := strconv.Atoi(v)
+			if err != nil || w < 0 {
+				fatalf("clusterbench: bad -cluster-max-skew entry %q", v)
+			}
+			windows = append(windows, w)
+		}
 		var modes []cluster.RecoveryMode
 		for _, v := range splitList(r.clustRec) {
 			m, err := cluster.ParseRecoveryMode(v)
@@ -489,23 +495,22 @@ func (r *runner) clusterbench() {
 			Scenarios:     splitList(r.clustScen),
 			Sizes:         sizes,
 			RecoveryModes: modes,
-			Coordinations: splitList(r.clustCoord),
-			MaxSkew:       r.clustSkew,
+			Windows:       windows,
 		})
 		if err != nil {
 			fatalf("clusterbench: %v", err)
 		}
-		r.emitTable("Cluster bench: scenario × nodes × coordination (ticks / cuts / whole-world recovery / migration)",
+		r.emitTable("Cluster bench: scenario × nodes × window (ticks / cuts / whole-world recovery / migration)",
 			cb.Table())
 		r.emit("clusterbench-tick", &cb.Tick)
 		r.emit("clusterbench-recovery", &cb.Recovery)
 		// Zero-blackout is enforced per cell inside RunClusterBench (a
-		// nonzero count fails the cell), as is the skew coordinator's
+		// nonzero count fails the cell), as is the windowed coordinator's
 		// wait ≈ 0 honesty bound; only identity is checked here.
 		for _, row := range cb.Rows {
 			if !row.Identical {
-				fatalf("clusterbench: %s/nodes=%d/%s NOT byte-identical to the single-node reference",
-					row.Scenario, row.Nodes, row.Coordination)
+				fatalf("clusterbench: %s/nodes=%d/maxskew=%d NOT byte-identical to the single-node reference",
+					row.Scenario, row.Nodes, row.MaxSkew)
 			}
 		}
 		fmt.Printf("cluster crash equivalence: all %d rows byte-identical to the single-node reference, zero migration blackout\n",

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -97,43 +98,66 @@ func TestMigrationAbortOnSeveredStream(t *testing.T) {
 	}
 }
 
-// TestBarrierTimeout stalls one node's action apply past the configured
-// barrier deadline and checks the coordinator gets a typed timeout naming
-// the straggler instead of hanging, and that the cluster wedges afterwards.
+// TestBarrierTimeout stalls one node's apply behind a gate past the
+// configured deadline and checks the coordinator gets a typed timeout naming
+// the straggler instead of hanging, and that the cluster wedges afterwards —
+// for an action tick at the barrier and for the window wait at MaxSkew = 2.
+// The gate is released only after the assertions, so nothing depends on how
+// long a stall lasts and Close has no sleep to wait out.
 func TestBarrierTimeout(t *testing.T) {
 	tab := testTable()
-	stall := func(uint64, []byte, *engine.TickWriter) error {
-		time.Sleep(250 * time.Millisecond)
-		return nil
-	}
-	c, err := New(Options{
-		Table: tab, Dir: t.TempDir(), Mode: engine.ModeCopyOnUpdate, Nodes: 2,
-		ReplayAction: stall, BarrierTimeout: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Tick(testBatch(tab, 0, 100)); err != nil {
-		t.Fatal(err)
-	}
-	err = c.TickActions([][]byte{nil, []byte("stall")})
-	var te *TimeoutError
-	if !errors.As(err, &te) {
-		t.Fatalf("stalled barrier returned %v, want *TimeoutError", err)
-	}
-	if !te.Timeout() || te.Op != "actions" {
-		t.Fatalf("timeout error = %+v", te)
-	}
-	if len(te.Waiting) != 1 || te.Waiting[0] != 1 {
-		t.Fatalf("waiting nodes = %v, want [1]", te.Waiting)
-	}
-	// Wedged: the straggler may still hold its engine, so tick calls fail
-	// with the same typed error rather than racing it.
-	if err := c.Tick(testBatch(tab, 1, 100)); !errors.As(err, &te) {
-		t.Fatalf("tick after a barrier timeout: %v, want the wedge error", err)
-	}
-	if _, err := c.CheckpointWorld(); !errors.As(err, &te) {
-		t.Fatalf("checkpoint after a barrier timeout: %v, want the wedge error", err)
+	for _, tc := range []struct {
+		window int
+		op     string
+	}{{0, "actions"}, {2, "tick"}} {
+		t.Run(fmt.Sprintf("maxskew=%d", tc.window), func(t *testing.T) {
+			gate := make(chan struct{})
+			c, err := New(Options{
+				Table: tab, Dir: t.TempDir(), Mode: engine.ModeCopyOnUpdate, Nodes: 2,
+				MaxSkew: tc.window, BarrierTimeout: 50 * time.Millisecond,
+				ReplayAction: func(uint64, []byte, *engine.TickWriter) error { return nil },
+				BeforeApply: func(node int, tick uint64) {
+					if node == 1 && tick == 1 {
+						<-gate
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Tick(testBatch(tab, 0, 100)); err != nil {
+				t.Fatal(err)
+			}
+			// Node 1 stalls applying tick 1. At the barrier that tick's own wait
+			// times out; at MaxSkew = 2 the window admits ticks 1 and 2 and the
+			// wait of tick 3 — for tick 1 everywhere — is the one that does.
+			if tc.op == "actions" {
+				err = c.TickActions([][]byte{nil, []byte("act")})
+			} else {
+				for tick := 1; tick <= 1+tc.window && err == nil; tick++ {
+					err = c.Tick(testBatch(tab, tick, 100))
+				}
+			}
+			var te *TimeoutError
+			if !errors.As(err, &te) {
+				t.Fatalf("stalled wait returned %v, want *TimeoutError", err)
+			}
+			if !te.Timeout() || te.Op != tc.op || te.Tick != uint64(1+tc.window) {
+				t.Fatalf("timeout error = %+v", te)
+			}
+			if len(te.Waiting) != 1 || te.Waiting[0] != 1 {
+				t.Fatalf("waiting nodes = %v, want [1]", te.Waiting)
+			}
+			// Wedged: the straggler may still hold its engine, so tick calls fail
+			// with the same typed error rather than racing it.
+			if err := c.Tick(testBatch(tab, 9, 100)); !errors.As(err, &te) {
+				t.Fatalf("tick after a wait timeout: %v, want the wedge error", err)
+			}
+			if _, err := c.CheckpointWorld(); !errors.As(err, &te) {
+				t.Fatalf("checkpoint after a wait timeout: %v, want the wedge error", err)
+			}
+			close(gate)
+		})
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -12,6 +13,8 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/gamestate"
+	"repro/internal/peerram"
+	"repro/internal/replication"
 	"repro/internal/wal"
 )
 
@@ -61,30 +64,32 @@ func world(t *testing.T, c *Cluster) []byte {
 	return buf
 }
 
-// TestClusterTickBarrier drives a 4-node cluster with a completion hook and
-// verifies the barrier ordering: no node applies tick T+1 before every node
+// TestClusterTickBarrier drives a 4-node cluster with an apply hook and
+// verifies the barrier ordering: no node starts tick T+1 before every node
 // has applied tick T, and all engines agree on the world tick at every
 // boundary.
 func TestClusterTickBarrier(t *testing.T) {
 	tab := testTable()
-	c, err := New(Options{Table: tab, Dir: t.TempDir(), Mode: engine.ModeCopyOnUpdate, Nodes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := len(c.Nodes()); got != 4 {
-		t.Fatalf("effective nodes %d, want 4", got)
-	}
 	var mu sync.Mutex
 	type ev struct {
 		tick uint64
 		node int
 	}
 	var log []ev
-	c.barrierLog = func(tick uint64, node int) {
-		mu.Lock()
-		log = append(log, ev{tick, node})
-		mu.Unlock()
+	c, err := New(Options{
+		Table: tab, Dir: t.TempDir(), Mode: engine.ModeCopyOnUpdate, Nodes: 4,
+		BeforeApply: func(node int, tick uint64) {
+			mu.Lock()
+			log = append(log, ev{tick, node})
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if got := len(c.Nodes()); got != 4 {
+		t.Fatalf("effective nodes %d, want 4", got)
 	}
 	const ticks = 16
 	for i := 0; i < ticks; i++ {
@@ -97,8 +102,10 @@ func TestClusterTickBarrier(t *testing.T) {
 			}
 		}
 	}
-	// Barrier ordering: by the time any entry for tick T appears, all
-	// len(nodes) entries for every tick below T are already in the log.
+	// Barrier ordering: by the time any node starts tick T, all len(nodes)
+	// starts of every tick below T are already in the log — and each of
+	// those ticks was applied everywhere before its Tick returned (the
+	// NextTick check above), which is before T was dispatched.
 	seen := make(map[uint64]int)
 	for _, e := range log {
 		for tk, cnt := range seen {
@@ -357,6 +364,121 @@ func TestCheckpointWorldNamesSegmentsByFirstRecord(t *testing.T) {
 		r.Close()
 		if err != nil || first != newest {
 			t.Errorf("node %d: segment %d starts with tick %d (err %v)", n.Index, newest, first, err)
+		}
+	}
+}
+
+// TestRecoverFoldsNodeRequest: New folds a 3-node request to 2 (Uniform
+// rounds down to a power of two), so Recover must fold the same request the
+// same way before comparing it with the manifest — and still refuse a
+// request that folds to a different count.
+func TestRecoverFoldsNodeRequest(t *testing.T) {
+	tab := testTable()
+	dir := t.TempDir()
+	c, err := New(Options{Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(c.Nodes()); got != 2 {
+		t.Fatalf("3-node request built %d nodes, want 2", got)
+	}
+	const ticks = 4
+	for i := 0; i < ticks; i++ {
+		if err := c.Tick(testBatch(tab, i, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Recover(dir, Options{Mode: engine.ModeCopyOnUpdate, Nodes: 4}); err == nil {
+		t.Fatal("a 4-node request recovered a 2-node world")
+	}
+	rc, wr, err := Recover(dir, Options{Mode: engine.ModeCopyOnUpdate, Nodes: 3})
+	if err != nil {
+		t.Fatalf("the request that built the world cannot recover it: %v", err)
+	}
+	defer rc.Close()
+	if wr.WorldTick != ticks || !bytes.Equal(world(t, rc), referenceWorld(t, tab, ticks, 100)) {
+		t.Fatalf("recovered world at tick %d diverges from the reference", wr.WorldTick)
+	}
+}
+
+// TestNeedsBarrier: every feature not proven with logged messages or a
+// non-zero window is refused with the one typed error at MaxSkew = 2 and
+// works at 0.
+func TestNeedsBarrier(t *testing.T) {
+	tab := testTable()
+	noop := func(uint64, []byte, *engine.TickWriter) error { return nil }
+	for _, window := range []int{0, 2} {
+		world := func(t *testing.T, opts Options) (*Cluster, error) {
+			opts.Table, opts.Dir, opts.Mode, opts.Nodes, opts.MaxSkew = tab, t.TempDir(), engine.ModeCopyOnUpdate, 2, window
+			c, err := New(opts)
+			if err == nil {
+				t.Cleanup(func() { c.Close() })
+				err = c.Tick(testBatch(tab, 0, 50))
+			}
+			return c, err
+		}
+		features := map[string]func(t *testing.T) error{
+			"migration": func(t *testing.T) error {
+				c, err := world(t, Options{})
+				if err != nil {
+					return err
+				}
+				_, err = c.StartMigration(0, 128, 1)
+				return err
+			},
+			"actions": func(t *testing.T) error {
+				c, err := world(t, Options{ReplayAction: noop})
+				if err != nil {
+					return err
+				}
+				return c.TickActions([][]byte{[]byte("a"), nil})
+			},
+			"peerram": func(t *testing.T) error {
+				_, err := world(t, Options{PeerRAM: peerram.NewMesh(2, peerram.Options{})})
+				return err
+			},
+			"standbys": func(t *testing.T) error {
+				c, err := world(t, Options{})
+				if err != nil {
+					return err
+				}
+				if err := c.Close(); err != nil {
+					return err
+				}
+				rc, _, err := Recover(c.opts.Dir, Options{Mode: engine.ModeCopyOnUpdate, Standbys: []*replication.Standby{nil, nil}})
+				if err == nil {
+					rc.Close()
+				}
+				return err
+			},
+			"recovery-mode": func(t *testing.T) error {
+				c, err := world(t, Options{})
+				if err != nil {
+					return err
+				}
+				if err := c.Close(); err != nil {
+					return err
+				}
+				rc, _, err := Recover(c.opts.Dir, Options{Mode: engine.ModeCopyOnUpdate, RecoveryMode: RecoveryStandby})
+				if err == nil {
+					rc.Close()
+				}
+				return err
+			},
+		}
+		for name, run := range features {
+			t.Run(fmt.Sprintf("maxskew=%d/%s", window, name), func(t *testing.T) {
+				err := run(t)
+				if window == 0 && err != nil {
+					t.Fatalf("refused at the barrier: %v", err)
+				}
+				if window > 0 && !errors.Is(err, ErrNeedsBarrier) {
+					t.Fatalf("at MaxSkew %d returned %v, want ErrNeedsBarrier", window, err)
+				}
+			})
 		}
 	}
 }

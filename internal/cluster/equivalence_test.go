@@ -18,7 +18,10 @@ import (
 // same scenario — the cluster twin of the engine's shard-equivalence and
 // scenariobench identity checks. The migration scenario additionally runs
 // with a live range migration mid-stream, so the moved range's install
-// record goes through crash recovery too.
+// record goes through crash recovery too. The window is one more input: at
+// MaxSkew = 2 (no migration — it is refused there) the crash drops each
+// node's backlog, recovery reconstructs the cut and rolls the laggards
+// forward, and the resumed coordinator re-dispatches the rolled-back ticks.
 
 // scenarioBatch materializes one workload tick in the canonical
 // (tick, position) value encoding every cell-for-cell harness shares.
@@ -53,14 +56,19 @@ func TestClusterCrashEquivalence(t *testing.T) {
 		want := append([]byte(nil), ref.Store().Slab()...)
 		ref.Close()
 
-		for _, nodes := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%s/nodes=%d", scenario, nodes), func(t *testing.T) {
+		for _, cell := range []struct{ nodes, window int }{{1, 0}, {2, 0}, {4, 0}, {2, 2}, {4, 2}} {
+			nodes, window := cell.nodes, cell.window
+			name := fmt.Sprintf("%s/nodes=%d", scenario, nodes)
+			if window > 0 {
+				name += fmt.Sprintf("/maxskew=%d", window)
+			}
+			t.Run(name, func(t *testing.T) {
 				dir := t.TempDir()
-				c, err := New(Options{Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: nodes})
+				c, err := New(Options{Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: nodes, MaxSkew: window})
 				if err != nil {
 					t.Fatal(err)
 				}
-				migrate := scenario == "migration" && nodes > 1
+				migrate := scenario == "migration" && nodes > 1 && window == 0
 				for i := 0; i < ticks; i++ {
 					if migrate && i == warm+2 {
 						// Move half of node 0's first range to the last node
@@ -89,17 +97,19 @@ func TestClusterCrashEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if man.Checkpoint == nil || man.Checkpoint.CutTick != uint64(warm-1) {
-							t.Fatalf("coordinated cut at %v, want tick %d", man.Checkpoint, warm-1)
+						if len(man.NodeCuts) != len(c.Nodes()) {
+							t.Fatalf("coordinated cut recorded %d node cuts, want %d", len(man.NodeCuts), len(c.Nodes()))
 						}
-						for i, img := range man.Checkpoint.Images {
-							if img.AsOfTick < man.Checkpoint.CutTick {
-								t.Fatalf("node %d image as-of %d below the cut %d", i, img.AsOfTick, man.Checkpoint.CutTick)
+						for _, cut := range man.NodeCuts {
+							if cut.AsOfTick != uint64(warm-1) {
+								t.Fatalf("node %d image as-of %d, want the cut %d", cut.Node, cut.AsOfTick, warm-1)
 							}
 						}
 					}
 				}
-				if err := c.Close(); err != nil { // crash at a tick barrier
+				// At MaxSkew = 0 every node is at the tick barrier; past it the
+				// crash leaves each node wherever its backlog had got to.
+				if err := c.Crash(); err != nil {
 					t.Fatal(err)
 				}
 
@@ -108,8 +118,17 @@ func TestClusterCrashEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer rc.Close()
-				if wr.WorldTick != ticks {
+				if window == 0 && wr.WorldTick != ticks {
 					t.Fatalf("recovered to world tick %d, want %d", wr.WorldTick, ticks)
+				}
+				for i := int(wr.WorldTick); i < ticks; i++ {
+					cells, batch = scenarioBatch(src, i, cells, batch)
+					if err := rc.Tick(batch); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := rc.Join(); err != nil {
+					t.Fatal(err)
 				}
 				if len(wr.PerNode) != len(rc.Nodes()) {
 					t.Fatalf("recovery reported %d nodes, cluster has %d", len(wr.PerNode), len(rc.Nodes()))

@@ -52,8 +52,11 @@ type Migration struct {
 // updates until FinishMigration cuts ownership over. One migration may be
 // in flight at a time.
 func (c *Cluster) StartMigration(lo, hi, to int) (*Migration, error) {
-	if c.closed {
-		return nil, errors.New("cluster: closed")
+	if err := c.ready(); err != nil {
+		return nil, err
+	}
+	if err := c.opts.needsBarrier("live migration"); err != nil {
+		return nil, err
 	}
 	if c.mig != nil {
 		return nil, errors.New("cluster: a migration is already in flight")
@@ -68,7 +71,7 @@ func (c *Cluster) StartMigration(lo, hi, to int) (*Migration, error) {
 	from := cur.Owner(lo)
 
 	c.migErr = nil // a new attempt clears the last abort
-	geom := replication.RangeGeometry{Lo: lo, Hi: hi, ObjSize: c.table.ObjSize}
+	geom := replication.RangeGeometry{Lo: lo, Hi: hi, ObjSize: c.opts.Table.ObjSize}
 	pipe := c.opts.MigrationPipe
 	if pipe == nil {
 		pipe = net.Pipe
@@ -179,7 +182,7 @@ func (c *Cluster) FinishMigration() (*MigrationReport, error) {
 	if err := c.routing.Cut(cut, next); err != nil {
 		return nil, err
 	}
-	if err := c.writeManifest(nil); err != nil {
+	if err := c.writeManifest(); err != nil {
 		return nil, err
 	}
 	telMigLiveWindow.Set(int64(cut - m.StartTick))

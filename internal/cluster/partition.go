@@ -1,12 +1,15 @@
 // Package cluster is the multi-node deployment layer the paper names as
 // future work in Section 8: the world's object space is range-partitioned
 // over N game-server nodes, each running a full engine over its partition;
-// ticks are synchronized by a barrier so clients see one consistent world;
-// checkpoints are coordinated cuts at a common tick; whole-world recovery
-// restores every partition in parallel; and a sub-range can migrate between
-// live nodes without dropping a tick, cutting ownership over at a tick
-// boundary. internal/experiments/multiserver.go models this analytically;
-// this package builds it — clusterbench measures what the model predicts.
+// one coordinator drives the ticks under one policy, the window MaxSkew — at
+// 0 a tick barrier, so clients see one consistent world and checkpoints are
+// coordinated cuts at a common tick; past it nodes tick up to MaxSkew apart
+// and cross-partition actions travel as logged messages; whole-world
+// recovery reconstructs a consistent cut and restores every partition in
+// parallel; and a sub-range can migrate between live nodes without dropping
+// a tick, cutting ownership over at a tick boundary.
+// internal/experiments/multiserver.go models this analytically; this package
+// builds it — clusterbench measures what the model predicts.
 package cluster
 
 import (

@@ -21,7 +21,9 @@ import (
 // — peer-RAM restore, warm-standby promotion, the disk pipeline, and the
 // auto ladder over all three — must be byte-identical per cell to a
 // never-crashed single-node serial run, and WorldRecovery must name the
-// rung that actually served each partition.
+// rung that actually served each partition. The disk rung also runs at
+// MaxSkew = 2 — the one rung proven there — where the crash drops each
+// node's backlog and the rolled-back ticks are re-dispatched.
 func TestRecoveryModeEquivalence(t *testing.T) {
 	tab := gamestate.Table{Rows: 8192, Cols: 8, CellSize: 4, ObjSize: 512}
 	const ticks, perTick, warm = 20, 400, 8
@@ -48,15 +50,25 @@ func TestRecoveryModeEquivalence(t *testing.T) {
 	want := append([]byte(nil), ref.Store().Slab()...)
 	ref.Close()
 
+	type cell struct {
+		mode   RecoveryMode
+		window int
+	}
+	cells4 := []cell{{RecoveryDisk, 0}, {RecoveryStandby, 0}, {RecoveryPeerRAM, 0}, {RecoveryAuto, 0}, {RecoveryDisk, 2}}
 	for _, nodes := range []int{1, 2, 4} {
-		for _, mode := range []RecoveryMode{RecoveryDisk, RecoveryStandby, RecoveryPeerRAM, RecoveryAuto} {
-			t.Run(fmt.Sprintf("nodes=%d/mode=%s", nodes, mode), func(t *testing.T) {
+		for _, cl := range cells4 {
+			mode, window := cl.mode, cl.window
+			name := fmt.Sprintf("nodes=%d/mode=%s", nodes, mode)
+			if window > 0 {
+				name += fmt.Sprintf("/maxskew=%d", window)
+			}
+			t.Run(name, func(t *testing.T) {
 				dir := t.TempDir()
 				withMesh := mode == RecoveryPeerRAM || mode == RecoveryAuto
 				withStandby := mode == RecoveryStandby || mode == RecoveryAuto
 
 				var mesh *peerram.Mesh
-				opts := Options{Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: nodes}
+				opts := Options{Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: nodes, MaxSkew: window}
 				if withMesh {
 					mesh = peerram.NewMesh(nodes, peerram.Options{})
 					opts.PeerRAM = mesh
@@ -112,7 +124,7 @@ func TestRecoveryModeEquivalence(t *testing.T) {
 					}
 					sh.Stop() //nolint:errcheck // stream teardown
 				}
-				if err := c.Close(); err != nil { // crash at a tick barrier
+				if err := c.Crash(); err != nil { // at MaxSkew = 0, a tick barrier
 					t.Fatal(err)
 				}
 
@@ -127,8 +139,17 @@ func TestRecoveryModeEquivalence(t *testing.T) {
 				for _, sb := range standbys {
 					defer sb.Close()
 				}
-				if wr.WorldTick != ticks {
+				if window == 0 && wr.WorldTick != ticks {
 					t.Fatalf("recovered to world tick %d, want %d", wr.WorldTick, ticks)
+				}
+				for i := int(wr.WorldTick); i < ticks; i++ {
+					cells, batch = workload.TickUpdates(src, i, cells, batch)
+					if err := rc.Tick(batch); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := rc.Join(); err != nil {
+					t.Fatal(err)
 				}
 
 				// The rung that served must be the one the mode promises.

@@ -20,7 +20,7 @@ import (
 // command). The tick barrier is the coordinator's send-all-then-await-all
 // round: a node acknowledges a tick only after applying it, and the
 // coordinator does not issue tick T+1 until every node acknowledged T — the
-// distributed twin of the in-process WaitGroup barrier. cmd/cluster wraps
+// distributed twin of the in-process cluster at MaxSkew = 0. cmd/cluster wraps
 // this in two process roles; the tests drive it over net.Pipe.
 
 // Command bytes. The numeric range is disjoint from the replication
@@ -181,19 +181,16 @@ func (n *RemoteNode) AwaitTick(tick uint64) error {
 }
 
 // Checkpoint asks the node for an image covering cut and returns its
-// identity — one leg of a coordinated world checkpoint.
-func (n *RemoteNode) Checkpoint(cut uint64) (ImageID, error) {
+// identity (epoch, as-of tick) — one leg of a coordinated world checkpoint.
+func (n *RemoteNode) Checkpoint(cut uint64) (epoch, asOfTick uint64, err error) {
 	if err := n.c.SendU64(cmdCheckpoint, cut); err != nil {
-		return ImageID{}, err
+		return 0, 0, err
 	}
 	body, err := n.read(cmdCheckpointOK, 17)
 	if err != nil {
-		return ImageID{}, err
+		return 0, 0, err
 	}
-	return ImageID{
-		Epoch:    binary.LittleEndian.Uint64(body[1:]),
-		AsOfTick: binary.LittleEndian.Uint64(body[9:]),
-	}, nil
+	return binary.LittleEndian.Uint64(body[1:]), binary.LittleEndian.Uint64(body[9:]), nil
 }
 
 // HashRange returns the node's CRC32 over objects [lo, hi): the cheap

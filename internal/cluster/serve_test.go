@@ -63,12 +63,12 @@ func TestServedWorld(t *testing.T) {
 
 	// Coordinated checkpoint at the cut = last applied tick.
 	for i, rn := range remotes {
-		img, err := rn.Checkpoint(ticks - 1)
+		_, asOf, err := rn.Checkpoint(ticks - 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if img.AsOfTick < ticks-1 {
-			t.Fatalf("node %d image as-of %d, cut is %d", i, img.AsOfTick, ticks-1)
+		if asOf < ticks-1 {
+			t.Fatalf("node %d image as-of %d, cut is %d", i, asOf, ticks-1)
 		}
 	}
 

@@ -8,7 +8,7 @@ import "repro/internal/telemetry"
 // came to — is decided at the cluster layer; the per-stage restore/replay
 // spans underneath come from recovery.RecoverParallel.
 var (
-	telBarrierWait = telemetry.NewHistogram("cluster_barrier_wait_ns", "Per-tick coordinator wall blocked at the tick/action barrier, in nanoseconds (checkpoint joins excluded, like BarrierWait).")
+	telBarrierWait = telemetry.NewHistogram("cluster_barrier_wait_ns", "Per-wait coordinator wall blocked on node progress (tick window, action barrier, join), in nanoseconds (checkpoint waits excluded, like BarrierWait).")
 	telCkptWall    = telemetry.NewHistogram("cluster_checkpoint_wall_ns", "Coordinated world checkpoint wall time, in nanoseconds.")
 	telCkptLast    = telemetry.NewGauge("cluster_last_checkpoint_wall_ns", "Wall time of the most recent coordinated world checkpoint, in nanoseconds.")
 

@@ -1,4 +1,4 @@
-package skew
+package cluster
 
 import (
 	"bytes"
@@ -11,17 +11,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/gamestate"
 	"repro/internal/wal"
 )
-
-func testTable() gamestate.Table {
-	// 512 objects: Uniform's minimum 64-object span still leaves room for a
-	// genuine 4-node split.
-	return gamestate.Table{Rows: 8192, Cols: 8, CellSize: 4, ObjSize: 512}
-}
 
 // worldBatch is the test workload: a pure function of the tick, so a resumed
 // coordinator can re-dispatch rolled-back ticks identically.
@@ -94,7 +87,7 @@ func TestSkewEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			n := c.Map().NumNodes
+			n := len(c.Nodes())
 			for tick := uint64(0); tick < total; tick++ {
 				if err := c.Tick(worldBatch(tab, tick, perTick)); err != nil {
 					t.Fatal(err)
@@ -113,12 +106,12 @@ func TestSkewEquivalence(t *testing.T) {
 			}
 			// The worker-side schedule must have produced genuinely staggered
 			// cuts: recorded at different ticks when there is more than one node.
-			man, err := cluster.ReadManifest(c.opts.Dir)
+			man, err := ReadManifest(c.opts.Dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if man.Coordination != cluster.CoordinationSkew || man.MaxSkew != window {
-				t.Fatalf("manifest coordination %q maxskew %d", man.Coordination, man.MaxSkew)
+			if man.MaxSkew != window {
+				t.Fatalf("manifest maxskew %d, want %d", man.MaxSkew, window)
 			}
 			if len(man.NodeCuts) != n {
 				t.Fatalf("%d node cuts, want %d", len(man.NodeCuts), n)
@@ -136,114 +129,78 @@ func TestSkewEquivalence(t *testing.T) {
 	}
 }
 
-// walRecords reads one WAL's full logical record stream.
-type walRecord struct {
-	tick    uint64
-	payload []byte
-}
-
-func walRecords(t *testing.T, dir string) []walRecord {
-	t.Helper()
-	r, err := wal.NewReader(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	var out []walRecord
-	for {
-		tick, payload, err := r.Next()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, walRecord{tick: tick, payload: payload})
-	}
-}
-
-// TestMaxSkewZeroMatchesBarrier: with MaxSkew 0 and no messages, the skew
-// cluster degrades to exact barrier semantics — every node's WAL is
-// byte-identical to the lock-step barrier cluster's, record stream and
-// segment files both. ModeNone keeps the full history deterministic (the
-// CoU checkpointer rotates and prunes segments at timing-dependent ticks,
-// which perturbs retention, not semantics; state identity under CoU is
-// TestSkewEquivalence's job).
+// TestMaxSkewZeroMatchesBarrier: with MaxSkew 0 and no messages the one
+// runtime is the plain barrier world — every node's WAL segment files are
+// byte-identical to a lone engine fed that node's routed batches through
+// ApplyTickParallel, and no inbox is opened. ModeNone keeps the full history
+// deterministic (the CoU checkpointer rotates and prunes segments at
+// timing-dependent ticks, which perturbs retention, not semantics; state
+// identity under CoU is TestSkewEquivalence's job).
 func TestMaxSkewZeroMatchesBarrier(t *testing.T) {
 	tab := testTable()
 	const total, perTick, nodes = 12, 50, 2
 	for _, mode := range []engine.Mode{engine.ModeNone} {
 		t.Run(fmt.Sprintf("mode=%v", mode), func(t *testing.T) {
-			skewDir, barDir := t.TempDir(), t.TempDir()
-			sc, err := New(Options{Table: tab, Dir: skewDir, Mode: mode, Nodes: nodes, MaxSkew: 0})
+			c, err := New(Options{Table: tab, Dir: t.TempDir(), Mode: mode, Nodes: nodes})
 			if err != nil {
 				t.Fatal(err)
 			}
-			bc, err := cluster.New(cluster.Options{Table: tab, Dir: barDir, Mode: mode, Nodes: nodes})
-			if err != nil {
-				t.Fatal(err)
+			m := c.Routing().Current()
+			refs := make([]*engine.Engine, nodes)
+			for i := range refs {
+				if refs[i], err = engine.Open(engine.Options{Table: tab, Dir: t.TempDir(), Mode: mode, Shards: 1}); err != nil {
+					t.Fatal(err)
+				}
 			}
+			perNode := make([][]wal.Update, nodes)
 			for tick := uint64(0); tick < total; tick++ {
 				batch := worldBatch(tab, tick, perTick)
-				if err := sc.Tick(batch); err != nil {
+				if err := c.Tick(batch); err != nil {
 					t.Fatal(err)
 				}
-				if err := bc.Tick(batch); err != nil {
-					t.Fatal(err)
-				}
-			}
-			sWals := make([]string, nodes)
-			bWals := make([]string, nodes)
-			for i := 0; i < nodes; i++ {
-				sWals[i] = sc.Nodes()[i].E.WALDir()
-				bWals[i] = bc.Nodes()[i].E.WALDir()
-			}
-			if err := sc.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := bc.Close(); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < nodes; i++ {
-				sRecs := walRecords(t, sWals[i])
-				bRecs := walRecords(t, bWals[i])
-				if len(sRecs) != len(bRecs) || len(sRecs) == 0 {
-					t.Fatalf("node %d: %d skew records vs %d barrier", i, len(sRecs), len(bRecs))
-				}
-				for k := range sRecs {
-					if sRecs[k].tick != bRecs[k].tick || !bytes.Equal(sRecs[k].payload, bRecs[k].payload) {
-						t.Fatalf("node %d record %d: (tick %d, %d bytes) vs (tick %d, %d bytes)",
-							i, k, sRecs[k].tick, len(sRecs[k].payload), bRecs[k].tick, len(bRecs[k].payload))
+				perNode = RouteTick(m, uint32(tab.CellsPerObject()), batch, perNode)
+				for i, ref := range refs {
+					if err := ref.ApplyTickParallel(perNode[i]); err != nil {
+						t.Fatal(err)
 					}
 				}
-				if mode != engine.ModeNone {
-					continue
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for i, ref := range refs {
+				if err := ref.Close(); err != nil {
+					t.Fatal(err)
 				}
-				sEnts, err := os.ReadDir(sWals[i])
+				if _, err := os.Stat(inboxDir(c.opts.Dir, i)); !os.IsNotExist(err) {
+					t.Fatalf("node %d: a barrier world without messages opened an inbox (stat: %v)", i, err)
+				}
+				got, want := c.Nodes()[i].E.WALDir(), ref.WALDir()
+				gEnts, err := os.ReadDir(got)
 				if err != nil {
 					t.Fatal(err)
 				}
-				bEnts, err := os.ReadDir(bWals[i])
+				wEnts, err := os.ReadDir(want)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(sEnts) != len(bEnts) || len(sEnts) == 0 {
-					t.Fatalf("node %d: %d skew segments vs %d barrier", i, len(sEnts), len(bEnts))
+				if len(gEnts) != len(wEnts) || len(gEnts) == 0 {
+					t.Fatalf("node %d: %d cluster segments vs %d reference", i, len(gEnts), len(wEnts))
 				}
-				for k := range sEnts {
-					if sEnts[k].Name() != bEnts[k].Name() {
-						t.Fatalf("node %d: segment %s vs %s", i, sEnts[k].Name(), bEnts[k].Name())
+				for k := range gEnts {
+					if gEnts[k].Name() != wEnts[k].Name() {
+						t.Fatalf("node %d: segment %s vs %s", i, gEnts[k].Name(), wEnts[k].Name())
 					}
-					sb, err := os.ReadFile(filepath.Join(sWals[i], sEnts[k].Name()))
+					gb, err := os.ReadFile(filepath.Join(got, gEnts[k].Name()))
 					if err != nil {
 						t.Fatal(err)
 					}
-					bb, err := os.ReadFile(filepath.Join(bWals[i], bEnts[k].Name()))
+					wb, err := os.ReadFile(filepath.Join(want, wEnts[k].Name()))
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !bytes.Equal(sb, bb) {
-						t.Fatalf("node %d: WAL segment %s differs between skew(W=0) and barrier", i, sEnts[k].Name())
+					if !bytes.Equal(gb, wb) || len(gb) == 0 {
+						t.Fatalf("node %d: WAL segment %s differs from the lone-engine reference", i, gEnts[k].Name())
 					}
 				}
 			}
@@ -253,7 +210,7 @@ func TestMaxSkewZeroMatchesBarrier(t *testing.T) {
 
 // TestStragglerBlocksOnlyDependents: a node stalled at tick T must not stop
 // dispatch until the window is exhausted — the other node runs ahead to the
-// window edge, and only the tick past the edge blocks.
+// window edge, and only the tick at the edge blocks.
 func TestStragglerBlocksOnlyDependents(t *testing.T) {
 	tab := testTable()
 	const window = 3
@@ -272,14 +229,19 @@ func TestStragglerBlocksOnlyDependents(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Dispatching tick D needs every node past D-1-window; with node 0 stuck
-	// applying tick 5, ticks through 5+window dispatch freely.
-	for tick := uint64(0); tick <= 5+window; tick++ {
+	// Tick(D) returns once every node has applied D-window; with node 0 stuck
+	// applying tick 5, ticks through 5+window-1 return freely.
+	for tick := uint64(0); tick < 5+window; tick++ {
 		if err := c.Tick(worldBatch(tab, tick, 20)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	<-entered
+
+	// The tick at the window edge dispatches — the same set of ticks is in
+	// flight as ever — but its call must block on the straggler.
+	blocked := make(chan error, 1)
+	go func() { blocked <- c.Tick(worldBatch(tab, 5+window, 20)) }()
 	deadline := time.Now().Add(5 * time.Second)
 	for c.AppliedTick(1) != 5+window+1 {
 		if time.Now().After(deadline) {
@@ -290,26 +252,25 @@ func TestStragglerBlocksOnlyDependents(t *testing.T) {
 	if got := c.AppliedTick(0); got != 5 {
 		t.Fatalf("straggler applied %d ticks, want 5", got)
 	}
-
-	// The first tick past the window edge must block on the straggler.
-	blocked := make(chan error, 1)
-	go func() { blocked <- c.Tick(worldBatch(tab, 5+window+1, 20)) }()
 	select {
 	case <-blocked:
-		t.Fatal("tick past the window edge dispatched despite the straggler")
+		t.Fatal("tick at the window edge returned despite the straggler")
 	case <-time.After(100 * time.Millisecond):
 	}
 	close(gate)
 	if err := <-blocked; err != nil {
 		t.Fatal(err)
 	}
+	if err := c.Tick(worldBatch(tab, 5+window+1, 20)); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.Join(); err != nil {
 		t.Fatal(err)
 	}
-	if c.WindowWait() == 0 {
+	if c.BarrierWait() == 0 {
 		t.Fatal("window wait not accounted")
 	}
-	want := serialReference(t, tab, c.Map().NumNodes, window, 5+window+2, 20, nil)
+	want := serialReference(t, tab, len(c.Nodes()), window, 5+window+2, 20, nil)
 	got := make([]byte, tab.StateBytes())
 	if err := c.ReadWorld(got); err != nil {
 		t.Fatal(err)
@@ -346,7 +307,7 @@ func TestCrashRecoverExactlyOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := c.Map().NumNodes
+			n := len(c.Nodes())
 			for tick := uint64(0); tick < crashAt; tick++ {
 				if err := c.Tick(worldBatch(tab, tick, perTick)); err != nil {
 					t.Fatal(err)
@@ -361,8 +322,8 @@ func TestCrashRecoverExactlyOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer rc.Close()
-			if rc.Map().NumNodes != n {
-				t.Fatalf("recovered %d nodes, want %d", rc.Map().NumNodes, n)
+			if len(rc.Nodes()) != n {
+				t.Fatalf("recovered %d nodes, want %d", len(rc.Nodes()), n)
 			}
 			if wr.WorldTick != wr.Cut+1 || wr.WorldTick > crashAt {
 				t.Fatalf("recovered to tick %d (cut %d), crashed after dispatching %d", wr.WorldTick, wr.Cut, crashAt)
@@ -432,7 +393,7 @@ func TestCrashRecoverExactlyOnce(t *testing.T) {
 			// Completeness: every emission with a delivery tick inside the run
 			// must be present (origin ticks 0..total-window-2).
 			cellsPerObj := uint32(tab.CellsPerObject())
-			m := rc.Map()
+			m := rc.Routing().Current()
 			for j := 0; j < n; j++ {
 				for tick := uint64(0); tick+window+1 < total; tick++ {
 					for _, u := range emit(j, tick) {
@@ -463,7 +424,7 @@ func TestCrashRecoverWithStaggeredCuts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := c.Map().NumNodes
+	n := len(c.Nodes())
 	for tick := uint64(0); tick < crashAt; tick++ {
 		if err := c.Tick(worldBatch(tab, tick, perTick)); err != nil {
 			t.Fatal(err)
@@ -529,41 +490,5 @@ func TestTornRefusal(t *testing.T) {
 	}
 	if torn.Tick != 8 || torn.Cut != 0 {
 		t.Fatalf("torn error %+v, want tick 8 against cut 0", torn)
-	}
-}
-
-// TestManifestRefusals: each cluster flavor must refuse the other's
-// manifest with its typed error.
-func TestManifestRefusals(t *testing.T) {
-	tab := testTable()
-
-	skewDir := t.TempDir()
-	sc, err := New(Options{Table: tab, Dir: skewDir, Mode: engine.ModeCopyOnUpdate, Nodes: 2, MaxSkew: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Tick(worldBatch(tab, 0, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := cluster.Recover(skewDir, cluster.Options{Mode: engine.ModeCopyOnUpdate}); !errors.Is(err, cluster.ErrSkewManifest) {
-		t.Fatalf("cluster.Recover of a skew world returned %v, want ErrSkewManifest", err)
-	}
-
-	barDir := t.TempDir()
-	bc, err := cluster.New(cluster.Options{Table: tab, Dir: barDir, Mode: engine.ModeCopyOnUpdate, Nodes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bc.Tick(worldBatch(tab, 0, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := bc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Recover(barDir, Options{Mode: engine.ModeCopyOnUpdate}); !errors.Is(err, ErrNotSkew) {
-		t.Fatalf("skew.Recover of a barrier world returned %v, want ErrNotSkew", err)
 	}
 }

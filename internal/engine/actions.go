@@ -134,7 +134,7 @@ func (e *Engine) replayRecordRange(lo, hi int, tick uint64, body []byte, updBuf 
 		return e.replayInstall(payload, lo, hi)
 	case recMessage:
 		// A cross-partition message applies like an update batch; the origin
-		// header is provenance for the skew tier's recovery, not replay input.
+		// header is provenance for the cluster's recovery, not replay input.
 		_, _, upds, err := wal.DecodeMessage((*updBuf)[:0], payload)
 		*updBuf = upds
 		if err != nil {

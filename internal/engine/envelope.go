@@ -8,15 +8,15 @@ import (
 	"repro/internal/wal"
 )
 
-// Bounded-skew tick input. Under the skew cluster (internal/skew) a node's
-// tick no longer has one homogeneous update batch: it has the world's own
+// Cluster tick input. Under the cluster (internal/cluster) a node's tick
+// need not have one homogeneous update batch: it has the world's own
 // input for that tick plus zero or more cross-partition messages that other
 // nodes emitted at earlier ticks and scheduled for this one. Each piece is an
 // Envelope, and ApplyTickEnvelopes logs one record per envelope — the world
 // input as a plain update record (byte-identical to ApplyTick's, so a
-// MaxSkew=0 skew world writes the same log a barrier world does) and each
+// world without messages writes the same log ApplyTickParallel would) and each
 // message as a recMessage record carrying its origin node and origin tick.
-// That origin stamp is the message logging the skew tier's recovery is built
+// That origin stamp is the message logging the cluster's recovery is built
 // on: the destination's log proves exactly which messages were delivered and
 // where they came from.
 
@@ -31,7 +31,7 @@ type Envelope struct {
 
 // EncodeEnvelopeRecord appends the exact log-record body ApplyTickEnvelopes
 // writes for env — kind tag plus payload — and returns the extended buffer.
-// The skew cluster uses it to mirror each dispatched envelope into the
+// The cluster uses it to mirror each dispatched envelope into the
 // destination's inbox store before the node applies it, so the inbox record
 // stream and the node's own log agree byte-for-byte.
 func EncodeEnvelopeRecord(buf []byte, env Envelope) []byte {
@@ -46,7 +46,7 @@ func EncodeEnvelopeRecord(buf []byte, env Envelope) []byte {
 // DecodeEnvelopeRecord parses a record body written by EncodeEnvelopeRecord
 // (an update record decodes with Origin -1 and OriginTick 0 — the world's
 // input carries no origin stamp; its tick is the record's own tick). Other
-// record kinds are an error: envelopes are the only records a skew node logs.
+// record kinds are an error: envelopes are the only records an inbox holds.
 func DecodeEnvelopeRecord(body []byte) (Envelope, error) {
 	if len(body) == 0 {
 		return Envelope{}, errors.New("engine: empty envelope record")
@@ -88,7 +88,7 @@ func (e *Engine) ApplyTickEnvelopes(envs []Envelope) error {
 }
 
 // RecoverWithTail opens an engine like RecoverFrom, then extends replay past
-// the end of the local WAL with records from tail: the skew tier's
+// the end of the local WAL with records from tail: the cluster's
 // roll-forward, where a node that crashed behind the cluster's reconstructed
 // cut replays the inbound envelopes its inbox store logged but its engine
 // never applied. Tail records flow through the same gated per-shard pipeline

@@ -209,7 +209,7 @@ func RunChaosBench(s Scale, opts ChaosBenchOptions) (*ChaosReport, error) {
 			}
 			// The never-faulted ground truth, shared by every site at this
 			// (scenario, seed).
-			ref, err := scenarioReference(table, src)
+			ref, err := scenarioReference(table, src, nil)
 			if err != nil {
 				return nil, err
 			}

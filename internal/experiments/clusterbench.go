@@ -14,7 +14,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/peerram"
 	"repro/internal/replication"
-	"repro/internal/skew"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
@@ -48,35 +47,34 @@ import (
 //   - identity — the recovered world must be byte-identical per cell to a
 //     never-crashed single-node serial run of the same scenario.
 //
-// The coordination axis (Options.Coordinations) puts the bounded-skew
-// discipline next to the barrier on the same sweep: a "skew" cell runs the
-// scenario with live cross-partition emissions under internal/skew —
-// uncoordinated per-node cuts instead of the coordinated world checkpoint,
-// a crash recovered through cut reconstruction (skew.Recover) instead of
-// the common-tick invariant — and reports the coordinator's per-tick
-// blocked time ("wait ms") beside the barrier's. The axis's headline claim
-// is that the skew coordinator's wait is ≈ 0 where the barrier's is the
-// slowest node's tick; on the imbalanced scenarios (migration, flashcrowd)
-// at sizes > 1 a skew cell whose wait is not ≈ 0 fails the run.
+// The window axis (Options.Windows) sweeps the coordination policy on the
+// same runtime: a MaxSkew = 0 cell is the lock-step barrier world above; a
+// MaxSkew > 0 cell runs the scenario with live cross-partition emissions —
+// logged messages, a crash recovered through cut reconstruction, the disk
+// rung only (migration and the other rungs are refused there) — and reports
+// the coordinator's per-tick blocked time ("wait ms") beside the barrier's.
+// The axis's headline claim is that the windowed coordinator's wait is ≈ 0
+// where the barrier's is the slowest node's tick; on the imbalanced
+// scenarios (migration, flashcrowd) at sizes > 1 a windowed cell whose wait
+// is not ≈ 0 fails the run.
 //
 // A cell that fails identity or blacks out a tick fails the run: this
 // experiment doubles as the cluster's crash-equivalence acceptance check in
 // the CI smoke matrix.
 
-// ClusterBenchRow is one (scenario, cluster size, coordination, recovery
-// mode) measurement.
+// ClusterBenchRow is one (scenario, cluster size, window, recovery mode)
+// measurement.
 type ClusterBenchRow struct {
 	Scenario  string
 	Nodes     int
 	Effective int
-	// Coordination is the tick-coordination axis value: "barrier" (lock-step
-	// synchronized ticks, coordinated cut) or "skew" (bounded-skew ticks,
-	// uncoordinated per-node cuts reconciled at recovery by skew.Recover).
-	Coordination string
-	// WaitMs is the coordinator's mean per-tick blocked wall: the tick/action
-	// barrier wait for barrier cells (cluster.BarrierWait), the skew-window
-	// wait for skew cells (skew.Cluster.WindowWait, checkpoint drains
-	// excluded). Bounded skew exists to drive this to ≈ 0.
+	// MaxSkew is the coordination-window axis value: 0 is the lock-step
+	// barrier, W > 0 lets nodes tick up to W apart (with logged messages and
+	// cut-reconstruction recovery).
+	MaxSkew int
+	// WaitMs is the coordinator's mean per-tick blocked wall waiting on node
+	// progress (cluster.BarrierWait; checkpoint and final drains excluded).
+	// A non-zero window exists to drive this to ≈ 0.
 	WaitMs float64
 	// Mode is the recovery-mode axis value requested at Recover time;
 	// Served lists the rung that actually recovered each partition (a
@@ -87,7 +85,8 @@ type ClusterBenchRow struct {
 	// ReplicaKB is the mean compressed replica RAM per node a peer-RAM cell
 	// paid for its recovery speed (0 for the other modes).
 	ReplicaKB float64
-	// TickMs is the mean synchronized (barrier) tick wall.
+	// TickMs is the mean tick wall end to end: dispatch plus the final drain,
+	// checkpoint excluded. At MaxSkew = 0 that is the barrier tick.
 	TickMs float64
 	// CheckpointMs is the coordinated world checkpoint wall.
 	CheckpointMs float64
@@ -115,7 +114,7 @@ type ClusterBenchResult struct {
 // Table renders the rows.
 func (r *ClusterBenchResult) Table() *metrics.TextTable {
 	t := metrics.NewTextTable()
-	t.Header("scenario", "nodes", "eff", "coord", "mode", "served", "tick ms", "wait ms", "ckpt ms",
+	t.Header("scenario", "nodes", "eff", "window", "mode", "served", "tick ms", "wait ms", "ckpt ms",
 		"recovery ms", "replica KB", "world tick", "mig ticks", "install ms", "blackout", "identical")
 	for _, row := range r.Rows {
 		mig := "-"
@@ -131,7 +130,7 @@ func (r *ClusterBenchResult) Table() *metrics.TextTable {
 			rep = fmt.Sprintf("%.1f", row.ReplicaKB)
 		}
 		t.Row(row.Scenario, fmt.Sprint(row.Nodes), fmt.Sprint(row.Effective),
-			row.Coordination, row.Mode, row.Served,
+			fmt.Sprint(row.MaxSkew), row.Mode, row.Served,
 			fmt.Sprintf("%.3f", row.TickMs),
 			fmt.Sprintf("%.3f", row.WaitMs),
 			fmt.Sprintf("%.2f", row.CheckpointMs),
@@ -170,17 +169,15 @@ type ClusterBenchOptions struct {
 	// scenariobench default (10x the scale's paper disk), negative
 	// unthrottled.
 	DiskBytesPerSec float64
-	// RecoveryModes is the recovery-mode axis; every (scenario, size) cell
-	// runs once per mode. Defaults to {disk, standby, peerram}.
+	// RecoveryModes is the recovery-mode axis; every (scenario, size) cell at
+	// MaxSkew = 0 runs once per mode. Defaults to {disk, standby, peerram}.
+	// A MaxSkew > 0 cell always recovers through the disk rung, the one
+	// proven there.
 	RecoveryModes []cluster.RecoveryMode
-	// Coordinations is the tick-coordination axis: "barrier" and/or "skew".
-	// Defaults to {barrier}, the paper's lock-step discipline; CI's smoke
-	// matrix opts into both. The recovery-mode axis applies to barrier cells
-	// only — a skew cell always recovers through cut reconstruction, which
-	// rides the disk pipeline.
-	Coordinations []string
-	// MaxSkew is the bounded-skew window for skew cells (default 4).
-	MaxSkew int
+	// Windows is the coordination-window axis, a list of MaxSkew values.
+	// Defaults to {0}, the paper's lock-step discipline; CI's smoke matrix
+	// runs {0, 4}.
+	Windows []int
 }
 
 func clusterBenchDefaults(s Scale, opts ClusterBenchOptions) ClusterBenchOptions {
@@ -209,11 +206,8 @@ func clusterBenchDefaults(s Scale, opts ClusterBenchOptions) ClusterBenchOptions
 			cluster.RecoveryDisk, cluster.RecoveryStandby, cluster.RecoveryPeerRAM,
 		}
 	}
-	if len(opts.Coordinations) == 0 {
-		opts.Coordinations = []string{"barrier"}
-	}
-	if opts.MaxSkew <= 0 {
-		opts.MaxSkew = 4
+	if len(opts.Windows) == 0 {
+		opts.Windows = []int{0}
 	}
 	return opts
 }
@@ -225,11 +219,6 @@ func RunClusterBench(s Scale, seed int64, opts ClusterBenchOptions) (*ClusterBen
 	table := Config(s).Table
 	if opts.Table != nil {
 		table = *opts.Table
-	}
-	for _, coord := range opts.Coordinations {
-		if coord != "barrier" && coord != cluster.CoordinationSkew {
-			return nil, fmt.Errorf("clusterbench: unknown coordination %q (want barrier or skew)", coord)
-		}
 	}
 	res := &ClusterBenchResult{
 		Tick: metrics.Figure{
@@ -252,52 +241,65 @@ func RunClusterBench(s Scale, seed int64, opts ClusterBenchOptions) (*ClusterBen
 		if err != nil {
 			return nil, err
 		}
-		ref, err := scenarioReference(table, src)
-		if err != nil {
-			return nil, err
+		// One tick series and one recovery series per mode, per window. Only
+		// the disk rung is proven past the barrier.
+		type windowAxis struct {
+			window int
+			modes  []cluster.RecoveryMode
+			tick   metrics.Series
+			rec    []metrics.Series
 		}
-		tickSeries := metrics.Series{Name: name}
-		skewTickSeries := metrics.Series{Name: name + "/skew"}
-		skewRecSeries := metrics.Series{Name: name + "/skew"}
-		recSeries := make([]metrics.Series, len(opts.RecoveryModes))
-		for mi, mode := range opts.RecoveryModes {
-			recSeries[mi] = metrics.Series{Name: name + "/" + mode.String()}
+		axes := make([]windowAxis, len(opts.Windows))
+		for wi, window := range opts.Windows {
+			ax := windowAxis{window: window, modes: opts.RecoveryModes, tick: metrics.Series{Name: name}}
+			if window > 0 {
+				ax.modes = []cluster.RecoveryMode{cluster.RecoveryDisk}
+				ax.tick.Name = fmt.Sprintf("%s/w%d", name, window)
+			}
+			for _, mode := range ax.modes {
+				ax.rec = append(ax.rec, metrics.Series{Name: ax.tick.Name + "/" + mode.String()})
+			}
+			axes[wi] = ax
 		}
 		for _, nodes := range opts.Sizes {
-			var barrierWait, skewWait float64
-			var haveBarrier, haveSkew bool
-			effSkew := 1
-			for _, coord := range opts.Coordinations {
-				if coord == cluster.CoordinationSkew {
-					row, err := skewBenchCell(table, src, nodes, opts)
-					if err != nil {
-						return nil, fmt.Errorf("clusterbench %s/nodes=%d/skew: %w", name, nodes, err)
-					}
-					res.Rows = append(res.Rows, row)
-					skewTickSeries.Add(float64(nodes), row.TickMs)
-					skewRecSeries.Add(float64(nodes), row.RecoveryMs)
-					skewWait, haveSkew, effSkew = row.WaitMs, true, row.Effective
-					continue
-				}
+			var barrierWait float64
+			haveBarrier := false
+			for wi := range axes {
+				ax := &axes[wi]
 				wall := make(map[cluster.RecoveryMode]float64)
 				eff := 1
-				for mi, mode := range opts.RecoveryModes {
-					row, err := clusterBenchCell(table, src, ref, nodes, mode, opts)
+				for mi, mode := range ax.modes {
+					row, err := clusterBenchCell(table, src, nodes, ax.window, mode, opts)
 					if err != nil {
-						return nil, fmt.Errorf("clusterbench %s/nodes=%d/%s: %w", name, nodes, mode, err)
+						return nil, fmt.Errorf("clusterbench %s/nodes=%d/w%d/%s: %w", name, nodes, ax.window, mode, err)
 					}
 					res.Rows = append(res.Rows, row)
 					if mi == 0 {
-						tickSeries.Add(float64(nodes), row.TickMs)
-						barrierWait, haveBarrier = row.WaitMs, true
+						ax.tick.Add(float64(nodes), row.TickMs)
 					}
-					recSeries[mi].Add(float64(nodes), row.RecoveryMs)
+					ax.rec[mi].Add(float64(nodes), row.RecoveryMs)
 					wall[mode] = row.RecoveryMs
 					eff = row.Effective
+					switch {
+					case ax.window == 0 && mi == 0:
+						barrierWait, haveBarrier = row.WaitMs, true
+					case ax.window > 0 && haveBarrier && eff > 1 && (name == "migration" || name == "flashcrowd"):
+						// The window axis's headline claim: on the scenarios whose
+						// load imbalance makes the barrier expensive, the windowed
+						// coordinator must be (nearly) never blocked — per-tick
+						// wait ≈ 0, checked against a small absolute floor so a
+						// quiet barrier cell cannot make the bound vacuous-tight on
+						// fast hosts.
+						if limit := max(0.5*barrierWait, 2.0); row.WaitMs > limit {
+							return nil, fmt.Errorf("clusterbench %s/nodes=%d: coordinator at MaxSkew %d blocked %.3f ms/tick, want ≈0 (barrier blocked %.3f ms/tick)",
+								name, nodes, ax.window, row.WaitMs, barrierWait)
+						}
+					}
 				}
-				// The axis's headline claim: with a real (throttled) disk and a
-				// peer to restore from, peer-RAM recovery beats the disk pipeline
-				// outright. A cell that does not is a regression, not a data point.
+				// The recovery axis's headline claim: with a real (throttled) disk
+				// and a peer to restore from, peer-RAM recovery beats the disk
+				// pipeline outright. A cell that does not is a regression, not a
+				// data point.
 				if dw, ok := wall[cluster.RecoveryDisk]; ok && opts.DiskBytesPerSec > 0 && eff > 1 {
 					if pw, ok := wall[cluster.RecoveryPeerRAM]; ok && pw >= dw {
 						return nil, fmt.Errorf("clusterbench %s/nodes=%d: peer-RAM recovery %.2f ms not below the disk pipeline %.2f ms",
@@ -305,44 +307,26 @@ func RunClusterBench(s Scale, seed int64, opts ClusterBenchOptions) (*ClusterBen
 					}
 				}
 			}
-			// The coordination axis's headline claim: on the scenarios whose
-			// load imbalance makes the barrier expensive, the skew coordinator
-			// must be (nearly) never blocked — per-tick wait ≈ 0, checked
-			// against a small absolute floor so a quiet barrier cell cannot
-			// make the bound vacuous-tight on fast hosts.
-			if haveBarrier && haveSkew && effSkew > 1 &&
-				(name == "migration" || name == "flashcrowd") {
-				limit := 0.5 * barrierWait
-				if limit < 2.0 {
-					limit = 2.0
-				}
-				if skewWait > limit {
-					return nil, fmt.Errorf("clusterbench %s/nodes=%d: skew coordinator blocked %.3f ms/tick, want ≈0 (barrier blocked %.3f ms/tick)",
-						name, nodes, skewWait, barrierWait)
-				}
+		}
+		for _, ax := range axes {
+			res.Tick.Add(ax.tick)
+			for _, s := range ax.rec {
+				res.Recovery.Add(s)
 			}
-		}
-		res.Tick.Add(tickSeries)
-		if len(skewTickSeries.Points) > 0 {
-			res.Tick.Add(skewTickSeries)
-		}
-		for _, s := range recSeries {
-			res.Recovery.Add(s)
-		}
-		if len(skewRecSeries.Points) > 0 {
-			res.Recovery.Add(skewRecSeries)
 		}
 	}
 	return res, nil
 }
 
-// clusterBenchCell measures one (scenario, size, recovery mode) cell end to
-// end: tick the scenario through a coordinated cut (and a migration at
-// sizes > 1), crash at the final barrier, recover under the cell's mode, and
-// verify byte identity against the never-crashed serial reference.
-func clusterBenchCell(table gamestate.Table, src workload.Source, ref []byte,
-	nodes int, mode cluster.RecoveryMode, opts ClusterBenchOptions) (ClusterBenchRow, error) {
-	row := ClusterBenchRow{Scenario: src.Name(), Nodes: nodes, Coordination: "barrier",
+// clusterBenchCell measures one (scenario, size, window, recovery mode) cell
+// end to end: tick the scenario through a coordinated cut — with a migration
+// at sizes > 1 on the barrier, with live cross-partition emissions past it —
+// drain, crash, recover under the cell's mode, and verify byte identity
+// against the never-crashed serial reference.
+func clusterBenchCell(table gamestate.Table, src workload.Source,
+	nodes, window int, mode cluster.RecoveryMode, opts ClusterBenchOptions) (ClusterBenchRow, error) {
+	eff := cluster.Uniform(table.NumObjects(), nodes).NumNodes
+	row := ClusterBenchRow{Scenario: src.Name(), Nodes: nodes, Effective: eff, MaxSkew: window,
 		Mode: mode.String(), MigTicks: -1}
 	defer enableTelemetry()()
 	dir, err := os.MkdirTemp("", "mmocluster")
@@ -351,23 +335,42 @@ func clusterBenchCell(table gamestate.Table, src workload.Source, ref []byte,
 	}
 	defer os.RemoveAll(dir)
 
+	// Past the barrier every cell exercises live message logging, and Recover
+	// regenerates the in-flight messages from the same source. The serial
+	// reference applies each tick's world batch first, then the emissions
+	// whose delivery lands on the tick (origin tick t-window-1), in origin
+	// order — the exact delivery order the cluster guarantees.
+	var emit cluster.EmitFunc
+	var delivered func(t int) []wal.Update
+	if window > 0 {
+		emit = benchEmit(table)
+		delivered = func(t int) (out []wal.Update) {
+			for j := 0; j < eff && t > window; j++ {
+				out = append(out, emit(j, uint64(t-window-1))...)
+			}
+			return out
+		}
+	}
+	ref, err := scenarioReference(table, src, delivered)
+	if err != nil {
+		return row, err
+	}
 	copts := cluster.Options{
 		Table: table, Dir: dir, Mode: engine.ModeCopyOnUpdate,
-		Nodes: nodes, DiskBytesPerSec: opts.DiskBytesPerSec,
+		Nodes: nodes, MaxSkew: window, Emit: emit, DiskBytesPerSec: opts.DiskBytesPerSec,
 	}
 	var mesh *peerram.Mesh
 	if mode == cluster.RecoveryPeerRAM {
 		// The mesh is sized to the effective node count (the requested size
 		// may fold on small worlds); it outlives the cluster, because the
 		// surviving peers' RAM is what Recover restores from.
-		mesh = peerram.NewMesh(cluster.Uniform(table.NumObjects(), nodes).NumNodes, peerram.Options{})
+		mesh = peerram.NewMesh(eff, peerram.Options{})
 		copts.PeerRAM = mesh
 	}
 	c, err := cluster.New(copts)
 	if err != nil {
 		return row, err
 	}
-	row.Effective = len(c.Nodes())
 
 	// The standby rung mirrors every node over the warm-standby stream.
 	var standbys []*replication.Standby
@@ -405,7 +408,7 @@ func clusterBenchCell(table gamestate.Table, src workload.Source, ref []byte,
 	var batch []wal.Update
 	var tickWall time.Duration
 	for t := 0; t < total; t++ {
-		if row.Effective > 1 {
+		if row.Effective > 1 && window == 0 {
 			if t == migStart {
 				// Move half of node 0's first range to the last node.
 				r := c.Routing().Current().NodeRanges(0)[0]
@@ -437,6 +440,8 @@ func clusterBenchCell(table gamestate.Table, src workload.Source, ref []byte,
 		}
 		tickWall += time.Since(t0)
 		if t == opts.WarmTicks-1 {
+			// The coordinated cut; its drain is charged to the checkpoint wall,
+			// not to the coordinator's tick wait.
 			ck0 := time.Now()
 			if _, err := c.CheckpointWorld(); err != nil {
 				c.Close()
@@ -450,8 +455,15 @@ func clusterBenchCell(table gamestate.Table, src workload.Source, ref []byte,
 			}
 		}
 	}
-	row.TickMs = tickWall.Seconds() * 1e3 / float64(total)
+	// The wait before the final drain: the per-tick cost the coordinator
+	// actually paid while the scenario ran.
 	row.WaitMs = c.BarrierWait().Seconds() * 1e3 / float64(total)
+	t0 := time.Now()
+	if err := c.Join(); err != nil {
+		c.Close()
+		return row, err
+	}
+	row.TickMs = (tickWall + time.Since(t0)).Seconds() * 1e3 / float64(total)
 	for i, sh := range shippers {
 		if err := sh.AwaitAck(uint64(total-1), 30*time.Second); err != nil {
 			c.Close()
@@ -459,7 +471,7 @@ func clusterBenchCell(table gamestate.Table, src workload.Source, ref []byte,
 		}
 		sh.Stop() //nolint:errcheck // stream teardown
 	}
-	if err := c.Close(); err != nil { // crash at the final tick barrier
+	if err := c.Crash(); err != nil { // drained: every node at the final tick
 		return row, err
 	}
 	if mesh != nil {
@@ -475,7 +487,7 @@ func clusterBenchCell(table gamestate.Table, src workload.Source, ref []byte,
 
 	rc, wr, err := cluster.Recover(dir, cluster.Options{
 		Mode: engine.ModeCopyOnUpdate, DiskBytesPerSec: opts.DiskBytesPerSec,
-		RecoveryMode: mode, PeerRAM: mesh, Standbys: standbys,
+		RecoveryMode: mode, PeerRAM: mesh, Standbys: standbys, Emit: emit,
 	})
 	for _, sb := range standbys {
 		defer sb.Close()
@@ -513,12 +525,12 @@ func clusterBenchCell(table gamestate.Table, src workload.Source, ref []byte,
 	return row, rc.Close()
 }
 
-// benchEmit is the clusterbench cross-partition action source for skew
-// cells: a small batch per (node, tick) targeting arbitrary owners, pure by
-// construction (a hash of node, tick and index), so every skew cell
-// exercises live message logging and skew.Recover can regenerate the
-// in-flight messages. Values encode their provenance (tick, node, index).
-func benchEmit(table gamestate.Table) skew.EmitFunc {
+// benchEmit is the clusterbench cross-partition action source for cells
+// past the barrier: a small batch per (node, tick) targeting arbitrary owners, pure by
+// construction (a hash of node, tick and index), so Recover can regenerate
+// the in-flight messages. Values encode their provenance (tick, node,
+// index).
+func benchEmit(table gamestate.Table) cluster.EmitFunc {
 	cells := uint64(table.NumObjects() * table.CellsPerObject())
 	const perEmit = 4
 	return func(node int, tick uint64) []wal.Update {
@@ -529,141 +541,4 @@ func benchEmit(table gamestate.Table) skew.EmitFunc {
 		}
 		return out
 	}
-}
-
-// skewReference runs the skew cell's workload on a single never-crashed
-// serial engine: each tick applies the world batch first, then the
-// emissions whose delivery lands on the tick (origin tick - window - 1), in
-// origin order — the exact delivery order the skew cluster guarantees.
-func skewReference(table gamestate.Table, src workload.Source, eff int,
-	window uint64, emit skew.EmitFunc) ([]byte, error) {
-	e, err := engine.Open(engine.Options{Table: table, Mode: engine.ModeNone, InMemory: true, Shards: 1})
-	if err != nil {
-		return nil, err
-	}
-	var cells []uint32
-	var batch []wal.Update
-	for t := 0; t < src.NumTicks(); t++ {
-		cells, batch = scenarioTick(src, t, cells, batch)
-		if uint64(t) >= window+1 {
-			origin := uint64(t) - window - 1
-			for j := 0; j < eff; j++ {
-				batch = append(batch, emit(j, origin)...)
-			}
-		}
-		if err := e.ApplyTick(batch); err != nil {
-			e.Close()
-			return nil, err
-		}
-	}
-	ref := append([]byte(nil), e.Store().Slab()...)
-	return ref, e.Close()
-}
-
-// skewBenchCell measures one (scenario, size) cell under bounded-skew
-// coordination end to end: tick the scenario with live cross-partition
-// emissions and a per-node checkpoint round, crash, reconstruct the
-// consistent cut with skew.Recover, re-dispatch whatever the crash rolled
-// back, and verify byte identity against the emission-aware serial
-// reference. TickMs here is end-to-end throughput (dispatch plus drain,
-// checkpoint excluded); WaitMs is the coordinator's skew-window wait alone,
-// the number the barrier comparison is about.
-func skewBenchCell(table gamestate.Table, src workload.Source,
-	nodes int, opts ClusterBenchOptions) (ClusterBenchRow, error) {
-	row := ClusterBenchRow{Scenario: src.Name(), Nodes: nodes,
-		Coordination: cluster.CoordinationSkew,
-		Mode:         cluster.RecoveryDisk.String(), Served: cluster.RecoveryDisk.String(),
-		MigTicks: -1}
-	dir, err := os.MkdirTemp("", "mmoskew")
-	if err != nil {
-		return row, err
-	}
-	defer os.RemoveAll(dir)
-
-	window := uint64(opts.MaxSkew)
-	eff := cluster.Uniform(table.NumObjects(), nodes).NumNodes
-	emit := benchEmit(table)
-	ref, err := skewReference(table, src, eff, window, emit)
-	if err != nil {
-		return row, err
-	}
-	c, err := skew.New(skew.Options{
-		Table: table, Dir: dir, Mode: engine.ModeCopyOnUpdate,
-		Nodes: nodes, MaxSkew: opts.MaxSkew,
-		DiskBytesPerSec: opts.DiskBytesPerSec, Emit: emit,
-	})
-	if err != nil {
-		return row, err
-	}
-	row.Effective = len(c.Nodes())
-
-	total := opts.WarmTicks + opts.LiveTicks
-	var cells []uint32
-	var batch []wal.Update
-	var ckptWall, ckptWait time.Duration
-	t0 := time.Now()
-	for t := 0; t < total; t++ {
-		cells, batch = scenarioTick(src, t, cells, batch)
-		if err := c.Tick(batch); err != nil {
-			c.Close()
-			return row, err
-		}
-		if t == opts.WarmTicks-1 {
-			// The uncoordinated analogue of the barrier cell's coordinated
-			// cut: one checkpoint per node. Its drain is charged to the
-			// checkpoint wall, not to the coordinator's window wait.
-			w0 := c.WindowWait()
-			ck0 := time.Now()
-			if err := c.CheckpointNodes(); err != nil {
-				c.Close()
-				return row, err
-			}
-			ckptWall = time.Since(ck0)
-			ckptWait = c.WindowWait() - w0
-			row.CheckpointMs = ckptWall.Seconds() * 1e3
-		}
-	}
-	// The window wait before the final drain: the per-tick cost the
-	// coordinator actually paid while the scenario ran.
-	wait := c.WindowWait() - ckptWait
-	row.WaitMs = wait.Seconds() * 1e3 / float64(total)
-	if err := c.Join(); err != nil {
-		c.Close()
-		return row, err
-	}
-	row.TickMs = (time.Since(t0) - ckptWall).Seconds() * 1e3 / float64(total)
-	if err := c.Crash(); err != nil {
-		return row, err
-	}
-
-	rc, wr, err := skew.Recover(dir, skew.Options{
-		Mode: engine.ModeCopyOnUpdate, DiskBytesPerSec: opts.DiskBytesPerSec, Emit: emit,
-	})
-	if err != nil {
-		return row, err
-	}
-	row.RecoveryMs = wr.Wall.Seconds() * 1e3
-	// Re-dispatch the ticks the crash rolled back (the workload and emit are
-	// pure, so the re-run is identical), then drain so every node has applied
-	// through the end of the scenario.
-	for t := int(wr.WorldTick); t < total; t++ {
-		cells, batch = scenarioTick(src, t, cells, batch)
-		if err := rc.Tick(batch); err != nil {
-			rc.Close()
-			return row, err
-		}
-	}
-	if err := rc.Join(); err != nil {
-		rc.Close()
-		return row, err
-	}
-	row.WorldTick = rc.NextTick()
-	got := make([]byte, table.StateBytes())
-	if err := rc.ReadWorld(got); err != nil {
-		rc.Close()
-		return row, err
-	}
-	row.Identical = wr.WorldTick == wr.Cut+1 && row.WorldTick == uint64(total) &&
-		bytes.Equal(got, ref)
-	return row, rc.Close()
 }

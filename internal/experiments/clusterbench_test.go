@@ -20,12 +20,13 @@ func TestClusterBenchMicro(t *testing.T) {
 		UpdatesPerTick:  300,
 		Table:           &tab,
 		DiskBytesPerSec: -1, // unthrottled: this is a correctness smoke
+		Windows:         []int{0, 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 9 { // 3 sizes × {disk, standby, peerram}
-		t.Fatalf("got %d rows, want 9", len(res.Rows))
+	if len(res.Rows) != 12 { // 3 sizes × ({disk, standby, peerram} at MaxSkew 0 + disk at 2)
+		t.Fatalf("got %d rows, want 12", len(res.Rows))
 	}
 	for _, row := range res.Rows {
 		if !row.Identical {
@@ -48,7 +49,7 @@ func TestClusterBenchMicro(t *testing.T) {
 				t.Errorf("%s/nodes=%d/%s: served %q, want disk fallback", row.Scenario, row.Nodes, row.Mode, row.Served)
 			}
 		}
-		if row.Effective > 1 {
+		if row.Effective > 1 && row.MaxSkew == 0 {
 			if row.MigTicks < 0 {
 				t.Errorf("%s/nodes=%d/%s: no migration leg ran", row.Scenario, row.Nodes, row.Mode)
 			}
@@ -57,7 +58,7 @@ func TestClusterBenchMicro(t *testing.T) {
 					row.Scenario, row.Nodes, row.Mode, row.MigBlackout)
 			}
 		} else if row.MigTicks >= 0 {
-			t.Errorf("%s/nodes=%d/%s: single-node row reports a migration", row.Scenario, row.Nodes, row.Mode)
+			t.Errorf("%s/nodes=%d/%s: a row without a migration leg reports one", row.Scenario, row.Nodes, row.Mode)
 		}
 	}
 	if !res.Identical() {

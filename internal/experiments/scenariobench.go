@@ -262,7 +262,7 @@ func RunScenarioBench(s Scale, seed int64, opts ScenarioBenchOptions) (*BenchRep
 		if err != nil {
 			return nil, err
 		}
-		ref, err := scenarioReference(table, src)
+		ref, err := scenarioReference(table, src, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -281,8 +281,10 @@ func RunScenarioBench(s Scale, seed int64, opts ScenarioBenchOptions) (*BenchRep
 }
 
 // scenarioReference applies the whole scenario serially in memory — the
-// byte-exact ground truth for both recovery paths.
-func scenarioReference(table gamestate.Table, src workload.Source) ([]byte, error) {
+// byte-exact ground truth for both recovery paths. extra, when non-nil,
+// appends further updates to each tick's batch (clusterbench's delivered
+// cross-partition messages).
+func scenarioReference(table gamestate.Table, src workload.Source, extra func(t int) []wal.Update) ([]byte, error) {
 	e, err := engine.Open(engine.Options{Table: table, Mode: engine.ModeNone, InMemory: true, Shards: 1})
 	if err != nil {
 		return nil, err
@@ -291,6 +293,9 @@ func scenarioReference(table gamestate.Table, src workload.Source) ([]byte, erro
 	var batch []wal.Update
 	for t := 0; t < src.NumTicks(); t++ {
 		cells, batch = scenarioTick(src, t, cells, batch)
+		if extra != nil {
+			batch = append(batch, extra(t)...)
+		}
 		if err := e.ApplyTick(batch); err != nil {
 			e.Close()
 			return nil, err

@@ -79,7 +79,7 @@ type ParallelOptions struct {
 	Prelude RecordSource
 	// Tail, when non-nil, replays after the local log through the same gated
 	// per-shard workers: its records extend the durable history past the
-	// point where the local log ends (the skew tier's roll-forward past a
+	// point where the local log ends (the cluster's roll-forward past a
 	// node's crash point, fed from the cluster's logged-message store).
 	// Records the local log already holds are skipped — whole ticks below
 	// the log's last tick, and the first LastTickRecords records at the last

@@ -5,8 +5,8 @@ import (
 	"fmt"
 )
 
-// Cross-partition message payloads. The bounded-skew cluster (internal/skew)
-// lets partitions tick ahead of each other inside a fixed window, so a
+// Cross-partition message payloads. A cluster with a non-zero window
+// (internal/cluster, Options.MaxSkew) lets partitions tick ahead of each other inside a fixed window, so a
 // cross-partition action emitted by node i while applying its tick T cannot
 // be folded into the destination's tick-T input — the destination may already
 // be past T. Instead the action travels as a *message* scheduled for a future
@@ -14,7 +14,7 @@ import (
 // tick, update batch). Recovery uses the origin tick to re-derive which
 // messages were still in flight at the crash; replay treats the batch exactly
 // like a tick's own updates. The encoding lives here, next to the update
-// batch codec it wraps, so the engine's record framing and the skew tier's
+// batch codec it wraps, so the engine's record framing and the cluster's
 // message store agree on the bytes byte-for-byte.
 
 // EncodeMessage appends the message encoding to buf and returns it: the
