@@ -415,7 +415,7 @@ func (r *runner) fig6() {
 		r.emit("fig6b-validation-checkpoint", &vr.Checkpoint)
 		r.emit("fig6c-validation-recovery", &vr.Recovery)
 		fmt.Println("note: implementation overhead is instrumented checkpoint work " +
-			"(GC-noise-free), baseline-subtracted; see EXPERIMENTS.md")
+			"(GC-noise-free), baseline-subtracted")
 	})
 }
 

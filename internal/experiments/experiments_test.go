@@ -233,8 +233,9 @@ func TestValidationSimTracksImplementation(t *testing.T) {
 		}
 		// At this compressed scale a flush is ~33 ms, so the three fsyncs
 		// per checkpoint (tens of ms on a loaded filesystem) can dominate
-		// the measurement; the bound is therefore loose. The full-scale run
-		// recorded in EXPERIMENTS.md lands within 0.6–1.6× of simulation.
+		// the measurement; the bound is therefore loose (a full-scale run
+		// lands within 0.6–1.6× of simulation; regenerate it with
+		// `go run ./cmd/experiments -exp fig6 -scale full`).
 		rel := run.ImplCheckpoint / run.SimCheckpoint
 		if rel < 0.1 || rel > 12 {
 			t.Errorf("%v: impl checkpoint %v vs sim %v (ratio %.2f) — trend lost",

@@ -6,9 +6,10 @@ import "repro/internal/cluster"
 // area-of-interest filtering is a bucket lookup, not a per-session range
 // scan. The bucket grain is cluster.SlotSize objects — the same 64-object
 // slot the partition map owns and the engine's bitmap words cover — so an
-// interest window is a contiguous run of the same slots a partition
-// boundary is made of, and the fan-out's per-update work is
-// O(interested sessions), independent of total sessions.
+// interest window is a contiguous run [lo, hi) of the same slots a partition
+// boundary is made of. That is what lets the fan-out bucket a tick by slot
+// once and hand each session a sub-slice: the index is read once per
+// non-empty slot to find the touched sessions, never per update.
 type interestIndex struct {
 	subs [][]*Session
 }
@@ -26,8 +27,7 @@ func slotRange(r Range) (lo, hi int) {
 // add registers s in every slot its interest window touches. Caller holds
 // the gateway mutex.
 func (ix *interestIndex) add(s *Session) {
-	lo, hi := slotRange(s.interest)
-	for slot := lo; slot < hi; slot++ {
+	for slot := s.lo; slot < s.hi; slot++ {
 		ix.subs[slot] = append(ix.subs[slot], s)
 	}
 }
@@ -35,8 +35,7 @@ func (ix *interestIndex) add(s *Session) {
 // remove unregisters s from every slot its interest window touches. Caller
 // holds the gateway mutex.
 func (ix *interestIndex) remove(s *Session) {
-	lo, hi := slotRange(s.interest)
-	for slot := lo; slot < hi; slot++ {
+	for slot := s.lo; slot < s.hi; slot++ {
 		bucket := ix.subs[slot]
 		for i, x := range bucket {
 			if x == s {
@@ -47,7 +46,3 @@ func (ix *interestIndex) remove(s *Session) {
 		}
 	}
 }
-
-// at returns the sessions interested in a slot. Caller holds the gateway
-// mutex and must not retain the slice.
-func (ix *interestIndex) at(slot int) []*Session { return ix.subs[slot] }

@@ -40,6 +40,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/gamestate"
+	"repro/internal/telemetry"
 	"repro/internal/wal"
 )
 
@@ -109,9 +110,15 @@ type Range struct {
 }
 
 // Delta is one tick's worth of changes inside a session's interest window:
-// the updates of the committed tick whose objects fall in the window, in
-// canonical batch order. Values are final cell states, so a dropped delta is
-// healed by any later delta touching the same cells.
+// the updates of the committed tick whose objects fall in the window's
+// slots, slot-major and in canonical batch order within a slot — so the
+// updates of one cell, hence of one object, keep their canonical order.
+// Values are final cell states, so a dropped delta is healed by any later
+// delta touching the same cells.
+//
+// Updates is READ-ONLY: a view into the tick's one slot-bucketed array,
+// shared with every session whose window overlaps. Its capacity equals its
+// length, so an append cannot reach a neighbour's view.
 type Delta struct {
 	Tick    uint64
 	Updates []wal.Update
@@ -173,6 +180,10 @@ type Gateway struct {
 	stop    chan struct{}
 	done    chan struct{}
 
+	// off is the pump's fan-out scratch: the bucketed batch's slot prefix
+	// table (slot s starts at off[s] and ends at off[s+1]).
+	off []int
+
 	// delivered is the fan-out watermark: ticks [0, delivered) have been
 	// fanned out to every interested session queue. waitCh is replaced (and
 	// the old one closed) on every advance — a broadcast AwaitDelivered can
@@ -216,6 +227,7 @@ func NewGateway(opts Options) (*Gateway, error) {
 		waitCh:      make(chan struct{}),
 		delivered:   opts.World.NextTick(), // a recovered world owes no old deltas
 	}
+	g.off = make([]int, len(g.interest.subs)+2)
 	g.commits, g.cancel = opts.World.SubscribeCommits()
 	go g.pump()
 	return g, nil
@@ -258,6 +270,7 @@ func (g *Gateway) Connect(id uint64, interest Range) (*Session, error) {
 		deltas:   make(chan Delta, g.opts.DeltaBuffer),
 		gone:     make(chan struct{}),
 	}
+	s.lo, s.hi = slotRange(interest)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
@@ -346,36 +359,52 @@ func (g *Gateway) fanOutThrough(tick uint64) {
 }
 
 // fanOut delivers one committed tick's updates to every session whose
-// interest window they touch, one Delta per (session, tick).
+// interest window they touch, one Delta per (session, tick). The batch is
+// stable-counting-sorted by slot into one fresh array; a window is a
+// contiguous slot range, so a session's delta is a sub-slice of that array,
+// and the sessions are found by walking the non-empty slots' interest lists:
+// O(updates + slots + touched sessions). Only the pump goroutine calls it.
 func (g *Gateway) fanOut(p pendingTick) {
-	g.mu.Lock()
-	var touched []*Session
-	for _, u := range p.batch {
-		slot := int(u.Cell/g.cellsPerObj) >> cluster.SlotShift
-		for _, s := range g.interest.at(slot) {
-			if s.mark != p.tick+1 { // +1: zero value must not match tick 0
-				s.mark = p.tick + 1
-				touched = append(touched, s)
-			}
-			s.pend = append(s.pend, u)
-		}
+	var start time.Time
+	if telemetry.Enabled() {
+		start = time.Now()
 	}
-	var delivered, dropped uint64
-	for _, s := range touched {
-		d := Delta{Tick: p.tick, Updates: append([]wal.Update(nil), s.pend...)}
-		s.pend = s.pend[:0]
-		if s.deliver(d) {
-			delivered++
-		} else {
-			dropped++
+	// Count at slot+2, so that after the prefix sum off[s+1] is where slot s
+	// starts; placing through off[s+1]++ then leaves off[s] at slot s's start.
+	off := g.off
+	clear(off)
+	for _, u := range p.batch {
+		off[int(u.Cell/g.cellsPerObj)>>cluster.SlotShift+2]++
+	}
+	for s := 2; s < len(off); s++ {
+		off[s] += off[s-1]
+	}
+	bucketed := make([]wal.Update, len(p.batch))
+	for _, u := range p.batch {
+		at := &off[int(u.Cell/g.cellsPerObj)>>cluster.SlotShift+1]
+		bucketed[*at] = u
+		*at++
+	}
+
+	g.mu.Lock()
+	var delivered uint64
+	for slot, subs := range g.interest.subs {
+		if off[slot] == off[slot+1] {
+			continue
+		}
+		for _, s := range subs {
+			if s.mark == p.tick+1 { // +1: zero value must not match tick 0
+				continue
+			}
+			s.mark = p.tick + 1
+			lo, hi := off[s.lo], off[s.hi]
+			if s.deliver(Delta{Tick: p.tick, Updates: bucketed[lo:hi:hi]}) {
+				delivered++
+			}
 		}
 	}
 	g.mu.Unlock()
 	g.deltas.Add(delivered)
-	g.dropped.Add(dropped)
-	if dropped > 0 {
-		telEvictions.Add(dropped)
-	}
 	telIntentVisible.ObserveSince(p.staged)
 
 	g.wMu.Lock()
@@ -383,6 +412,7 @@ func (g *Gateway) fanOut(p pendingTick) {
 	close(g.waitCh)
 	g.waitCh = make(chan struct{})
 	g.wMu.Unlock()
+	telFanOut.ObserveSince(start)
 }
 
 // Delivered returns the fan-out watermark: every tick below it has been
@@ -444,11 +474,11 @@ type Session struct {
 	id       uint64
 	gw       *Gateway
 	interest Range
+	lo, hi   int // interest's slot range [lo, hi)
 
-	// staged/pend/mark are guarded by gw.mu. pend accumulates the session's
-	// share of the tick during fan-out; mark dedupes it per tick.
+	// staged/mark are guarded by gw.mu; mark dedupes the session per tick
+	// fanned out.
 	staged []wal.Update
-	pend   []wal.Update
 	mark   uint64
 
 	deltas  chan Delta
@@ -515,16 +545,24 @@ func (s *Session) deliver(d Delta) bool {
 	}
 	select {
 	case <-s.deltas: // evict the oldest: newest state wins
-		s.dropped.Add(1)
+		s.drop()
 	default:
 	}
 	select {
 	case s.deltas <- d:
 		return true
 	default:
-		s.dropped.Add(1)
+		s.drop()
 		return false
 	}
+}
+
+// drop counts one delta lost on this session's full queue, here and in the
+// gateway's totals, so Stats.Dropped is the sum of every session's Dropped.
+func (s *Session) drop() {
+	s.dropped.Add(1)
+	s.gw.dropped.Add(1)
+	telEvictions.Add(1)
 }
 
 // Close disconnects the session: it leaves the interest index and the

@@ -140,6 +140,11 @@ func TestSlowConsumerDropsOldestNotNewest(t *testing.T) {
 	if got := s.Dropped(); got != 2 {
 		t.Fatalf("dropped = %d, want 2", got)
 	}
+	// Every eviction is in the gateway's totals too: all three deltas were
+	// enqueued, two of them were later evicted.
+	if st := g.Stats(); st.Dropped != s.Dropped() || st.Deltas != 3 {
+		t.Fatalf("gateway stats %+v, want 3 deltas and the session's %d drops", st, s.Dropped())
+	}
 	d := <-s.Deltas()
 	if d.Tick != 2 || d.Updates[0].Value != 3 {
 		t.Fatalf("surviving delta = %+v, want tick 2 value 3", d)
