@@ -390,7 +390,7 @@ func BenchmarkExtensionMultiServer(b *testing.B) {
 // BenchmarkRecoveryPipeline measures sharded pipelined recovery (restore ∥
 // replay, see recovery.RecoverParallel) of the quick-scale state from
 // unthrottled files: sec/op is one full RecoverEngine — vectored per-shard
-// image restore overlapped with shard-filtered replay of a 16-tick log. On
+// image restore overlapped with per-shard replay of a 16-tick log. On
 // a multi-core host the 8-shard line shows the pipeline win; custom metrics
 // carry the stage breakdown of the last recovery.
 func BenchmarkRecoveryPipeline(b *testing.B) {

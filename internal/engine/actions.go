@@ -101,26 +101,46 @@ func (e *Engine) ApplyActionTick(payload []byte, apply func(w *TickWriter) error
 		})
 }
 
-// replayRecordRange dispatches one logged record on its kind tag, keeping
-// only effects on objects in [lo, hi) — the whole object space under serial
-// recovery, one shard's range under the parallel pipeline, which hands every
-// record to every shard's replay worker. Update batches are filtered by the
-// updated object's owner; action records are re-executed with a
-// range-filtered TickWriter. It returns the number of cell writes applied,
-// so the per-shard counts sum to the serial path's total.
-func (e *Engine) replayRecordRange(lo, hi int, tick uint64, body []byte, updBuf *[]wal.Update) (int64, error) {
+// updateBatch reports whether a logged record is a plain update batch — a
+// tick's own updates or a cross-partition message, whose origin header is
+// provenance for the cluster's recovery and not replay input — and returns
+// its wal.EncodeUpdates bytes. Recovery decodes those records once, straight
+// into per-shard buckets (wal.SplitUpdates), and applies each bucket with
+// replayUpdates; every other record goes whole to replayRecordRange. A
+// message too short for its header is left to replayRecordRange to refuse.
+func updateBatch(body []byte) ([]byte, bool) {
+	switch {
+	case len(body) > 0 && body[0] == recUpdates:
+		return body[1:], true
+	case len(body) > wal.MessageHeaderLen && body[0] == recMessage:
+		return body[1+wal.MessageHeaderLen:], true
+	}
+	return nil, false
+}
+
+// replayUpdates writes one bucket of a decoded update batch straight into
+// the slab (recovery marks everything dirty afterwards, so no checkpointer
+// bookkeeping). The bucket holds only cells inside the table, and under the
+// parallel pipeline only cells of the calling worker's shard.
+func (e *Engine) replayUpdates(upds []wal.Update) {
+	for _, u := range upds {
+		e.store.SetCell(u.Cell, u.Value)
+	}
+}
+
+// replayRecordRange re-executes one logged record that is not an update
+// batch, keeping only effects on objects in [lo, hi) — the whole object
+// space under serial recovery, one shard's range under the parallel
+// pipeline, which hands such a record to every shard's replay worker.
+// Action records are re-executed with a range-filtered TickWriter, installs
+// copied by range. It returns the number of cell writes applied, so the
+// per-shard counts sum to the serial path's total.
+func (e *Engine) replayRecordRange(lo, hi int, tick uint64, body []byte) (int64, error) {
 	if len(body) == 0 {
 		return 0, fmt.Errorf("engine: empty log record at tick %d", tick)
 	}
 	kind, payload := body[0], body[1:]
 	switch kind {
-	case recUpdates:
-		var err error
-		*updBuf, err = wal.DecodeUpdates((*updBuf)[:0], payload)
-		if err != nil {
-			return 0, err
-		}
-		return e.replayUpdates(*updBuf, lo, hi), nil
 	case recAction:
 		if e.opts.ReplayAction == nil {
 			return 0, fmt.Errorf("engine: log holds action records but no ReplayAction was provided")
@@ -133,30 +153,9 @@ func (e *Engine) replayRecordRange(lo, hi int, tick uint64, body []byte, updBuf 
 	case recInstall:
 		return e.replayInstall(payload, lo, hi)
 	case recMessage:
-		// A cross-partition message applies like an update batch; the origin
-		// header is provenance for the cluster's recovery, not replay input.
-		_, _, upds, err := wal.DecodeMessage((*updBuf)[:0], payload)
-		*updBuf = upds
-		if err != nil {
-			return 0, err
-		}
-		return e.replayUpdates(upds, lo, hi), nil
+		return 0, fmt.Errorf("engine: message payload %d bytes at tick %d, want >= %d",
+			len(payload), tick, wal.MessageHeaderLen)
 	default:
 		return 0, fmt.Errorf("engine: unknown log record kind %d at tick %d", kind, tick)
 	}
-}
-
-// replayUpdates writes the updates whose object falls in [lo, hi) straight
-// into the slab (recovery marks everything dirty afterwards, so no
-// checkpointer bookkeeping) and returns how many it kept.
-func (e *Engine) replayUpdates(upds []wal.Update, lo, hi int) int64 {
-	var n int64
-	for _, u := range upds {
-		if obj := int(e.store.ObjectOf(u.Cell)); obj < lo || obj >= hi {
-			continue
-		}
-		e.store.SetCell(u.Cell, u.Value)
-		n++
-	}
-	return n
 }

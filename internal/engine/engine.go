@@ -124,8 +124,9 @@ func Open(opts Options) (*Engine, error) {
 
 // RecoverFrom opens an engine in opts.Dir like Open, but runs the sharded
 // parallel recovery pipeline: the backup image is restored by one vectored
-// reader per shard while the logical log replays shard-filtered in
-// parallel, each shard's replay gated on its own restore watermark (see
+// reader per shard while the logical log replays in parallel — every update
+// batch decoded once into per-shard buckets, every shard applying only its
+// own — each shard's replay gated on its own restore watermark (see
 // recovery.RecoverParallel). The recovered engine resumes ticking with its
 // shard partition pre-populated; the returned ParallelResult carries the
 // per-shard and per-stage timing breakdown.
@@ -222,23 +223,32 @@ func open(opts Options, parallel bool, peer *RecoverSource, tail func() (recover
 				ranNext[w] = tick + 1
 			}
 		}
+		cellsPerObj := store.Table().CellsPerObject()
 		if parallel {
 			// The pipeline is partitioned exactly like the engine: one
 			// restore reader and one replay worker per shard, each owning
-			// its plan range of the slab.
+			// its plan range of the slab. Update batches reach a worker as
+			// its own bucket of cells, cut at the plan's cell bounds.
 			ranges := make([]recovery.ShardRange, e.plan.count())
-			scratch := make([][]wal.Update, e.plan.count())
+			bounds := make([]uint32, e.plan.count())
 			ranNext = make([]uint64, e.plan.count())
 			for s := range ranges {
 				lo, hi := e.plan.objRange(s)
 				ranges[s] = recovery.ShardRange{Lo: lo, Hi: hi}
+				bounds[s] = uint32(hi * cellsPerObj)
 			}
 			popts := recovery.ParallelOptions{
 				A: backups[0], B: backups[1], Slab: store.Slab(), Log: log,
 				Ranges: ranges,
 				Apply: func(shard int, tick uint64, body []byte) (int64, error) {
 					ran(shard, tick, body)
-					return e.replayRecordRange(ranges[shard].Lo, ranges[shard].Hi, tick, body, &scratch[shard])
+					return e.replayRecordRange(ranges[shard].Lo, ranges[shard].Hi, tick, body)
+				},
+				Split:      updateBatch,
+				CellBounds: bounds,
+				ApplyUpdates: func(shard int, tick uint64, upds []wal.Update) {
+					ranNext[shard] = tick + 1
+					e.replayUpdates(upds)
 				},
 			}
 			if peer != nil {
@@ -253,15 +263,28 @@ func open(opts Options, parallel bool, peer *RecoverSource, tail func() (recover
 				res = pres.Result
 			}
 		} else {
-			var updBuf []wal.Update
+			// The serial path is the one-bucket case of the same split: the
+			// single bound drops cells past the table.
+			var bucket [1][]wal.Update
+			bound := [1]uint32{uint32(store.NumObjects() * cellsPerObj)}
 			var replayed int64
 			ranNext = make([]uint64, 1)
 			res, err = recovery.RunRecords(backups[0], backups[1], store.Slab(), log,
 				func(tick uint64, body []byte) error {
 					ran(0, tick, body)
-					n, rerr := e.replayRecordRange(0, store.NumObjects(), tick, body, &updBuf)
-					replayed += n
-					return rerr
+					batch, ok := updateBatch(body)
+					if !ok {
+						n, rerr := e.replayRecordRange(0, store.NumObjects(), tick, body)
+						replayed += n
+						return rerr
+					}
+					bucket[0] = bucket[0][:0]
+					if derr := wal.SplitUpdates(bucket[:], bound[:], batch); derr != nil {
+						return fmt.Errorf("record at tick %d: %w", tick, derr)
+					}
+					e.replayUpdates(bucket[0])
+					replayed += int64(len(bucket[0]))
+					return nil
 				})
 			res.ReplayedUpdates = replayed
 		}

@@ -11,6 +11,8 @@ package recovery
 import (
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/disk"
@@ -65,11 +67,26 @@ type ParallelOptions struct {
 	// Shards is the partition width used when Ranges is empty. Values < 1
 	// (and any excess over the object count) are clamped.
 	Shards int
-	// Apply applies one log record's effects restricted to shard's object
-	// range, returning the number of updates it applied. Calls for one shard
-	// arrive in log order on a single goroutine; calls for different shards
-	// run concurrently. Required when Log is set.
+	// Apply applies one whole log record's effects restricted to shard's
+	// object range, returning the number of updates it applied. Every shard
+	// gets every record Split declines. Calls for one shard (Apply and
+	// ApplyUpdates alike) arrive in log order on a single goroutine; calls
+	// for different shards run concurrently. Required when Log is set.
 	Apply func(shard int, tick uint64, payload []byte) (int64, error)
+	// Split, when non-nil, names the records that are plain update batches:
+	// for such a record it returns the wal.EncodeUpdates bytes inside the
+	// payload and true. The pipeline decodes those once, straight into one
+	// bucket per shard, and hands shard s only its own bucket through
+	// ApplyUpdates instead of the whole record through Apply. It runs on the
+	// log reader's goroutine, once per record.
+	Split func(payload []byte) (batch []byte, ok bool)
+	// CellBounds[s] is one past the last cell shard s owns: ascending, one
+	// per shard range. An update at or past the last bound is dropped and
+	// not counted. Required with Split.
+	CellBounds []uint32
+	// ApplyUpdates applies shard's bucket of one split record — every update
+	// in it is the shard's own, in batch order. Required with Split.
+	ApplyUpdates func(shard int, tick uint64, updates []wal.Update)
 	// Image, when non-nil, replaces the A/B disk restore: every shard reads
 	// its range from it and replay starts at its NextTick. A still supplies
 	// the object geometry; neither backup is read.
@@ -99,6 +116,10 @@ type ShardTiming struct {
 	// Wait is how long the shard's replay worker was gated on the restore
 	// watermark before it could apply its first record.
 	Wait time.Duration
+	// DecodeWait is how long the worker then stood waiting for a decoder to
+	// finish the record it was due to apply next: large against Replay means
+	// the replay stage is decode-bound, near zero that it is apply-bound.
+	DecodeWait time.Duration
 	// Replay is the wall time from the gate opening to the worker finishing.
 	Replay time.Duration
 	// Records is the number of log records the worker applied.
@@ -130,12 +151,22 @@ type ParallelResult struct {
 	// comparing this count against a peer's complete copy of the same tick
 	// detects the tear.
 	LastTickRecords int
+	// DecodeBusy and ApplyBusy are the replay stage's two kinds of work,
+	// each summed over the goroutines doing it: decoding split records into
+	// buckets, and applying buckets and whole records to the slab.
+	DecodeBusy, ApplyBusy time.Duration
+	// BatchesInFlightMax is the most records that were between the log
+	// reader and their last applier at once; never above the free list's
+	// bound (batchesPerShard × shards).
+	BatchesInFlightMax int
 }
 
 // Overlap returns the recovery time saved by pipelining restore and replay
-// compared to running the measured stages back to back.
+// compared to running the measured stages back to back. It is never
+// negative: 0 means replay started only after the last shard was restored
+// (an unthrottled restore is over before the first record is decoded).
 func (r *ParallelResult) Overlap() time.Duration {
-	return r.RestoreDuration + r.ReplayDuration - r.TotalDuration
+	return max(0, r.RestoreDuration+r.ReplayDuration-r.TotalDuration)
 }
 
 // evenRanges splits n objects into at most shards equal contiguous ranges.
@@ -167,15 +198,40 @@ func evenRanges(n, shards int) []ShardRange {
 // of syscalls.
 const restoreChunk = 1 << 20
 
-// walRec is one log record in flight from the reader to a replay worker.
-type walRec struct {
+// batchesPerShard bounds the replay stage: at most batchesPerShard × shards
+// records are in flight between the log reader and their last applier, so
+// the reader can run that far ahead of a slow shard (or a shard still gated
+// on its restore) and no further, and the decoded buckets held in memory are
+// capped. The depth is there to absorb scheduling: a record is ~20 µs of
+// work per stage, so with only a few in flight every stage blocks on its
+// neighbour once per record; measured on BenchmarkReplayPipeline, 16 per
+// shard replays a third faster than 4 at one shard and a tenth faster at
+// two, and 32 adds nothing.
+const batchesPerShard = 16
+
+// batch is one log record in flight from the reader to the appliers. It is
+// taken from a free list, reused, and returned by the last applier done
+// with it, so the steady state allocates nothing per record.
+type batch struct {
 	tick    uint64
-	payload []byte
+	payload []byte // the whole record, as read
+	// split marks a record the decoders bucket, updates being its
+	// update-batch bytes; any other record travels whole.
+	split   bool
+	updates []byte
+	// parts[s] is shard s's bucket of a split record and err its decode
+	// error, both written by one decoder before it calls ready.Done.
+	parts [][]wal.Update
+	err   error
+	ready sync.WaitGroup
+	// left counts the appliers still to finish with the batch.
+	left atomic.Int32
 }
 
 // RecoverParallel restores the newest complete checkpoint image with one
 // concurrent reader per shard, then replays the logical log with per-shard
-// workers fed in log order by a single log reader. Shard s's worker applies
+// workers fed in log order by a single log reader, update batches decoded
+// once on the way into one bucket per shard. Shard s's worker applies
 // nothing until shard s's restore watermark covers its whole range, but is
 // not gated on any other shard — replay overlaps the remaining restores.
 func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
@@ -204,6 +260,10 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 	}
 	if opts.Log != nil && opts.Apply == nil {
 		return res, fmt.Errorf("recovery: Log set without Apply")
+	}
+	if opts.Split != nil && (opts.ApplyUpdates == nil || len(opts.CellBounds) != len(ranges)) {
+		return res, fmt.Errorf("recovery: Split needs ApplyUpdates and one cell bound per shard (%d bounds, %d shards)",
+			len(opts.CellBounds), len(ranges))
 	}
 	if opts.Prelude != nil && opts.Log == nil {
 		return res, fmt.Errorf("recovery: Prelude set without Log")
@@ -302,63 +362,141 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 		}(s, ranges[s])
 	}
 
-	// Replay stage: a single reader streams records in log order and fans
-	// each one out to every shard's worker; workers filter by object range
-	// inside Apply. One worker per shard preserves per-shard log order.
-	// Every worker decoding every record costs S× the serial decode CPU,
-	// but — like the engine's apply pool — the duplicated decodes run
-	// concurrently, so replay wall time stays ≈1× while the applies
-	// parallelize; decoding once in the reader would serialize the replay
-	// stage behind a single core (and the reader cannot split opaque
-	// payloads per shard anyway — action records need whole-record
-	// re-execution on every shard).
+	// Replay stage: reader → decoders → appliers. The single reader fixes
+	// the order: it pushes every record onto every shard's feed, in log
+	// order, and queues the ones Split accepts for the decoders. A decoder
+	// parses a record once, straight into one bucket per shard; shard s's
+	// applier — the only goroutine that writes shard s's slab range — takes
+	// records off its feed in log order, waits for the record's decoder and
+	// applies its own bucket unfiltered. Records Split declines (the reader
+	// cannot split an opaque payload: an action is re-executed whole on
+	// every shard, an install copied by range) reach Apply through the same
+	// feeds, so their place in each shard's order is the log's.
 	var lastTick uint64
 	sawTick := false
 	var readerErr error
 	var logBytes int64 // bytes of the local log read
 	logSkipped := 0    // stale sealed segments left unopened
-	workerDone := make(chan struct{})
 	if opts.Log != nil {
-		feeds := make([]chan walRec, n)
+		// No channel below ever blocks its sender: each can hold every batch
+		// there is. The reader's only wait is for a free batch.
+		bound := batchesPerShard * n
+		free := make(chan *batch, bound)
+		decode := make(chan *batch, bound)
+		feeds := make([]chan *batch, n)
 		for s := range feeds {
-			feeds[s] = make(chan walRec, 512)
+			feeds[s] = make(chan *batch, bound)
+		}
+		decodeBusy := make([]time.Duration, n)
+		applyBusy := make([]time.Duration, n)
+		var decoders, appliers sync.WaitGroup
+		for d := 0; d < n; d++ { // one decoder per shard: as wide as the appliers
+			decoders.Add(1)
+			go func(d int) {
+				defer decoders.Done()
+				var busy time.Duration
+				for b := range decode {
+					t0 := time.Now()
+					for s := range b.parts {
+						b.parts[s] = b.parts[s][:0]
+					}
+					if err := wal.SplitUpdates(b.parts, opts.CellBounds, b.updates); err != nil {
+						b.err = fmt.Errorf("recovery: replay: record at tick %d: %w", b.tick, err)
+					}
+					busy += time.Since(t0)
+					b.ready.Done()
+				}
+				decodeBusy[d] = busy
+			}(d)
 		}
 		for s := range feeds {
+			appliers.Add(1)
 			go func(s int) {
-				defer func() { replayDone[s] = time.Now(); workerDone <- struct{}{} }()
+				// The per-record counters stay on this goroutine's stack
+				// until it is done: the shards' slots sit side by side.
+				var busy, decodeWait time.Duration
+				var applied int64
+				var records int
+				var first time.Time
 				w0 := time.Now()
 				<-gate[s]
-				res.Shards[s].Wait = time.Since(w0)
 				g0 := time.Now()
-				failed := shardErrs[s] != nil // an unrestored shard must not replay
-				for rec := range feeds[s] {
-					if failed {
-						continue // drain so the reader never blocks
+				err := shardErrs[s] // an unrestored shard must not replay
+				for b := range feeds[s] {
+					t0 := time.Now()
+					if first.IsZero() && err == nil {
+						first = t0
 					}
-					if replayFirst[s].IsZero() {
-						replayFirst[s] = time.Now()
+					t1 := t0
+					if b.split {
+						// Always wait, even after an error: the batch must not go
+						// back to the free list while a decoder still writes it.
+						b.ready.Wait()
+						t1 = time.Now()
+						decodeWait += t1.Sub(t0)
 					}
-					nUpd, err := opts.Apply(s, rec.tick, rec.payload)
-					updates[s] += nUpd
-					if err != nil {
-						shardErrs[s] = fmt.Errorf("recovery: replay shard %d: %w", s, err)
-						failed = true
-						continue
+					switch {
+					case err != nil: // drain so the reader never blocks
+					case b.err != nil:
+						// Every shard meets the undecodable record at the same
+						// place in its feed and applies nothing from there on.
+						err = b.err
+					case b.split:
+						opts.ApplyUpdates(s, b.tick, b.parts[s])
+						applied += int64(len(b.parts[s]))
+						records++
+					default:
+						var nUpd int64
+						nUpd, err = opts.Apply(s, b.tick, b.payload)
+						applied += nUpd
+						if err != nil {
+							err = fmt.Errorf("recovery: replay shard %d: %w", s, err)
+						} else {
+							records++
+						}
 					}
-					res.Shards[s].Records++
+					busy += time.Since(t1)
+					if b.left.Add(-1) == 0 {
+						free <- b
+					}
 				}
-				res.Shards[s].Replay = time.Since(g0)
+				replayDone[s] = time.Now()
+				st := &res.Shards[s]
+				st.Wait, st.DecodeWait, st.Replay, st.Records = g0.Sub(w0), decodeWait, replayDone[s].Sub(g0), records
+				shardErrs[s], replayFirst[s], updates[s], applyBusy[s] = err, first, applied, busy
+				appliers.Done()
 			}(s)
 		}
 
+		allocated := 0
 		fan := func(tick uint64, payload []byte) {
 			if !sawTick || tick != lastTick {
 				res.ReplayedTicks++
 			}
 			sawTick = true
 			lastTick = tick
+			var b *batch
+			select {
+			case b = <-free:
+			default:
+				if allocated < bound {
+					allocated++
+					b = &batch{parts: make([][]wal.Update, n)}
+				} else {
+					b = <-free
+				}
+			}
+			b.tick, b.payload, b.split, b.err = tick, payload, false, nil
+			if opts.Split != nil {
+				b.updates, b.split = opts.Split(payload)
+			}
+			b.left.Store(int32(n))
+			if b.split {
+				b.ready.Add(1)
+				decode <- b
+			}
 			for s := range feeds {
-				feeds[s] <- walRec{tick: tick, payload: payload}
+				feeds[s] <- b
 			}
 		}
 		// Prelude first: its records are authoritative for every tick they
@@ -438,11 +576,16 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 				fan(tick, payload)
 			}
 		}
+		close(decode)
 		for s := range feeds {
 			close(feeds[s])
 		}
-		for range feeds {
-			<-workerDone
+		appliers.Wait()
+		decoders.Wait()
+		res.BatchesInFlightMax = allocated
+		for s := range feeds {
+			res.DecodeBusy += decodeBusy[s]
+			res.ApplyBusy += applyBusy[s]
 		}
 	} else {
 		// Restore-only: join the restore goroutines via their gates.
@@ -496,7 +639,10 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 				telemetry.Int("replayed_ticks", int64(res.ReplayedTicks)),
 				telemetry.Int("replayed_updates", res.ReplayedUpdates),
 				telemetry.Int("log_bytes", logBytes),
-				telemetry.Int("segments_skipped", int64(logSkipped)))
+				telemetry.Int("segments_skipped", int64(logSkipped)),
+				telemetry.Int("decode_ns", int64(res.DecodeBusy)),
+				telemetry.Int("apply_ns", int64(res.ApplyBusy)),
+				telemetry.Int("batches_in_flight_max", int64(res.BatchesInFlightMax)))
 		}
 		telemetry.RecordSpan("recovery/pipeline", start, start.Add(res.TotalDuration),
 			telemetry.Int("shards", int64(len(ranges))),

@@ -2,12 +2,14 @@ package recovery
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/disk"
@@ -22,28 +24,13 @@ const (
 	pCells   = pObj * pObjSize / 4
 )
 
-// objOfCell mirrors the engine's cell→object mapping at this geometry.
-func objOfCell(cell uint32) int { return int(cell) / (pObjSize / 4) }
-
-// applyFiltered decodes an update batch and applies the cells owned by
-// [lo,hi) to slab, returning how many it applied.
-func applyFiltered(slab []byte, lo, hi int, payload []byte) (int64, error) {
+// applyBatch decodes an update batch and writes every update into slab.
+func applyBatch(slab []byte, payload []byte) error {
 	updates, err := wal.DecodeUpdates(nil, payload)
-	if err != nil {
-		return 0, err
-	}
-	var n int64
 	for _, u := range updates {
-		if obj := objOfCell(u.Cell); obj < lo || obj >= hi {
-			continue
-		}
-		slab[u.Cell*4] = byte(u.Value)
-		slab[u.Cell*4+1] = byte(u.Value >> 8)
-		slab[u.Cell*4+2] = byte(u.Value >> 16)
-		slab[u.Cell*4+3] = byte(u.Value >> 24)
-		n++
+		binary.LittleEndian.PutUint32(slab[u.Cell*4:], u.Value)
 	}
-	return n, nil
+	return err
 }
 
 // buildWorkload writes an image consistent as of asOf into a and a log of
@@ -104,13 +91,7 @@ func TestRecoverParallelMatchesSerial(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 7} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			slab := bytes.Repeat([]byte{0xFF}, pObj*pObjSize)
-			res, err := RecoverParallel(ParallelOptions{
-				A: a, B: b, Slab: slab, Log: log, Shards: shards,
-				Apply: func(shard int, tick uint64, payload []byte) (int64, error) {
-					lo, hi := rangeOf(shards, shard)
-					return applyFiltered(slab, lo, hi, payload)
-				},
-			})
+			res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Shards: shards}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,15 +118,25 @@ func TestRecoverParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// rangeOf mirrors evenRanges for the test's Apply closures.
-func rangeOf(shards, s int) (lo, hi int) {
-	per := (pObj + shards - 1) / shards
-	lo = s * per
-	hi = lo + per
-	if hi > pObj {
-		hi = pObj
+// updateLog completes o (A, Slab and Shards set) for a log of plain update
+// batches: every record is split at the cell bounds of evenRanges over A's
+// geometry and a shard writes its bucket unfiltered; no record may travel
+// whole.
+func updateLog(o ParallelOptions) ParallelOptions {
+	slab := o.Slab
+	for _, r := range evenRanges(o.A.Objects(), o.Shards) {
+		o.CellBounds = append(o.CellBounds, uint32(r.Hi*o.A.ObjSize()/4))
 	}
-	return lo, hi
+	o.Split = func(payload []byte) ([]byte, bool) { return payload, true }
+	o.ApplyUpdates = func(_ int, _ uint64, updates []wal.Update) {
+		for _, u := range updates {
+			binary.LittleEndian.PutUint32(slab[u.Cell*4:], u.Value)
+		}
+	}
+	o.Apply = func(shard int, tick uint64, _ []byte) (int64, error) {
+		return 0, fmt.Errorf("shard %d handed the update record at tick %d whole", shard, tick)
+	}
+	return o
 }
 
 func TestRecoverParallelNoImageReplaysEverything(t *testing.T) {
@@ -163,13 +154,7 @@ func TestRecoverParallelNoImageReplaysEverything(t *testing.T) {
 		}
 	}
 	slab := bytes.Repeat([]byte{0xEE}, pObj*pObjSize)
-	res, err := RecoverParallel(ParallelOptions{
-		A: a, B: b, Slab: slab, Log: log, Shards: 4,
-		Apply: func(shard int, tick uint64, payload []byte) (int64, error) {
-			lo, hi := rangeOf(4, shard)
-			return applyFiltered(slab, lo, hi, payload)
-		},
-	})
+	res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Shards: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,13 +263,7 @@ func TestRecoverParallelOverlap(t *testing.T) {
 	log := buildWorkload(t, a, t.TempDir(), 0, 60, 13)
 	defer log.Close()
 	slab := make([]byte, pObj*pObjSize)
-	res, err := RecoverParallel(ParallelOptions{
-		A: a, B: b, Slab: slab, Log: log, Shards: 4,
-		Apply: func(shard int, tick uint64, payload []byte) (int64, error) {
-			lo, hi := rangeOf(4, shard)
-			return applyFiltered(slab, lo, hi, payload)
-		},
-	})
+	res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Shards: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,8 +407,7 @@ func TestRecoverParallelSkipsStaleSegments(t *testing.T) {
 
 			serialSlab := make([]byte, pObj*pObjSize)
 			if _, err := RunRecords(a, b, serialSlab, log, func(_ uint64, payload []byte) error {
-				_, err := applyFiltered(serialSlab, 0, pObj, payload)
-				return err
+				return applyBatch(serialSlab, payload)
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -438,13 +416,7 @@ func TestRecoverParallelSkipsStaleSegments(t *testing.T) {
 			defer telemetry.Disable()
 			telemetry.ResetSpans()
 			slab := make([]byte, pObj*pObjSize)
-			res, err := RecoverParallel(ParallelOptions{
-				A: a, B: b, Slab: slab, Log: log, Shards: 2,
-				Apply: func(shard int, _ uint64, payload []byte) (int64, error) {
-					lo, hi := rangeOf(2, shard)
-					return applyFiltered(slab, lo, hi, payload)
-				},
-			})
+			res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Shards: 2}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -480,6 +452,177 @@ func TestRecoverParallelSkipsStaleSegments(t *testing.T) {
 				return
 			}
 			t.Error("no recovery/replay span recorded")
+		})
+	}
+}
+
+// TestRecoverParallelStopsAtUndecodableRecord: a record in the middle of the
+// log whose frame is intact but whose batch does not decode fails the
+// recovery with an error naming its tick, and every shard's slab range is
+// left exactly as the records before it made it — nothing from the bad
+// record, nothing from the good ones behind it.
+func TestRecoverParallelStopsAtUndecodableRecord(t *testing.T) {
+	const asOf, badTick = 10, 25
+	a, b := pBackup(t, disk.NewMem()), pBackup(t, disk.NewMem())
+	log := buildWorkload(t, a, t.TempDir(), asOf, badTick, 17)
+	defer log.Close()
+	good := wal.EncodeUpdates(nil, []wal.Update{{Cell: 5, Value: 0xBAD}, {Cell: pCells - 1, Value: 0xBAD}})
+	if err := log.Append(badTick, good[:len(good)-3]); err != nil { // claims two updates, holds one and a half
+		t.Fatal(err)
+	}
+	for tick := uint64(badTick + 1); tick < badTick+20; tick++ {
+		if err := log.Append(tick, good); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The serial reference stops at the same record.
+	want := make([]byte, pObj*pObjSize)
+	if _, err := Run(a, b, want, log, func(u wal.Update) {
+		binary.LittleEndian.PutUint32(want[u.Cell*4:], u.Value)
+	}, nil); err == nil {
+		t.Fatal("serial recovery accepted the truncated batch")
+	}
+	for _, shards := range []int{1, 2, 8} {
+		slab := bytes.Repeat([]byte{0xFF}, pObj*pObjSize)
+		res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Shards: shards}))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("tick %d", badTick)) {
+			t.Fatalf("shards %d: error %v does not name tick %d", shards, err, badTick)
+		}
+		if !bytes.Equal(slab, want) {
+			t.Errorf("shards %d: slab is not the state as of the record before the undecodable one", shards)
+		}
+		for _, st := range res.Shards {
+			if st.Records != badTick-asOf-1 {
+				t.Errorf("shards %d: shard %d applied %d records, want the %d before tick %d",
+					shards, st.Shard, st.Records, badTick-asOf-1, badTick)
+			}
+		}
+	}
+}
+
+// TestRecoverParallelFreeListBound: over a 2,000-record log the replay stage
+// never has more than batchesPerShard × shards records in flight — it
+// allocates that many batches at most and recycles them — and says how many
+// it used, and where the replay stage's time went, in the result and on the
+// recovery/replay span.
+func TestRecoverParallelFreeListBound(t *testing.T) {
+	a, b := pBackup(t, disk.NewMem()), pBackup(t, disk.NewMem())
+	log := buildWorkload(t, a, t.TempDir(), 0, 2000, 23)
+	defer log.Close()
+	telemetry.Enable()
+	defer telemetry.Disable()
+	for _, shards := range []int{1, 2, 8} {
+		telemetry.ResetSpans()
+		slab := make([]byte, pObj*pObjSize)
+		res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Shards: shards}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BatchesInFlightMax < 1 || res.BatchesInFlightMax > batchesPerShard*shards {
+			t.Errorf("shards %d: %d batches in flight over %d records, bound %d",
+				shards, res.BatchesInFlightMax, res.ReplayedTicks, batchesPerShard*shards)
+		}
+		if res.DecodeBusy <= 0 || res.ApplyBusy <= 0 {
+			t.Errorf("shards %d: decode busy %v, apply busy %v", shards, res.DecodeBusy, res.ApplyBusy)
+		}
+		for _, sp := range telemetry.Spans() {
+			if sp.Name != "recovery/replay" {
+				continue
+			}
+			attrs := map[string]int64{}
+			for _, at := range sp.Attrs {
+				attrs[at.Key] = at.Int
+			}
+			if attrs["decode_ns"] != int64(res.DecodeBusy) || attrs["apply_ns"] != int64(res.ApplyBusy) ||
+				attrs["batches_in_flight_max"] != int64(res.BatchesInFlightMax) {
+				t.Errorf("shards %d: replay span %v disagrees with the result (%v, %v, %d)",
+					shards, attrs, res.DecodeBusy, res.ApplyBusy, res.BatchesInFlightMax)
+			}
+		}
+	}
+}
+
+// TestOverlapNeverNegative: with an instant restore the stages do not
+// overlap at all and rounding put the old difference below zero.
+func TestOverlapNeverNegative(t *testing.T) {
+	r := ParallelResult{Result: Result{RestoreDuration: 8, ReplayDuration: 90}, TotalDuration: 100}
+	if got := r.Overlap(); got != 0 {
+		t.Errorf("overlap %v for stages that sum below the total, want 0", got)
+	}
+	r.TotalDuration = 95
+	if got := r.Overlap(); got != 3 {
+		t.Errorf("overlap %v, want 3", got)
+	}
+}
+
+// TestRecoverParallelSplitNeedsItsHalves: Split without the bucket applier
+// or with the wrong number of cell bounds is refused up front.
+func TestRecoverParallelSplitNeedsItsHalves(t *testing.T) {
+	a, b := pBackup(t, disk.NewMem()), pBackup(t, disk.NewMem())
+	log := buildWorkload(t, a, t.TempDir(), 0, 3, 29)
+	defer log.Close()
+	slab := make([]byte, pObj*pObjSize)
+	opts := updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Shards: 2})
+	opts.CellBounds = opts.CellBounds[:1]
+	if _, err := RecoverParallel(opts); err == nil {
+		t.Error("one cell bound for two shards accepted")
+	}
+	opts = updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Shards: 2})
+	opts.ApplyUpdates = nil
+	if _, err := RecoverParallel(opts); err == nil {
+		t.Error("Split without ApplyUpdates accepted")
+	}
+}
+
+// BenchmarkReplayPipeline is the replay stage alone at the repo benchmark's
+// crash-recover shape: 640 records of 6,400 hotspot-spread updates over a
+// 40 MB table, restored from an in-memory image so the log is the work.
+func BenchmarkReplayPipeline(b *testing.B) {
+	const (
+		objects, objSize = 78_125, 512
+		cells            = objects * objSize / 4
+		records, perRec  = 640, 6400
+	)
+	a, err := disk.NewBackup(disk.NewMem(), objects, objSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bb, err := disk.NewBackup(disk.NewMem(), objects, objSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	log, err := wal.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer log.Close()
+	rng := rand.New(rand.NewSource(1))
+	batch := make([]wal.Update, perRec)
+	var buf []byte
+	for tick := uint64(0); tick < records; tick++ {
+		for i := range batch {
+			batch[i] = wal.Update{Cell: uint32(rng.Intn(cells)), Value: rng.Uint32()}
+		}
+		buf = wal.EncodeUpdates(buf[:0], batch)
+		if err := log.Append(tick, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := log.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	slab := make([]byte, objects*objSize)
+	for _, shards := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			opts := updateLog(ParallelOptions{A: a, B: bb, Slab: slab, Log: log, Shards: shards})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := RecoverParallel(opts)
+				if err != nil || res.ReplayedUpdates != records*perRec {
+					b.Fatalf("replayed %d updates: %v", res.ReplayedUpdates, err)
+				}
+			}
+			b.ReportMetric(float64(b.N)*records*perRec/b.Elapsed().Seconds(), "updates/s")
 		})
 	}
 }

@@ -17,10 +17,14 @@ import (
 // batch codec it wraps, so the engine's record framing and the cluster's
 // message store agree on the bytes byte-for-byte.
 
+// MessageHeaderLen is the length of the origin header (u32 node, u64 tick)
+// in front of a message's update batch.
+const MessageHeaderLen = 12
+
 // EncodeMessage appends the message encoding to buf and returns it: the
 // origin node, the origin tick, then the update batch in EncodeUpdates form.
 func EncodeMessage(buf []byte, origin uint32, originTick uint64, updates []Update) []byte {
-	var hdr [12]byte
+	var hdr [MessageHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], origin)
 	binary.LittleEndian.PutUint64(hdr[4:], originTick)
 	buf = append(buf, hdr[:]...)
@@ -30,11 +34,11 @@ func EncodeMessage(buf []byte, origin uint32, originTick uint64, updates []Updat
 // DecodeMessage parses a payload encoded by EncodeMessage, appending the
 // update batch to dst.
 func DecodeMessage(dst []Update, payload []byte) (origin uint32, originTick uint64, updates []Update, err error) {
-	if len(payload) < 12 {
-		return 0, 0, dst, fmt.Errorf("wal: message payload %d bytes, want >= 12", len(payload))
+	if len(payload) < MessageHeaderLen {
+		return 0, 0, dst, fmt.Errorf("wal: message payload %d bytes, want >= %d", len(payload), MessageHeaderLen)
 	}
 	origin = binary.LittleEndian.Uint32(payload[0:])
 	originTick = binary.LittleEndian.Uint64(payload[4:])
-	updates, err = DecodeUpdates(dst, payload[12:])
+	updates, err = DecodeUpdates(dst, payload[MessageHeaderLen:])
 	return origin, originTick, updates, err
 }

@@ -168,7 +168,7 @@ type ParallelRecoveryResult = recovery.ParallelResult
 func OpenEngine(opts EngineOptions) (*Engine, error) { return engine.Open(opts) }
 
 // RecoverEngine is OpenEngine through the sharded parallel recovery
-// pipeline: per-shard vectored restore overlapped with shard-filtered log
+// pipeline: per-shard vectored restore overlapped with per-shard log
 // replay, gated by per-shard restore watermarks.
 func RecoverEngine(opts EngineOptions) (*Engine, ParallelRecoveryResult, error) {
 	return engine.RecoverFrom(opts)
