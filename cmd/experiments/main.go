@@ -13,8 +13,8 @@
 // the flag and the dispatcher cannot drift apart. Output is printed as
 // aligned text tables; -out additionally writes CSV files per figure.
 //
-// -shards N runs the fig6 validation engine sharded (N apply workers and
-// checkpoint flushers); the sharding and recoverytime experiments sweep
+// -shards N runs the fig6 validation engine sharded (N checkpoint
+// flushers); the sharding and recoverytime experiments sweep
 // shard counts regardless. -recovery-log-ticks trims the recoverytime
 // log-length axis (CI smoke uses a single tiny value). failovertime builds
 // a live primary→standby replication pair per point and reports warm

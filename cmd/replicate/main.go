@@ -121,7 +121,7 @@ func runPrimary(opts repro.EngineOptions, listen string, updates, ticks, tickMs,
 		for i := range batch {
 			batch[i] = repro.Update{Cell: uint32(rng.Intn(cells)), Value: rng.Uint32()}
 		}
-		if err := e.ApplyTickParallel(batch); err != nil {
+		if err := e.ApplyTick(batch); err != nil {
 			log.Fatal(err)
 		}
 		if tickMs > 0 {

@@ -54,7 +54,7 @@ func main() {
 	}
 	const warmTicks, liveTicks = 120, 80
 	for tick := 0; tick < warmTicks; tick++ {
-		if err := primary.ApplyTickParallel(batch(tick)); err != nil {
+		if err := primary.ApplyTick(batch(tick)); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -85,7 +85,7 @@ func main() {
 	// Step 3: the primary keeps serving; every tick streams to the standby
 	// within the replay-lag budget.
 	for tick := warmTicks; tick < warmTicks+liveTicks; tick++ {
-		if err := primary.ApplyTickParallel(batch(tick)); err != nil {
+		if err := primary.ApplyTick(batch(tick)); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -131,7 +131,7 @@ func main() {
 		takeover.Round(time.Microsecond), coldTime.Round(time.Microsecond))
 
 	// The promoted engine serves immediately.
-	if err := promoted.ApplyTickParallel(batch(int(promoted.NextTick()))); err != nil {
+	if err := promoted.ApplyTick(batch(int(promoted.NextTick()))); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("promoted engine is ticking — failover complete")

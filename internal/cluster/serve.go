@@ -80,7 +80,7 @@ func ServeNode(conn net.Conn, e *engine.Engine) error {
 			if updates, err = wal.DecodeUpdates(updates[:0], body[9:]); err != nil {
 				return fail(err)
 			}
-			if err := e.ApplyTickParallel(updates); err != nil {
+			if err := e.ApplyTick(updates); err != nil {
 				return fail(err)
 			}
 			if err := c.SendU64(cmdTickOK, tick); err != nil {

@@ -45,7 +45,7 @@ func (w *TickWriter) Set(cell uint32, value uint32) {
 	if w.hi > 0 && (int(obj) < w.lo || int(obj) >= w.hi) {
 		return
 	}
-	w.e.cp.onUpdate(obj)
+	w.e.cp.onWord(obj>>6, 1<<(uint(obj)&63))
 	w.e.store.SetCell(cell, value)
 	w.applied++
 }

@@ -69,6 +69,7 @@ type CPStats struct {
 	Checkpoints  atomic.Int64
 	BytesWritten atomic.Int64
 	Copies       atomic.Int64 // copy-on-update pre-image copies
+	Locks        atomic.Int64 // apply-path stripe locks (the paper's Olock): one per object per checkpoint
 	PauseTotal   atomic.Int64 // nanoseconds
 	PauseMax     atomic.Int64 // nanoseconds
 	// PauseBytes counts the bytes copied synchronously inside the pauses:
@@ -90,13 +91,14 @@ func (s *CPStats) recordPause(d time.Duration) {
 
 // checkpointer is the engine-side counterpart of the simulator's algorithm
 // interface — the paper's Checkpointing Algorithmic Framework (Section 3,
-// Table 1). onUpdate runs on the apply path before each object write — on
-// the mutator goroutine, or on the shard's apply worker under
-// ApplyTickParallel (never two goroutines for the same shard). endTick runs
-// on the coordinating goroutine at tick boundaries, after all apply workers
-// have joined.
+// Table 1). onWord is the one update hook: the objects of bitmap word w
+// named by mask (object w<<6+i for bit i) are about to be written. It runs on
+// the mutator goroutine — the one holding the tick mutex — before the first
+// store of the caller's batch reaches any of them: once per touched word per
+// applyBatch, with one bit from TickWriter.Set and whole-word masks from
+// installObjects. endTick runs on the same goroutine at tick boundaries.
 type checkpointer interface {
-	onUpdate(obj int32)
+	onWord(w int32, mask uint64)
 	// endTick may begin a checkpoint; it returns the synchronous pause.
 	endTick(tick uint64) time.Duration
 	// completed returns the channel of the writer's reports, one per
@@ -140,7 +142,7 @@ func newNop() *nopCheckpointer {
 	return &nopCheckpointer{done: make(chan cpEvent)}
 }
 
-func (n *nopCheckpointer) onUpdate(int32) {}
+func (n *nopCheckpointer) onWord(int32, uint64) {}
 func (n *nopCheckpointer) bootstrap(uint64) (cpEvent, bool, error) {
 	return cpEvent{}, false, nil
 }
@@ -152,7 +154,7 @@ func (n *nopCheckpointer) err() error                   { return nil }
 func (n *nopCheckpointer) degraded() bool               { return false }
 
 // strategy is what Table 1 says differs between the methods: the update
-// handler (checkpointer.onUpdate, the one method of that interface a
+// handler (checkpointer.onWord, the one method of that interface a
 // strategy implements itself), the synchronous step at the quiescent tick
 // end, and what the asynchronous writer puts on disk. Everything else is the
 // embedded coordinator's.
@@ -213,7 +215,7 @@ type cpJob struct {
 // double-backup rotation and epoch, the degrade rule, the in-flight gate,
 // the endTick frame, the single writer goroutine and the image-commit
 // protocol. A method embeds it by value and adds only its strategy hooks, so
-// onUpdate stays a direct method of the concrete type — one interface call
+// onWord stays a direct method of the concrete type — one interface call
 // from the apply loop.
 //
 // Commit protocol: an image is invalidated by an incomplete header before
@@ -266,7 +268,7 @@ func (c *coordinator) endTick(tick uint64) time.Duration {
 	c.epoch++
 	c.cur = target ^ 1
 	// Raised after the cut: whatever the cut published (write set, rewound
-	// cursors) is in place before any onUpdate can observe the new flush.
+	// cursors) is in place before any onWord can observe the new flush.
 	c.inFlight.Store(true)
 	c.jobs <- cpJob{epoch: c.epoch, tick: tick, backup: target, begin: begin, pause: pause}
 	return pause
@@ -458,12 +460,10 @@ func (d *dirtyMaps) init(n int) {
 	}
 }
 
-// mark dirties obj for both backups and returns its bitmap word and mask.
-func (d *dirtyMaps) mark(obj int32) (w int32, m uint64) {
-	w, m = obj>>6, uint64(1)<<(uint(obj)&63)
-	d.dirty[0][w] |= m
-	d.dirty[1][w] |= m
-	return w, m
+// mark dirties the objects of word w named by mask for both backups.
+func (d *dirtyMaps) mark(w int32, mask uint64) {
+	d.dirty[0][w] |= mask
+	d.dirty[1][w] |= mask
 }
 
 func trimTail(words []uint64, n int) {

@@ -37,13 +37,14 @@ type Options struct {
 	// harness); aggregates are always kept.
 	KeepTickStats bool
 	// Shards partitions the object space into contiguous ranges, each with
-	// its own dirty bitmaps, pre-image side buffer slice, stripe locks and
-	// checkpoint flusher. ApplyTickParallel fans tick updates out across
-	// one apply worker per shard, and checkpoints flush all shards
-	// concurrently. 0 uses GOMAXPROCS; the count is rounded down to a
-	// power of two and small states fold to fewer shards (Shards reports
-	// the effective count). 1 reproduces the paper's single-mutator,
-	// single-writer engine exactly.
+	// its own slice of the dirty bitmaps and pre-image side buffer, its own
+	// stripe locks, flush cursor and checkpoint flusher: checkpoints flush,
+	// and recovery restores and replays, all shards concurrently. A tick is
+	// applied by its one mutator goroutine whatever the count (see
+	// applyBatch). 0 uses GOMAXPROCS; the count is rounded down to a power
+	// of two and small states fold to fewer shards (Shards reports the
+	// effective count). 1 reproduces the paper's single-writer engine
+	// exactly.
 	Shards int
 	// DeviceFactory overrides how backup devices are opened (fault
 	// injection in tests). Nil uses regular files.
@@ -80,7 +81,6 @@ type Engine struct {
 	log    *wal.Log
 	walDir string
 	plan   shardPlan
-	pool   *applyPool // nil when the plan has a single shard
 
 	// tickMu serializes the mutator paths (ApplyTick, ApplyActionTick,
 	// IngestReplicated) against the replication snapshot handoff, so
@@ -98,6 +98,11 @@ type Engine struct {
 	tick      uint64
 	encBuf    []byte
 	ingestBuf []wal.Update
+	// bucket and off are applyBatch's reused counting-sort buffers: the
+	// tick's updates in bitmap-word order, and word w's segment bounds
+	// off[w]:off[w+1].
+	bucket    []wal.Update
+	off       []int32
 	stats     Stats
 	prevAsOf  uint64
 	havePrev  bool
@@ -155,7 +160,10 @@ func open(opts Options, parallel bool, peer *RecoverSource, tail func() (recover
 	if err != nil {
 		return nil, pres, err
 	}
-	e := &Engine{opts: opts, store: store, plan: makeShardPlan(store.NumObjects(), opts.Shards)}
+	e := &Engine{
+		opts: opts, store: store, plan: makeShardPlan(store.NumObjects(), opts.Shards),
+		off: make([]int32, (store.NumObjects()+63)/64+2),
+	}
 	telDegraded.Set(0)
 
 	var devs [2]disk.Device
@@ -341,9 +349,6 @@ func open(opts Options, parallel bool, peer *RecoverSource, tail func() (recover
 
 	e.cp = newCheckpointer(opts.Mode, store, backups, startEpoch, firstBackup, e.plan)
 	e.cpEpoch.Store(startEpoch)
-	if e.plan.count() > 1 {
-		e.pool = newApplyPool(e.plan.count(), e.applyShard)
-	}
 	return e, pres, nil
 }
 
@@ -355,20 +360,6 @@ func (e *Engine) CheckpointEpoch() uint64 { return e.cpEpoch.Load() }
 
 // Shards returns the effective shard count of the engine's partition.
 func (e *Engine) Shards() int { return e.plan.count() }
-
-// applyShard is one worker's share of a parallel tick: apply every update
-// whose object falls in shard s's range, in batch order.
-func (e *Engine) applyShard(s int, batch []wal.Update) {
-	lo, hi := e.plan.objRange(s)
-	for _, u := range batch {
-		obj := e.store.ObjectOf(u.Cell)
-		if int(obj) < lo || int(obj) >= hi {
-			continue
-		}
-		e.cp.onUpdate(obj)
-		e.store.SetCell(u.Cell, u.Value)
-	}
-}
 
 // Recovery returns the outcome of the recovery performed by Open.
 func (e *Engine) Recovery() recovery.Result { return e.recovered }
@@ -387,19 +378,6 @@ func (e *Engine) Table() gamestate.Table { return e.opts.Table }
 // discrete-event simulation loop's integration point: call it exactly once
 // per game tick, from one goroutine.
 func (e *Engine) ApplyTick(updates []wal.Update) error {
-	return e.applyTick(updates, false)
-}
-
-// ApplyTickParallel is ApplyTick with the update batch fanned out across
-// the engine's shard workers: each worker applies the updates whose objects
-// fall in its shard, so the apply phase uses every shard's core with zero
-// cross-shard contention. Call it like ApplyTick — once per game tick, from
-// one coordinating goroutine. With a single-shard plan it is ApplyTick.
-func (e *Engine) ApplyTickParallel(updates []wal.Update) error {
-	return e.applyTick(updates, true)
-}
-
-func (e *Engine) applyTick(updates []wal.Update, parallel bool) error {
 	e.tickMu.Lock()
 	defer e.tickMu.Unlock()
 	return e.commit(false, 1,
@@ -407,11 +385,13 @@ func (e *Engine) applyTick(updates []wal.Update, parallel bool) error {
 			e.encBuf = wal.EncodeUpdates(append(e.encBuf[:0], recUpdates), updates)
 			return e.encBuf
 		},
-		func() (int64, error) {
-			e.applyBatch(updates, parallel)
-			return int64(len(updates)), nil
-		})
+		func() (int64, error) { return e.applyBatch(updates), nil })
 }
+
+// ApplyTickParallel is ApplyTick: the per-shard apply pool it once selected
+// lost to the inline bucketed apply on the hosts measured (DESIGN.md,
+// "Sharding layout"), and the name survives for the repository benchmark.
+func (e *Engine) ApplyTickParallel(updates []wal.Update) error { return e.ApplyTick(updates) }
 
 // guard is the precondition every mutation of the engine shares: open, on
 // the right side of Promote (standby names the side the caller serves), and
@@ -489,18 +469,58 @@ func (e *Engine) commit(standby bool, nrec int, record func(i int) []byte, apply
 	return nil
 }
 
-// applyBatch applies one update batch through the checkpointer: fanned out
-// across the shard workers when parallel is set and the plan has more than
-// one shard, inline on the calling goroutine otherwise.
-func (e *Engine) applyBatch(updates []wal.Update, parallel bool) {
-	if parallel && e.pool != nil {
-		e.pool.run(updates)
-		return
-	}
+// applyBatch applies one update batch through the checkpointer and returns
+// the number of cells written. It buckets the batch once, by a stable counting
+// sort on bitmap word (64 objects: the grain of the dirty maps, the shard
+// plan, the router and the gateway fan-out), then per touched word tells the
+// checkpointer which objects are about to change — one onWord call — and
+// writes the word's segment, so the stores walk the slab in address order.
+// Stability keeps the batch order of writes to any one cell: the slab ends
+// byte-identical to applying the batch update by update. An update whose
+// cell lies past the table is written nowhere and not counted, exactly as
+// replay drops it (wal.SplitUpdates' last bound).
+func (e *Engine) applyBatch(updates []wal.Update) int64 {
+	cpo := e.store.cellsPerObj
+	cpw := 64 * cpo
+	limit := uint32(len(e.store.slab) / 4)
+	// Count at word+2, so that after the prefix sum off[w+1] is where word w
+	// starts; placing through off[w+1]++ then leaves off[w] at word w's start.
+	off := e.off
+	clear(off)
 	for _, u := range updates {
-		e.cp.onUpdate(e.store.ObjectOf(u.Cell))
-		e.store.SetCell(u.Cell, u.Value)
+		if u.Cell < limit {
+			off[u.Cell/cpw+2]++
+		}
 	}
+	for w := 2; w < len(off); w++ {
+		off[w] += off[w-1]
+	}
+	if cap(e.bucket) < len(updates) {
+		e.bucket = make([]wal.Update, len(updates))
+	}
+	bucket := e.bucket[:len(updates)]
+	for _, u := range updates {
+		if u.Cell < limit {
+			at := &off[u.Cell/cpw+1]
+			bucket[*at] = u
+			*at++
+		}
+	}
+	for w := 0; w < len(off)-2; w++ {
+		seg := bucket[off[w]:off[w+1]]
+		if len(seg) == 0 {
+			continue
+		}
+		var mask uint64
+		for _, u := range seg {
+			mask |= 1 << (u.Cell / cpo & 63)
+		}
+		e.cp.onWord(int32(w), mask)
+		for _, u := range seg {
+			e.store.SetCell(u.Cell, u.Value)
+		}
+	}
+	return int64(off[len(off)-1])
 }
 
 // drainCompleted consumes the checkpoint writer's pending reports. nextTick
@@ -631,9 +651,6 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.closed = true
-	if e.pool != nil {
-		e.pool.close()
-	}
 	cpErr := e.cp.close()
 	// Book completions that landed during shutdown; no record follows them,
 	// so the log is left as it is.

@@ -14,7 +14,7 @@ import (
 // nodes emitted at earlier ticks and scheduled for this one. Each piece is an
 // Envelope, and ApplyTickEnvelopes logs one record per envelope — the world
 // input as a plain update record (byte-identical to ApplyTick's, so a
-// world without messages writes the same log ApplyTickParallel would) and each
+// world without messages writes the same log ApplyTick would) and each
 // message as a recMessage record carrying its origin node and origin tick.
 // That origin stamp is the message logging the cluster's recovery is built
 // on: the destination's log proves exactly which messages were delivered and
@@ -66,9 +66,7 @@ func DecodeEnvelopeRecord(body []byte) (Envelope, error) {
 
 // ApplyTickEnvelopes applies one tick given as a list of envelopes: every
 // envelope is logged (in order — replay order is log order), then applied in
-// the same order. The world-input envelope applies through the shard pool
-// when the engine has one; message batches are typically tiny and apply
-// inline. Call it like ApplyTick — once per tick, from one goroutine.
+// the same order. Call it like ApplyTick — once per tick, from one goroutine.
 func (e *Engine) ApplyTickEnvelopes(envs []Envelope) error {
 	e.tickMu.Lock()
 	defer e.tickMu.Unlock()
@@ -80,8 +78,7 @@ func (e *Engine) ApplyTickEnvelopes(envs []Envelope) error {
 		func() (int64, error) {
 			var applied int64
 			for _, env := range envs {
-				e.applyBatch(env.Updates, env.Origin < 0)
-				applied += int64(len(env.Updates))
+				applied += e.applyBatch(env.Updates)
 			}
 			return applied, nil
 		})

@@ -103,13 +103,15 @@ func (e *Engine) install(standby bool, body []byte, lo, hi int, data []byte) err
 }
 
 // installObjects copies object bytes into the slab through the
-// checkpointer, one onUpdate per object before its bytes change, so an
-// in-flight copy-on-update flush still sees consistent pre-images.
+// checkpointer, one onWord per bitmap word before its objects' bytes change,
+// so an in-flight copy-on-update flush still sees consistent pre-images.
 func (e *Engine) installObjects(lo, hi int, data []byte) {
 	sz := e.store.ObjSize()
-	for obj := lo; obj < hi; obj++ {
-		e.cp.onUpdate(int32(obj))
-		copy(e.store.ObjectBytes(obj), data[(obj-lo)*sz:(obj-lo+1)*sz])
+	for at := lo; at < hi; {
+		end := min((at|63)+1, hi)
+		e.cp.onWord(int32(at>>6), (^uint64(0)>>uint(64-(end-at)))<<uint(at&63))
+		copy(e.store.SlabRange(at, end), data[(at-lo)*sz:(end-lo)*sz])
+		at = end
 	}
 }
 

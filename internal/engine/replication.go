@@ -263,10 +263,7 @@ func (e *Engine) IngestReplicated(tick uint64, body []byte) error {
 		if e.ingestBuf, err = wal.DecodeUpdates(e.ingestBuf[:0], payload); err != nil {
 			return fmt.Errorf("engine: replicated tick %d: %w", tick, err)
 		}
-		apply = func() (int64, error) {
-			e.applyBatch(e.ingestBuf, true)
-			return int64(len(e.ingestBuf)), nil
-		}
+		apply = func() (int64, error) { return e.applyBatch(e.ingestBuf), nil }
 	case recAction:
 		if e.opts.ReplayAction == nil {
 			return fmt.Errorf("engine: replicated action tick %d but no ReplayAction was provided", tick)

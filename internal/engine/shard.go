@@ -4,16 +4,19 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
-
-	"repro/internal/wal"
 )
 
 // The sharded engine partitions the object space into contiguous,
 // word-aligned, power-of-two-sized ranges. Each shard owns its slice of the
 // dirty bitmaps, the pre-image side buffer, the stripe locks and a flush
-// cursor, so S apply workers and S checkpoint flushers run with zero
-// cross-shard contention: no two shards ever touch the same bitmap word,
-// slab byte, or backup region. See DESIGN.md ("Sharding layout").
+// cursor, so S checkpoint flushers — and S restore readers and replay
+// appliers at recovery — run with zero cross-shard contention: no two shards
+// ever touch the same bitmap word, slab byte, or backup region. The live tick
+// is applied by its one mutator goroutine, which partitions the batch itself,
+// serially, at the bitmap-word grain (Engine.applyBatch): a per-shard apply
+// pool that had every worker scan and filter the whole batch was measured
+// slower than that at two cores and deleted. See DESIGN.md ("Sharding
+// layout").
 
 // shardPlan describes the partition. perShard is a power of two and a
 // multiple of 64 (one bitmap word), so shardOf is a shift and every shard's
@@ -91,48 +94,4 @@ func (p shardPlan) eachShard(fn func(s, lo, hi int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// applyPool is the engine's set of persistent tick-apply workers: one per
-// shard, each applying only the updates whose object falls in its range.
-// Every worker scans the whole batch and filters — the scan parallelizes
-// with the workers, where a serial partitioning pass would not, and updates
-// to the same cell keep their batch order because one shard sees them all.
-type applyPool struct {
-	work  []chan []wal.Update
-	round sync.WaitGroup
-}
-
-// newApplyPool starts one worker per shard running apply(shard, batch).
-func newApplyPool(shards int, apply func(shard int, batch []wal.Update)) *applyPool {
-	p := &applyPool{work: make([]chan []wal.Update, shards)}
-	for i := range p.work {
-		ch := make(chan []wal.Update, 1)
-		p.work[i] = ch
-		go func(shard int, ch <-chan []wal.Update) {
-			for batch := range ch {
-				apply(shard, batch)
-				p.round.Done()
-			}
-		}(i, ch)
-	}
-	return p
-}
-
-// run fans one batch out to every worker and blocks until all have applied
-// their share. The WaitGroup join is the happens-before edge that lets the
-// coordinator read the shards' dirty bitmaps in endTick without locks.
-func (p *applyPool) run(batch []wal.Update) {
-	p.round.Add(len(p.work))
-	for _, ch := range p.work {
-		ch <- batch
-	}
-	p.round.Wait()
-}
-
-// close stops the workers. run must not be called afterwards.
-func (p *applyPool) close() {
-	for _, ch := range p.work {
-		close(ch)
-	}
 }

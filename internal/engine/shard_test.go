@@ -3,11 +3,9 @@ package engine
 import (
 	"bytes"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"time"
 
-	"repro/internal/disk"
 	"repro/internal/gamestate"
 )
 
@@ -60,8 +58,8 @@ func TestShardPlanGeometry(t *testing.T) {
 	}
 }
 
-// TestShardedGracefulRecovery is TestGracefulRecoveryEquivalence across the
-// parallel apply path and shard counts.
+// TestShardedGracefulRecovery is TestGracefulRecoveryEquivalence across
+// shard counts.
 func TestShardedGracefulRecovery(t *testing.T) {
 	for _, mode := range []Mode{ModeNaiveSnapshot, ModeCopyOnUpdate, ModeAtomicCopy} {
 		for _, shards := range []int{1, 4} {
@@ -82,7 +80,7 @@ func TestShardedGracefulRecovery(t *testing.T) {
 				for i := 0; i < ticks; i++ {
 					batch := randomBatch(rng, tab.NumCells(), 50)
 					ref.apply(batch)
-					if err := e.ApplyTickParallel(batch); err != nil {
+					if err := e.ApplyTick(batch); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -121,7 +119,7 @@ func TestShardedAbruptCrash(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		batch := randomBatch(rng, tab.NumCells(), 40)
 		ref.apply(batch)
-		if err := e.ApplyTickParallel(batch); err != nil {
+		if err := e.ApplyTick(batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,9 +140,9 @@ func TestShardedAbruptCrash(t *testing.T) {
 
 // TestShardedImageConsistency is the COU tick-consistency guarantee under
 // the 4-shard parallel flush: the image on disk must be byte-exact as of
-// the checkpoint's start tick even though apply workers keep updating hot
-// cells throughout the chunked, throttled flush — and the pre-image copy
-// path must actually engage.
+// the checkpoint's start tick even though the ticks keep updating hot cells
+// throughout the chunked, throttled flush — and the pre-image copy path must
+// actually engage.
 func TestShardedImageConsistency(t *testing.T) {
 	dir := t.TempDir()
 	tab := shardTable()
@@ -168,7 +166,7 @@ func TestShardedImageConsistency(t *testing.T) {
 		// Heavy traffic on a hot range plus scattered cold updates.
 		batch := randomBatch(rng, 2048, 60)
 		batch = append(batch, randomBatch(rng, tab.NumCells(), 30)...)
-		if err := e.ApplyTickParallel(batch); err != nil {
+		if err := e.ApplyTick(batch); err != nil {
 			t.Fatal(err)
 		}
 		history[uint64(i)] = append([]byte(nil), e.Store().Slab()...)
@@ -185,39 +183,7 @@ func TestShardedImageConsistency(t *testing.T) {
 		t.Error("no pre-image copies despite updates racing the parallel flush")
 	}
 
-	for _, name := range []string{"backup-a.img", "backup-b.img"} {
-		dev, err := disk.OpenFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := disk.NewBackup(dev, tab.NumObjects(), tab.ObjSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := b.ReadHeader()
-		if err != nil || !h.Complete {
-			dev.Close()
-			continue
-		}
-		want, ok := history[h.AsOfTick]
-		if !ok {
-			dev.Close()
-			t.Fatalf("image as-of tick %d has no snapshot", h.AsOfTick)
-		}
-		got := make([]byte, tab.StateBytes())
-		if err := b.ReadInto(got); err != nil {
-			t.Fatal(err)
-		}
-		dev.Close()
-		if !bytes.Equal(got, want) {
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("image %s (as of tick %d) differs at byte %d (object %d)",
-						name, h.AsOfTick, i, i/tab.ObjSize)
-				}
-			}
-		}
-	}
+	checkImagesAgainstHistory(t, dir, history)
 }
 
 // TestShardCountsProduceIdenticalImages is the cross-shard determinism
@@ -236,7 +202,7 @@ func TestShardCountsProduceIdenticalImages(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := 0; i < 60; i++ {
-					if err := e.ApplyTickParallel(randomBatch(rng, tab.NumCells(), 45)); err != nil {
+					if err := e.ApplyTick(randomBatch(rng, tab.NumCells(), 45)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -254,41 +220,6 @@ func TestShardCountsProduceIdenticalImages(t *testing.T) {
 				t.Fatal("recovered images differ between 1-shard and 4-shard engines")
 			}
 		})
-	}
-}
-
-// TestParallelApplyMatchesSerial: the fan-out apply must produce the same
-// slab as the serial mutator for identical batches.
-func TestParallelApplyMatchesSerial(t *testing.T) {
-	tab := shardTable()
-	serial, err := Open(Options{Table: tab, Mode: ModeCopyOnUpdate, InMemory: true, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer serial.Close()
-	par, err := Open(Options{Table: tab, Mode: ModeCopyOnUpdate, InMemory: true, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer par.Close()
-
-	rng := rand.New(rand.NewSource(36))
-	for i := 0; i < 40; i++ {
-		batch := randomBatch(rng, tab.NumCells(), 200)
-		// Duplicate some cells so batch-order semantics are exercised.
-		batch = append(batch, batch[:20]...)
-		for j := range batch[len(batch)-20:] {
-			batch[len(batch)-20+j].Value = rng.Uint32()
-		}
-		if err := serial.ApplyTick(batch); err != nil {
-			t.Fatal(err)
-		}
-		if err := par.ApplyTickParallel(batch); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(serial.Store().Slab(), par.Store().Slab()) {
-			t.Fatalf("slabs diverge after tick %d", i)
-		}
 	}
 }
 
@@ -342,7 +273,7 @@ func TestShardedWritesOnlyDirty(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	// Touch only the first 512 cells (4 objects) repeatedly.
 	for i := 0; i < 200; i++ {
-		if err := e.ApplyTickParallel(randomBatch(rng, 512, 50)); err != nil {
+		if err := e.ApplyTick(randomBatch(rng, 512, 50)); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(100 * time.Microsecond)

@@ -72,7 +72,7 @@ func (s *Store) ObjectBytes(obj int) []byte {
 }
 
 // SlabRange returns the slab bytes backing objects [lo, hi) — the unit a
-// shard's apply worker owns and its checkpoint flusher stages and writes.
+// shard's checkpoint flusher stages and writes.
 func (s *Store) SlabRange(lo, hi int) []byte {
 	sz := s.table.ObjSize
 	return s.slab[lo*sz : hi*sz]

@@ -20,7 +20,7 @@ type naiveCP struct {
 	shadow []byte
 }
 
-func (c *naiveCP) onUpdate(int32) {}
+func (c *naiveCP) onWord(int32, uint64) {}
 
 // cut is the quiescent eager copy of the full state: the pause.
 func (c *naiveCP) cut(int) int64 {
@@ -59,11 +59,11 @@ type couShard struct {
 // Concurrency protocol:
 //   - writeSet is published by cut with atomic stores before the job is
 //     sent (the channel send is the happens-before edge) and read with
-//     atomic loads by onUpdate and the shard flushers while in flight.
+//     atomic loads by onWord and the shard flushers while in flight.
 //   - handled bits are set by the apply path and read by the flushers using
 //     atomic word operations, under the object's stripe lock.
 //   - each shard's cursor publishes its flusher's progress: every write-set
-//     object below it has been staged. onUpdate skips the pre-image copy
+//     object below it has been staged. onWord skips the pre-image copy
 //     for those. The flusher stages at most one chunk ahead of device I/O
 //     (see flushChunk), so the cursor tracks real write progress.
 //   - side holds pre-images; slots are written by the apply path and read
@@ -121,31 +121,43 @@ func flushChunk(plan shardPlan, objSize int) int {
 	return c
 }
 
-func (c *couCP) onUpdate(obj int32) {
-	w, m := c.mark(obj)
+// onWord dirties the word's objects and, while a flush is in flight, saves
+// the pre-image of each one the image still needs and has no pre-image of.
+// handled is written only on the mutator goroutine (set here, cleared by
+// cut), so the unlocked read below is exact and the stripe lock is taken once
+// per object per checkpoint — the paper's Olock on first touch — never again
+// for an object whose pre-image is already in the side buffer.
+func (c *couCP) onWord(w int32, mask uint64) {
+	c.mark(w, mask)
 	if !c.inFlight.Load() {
 		return
 	}
-	if atomic.LoadUint64(&c.writeSet[w])&m == 0 {
-		return // not part of the in-flight image
+	need := mask & atomic.LoadUint64(&c.writeSet[w]) &^ atomic.LoadUint64(&c.handled[w])
+	if need == 0 {
+		return // nothing here is part of the in-flight image and unsaved
 	}
-	sh := &c.shards[c.plan.shardOf(obj)]
-	if sh.cursor.Load() > int64(obj) {
-		return // shard flusher already staged this object
+	sh := &c.shards[c.plan.shardOf(w<<6)]
+	sz := c.store.ObjSize()
+	for ; need != 0; need &= need - 1 {
+		bit := bits.TrailingZeros64(need)
+		obj, m := int(w)<<6+bit, uint64(1)<<uint(bit)
+		if sh.cursor.Load() > int64(obj) {
+			continue // shard flusher already staged this object
+		}
+		mu := &sh.locks[(obj-sh.lo)&(couStripes-1)]
+		mu.Lock()
+		c.st.Locks.Add(1)
+		if atomic.LoadUint64(&c.handled[w])&m == 0 && sh.cursor.Load() <= int64(obj) {
+			// First update of a not-yet-flushed write-set object: save the
+			// checkpoint-consistent pre-image.
+			copy(c.side[obj*sz:(obj+1)*sz], c.store.ObjectBytes(obj))
+			orUint64(&c.handled[w], m)
+			c.st.Copies.Add(1)
+			telCopies.Inc()
+			telCopyBytes.Add(uint64(sz))
+		}
+		mu.Unlock()
 	}
-	mu := &sh.locks[(int(obj)-sh.lo)&(couStripes-1)]
-	mu.Lock()
-	if atomic.LoadUint64(&c.handled[w])&m == 0 && sh.cursor.Load() <= int64(obj) {
-		// First update of a not-yet-flushed write-set object: save the
-		// checkpoint-consistent pre-image.
-		sz := c.store.ObjSize()
-		copy(c.side[int(obj)*sz:(int(obj)+1)*sz], c.store.ObjectBytes(int(obj)))
-		orUint64(&c.handled[w], m)
-		c.st.Copies.Add(1)
-		telCopies.Inc()
-		telCopyBytes.Add(uint64(sz))
-	}
-	mu.Unlock()
 }
 
 // orUint64 atomically ORs mask into *addr.
@@ -179,7 +191,7 @@ func (c *couCP) cut(target int) int64 {
 		trimTail(c.writeSet, c.store.NumObjects())
 	}
 	// Publication order matters: every shard cursor is rewound before the
-	// coordinator raises inFlight, so no onUpdate can observe the new flush
+	// coordinator raises inFlight, so no onWord can observe the new flush
 	// with a stale end-of-previous-flush cursor and skip a needed pre-image
 	// copy.
 	for s := range c.shards {
@@ -256,7 +268,7 @@ func newAtomicCopy(store *Store) *atomicCP {
 	return c
 }
 
-func (c *atomicCP) onUpdate(obj int32) { c.mark(obj) }
+func (c *atomicCP) onWord(w int32, mask uint64) { c.mark(w, mask) }
 
 // cut is the eager copy: every object dirty for the target moves to the side
 // buffer during the natural quiescence at the end of the tick, in parallel

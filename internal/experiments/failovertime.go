@@ -207,7 +207,7 @@ func failoverPoint(s Scale, seed int64, updates, lag, shards, logTicks int,
 	}
 	row.Effective = p.Shards()
 	for t := 0; t < failoverWarmTicks; t++ {
-		if err := p.ApplyTickParallel(tickBatch(t)); err != nil {
+		if err := p.ApplyTick(tickBatch(t)); err != nil {
 			p.Close()
 			return row, err
 		}
@@ -263,7 +263,7 @@ func failoverPoint(s Scale, seed int64, updates, lag, shards, logTicks int,
 	}
 	start := int(p.NextTick())
 	for t := 0; t < logTicks; t++ {
-		if err := p.ApplyTickParallel(tickBatch(start + t)); err != nil {
+		if err := p.ApplyTick(tickBatch(start + t)); err != nil {
 			return fail(err)
 		}
 	}

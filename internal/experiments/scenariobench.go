@@ -341,7 +341,7 @@ func benchApplyLeg(table gamestate.Table, src workload.Source, mode engine.Mode,
 		for t := 0; t < ticks; t++ {
 			cells, batch = scenarioTick(src, t, cells, batch)
 			counts[t] = len(batch)
-			if err := e.ApplyTickParallel(batch); err != nil {
+			if err := e.ApplyTick(batch); err != nil {
 				e.Close()
 				return 0, 0, 0, 0, err
 			}
@@ -419,7 +419,7 @@ func scenarioBenchCell(table gamestate.Table, src workload.Source, ref []byte,
 	cell.Effective = p.Shards()
 	for t := 0; t < opts.WarmTicks; t++ {
 		cells, batch = scenarioTick(src, t, cells, batch)
-		if err := p.ApplyTickParallel(batch); err != nil {
+		if err := p.ApplyTick(batch); err != nil {
 			p.Close()
 			return cell, err
 		}
@@ -473,7 +473,7 @@ func scenarioBenchCell(table gamestate.Table, src workload.Source, ref []byte,
 	start := int(p.NextTick())
 	for t := 0; t < opts.LiveTicks; t++ {
 		cells, batch = scenarioTick(src, start+t, cells, batch)
-		if err := p.ApplyTickParallel(batch); err != nil {
+		if err := p.ApplyTick(batch); err != nil {
 			return fail(err)
 		}
 	}

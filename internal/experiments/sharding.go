@@ -10,19 +10,21 @@ import (
 	"repro/internal/wal"
 )
 
-// The shard-scaling experiment measures the two halves the sharded engine
-// parallelizes — tick apply and checkpoint flush — as the shard count
-// grows. It is the engine-level counterpart of the multiserver extension:
-// instead of partitioning players across servers, it partitions the object
-// space across cores, the direction the scalable-state-management surveys
+// The shard-scaling experiment measures the sharded engine's two tick-side
+// costs as the shard count grows: tick apply, which one mutator goroutine
+// runs whatever the count (the column shows what the partition's bookkeeping
+// costs it), and the checkpoint flush, which the shards parallelize. It is
+// the engine-level counterpart of the multiserver extension: instead of
+// partitioning players across servers, it partitions the object space across
+// cores, the direction the scalable-state-management surveys
 // (arXiv:1505.01864, arXiv:2203.01107) point for single-node scale.
 
 // ShardScalingRow is one shard count's measurement.
 type ShardScalingRow struct {
 	Shards    int // requested
 	Effective int // after word-alignment folding
-	// ApplyUpdatesPerSec is aggregate update-apply throughput across the
-	// shard workers (updates applied / apply wall time).
+	// ApplyUpdatesPerSec is update-apply throughput (updates applied /
+	// apply wall time).
 	ApplyUpdatesPerSec float64
 	// FlushWall is the wall time of one full-state checkpoint flush.
 	FlushWall time.Duration
@@ -52,15 +54,14 @@ func (r *ShardScalingResult) Table() *metrics.TextTable {
 
 // RunShardScaling measures apply throughput and full-image flush wall time
 // for each requested shard count, at the scale's table geometry and default
-// update rate. Apply runs against in-memory devices (pure CPU fan-out);
-// flush runs against unthrottled files (real positional I/O, parallel
-// flushers).
+// update rate. Apply runs against in-memory devices (pure CPU); flush runs
+// against unthrottled files (real positional I/O, parallel flushers).
 func RunShardScaling(s Scale, seed int64, shardCounts []int) (*ShardScalingResult, error) {
 	cfg := Config(s)
 	updates := DefaultUpdates(s)
 	res := &ShardScalingResult{
 		Apply: metrics.Figure{
-			Title:  fmt.Sprintf("Sharded engine (%s scale): aggregate apply throughput", s),
+			Title:  fmt.Sprintf("Sharded engine (%s scale): apply throughput", s),
 			XLabel: "# shards", YLabel: "M updates/sec",
 		},
 		Flush: metrics.Figure{
@@ -68,14 +69,14 @@ func RunShardScaling(s Scale, seed int64, shardCounts []int) (*ShardScalingResul
 			XLabel: "# shards", YLabel: "flush time [sec]",
 		},
 	}
-	applySeries := metrics.Series{Name: "parallel apply"}
+	applySeries := metrics.Series{Name: "apply"}
 	flushSeries := metrics.Series{Name: "parallel flush"}
 
 	for _, sc := range shardCounts {
 		row := ShardScalingRow{Shards: sc}
 
 		// Apply half: measured through the engine's own apply timer so WAL
-		// and checkpoint pauses don't blur the fan-out measurement.
+		// and checkpoint pauses don't blur it.
 		src, err := zipfSource(cfg, updates, 64, DefaultSkew, seed)
 		if err != nil {
 			return nil, err
@@ -97,7 +98,7 @@ func RunShardScaling(s Scale, seed int64, shardCounts []int) (*ShardScalingResul
 			for _, c := range cells {
 				batch = append(batch, wal.Update{Cell: c, Value: uint32(t)})
 			}
-			if err := e.ApplyTickParallel(batch); err != nil {
+			if err := e.ApplyTick(batch); err != nil {
 				e.Close()
 				return nil, err
 			}
@@ -120,7 +121,7 @@ func RunShardScaling(s Scale, seed int64, shardCounts []int) (*ShardScalingResul
 			Table: cfg.Table, Dir: dir, Mode: engine.ModeDribble, Shards: sc,
 		})
 		if err == nil {
-			err = fe.ApplyTickParallel(batch)
+			err = fe.ApplyTick(batch)
 		}
 		if err == nil {
 			var info engine.CheckpointInfo

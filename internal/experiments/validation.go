@@ -54,10 +54,9 @@ type ValidationOptions struct {
 	// apples-to-apples.
 	Compress float64
 	Seed     int64
-	// Shards runs the real engine sharded (parallel apply workers and
-	// checkpoint flushers). 0 keeps the paper-faithful single-mutator,
-	// single-writer engine the simulator models; >1 measures how far the
-	// sharded engine departs from that prediction.
+	// Shards runs the real engine sharded (parallel checkpoint flushers).
+	// 0 keeps the paper-faithful single-writer engine the simulator models;
+	// >1 measures how far the sharded engine departs from that prediction.
 	Shards int
 }
 
@@ -271,7 +270,7 @@ func runEngine(cfg checkpoint.Config, mode engine.Mode, updates int, opts Valida
 		for _, c := range cells {
 			batch = append(batch, wal.Update{Cell: c, Value: uint32(t)})
 		}
-		if err := e.ApplyTickParallel(batch); err != nil {
+		if err := e.ApplyTick(batch); err != nil {
 			e.Close()
 			return nil, err
 		}

@@ -60,8 +60,8 @@ type World interface {
 	SubscribeCommits() (commits <-chan uint64, cancel func())
 }
 
-// EngineWorld fronts a single engine: ticks apply through
-// ApplyTickParallel and the delta fan-out rides engine.SubscribeCommits.
+// EngineWorld fronts a single engine: ticks apply through ApplyTick and the
+// delta fan-out rides engine.SubscribeCommits.
 type EngineWorld struct {
 	E *engine.Engine
 }
@@ -70,7 +70,7 @@ type EngineWorld struct {
 func (w EngineWorld) Table() gamestate.Table { return w.E.Table() }
 
 // Tick implements World.
-func (w EngineWorld) Tick(batch []wal.Update) error { return w.E.ApplyTickParallel(batch) }
+func (w EngineWorld) Tick(batch []wal.Update) error { return w.E.ApplyTick(batch) }
 
 // NextTick implements World.
 func (w EngineWorld) NextTick() uint64 { return w.E.NextTick() }

@@ -44,6 +44,59 @@ func referenceDecodeUpdates(dst []Update, payload []byte) ([]Update, error) {
 	return dst, nil
 }
 
+// referenceEncodeUpdates is EncodeUpdates as it stood before the branch-free
+// varint store, kept verbatim: the encoder's differential oracle.
+func referenceEncodeUpdates(buf []byte, updates []Update) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(updates)))
+	prev := int64(0)
+	var v [4]byte
+	for _, u := range updates {
+		buf = binary.AppendVarint(buf, int64(u.Cell)-prev)
+		prev = int64(u.Cell)
+		binary.LittleEndian.PutUint32(v[:], u.Value)
+		buf = append(buf, v[:]...)
+	}
+	return buf
+}
+
+// FuzzEncodeUpdates: for any batch and any prefix already in the buffer, the
+// branch-free encoder writes the reference loop's bytes after the untouched
+// prefix, and DecodeUpdates reads the batch back. raw is the batch, eight
+// bytes an update (cell, value, little-endian).
+func FuzzEncodeUpdates(f *testing.F) {
+	raw := func(us ...Update) []byte {
+		var b []byte
+		for _, u := range us {
+			b = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(b, u.Cell), u.Value)
+		}
+		return b
+	}
+	f.Add(raw(), []byte{})                                                                                // empty batch
+	f.Add(raw(Update{Cell: 1, Value: 2}, Update{Cell: 60, Value: 3}), []byte{})                           // 1-byte deltas
+	f.Add(raw(Update{Cell: 64, Value: 1}, Update{Cell: 8255, Value: 2}), []byte{})                        // 2-byte deltas at both ends of the width
+	f.Add(raw(Update{Cell: 1 << 19, Value: 7}, Update{Cell: 9, Value: 8}), []byte{})                      // 3-byte deltas, one negative
+	f.Add(raw(Update{Cell: 9_999_999, Value: 1}, Update{Cell: 12, Value: 2}), []byte{})                   // 4-byte deltas
+	f.Add(raw(Update{Cell: 1 << 31, Value: 1}, Update{Cell: 5, Value: 2}), []byte{})                      // 5-byte deltas
+	f.Add(raw(Update{}, Update{Cell: 1<<32 - 1, Value: 3}, Update{}, Update{Cell: 1<<32 - 1}), []byte{})  // cell 0 and 2^32-1 adjacent: the widest deltas of both signs
+	f.Add(raw(Update{Cell: 70_000, Value: 0xdeadbeef}), []byte{0, 0xff, 0x80, 0x00, 0x7f})                // non-empty buf prefix
+	f.Add(raw(Update{Cell: 5, Value: 1}, Update{Cell: 5, Value: 2}, Update{Cell: 5, Value: 3}), []byte{}) // zero deltas
+	f.Fuzz(func(t *testing.T, raw, prefix []byte) {
+		batch := make([]Update, len(raw)/8)
+		for i := range batch {
+			batch[i] = Update{Cell: binary.LittleEndian.Uint32(raw[8*i:]), Value: binary.LittleEndian.Uint32(raw[8*i+4:])}
+		}
+		want := referenceEncodeUpdates(bytes.Clone(prefix), batch)
+		got := EncodeUpdates(bytes.Clone(prefix), batch)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("EncodeUpdates differs from the reference loop:\n got %x\nwant %x", got, want)
+		}
+		back, err := DecodeUpdates(nil, got[len(prefix):])
+		if err != nil || len(back) != len(batch) || (len(batch) > 0 && !reflect.DeepEqual(back, batch)) {
+			t.Fatalf("encoded batch does not decode to itself: %v", err)
+		}
+	})
+}
+
 // stablePartition is SplitUpdates' contract spelt out on a decoded batch.
 func stablePartition(updates []Update, bounds []uint32) [][]Update {
 	parts := make([][]Update, len(bounds))
@@ -132,6 +185,9 @@ func TestSplitUpdatesRandomBatches(t *testing.T) {
 			batch[i] = Update{Cell: uint32(rng.Int63n(int64(span) + 1)), Value: rng.Uint32()}
 		}
 		payload := EncodeUpdates(nil, batch)
+		if !bytes.Equal(payload, referenceEncodeUpdates(nil, batch)) {
+			t.Fatalf("span %d: EncodeUpdates differs from the reference loop", span)
+		}
 		for _, buckets := range []int{1, 2, 8} {
 			bounds := make([]uint32, buckets)
 			for s := range bounds {
@@ -190,6 +246,28 @@ var benchShapes = []struct {
 	name      string
 	clustered bool
 }{{"hotspot", false}, {"clustered", true}}
+
+func BenchmarkEncodeUpdates(b *testing.B) {
+	for _, c := range benchShapes {
+		b.Run(c.name, func(b *testing.B) {
+			var batches [][]Update
+			for _, payload := range benchBatches(c.clustered) {
+				upds, err := DecodeUpdates(nil, payload)
+				if err != nil {
+					b.Fatal(err)
+				}
+				batches = append(batches, upds)
+			}
+			var buf []byte
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = EncodeUpdates(buf[:0], batches[i%len(batches)])
+			}
+			b.SetBytes(int64(len(buf)))
+			b.ReportMetric(float64(b.N)*6400/b.Elapsed().Seconds(), "updates/s")
+		})
+	}
+}
 
 func BenchmarkDecodeUpdates(b *testing.B) {
 	for _, c := range benchShapes {
