@@ -17,7 +17,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/gamestate"
-	"repro/internal/metrics"
+	"repro/internal/report"
 	"repro/internal/trace"
 )
 
@@ -96,18 +96,18 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	t := metrics.NewTextTable()
+	t := report.NewTextTable()
 	t.Header("method", "avg overhead/tick", "max overhead", "ckpts",
 		"avg ckpt time", "avg objects", "est. restore", "est. recovery")
 	for _, r := range results {
 		t.Row(r.Method.String(),
-			metrics.FormatDuration(r.AvgOverhead),
-			metrics.FormatDuration(r.MaxOverhead),
+			report.FormatDuration(r.AvgOverhead),
+			report.FormatDuration(r.MaxOverhead),
 			fmt.Sprint(len(r.Checkpoints)),
-			metrics.FormatDuration(r.AvgCheckpointTime),
+			report.FormatDuration(r.AvgCheckpointTime),
 			fmt.Sprintf("%.0f", r.AvgObjects),
-			metrics.FormatDuration(r.RestoreTime),
-			metrics.FormatDuration(r.RecoveryTime))
+			report.FormatDuration(r.RestoreTime),
+			report.FormatDuration(r.RecoveryTime))
 	}
 	fmt.Print(t.String())
 }

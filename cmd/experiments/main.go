@@ -14,27 +14,20 @@
 // aligned text tables; -out additionally writes CSV files per figure.
 //
 // -shards N runs the fig6 validation engine sharded (N checkpoint
-// flushers); the sharding and recoverytime experiments sweep
-// shard counts regardless. -recovery-log-ticks trims the recoverytime
-// log-length axis (CI smoke uses a single tiny value). failovertime builds
-// a live primary→standby replication pair per point and reports warm
-// takeover vs cold recovery; -failover-updates/-lag/-shards pin single
-// values for its axes and -failover-log-ticks the crash-point log length.
+// flushers); the recoverytime experiment sweeps shard counts regardless.
+// -recovery-log-ticks trims the recoverytime log-length axis (CI smoke uses
+// a single tiny value). failovertime builds a live primary→standby
+// replication pair per point and reports warm takeover vs cold recovery;
+// -failover-updates/-lag/-shards pin single values for its axes and
+// -failover-log-ticks the crash-point log length.
 //
 // scenariobench sweeps workload scenario × checkpoint method × shard count
-// across apply, checkpoint, cold recovery and warm failover, verifying
-// byte identity per cell, and writes a machine-readable report to
-// -bench-out (default BENCH_scenarios.json). -bench-scenarios trims the
-// scenario axis and -bench-disk overrides its backup throttle (reports
-// with different throttles are not comparable, so the gate refuses
-// them). -gate compares the fresh report against the committed
-// -bench-baseline within -gate-tolerance and exits non-zero on regression
-// (the CI perf gate); -gate-preflight only checks that the committed
-// baseline is comparable with the sweep config and exits, the fail-fast CI
-// step that runs before any benchmark time is spent. Intentional perf
-// changes refresh the baseline with:
-//
-//	experiments -exp scenariobench -scale quick -write-baseline
+// through warm checkpointing, a replicated live phase, promotion and cold
+// pipeline recovery, and exits non-zero unless every cell's promoted standby
+// and cold-recovered state are byte-identical to the serial reference.
+// -bench-scenarios trims the scenario axis. Its timings are informational:
+// performance is gated by the repo benchmark (BENCHMARK.json,
+// bash benchmark/run.sh), not by this command.
 //
 // clusterbench runs the real multi-node cluster (internal/cluster) through
 // scenario × cluster size × recovery mode (disk pipeline, standby
@@ -48,8 +41,7 @@
 // the barrier): a cell at a window > 0 runs the same scenarios with nodes
 // ticking up to that far apart, live cross-partition messages and
 // cut-reconstruction recovery, reporting the coordinator's per-tick blocked
-// time next to the barrier's. It is the measured successor of the
-// analytical multiserver model.
+// time next to the barrier's.
 //
 // chaosbench runs seeded fault-injection schedules (internal/chaos) over
 // scenario × fault site × seed: a backup device that dies mid-flush, a
@@ -83,7 +75,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
+	"repro/internal/report"
 	"repro/internal/session"
 )
 
@@ -111,8 +103,6 @@ var experimentTable = []struct {
 	{[]string{"ablation-hw"}, func(r *runner, _ func(string) bool) { r.ablationHW() }},
 	{[]string{"logging"}, func(r *runner, _ func(string) bool) { r.logging() }},
 	{[]string{"ksafety"}, func(r *runner, _ func(string) bool) { r.ksafety() }},
-	{[]string{"multiserver"}, func(r *runner, _ func(string) bool) { r.multiserver() }},
-	{[]string{"sharding"}, func(r *runner, _ func(string) bool) { r.sharding() }},
 	{[]string{"recoverytime"}, func(r *runner, _ func(string) bool) { r.recoverytime() }},
 	{[]string{"failovertime"}, func(r *runner, _ func(string) bool) { r.failovertime() }},
 	{[]string{"scenariobench"}, func(r *runner, _ func(string) bool) { r.scenariobench() }},
@@ -130,43 +120,39 @@ func experimentNames() []string {
 	return names
 }
 
+// The flags live at package level so main_test.go can check, with
+// flag.Lookup, that every flag the docs name exists.
+var (
+	expFlag = flag.String("exp", "all",
+		"comma-separated experiments, 'all', or 'list' (registered: "+
+			strings.Join(experimentNames(), ", ")+")")
+	scaleFlag  = flag.String("scale", "quick", "quick (1/10 scale) or full (paper scale)")
+	outDir     = flag.String("out", "", "directory for CSV output (optional)")
+	gnuplot    = flag.Bool("gnuplot", false, "also write gnuplot scripts next to the CSVs")
+	seed       = flag.Int64("seed", 1, "trace seed")
+	diskBench  = flag.Bool("disk-bench", false, "measure real disk bandwidth for table3 (writes 256 MB)")
+	shards     = flag.Int("shards", 0, "engine shards for fig6 validation (0 = paper-faithful single shard)")
+	recLog     = flag.Int("recovery-log-ticks", 0, "single log length for recoverytime (0 = scale default sweep)")
+	recDisk    = flag.Float64("recovery-disk", 0, "recoverytime/failovertime backup throttle in bytes/sec (0 = paper disk, <0 = unthrottled)")
+	foLog      = flag.Int("failover-log-ticks", 0, "failovertime log length behind the crash (0 = scale default)")
+	foUpd      = flag.Int("failover-updates", 0, "single failovertime update rate (0 = default sweep)")
+	foLag      = flag.Int("failover-lag", 0, "single failovertime replay-lag budget (0 = default sweep)")
+	foShards   = flag.Int("failover-shards", 0, "single failovertime shard count (0 = default sweep)")
+	foCheck    = flag.Bool("failover-check", false, "fail if warm takeover is not strictly below cold pipeline recovery in every failovertime row (meaningful under the default paper-disk throttle)")
+	clustScen  = flag.String("cluster-scenarios", "", "comma-separated clusterbench scenario filter (empty = hotspot,migration,flashcrowd)")
+	clustSize  = flag.String("cluster-sizes", "", "comma-separated clusterbench node counts (empty = 1,2,4)")
+	clustRec   = flag.String("cluster-recovery-modes", "", "comma-separated clusterbench recovery-mode axis (empty = disk,standby,peerram)")
+	clustSkews = flag.String("cluster-max-skew", "", "comma-separated clusterbench coordination-window axis, cluster MaxSkew values (empty = 0, the barrier)")
+	chaosScen  = flag.String("chaos-scenarios", "", "comma-separated chaosbench scenario filter (empty = flashcrowd,hotspot,migration)")
+	chaosSite  = flag.String("chaos-sites", "", "comma-separated chaosbench fault sites (empty = disk,replink,cluster,peerram)")
+	chaosSeed  = flag.String("chaos-seeds", "", "comma-separated chaosbench schedule seeds (empty = 1,2,3)")
+	gwProf     = flag.String("gateway-profiles", "", "comma-separated gatewaybench churn profiles (empty = "+joinProfiles()+")")
+	gwSize     = flag.String("gateway-sizes", "", "comma-separated gatewaybench node counts (empty = 1,2,4)")
+	gwClients  = flag.Int("gateway-clients", 0, "gatewaybench simulated client population (0 = scale default)")
+	benchScen  = flag.String("bench-scenarios", "", "comma-separated scenariobench scenario filter (empty = all registered scenarios)")
+)
+
 func main() {
-	var (
-		expFlag = flag.String("exp", "all",
-			"comma-separated experiments, 'all', or 'list' (registered: "+
-				strings.Join(experimentNames(), ", ")+")")
-		scaleFlag  = flag.String("scale", "quick", "quick (1/10 scale) or full (paper scale)")
-		outDir     = flag.String("out", "", "directory for CSV output (optional)")
-		gnuplot    = flag.Bool("gnuplot", false, "also write gnuplot scripts next to the CSVs")
-		seed       = flag.Int64("seed", 1, "trace seed")
-		diskBench  = flag.Bool("disk-bench", false, "measure real disk bandwidth for table3 (writes 256 MB)")
-		shards     = flag.Int("shards", 0, "engine shards for fig6 validation (0 = paper-faithful single shard)")
-		recLog     = flag.Int("recovery-log-ticks", 0, "single log length for recoverytime (0 = scale default sweep)")
-		recDisk    = flag.Float64("recovery-disk", 0, "recoverytime/failovertime backup throttle in bytes/sec (0 = paper disk, <0 = unthrottled)")
-		foLog      = flag.Int("failover-log-ticks", 0, "failovertime log length behind the crash (0 = scale default)")
-		foUpd      = flag.Int("failover-updates", 0, "single failovertime update rate (0 = default sweep)")
-		foLag      = flag.Int("failover-lag", 0, "single failovertime replay-lag budget (0 = default sweep)")
-		foShards   = flag.Int("failover-shards", 0, "single failovertime shard count (0 = default sweep)")
-		foCheck    = flag.Bool("failover-check", false, "fail if warm takeover is not strictly below cold pipeline recovery in every failovertime row (meaningful under the default paper-disk throttle)")
-		clustScen  = flag.String("cluster-scenarios", "", "comma-separated clusterbench scenario filter (empty = hotspot,migration,flashcrowd)")
-		clustSize  = flag.String("cluster-sizes", "", "comma-separated clusterbench node counts (empty = 1,2,4)")
-		clustRec   = flag.String("cluster-recovery-modes", "", "comma-separated clusterbench recovery-mode axis (empty = disk,standby,peerram)")
-		clustSkews = flag.String("cluster-max-skew", "", "comma-separated clusterbench coordination-window axis, cluster MaxSkew values (empty = 0, the barrier)")
-		chaosScen  = flag.String("chaos-scenarios", "", "comma-separated chaosbench scenario filter (empty = flashcrowd,hotspot,migration)")
-		chaosSite  = flag.String("chaos-sites", "", "comma-separated chaosbench fault sites (empty = disk,replink,cluster,peerram)")
-		chaosSeed  = flag.String("chaos-seeds", "", "comma-separated chaosbench schedule seeds (empty = 1,2,3)")
-		gwProf     = flag.String("gateway-profiles", "", "comma-separated gatewaybench churn profiles (empty = "+joinProfiles()+")")
-		gwSize     = flag.String("gateway-sizes", "", "comma-separated gatewaybench node counts (empty = 1,2,4)")
-		gwClients  = flag.Int("gateway-clients", 0, "gatewaybench simulated client population (0 = scale default)")
-		benchScen  = flag.String("bench-scenarios", "", "comma-separated scenariobench scenario filter (empty = all registered scenarios)")
-		benchDisk  = flag.Float64("bench-disk", 0, "scenariobench backup throttle in bytes/sec (0 = bench default: 10x the scale's paper disk, <0 = unthrottled); changing it makes reports incomparable with the committed baseline")
-		benchOut   = flag.String("bench-out", "BENCH_scenarios.json", "scenariobench report path")
-		benchBase  = flag.String("bench-baseline", "bench_baseline.json", "scenariobench committed baseline path")
-		writeBase  = flag.Bool("write-baseline", false, "scenariobench: also write the report to -bench-baseline (the documented baseline update path)")
-		gate       = flag.Bool("gate", false, "scenariobench: compare the fresh report against -bench-baseline and exit non-zero on regression")
-		gateTol    = flag.Float64("gate-tolerance", experiments.DefaultGateTolerance, "scenariobench gate: relative regression band on throughput and recovery time")
-		gatePre    = flag.Bool("gate-preflight", false, "scenariobench: only check that -bench-baseline is comparable with this sweep config, then exit — the fail-fast CI step before the real gate")
-	)
 	flag.Parse()
 
 	var scale experiments.Scale
@@ -199,16 +185,7 @@ func main() {
 	all := wanted["all"]
 	want := func(name string) bool { return all || wanted[name] }
 
-	r := &runner{scale: scale, seed: *seed, outDir: *outDir, gnuplot: *gnuplot,
-		diskBench: *diskBench,
-		shards:    *shards, recLog: *recLog, recDisk: *recDisk,
-		foLog: *foLog, foUpd: *foUpd, foLag: *foLag, foShards: *foShards, foCheck: *foCheck,
-		clustScen: *clustScen, clustSize: *clustSize, clustRec: *clustRec,
-		clustSkews: *clustSkews,
-		chaosScen:  *chaosScen, chaosSite: *chaosSite, chaosSeed: *chaosSeed,
-		gwProf: *gwProf, gwSize: *gwSize, gwClients: *gwClients,
-		benchScen: *benchScen, benchDisk: *benchDisk, benchOut: *benchOut, benchBase: *benchBase,
-		writeBase: *writeBase, gate: *gate, gateTol: *gateTol, gatePre: *gatePre}
+	r := &runner{scale: scale}
 
 	for _, e := range experimentTable {
 		hit := all
@@ -251,56 +228,28 @@ func fatalf(format string, args ...interface{}) {
 	os.Exit(2)
 }
 
+// runner carries the parsed scale and counts what was emitted; every other
+// knob is read straight from its flag.
 type runner struct {
-	scale      experiments.Scale
-	seed       int64
-	outDir     string
-	gnuplot    bool
-	diskBench  bool
-	shards     int
-	recLog     int
-	recDisk    float64
-	foLog      int
-	foUpd      int
-	foLag      int
-	foShards   int
-	foCheck    bool
-	clustScen  string
-	clustSize  string
-	clustRec   string
-	clustSkews string
-	chaosScen  string
-	chaosSite  string
-	chaosSeed  string
-	gwProf     string
-	gwSize     string
-	gwClients  int
-	benchScen  string
-	benchDisk  float64
-	benchOut   string
-	benchBase  string
-	writeBase  bool
-	gate       bool
-	gateTol    float64
-	gatePre    bool
-	ran        int
+	scale experiments.Scale
+	ran   int
 }
 
-func (r *runner) emit(name string, fig *metrics.Figure) {
+func (r *runner) emit(name string, fig *report.Figure) {
 	r.ran++
 	fmt.Printf("\n=== %s ===\n%s", name, fig.String())
-	if r.outDir != "" {
-		if err := os.MkdirAll(r.outDir, 0o755); err != nil {
+	if *outDir != "" {
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			fatalf("%v", err)
 		}
-		path := filepath.Join(r.outDir, name+".csv")
+		path := filepath.Join(*outDir, name+".csv")
 		if err := os.WriteFile(path, []byte(fig.CSV()), 0o644); err != nil {
 			fatalf("%v", err)
 		}
 		fmt.Printf("(csv written to %s)\n", path)
-		if r.gnuplot {
+		if *gnuplot {
 			logAxes := strings.Contains(name, "fig2") || strings.Contains(name, "fig6")
-			plt := filepath.Join(r.outDir, name+".plt")
+			plt := filepath.Join(*outDir, name+".plt")
 			if err := os.WriteFile(plt, []byte(fig.Gnuplot(logAxes, logAxes)), 0o644); err != nil {
 				fatalf("%v", err)
 			}
@@ -308,7 +257,7 @@ func (r *runner) emit(name string, fig *metrics.Figure) {
 	}
 }
 
-func (r *runner) emitTable(name string, t *metrics.TextTable) {
+func (r *runner) emitTable(name string, t *report.TextTable) {
 	r.ran++
 	fmt.Printf("\n=== %s ===\n%s", name, t.String())
 }
@@ -320,14 +269,14 @@ func (r *runner) timed(name string, fn func()) {
 }
 
 func (r *runner) tables12() {
-	t1 := metrics.NewTextTable()
+	t1 := report.NewTextTable()
 	t1.Header("method", "copy timing", "objects copied", "disk organization")
 	for _, c := range checkpoint.Taxonomy() {
 		t1.Row(c.Method.String(), c.Timing.String(), c.Objects.String(), c.Disk.String())
 	}
 	r.emitTable("Table 1: algorithms for checkpointing game state", t1)
 
-	t2 := metrics.NewTextTable()
+	t2 := report.NewTextTable()
 	t2.Header("method", "Copy-To-Memory", "Write-Copies", "Handle-Update", "Write-Objects")
 	for _, row := range checkpoint.SubroutineTable() {
 		t2.Row(row.Method.String(), row.CopyToMemory, row.WriteCopiesToStableStorage,
@@ -338,7 +287,7 @@ func (r *runner) tables12() {
 
 func (r *runner) table3() {
 	r.timed("table3", func() {
-		p, err := experiments.MeasureTable3(r.diskBench, "")
+		p, err := experiments.MeasureTable3(*diskBench, "")
 		if err != nil {
 			fatalf("table3: %v", err)
 		}
@@ -349,7 +298,7 @@ func (r *runner) table3() {
 
 func (r *runner) fig2(a, b, c bool) {
 	r.timed("fig2", func() {
-		fs, err := experiments.RunUpdateSweep(r.scale, r.seed)
+		fs, err := experiments.RunUpdateSweep(r.scale, *seed)
 		if err != nil {
 			fatalf("fig2: %v", err)
 		}
@@ -367,7 +316,7 @@ func (r *runner) fig2(a, b, c bool) {
 
 func (r *runner) fig3() {
 	r.timed("fig3", func() {
-		tl, err := experiments.RunLatencyTimeline(r.scale, r.seed)
+		tl, err := experiments.RunLatencyTimeline(r.scale, *seed)
 		if err != nil {
 			fatalf("fig3: %v", err)
 		}
@@ -377,7 +326,7 @@ func (r *runner) fig3() {
 
 func (r *runner) fig4(a, b, c bool) {
 	r.timed("fig4", func() {
-		fs, err := experiments.RunSkewSweep(r.scale, r.seed)
+		fs, err := experiments.RunSkewSweep(r.scale, *seed)
 		if err != nil {
 			fatalf("fig4: %v", err)
 		}
@@ -395,7 +344,7 @@ func (r *runner) fig4(a, b, c bool) {
 
 func (r *runner) fig5() {
 	r.timed("fig5", func() {
-		gr, err := experiments.RunGameTrace(r.scale, r.seed)
+		gr, err := experiments.RunGameTrace(r.scale, *seed)
 		if err != nil {
 			fatalf("fig5: %v", err)
 		}
@@ -407,7 +356,7 @@ func (r *runner) fig5() {
 
 func (r *runner) fig6() {
 	r.timed("fig6", func() {
-		vr, err := experiments.RunValidation(r.scale, experiments.ValidationOptions{Seed: r.seed, Shards: r.shards})
+		vr, err := experiments.RunValidation(r.scale, experiments.ValidationOptions{Seed: *seed, Shards: *shards})
 		if err != nil {
 			fatalf("fig6: %v", err)
 		}
@@ -421,7 +370,7 @@ func (r *runner) fig6() {
 
 func (r *runner) ablationC() {
 	r.timed("ablation-c", func() {
-		ckpt, rec, err := experiments.RunAblationFullEvery(r.scale, r.seed)
+		ckpt, rec, err := experiments.RunAblationFullEvery(r.scale, *seed)
 		if err != nil {
 			fatalf("ablation-c: %v", err)
 		}
@@ -443,7 +392,7 @@ func (r *runner) logging() {
 
 func (r *runner) ksafety() {
 	r.timed("ksafety", func() {
-		tab, err := experiments.RunKSafetyComparison(r.scale, r.seed)
+		tab, err := experiments.RunKSafetyComparison(r.scale, *seed)
 		if err != nil {
 			fatalf("ksafety: %v", err)
 		}
@@ -451,24 +400,10 @@ func (r *runner) ksafety() {
 	})
 }
 
-func (r *runner) multiserver() {
-	r.timed("multiserver", func() {
-		ms, err := experiments.RunMultiServer(r.scale, r.seed)
-		if err != nil {
-			fatalf("multiserver: %v", err)
-		}
-		r.emit("extension-multiserver-recovery", &ms.Recovery)
-		r.emit("extension-multiserver-overhead", &ms.TickOverhead)
-		r.emit("extension-multiserver-imbalance", &ms.Imbalance)
-		fmt.Println("note: multiserver is the cost-model analysis; " +
-			"-exp clusterbench measures the same quantities on the real internal/cluster deployment")
-	})
-}
-
 func (r *runner) clusterbench() {
 	r.timed("clusterbench", func() {
 		var sizes []int
-		for _, v := range splitList(r.clustSize) {
+		for _, v := range splitList(*clustSize) {
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 1 {
 				fatalf("clusterbench: bad -cluster-sizes entry %q", v)
@@ -476,7 +411,7 @@ func (r *runner) clusterbench() {
 			sizes = append(sizes, n)
 		}
 		var windows []int
-		for _, v := range splitList(r.clustSkews) {
+		for _, v := range splitList(*clustSkews) {
 			w, err := strconv.Atoi(v)
 			if err != nil || w < 0 {
 				fatalf("clusterbench: bad -cluster-max-skew entry %q", v)
@@ -484,15 +419,15 @@ func (r *runner) clusterbench() {
 			windows = append(windows, w)
 		}
 		var modes []cluster.RecoveryMode
-		for _, v := range splitList(r.clustRec) {
+		for _, v := range splitList(*clustRec) {
 			m, err := cluster.ParseRecoveryMode(v)
 			if err != nil {
 				fatalf("clusterbench: bad -cluster-recovery-modes entry %q", v)
 			}
 			modes = append(modes, m)
 		}
-		cb, err := experiments.RunClusterBench(r.scale, r.seed, experiments.ClusterBenchOptions{
-			Scenarios:     splitList(r.clustScen),
+		cb, err := experiments.RunClusterBench(r.scale, *seed, experiments.ClusterBenchOptions{
+			Scenarios:     splitList(*clustScen),
 			Sizes:         sizes,
 			RecoveryModes: modes,
 			Windows:       windows,
@@ -515,15 +450,13 @@ func (r *runner) clusterbench() {
 		}
 		fmt.Printf("cluster crash equivalence: all %d rows byte-identical to the single-node reference, zero migration blackout\n",
 			len(cb.Rows))
-		fmt.Println("note: clusterbench measures the real internal/cluster subsystem; " +
-			"-exp multiserver is its analytical cost-model companion")
 	})
 }
 
 func (r *runner) chaosbench() {
 	r.timed("chaosbench", func() {
 		var seeds []int64
-		for _, v := range splitList(r.chaosSeed) {
+		for _, v := range splitList(*chaosSeed) {
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {
 				fatalf("chaosbench: bad -chaos-seeds entry %q", v)
@@ -531,8 +464,8 @@ func (r *runner) chaosbench() {
 			seeds = append(seeds, n)
 		}
 		rep, err := experiments.RunChaosBench(r.scale, experiments.ChaosBenchOptions{
-			Scenarios: splitList(r.chaosScen),
-			Sites:     splitList(r.chaosSite),
+			Scenarios: splitList(*chaosScen),
+			Sites:     splitList(*chaosSite),
 			Seeds:     seeds,
 		})
 		if err != nil {
@@ -559,21 +492,21 @@ func (r *runner) chaosbench() {
 func (r *runner) gatewaybench() {
 	r.timed("gatewaybench", func() {
 		var profiles []session.Profile
-		for _, v := range splitList(r.gwProf) {
+		for _, v := range splitList(*gwProf) {
 			profiles = append(profiles, session.Profile(v))
 		}
 		var sizes []int
-		for _, v := range splitList(r.gwSize) {
+		for _, v := range splitList(*gwSize) {
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 1 {
 				fatalf("gatewaybench: bad -gateway-sizes entry %q", v)
 			}
 			sizes = append(sizes, n)
 		}
-		gb, err := experiments.RunGatewayBench(r.scale, r.seed, experiments.GatewayBenchOptions{
+		gb, err := experiments.RunGatewayBench(r.scale, *seed, experiments.GatewayBenchOptions{
 			Profiles: profiles,
 			Sizes:    sizes,
-			Clients:  r.gwClients,
+			Clients:  *gwClients,
 		})
 		if err != nil {
 			fatalf("gatewaybench: %v", err)
@@ -596,25 +529,13 @@ func (r *runner) gatewaybench() {
 	})
 }
 
-func (r *runner) sharding() {
-	r.timed("sharding", func() {
-		sr, err := experiments.RunShardScaling(r.scale, r.seed, []int{1, 2, 4, 8})
-		if err != nil {
-			fatalf("sharding: %v", err)
-		}
-		r.emitTable("Sharded engine: apply throughput and flush wall time vs shard count", sr.Table())
-		r.emit("sharding-apply-throughput", &sr.Apply)
-		r.emit("sharding-flush-time", &sr.Flush)
-	})
-}
-
 func (r *runner) recoverytime() {
 	r.timed("recoverytime", func() {
 		var logLens []int
-		if r.recLog > 0 {
-			logLens = []int{r.recLog}
+		if *recLog > 0 {
+			logLens = []int{*recLog}
 		}
-		rt, err := experiments.RunRecoveryTime(r.scale, r.seed, []int{1, 2, 4, 8}, logLens, r.recDisk)
+		rt, err := experiments.RunRecoveryTime(r.scale, *seed, []int{1, 2, 4, 8}, logLens, *recDisk)
 		if err != nil {
 			fatalf("recoverytime: %v", err)
 		}
@@ -633,8 +554,8 @@ func (r *runner) failovertime() {
 			}
 			return nil
 		}
-		ft, err := experiments.RunFailoverTime(r.scale, r.seed,
-			single(r.foUpd), single(r.foLag), single(r.foShards), r.foLog, r.recDisk)
+		ft, err := experiments.RunFailoverTime(r.scale, *seed,
+			single(*foUpd), single(*foLag), single(*foShards), *foLog, *recDisk)
 		if err != nil {
 			fatalf("failovertime: %v", err)
 		}
@@ -648,12 +569,12 @@ func (r *runner) failovertime() {
 				fatalf("failovertime: promoted standby NOT byte-identical to cold recovery (updates=%d lag=%d shards=%d)",
 					row.Updates, row.LagBudget, row.Shards)
 			}
-			if r.foCheck && row.Takeover >= row.ColdPipeline {
+			if *foCheck && row.Takeover >= row.ColdPipeline {
 				fatalf("failovertime: warm takeover %v not below cold pipeline %v (updates=%d lag=%d shards=%d)",
 					row.Takeover, row.ColdPipeline, row.Updates, row.LagBudget, row.Shards)
 			}
 		}
-		if r.foCheck {
+		if *foCheck {
 			fmt.Printf("failover-check passed: warm takeover strictly below cold pipeline in all %d rows, all byte-identical\n",
 				len(ft.Rows))
 		}
@@ -662,87 +583,29 @@ func (r *runner) failovertime() {
 
 func (r *runner) scenariobench() {
 	r.timed("scenariobench", func() {
-		sopts := experiments.ScenarioBenchOptions{
-			Scenarios:       splitList(r.benchScen),
-			DiskBytesPerSec: r.benchDisk,
-		}
-		// The preflight refuses a stale committed baseline before any
-		// benchmark time is spent: with -gate it runs ahead of the sweep,
-		// with -gate-preflight it is the whole (fail-fast CI) step.
-		if r.gate || r.gatePre {
-			want := experiments.ExpectedBenchConfig(r.scale, r.seed, sopts)
-			if err := experiments.PreflightBaseline(r.benchBase, want); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Printf("gate preflight passed: %s is comparable with this sweep config\n", r.benchBase)
-			if r.gatePre {
-				r.ran++
-				return
-			}
-		}
-		rep, err := experiments.RunScenarioBench(r.scale, r.seed, sopts)
+		res, err := experiments.RunScenarioBench(r.scale, *seed, experiments.ScenarioBenchOptions{
+			Scenarios: splitList(*benchScen),
+		})
 		if err != nil {
 			fatalf("scenariobench: %v", err)
 		}
 		r.emitTable("Scenario bench: workload × method × shards (apply / checkpoint / recovery / failover)",
-			rep.Table())
-		// The report is written before any verdict: a corrupt or regressed
-		// run still leaves the artifact on disk for CI to archive, which is
-		// exactly when the numbers are needed.
-		if err := rep.WriteJSON(r.benchOut); err != nil {
-			fatalf("scenariobench: %v", err)
-		}
-		fmt.Printf("(report written to %s)\n", r.benchOut)
+			res.Table())
 		// Byte identity is unconditional: whatever the timings, a recovery
 		// path that reconstructs different bytes is corrupt.
-		for _, c := range rep.Cells {
+		for _, c := range res.Cells {
 			if !c.Identical {
 				fatalf("scenariobench: %s/%s/shards=%d NOT byte-identical to the serial reference",
 					c.Scenario, c.Method, c.Shards)
 			}
 		}
-		fmt.Printf("crash equivalence: all %d cells byte-identical to the serial reference\n", len(rep.Cells))
-		if r.writeBase {
-			if err := rep.WriteJSON(r.benchBase); err != nil {
-				fatalf("scenariobench: %v", err)
-			}
-			fmt.Printf("(baseline written to %s — commit it with your change)\n", r.benchBase)
-		}
-		if r.gate {
-			// Read the emitted file back so the gate also validates what CI
-			// archives, not just the in-memory report.
-			fresh, err := experiments.ReadBenchReport(r.benchOut)
-			if err != nil {
-				fatalf("perf-gate: %v", err)
-			}
-			base, err := experiments.ReadBenchReport(r.benchBase)
-			if err != nil {
-				fatalf("perf-gate: %v (regenerate with -write-baseline)", err)
-			}
-			res, err := experiments.CompareBench(base, fresh, r.gateTol)
-			if err != nil {
-				fatalf("perf-gate: %v", err)
-			}
-			r.emitTable(fmt.Sprintf("Perf gate: %s vs %s (tolerance %.0f%%)",
-				r.benchOut, r.benchBase, 100*r.gateTol), res.Delta)
-			for _, n := range res.Notes {
-				fmt.Printf("note: %s\n", n)
-			}
-			if len(res.Violations) > 0 {
-				for _, v := range res.Violations {
-					fmt.Fprintf(os.Stderr, "perf-gate: REGRESSION: %s\n", v)
-				}
-				fatalf("perf-gate: %d regression(s) beyond the %.0f%% band; if intentional, refresh the baseline:\n  go run ./cmd/experiments -exp scenariobench -scale %s -write-baseline",
-					len(res.Violations), 100*r.gateTol, r.scale)
-			}
-			fmt.Printf("perf-gate passed: %d cells within the %.0f%% band\n", len(base.Cells), 100*r.gateTol)
-		}
+		fmt.Printf("crash equivalence: all %d cells byte-identical to the serial reference\n", len(res.Cells))
 	})
 }
 
 func (r *runner) ablationHW() {
 	r.timed("ablation-hw", func() {
-		diskFig, memFig, err := experiments.RunAblationHardware(r.scale, r.seed)
+		diskFig, memFig, err := experiments.RunAblationHardware(r.scale, *seed)
 		if err != nil {
 			fatalf("ablation-hw: %v", err)
 		}

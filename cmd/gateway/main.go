@@ -36,8 +36,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/gamestate"
-	"repro/internal/metrics"
 	"repro/internal/replication"
+	"repro/internal/report"
 	"repro/internal/session"
 	"repro/internal/telemetry"
 	"repro/internal/wal"
@@ -296,7 +296,7 @@ func runSwarm(table gamestate.Table, connect string, clients int, scenario strin
 	if len(lat) == 0 {
 		log.Fatalf("swarm: %d intents sent but no deltas observed — is the serve tick loop running?", sent)
 	}
-	s := metrics.Summarize(lat)
+	s := report.Summarize(lat)
 	fmt.Printf("swarm: %d clients, %d intents, %d deltas; submit→delta latency ms: mean %.2f p50 %.2f p95 %.2f max %.2f\n",
 		clients, sent, deltas, s.Mean, s.P50, s.P95, s.Max)
 }

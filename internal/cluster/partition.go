@@ -7,9 +7,8 @@
 // and cross-partition actions travel as logged messages; whole-world
 // recovery reconstructs a consistent cut and restores every partition in
 // parallel; and a sub-range can migrate between live nodes without dropping
-// a tick, cutting ownership over at a tick boundary.
-// internal/experiments/multiserver.go models this analytically; this package
-// builds it — clusterbench measures what the model predicts.
+// a tick, cutting ownership over at a tick boundary. The clusterbench
+// experiment measures it.
 package cluster
 
 import (

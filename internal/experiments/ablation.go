@@ -4,32 +4,32 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
-	"repro/internal/metrics"
+	"repro/internal/report"
 )
 
 // RunAblationFullEvery sweeps C — the number of checkpoints between full
 // state dumps for the partial-redo methods (Section 4.2's ∆Trestore depends
 // linearly on C). It exposes the trade-off the paper describes: small C
 // erodes the checkpoint-time advantage, large C inflates recovery.
-func RunAblationFullEvery(s Scale, seed int64) (*metrics.Figure, *metrics.Figure, error) {
+func RunAblationFullEvery(s Scale, seed int64) (*report.Figure, *report.Figure, error) {
 	cfg := Config(s)
 	ticks := Ticks(s)
 	updates := DefaultUpdates(s) / 8 // a moderate rate where partial redo shines
 	cs := []int{2, 4, 8, 10, 16, 32}
 
-	ckpt := &metrics.Figure{
+	ckpt := &report.Figure{
 		Title:  fmt.Sprintf("Ablation (%s scale): full-checkpoint period C vs checkpoint time", s),
 		XLabel: "C (full checkpoint every C checkpoints)",
 		YLabel: "avg time to checkpoint [sec]",
 	}
-	rec := &metrics.Figure{
+	rec := &report.Figure{
 		Title:  fmt.Sprintf("Ablation (%s scale): full-checkpoint period C vs recovery time", s),
 		XLabel: "C (full checkpoint every C checkpoints)",
 		YLabel: "est. recovery time [sec]",
 	}
 	for _, m := range []checkpoint.Method{checkpoint.PartialRedo, checkpoint.CopyOnUpdatePartialRedo} {
-		sc := metrics.Series{Name: m.String()}
-		sr := metrics.Series{Name: m.String()}
+		sc := report.Series{Name: m.String()}
+		sr := report.Series{Name: m.String()}
 		for _, c := range cs {
 			cCfg := cfg
 			cCfg.FullEvery = c
@@ -55,17 +55,17 @@ func RunAblationFullEvery(s Scale, seed int64) (*metrics.Figure, *metrics.Figure
 // with the sorted full-rotation sweep versus naive random in-place writes.
 // "This sorted I/O optimization is crucial for algorithms that use a
 // double-backup organization."
-func RunAblationSortedWrites(s Scale) *metrics.Figure {
+func RunAblationSortedWrites(s Scale) *report.Figure {
 	cfg := Config(s)
 	n := cfg.Table.NumObjects()
-	fig := &metrics.Figure{
+	fig := &report.Figure{
 		Title:  fmt.Sprintf("Ablation (%s scale): sorted vs random double-backup writes", s),
 		XLabel: "dirty objects k",
 		YLabel: "flush time [sec]",
 	}
-	sorted := metrics.Series{Name: "sorted sweep (paper)"}
-	random := metrics.Series{Name: "random in-place writes"}
-	seq := metrics.Series{Name: "sequential log (reference)"}
+	sorted := report.Series{Name: "sorted sweep (paper)"}
+	random := report.Series{Name: "random in-place writes"}
+	seq := report.Series{Name: "sequential log (reference)"}
 	for _, frac := range []float64{0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0} {
 		k := int(frac * float64(n))
 		if k < 1 {
@@ -84,20 +84,20 @@ func RunAblationSortedWrites(s Scale) *metrics.Figure {
 // RunAblationHardware is the sensitivity study the paper names as future
 // work in Section 8: how disk and memory bandwidth choices move the
 // Naive-Snapshot versus Copy-on-Update comparison.
-func RunAblationHardware(s Scale, seed int64) (*metrics.Figure, *metrics.Figure, error) {
+func RunAblationHardware(s Scale, seed int64) (*report.Figure, *report.Figure, error) {
 	base := Config(s)
 	ticks := Ticks(s)
 	updates := DefaultUpdates(s)
 	methods := []checkpoint.Method{checkpoint.NaiveSnapshot, checkpoint.CopyOnUpdate}
 
 	// Disk bandwidth sweep: recovery time is disk-bound.
-	diskFig := &metrics.Figure{
+	diskFig := &report.Figure{
 		Title:  fmt.Sprintf("Ablation (%s scale): disk bandwidth vs recovery time", s),
 		XLabel: "disk bandwidth [MB/s]",
 		YLabel: "est. recovery time [sec]",
 	}
 	for _, m := range methods {
-		series := metrics.Series{Name: m.String()}
+		series := report.Series{Name: m.String()}
 		for _, mult := range []float64{0.5, 1, 2, 4, 8} {
 			cfg := base
 			cfg.Params.DiskBandwidth = base.Params.DiskBandwidth * mult
@@ -115,13 +115,13 @@ func RunAblationHardware(s Scale, seed int64) (*metrics.Figure, *metrics.Figure,
 	}
 
 	// Memory bandwidth sweep: the eager pause is memory-bound.
-	memFig := &metrics.Figure{
+	memFig := &report.Figure{
 		Title:  fmt.Sprintf("Ablation (%s scale): memory bandwidth vs max tick overhead", s),
 		XLabel: "memory bandwidth [GB/s]",
 		YLabel: "max tick overhead [sec]",
 	}
 	for _, m := range methods {
-		series := metrics.Series{Name: m.String()}
+		series := report.Series{Name: m.String()}
 		for _, mult := range []float64{0.5, 1, 2, 4, 8} {
 			cfg := base
 			cfg.Params.MemBandwidth = base.Params.MemBandwidth * mult

@@ -15,9 +15,9 @@ import (
 	"repro/internal/disk"
 	"repro/internal/engine"
 	"repro/internal/gamestate"
-	"repro/internal/metrics"
 	"repro/internal/peerram"
 	"repro/internal/replication"
+	"repro/internal/report"
 	"repro/internal/telemetry"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -87,8 +87,8 @@ type ChaosReport struct {
 }
 
 // Table renders the cells.
-func (r *ChaosReport) Table() *metrics.TextTable {
-	t := metrics.NewTextTable()
+func (r *ChaosReport) Table() *report.TextTable {
+	t := report.NewTextTable()
 	t.Header("scenario", "site", "seed", "outcome", "faults", "sessions", "identical", "detail")
 	for _, c := range r.Cells {
 		sess := "-"
@@ -296,7 +296,7 @@ func chaosDiskCell(table gamestate.Table, src workload.Source, ref []byte, seed 
 	ticks := src.NumTicks()
 	const ckptEvery = 8
 	for t := 0; t < ticks; t++ {
-		cells, batch = scenarioTick(src, t, cells, batch)
+		cells, batch = workload.TickUpdates(src, t, cells, batch)
 		if err := e.ApplyTick(batch); err != nil {
 			e.Close()
 			cell.Outcome, cell.Detail = "failed", fmt.Sprintf("tick %d: %v", t, err)
@@ -469,7 +469,7 @@ func chaosReplinkCell(table gamestate.Table, src workload.Source, ref []byte, se
 	var batch []wal.Update
 	ticks := src.NumTicks()
 	for t := 0; t < ticks; t++ {
-		cells, batch = scenarioTick(src, t, cells, batch)
+		cells, batch = workload.TickUpdates(src, t, cells, batch)
 		if err := p.ApplyTick(batch); err != nil {
 			return fail(fmt.Sprintf("tick %d: %v", t, err))
 		}
@@ -549,7 +549,7 @@ func chaosClusterCell(table gamestate.Table, src workload.Source, ref []byte, se
 	tick := 0
 	run := func(n int) string {
 		for i := 0; i < n && tick < ticks; i++ {
-			cells, batch = scenarioTick(src, tick, cells, batch)
+			cells, batch = workload.TickUpdates(src, tick, cells, batch)
 			if err := c.Tick(batch); err != nil {
 				return fmt.Sprintf("tick %d: %v", tick, err)
 			}
@@ -655,7 +655,7 @@ func chaosPeerramCell(table gamestate.Table, src workload.Source, ref []byte, se
 	var batch []wal.Update
 	ticks := src.NumTicks()
 	for t := 0; t < ticks; t++ {
-		cells, batch = scenarioTick(src, t, cells, batch)
+		cells, batch = workload.TickUpdates(src, t, cells, batch)
 		if err := c.Tick(batch); err != nil {
 			c.Close()
 			cell.Outcome, cell.Detail = "failed", fmt.Sprintf("tick %d: %v", t, err)

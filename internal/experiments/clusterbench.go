@@ -11,22 +11,19 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/gamestate"
-	"repro/internal/metrics"
 	"repro/internal/peerram"
 	"repro/internal/replication"
+	"repro/internal/report"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
 // The cluster benchmark measures the multi-server quantities the paper's
-// Section 8 names and internal/experiments/multiserver.go only models
-// analytically — RunClusterBench supersedes that model with numbers from
-// the real internal/cluster subsystem (RunMultiServer remains its
-// analytical companion for what-if sweeps). Per (scenario, cluster size):
+// Section 8 names on the real internal/cluster subsystem. Per (scenario,
+// cluster size):
 //
 //   - synchronized tick overhead — the wall time of the barrier tick,
-//     i.e. the slowest node gates every tick, exactly the max-over-servers
-//     cost the model predicts;
+//     i.e. the slowest node gates every tick;
 //   - coordinated world checkpoint — the wall of a cut at a common tick,
 //     every node CheckpointAsOf the same tick concurrently;
 //   - whole-world recovery — crash at a barrier, then recover under each
@@ -107,13 +104,13 @@ type ClusterBenchRow struct {
 // ClusterBenchResult aggregates the sweep.
 type ClusterBenchResult struct {
 	Rows     []ClusterBenchRow
-	Tick     metrics.Figure // x = nodes, y = synchronized tick ms
-	Recovery metrics.Figure // x = nodes, y = whole-world recovery ms
+	Tick     report.Figure // x = nodes, y = synchronized tick ms
+	Recovery report.Figure // x = nodes, y = whole-world recovery ms
 }
 
 // Table renders the rows.
-func (r *ClusterBenchResult) Table() *metrics.TextTable {
-	t := metrics.NewTextTable()
+func (r *ClusterBenchResult) Table() *report.TextTable {
+	t := report.NewTextTable()
 	t.Header("scenario", "nodes", "eff", "window", "mode", "served", "tick ms", "wait ms", "ckpt ms",
 		"recovery ms", "replica KB", "world tick", "mig ticks", "install ms", "blackout", "identical")
 	for _, row := range r.Rows {
@@ -221,11 +218,11 @@ func RunClusterBench(s Scale, seed int64, opts ClusterBenchOptions) (*ClusterBen
 		table = *opts.Table
 	}
 	res := &ClusterBenchResult{
-		Tick: metrics.Figure{
+		Tick: report.Figure{
 			Title:  fmt.Sprintf("Cluster (%s scale): synchronized tick wall vs cluster size", s),
 			XLabel: "# nodes", YLabel: "barrier tick [ms]",
 		},
-		Recovery: metrics.Figure{
+		Recovery: report.Figure{
 			Title:  fmt.Sprintf("Cluster (%s scale): whole-world recovery vs cluster size", s),
 			XLabel: "# nodes", YLabel: "world recovery [ms]",
 		},
@@ -246,18 +243,18 @@ func RunClusterBench(s Scale, seed int64, opts ClusterBenchOptions) (*ClusterBen
 		type windowAxis struct {
 			window int
 			modes  []cluster.RecoveryMode
-			tick   metrics.Series
-			rec    []metrics.Series
+			tick   report.Series
+			rec    []report.Series
 		}
 		axes := make([]windowAxis, len(opts.Windows))
 		for wi, window := range opts.Windows {
-			ax := windowAxis{window: window, modes: opts.RecoveryModes, tick: metrics.Series{Name: name}}
+			ax := windowAxis{window: window, modes: opts.RecoveryModes, tick: report.Series{Name: name}}
 			if window > 0 {
 				ax.modes = []cluster.RecoveryMode{cluster.RecoveryDisk}
 				ax.tick.Name = fmt.Sprintf("%s/w%d", name, window)
 			}
 			for _, mode := range ax.modes {
-				ax.rec = append(ax.rec, metrics.Series{Name: ax.tick.Name + "/" + mode.String()})
+				ax.rec = append(ax.rec, report.Series{Name: ax.tick.Name + "/" + mode.String()})
 			}
 			axes[wi] = ax
 		}
@@ -432,7 +429,7 @@ func clusterBenchCell(table gamestate.Table, src workload.Source,
 				}
 			}
 		}
-		cells, batch = scenarioTick(src, t, cells, batch)
+		cells, batch = workload.TickUpdates(src, t, cells, batch)
 		t0 := time.Now()
 		if err := c.Tick(batch); err != nil {
 			c.Close()

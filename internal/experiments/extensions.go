@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
-	"repro/internal/metrics"
+	"repro/internal/report"
 )
 
 // RunLoggingFeasibility quantifies the paper's motivating claim (Section 1):
@@ -12,16 +12,16 @@ import (
 // recovery disk, while logical logging of user actions stays far below the
 // bandwidth ceiling. The curves cross the disk-bandwidth line at the rate
 // where a log-based DBMS back-end stops keeping up.
-func RunLoggingFeasibility(s Scale) *metrics.Figure {
+func RunLoggingFeasibility(s Scale) *report.Figure {
 	p := Config(s).Params
-	fig := &metrics.Figure{
+	fig := &report.Figure{
 		Title:  fmt.Sprintf("Extension (%s scale): logging bandwidth demand vs update rate", s),
 		XLabel: "# updates per tick",
 		YLabel: "log bandwidth [MB/s]",
 	}
-	physical := metrics.Series{Name: "ARIES-style physical log"}
-	logical := metrics.Series{Name: "logical log (20 updates/action)"}
-	diskLine := metrics.Series{Name: "recovery disk bandwidth"}
+	physical := report.Series{Name: "ARIES-style physical log"}
+	logical := report.Series{Name: "logical log (20 updates/action)"}
+	diskLine := report.Series{Name: "recovery disk bandwidth"}
 	for _, u := range UpdateSweep(s) {
 		physical.Add(float64(u), p.PhysicalLogDemand(u)/1e6)
 		logical.Add(float64(u), p.LogicalLogDemand(u, 20)/1e6)
@@ -46,7 +46,7 @@ func MaxPhysicalLoggingRate(s Scale) float64 {
 // recovery keeps utilization near 1 at the cost of ΔTrecovery of downtime.
 // The checkpoint rows use measured simulator results for the scale's default
 // workload; the replication rows are analytic.
-func RunKSafetyComparison(s Scale, seed int64) (*metrics.TextTable, error) {
+func RunKSafetyComparison(s Scale, seed int64) (*report.TextTable, error) {
 	cfg := Config(s)
 	src, err := zipfSource(cfg, DefaultUpdates(s), Ticks(s), DefaultSkew, seed)
 	if err != nil {
@@ -58,7 +58,7 @@ func RunKSafetyComparison(s Scale, seed int64) (*metrics.TextTable, error) {
 		return nil, err
 	}
 
-	t := metrics.NewTextTable()
+	t := report.NewTextTable()
 	t.Header("approach", "servers/shard", "useful utilization",
 		"recovery after failure", "survives", "extra game latency")
 	for _, r := range results {

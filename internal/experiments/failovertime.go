@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/metrics"
 	"repro/internal/replication"
+	"repro/internal/report"
 	"repro/internal/wal"
 )
 
@@ -72,13 +72,13 @@ type FailoverTimeResult struct {
 	Rows []FailoverTimeRow
 	// Takeover and Cold plot seconds vs shard count, one series per
 	// (updates, lag) combination.
-	Takeover metrics.Figure
-	Cold     metrics.Figure
+	Takeover report.Figure
+	Cold     report.Figure
 }
 
 // Table renders the rows as an aligned text table.
-func (r *FailoverTimeResult) Table() *metrics.TextTable {
-	t := metrics.NewTextTable()
+func (r *FailoverTimeResult) Table() *report.TextTable {
+	t := report.NewTextTable()
 	t.Header("updates/tick", "lag budget", "shards", "eff", "log ticks",
 		"warm takeover ms", "cold pipeline ms", "cold serial ms", "speedup", "identical")
 	ms := func(d time.Duration) string { return fmt.Sprintf("%.2f", d.Seconds()*1e3) }
@@ -130,11 +130,11 @@ func RunFailoverTime(s Scale, seed int64, updateCounts, lagBudgets, shardCounts 
 	}
 
 	res := &FailoverTimeResult{
-		Takeover: metrics.Figure{
+		Takeover: report.Figure{
 			Title:  fmt.Sprintf("Failover (%s scale): warm-standby takeover vs shard count", s),
 			XLabel: "# shards", YLabel: "takeover time [sec]",
 		},
-		Cold: metrics.Figure{
+		Cold: report.Figure{
 			Title:  fmt.Sprintf("Failover (%s scale): cold pipeline recovery vs shard count", s),
 			XLabel: "# shards", YLabel: "recovery time [sec]",
 		},
@@ -142,8 +142,8 @@ func RunFailoverTime(s Scale, seed int64, updateCounts, lagBudgets, shardCounts 
 	for _, updates := range updateCounts {
 		for _, lag := range lagBudgets {
 			key := fmt.Sprintf("u=%d/lag=%d", updates, lag)
-			warmSeries := metrics.Series{Name: key}
-			coldSeries := metrics.Series{Name: key}
+			warmSeries := report.Series{Name: key}
+			coldSeries := report.Series{Name: key}
 			for _, shards := range shardCounts {
 				row, err := failoverPoint(s, seed, updates, lag, shards, logTicks, diskBytesPerSec)
 				if err != nil {

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/game"
-	"repro/internal/metrics"
+	"repro/internal/report"
 	"repro/internal/trace"
 )
 
@@ -16,7 +16,7 @@ type GameResult struct {
 	TraceStats trace.Stats
 	// Bars renders the three bar charts of Figure 5 as one table: per
 	// method, overhead / checkpoint / recovery.
-	Bars *metrics.TextTable
+	Bars *report.TextTable
 	Raw  map[checkpoint.Method]*checkpoint.Result
 }
 
@@ -46,7 +46,7 @@ func RunGameTrace(s Scale, seed int64) (*GameResult, error) {
 		TraceStats: trace.Measure(mem),
 		Raw:        map[checkpoint.Method]*checkpoint.Result{},
 	}
-	t := metrics.NewTextTable()
+	t := report.NewTextTable()
 	t.Header("method", "avg overhead [msec]", "avg time to checkpoint [sec]", "est. recovery [sec]")
 	for _, r := range results {
 		gr.Raw[r.Method] = r
@@ -60,8 +60,8 @@ func RunGameTrace(s Scale, seed int64) (*GameResult, error) {
 }
 
 // Table5 renders the measured trace characteristics next to the paper's.
-func (gr *GameResult) Table5() *metrics.TextTable {
-	t := metrics.NewTextTable()
+func (gr *GameResult) Table5() *report.TextTable {
+	t := report.NewTextTable()
 	t.Header("parameter", "paper (Table 5)", "this reproduction")
 	t.Row("number of units", "400,128", fmt.Sprint(gr.Stats.Units))
 	t.Row("number of attributes per unit", "13", fmt.Sprint(gr.Stats.Attrs))

@@ -9,7 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/gamestate"
-	"repro/internal/metrics"
+	"repro/internal/report"
 	"repro/internal/session"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -96,13 +96,13 @@ type GatewayBenchRow struct {
 // GatewayBenchResult aggregates the sweep.
 type GatewayBenchResult struct {
 	Rows     []GatewayBenchRow
-	Capacity metrics.Figure // x = nodes, y = sustainable clients/node
-	Latency  metrics.Figure // x = nodes, y = intent→visible latency ms
+	Capacity report.Figure // x = nodes, y = sustainable clients/node
+	Latency  report.Figure // x = nodes, y = intent→visible latency ms
 }
 
 // Table renders the rows.
-func (r *GatewayBenchResult) Table() *metrics.TextTable {
-	t := metrics.NewTextTable()
+func (r *GatewayBenchResult) Table() *report.TextTable {
+	t := report.NewTextTable()
 	t.Header("profile", "scenario", "nodes", "eff", "clients", "online",
 		"tick ms", "lat ms", "lat max", "clients/node", "logins", "logouts",
 		"deltas/tick", "dropped", "recovery ms", "identical")
@@ -203,18 +203,18 @@ func RunGatewayBench(s Scale, seed int64, opts GatewayBenchOptions) (*GatewayBen
 		opts.Clients = n
 	}
 	res := &GatewayBenchResult{
-		Capacity: metrics.Figure{
+		Capacity: report.Figure{
 			Title:  fmt.Sprintf("Gateway (%s scale): sustainable clients per node vs cluster size", s),
 			XLabel: "# nodes", YLabel: "clients / node @ tick budget",
 		},
-		Latency: metrics.Figure{
+		Latency: report.Figure{
 			Title:  fmt.Sprintf("Gateway (%s scale): intent-to-visible latency vs cluster size", s),
 			XLabel: "# nodes", YLabel: "latency [ms]",
 		},
 	}
 	for _, profile := range opts.Profiles {
-		capSeries := metrics.Series{Name: string(profile)}
-		latSeries := metrics.Series{Name: string(profile)}
+		capSeries := report.Series{Name: string(profile)}
+		latSeries := report.Series{Name: string(profile)}
 		for _, nodes := range opts.Sizes {
 			row, err := gatewayBenchCell(table, s, seed, profile, nodes, opts)
 			if err != nil {

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"repro/internal/costmodel"
-	"repro/internal/metrics"
+	"repro/internal/report"
 )
 
 // MeasureTable3 re-runs the micro-benchmarks of Section 4.3 on the host and
@@ -36,9 +36,9 @@ func MeasureTable3(measureDisk bool, tmpDir string) (costmodel.Params, error) {
 
 // Table3Comparison renders the paper's parameters next to host-measured
 // ones.
-func Table3Comparison(measured costmodel.Params) *metrics.TextTable {
+func Table3Comparison(measured costmodel.Params) *report.TextTable {
 	paper := costmodel.Default()
-	t := metrics.NewTextTable()
+	t := report.NewTextTable()
 	t.Header("parameter", "paper (Table 3)", "this host")
 	t.Row("Memory Bandwidth (Bmem)",
 		fmt.Sprintf("%.1f GB/s", paper.MemBandwidth/1e9),

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/metrics"
+	"repro/internal/report"
 	"repro/internal/wal"
 )
 
@@ -36,11 +36,13 @@ type RecoveryTimeRow struct {
 	Shards    int
 	Effective int
 	// Restore and Replay are the pipeline's stage wall times (ΔTrestore,
-	// ΔTreplay); Total is the pipeline wall. Total < Restore + Replay is
-	// the restore∥replay overlap made visible.
+	// ΔTreplay); Total is the pipeline wall. Overlap is the recovery time
+	// pipelining the stages saved (recovery.ParallelResult.Overlap, never
+	// negative).
 	Restore time.Duration
 	Replay  time.Duration
 	Total   time.Duration
+	Overlap time.Duration
 	// Serial is ΔTrestore + ΔTreplay through the serial recovery path on
 	// the same directory, the single-core baseline.
 	Serial time.Duration
@@ -48,27 +50,24 @@ type RecoveryTimeRow struct {
 	ReplayedTicks int
 }
 
-// Overlap is the recovery time saved by pipelining the stages.
-func (r *RecoveryTimeRow) Overlap() time.Duration { return r.Restore + r.Replay - r.Total }
-
 // RecoveryTimeResult aggregates the sweep.
 type RecoveryTimeResult struct {
 	Rows    []RecoveryTimeRow
-	Restore metrics.Figure // x = shards, y = ΔTrestore seconds
-	Replay  metrics.Figure // x = shards, y = ΔTreplay seconds
-	Total   metrics.Figure // x = shards, y = pipeline recovery seconds
+	Restore report.Figure // x = shards, y = ΔTrestore seconds
+	Replay  report.Figure // x = shards, y = ΔTreplay seconds
+	Total   report.Figure // x = shards, y = pipeline recovery seconds
 }
 
 // Table renders the rows as an aligned text table.
-func (r *RecoveryTimeResult) Table() *metrics.TextTable {
-	t := metrics.NewTextTable()
+func (r *RecoveryTimeResult) Table() *report.TextTable {
+	t := report.NewTextTable()
 	t.Header("method", "log ticks", "shards", "eff",
 		"restore ms", "replay ms", "pipeline ms", "overlap ms", "serial ms", "replayed")
 	ms := func(d time.Duration) string { return fmt.Sprintf("%.2f", d.Seconds()*1e3) }
 	for _, row := range r.Rows {
 		t.Row(row.Mode.String(), fmt.Sprint(row.LogTicks),
 			fmt.Sprint(row.Shards), fmt.Sprint(row.Effective),
-			ms(row.Restore), ms(row.Replay), ms(row.Total), ms(row.Overlap()),
+			ms(row.Restore), ms(row.Replay), ms(row.Total), ms(row.Overlap),
 			ms(row.Serial), fmt.Sprint(row.ReplayedTicks))
 	}
 	return t
@@ -104,15 +103,15 @@ func RunRecoveryTime(s Scale, seed int64, shardCounts, logLens []int, diskBytesP
 		logLens = DefaultRecoveryLogLens(s)
 	}
 	res := &RecoveryTimeResult{
-		Restore: metrics.Figure{
+		Restore: report.Figure{
 			Title:  fmt.Sprintf("Recovery pipeline (%s scale): restore stage vs shard count", s),
 			XLabel: "# shards", YLabel: "ΔTrestore [sec]",
 		},
-		Replay: metrics.Figure{
+		Replay: report.Figure{
 			Title:  fmt.Sprintf("Recovery pipeline (%s scale): replay stage vs shard count", s),
 			XLabel: "# shards", YLabel: "ΔTreplay [sec]",
 		},
-		Total: metrics.Figure{
+		Total: report.Figure{
 			Title:  fmt.Sprintf("Recovery pipeline (%s scale): pipeline total vs shard count", s),
 			XLabel: "# shards", YLabel: "recovery time [sec]",
 		},
@@ -130,9 +129,9 @@ func RunRecoveryTime(s Scale, seed int64, shardCounts, logLens []int, diskBytesP
 				return nil, err
 			}
 			key := fmt.Sprintf("%s/L=%d", mode, logLen)
-			restoreSeries := metrics.Series{Name: key}
-			replaySeries := metrics.Series{Name: key}
-			totalSeries := metrics.Series{Name: key}
+			restoreSeries := report.Series{Name: key}
+			replaySeries := report.Series{Name: key}
+			totalSeries := report.Series{Name: key}
 			for i := range rows {
 				rows[i].Serial = serial
 				restoreSeries.Add(float64(rows[i].Shards), rows[i].Restore.Seconds())
@@ -235,6 +234,7 @@ func recoveryPoint(mode engine.Mode, s Scale, seed int64, updates, logLen int,
 			Restore:       pres.RestoreDuration,
 			Replay:        pres.ReplayDuration,
 			Total:         pres.TotalDuration,
+			Overlap:       pres.Overlap(),
 			ReplayedTicks: pres.ReplayedTicks,
 		})
 		if err := pe.Close(); err != nil {

@@ -1,223 +1,20 @@
 package experiments
 
 import (
-	"path/filepath"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/gamestate"
 )
 
-// gateFixture builds a small synthetic report for the compare tests.
-func gateFixture() *BenchReport {
-	return &BenchReport{
-		Schema: benchSchema,
-		Config: BenchConfig{
-			Scale: "quick", Seed: 1, UpdatesPerTick: 6400, Skew: 0.8,
-			WarmTicks: 32, LiveTicks: 16, LagBudget: 8,
-			Scenarios:   []string{"hotspot", "quiescent"},
-			Methods:     []string{"copy-on-update"},
-			ShardCounts: []int{1, 2}, DiskBytesPerSec: 6e7,
-		},
-		NumCPU: 1, GoMaxProcs: 1,
-		Cells: []BenchCell{
-			{Scenario: "hotspot", Method: "copy-on-update", Shards: 1, Effective: 1,
-				UpdatesApplied: 204800, TickApplyMs: 1.1, ApplyUpdatesPerSec: 5.12e6, ApplyBest: 5.6e6,
-				RecoveryMs: 80, ReplayedTicks: 16, TakeoverMs: 1.2, Identical: true},
-			{Scenario: "hotspot", Method: "copy-on-update", Shards: 2, Effective: 2,
-				UpdatesApplied: 204800, TickApplyMs: 0.8, ApplyUpdatesPerSec: 6.8e6, ApplyBest: 7.2e6,
-				RecoveryMs: 60, ReplayedTicks: 16, TakeoverMs: 1.1, Identical: true},
-			// Below both gate floors: must never gate.
-			{Scenario: "quiescent", Method: "copy-on-update", Shards: 1, Effective: 1,
-				UpdatesApplied: 6400, TickApplyMs: 0.04, ApplyUpdatesPerSec: 5.3e6, ApplyBest: 6.1e6,
-				RecoveryMs: 4, ReplayedTicks: 16, TakeoverMs: 1.0, Identical: true},
-		},
-	}
-}
-
-func clone(r *BenchReport) *BenchReport {
-	cp := *r
-	cp.Cells = append([]BenchCell(nil), r.Cells...)
-	cp.Config.Scenarios = append([]string(nil), r.Config.Scenarios...)
-	cp.Config.Methods = append([]string(nil), r.Config.Methods...)
-	cp.Config.ShardCounts = append([]int(nil), r.Config.ShardCounts...)
-	return &cp
-}
-
-// TestGatePassesOnBaseline: a report compared against itself is clean.
-func TestGatePassesOnBaseline(t *testing.T) {
-	base := gateFixture()
-	res, err := CompareBench(base, clone(base), DefaultGateTolerance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Violations) != 0 {
-		t.Fatalf("self-comparison produced violations: %v", res.Violations)
-	}
-}
-
-// TestGateFailsOnInjectedThroughputRegression is the acceptance check: a 2x
-// tick-apply throughput regression must trip the gate.
-func TestGateFailsOnInjectedThroughputRegression(t *testing.T) {
-	base := gateFixture()
-	cur := clone(base)
-	// Injected 2x regression: a real slowdown moves every repeat, so both
-	// the typical and the best rate halve.
-	cur.Cells[0].ApplyUpdatesPerSec /= 2
-	cur.Cells[0].ApplyBest /= 2
-	res, err := CompareBench(base, cur, DefaultGateTolerance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Violations) != 1 {
-		t.Fatalf("want exactly 1 violation for the injected regression, got %v", res.Violations)
-	}
-	// A 2x improvement must NOT trip it (the band is one-sided).
-	cur = clone(base)
-	cur.Cells[0].ApplyUpdatesPerSec *= 2
-	cur.Cells[0].ApplyBest *= 2
-	res, err = CompareBench(base, cur, DefaultGateTolerance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Violations) != 0 {
-		t.Fatalf("improvement tripped the gate: %v", res.Violations)
-	}
-	// Scheduler mode flapping: the typical rate halves but one repeat
-	// still hit the fast mode — the asymmetric rule must NOT fire.
-	cur = clone(base)
-	cur.Cells[0].ApplyUpdatesPerSec /= 2
-	res, err = CompareBench(base, cur, DefaultGateTolerance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Violations) != 0 {
-		t.Fatalf("mode flap tripped the gate: %v", res.Violations)
-	}
-}
-
-// TestGateFailsOnRecoveryRegression: recovery time above the band trips.
-func TestGateFailsOnRecoveryRegression(t *testing.T) {
-	base := gateFixture()
-	cur := clone(base)
-	cur.Cells[1].RecoveryMs *= 1.5
-	res, err := CompareBench(base, cur, DefaultGateTolerance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Violations) != 1 {
-		t.Fatalf("want 1 violation, got %v", res.Violations)
-	}
-	// Within the band: passes.
-	cur = clone(base)
-	cur.Cells[1].RecoveryMs *= 1.2
-	res, err = CompareBench(base, cur, DefaultGateTolerance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Violations) != 0 {
-		t.Fatalf("within-band drift tripped the gate: %v", res.Violations)
-	}
-	// A cell that regresses both metrics reports both violations — one
-	// must not shadow the other.
-	cur = clone(base)
-	cur.Cells[0].ApplyUpdatesPerSec /= 2
-	cur.Cells[0].ApplyBest /= 2
-	cur.Cells[0].RecoveryMs *= 2
-	res, err = CompareBench(base, cur, DefaultGateTolerance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Violations) != 2 {
-		t.Fatalf("double regression: want 2 violations, got %v", res.Violations)
-	}
-}
-
-// TestGateFloors: cells whose baseline is too small to time never gate,
-// however badly the rerun times them.
-func TestGateFloors(t *testing.T) {
-	base := gateFixture()
-	cur := clone(base)
-	cur.Cells[2].ApplyUpdatesPerSec /= 10
-	cur.Cells[2].ApplyBest /= 10
-	cur.Cells[2].RecoveryMs *= 10
-	res, err := CompareBench(base, cur, DefaultGateTolerance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Violations) != 0 {
-		t.Fatalf("below-floor cell gated: %v", res.Violations)
-	}
-}
-
-// TestGateHardFailures: corruption and vanished cells fail regardless of
-// timing.
-func TestGateHardFailures(t *testing.T) {
-	base := gateFixture()
-	cur := clone(base)
-	cur.Cells[0].Identical = false
-	res, err := CompareBench(base, cur, DefaultGateTolerance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Violations) != 1 {
-		t.Fatalf("corrupt cell: want 1 violation, got %v", res.Violations)
-	}
-
-	cur = clone(base)
-	cur.Cells = cur.Cells[1:]
-	res, err = CompareBench(base, cur, DefaultGateTolerance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Violations) != 1 {
-		t.Fatalf("missing cell: want 1 violation, got %v", res.Violations)
-	}
-}
-
-// TestGateRejectsIncomparableConfigs: different sweep configs are an error,
-// not a pass.
-func TestGateRejectsIncomparableConfigs(t *testing.T) {
-	base := gateFixture()
-	cur := clone(base)
-	cur.Config.UpdatesPerTick = 123
-	if _, err := CompareBench(base, cur, DefaultGateTolerance); err == nil {
-		t.Fatal("mismatched configs compared without error")
-	}
-}
-
-// TestBenchReportRoundTrip: the JSON the CI gate reads back is the report
-// that was written.
-func TestBenchReportRoundTrip(t *testing.T) {
-	base := gateFixture()
-	path := filepath.Join(t.TempDir(), "BENCH_scenarios.json")
-	if err := base.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBenchReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := CompareBench(base, got, DefaultGateTolerance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Violations) != 0 {
-		t.Fatalf("round-tripped report differs: %v", res.Violations)
-	}
-	if !got.Identical() {
-		t.Fatal("Identical() false on an all-identical report")
-	}
-}
-
 // TestScenarioBenchMicro runs the full three-phase cell pipeline (warm
 // checkpointing engine → live replicated phase → crash → promote → cold
 // pipeline recovery) at a tiny geometry, for one scenario, and checks the
-// report's invariants: identity holds, the replay axis is pinned, and the
-// sweep covers every requested cell.
+// sweep's invariants: identity holds, the replay axis is pinned, the standby
+// promotes at the crash tick, and the sweep covers every requested cell.
 func TestScenarioBenchMicro(t *testing.T) {
 	tab := gamestate.Table{Rows: 8192, Cols: 8, CellSize: 4, ObjSize: 512}
-	rep, err := RunScenarioBench(Quick, 3, ScenarioBenchOptions{
+	res, err := RunScenarioBench(Quick, 3, ScenarioBenchOptions{
 		Scenarios:       []string{"migration"},
 		Methods:         []engine.Mode{engine.ModeCopyOnUpdate},
 		ShardCounts:     []int{1, 2},
@@ -230,10 +27,10 @@ func TestScenarioBenchMicro(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Cells) != 2 {
-		t.Fatalf("got %d cells, want 2", len(rep.Cells))
+	if len(res.Cells) != 2 {
+		t.Fatalf("got %d cells, want 2", len(res.Cells))
 	}
-	for _, c := range rep.Cells {
+	for _, c := range res.Cells {
 		if !c.Identical {
 			t.Errorf("%s/%s/shards=%d: byte identity failed", c.Scenario, c.Method, c.Shards)
 		}
@@ -248,21 +45,5 @@ func TestScenarioBenchMicro(t *testing.T) {
 		if c.UpdatesApplied <= 0 || c.TakeoverMs <= 0 || c.RecoveryMs <= 0 {
 			t.Errorf("%s shards=%d: empty measurement: %+v", c.Scenario, c.Shards, c)
 		}
-	}
-	// The report must survive its own gate against itself.
-	path := filepath.Join(t.TempDir(), "b.json")
-	if err := rep.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadBenchReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := CompareBench(rep, back, DefaultGateTolerance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Violations) != 0 {
-		t.Fatalf("micro report fails its own gate: %v", res.Violations)
 	}
 }

@@ -4,16 +4,16 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
-	"repro/internal/metrics"
+	"repro/internal/report"
 )
 
 // FigureSet holds the three per-sweep figures the paper reports: average
 // overhead per tick, average time to checkpoint, and estimated recovery
 // time — i.e. one row of Figure 2 or Figure 4.
 type FigureSet struct {
-	Overhead   metrics.Figure
-	Checkpoint metrics.Figure
-	Recovery   metrics.Figure
+	Overhead   report.Figure
+	Checkpoint report.Figure
+	Recovery   report.Figure
 	// Raw holds the full simulation results: Raw[method][i] corresponds to
 	// x value i of the sweep.
 	Raw map[checkpoint.Method][]*checkpoint.Result
@@ -22,15 +22,15 @@ type FigureSet struct {
 
 func newFigureSet(title, xlabel string) *FigureSet {
 	return &FigureSet{
-		Overhead: metrics.Figure{
+		Overhead: report.Figure{
 			Title: title + ": average overhead time", XLabel: xlabel,
 			YLabel: "avg overhead per tick [sec]",
 		},
-		Checkpoint: metrics.Figure{
+		Checkpoint: report.Figure{
 			Title: title + ": time to checkpoint", XLabel: xlabel,
 			YLabel: "avg time to checkpoint [sec]",
 		},
-		Recovery: metrics.Figure{
+		Recovery: report.Figure{
 			Title: title + ": recovery time", XLabel: xlabel,
 			YLabel: "est. recovery time [sec]",
 		},
@@ -44,9 +44,9 @@ func (f *FigureSet) add(m checkpoint.Method, x float64, r *checkpoint.Result) {
 
 func (f *FigureSet) build(methods []checkpoint.Method) {
 	for _, m := range methods {
-		so := metrics.Series{Name: m.String()}
-		sc := metrics.Series{Name: m.String()}
-		sr := metrics.Series{Name: m.String()}
+		so := report.Series{Name: m.String()}
+		sc := report.Series{Name: m.String()}
+		sr := report.Series{Name: m.String()}
 		for i, r := range f.Raw[m] {
 			so.Add(f.X[i], r.AvgOverhead)
 			sc.Add(f.X[i], r.AvgCheckpointTime)
@@ -112,7 +112,7 @@ func RunSkewSweep(s Scale, seed int64) (*FigureSet, error) {
 // Timeline is the Figure 3 latency analysis: per-tick lengths for a window
 // of ticks, plus the half-tick latency limit line the paper draws.
 type Timeline struct {
-	Figure metrics.Figure
+	Figure report.Figure
 	// Limit is the latency limit: nominal tick + half a tick.
 	Limit float64
 	// Raw results per method (KeepSeries on).
@@ -139,21 +139,21 @@ func RunLatencyTimeline(s Scale, seed int64) (*Timeline, error) {
 		return nil, err
 	}
 	tl := &Timeline{
-		Figure: metrics.Figure{
+		Figure: report.Figure{
 			Title:  fmt.Sprintf("Figure 3 (%s scale): latency analysis", s),
 			XLabel: "tick #", YLabel: "tick length [sec]",
 		},
 		Limit: cfg.Params.TickLen() * 1.5,
 		Raw:   map[checkpoint.Method]*checkpoint.Result{},
 	}
-	limit := metrics.Series{Name: "Latency Limit"}
+	limit := report.Series{Name: "Latency Limit"}
 	for t := winStart; t <= winEnd; t++ {
 		limit.Add(float64(t), tl.Limit)
 	}
 	tl.Figure.Add(limit)
 	for _, r := range results {
 		tl.Raw[r.Method] = r
-		series := metrics.Series{Name: r.Method.String()}
+		series := report.Series{Name: r.Method.String()}
 		for t := winStart; t <= winEnd; t++ {
 			series.Add(float64(t), r.TickLength(t))
 		}

@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
-	"repro/internal/metrics"
+	"repro/internal/report"
 	"repro/internal/wal"
 )
 
@@ -35,9 +35,9 @@ type ValidationRun struct {
 // ValidationResult aggregates Figure 6.
 type ValidationResult struct {
 	Runs       []ValidationRun
-	Overhead   metrics.Figure
-	Checkpoint metrics.Figure
-	Recovery   metrics.Figure
+	Overhead   report.Figure
+	Checkpoint report.Figure
+	Recovery   report.Figure
 }
 
 // ValidationOptions tunes the Figure 6 harness.
@@ -101,26 +101,26 @@ func RunValidation(s Scale, opts ValidationOptions) (*ValidationResult, error) {
 	}
 
 	res := &ValidationResult{
-		Overhead: metrics.Figure{
+		Overhead: report.Figure{
 			Title:  fmt.Sprintf("Figure 6(a) (%s scale): validation, overhead", s),
 			XLabel: "# updates per tick", YLabel: "avg overhead per tick [sec]",
 		},
-		Checkpoint: metrics.Figure{
+		Checkpoint: report.Figure{
 			Title:  fmt.Sprintf("Figure 6(b) (%s scale): validation, checkpoint time", s),
 			XLabel: "# updates per tick", YLabel: "avg time to checkpoint [sec]",
 		},
-		Recovery: metrics.Figure{
+		Recovery: report.Figure{
 			Title:  fmt.Sprintf("Figure 6(c) (%s scale): validation, recovery time", s),
 			XLabel: "# updates per tick", YLabel: "est. recovery time [sec]",
 		},
 	}
 
-	series := map[string]*metrics.Series{}
+	series := map[string]*report.Series{}
 	for _, m := range methods {
 		for _, kind := range []string{"Simulation", "Implementation"} {
 			for _, fig := range []string{"o", "c", "r"} {
 				key := fmt.Sprintf("%s/%s/%s", m.ShortName(), kind, fig)
-				series[key] = &metrics.Series{Name: m.ShortName() + " (" + kind + ")"}
+				series[key] = &report.Series{Name: m.ShortName() + " (" + kind + ")"}
 			}
 		}
 	}

@@ -1,7 +1,7 @@
-// Package metrics provides the small reporting toolkit the experiment
+// Package report provides the small reporting toolkit the experiment
 // harness uses to regenerate the paper's figures and tables as text: labeled
-// series (one line per algorithm), aligned text tables, CSV emission, and
-// summary statistics over per-tick measurements.
+// series (one line per algorithm), aligned text tables, CSV emission,
+// gnuplot scripts, and summary statistics over per-tick measurements.
 //
 // The package is scoped to offline experiment figure rendering: it runs
 // after a benchmark finishes and formats what the harness measured. Live
@@ -9,7 +9,7 @@
 // from a running process — is internal/telemetry's job; the experiment
 // harness cross-checks the two against each other (a bench's measured walls
 // must agree with the telemetry the instrumented code recorded).
-package metrics
+package report
 
 import (
 	"fmt"

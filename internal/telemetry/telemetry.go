@@ -12,9 +12,9 @@
 // package-level default registry at package init; hot paths hold the
 // returned pointers, so recording is lock-free and allocation-free.
 //
-// This package measures a live process. The similarly named
-// internal/metrics package is unrelated: it renders offline experiment
-// figures and tables for the harness (see its package comment).
+// This package measures a live process. internal/report is unrelated: it
+// renders offline experiment figures and tables for the harness (see its
+// package comment).
 package telemetry
 
 import (

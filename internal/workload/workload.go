@@ -8,7 +8,7 @@
 // results shift materially with skew and churn. Each scenario here is a
 // deterministic, seedable trace.Source with a name, so the same stream can
 // drive the sharded engine, the parallel recovery pipeline, the replication
-// shipper, cmd/tracegen and the scenariobench perf gate.
+// shipper, cmd/tracegen and the scenariobench identity sweep.
 //
 // Determinism contract: a Source is a pure function of (Config, tick).
 // Every scenario derives a per-tick RNG from (seed, scenario-name hash,
