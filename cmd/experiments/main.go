@@ -33,9 +33,9 @@
 // scenario × cluster size × recovery mode (disk pipeline, standby
 // promotion, peer-RAM restore): synchronized tick overhead, coordinated
 // world checkpoints, whole-world recovery down each ladder rung with the
-// served mode and compressed replica RAM reported, and live partition
-// migration with a zero-blackout check and per-cell byte identity against
-// a single-node reference. -cluster-scenarios, -cluster-sizes and
+// served mode and compressed replica RAM reported, and a live partition
+// migration cut, with per-cell byte identity against a single-node
+// reference. -cluster-scenarios, -cluster-sizes and
 // -cluster-recovery-modes trim the sweep. -cluster-max-skew is the
 // coordination-window axis (a list of cluster MaxSkew values, default 0 =
 // the barrier): a cell at a window > 0 runs the same scenarios with nodes
@@ -45,8 +45,8 @@
 //
 // chaosbench runs seeded fault-injection schedules (internal/chaos) over
 // scenario × fault site × seed: a backup device that dies mid-flush, a
-// replication link severed mid-frame session after session, a migration
-// range stream cut mid-transfer, a peer-RAM holder killed mid-restore.
+// replication link severed mid-frame session after session, a peer-RAM
+// holder killed mid-restore.
 // Every cell must end byte-identical to a
 // never-faulted reference — "survived" when no fault fired, "degraded" when
 // faults fired and the degradation path held; any "failed" cell exits
@@ -144,7 +144,7 @@ var (
 	clustRec   = flag.String("cluster-recovery-modes", "", "comma-separated clusterbench recovery-mode axis (empty = disk,standby,peerram)")
 	clustSkews = flag.String("cluster-max-skew", "", "comma-separated clusterbench coordination-window axis, cluster MaxSkew values (empty = 0, the barrier)")
 	chaosScen  = flag.String("chaos-scenarios", "", "comma-separated chaosbench scenario filter (empty = flashcrowd,hotspot,migration)")
-	chaosSite  = flag.String("chaos-sites", "", "comma-separated chaosbench fault sites (empty = disk,replink,cluster,peerram)")
+	chaosSite  = flag.String("chaos-sites", "", "comma-separated chaosbench fault sites (empty = disk,replink,peerram)")
 	chaosSeed  = flag.String("chaos-seeds", "", "comma-separated chaosbench schedule seeds (empty = 1,2,3)")
 	gwProf     = flag.String("gateway-profiles", "", "comma-separated gatewaybench churn profiles (empty = "+joinProfiles()+")")
 	gwSize     = flag.String("gateway-sizes", "", "comma-separated gatewaybench node counts (empty = 1,2,4)")
@@ -439,16 +439,15 @@ func (r *runner) clusterbench() {
 			cb.Table())
 		r.emit("clusterbench-tick", &cb.Tick)
 		r.emit("clusterbench-recovery", &cb.Recovery)
-		// Zero-blackout is enforced per cell inside RunClusterBench (a
-		// nonzero count fails the cell), as is the windowed coordinator's
-		// wait ≈ 0 honesty bound; only identity is checked here.
+		// The windowed coordinator's wait ≈ 0 honesty bound is enforced per
+		// cell inside RunClusterBench; only identity is checked here.
 		for _, row := range cb.Rows {
 			if !row.Identical {
 				fatalf("clusterbench: %s/nodes=%d/maxskew=%d NOT byte-identical to the single-node reference",
 					row.Scenario, row.Nodes, row.MaxSkew)
 			}
 		}
-		fmt.Printf("cluster crash equivalence: all %d rows byte-identical to the single-node reference, zero migration blackout\n",
+		fmt.Printf("cluster crash equivalence: all %d rows byte-identical to the single-node reference\n",
 			len(cb.Rows))
 	})
 }

@@ -1,12 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // docFiles are the documents whose -exp names and cmd/experiments flags
@@ -29,6 +35,9 @@ var (
 	matrixArgs = regexp.MustCompile(`(?m)^\s*args:\s*(.*)$`)
 	flagName   = regexp.MustCompile(`(?:^|\s)--?([a-z][a-z0-9-]*)`)
 	inlineCode = regexp.MustCompile("`([^`]+)`")
+	// family is a metric family as RUNBOOK writes it: snake_case, with an
+	// optional {label} suffix.
+	family = regexp.MustCompile(`^([a-z][a-z0-9]*(?:_[a-z0-9]+)+)(?:\{[a-z]+\})?$`)
 )
 
 // TestDocsNameRegisteredExperimentsAndFlags fails when a document names an
@@ -125,4 +134,130 @@ func experimentsCommands(text string, markdown bool) []string {
 		add(m[1])
 	}
 	return cmds
+}
+
+// runbookTable returns the body rows of the first markdown table after the
+// RUNBOOK line containing heading, one trimmed string per cell.
+func runbookTable(t *testing.T, heading string) [][]string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "docs", "RUNBOOK.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, text, ok := strings.Cut(string(data), heading)
+	if !ok {
+		t.Fatalf("RUNBOOK.md has no %q", heading)
+	}
+	var rows [][]string
+	for _, line := range strings.Split(text, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if len(rows) > 0 {
+				break
+			}
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		rows = append(rows, cells)
+	}
+	if len(rows) < 3 {
+		t.Fatalf("RUNBOOK.md: no table after %q", heading)
+	}
+	return rows[2:] // past the header and the separator
+}
+
+// TestRunbookMetricFamiliesMatchRegistry fails when RUNBOOK's metric table
+// names a family no package registers, or a registered family is missing
+// from it. This binary links every instrumented package, so WriteMetrics
+// prints a HELP line for each registered family.
+func TestRunbookMetricFamiliesMatchRegistry(t *testing.T) {
+	documented := map[string]bool{}
+	for _, row := range runbookTable(t, "Metric families by subsystem") {
+		for _, m := range inlineCode.FindAllStringSubmatch(row[len(row)-1], -1) {
+			if f := family.FindStringSubmatch(m[1]); f != nil {
+				documented[f[1]] = true
+			}
+		}
+	}
+	var out bytes.Buffer
+	if err := telemetry.WriteMetrics(&out); err != nil {
+		t.Fatal(err)
+	}
+	registered := map[string]bool{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			registered[name] = true
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			t.Errorf("RUNBOOK.md documents metric family %s, which nothing registers", name)
+		}
+	}
+	for name := range registered {
+		if !documented[name] {
+			t.Errorf("metric family %s is registered but missing from RUNBOOK.md's table", name)
+		}
+	}
+}
+
+// TestRunbookTypedErrorsAreDeclared fails when an identifier in RUNBOOK's
+// typed-error table is not declared in the package its row names.
+func TestRunbookTypedErrorsAreDeclared(t *testing.T) {
+	decls := map[string]map[string]bool{}
+	for _, row := range runbookTable(t, "## Typed errors, one place") {
+		name := strings.TrimSuffix(strings.TrimPrefix(strings.Trim(row[0], "`"), "*"), "()")
+		if i := strings.LastIndex(name, "."); i >= 0 {
+			name = name[i+1:] // a package-qualified name: chaos.ErrInjected
+		}
+		pkg := strings.Trim(row[1], "`")
+		if decls[pkg] == nil {
+			decls[pkg] = declaredNames(t, filepath.Join("..", "..", pkg))
+		}
+		if !decls[pkg][name] {
+			t.Errorf("RUNBOOK.md's typed-error table names %s, which %s does not declare", row[0], pkg)
+		}
+	}
+}
+
+// declaredNames parses the non-test Go files in dir and returns every
+// top-level name they declare: types, functions, methods, vars and consts.
+func declaredNames(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("%s: no Go files (%v)", dir, err)
+	}
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				names[d.Name.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						names[s.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
 }

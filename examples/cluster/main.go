@@ -69,18 +69,15 @@ func main() {
 
 	// 3. Live migration: the scenario's hot window is drifting across the
 	//    whole space — move the first quarter of node 0's range to node 1
-	//    while the world keeps ticking. The snapshot + tick stream reuse the
-	//    replication protocol; ownership cuts over at a tick boundary.
+	//    between two ticks. The range is copied out of node 0 and installed
+	//    on node 1 as one durable record; ownership cuts over at the tick
+	//    boundary, and no tick is dropped.
+	run(12)
 	r := m.NodeRanges(0)[0]
-	_, err = c.StartMigration(r.Lo, r.Lo+(r.Hi-r.Lo)/4, 1)
+	rep, err := c.Migrate(r.Lo, r.Lo+(r.Hi-r.Lo)/4, 1)
 	check(err)
-	run(12) // the live window: the range's owner keeps applying its ticks
-	rep, err := c.FinishMigration()
-	check(err)
-	fmt.Printf("migration: [%d,%d) node %d → %d, live for %d ticks, cutover at tick %d, "+
-		"install pause %v, blackout %d ticks\n",
-		rep.Lo, rep.Hi, rep.From, rep.To, rep.TicksLive, rep.CutTick,
-		rep.InstallPause.Round(time.Microsecond), rep.BlackoutTicks)
+	fmt.Printf("migration: [%d,%d) node %d → %d, cut at tick %d, pause %v\n",
+		rep.Lo, rep.Hi, rep.From, rep.To, rep.CutTick, rep.Pause.Round(time.Microsecond))
 	run(ticks - tick)
 
 	// 4. Crash at a tick barrier, then whole-world recovery: every node

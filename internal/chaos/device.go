@@ -100,13 +100,6 @@ func (d *Device) Injected() int64 {
 	return d.injected
 }
 
-// Ops returns the per-kind operation counts (reads, writes, syncs).
-func (d *Device) Ops() (reads, writes, syncs int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.reads, d.writes, d.syncs
-}
-
 // err builds the typed fault for the op at index n.
 func (d *Device) err(op string, n int64) error {
 	d.injected++

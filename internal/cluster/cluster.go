@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"slices"
@@ -71,24 +70,17 @@ type Options struct {
 	// EmitFunc). Recover needs the same function to regenerate in-flight
 	// messages.
 	Emit EmitFunc
-	// ReplayAction interprets action payloads, both live (TickActions) and
-	// during node recovery. Required if TickActions is used.
-	ReplayAction engine.ReplayActionFunc
 	// BarrierTimeout bounds every coordinator wait on node progress — the
-	// window wait in Tick and TickActions, Join, and CheckpointWorld — so one
-	// stalled node yields a typed *TimeoutError instead of hanging the
-	// coordinator forever. Zero keeps the unbounded wait. After a timeout the
-	// cluster is wedged: the straggler may still hold its engine, so further
-	// tick calls fail with the same error.
+	// window wait in Tick, Join, and CheckpointWorld — so one stalled node
+	// yields a typed *TimeoutError instead of hanging the coordinator
+	// forever. Zero keeps the unbounded wait. After a timeout the cluster is
+	// wedged: the straggler may still hold its engine, so further tick calls
+	// fail with the same error.
 	BarrierTimeout time.Duration
 	// BeforeApply, when non-nil, runs on the node's worker immediately
 	// before each tick applies — the test hook straggler injection and the
 	// apply-ordering checks use.
 	BeforeApply func(node int, tick uint64)
-	// MigrationPipe overrides the in-process duplex connection a migration's
-	// range transfer runs over (default net.Pipe). The fault-injection
-	// harness wraps it to sever the stream mid-migration.
-	MigrationPipe func() (sender, receiver net.Conn)
 	// DeviceFactory overrides how each node engine opens its backup devices
 	// (fault injection). The path identifies both the node and the backup.
 	DeviceFactory func(path string) (disk.Device, error)
@@ -113,10 +105,10 @@ type Options struct {
 }
 
 // ErrNeedsBarrier refuses a feature whose composition with logged messages
-// or a non-zero window no byte-identity test proves yet: live migration,
-// TickActions, the peer-RAM mesh, and the standby and peer-RAM recovery
-// rungs work only on the plain barrier world (MaxSkew = 0, no Emit). New,
-// Recover, StartMigration and TickActions wrap it with the feature's name.
+// or a non-zero window no byte-identity test proves yet: live migration, the
+// peer-RAM mesh, and the standby and peer-RAM recovery rungs work only on
+// the plain barrier world (MaxSkew = 0, no Emit). New, Recover and Migrate
+// wrap it with the feature's name.
 var ErrNeedsBarrier = errors.New("proven only at MaxSkew = 0 without Emit")
 
 // logged reports whether the policy can need the durable inbox: a non-zero
@@ -152,7 +144,7 @@ func (o *Options) check() error {
 // Options.BarrierTimeout: the listed nodes had not got there when the
 // deadline hit.
 type TimeoutError struct {
-	Op      string // "tick", "actions", "join" or "checkpoint"
+	Op      string // "tick", "join" or "checkpoint"
 	Tick    uint64
 	Waiting []int // nodes the coordinator was still waiting for
 	Wait    time.Duration
@@ -178,11 +170,10 @@ type Node struct {
 }
 
 // workItem is one dispatched tick on its way to a node worker: the tick's
-// envelopes, or (TickActions) an opaque action payload.
+// envelopes.
 type workItem struct {
-	tick   uint64
-	envs   []engine.Envelope
-	action []byte
+	tick uint64
+	envs []engine.Envelope
 }
 
 // tickBufs is one in-flight tick's routed batches and envelope lists. The
@@ -218,10 +209,7 @@ type Cluster struct {
 	encBuf      []byte
 	work        []chan workItem
 	wg          sync.WaitGroup // the node workers and in-flight coordinated cuts
-
-	mig    *Migration
-	migErr error // sticky: why the last migration aborted
-	closed bool
+	closed      bool
 
 	// mu guards what the workers publish and the coordinator waits on; cond
 	// is broadcast on every change.
@@ -244,9 +232,9 @@ type Cluster struct {
 	manMu sync.Mutex // serializes manifest writes
 
 	// barrierWait accumulates the coordinator's blocked time waiting on node
-	// progress in Tick, TickActions and Join — the serialization the policy
-	// imposes: the slowest node's tick at MaxSkew = 0, ≈ 0 once the window
-	// absorbs the imbalance.
+	// progress in Tick and Join — the serialization the policy imposes: the
+	// slowest node's tick at MaxSkew = 0, ≈ 0 once the window absorbs the
+	// imbalance.
 	barrierWait time.Duration
 
 	// wedged is set by the first wait timeout (Close then grants the
@@ -262,11 +250,11 @@ type Cluster struct {
 // CommitSub is a live subscription to the cluster's tick commits, the
 // multi-node mirror of engine.TickSub's commit signal: a tick commits when
 // every node has applied it, and whenever the coordinator sees the slowest
-// node advance (in Tick, TickActions and Join) each subscriber receives the
-// newest committed tick on C. The channel holds at most one pending value —
-// a slow consumer sees the newest tick, not a backlog — so consumers that
-// must process every tick (the session gateway's delta fan-out) keep their
-// own queue of pending ticks and drain it up to the signaled value.
+// node advance (in Tick and Join) each subscriber receives the newest
+// committed tick on C. The channel holds at most one pending value — a slow
+// consumer sees the newest tick, not a backlog — so consumers that must
+// process every tick (the session gateway's delta fan-out) keep their own
+// queue of pending ticks and drain it up to the signaled value.
 type CommitSub struct {
 	// C receives the latest committed tick.
 	C <-chan uint64
@@ -381,7 +369,7 @@ func nodeEngineOptions(opts Options, dir string) engine.Options {
 	return engine.Options{
 		Table: opts.Table, Dir: dir, Mode: opts.Mode, Shards: shards,
 		DiskBytesPerSec: opts.DiskBytesPerSec, SyncEveryTick: opts.SyncEveryTick,
-		ReplayAction: opts.ReplayAction, DeviceFactory: opts.DeviceFactory,
+		DeviceFactory: opts.DeviceFactory,
 	}
 }
 
@@ -461,14 +449,7 @@ func (c *Cluster) worker(i int, ch <-chan workItem) {
 		if c.opts.BeforeApply != nil {
 			c.opts.BeforeApply(i, item.tick)
 		}
-		var err error
-		if item.action != nil {
-			err = n.E.ApplyActionTick(item.action, func(w *engine.TickWriter) error {
-				return c.opts.ReplayAction(item.tick, item.action, w)
-			})
-		} else {
-			err = n.E.ApplyTickEnvelopes(item.envs)
-		}
+		err := n.E.ApplyTickEnvelopes(item.envs)
 		if err == nil && c.opts.Emit != nil {
 			c.emit(i, item.tick)
 		}
@@ -557,9 +538,7 @@ func (c *Cluster) ready() error {
 // merge in the cross-partition messages due, log every envelope to its
 // destination's inbox when there is a message store, hand the tick to the
 // node workers, and return once every node has applied the tick MaxSkew
-// behind this one — at MaxSkew = 0, this tick itself (the barrier). When a
-// migration is in flight, the moving range's updates are additionally
-// streamed to the acquiring node's staging buffer after the wait.
+// behind this one — at MaxSkew = 0, this tick itself (the barrier).
 func (c *Cluster) Tick(batch []wal.Update) error {
 	if err := c.ready(); err != nil {
 		return err
@@ -575,39 +554,11 @@ func (c *Cluster) Tick(batch []wal.Update) error {
 			return err
 		}
 	}
-	if err := c.dispatch("tick", bufs, nil); err != nil {
-		return err
-	}
-	if c.mig != nil {
-		if err := c.mig.feed(tick, batch); err != nil {
-			// The range stream died mid-migration. The world must not: the
-			// transfer aborts cleanly — staging discarded, ownership map
-			// untouched, the source keeps owning and serving the range —
-			// and the tick itself stands (it was applied by every owner
-			// before the stream was fed). The abort is sticky and surfaces
-			// via MigrationAborted and FinishMigration.
-			c.mig.abort()
-			c.mig = nil
-			c.migErr = fmt.Errorf("%w: range stream cut at tick %d: %w", ErrMigrationAborted, tick, err)
-		}
-	}
-	return nil
-}
-
-// dispatch hands the next tick to every node worker — its envelopes, or its
-// action payload where payloads has one — and applies the window: it returns
-// when every node has applied the tick MaxSkew behind the one dispatched.
-func (c *Cluster) dispatch(op string, bufs *tickBufs, payloads [][]byte) error {
-	tick := c.tick
 	for i, ch := range c.work {
-		item := workItem{tick: tick, envs: bufs.envs[i]}
-		if payloads != nil {
-			item.action = payloads[i]
-		}
-		ch <- item
+		ch <- workItem{tick: tick, envs: bufs.envs[i]}
 	}
 	c.tick++
-	return c.await(op, tick, func(i int) bool { return c.applied[i]+c.window > tick })
+	return c.await("tick", tick, func(i int) bool { return c.applied[i]+c.window > tick })
 }
 
 // await blocks the coordinator until reached holds for every node — the one
@@ -688,48 +639,10 @@ func (c *Cluster) drain(op string) error {
 }
 
 // BarrierWait returns the cumulative wall time the coordinator has spent
-// blocked on node progress in Tick, TickActions and Join — the serialization
-// cost of the coordination policy, at every window. Checkpoint waits are
-// excluded. The clusterbench window axis reports it per tick.
+// blocked on node progress in Tick and Join — the serialization cost of the
+// coordination policy, at every window. Checkpoint waits are excluded. The
+// clusterbench window axis reports it per tick.
 func (c *Cluster) BarrierWait() time.Duration { return c.barrierWait }
-
-// TickActions applies one world tick of opaque action payloads, one per
-// node (a nil entry means that node ticks with an empty update batch, so
-// tick counters stay aligned across the cluster). This is the action half
-// of the router's fan-out: the caller decomposes a world action into
-// per-owner payloads, and a node's payload must only write cells of
-// objects that node owns at this tick — each node logs and replays its own
-// payload through Options.ReplayAction, exactly like a single-node action
-// log. All nodes apply before the call returns, preserving the barrier.
-//
-// Actions cannot run while a migration is in flight: the migration streams
-// the moving range's *updates* into the staging buffer, and an opaque
-// payload's writes to that range would be invisible to the stream — the
-// cutover install would silently lose them. Finish (or do not start) the
-// migration around action ticks; the call fails rather than diverging.
-func (c *Cluster) TickActions(payloads [][]byte) error {
-	if err := c.ready(); err != nil {
-		return err
-	}
-	if err := c.opts.needsBarrier("TickActions"); err != nil {
-		return err
-	}
-	if c.mig != nil {
-		return errors.New("cluster: actions are not supported while a migration is in flight (an opaque payload's writes to the moving range cannot be streamed to the staging buffer)")
-	}
-	if len(payloads) != len(c.nodes) {
-		return fmt.Errorf("cluster: %d action payloads for %d nodes", len(payloads), len(c.nodes))
-	}
-	if c.opts.ReplayAction == nil {
-		return errors.New("cluster: TickActions requires Options.ReplayAction")
-	}
-	bufs := &c.ring[0] // the barrier world's only set
-	for i := range c.nodes {
-		bufs.envs[i] = append(bufs.envs[i][:0], engine.Envelope{Origin: -1, OriginTick: c.tick})
-	}
-	// An action tick costs the slowest node, like Tick.
-	return c.dispatch("actions", bufs, payloads)
-}
 
 // CheckpointWorld performs a coordinated world checkpoint: the coordinator
 // drains every dispatched tick, picks the cut — the last applied tick — and
@@ -828,8 +741,7 @@ func (c *Cluster) ReadWorld(dst []byte) error {
 // instead of refusing a torn world.
 func (c *Cluster) Crash() error { return c.shutdown(true) }
 
-// Close drains every dispatched tick, aborts any in-flight migration, stops
-// the apply workers and closes every node engine. After a wait timeout it
+// Close drains every dispatched tick, stops the apply workers and closes every node engine. After a wait timeout it
 // cannot drain: it shuts down like Crash, granting the stragglers one more
 // timeout's grace before closing engines they may still be applying into.
 func (c *Cluster) Close() error { return c.shutdown(false) }
@@ -846,10 +758,6 @@ func (c *Cluster) shutdown(crash bool) error {
 	c.mu.Lock()
 	c.crashed = true // whatever is still queued is abandoned
 	c.mu.Unlock()
-	if c.mig != nil {
-		c.mig.abort()
-		c.mig = nil
-	}
 	if c.opts.PeerRAM != nil {
 		// Flush each node's replica tail into its holders' RAM, then stop the
 		// links. Detach (not Crash): the stores stay servable, so a Close that

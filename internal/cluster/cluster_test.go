@@ -2,14 +2,15 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/gamestate"
@@ -124,9 +125,10 @@ func TestClusterTickBarrier(t *testing.T) {
 	}
 }
 
-// TestClusterMigrationZeroBlackout runs a live migration window mid-stream:
-// the report must show zero blackout ticks, a cutover at a tick boundary,
-// and the final world must match the single-node reference byte for byte.
+// TestClusterMigrationZeroBlackout migrates a range between two ticks: the
+// cut lands at the tick boundary, ownership flips exactly there, no tick is
+// dropped, and the final world matches the single-node reference byte for
+// byte.
 func TestClusterMigrationZeroBlackout(t *testing.T) {
 	tab := testTable()
 	c, err := New(Options{Table: tab, Dir: t.TempDir(), Mode: engine.ModeCopyOnUpdate, Nodes: 2})
@@ -134,7 +136,7 @@ func TestClusterMigrationZeroBlackout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	const perTick, pre, live, post = 300, 6, 8, 6
+	const perTick, pre, post = 300, 14, 6
 	tick := 0
 	run := func(n int) {
 		for i := 0; i < n; i++ {
@@ -146,26 +148,12 @@ func TestClusterMigrationZeroBlackout(t *testing.T) {
 	}
 	run(pre)
 	// Move the first half of node 0's range to node 1.
-	m, err := c.StartMigration(0, 128, 1)
+	rep, err := c.Migrate(0, 128, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.StartTick != uint64(pre) {
-		t.Fatalf("migration started at tick %d, want %d", m.StartTick, pre)
-	}
-	run(live)
-	rep, err := c.FinishMigration()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.BlackoutTicks != 0 {
-		t.Fatalf("migration blacked out %d ticks", rep.BlackoutTicks)
-	}
-	if rep.TicksLive != live {
-		t.Fatalf("migration spanned %d ticks, want %d", rep.TicksLive, live)
-	}
-	if rep.CutTick != uint64(pre+live) {
-		t.Fatalf("cutover at tick %d, want the boundary %d", rep.CutTick, pre+live)
+	if rep.CutTick != pre || rep.From != 0 || rep.To != 1 || rep.Pause <= 0 {
+		t.Fatalf("migration report %+v, want node 0 → 1 cut at the boundary %d", rep, pre)
 	}
 	// Ownership flipped exactly at the cut.
 	if got := c.Routing().OwnerAt(0, rep.CutTick-1); got != 0 {
@@ -205,11 +193,8 @@ func TestClusterPostMigrationRecovery(t *testing.T) {
 	if _, err := c.CheckpointWorld(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.StartMigration(64, 256, 1); err != nil {
-		t.Fatal(err)
-	}
 	run(4)
-	if _, err := c.FinishMigration(); err != nil {
+	if _, err := c.Migrate(64, 256, 1); err != nil {
 		t.Fatal(err)
 	}
 	run(3)
@@ -241,80 +226,75 @@ func TestClusterPostMigrationRecovery(t *testing.T) {
 	}
 }
 
-// TestClusterTickActions covers the action fan-out: per-node payloads apply
-// and replay through each node's own action log.
-func TestClusterTickActions(t *testing.T) {
+// TestMigrationLostManifest crashes in the window between the target's
+// fsynced install record and the cluster.json rename: the old manifest is
+// put back after Migrate, as if the rename never happened. Recovery must
+// resume with the source still owning the range, byte-identical to the
+// reference, and keep ticking; a retried migration of the same range must
+// then succeed.
+func TestMigrationLostManifest(t *testing.T) {
 	tab := testTable()
 	dir := t.TempDir()
-	// The action payload is "add v to the first cell of every object in
-	// [lo,hi)", a read-modify-write the replay can reproduce from the
-	// payload alone.
-	replay := func(tick uint64, payload []byte, w *engine.TickWriter) error {
-		lo := binary.LittleEndian.Uint32(payload[0:])
-		hi := binary.LittleEndian.Uint32(payload[4:])
-		v := binary.LittleEndian.Uint32(payload[8:])
-		cpo := uint32(tab.CellsPerObject())
-		for obj := lo; obj < hi; obj++ {
-			cell := obj * cpo
-			if !w.Owns(cell) {
-				continue
-			}
-			w.Set(cell, w.Cell(cell)+v)
-		}
-		return nil
-	}
-	action := func(lo, hi, v uint32) []byte {
-		b := make([]byte, 12)
-		binary.LittleEndian.PutUint32(b[0:], lo)
-		binary.LittleEndian.PutUint32(b[4:], hi)
-		binary.LittleEndian.PutUint32(b[8:], v)
-		return b
-	}
-	c, err := New(Options{Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: 2, ReplayAction: replay})
+	c, err := New(Options{Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Tick(testBatch(tab, 0, 100)); err != nil {
+	const perTick = 250
+	tick := 0
+	run := func(c *Cluster, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := c.Tick(testBatch(tab, tick, perTick)); err != nil {
+				t.Fatal(err)
+			}
+			tick++
+		}
+		if !bytes.Equal(world(t, c), referenceWorld(t, tab, tick, perTick)) {
+			t.Fatalf("world at tick %d diverges from the single-node reference", tick)
+		}
+	}
+	run(c, 6)
+	man := filepath.Join(dir, manifestName)
+	saved, err := os.ReadFile(man)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// World action "add 7 to every object's first cell", decomposed by the
-	// caller into each node's owned range; node 1 idles on the second tick.
-	if err := c.TickActions([][]byte{action(0, 256, 7), action(256, 512, 7)}); err != nil {
+	if _, err := c.Migrate(0, 128, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.TickActions([][]byte{action(0, 256, 3), nil}); err != nil {
+	if err := os.WriteFile(man, saved, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if c.NextTick() != 3 {
-		t.Fatalf("world at tick %d, want 3", c.NextTick())
-	}
-	want := world(t, c)
-	if err := c.Close(); err != nil {
+	if err := c.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	rc, _, err := Recover(dir, Options{Mode: engine.ModeCopyOnUpdate, ReplayAction: replay})
+
+	rc, wr, err := Recover(dir, Options{Mode: engine.ModeCopyOnUpdate})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	if !bytes.Equal(world(t, rc), want) {
-		t.Fatal("recovered world diverges after action ticks")
+	if wr.WorldTick != uint64(tick) {
+		t.Fatalf("recovered to world tick %d, want %d", wr.WorldTick, tick)
 	}
-	// Actions are refused while a migration is in flight: an opaque
-	// payload's writes to the moving range cannot be streamed, so the
-	// cutover install would silently lose them.
-	if _, err := rc.StartMigration(0, 128, 1); err != nil {
-		t.Fatal(err)
+	if got := rc.Routing().Current().Owner(0); got != 0 {
+		t.Fatalf("object 0 owned by node %d after losing the manifest, want the source 0", got)
 	}
-	if err := rc.TickActions([][]byte{action(0, 256, 1), nil}); err == nil {
-		t.Fatal("action tick accepted during a live migration")
+	// The install record was durable and replayed: the target holds the
+	// range's bytes, which it does not own.
+	moved := 128 * tab.ObjSize
+	if !bytes.Equal(rc.Nodes()[1].E.Store().Slab()[:moved], world(t, rc)[:moved]) {
+		t.Fatal("target's recovered slab lacks the installed range")
 	}
-	if _, err := rc.FinishMigration(); err != nil {
-		t.Fatal(err)
+	run(rc, 3)
+	rep, err := rc.Migrate(0, 128, 1)
+	if err != nil {
+		t.Fatalf("retried migration: %v", err)
 	}
-	if err := rc.TickActions([][]byte{nil, action(0, 128, 1)}); err != nil {
-		t.Fatalf("action tick after cutover: %v", err)
+	if rep.CutTick != uint64(tick) || rc.Routing().Current().Owner(0) != 1 {
+		t.Fatalf("retried migration %+v did not cut over at tick %d", rep, tick)
 	}
+	run(rc, 3)
 }
 
 // TestCheckpointWorldNamesSegmentsByFirstRecord: after a coordinated cut
@@ -409,7 +389,6 @@ func TestRecoverFoldsNodeRequest(t *testing.T) {
 // works at 0.
 func TestNeedsBarrier(t *testing.T) {
 	tab := testTable()
-	noop := func(uint64, []byte, *engine.TickWriter) error { return nil }
 	for _, window := range []int{0, 2} {
 		world := func(t *testing.T, opts Options) (*Cluster, error) {
 			opts.Table, opts.Dir, opts.Mode, opts.Nodes, opts.MaxSkew = tab, t.TempDir(), engine.ModeCopyOnUpdate, 2, window
@@ -426,15 +405,8 @@ func TestNeedsBarrier(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				_, err = c.StartMigration(0, 128, 1)
+				_, err = c.Migrate(0, 128, 1)
 				return err
-			},
-			"actions": func(t *testing.T) error {
-				c, err := world(t, Options{ReplayAction: noop})
-				if err != nil {
-					return err
-				}
-				return c.TickActions([][]byte{[]byte("a"), nil})
 			},
 			"peerram": func(t *testing.T) error {
 				_, err := world(t, Options{PeerRAM: peerram.NewMesh(2, peerram.Options{})})
@@ -480,5 +452,61 @@ func TestNeedsBarrier(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestBarrierTimeout stalls one node's apply behind a gate past the
+// configured deadline and checks the coordinator gets a typed timeout naming
+// the straggler instead of hanging, and that the cluster wedges afterwards —
+// for the barrier wait at MaxSkew = 0 and for the window wait at MaxSkew = 2.
+// The gate is released only after the assertions, so nothing depends on how
+// long a stall lasts and Close has no sleep to wait out.
+func TestBarrierTimeout(t *testing.T) {
+	tab := testTable()
+	for _, window := range []int{0, 2} {
+		t.Run(fmt.Sprintf("maxskew=%d", window), func(t *testing.T) {
+			gate := make(chan struct{})
+			c, err := New(Options{
+				Table: tab, Dir: t.TempDir(), Mode: engine.ModeCopyOnUpdate, Nodes: 2,
+				MaxSkew: window, BarrierTimeout: 50 * time.Millisecond,
+				BeforeApply: func(node int, tick uint64) {
+					if node == 1 && tick == 1 {
+						<-gate
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Tick(testBatch(tab, 0, 100)); err != nil {
+				t.Fatal(err)
+			}
+			// Node 1 stalls applying tick 1. At the barrier that tick's own wait
+			// times out; at MaxSkew = 2 the window admits ticks 1 and 2 and the
+			// wait of tick 3 — for tick 1 everywhere — is the one that does.
+			for tick := 1; tick <= 1+window && err == nil; tick++ {
+				err = c.Tick(testBatch(tab, tick, 100))
+			}
+			var te *TimeoutError
+			if !errors.As(err, &te) {
+				t.Fatalf("stalled wait returned %v, want *TimeoutError", err)
+			}
+			if !te.Timeout() || te.Op != "tick" || te.Tick != uint64(1+window) {
+				t.Fatalf("timeout error = %+v", te)
+			}
+			if len(te.Waiting) != 1 || te.Waiting[0] != 1 {
+				t.Fatalf("waiting nodes = %v, want [1]", te.Waiting)
+			}
+			// Wedged: the straggler may still hold its engine, so tick calls fail
+			// with the same typed error rather than racing it.
+			if err := c.Tick(testBatch(tab, 9, 100)); !errors.As(err, &te) {
+				t.Fatalf("tick after a wait timeout: %v, want the wedge error", err)
+			}
+			if _, err := c.CheckpointWorld(); !errors.As(err, &te) {
+				t.Fatalf("checkpoint after a wait timeout: %v, want the wedge error", err)
+			}
+			close(gate)
+		})
 	}
 }

@@ -16,9 +16,9 @@ import (
 // checkpoint, crashes, and recovers every partition in parallel must be
 // byte-identical per cell to a never-crashed single-node serial run of the
 // same scenario — the cluster twin of the engine's shard-equivalence and
-// scenariobench identity checks. The migration scenario additionally runs
-// with a live range migration mid-stream, so the moved range's install
-// record goes through crash recovery too. The window is one more input: at
+// scenariobench identity checks. The migration scenario additionally
+// migrates a range mid-stream, so the moved range's install record goes
+// through crash recovery too. The window is one more input: at
 // MaxSkew = 2 (no migration — it is refused there) the crash drops each
 // node's backlog, recovery reconstructs the cut and rolls the laggards
 // forward, and the resumed coordinator re-dispatches the rolled-back ticks.
@@ -70,22 +70,13 @@ func TestClusterCrashEquivalence(t *testing.T) {
 				}
 				migrate := scenario == "migration" && nodes > 1 && window == 0
 				for i := 0; i < ticks; i++ {
-					if migrate && i == warm+2 {
+					if migrate && i == warm+6 {
 						// Move half of node 0's first range to the last node
 						// while the scenario's hot window drifts across it.
 						r := c.Routing().Current().NodeRanges(0)[0]
 						mid := r.Lo + (r.Hi-r.Lo)/2
-						if _, err := c.StartMigration(r.Lo, mid, nodes-1); err != nil {
+						if _, err := c.Migrate(r.Lo, mid, nodes-1); err != nil {
 							t.Fatal(err)
-						}
-					}
-					if migrate && i == warm+6 {
-						rep, err := c.FinishMigration()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if rep.BlackoutTicks != 0 {
-							t.Fatalf("migration blacked out %d ticks", rep.BlackoutTicks)
 						}
 					}
 					cells, batch = scenarioBatch(src, i, cells, batch)

@@ -74,13 +74,6 @@ func (f *Fault) Sync() error {
 // Close implements Device.
 func (f *Fault) Close() error { return f.dev.Close() }
 
-// Tripped reports whether the fault has fired.
-func (f *Fault) Tripped() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dead
-}
-
 // ReadFault wraps a Device and fails every read — the stand-in for a backup
 // whose medium went bad (unreadable sectors) while the machine kept running.
 // Writes pass through, so tests can build an image first and then declare it

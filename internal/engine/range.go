@@ -8,12 +8,11 @@ import (
 
 // Object-range handoff: the engine-side hooks of the cluster subsystem's
 // live partition migration (internal/cluster). Moving a sub-range of the
-// object space from one node to another reuses the replication pattern —
-// ship a consistent snapshot of the range, stream the ticks that happen
-// during the transfer, cut over at a tick boundary — and lands on the
-// target engine as a single InstallRange: the final range bytes, logged as
-// one durable WAL record so the target is crash-recoverable from the
-// moment it owns the range, exactly like OpenStandby's bootstrap image.
+// object space from one node to another is a cut at a tick boundary: copy
+// the range out of the source (SnapshotRange) and land it on the target as
+// a single InstallRange — the range bytes, logged as one durable WAL record
+// so the target is crash-recoverable from the moment it owns the range,
+// exactly like OpenStandby's bootstrap image.
 
 // recInstall payload layout: u64 lo, u64 hi, then (hi-lo)*objSize raw
 // object bytes (see actions.go for the record kind registry).
@@ -22,7 +21,7 @@ const installHdrLen = 16
 // SnapshotRange returns a copy of the slab bytes backing objects [lo, hi),
 // consistent as of the last applied tick, plus the tick the next record
 // will carry (the first tick the snapshot does NOT cover). It is the
-// range-sized sibling of Snapshot: the migration bootstrap handoff. Safe to
+// range-sized sibling of Snapshot: the migration cut's copy. Safe to
 // call concurrently with the tick loop (serializes on the tick mutex).
 func (e *Engine) SnapshotRange(lo, hi int) (nextTick uint64, data []byte, err error) {
 	e.tickMu.Lock()

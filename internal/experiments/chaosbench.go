@@ -37,10 +37,6 @@ import (
 //     must reconnect with backoff and resume from the durable ack watermark,
 //     and the promoted standby must hold the exact final state with no tick
 //     lost or double-applied;
-//   - "cluster" — a live partition migration's range stream is cut at a
-//     seed-chosen point (usually mid-bootstrap-snapshot, sometimes in the
-//     live feed). The migration must abort cleanly — ownership unchanged,
-//     zero lost world ticks — and a retry over a healthy pipe must succeed;
 //   - "peerram" — the peer holding a crashed partition's in-RAM replica dies
 //     at a seed-chosen byte budget while serving the restore. The recovery
 //     ladder must fall back to the disk pipeline for that partition alone
@@ -128,21 +124,19 @@ type ChaosBenchOptions struct {
 	// Scenarios defaults to {flashcrowd, hotspot, migration}: the baseline
 	// plus the two that move load around mid-run.
 	Scenarios []string
-	// Sites defaults to {disk, replink, cluster, peerram} — all four fault
-	// planes.
+	// Sites defaults to {disk, replink, peerram} — all three fault planes.
 	Sites []string
 	// Seeds defaults to {1, 2, 3}: three independent schedules per
-	// (scenario, site). 3×4×3 = 36 cells.
+	// (scenario, site). 3×3×3 = 27 cells.
 	Seeds []int64
-	// Ticks defaults to 48 (quick) / 96 (full); the cluster cell needs at
-	// least 24 for its pre/live/retry/post phases, so lower values clamp.
+	// Ticks defaults to 48 (quick) / 96 (full).
 	Ticks int
 	// UpdatesPerTick defaults to 512 — enough traffic to cross every byte
 	// budget, small enough that 27 cells stay CI-sized.
 	UpdatesPerTick int
 	// Table overrides the world geometry. The default (8192×8 cells,
 	// 512-byte objects → 512 objects, 256 KB) partitions into the 2-node
-	// cluster the "cluster" site needs.
+	// cluster the "peerram" site needs.
 	Table *gamestate.Table
 }
 
@@ -152,7 +146,7 @@ func chaosBenchDefaults(s Scale, opts ChaosBenchOptions) ChaosBenchOptions {
 		opts.Scenarios = []string{"flashcrowd", "hotspot", "migration"}
 	}
 	if len(opts.Sites) == 0 {
-		opts.Sites = []string{"disk", "replink", "cluster", "peerram"}
+		opts.Sites = []string{"disk", "replink", "peerram"}
 	}
 	if len(opts.Seeds) == 0 {
 		opts.Seeds = []int64{1, 2, 3}
@@ -162,9 +156,6 @@ func chaosBenchDefaults(s Scale, opts ChaosBenchOptions) ChaosBenchOptions {
 		if s == Full {
 			opts.Ticks = 96
 		}
-	}
-	if opts.Ticks < 24 {
-		opts.Ticks = 24
 	}
 	if opts.UpdatesPerTick <= 0 {
 		opts.UpdatesPerTick = 512
@@ -220,12 +211,10 @@ func RunChaosBench(s Scale, opts ChaosBenchOptions) (*ChaosReport, error) {
 					cell, err = chaosDiskCell(table, src, ref, seed)
 				case "replink":
 					cell, err = chaosReplinkCell(table, src, ref, seed)
-				case "cluster":
-					cell, err = chaosClusterCell(table, src, ref, seed)
 				case "peerram":
 					cell, err = chaosPeerramCell(table, src, ref, seed)
 				default:
-					err = fmt.Errorf("chaosbench: unknown fault site %q (disk|replink|cluster|peerram)", site)
+					err = fmt.Errorf("chaosbench: unknown fault site %q (disk|replink|peerram)", site)
 				}
 				if err != nil {
 					return nil, fmt.Errorf("chaosbench %s/%s/seed=%d: %w", name, site, seed, err)
@@ -500,131 +489,6 @@ func chaosReplinkCell(table gamestate.Table, src workload.Source, ref []byte, se
 	if cell.Outcome == "degraded" && cell.Detail == "" {
 		cell.Detail = fmt.Sprintf("%d severs, %d reconnects, one bootstrap", cell.Faults, st.Reconnects)
 	}
-	return cell, nil
-}
-
-// chaosClusterCell cuts a live partition migration's range stream at a
-// seed-chosen byte budget — usually mid-bootstrap-snapshot, sometimes in
-// the live tick feed — and proves the clean-abort contract: every world
-// tick still applies, ownership never changes on an abort, the retry over a
-// healthy pipe succeeds, and the final world is byte-identical.
-func chaosClusterCell(table gamestate.Table, src workload.Source, ref []byte, seed int64) (ChaosCell, error) {
-	const site = "cluster/mig"
-	cell := ChaosCell{}
-	dir, err := os.MkdirTemp("", "chaos-cluster")
-	if err != nil {
-		return cell, err
-	}
-	defer os.RemoveAll(dir)
-
-	// Migrate the first half of node 0's span. The sever budget lands
-	// anywhere from early in the range snapshot to a few KB past it (the
-	// live feed), so the crash point sweeps the whole transfer; a budget
-	// the stream never reaches simply completes the migration (survived).
-	lo, hi := 0, table.NumObjects()/4
-	snapBytes := (hi - lo) * table.ObjSize
-	budget := int64(4096 + chaos.NewRand(seed, site).Intn(snapBytes+8192))
-	var wrapped *chaos.Conn
-	first := true
-	c, err := cluster.New(cluster.Options{
-		Table: table, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: 2,
-		MigrationPipe: func() (net.Conn, net.Conn) {
-			sc, rc := net.Pipe()
-			if !first {
-				return sc, rc // the retry runs over a healthy pipe
-			}
-			first = false
-			wrapped = chaos.WrapConn(sc, seed, site, chaos.ConnFaults{SeverAfterBytes: budget})
-			return wrapped, rc
-		},
-	})
-	if err != nil {
-		return cell, err
-	}
-	defer c.Close()
-
-	var cells []uint32
-	var batch []wal.Update
-	ticks := src.NumTicks()
-	tick := 0
-	run := func(n int) string {
-		for i := 0; i < n && tick < ticks; i++ {
-			cells, batch = workload.TickUpdates(src, tick, cells, batch)
-			if err := c.Tick(batch); err != nil {
-				return fmt.Sprintf("tick %d: %v", tick, err)
-			}
-			tick++
-		}
-		return ""
-	}
-	if d := run(4); d != "" {
-		cell.Outcome, cell.Detail = "failed", d
-		return cell, nil
-	}
-
-	aborted := false
-	if _, err := c.StartMigration(lo, hi, 1); err != nil {
-		// The sever fired inside the bootstrap snapshot: the migration never
-		// even started. The world must be untouched and a retry must work.
-		if !errors.Is(err, chaos.ErrInjected) {
-			cell.Outcome, cell.Detail = "failed", fmt.Sprintf("start migration: %v", err)
-			return cell, nil
-		}
-		aborted = true
-		cell.Detail = "severed in the bootstrap snapshot"
-	} else {
-		if d := run(12); d != "" {
-			cell.Outcome, cell.Detail = "failed", d
-			return cell, nil
-		}
-		if _, err := c.FinishMigration(); err != nil {
-			if !errors.Is(err, cluster.ErrMigrationAborted) {
-				cell.Outcome, cell.Detail = "failed", fmt.Sprintf("finish migration: %v", err)
-				return cell, nil
-			}
-			aborted = true
-			cell.Detail = "severed in the live feed; migration aborted at the cut"
-			// Ownership must not have changed on an abort.
-			if c.Routing().Current().Owner(lo) != 0 {
-				cell.Outcome, cell.Detail = "failed", "aborted migration changed ownership"
-				return cell, nil
-			}
-		}
-	}
-	if wrapped != nil {
-		cell.Faults = wrapped.Injected()
-	}
-	if aborted {
-		// The degradation path's second half: the same range migrates
-		// cleanly on retry over a healthy pipe.
-		if _, err := c.StartMigration(lo, hi, 1); err != nil {
-			cell.Outcome, cell.Detail = "failed", fmt.Sprintf("retry migration: %v", err)
-			return cell, nil
-		}
-		if d := run(2); d != "" {
-			cell.Outcome, cell.Detail = "failed", d
-			return cell, nil
-		}
-		if _, err := c.FinishMigration(); err != nil {
-			cell.Outcome, cell.Detail = "failed", fmt.Sprintf("retry finish: %v", err)
-			return cell, nil
-		}
-	}
-	if d := run(ticks - tick); d != "" {
-		cell.Outcome, cell.Detail = "failed", d
-		return cell, nil
-	}
-
-	world := make([]byte, table.StateBytes())
-	if err := c.ReadWorld(world); err != nil {
-		cell.Outcome, cell.Detail = "failed", fmt.Sprintf("read world: %v", err)
-		return cell, nil
-	}
-	cell.Identical = c.NextTick() == uint64(ticks) && bytes.Equal(world, ref)
-	if c.NextTick() != uint64(ticks) {
-		cell.Detail = fmt.Sprintf("world at tick %d, want %d (lost ticks)", c.NextTick(), ticks)
-	}
-	cell.Outcome = chaosOutcome(cell.Faults, cell.Identical)
 	return cell, nil
 }
 

@@ -38,9 +38,8 @@ import (
 //     engine over its partition, so per-node restore spans the whole image
 //     while replay and tick apply scale with 1/nodes — see DESIGN.md;
 //   - live migration — for sizes > 1, a slot-aligned sub-range moves
-//     between nodes mid-run over the replication range-transfer protocol;
-//     the row reports the live window, the cutover install pause, and the
-//     blackout tick count, which must be zero;
+//     between nodes mid-run as a coordinated cut at a tick boundary; the row
+//     reports the cut pause (range copy plus install on the new owner);
 //   - identity — the recovered world must be byte-identical per cell to a
 //     never-crashed single-node serial run of the same scenario.
 //
@@ -55,9 +54,8 @@ import (
 // scenarios (migration, flashcrowd) at sizes > 1 a windowed cell whose wait
 // is not ≈ 0 fails the run.
 //
-// A cell that fails identity or blacks out a tick fails the run: this
-// experiment doubles as the cluster's crash-equivalence acceptance check in
-// the CI smoke matrix.
+// A cell that fails identity fails the run: this experiment doubles as the
+// cluster's crash-equivalence acceptance check in the CI smoke matrix.
 
 // ClusterBenchRow is one (scenario, cluster size, window, recovery mode)
 // measurement.
@@ -91,12 +89,10 @@ type ClusterBenchRow struct {
 	// common tick every node recovered to.
 	RecoveryMs float64
 	WorldTick  uint64
-	// Migration leg (sizes > 1): live window in ticks, cutover install
-	// pause, blackout ticks (must be 0). MigTicks is -1 when no migration
-	// ran.
-	MigTicks     int
-	MigInstallMs float64
-	MigBlackout  int
+	// Migration leg (sizes > 1 at MaxSkew = 0): the cut tick (0 when no
+	// migration ran) and the cut pause.
+	MigCutTick uint64
+	MigPauseMs float64
 	// Identical: recovered world ≡ never-crashed single-node reference.
 	Identical bool
 }
@@ -112,15 +108,11 @@ type ClusterBenchResult struct {
 func (r *ClusterBenchResult) Table() *report.TextTable {
 	t := report.NewTextTable()
 	t.Header("scenario", "nodes", "eff", "window", "mode", "served", "tick ms", "wait ms", "ckpt ms",
-		"recovery ms", "replica KB", "world tick", "mig ticks", "install ms", "blackout", "identical")
+		"recovery ms", "replica KB", "world tick", "mig pause ms", "identical")
 	for _, row := range r.Rows {
-		mig := "-"
-		inst := "-"
-		bo := "-"
-		if row.MigTicks >= 0 {
-			mig = fmt.Sprint(row.MigTicks)
-			inst = fmt.Sprintf("%.2f", row.MigInstallMs)
-			bo = fmt.Sprint(row.MigBlackout)
+		pause := "-"
+		if row.MigCutTick > 0 {
+			pause = fmt.Sprintf("%.2f", row.MigPauseMs)
 		}
 		rep := "-"
 		if row.ReplicaKB > 0 {
@@ -132,7 +124,7 @@ func (r *ClusterBenchResult) Table() *report.TextTable {
 			fmt.Sprintf("%.3f", row.WaitMs),
 			fmt.Sprintf("%.2f", row.CheckpointMs),
 			fmt.Sprintf("%.2f", row.RecoveryMs), rep,
-			fmt.Sprint(row.WorldTick), mig, inst, bo, fmt.Sprint(row.Identical))
+			fmt.Sprint(row.WorldTick), pause, fmt.Sprint(row.Identical))
 	}
 	return t
 }
@@ -155,7 +147,7 @@ type ClusterBenchOptions struct {
 	// Sizes defaults to {1, 2, 4} cluster nodes.
 	Sizes []int
 	// WarmTicks/LiveTicks default to 16/12: warm ends with the coordinated
-	// cut; the migration window sits inside the live phase.
+	// cut; the migration cut sits inside the live phase.
 	WarmTicks int
 	LiveTicks int
 	// UpdatesPerTick defaults to the scale's Table 4 bold default.
@@ -324,7 +316,7 @@ func clusterBenchCell(table gamestate.Table, src workload.Source,
 	nodes, window int, mode cluster.RecoveryMode, opts ClusterBenchOptions) (ClusterBenchRow, error) {
 	eff := cluster.Uniform(table.NumObjects(), nodes).NumNodes
 	row := ClusterBenchRow{Scenario: src.Name(), Nodes: nodes, Effective: eff, MaxSkew: window,
-		Mode: mode.String(), MigTicks: -1}
+		Mode: mode.String()}
 	defer enableTelemetry()()
 	dir, err := os.MkdirTemp("", "mmocluster")
 	if err != nil {
@@ -399,35 +391,19 @@ func clusterBenchCell(table gamestate.Table, src workload.Source,
 		}
 	}
 	total := opts.WarmTicks + opts.LiveTicks
-	migStart := opts.WarmTicks + 2
-	migFinish := total - 2
 	var cells []uint32
 	var batch []wal.Update
 	var tickWall time.Duration
 	for t := 0; t < total; t++ {
-		if row.Effective > 1 && window == 0 {
-			if t == migStart {
-				// Move half of node 0's first range to the last node.
-				r := c.Routing().Current().NodeRanges(0)[0]
-				if _, err := c.StartMigration(r.Lo, r.Lo+(r.Hi-r.Lo)/2, row.Effective-1); err != nil {
-					c.Close()
-					return row, err
-				}
+		if row.Effective > 1 && window == 0 && t == total-2 {
+			// Move half of node 0's first range to the last node.
+			r := c.Routing().Current().NodeRanges(0)[0]
+			rep, err := c.Migrate(r.Lo, r.Lo+(r.Hi-r.Lo)/2, row.Effective-1)
+			if err != nil {
+				c.Close()
+				return row, err
 			}
-			if t == migFinish {
-				rep, err := c.FinishMigration()
-				if err != nil {
-					c.Close()
-					return row, err
-				}
-				row.MigTicks = rep.TicksLive
-				row.MigInstallMs = rep.InstallPause.Seconds() * 1e3
-				row.MigBlackout = rep.BlackoutTicks
-				if rep.BlackoutTicks != 0 {
-					c.Close()
-					return row, fmt.Errorf("migration blacked out %d ticks", rep.BlackoutTicks)
-				}
-			}
+			row.MigCutTick, row.MigPauseMs = rep.CutTick, rep.Pause.Seconds()*1e3
 		}
 		cells, batch = workload.TickUpdates(src, t, cells, batch)
 		t0 := time.Now()

@@ -8,8 +8,8 @@ import (
 
 // TestClusterBenchMicro runs the cluster sweep on a tiny geometry: every
 // (size, recovery mode) cell must recover byte-identical, migrations must
-// drop zero ticks, the served-mode column must be honest, and the measured
-// legs must be non-empty.
+// cut at their tick boundary, the served-mode column must be honest, and the
+// measured legs must be non-empty.
 func TestClusterBenchMicro(t *testing.T) {
 	tab := gamestate.Table{Rows: 8192, Cols: 8, CellSize: 4, ObjSize: 512}
 	res, err := RunClusterBench(Quick, 3, ClusterBenchOptions{
@@ -50,14 +50,12 @@ func TestClusterBenchMicro(t *testing.T) {
 			}
 		}
 		if row.Effective > 1 && row.MaxSkew == 0 {
-			if row.MigTicks < 0 {
-				t.Errorf("%s/nodes=%d/%s: no migration leg ran", row.Scenario, row.Nodes, row.Mode)
+			// The cut lands at the boundary before the second-to-last tick.
+			if row.MigCutTick != 14 || row.MigPauseMs <= 0 {
+				t.Errorf("%s/nodes=%d/%s: migration cut at tick %d, pause %.3f ms; want tick 14 and a measured pause",
+					row.Scenario, row.Nodes, row.Mode, row.MigCutTick, row.MigPauseMs)
 			}
-			if row.MigBlackout != 0 {
-				t.Errorf("%s/nodes=%d/%s: migration blacked out %d ticks",
-					row.Scenario, row.Nodes, row.Mode, row.MigBlackout)
-			}
-		} else if row.MigTicks >= 0 {
+		} else if row.MigCutTick > 0 {
 			t.Errorf("%s/nodes=%d/%s: a row without a migration leg reports one", row.Scenario, row.Nodes, row.Mode)
 		}
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // Frame layout, the same under every protocol in this repository (standby,
-// range transfer, peer-RAM replica, cluster node, client session): u32
+// peer-RAM replica, cluster node, client session): u32
 // length, u32 CRC32-IEEE of the body, body. Both integers are little-endian,
 // length counts the body only, and the body's first byte is the frame type.
 const frameHeader = 8

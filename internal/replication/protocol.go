@@ -43,7 +43,8 @@ const protocolVersion = 2
 var magic = [8]byte{'M', 'M', 'O', 'R', 'E', 'P', 'L', protocolVersion}
 
 // Frame types. The stream is: hello ⇄ welcome, snapshot begin/chunk*/end,
-// then tick* one way and ack* the other.
+// then tick* one way and ack* the other. Values are wire-stable; 8 is
+// unassigned.
 const (
 	ftHello     byte = 1 // primary → standby: magic, geometry
 	ftWelcome   byte = 2 // standby → primary: magic, geometry echo
@@ -93,9 +94,9 @@ const (
 // snapChunkSize is the snapshot transfer granule.
 const snapChunkSize = 256 << 10
 
-// sendSnapshot ships a tick-consistent image as snapBegin, snapChunk* and
-// snapEnd frames: the bootstrap leg shared by standby sessions (whole
-// slab) and range transfers (one object range).
+// sendSnapshot ships a tick-consistent image of the whole slab as
+// snapBegin, snapChunk* and snapEnd frames: a standby session's bootstrap
+// leg.
 func (s *Stream) sendSnapshot(nextTick uint64, data []byte) error {
 	if err := s.c.SendU64(ftSnapBegin, nextTick, uint64(len(data))); err != nil {
 		return err

@@ -22,12 +22,12 @@ type StreamOptions struct {
 }
 
 // Stream is the sending end of one ack-bounded tick stream over a framed
-// connection: the one mechanism under the warm-standby Shipper, the migration
-// RangeSender and the peer-RAM replica Sender. It owns the connection, the
-// peer's acknowledgement watermark with the goroutine that reads it, the
-// in-flight lag gate, the first-error latch and the stopped flag. What
-// travels in the frames — snapshots, WAL records, cut markers, compressed
-// bundles — stays with the caller.
+// connection: the one mechanism under the warm-standby Shipper and the
+// peer-RAM replica Sender. It owns the connection, the peer's
+// acknowledgement watermark with the goroutine that reads it, the in-flight
+// lag gate, the first-error latch and the stopped flag. What travels in the
+// frames — snapshots, WAL records, compressed bundles — stays with the
+// caller.
 //
 // The watermark is kept in one form, "the first tick the peer has not
 // acknowledged", which is also the form engine.TickSub.NeedFrom takes.
