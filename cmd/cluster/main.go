@@ -28,17 +28,19 @@
 // non-zero.
 //
 // A third role runs the whole lifecycle in one process to demonstrate the
-// recovery-mode ladder (peer-RAM replicas and warm standbys need live peers,
+// recovery ladder (peer-RAM replicas and warm standbys need live peers,
 // which the TCP roles' independent process restarts cannot model):
 //
-//	cluster -role world -world-nodes 4 -recovery-mode auto \
+//	cluster -role world -world-nodes 4 \
 //	    -scenario hotspot -ticks 200 -updates 6400 -checkpoint-every 64
 //
-// runs the scenario on an in-process cluster, crashes it at the final tick
-// barrier, recovers every partition down the -recovery-mode ladder
-// (auto: peer-RAM → standby → disk), prints which mode actually served each
-// partition and why any rung fell through, and verifies the recovered world
-// byte-for-byte against the single-node reference.
+// runs the scenario on an in-process cluster with the peer-RAM mesh attached
+// to every node and a warm standby to the even-numbered ones, crashes it at
+// the final tick barrier, recovers every partition down the ladder those
+// attachments build (standby → peer-RAM → disk, fastest first), prints which
+// rung actually served each partition and why any rung fell through, and
+// verifies the recovered world byte-for-byte against the single-node
+// reference: standby serves the even partitions, peer-RAM the odd ones.
 //
 // -max-skew W (default 0, the lock-step barrier) runs the world role with
 // the nodes ticking up to W apart: checkpoints become per-node and staggered
@@ -46,8 +48,7 @@
 // different ticks on purpose, and recovery reconstructs the consistent cut
 // from the logged-message store, rolls the laggards forward, re-dispatches
 // the rolled-back ticks and verifies the same byte identity. Only the disk
-// rung is proven there: any other -recovery-mode with -max-skew > 0 exits
-// with the typed refusal (cluster.ErrNeedsBarrier).
+// rung is proven there, so the role attaches neither mesh nor standbys.
 package main
 
 import (
@@ -88,7 +89,6 @@ func main() {
 		shards   = flag.Int("shards", 1, "node: engine shards")
 		mode     = flag.String("mode", "cou", "node: checkpoint method (cou | naive)")
 		wnodes   = flag.Int("world-nodes", 2, "world: in-process node count")
-		recMode  = flag.String("recovery-mode", "auto", "world: recovery ladder (auto | peerram | standby | disk); only disk with -max-skew > 0")
 		maxSkew  = flag.Int("max-skew", 0, "world: coordination window in ticks, how far apart nodes may tick (0 = the lock-step barrier)")
 		netTO    = flag.Duration("net-timeout", 30*time.Second,
 			"bound on dial/accept and on any single command-stream read; a dead peer "+
@@ -113,11 +113,7 @@ func main() {
 	case "coord":
 		runCoord(table, *nodes, *scenario, *ticks, *updates, *skew, *seed, *ckptEach, *netTO)
 	case "world":
-		rm, err := cluster.ParseRecoveryMode(*recMode)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runWorld(table, *dir, *wnodes, *scenario, *ticks, *updates, *skew, *seed, *ckptEach, *shards, rm, *maxSkew)
+		runWorld(table, *dir, *wnodes, *scenario, *ticks, *updates, *skew, *seed, *ckptEach, *shards, *maxSkew)
 	default:
 		fmt.Fprintln(os.Stderr, "cluster: -role must be node, coord or world")
 		flag.Usage()
@@ -127,11 +123,11 @@ func main() {
 
 // runWorld runs the scenario on an in-process cluster, crashes it — at the
 // final tick barrier at maxSkew 0, mid-window with the nodes at different
-// ticks past it — recovers it down the requested recovery-mode ladder,
+// ticks past it — recovers it down the ladder of whatever is attached,
 // re-dispatches whatever the crash rolled back (the workload is pure), and
 // verifies the result byte-for-byte against the single-node reference.
 func runWorld(table gamestate.Table, dir string, nodes int, scenario string, ticks, updates int,
-	skew float64, seed int64, ckptEach, shards int, rmode cluster.RecoveryMode, maxSkew int) {
+	skew float64, seed int64, ckptEach, shards, maxSkew int) {
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "cluster-world")
 		if err != nil {
@@ -150,28 +146,32 @@ func runWorld(table gamestate.Table, dir string, nodes int, scenario string, tic
 	opts := cluster.Options{
 		Table: table, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: nodes, Shards: shards, MaxSkew: maxSkew,
 	}
-	if maxSkew > 0 {
-		// Uncoordinated cuts from the node workers; the barrier world takes
-		// coordinated ones from the tick loop below.
-		opts.CheckpointEvery = ckptEach
-	}
+	// The barrier world attaches the mesh to every node; past the barrier
+	// only the disk rung is proven, so nothing is attached and the node
+	// workers take uncoordinated cuts instead of the tick loop's coordinated
+	// ones.
 	var mesh *peerram.Mesh
-	if rmode == cluster.RecoveryAuto || rmode == cluster.RecoveryPeerRAM {
-		mesh = peerram.NewMesh(cluster.Uniform(table.NumObjects(), nodes).NumNodes, peerram.Options{})
+	if maxSkew == 0 {
+		mesh = peerram.NewMesh(cluster.Uniform(table.NumObjects(), nodes).NumNodes)
 		opts.PeerRAM = mesh
+	} else {
+		opts.CheckpointEvery = ckptEach
 	}
 	c, err := cluster.New(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	eff := len(c.Nodes())
-	log.Printf("world: %d nodes over %d objects, window %d, recovery mode %s", eff, table.NumObjects(), maxSkew, rmode)
+	log.Printf("world: %d nodes over %d objects, window %d", eff, table.NumObjects(), maxSkew)
 
-	// The standby rung mirrors every node over the warm-standby stream.
+	// The standby rung mirrors the even-numbered nodes over the warm-standby
+	// stream, so one run shows both rungs above disk serving.
 	var standbys []*replication.Standby
 	var shippers []*replication.Shipper
-	if rmode == cluster.RecoveryAuto || rmode == cluster.RecoveryStandby {
-		for i, n := range c.Nodes() {
+	if maxSkew == 0 {
+		standbys = make([]*replication.Standby, eff)
+		shippers = make([]*replication.Shipper, eff)
+		for i := 0; i < eff; i += 2 {
 			pc, sc := net.Pipe()
 			sb, err := replication.StartStandby(engine.Options{
 				Table: table, Dir: fmt.Sprintf("%s/standby-%d", dir, i),
@@ -180,7 +180,7 @@ func runWorld(table gamestate.Table, dir string, nodes int, scenario string, tic
 			if err != nil {
 				log.Fatalf("world: standby %d: %v", i, err)
 			}
-			sh, err := replication.StartShipper(n.E, pc, replication.StreamOptions{MaxLagTicks: 64})
+			sh, err := replication.StartShipper(c.Nodes()[i].E, pc, replication.StreamOptions{MaxLagTicks: 64})
 			if err != nil {
 				log.Fatalf("world: shipper %d: %v", i, err)
 			}
@@ -189,7 +189,7 @@ func runWorld(table gamestate.Table, dir string, nodes int, scenario string, tic
 			case <-sb.Done():
 				log.Fatalf("world: standby %d died during bootstrap: %v", i, sb.Err())
 			}
-			standbys, shippers = append(standbys, sb), append(shippers, sh)
+			standbys[i], shippers[i] = sb, sh
 		}
 	}
 
@@ -210,6 +210,9 @@ func runWorld(table gamestate.Table, dir string, nodes int, scenario string, tic
 	log.Printf("world: %d ticks in %v (coordinator blocked on node progress for %v total)",
 		ticks, time.Since(t0).Round(time.Millisecond), c.BarrierWait().Round(time.Millisecond))
 	for i, sh := range shippers {
+		if sh == nil {
+			continue
+		}
 		if err := sh.AwaitAck(uint64(ticks)-1, 30*time.Second); err != nil {
 			log.Fatalf("world: standby %d behind at the crash: %v", i, err)
 		}
@@ -234,14 +237,16 @@ func runWorld(table gamestate.Table, dir string, nodes int, scenario string, tic
 
 	rc, wr, err := cluster.Recover(dir, cluster.Options{
 		Mode: engine.ModeCopyOnUpdate, Shards: shards,
-		RecoveryMode: rmode, PeerRAM: mesh, Standbys: standbys,
+		PeerRAM: mesh, Standbys: standbys,
 	})
 	if err != nil {
 		log.Fatalf("world: recovery: %v", err)
 	}
 	defer rc.Close()
 	for _, sb := range standbys {
-		defer sb.Close()
+		if sb != nil {
+			defer sb.Close()
+		}
 	}
 	for i, m := range wr.Modes {
 		line := fmt.Sprintf("world: partition %d recovered via %s", i, m)

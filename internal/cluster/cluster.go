@@ -85,16 +85,17 @@ type Options struct {
 	// (fault injection). The path identifies both the node and the backup.
 	DeviceFactory func(path string) (disk.Device, error)
 	// PeerRAM, when non-nil, attaches every node to the replica mesh: each
-	// node's checkpoint image and tick deltas are held compressed in K
-	// peers' RAM (piggybacked on the tick-commit stream, no extra fsyncs),
-	// and Recover's ladder can restore a crashed partition out of that RAM
-	// instead of through the disk pipeline. The mesh deliberately outlives
-	// the cluster — surviving peers' RAM is exactly what a later Recover
-	// with the same mesh restores from.
+	// node's checkpoint image and tick deltas are held compressed in its
+	// ring successor's RAM (piggybacked on the tick-commit stream, no extra
+	// fsyncs), and Recover's ladder can restore a crashed partition out of
+	// that RAM instead of through the disk pipeline. The mesh deliberately
+	// outlives the cluster — surviving peers' RAM is exactly what a later
+	// Recover with the same mesh restores from.
 	PeerRAM *peerram.Mesh
-	// RecoveryMode selects Recover's per-partition ladder (see
-	// RecoveryMode; the zero value is RecoveryAuto: peer-RAM → standby →
-	// disk). New ignores it.
+	// RecoveryMode is ignored: Recover builds each partition's ladder from
+	// what is attached (Standbys, PeerRAM).
+	//
+	// Deprecated: attach the sources instead.
 	RecoveryMode RecoveryMode
 	// Standbys supplies Recover's standby rung: Standbys[i], when non-nil,
 	// is a warm standby mirroring node i that Recover may promote in place
@@ -106,9 +107,9 @@ type Options struct {
 
 // ErrNeedsBarrier refuses a feature whose composition with logged messages
 // or a non-zero window no byte-identity test proves yet: live migration, the
-// peer-RAM mesh, and the standby and peer-RAM recovery rungs work only on
-// the plain barrier world (MaxSkew = 0, no Emit). New, Recover and Migrate
-// wrap it with the feature's name.
+// peer-RAM mesh and the standby rung work only on the plain barrier world
+// (MaxSkew = 0, no Emit). New, Recover and Migrate wrap it with the
+// feature's name.
 var ErrNeedsBarrier = errors.New("proven only at MaxSkew = 0 without Emit")
 
 // logged reports whether the policy can need the durable inbox: a non-zero
@@ -134,8 +135,6 @@ func (o *Options) check() error {
 		return o.needsBarrier("the peer-RAM mesh")
 	case len(o.Standbys) > 0:
 		return o.needsBarrier("standby promotion")
-	case o.RecoveryMode == RecoveryPeerRAM || o.RecoveryMode == RecoveryStandby:
-		return o.needsBarrier("recovery mode " + o.RecoveryMode.String())
 	}
 	return nil
 }

@@ -409,7 +409,7 @@ func TestNeedsBarrier(t *testing.T) {
 				return err
 			},
 			"peerram": func(t *testing.T) error {
-				_, err := world(t, Options{PeerRAM: peerram.NewMesh(2, peerram.Options{})})
+				_, err := world(t, Options{PeerRAM: peerram.NewMesh(2)})
 				return err
 			},
 			"standbys": func(t *testing.T) error {
@@ -421,20 +421,6 @@ func TestNeedsBarrier(t *testing.T) {
 					return err
 				}
 				rc, _, err := Recover(c.opts.Dir, Options{Mode: engine.ModeCopyOnUpdate, Standbys: []*replication.Standby{nil, nil}})
-				if err == nil {
-					rc.Close()
-				}
-				return err
-			},
-			"recovery-mode": func(t *testing.T) error {
-				c, err := world(t, Options{})
-				if err != nil {
-					return err
-				}
-				if err := c.Close(); err != nil {
-					return err
-				}
-				rc, _, err := Recover(c.opts.Dir, Options{Mode: engine.ModeCopyOnUpdate, RecoveryMode: RecoveryStandby})
 				if err == nil {
 					rc.Close()
 				}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/gamestate"
 	"repro/internal/recovery"
-	"repro/internal/replication"
 	"repro/internal/telemetry"
 	"repro/internal/wal"
 )
@@ -139,12 +138,10 @@ type WorldRecovery struct {
 	// PerNode holds each node's parallel-pipeline breakdown. Standby
 	// promotions did not run a pipeline; their entry carries only NextTick.
 	PerNode []recovery.ParallelResult
-	// Modes records which ladder rung actually served each node's recovery
-	// (RecoveryPeerRAM, RecoveryStandby or RecoveryDisk — never
-	// RecoveryAuto).
+	// Modes records which ladder rung actually served each node's recovery.
 	Modes []RecoveryMode
-	// Fallbacks records, per node, why the rungs above the serving one fell
-	// through ("" when the first rung served).
+	// Fallbacks records, per node, why the attached rungs above the serving
+	// one fell through ("" when the first attached rung served).
 	Fallbacks []string
 	// Wall is start → last node recovered (nodes recover concurrently, each
 	// from its own checkpoint).
@@ -181,44 +178,30 @@ func (e *TornError) Error() string {
 		e.Node, e.Tick, e.Cut)
 }
 
-// recoverNode walks one partition down the recovery-mode ladder. Every rung
-// failure is recorded and falls through; the disk pipeline is the final
-// rung, so the returned mode is always the one that actually served. The
-// disk rung extends replay past the node's own WAL with tail (nil for none):
-// the capped inbox, see engine.RecoverWithTail.
+// recoverNode walks one partition down its recovery ladder: the rungs the
+// caller attached, fastest first — the warm standby (Standbys[i]), a peer's
+// RAM (PeerRAM), then the disk pipeline, which is always there. A rung that
+// was not attached is skipped without a trace; an attached rung that fails
+// is noted, counted and falls through, so the returned mode is always the
+// one that actually served. The disk rung extends replay past the node's own
+// WAL with tail (nil for none): the capped inbox, see engine.RecoverWithTail.
 func recoverNode(root string, opts Options, i int, tail func() (recovery.RecordSource, error)) (*engine.Engine, recovery.ParallelResult, RecoveryMode, string, error) {
 	var notes []string
-	note := func(format string, args ...any) { notes = append(notes, fmt.Sprintf(format, args...)) }
-	eopts := nodeEngineOptions(opts, NodeDir(root, i))
-	mode := opts.RecoveryMode
-
-	if mode == RecoveryAuto || mode == RecoveryPeerRAM {
-		sp := telemetry.StartSpan("recovery/rung",
-			telemetry.Int("node", int64(i)), telemetry.Str("rung", "peerram"))
-		if opts.PeerRAM == nil {
-			note("peerram: no mesh")
-		} else if src, holder, err := opts.PeerRAM.Source(i); err != nil {
-			note("%v", err)
-		} else if e, pres, err := engine.RecoverFromPeer(eopts, src); err != nil {
-			note("peerram via node %d: %v", holder, err)
-		} else {
-			sp.End(telemetry.Str("outcome", "served"))
-			return e, pres, RecoveryPeerRAM, strings.Join(notes, "; "), nil
-		}
-		sp.End(telemetry.Str("outcome", "fallthrough"))
-		telFallthrough.With("peerram").Inc()
+	rung := func(m RecoveryMode) *telemetry.Span {
+		return telemetry.StartSpan("recovery/rung",
+			telemetry.Int("node", int64(i)), telemetry.Str("rung", m.String()))
 	}
-	if mode == RecoveryAuto || mode == RecoveryStandby {
-		sp := telemetry.StartSpan("recovery/rung",
-			telemetry.Int("node", int64(i)), telemetry.Str("rung", "standby"))
-		var sb *replication.Standby
-		if i < len(opts.Standbys) {
-			sb = opts.Standbys[i]
-		}
-		if sb == nil {
-			note("%v %d", ErrNoStandby, i)
-		} else if e, err := sb.Promote(); err != nil {
-			note("standby node %d: %v", i, err)
+	fellThrough := func(sp *telemetry.Span, m RecoveryMode, format string, args ...any) {
+		notes = append(notes, fmt.Sprintf(format, args...))
+		sp.End(telemetry.Str("outcome", "fallthrough"))
+		telFallthrough.With(m.String()).Inc()
+	}
+	eopts := nodeEngineOptions(opts, NodeDir(root, i))
+
+	if i < len(opts.Standbys) && opts.Standbys[i] != nil {
+		sp := rung(RecoveryStandby)
+		if e, err := opts.Standbys[i].Promote(); err != nil {
+			fellThrough(sp, RecoveryStandby, "standby node %d: %v", i, err)
 		} else {
 			// No pipeline ran; the promoted engine's tick is the whole story.
 			var pres recovery.ParallelResult
@@ -227,11 +210,19 @@ func recoverNode(root string, opts Options, i int, tail func() (recovery.RecordS
 			sp.End(telemetry.Str("outcome", "served"))
 			return e, pres, RecoveryStandby, strings.Join(notes, "; "), nil
 		}
-		sp.End(telemetry.Str("outcome", "fallthrough"))
-		telFallthrough.With("standby").Inc()
 	}
-	sp := telemetry.StartSpan("recovery/rung",
-		telemetry.Int("node", int64(i)), telemetry.Str("rung", "disk"))
+	if opts.PeerRAM != nil {
+		sp := rung(RecoveryPeerRAM)
+		if src, holder, err := opts.PeerRAM.Source(i); err != nil {
+			fellThrough(sp, RecoveryPeerRAM, "%v", err)
+		} else if e, pres, err := engine.RecoverFromPeer(eopts, src); err != nil {
+			fellThrough(sp, RecoveryPeerRAM, "peerram via node %d: %v", holder, err)
+		} else {
+			sp.End(telemetry.Str("outcome", "served"))
+			return e, pres, RecoveryPeerRAM, strings.Join(notes, "; "), nil
+		}
+	}
+	sp := rung(RecoveryDisk)
 	e, pres, err := engine.RecoverWithTail(eopts, tail)
 	if err != nil {
 		sp.End(telemetry.Str("outcome", "failed"))
@@ -252,10 +243,11 @@ func recoverNode(root string, opts Options, i int, tail func() (recovery.RecordS
 // before any node sees it, so every applied tick is in every inbox and C
 // bounds what any node can have applied.
 //
-// Each partition then walks the Options.RecoveryMode ladder independently —
-// peer-RAM restore out of a surviving node's replica
-// (engine.RecoverFromPeer), warm-standby promotion, and finally the paper's
-// disk restore+replay pipeline — all nodes concurrently; a rung that fails
+// Each partition then walks its own ladder, built from what opts attaches,
+// fastest first — warm-standby promotion (opts.Standbys[i]), peer-RAM
+// restore out of a surviving node's replica (opts.PeerRAM,
+// engine.RecoverFromPeer), and finally the paper's disk restore+replay
+// pipeline, always present — all nodes concurrently; a rung that fails
 // for one partition falls through for that partition only, and
 // WorldRecovery records which rung served whom. The disk rung takes the
 // node's inbox, capped at C, as its tail: its own checkpoint image, its own

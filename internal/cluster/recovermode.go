@@ -1,63 +1,48 @@
 package cluster
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
-// RecoveryMode selects the ladder Recover walks for each crashed
-// partition. Every rung that fails falls through to the next one for that
-// partition only; the disk pipeline is always the last rung, because a
-// partition's own directory is the one source that needs no surviving
-// peer. The typed rung failures — peerram.ErrNoReplica and
-// peerram.ErrReplicaGone for the peer-RAM rung, ErrNoStandby for the
-// standby rung — are recorded per node in WorldRecovery.Fallbacks.
+// RecoveryMode names a rung of the recovery ladder: the label Recover
+// reports for the source that served each partition (WorldRecovery.Modes,
+// the recovery_served_total counter) and the clusterbench axis. The ladder
+// itself is not selected by mode — Recover builds it from what the caller
+// attached (see Recover).
 type RecoveryMode int
 
-// The ladder orderings. RecoveryAuto prefers the fastest source that
-// exists; the single-rung modes pin the bench axes (and operators who know
-// what they want), each still backstopped by disk.
+// The rungs. RecoveryDisk, the zero value, is the one rung that is always
+// present: a partition's own directory needs no surviving peer.
 const (
-	// RecoveryAuto tries peer-RAM, then a warm standby, then disk.
-	RecoveryAuto RecoveryMode = iota
-	// RecoveryPeerRAM tries peer-RAM, then disk.
-	RecoveryPeerRAM
-	// RecoveryStandby tries warm-standby promotion, then disk.
+	// RecoveryDisk is the paper's restore+replay pipeline.
+	RecoveryDisk RecoveryMode = iota
+	// RecoveryStandby is warm-standby promotion.
 	RecoveryStandby
-	// RecoveryDisk runs the paper's restore+replay pipeline only.
-	RecoveryDisk
+	// RecoveryPeerRAM is a restore out of a surviving peer's RAM.
+	RecoveryPeerRAM
 )
 
-// ErrNoStandby reports that the standby rung had no warm standby to
-// promote for a partition.
-var ErrNoStandby = errors.New("cluster: no standby for partition")
-
-// String names the mode the way the -recovery-mode flag spells it.
+// String names the rung the way the recovery_served_total label and the
+// clusterbench axis spell it.
 func (m RecoveryMode) String() string {
 	switch m {
-	case RecoveryAuto:
-		return "auto"
-	case RecoveryPeerRAM:
-		return "peerram"
-	case RecoveryStandby:
-		return "standby"
 	case RecoveryDisk:
 		return "disk"
+	case RecoveryStandby:
+		return "standby"
+	case RecoveryPeerRAM:
+		return "peerram"
 	}
 	return fmt.Sprintf("RecoveryMode(%d)", int(m))
 }
 
-// ParseRecoveryMode parses the -recovery-mode flag values.
+// ParseRecoveryMode parses a rung name as String spells it.
 func ParseRecoveryMode(s string) (RecoveryMode, error) {
 	switch s {
-	case "auto":
-		return RecoveryAuto, nil
-	case "peerram":
-		return RecoveryPeerRAM, nil
-	case "standby":
-		return RecoveryStandby, nil
 	case "disk":
 		return RecoveryDisk, nil
+	case "standby":
+		return RecoveryStandby, nil
+	case "peerram":
+		return RecoveryPeerRAM, nil
 	}
-	return 0, fmt.Errorf("cluster: unknown recovery mode %q (want auto, peerram, standby or disk)", s)
+	return 0, fmt.Errorf("cluster: unknown recovery mode %q (want disk, standby or peerram)", s)
 }

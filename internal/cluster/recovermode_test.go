@@ -12,18 +12,19 @@ import (
 	"repro/internal/gamestate"
 	"repro/internal/peerram"
 	"repro/internal/replication"
+	"repro/internal/telemetry"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
-// The recovery-mode ladder's crash-equivalence harness: for the same
-// workload at 1-, 2- and 4-node sizes, a world recovered through every rung
-// — peer-RAM restore, warm-standby promotion, the disk pipeline, and the
-// auto ladder over all three — must be byte-identical per cell to a
-// never-crashed single-node serial run, and WorldRecovery must name the
-// rung that actually served each partition. The disk rung also runs at
-// MaxSkew = 2 — the one rung proven there — where the crash drops each
-// node's backlog and the rolled-back ticks are re-dispatched.
+// The recovery ladder's crash-equivalence harness: for the same workload at
+// 1-, 2- and 4-node sizes, a world recovered with each set of attachments —
+// nothing (the disk pipeline), warm standbys, the peer-RAM mesh, and both —
+// must be byte-identical per cell to a never-crashed single-node serial run,
+// and WorldRecovery must name the rung that actually served each partition:
+// the fastest one attached. The bare world also runs at MaxSkew = 2 — the
+// disk rung is the one proven there — where the crash drops each node's
+// backlog and the rolled-back ticks are re-dispatched.
 func TestRecoveryModeEquivalence(t *testing.T) {
 	tab := gamestate.Table{Rows: 8192, Cols: 8, CellSize: 4, ObjSize: 512}
 	const ticks, perTick, warm = 20, 400, 8
@@ -50,27 +51,31 @@ func TestRecoveryModeEquivalence(t *testing.T) {
 	want := append([]byte(nil), ref.Store().Slab()...)
 	ref.Close()
 
+	// A cell is named after the rung it attaches ("disk": nothing); "auto"
+	// attaches both and leaves the choice to the ladder.
 	type cell struct {
-		mode   RecoveryMode
-		window int
+		name                  string
+		withStandby, withMesh bool
+		window                int
 	}
-	cells4 := []cell{{RecoveryDisk, 0}, {RecoveryStandby, 0}, {RecoveryPeerRAM, 0}, {RecoveryAuto, 0}, {RecoveryDisk, 2}}
+	ladders := []cell{
+		{"disk", false, false, 0}, {"standby", true, false, 0}, {"peerram", false, true, 0},
+		{"auto", true, true, 0}, {"disk", false, false, 2},
+	}
 	for _, nodes := range []int{1, 2, 4} {
-		for _, cl := range cells4 {
-			mode, window := cl.mode, cl.window
-			name := fmt.Sprintf("nodes=%d/mode=%s", nodes, mode)
+		for _, cl := range ladders {
+			withStandby, withMesh, window := cl.withStandby, cl.withMesh, cl.window
+			name := fmt.Sprintf("nodes=%d/mode=%s", nodes, cl.name)
 			if window > 0 {
 				name += fmt.Sprintf("/maxskew=%d", window)
 			}
 			t.Run(name, func(t *testing.T) {
 				dir := t.TempDir()
-				withMesh := mode == RecoveryPeerRAM || mode == RecoveryAuto
-				withStandby := mode == RecoveryStandby || mode == RecoveryAuto
 
 				var mesh *peerram.Mesh
 				opts := Options{Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: nodes, MaxSkew: window}
 				if withMesh {
-					mesh = peerram.NewMesh(nodes, peerram.Options{})
+					mesh = peerram.NewMesh(nodes)
 					opts.PeerRAM = mesh
 				}
 				c, err := New(opts)
@@ -129,8 +134,7 @@ func TestRecoveryModeEquivalence(t *testing.T) {
 				}
 
 				rc, wr, err := Recover(dir, Options{
-					Mode: engine.ModeCopyOnUpdate, PeerRAM: mesh,
-					RecoveryMode: mode, Standbys: standbys,
+					Mode: engine.ModeCopyOnUpdate, PeerRAM: mesh, Standbys: standbys,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -152,24 +156,24 @@ func TestRecoveryModeEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				// The rung that served must be the one the mode promises.
-				// A single node has no peer replica, so the peer-RAM rung
-				// must fall through with a recorded reason.
+				// The fastest attached rung serves. A single node has no peer
+				// replica, so a lone mesh must fall through with a recorded
+				// reason; every other cell's first attached rung serves with
+				// nothing to report.
+				expect := RecoveryDisk
+				switch {
+				case withStandby:
+					expect = RecoveryStandby
+				case withMesh && nodes > 1:
+					expect = RecoveryPeerRAM
+				}
+				meshFails := withMesh && !withStandby && nodes == 1
 				for i, served := range wr.Modes {
-					expect := mode
-					switch {
-					case mode == RecoveryPeerRAM && nodes == 1:
-						expect = RecoveryDisk
-					case mode == RecoveryAuto && nodes == 1:
-						expect = RecoveryStandby
-					case mode == RecoveryAuto:
-						expect = RecoveryPeerRAM
-					}
 					if served != expect {
 						t.Fatalf("node %d served by %v (fallbacks %q), want %v", i, served, wr.Fallbacks[i], expect)
 					}
-					if expect != mode && mode != RecoveryAuto && !strings.Contains(wr.Fallbacks[i], "replica") {
-						t.Fatalf("node %d fell back without naming the replica failure: %q", i, wr.Fallbacks[i])
+					if meshFails != (wr.Fallbacks[i] != "") || meshFails && !strings.Contains(wr.Fallbacks[i], "replica") {
+						t.Fatalf("node %d fallbacks %q, want the replica failure only when a lone mesh falls through", i, wr.Fallbacks[i])
 					}
 					if served == RecoveryStandby {
 						if wr.PerNode[i].NextTick != ticks {
@@ -188,8 +192,8 @@ func TestRecoveryModeEquivalence(t *testing.T) {
 						g := got[cell*4 : cell*4+4]
 						w := want[cell*4 : cell*4+4]
 						if !bytes.Equal(g, w) {
-							t.Fatalf("cell %d differs after %v recovery: %x != %x (owner %d)",
-								cell, mode, g, w, rc.Routing().Current().Owner(cell/tab.CellsPerObject()))
+							t.Fatalf("cell %d differs after %s recovery: %x != %x (owner %d)",
+								cell, cl.name, g, w, rc.Routing().Current().Owner(cell/tab.CellsPerObject()))
 						}
 					}
 				}
@@ -197,7 +201,7 @@ func TestRecoveryModeEquivalence(t *testing.T) {
 				// A recovered world must still be live: one more (empty) tick
 				// applies on every rung's engines (promoted standbys included).
 				if err := rc.Tick(nil); err != nil {
-					t.Fatalf("tick after %v recovery: %v", mode, err)
+					t.Fatalf("tick after %s recovery: %v", cl.name, err)
 				}
 			})
 		}
@@ -233,7 +237,7 @@ func TestRecoveryLadderFallsBackToDiskOnDeadHolder(t *testing.T) {
 	ref.Close()
 
 	dir := t.TempDir()
-	mesh := peerram.NewMesh(2, peerram.Options{})
+	mesh := peerram.NewMesh(2)
 	c, err := New(Options{Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: 2, PeerRAM: mesh})
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +255,7 @@ func TestRecoveryLadderFallsBackToDiskOnDeadHolder(t *testing.T) {
 	// Node 0's holder dies a quarter of the way through serving the image.
 	mesh.FailRestoreAfter(0, int64(tab.StateBytes())/4)
 	rc, wr, err := Recover(dir, Options{
-		Mode: engine.ModeCopyOnUpdate, PeerRAM: mesh, RecoveryMode: RecoveryPeerRAM,
+		Mode: engine.ModeCopyOnUpdate, PeerRAM: mesh,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -275,5 +279,63 @@ func TestRecoveryLadderFallsBackToDiskOnDeadHolder(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("world after fallback recovery diverged from the never-crashed reference")
+	}
+}
+
+// TestRecoverReportsOnlyAttachedRungs: a rung that was not attached is not
+// tried, so a plain world (no mesh, no standbys) recovers through the disk
+// pipeline with no fall-through to report — no note in Fallbacks and no
+// recovery_fallthrough_total increment for the absent rungs.
+func TestRecoverReportsOnlyAttachedRungs(t *testing.T) {
+	was := telemetry.Enabled()
+	telemetry.Enable()
+	defer func() {
+		if !was {
+			telemetry.Disable()
+		}
+	}()
+	counter := func(family, rung string) uint64 {
+		v, ok := telemetry.VecValue(family, rung)
+		if !ok {
+			t.Fatalf("counter family %s is not registered", family)
+		}
+		return v
+	}
+
+	tab := testTable()
+	dir := t.TempDir()
+	c, err := New(Options{Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := c.Tick(testBatch(tab, i, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fellPeer, fellStandby := counter("recovery_fallthrough_total", "peerram"), counter("recovery_fallthrough_total", "standby")
+	servedDisk := counter("recovery_served_total", "disk")
+	rc, wr, err := Recover(dir, Options{Mode: engine.ModeCopyOnUpdate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	for i, note := range wr.Fallbacks {
+		if wr.Modes[i] != RecoveryDisk || note != "" {
+			t.Errorf("node %d served by %v with fallbacks %q, want disk with none", i, wr.Modes[i], note)
+		}
+	}
+	if d := counter("recovery_fallthrough_total", "peerram") - fellPeer; d != 0 {
+		t.Errorf("recovery_fallthrough_total{rung=peerram} rose by %d with no mesh attached", d)
+	}
+	if d := counter("recovery_fallthrough_total", "standby") - fellStandby; d != 0 {
+		t.Errorf("recovery_fallthrough_total{rung=standby} rose by %d with no standby attached", d)
+	}
+	if d := counter("recovery_served_total", "disk") - servedDisk; d != 2 {
+		t.Errorf("recovery_served_total{rung=disk} rose by %d, want 2", d)
 	}
 }

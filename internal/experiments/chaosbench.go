@@ -508,7 +508,7 @@ func chaosPeerramCell(table gamestate.Table, src workload.Source, ref []byte, se
 	}
 	defer os.RemoveAll(dir)
 
-	mesh := peerram.NewMesh(2, peerram.Options{})
+	mesh := peerram.NewMesh(2)
 	c, err := cluster.New(cluster.Options{
 		Table: table, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: 2, PeerRAM: mesh,
 	})
@@ -550,7 +550,7 @@ func chaosPeerramCell(table gamestate.Table, src workload.Source, ref []byte, se
 	mesh.FailRestoreAfter(victim, budget)
 
 	rc, wr, err := cluster.Recover(dir, cluster.Options{
-		Mode: engine.ModeCopyOnUpdate, PeerRAM: mesh, RecoveryMode: cluster.RecoveryPeerRAM,
+		Mode: engine.ModeCopyOnUpdate, PeerRAM: mesh,
 	})
 	if err != nil {
 		cell.Outcome, cell.Detail = "failed", fmt.Sprintf("recover: %v", err)

@@ -1,7 +1,7 @@
 // Package peerram implements replicated in-memory checkpoints across the
-// cluster: every node keeps a compressed replica of K peers' latest
-// checkpoint image plus their dirty-since-cut tick deltas, so a crashed
-// partition can be restored out of surviving peers' RAM at memory speed
+// cluster: every node keeps a compressed replica of its ring predecessor's
+// latest checkpoint image plus its dirty-since-cut tick deltas, so a crashed
+// partition can be restored out of a surviving peer's RAM at memory speed
 // instead of through the paper's disk-bound restore+replay pipeline — the
 // ReStore idea applied to the MMO tick engine.
 //
@@ -28,20 +28,6 @@ import (
 	"repro/internal/replication"
 )
 
-// DefaultK is the replication factor when Options.K is unset: each
-// partition's checkpoint lives in one peer's RAM besides its own disk.
-const DefaultK = 1
-
-// Options configures a replica mesh.
-type Options struct {
-	// K is the number of peers holding each partition's replica, clamped to
-	// the cluster size minus one. <=0 means DefaultK.
-	K int
-	// MaxLagTicks configures every link's sender; zero takes the
-	// replication.StreamOptions default.
-	MaxLagTicks int
-}
-
 // link is one (owner → holder) replica stream.
 type link struct {
 	holder int
@@ -50,35 +36,27 @@ type link struct {
 }
 
 // Mesh is the cluster's replica placement map: node i's checkpoint image
-// and delta tail are held by the K ring successors (i+1 … i+K mod n). It
-// owns the per-node stores and the sender/holder pairs of every link.
-// A Mesh deliberately outlives the Cluster that attached to it — the
-// surviving nodes' RAM is exactly what peer-RAM recovery restores from
-// after the cluster's engines have crashed.
+// and delta tail are held by its ring successor, (i+1) mod n. It owns the
+// per-node stores and the sender/holder pair of every link. A Mesh
+// deliberately outlives the Cluster that attached to it — the surviving
+// nodes' RAM is exactly what peer-RAM recovery restores from after the
+// cluster's engines have crashed.
 type Mesh struct {
-	n    int
-	opts Options
+	n int
 
 	mu     sync.Mutex
 	stores []*Store
-	links  map[int][]*link // by owner
+	links  []*link // by owner; nil while detached
 	dead   []bool
 }
 
 // NewMesh builds an idle mesh for an n-node cluster. Links start when the
 // cluster attaches its engines.
-func NewMesh(n int, opts Options) *Mesh {
-	if opts.K <= 0 {
-		opts.K = DefaultK
-	}
-	if opts.K > n-1 {
-		opts.K = n - 1
-	}
+func NewMesh(n int) *Mesh {
 	m := &Mesh{
 		n:      n,
-		opts:   opts,
 		stores: make([]*Store, n),
-		links:  make(map[int][]*link),
+		links:  make([]*link, n),
 		dead:   make([]bool, n),
 	}
 	for i := range m.stores {
@@ -87,16 +65,16 @@ func NewMesh(n int, opts Options) *Mesh {
 	return m
 }
 
-// Holders returns the nodes holding owner's replica: the K ring successors.
-func (m *Mesh) Holders(owner int) []int {
-	holders := make([]int, 0, m.opts.K)
-	for j := 1; j <= m.opts.K; j++ {
-		holders = append(holders, (owner+j)%m.n)
+// holder returns the node holding owner's replica, its ring successor, or
+// -1 in a 1-node mesh, where no peer exists.
+func (m *Mesh) holder(owner int) int {
+	if m.n < 2 {
+		return -1
 	}
-	return holders
+	return (owner + 1) % m.n
 }
 
-// Attach starts owner's replica links: one sender on e and one holder per
+// Attach starts owner's replica link: one sender on e and one holder on the
 // ring successor, connected by an in-process pipe (the frames are designed
 // to multiplex onto the cluster's existing streams; the pipe stands in for
 // that mux). The initial image ships in the background; Drain awaits it.
@@ -104,7 +82,8 @@ func (m *Mesh) Holders(owner int) []int {
 //
 // Attaching a node Crash marked dead revives it with a fresh holder store:
 // the recovered node rejoins the mesh with empty RAM, exactly like a real
-// restart, and begins re-accumulating its peers' replicas as they refresh.
+// restart, and begins re-accumulating its predecessor's replica as it
+// refreshes.
 func (m *Mesh) Attach(owner int, e *engine.Engine) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -115,29 +94,29 @@ func (m *Mesh) Attach(owner int, e *engine.Engine) error {
 		m.dead[owner] = false
 		m.stores[owner] = NewStore()
 	}
-	if len(m.links[owner]) > 0 {
+	if m.links[owner] != nil {
 		return fmt.Errorf("peerram: node %d already attached", owner)
 	}
-	sopts := replication.StreamOptions{MaxLagTicks: m.opts.MaxLagTicks}
-	for _, h := range m.Holders(owner) {
-		sc, hc := net.Pipe()
-		recv := StartHolder(owner, m.stores[h], hc)
-		sender, err := StartSender(e, sc, sopts)
-		if err != nil {
-			recv.Stop() //nolint:errcheck // unwinding
-			m.detachLocked(owner)
-			return err
-		}
-		m.links[owner] = append(m.links[owner], &link{holder: h, sender: sender, recv: recv})
+	h := m.holder(owner)
+	if h < 0 {
+		return nil
 	}
+	sc, hc := net.Pipe()
+	recv := StartHolder(owner, m.stores[h], hc)
+	sender, err := StartSender(e, sc, replication.StreamOptions{})
+	if err != nil {
+		recv.Stop() //nolint:errcheck // unwinding
+		return err
+	}
+	m.links[owner] = &link{holder: h, sender: sender, recv: recv}
 	return nil
 }
 
-// Refresh ships a fresh checkpoint image on every one of owner's live
-// links. Call it right after a coordinated checkpoint cut so the replicas
-// track the newest image and drop the deltas it supersedes.
+// Refresh ships a fresh checkpoint image on owner's link, if its holder is
+// alive. Call it right after a coordinated checkpoint cut so the replica
+// tracks the newest image and drops the deltas it supersedes.
 func (m *Mesh) Refresh(owner int) error {
-	for _, l := range m.liveLinks(owner) {
+	if l := m.liveLink(owner); l != nil {
 		if err := l.sender.RefreshImage(); err != nil {
 			return err
 		}
@@ -147,11 +126,11 @@ func (m *Mesh) Refresh(owner int) error {
 	return nil
 }
 
-// Drain blocks until every live holder of owner's replica covers tick, or
-// the timeout elapses. It is the graceful-shutdown barrier: after Drain,
-// owner's full history through tick is in its peers' RAM.
+// Drain blocks until a live holder of owner's replica covers tick, or the
+// timeout elapses. It is the graceful-shutdown barrier: after Drain,
+// owner's full history through tick is in its peer's RAM.
 func (m *Mesh) Drain(owner int, tick uint64, timeout time.Duration) error {
-	for _, l := range m.liveLinks(owner) {
+	if l := m.liveLink(owner); l != nil {
 		if err := l.sender.AwaitAck(tick, timeout); err != nil {
 			return err
 		}
@@ -161,39 +140,33 @@ func (m *Mesh) Drain(owner int, tick uint64, timeout time.Duration) error {
 	return nil
 }
 
-// liveLinks returns owner's links whose holder node is still alive.
-func (m *Mesh) liveLinks(owner int) []*link {
+// liveLink returns owner's link when it is attached and its holder node is
+// still alive, else nil.
+func (m *Mesh) liveLink(owner int) *link {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var live []*link
-	for _, l := range m.links[owner] {
-		if !m.dead[l.holder] {
-			live = append(live, l)
-		}
+	if l := m.links[owner]; l != nil && !m.dead[l.holder] {
+		return l
 	}
-	return live
+	return nil
 }
 
-// Detach stops owner's links (sender first, then holder), leaving the
-// holders' stores intact: the replica stays servable, frozen at its last
+// Detach stops owner's link (sender first, then holder), leaving the
+// holder's store intact: the replica stays servable, frozen at its last
 // acked tick. Call it before closing owner's engine.
 func (m *Mesh) Detach(owner int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.detachLocked(owner)
-}
-
-func (m *Mesh) detachLocked(owner int) {
-	for _, l := range m.links[owner] {
+	if l := m.links[owner]; l != nil {
 		l.sender.Stop() //nolint:errcheck // teardown
 		l.recv.Stop()   //nolint:errcheck // teardown
+		m.links[owner] = nil
 	}
-	delete(m.links, owner)
 }
 
-// Crash marks node dead: its links stop, its own store's replicas are
-// poisoned (the node's RAM is gone), but the replicas OF node held by
-// surviving peers remain — they are what Source serves.
+// Crash marks node dead: its link stops, its own store's replica is
+// poisoned (the node's RAM is gone), but the replica OF node held by its
+// surviving successor remains — it is what Source serves.
 func (m *Mesh) Crash(node int) {
 	m.mu.Lock()
 	if node < 0 || node >= m.n || m.dead[node] {
@@ -206,67 +179,49 @@ func (m *Mesh) Crash(node int) {
 	m.stores[node].MarkDead()
 }
 
-// Source picks the freshest surviving replica of owner and wraps it as the
-// engine.RecoverSource peer-RAM recovery restores from, returning also the
-// holding node. ErrNoReplica means the ladder must fall through to the next
-// recovery mode.
-func (m *Mesh) Source(owner int) (engine.RecoverSource, int, error) {
+// holderStore returns the store of owner's live holder, or nil when owner
+// has no peer or its holder crashed.
+func (m *Mesh) holderStore(owner int) *Store {
 	m.mu.Lock()
-	holders := m.Holders(owner)
-	dead := append([]bool(nil), m.dead...)
-	stores := append([]*Store(nil), m.stores...)
-	m.mu.Unlock()
-
-	best, bestHolder := (*RestoreSource)(nil), -1
-	var bestMark uint64
-	for _, h := range holders {
-		if h == owner || dead[h] {
-			continue
-		}
-		mark, ok := stores[h].Watermark(owner)
-		if !ok {
-			continue
-		}
-		src, err := NewRestoreSource(stores[h], owner)
-		if err != nil {
-			continue
-		}
-		if best == nil || mark > bestMark {
-			best, bestHolder, bestMark = src, h, mark
-		}
+	defer m.mu.Unlock()
+	if h := m.holder(owner); h >= 0 && !m.dead[h] {
+		return m.stores[h]
 	}
-	if best == nil {
-		return engine.RecoverSource{}, -1, ErrNoReplica
-	}
-	return engine.RecoverSource{
-		Image:   best,
-		Prelude: best.Records,
-	}, bestHolder, nil
+	return nil
 }
 
-// FailRestoreAfter arms the chaos fault on every held replica of owner:
-// whichever holder ends up serving the restore dies after serving budget
-// bytes. Injected reports whether it fired.
+// Source wraps the surviving replica of owner as the engine.RecoverSource
+// peer-RAM recovery restores from, returning also the holding node.
+// ErrNoReplica means the ladder must fall through to the next rung.
+func (m *Mesh) Source(owner int) (engine.RecoverSource, int, error) {
+	st := m.holderStore(owner)
+	if st == nil {
+		return engine.RecoverSource{}, -1, ErrNoReplica
+	}
+	src, err := NewRestoreSource(st, owner)
+	if err != nil {
+		return engine.RecoverSource{}, -1, err
+	}
+	return engine.RecoverSource{
+		Image:   src,
+		Prelude: src.Records,
+	}, m.holder(owner), nil
+}
+
+// FailRestoreAfter arms the chaos fault on owner's held replica: the holder
+// dies after serving budget bytes of the restore. Injected reports whether
+// it fired.
 func (m *Mesh) FailRestoreAfter(owner int, budget int64) {
-	m.mu.Lock()
-	stores := append([]*Store(nil), m.stores...)
-	m.mu.Unlock()
-	for _, h := range m.Holders(owner) {
-		if h != owner {
-			stores[h].FailAfter(owner, budget)
-		}
+	if st := m.holderStore(owner); st != nil {
+		st.FailAfter(owner, budget)
 	}
 }
 
 // Injected reports whether an armed FailRestoreAfter fault on owner's
 // replica actually fired during a restore.
 func (m *Mesh) Injected(owner int) bool {
-	for _, h := range m.Holders(owner) {
-		if h != owner && m.stores[h].Injected(owner) {
-			return true
-		}
-	}
-	return false
+	h := m.holder(owner)
+	return h >= 0 && m.stores[h].Injected(owner)
 }
 
 // MemStats returns each node's replica RAM footprint: the compressed image

@@ -102,7 +102,7 @@ func TestPeerRestoreEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	dir := t.TempDir()
 
-	mesh := NewMesh(2, Options{})
+	mesh := NewMesh(2)
 	e, err := engine.Open(engine.Options{
 		Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate, Shards: 2, SyncEveryTick: true,
 	})
@@ -195,7 +195,7 @@ func TestRestoreFaultFallsThrough(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	dir := t.TempDir()
 
-	mesh := NewMesh(2, Options{})
+	mesh := NewMesh(2)
 	e, err := engine.Open(engine.Options{
 		Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate, SyncEveryTick: true,
 	})

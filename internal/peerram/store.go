@@ -7,10 +7,10 @@ import (
 )
 
 // Typed failures of the peer-RAM rung; cluster.Recover's ladder falls back
-// to the next recovery mode when it sees them.
+// to the next rung when it sees them.
 var (
 	// ErrNoReplica reports that no surviving holder has a usable replica of
-	// the crashed partition (the holders died too, or none was ever
+	// the crashed partition (the holder died too, or none was ever
 	// attached — a single-node cluster has no peers).
 	ErrNoReplica = errors.New("peerram: no surviving replica")
 	// ErrReplicaGone reports a replica that vanished mid-restore: the
@@ -57,7 +57,7 @@ type replica struct {
 }
 
 // Store is one node's holder-side replica set: the compressed images and
-// delta tails this node keeps in RAM on behalf of its K owners. All methods
+// delta tails this node keeps in RAM on behalf of their owners. All methods
 // are safe for concurrent use (holder goroutines ingest while a recovery
 // reads).
 type Store struct {
@@ -212,16 +212,4 @@ func (st *Store) CompressedBytes() int64 {
 		}
 	}
 	return n
-}
-
-// Watermark returns the holder's current retention watermark for owner and
-// whether a replica exists at all.
-func (st *Store) Watermark(owner int) (uint64, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	r := st.replicas[owner]
-	if r == nil || !r.haveImage {
-		return 0, false
-	}
-	return st.watermarkLocked(r), true
 }
