@@ -176,26 +176,31 @@ func (c *Cluster) regenerate(cut uint64) {
 
 // cappedSource adapts an inbox reader into a recovery.RecordSource that ends
 // at the cut: records with tick >= end are unread, as if the log ended there.
+// Its payloads alias the reader's chunks, so the reader stays open after the
+// stream ends, until the consumer calls Close.
 type cappedSource struct {
-	r   *wal.Reader
-	end uint64
+	r    *wal.Reader
+	end  uint64
+	done bool
 }
 
 func (s *cappedSource) Next() (uint64, []byte, bool, error) {
-	if s.r == nil {
+	if s.done {
 		return 0, nil, false, nil
 	}
 	tick, payload, err := s.r.Next()
 	if err == nil && tick < s.end {
 		return tick, payload, true, nil
 	}
-	s.r.Close()
-	s.r = nil
+	s.done = true
 	if err == io.EOF {
 		err = nil
 	}
 	return 0, nil, false, err
 }
+
+// Close releases the reader; no payload Next returned may be read afterwards.
+func (s *cappedSource) Close() error { return s.r.Close() }
 
 // inboxHorizon is the tick node i can resume at as far as its inbox knows:
 // one past the inbox's final tick (0 for an empty inbox). It full-scans:

@@ -25,6 +25,9 @@ import (
 const (
 	// HeaderSize is the reserved image header area (one disk sector).
 	HeaderSize = 512
+	// headerLen is how much of the reserved area the header uses; the rest
+	// is written as zeros and never read.
+	headerLen = 34
 
 	backupVersion = 1
 )
@@ -64,15 +67,18 @@ func (h Header) encode() []byte {
 	return buf
 }
 
+// decodeHeader parses the header at the start of buf. It accepts only what
+// encode writes: a header it returns re-encodes to buf's first headerLen
+// bytes.
 func decodeHeader(buf []byte) (Header, error) {
 	var h Header
-	if len(buf) < 34 || [4]byte(buf[:4]) != backupMagic {
+	if len(buf) < headerLen || [4]byte(buf[:4]) != backupMagic {
 		return h, ErrNoImage
 	}
 	if buf[4] != backupVersion {
 		return h, fmt.Errorf("disk: unsupported backup version %d", buf[4])
 	}
-	if crc := crc32.ChecksumIEEE(buf[:30]); crc != binary.LittleEndian.Uint32(buf[30:]) {
+	if crc := crc32.ChecksumIEEE(buf[:30]); crc != binary.LittleEndian.Uint32(buf[30:]) || buf[29] > 1 {
 		return h, ErrNoImage
 	}
 	h.Objects = binary.LittleEndian.Uint32(buf[5:])

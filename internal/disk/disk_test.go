@@ -312,3 +312,26 @@ func TestReadHeaderDeviceErrorPropagates(t *testing.T) {
 		t.Errorf("faulted header read = %v, want wrapped ErrFaultInjected", err)
 	}
 }
+
+// FuzzDecodeHeader: the image header is the first thing every restore reads,
+// from a device that may hold anything. decodeHeader never panics, and a
+// header it accepts re-encodes to the bytes it came from.
+func FuzzDecodeHeader(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(Header{Objects: 4, ObjSize: 64, Epoch: 9, AsOfTick: 41, Complete: true}.encode())
+	f.Add(Header{Objects: 1, ObjSize: 1}.encode()[:headerLen])
+	f.Add(Header{Epoch: 1}.encode()[:headerLen-1])
+	f.Add(append([]byte("MMCK\x02"), make([]byte, 40)...))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		h, err := decodeHeader(b)
+		if err != nil {
+			if h != (Header{}) {
+				t.Fatalf("rejected header decoded as %+v", h)
+			}
+			return
+		}
+		if enc := h.encode(); !bytes.Equal(enc[:headerLen], b[:headerLen]) {
+			t.Fatalf("header %+v does not re-encode to its bytes", h)
+		}
+	})
+}

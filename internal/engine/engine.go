@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -160,6 +161,12 @@ func open(opts Options, parallel bool, peer *RecoverSource, tail func() (recover
 	if err != nil {
 		return nil, pres, err
 	}
+	opened := false
+	defer func() {
+		if !opened { // every goroutine of a failed recovery is joined
+			store.release()
+		}
+	}()
 	e := &Engine{
 		opts: opts, store: store, plan: makeShardPlan(store.NumObjects(), opts.Shards),
 		off: make([]int32, (store.NumObjects()+63)/64+2),
@@ -270,6 +277,7 @@ func open(opts Options, parallel bool, peer *RecoverSource, tail func() (recover
 				pres, err = recovery.RecoverParallel(popts)
 				res = pres.Result
 			}
+			closeSource(popts.Tail)
 		} else {
 			// The serial path is the one-bucket case of the same split: the
 			// single bound drops cells past the table.
@@ -310,6 +318,7 @@ func open(opts Options, parallel bool, peer *RecoverSource, tail func() (recover
 			src, terr := tail()
 			if terr == nil {
 				terr = healLog(log, src, next, pres, pres.LastTickRecords)
+				closeSource(src)
 			}
 			if terr != nil {
 				log.Close()
@@ -349,7 +358,16 @@ func open(opts Options, parallel bool, peer *RecoverSource, tail func() (recover
 
 	e.cp = newCheckpointer(opts.Mode, store, backups, startEpoch, firstBackup, e.plan)
 	e.cpEpoch.Store(startEpoch)
+	opened = true
 	return e, pres, nil
+}
+
+// closeSource closes a record source that holds resources (a log reader's
+// read chunks) once nothing reads its payloads any more.
+func closeSource(src recovery.RecordSource) {
+	if c, ok := src.(io.Closer); ok {
+		c.Close() //nolint:errcheck // read-only handles
+	}
 }
 
 // CheckpointEpoch returns the epoch of the engine's newest completed
@@ -643,7 +661,8 @@ func (e *Engine) Stats() Stats { return e.stats }
 func (e *Engine) CheckpointStats() *CPStats { return e.cp.stats() }
 
 // Close finishes the in-flight checkpoint, flushes the log, and releases
-// resources. The engine must not be used afterwards.
+// resources, the state slab included (Store.Slab is nil afterwards). The
+// engine must not be used afterwards.
 func (e *Engine) Close() error {
 	e.tickMu.Lock()
 	defer e.tickMu.Unlock()
@@ -661,6 +680,9 @@ func (e *Engine) Close() error {
 	if e.log != nil {
 		logErr = e.log.Close()
 	}
+	// The checkpointer's writer and its shard flushers are joined, and every
+	// other slab reader holds tickMu and checks closed.
+	e.store.release()
 	if cpErr != nil {
 		return cpErr
 	}

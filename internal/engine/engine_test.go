@@ -62,6 +62,7 @@ func TestStoreBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.release()
 	s.SetCell(0, 0xDEADBEEF)
 	s.SetCell(130, 42)
 	if s.Cell(0) != 0xDEADBEEF || s.Cell(130) != 42 {
@@ -83,6 +84,33 @@ func TestStoreBasics(t *testing.T) {
 	if obj[2*4] != 42 { // cell 130 is cell 2 of object 1
 		t.Error("ObjectBytes does not alias the slab")
 	}
+}
+
+// TestCloseReleasesSlab: Close unmaps the slab once the checkpointer's
+// flushers are joined and leaves Slab nil, so a stale accessor panics on an
+// empty slice instead of faulting on unmapped memory.
+func TestCloseReleasesSlab(t *testing.T) {
+	e, err := Open(Options{Table: testTable(), Mode: ModeCopyOnUpdate, InMemory: true, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tick := uint32(0); tick < 4; tick++ {
+		if err := e.ApplyTick([]wal.Update{{Cell: tick, Value: tick + 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if slab := e.Store().Slab(); slab != nil {
+		t.Fatalf("Slab after Close is %d bytes, want nil", len(slab))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Cell after Close did not panic")
+		}
+	}()
+	e.Store().Cell(0)
 }
 
 func TestNewStoreRejects(t *testing.T) {

@@ -112,6 +112,8 @@ func (s *tailFromLog) Next() (uint64, []byte, bool, error) {
 	return tick, payload, true, nil
 }
 
+func (s *tailFromLog) Close() error { return s.r.Close() }
+
 // TestRecoverWithTail feeds an engine only a prefix of the dispatched ticks,
 // crashes it, and recovers with the full dispatch stream as the tail: the
 // engine must roll forward to the end of the stream, and the healed WAL must

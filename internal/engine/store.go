@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/disk"
 	"repro/internal/gamestate"
 )
 
@@ -24,7 +25,10 @@ type Store struct {
 
 // NewStore allocates a zeroed store for the table geometry. The engine
 // requires 4-byte cells (updates carry 4-byte values, as in the prototype
-// game whose attributes are float32).
+// game whose attributes are float32). The slab comes from disk.MapZeroed:
+// zeroed by the kernel as it is first written, never by a memclr, so a
+// recovery restores straight into untouched memory. The engine that owns
+// the store releases it on Close.
 func NewStore(table gamestate.Table) (*Store, error) {
 	if err := table.Validate(); err != nil {
 		return nil, err
@@ -32,18 +36,32 @@ func NewStore(table gamestate.Table) (*Store, error) {
 	if table.CellSize != 4 {
 		return nil, fmt.Errorf("engine: cell size must be 4 bytes, got %d", table.CellSize)
 	}
+	slab, err := disk.MapZeroed(int(table.StateBytes()))
+	if err != nil {
+		return nil, fmt.Errorf("engine: map %d-byte slab: %w", table.StateBytes(), err)
+	}
 	return &Store{
 		table:       table,
-		slab:        make([]byte, table.StateBytes()),
+		slab:        slab,
 		cellsPerObj: uint32(table.CellsPerObject()),
 	}, nil
+}
+
+// release unmaps the slab and leaves it nil, so a stale accessor panics on
+// an empty slice instead of faulting on unmapped memory. Every goroutine
+// that reads the slab must have been joined.
+func (s *Store) release() {
+	disk.Unmap(s.slab) //nolint:errcheck // a failed munmap only leaks the range
+	s.slab = nil
 }
 
 // Table returns the store geometry.
 func (s *Store) Table() gamestate.Table { return s.table }
 
 // Slab exposes the raw state for checkpointing and recovery. Callers must
-// respect the engine's locking protocol.
+// respect the engine's locking protocol. The slice is invalid once the
+// owning engine is closed: Close unmaps it, and Slab returns nil from then
+// on — copy the bytes out first to keep them.
 func (s *Store) Slab() []byte { return s.slab }
 
 // NumObjects returns the number of atomic objects.

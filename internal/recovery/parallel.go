@@ -226,6 +226,10 @@ type batch struct {
 	ready sync.WaitGroup
 	// left counts the appliers still to finish with the batch.
 	left atomic.Int32
+	// mark is how many local-log records the reader had returned when the
+	// batch was fanned: once the batch is back on the free list, none of
+	// those records' payloads is read any more (see RecoverParallel).
+	mark uint64
 }
 
 // RecoverParallel restores the newest complete checkpoint image with one
@@ -377,6 +381,13 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 	var readerErr error
 	var logBytes int64 // bytes of the local log read
 	logSkipped := 0    // stale sealed segments left unopened
+	// The local log's reader owns the chunks its payloads alias. It is closed
+	// only once every decoder and applier is joined, and it reuses a chunk
+	// only once the batches of all its records are back on the free list.
+	// Every shard applies its feed in log order, so a batch's last applier
+	// finishes after every earlier batch's: a batch taken off the free list
+	// releases all log records up to its mark.
+	var logReader *wal.Reader
 	if opts.Log != nil {
 		// No channel below ever blocks its sender: each can hold every batch
 		// there is. The reader's only wait is for a free batch.
@@ -486,6 +497,10 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 					b = <-free
 				}
 			}
+			if logReader != nil {
+				logReader.Release(b.mark)
+				b.mark = logReader.Records()
+			}
 			b.tick, b.payload, b.split, b.err = tick, payload, false, nil
 			if opts.Split != nil {
 				b.updates, b.split = opts.Split(payload)
@@ -523,23 +538,32 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 		if readerErr == nil {
 			// The reader starts at the first segment that can hold a record
 			// at or above from; sealed segments before it are never opened.
-			end, err := scanLog(opts.Log, from, func(tick uint64, payload []byte) {
-				if tick < from {
-					return
-				}
-				if sawPrelude && tick <= preludeLast {
-					return // the prelude already carried this tick
-				}
-				fan(tick, payload)
-			})
-			logBytes, logSkipped = end.bytes, end.skipped
+			var end logEnd
+			var err error
+			logReader, err = opts.Log.NewReader(from)
+			if err == nil {
+				end, err = scanLog(logReader, func(tick uint64, payload []byte) {
+					if tick < from {
+						return
+					}
+					if sawPrelude && tick <= preludeLast {
+						return // the prelude already carried this tick
+					}
+					fan(tick, payload)
+				})
+				logBytes, logSkipped = end.bytes, end.skipped
+			}
 			// The log's last tick is counted before any skip. When it is at or
 			// above from, every record carrying it was in a segment just read.
 			// Otherwise (a crash right after a checkpoint rotated the log) it
 			// may sit in a skipped segment, and only an unskipped read tells.
 			if err == nil && end.skipped > 0 && !(end.saw && end.lastTick >= from) {
-				end, err = scanLog(opts.Log, 0, func(uint64, []byte) {})
-				logBytes += end.bytes
+				var r *wal.Reader
+				if r, err = opts.Log.NewReader(0); err == nil {
+					end, err = scanLog(r, func(uint64, []byte) { r.Release(r.Records()) })
+					r.Close() //nolint:errcheck // read-only handles
+					logBytes += end.bytes
+				}
 			}
 			res.LastLogTick, res.SawLogTick, res.LastTickRecords = end.lastTick, end.saw, end.lastRecords
 			if err != nil {
@@ -582,6 +606,9 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 		}
 		appliers.Wait()
 		decoders.Wait()
+		if logReader != nil {
+			logReader.Close() //nolint:errcheck // read-only handles
+		}
 		res.BatchesInFlightMax = allocated
 		for s := range feeds {
 			res.DecodeBusy += decodeBusy[s]
@@ -671,17 +698,10 @@ type logEnd struct {
 	skipped     int   // sealed segments below from, left unopened
 }
 
-// scanLog reads log from the first segment that can hold tick from and
-// hands every record to each, in log order.
-func scanLog(log *wal.Log, from uint64, each func(tick uint64, payload []byte)) (end logEnd, err error) {
-	r, err := log.NewReader(from)
-	if err != nil {
-		return end, err
-	}
-	defer func() {
-		end.bytes, end.skipped = r.BytesRead(), r.Skipped()
-		r.Close() //nolint:errcheck // read-only handles
-	}()
+// scanLog hands every record r returns to each, in log order. The caller
+// closes r.
+func scanLog(r *wal.Reader, each func(tick uint64, payload []byte)) (end logEnd, err error) {
+	defer func() { end.bytes, end.skipped = r.BytesRead(), r.Skipped() }()
 	for {
 		tick, payload, err := r.Next()
 		if err == io.EOF {

@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+
+	"repro/internal/disk"
 )
 
 // frameHdrLen is the fixed part of a frame in front of its body: the u32
@@ -51,9 +53,10 @@ func parseFrame(b []byte) (tick uint64, payload []byte, size, need int) {
 const maxChunk = 4 << 20
 
 // segScanner walks the frames of one segment file front to back, reading it
-// in chunks and slicing frames out of them. Every refill reads into a fresh
-// chunk, so a returned payload stays valid for as long as the caller holds
-// it; the partial frame at the end of the old chunk is carried over by copy.
+// in chunks and slicing frames out of them. A returned payload aliases its
+// chunk; the chunks come from the scanner's ring, which reuses one only
+// after the owner has released every record sliced from it. The partial
+// frame at the end of the old chunk is carried over by copy.
 type segScanner struct {
 	f   *os.File
 	off int64  // file offset of the next unparsed frame
@@ -62,6 +65,13 @@ type segScanner struct {
 	// reported no frame means bytes are there that do not parse.
 	size int64
 	read int64 // bytes read from the file
+	ring chunkRing
+}
+
+// open starts the scan of a new segment file. The ring, and the read count,
+// carry over from the previous segment.
+func (s *segScanner) open(f *os.File) {
+	s.f, s.off, s.buf, s.size = f, 0, nil, 0
 }
 
 // next returns the frame at off and advances past it. ok=false with a nil
@@ -76,6 +86,7 @@ func (s *segScanner) next() (tick uint64, payload []byte, ok bool, err error) {
 		if size > 0 {
 			s.buf = s.buf[size:]
 			s.off += int64(size)
+			s.ring.returned++
 			return tick, payload, true, nil
 		}
 		if need > 0 {
@@ -111,7 +122,10 @@ func (s *segScanner) fill(need int) (bool, error) {
 	if int64(n) > avail {
 		n = int(avail)
 	}
-	chunk := make([]byte, n)
+	chunk, err := s.ring.swap(n)
+	if err != nil {
+		return false, err
+	}
 	have := copy(chunk, s.buf)
 	got, err := s.f.ReadAt(chunk[have:], s.off+int64(have))
 	s.read += int64(got)
@@ -121,6 +135,76 @@ func (s *segScanner) fill(need int) (bool, error) {
 	}
 	s.buf = chunk[:have+got]
 	return len(s.buf) >= need, nil // short only if the file shrank under us
+}
+
+// chunkRing is a scanner's supply of read chunks. Records are counted as the
+// scanner hands them out, and the owner releases them in the same order by
+// count; a retired chunk is reused once every record sliced from it is
+// released, so a reader whose caller keeps up cycles through two or three
+// chunks however long the log. Until released — or until close — a chunk's
+// bytes stay put. Chunks come from disk.MapZeroed and are never zeroed
+// again: a reused chunk is overwritten by the read that refills it.
+type chunkRing struct {
+	cur      []byte    // the chunk buf points into
+	retired  []retired // oldest first
+	free     [][]byte
+	mapped   [][]byte // every chunk the ring owns, for close
+	returned uint64   // records handed out
+	released uint64   // records the owner holds no payload of
+}
+
+// retired is a chunk no longer read into, reusable once released reaches
+// last: the records handed out by the time it was retired.
+type retired struct {
+	buf  []byte
+	last uint64
+}
+
+// swap retires the current chunk and returns one of n bytes to read into: a
+// released chunk if one is large enough, else a new mapping of at least
+// maxChunk bytes. The retired chunk stays intact until after the refill has
+// copied the carried-over bytes out of it.
+func (r *chunkRing) swap(n int) ([]byte, error) {
+	k := 0
+	for k < len(r.retired) && r.retired[k].last <= r.released {
+		r.free = append(r.free, r.retired[k].buf)
+		k++
+	}
+	r.retired = append(r.retired[:0], r.retired[k:]...)
+	var chunk []byte
+	for i, c := range r.free {
+		if len(c) >= n {
+			chunk = c
+			r.free = append(r.free[:i], r.free[i+1:]...)
+			break
+		}
+	}
+	if chunk == nil {
+		var err error
+		if chunk, err = disk.MapZeroed(max(n, maxChunk)); err != nil {
+			return nil, err
+		}
+		r.mapped = append(r.mapped, chunk)
+	}
+	if r.cur != nil {
+		r.retired = append(r.retired, retired{r.cur, r.returned})
+	}
+	r.cur = chunk
+	return chunk[:n], nil
+}
+
+// release marks the first n records handed out as no longer held.
+func (r *chunkRing) release(n uint64) {
+	r.released = max(r.released, min(n, r.returned))
+}
+
+// close unmaps every chunk; no payload the ring handed out may be read
+// afterwards.
+func (r *chunkRing) close() {
+	for _, c := range r.mapped {
+		disk.Unmap(c) //nolint:errcheck // a failed munmap only leaks the range
+	}
+	*r = chunkRing{returned: r.returned, released: r.returned}
 }
 
 // firstNeeded returns the index in the sorted segment start list of the

@@ -74,9 +74,9 @@ func (l *Log) NewReader(from uint64) (*Reader, error) {
 }
 
 // Next returns the next record in log order. The payload is a slice of a
-// read chunk shared with neighbouring records: it stays valid for as long as
-// it is held and may be handed to another goroutine, but must be treated as
-// read-only — retain it, never append to or write through it. At the end of
+// read chunk shared with neighbouring records: it stays valid until Release
+// covers it or the reader is closed, may be handed to another goroutine, and
+// must be treated as read-only — never append to or write through it. At the end of
 // the log it returns io.EOF. An error is sticky: once a sealed segment
 // reports corruption, every further Next repeats the error rather than
 // silently resuming past the hole.
@@ -93,7 +93,7 @@ func (r *Reader) Next() (tick uint64, payload []byte, err error) {
 			if err != nil {
 				return 0, nil, fmt.Errorf("wal: %w", err)
 			}
-			r.sc = segScanner{f: f, read: r.sc.read} // read counts across segments
+			r.sc.open(f)
 			r.segHas = false
 		}
 		tick, payload, ok, err := r.sc.next()
@@ -150,10 +150,20 @@ func (r *Reader) Skipped() int { return r.skipped }
 // BytesRead returns the bytes read from segment files so far.
 func (r *Reader) BytesRead() int64 { return r.sc.read }
 
-// Close releases the reader's file handle. The reader must not be used
-// afterwards.
+// Records returns how many records Next has returned.
+func (r *Reader) Records() uint64 { return r.sc.ring.returned }
+
+// Release tells the reader that the caller holds no payload of the first n
+// records Next returned, so the chunks they were read into can be reused.
+// Released counts only grow; a reader nobody releases keeps every chunk it
+// read until Close.
+func (r *Reader) Release(n uint64) { r.sc.ring.release(n) }
+
+// Close releases the reader's file handle and read chunks: no payload it
+// returned may be read afterwards. The reader must not be used afterwards.
 func (r *Reader) Close() error {
 	r.closeSegment()
+	r.sc.ring.close()
 	r.seg = len(r.starts)
 	return nil
 }

@@ -46,12 +46,14 @@ func NewTailReader(dir string, from uint64) *TailReader {
 
 // TryNext returns the next complete record, or ok=false when the reader has
 // caught up with the writer's durable frontier. The payload is a read-only
-// slice of a freshly read chunk and safe to retain. Errors (sealed-segment
-// corruption, I/O failures) are sticky.
+// slice of a reused read chunk, valid until the next TryNext or Close: copy
+// what must outlive it. Errors (sealed-segment corruption, I/O failures)
+// are sticky.
 func (t *TailReader) TryNext() (tick uint64, payload []byte, ok bool, err error) {
 	if t.err != nil {
 		return 0, nil, false, t.err
 	}
+	t.sc.ring.release(t.sc.ring.returned) // the last payload is dead
 	for {
 		if t.sc.f == nil {
 			opened, err := t.openNext()
@@ -90,7 +92,7 @@ func (t *TailReader) TryNext() (tick uint64, payload []byte, ok bool, err error)
 			return 0, nil, false, t.err
 		}
 		// Cleanly consumed to the end of a sealed segment: advance.
-		t.Close() //nolint:errcheck // read-only handle
+		t.closeSegment() //nolint:errcheck // read-only handle
 	}
 }
 
@@ -120,7 +122,7 @@ func (t *TailReader) openNext() (bool, error) {
 			}
 			return false, fmt.Errorf("wal: %w", err)
 		}
-		t.sc = segScanner{f: f}
+		t.sc.open(f)
 		t.cur, t.curValid = next, true
 		return true, nil
 	}
@@ -178,9 +180,14 @@ func (t *TailReader) parse() (tick uint64, payload []byte, ok bool, err error) {
 	return tick, payload, ok, nil
 }
 
-// Close releases the reader's file handle. The reader must not be used
-// afterwards.
+// Close releases the reader's file handle and read chunks. The reader must
+// not be used afterwards.
 func (t *TailReader) Close() error {
+	t.sc.ring.close()
+	return t.closeSegment()
+}
+
+func (t *TailReader) closeSegment() error {
 	if t.sc.f != nil {
 		err := t.sc.f.Close()
 		t.sc.f = nil

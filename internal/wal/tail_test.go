@@ -26,10 +26,13 @@ func tailDrain(t *testing.T, tr *TailReader) (ticks []uint64, payloads []string)
 	}
 }
 
-// tailNext polls TryNext until a record arrives or the deadline passes.
-func tailNext(t *testing.T, tr *TailReader, deadline time.Duration) (uint64, string) {
+// tailNext returns the next record. Whenever the reader has caught up it
+// waits for flushed, which the writer signals after every Flush, and gives
+// up when the deadline passes. A nil flushed means no further Flush is
+// coming: the record must already be visible.
+func tailNext(t *testing.T, tr *TailReader, flushed <-chan struct{}, deadline time.Duration) (uint64, string) {
 	t.Helper()
-	stop := time.Now().Add(deadline)
+	timeout := time.After(deadline)
 	for {
 		tick, payload, ok, err := tr.TryNext()
 		if err != nil {
@@ -38,10 +41,11 @@ func tailNext(t *testing.T, tr *TailReader, deadline time.Duration) (uint64, str
 		if ok {
 			return tick, string(payload)
 		}
-		if time.Now().After(stop) {
+		select {
+		case <-flushed:
+		case <-timeout:
 			t.Fatal("tail reader saw no record before deadline")
 		}
-		time.Sleep(200 * time.Microsecond)
 	}
 }
 
@@ -55,6 +59,9 @@ func TestTailFollowConcurrentAppend(t *testing.T) {
 
 	const records = 400
 	done := make(chan error, 1)
+	// Holds at most one pending signal: a Flush while one is pending has
+	// nothing more to announce to a reader that has yet to wake.
+	flushed := make(chan struct{}, 1)
 	go func() {
 		for tick := uint64(0); tick < records; tick++ {
 			if err := l.Append(tick, []byte(fmt.Sprintf("payload-%d", tick))); err != nil {
@@ -66,6 +73,10 @@ func TestTailFollowConcurrentAppend(t *testing.T) {
 			if err := l.Flush(); err != nil {
 				done <- err
 				return
+			}
+			select {
+			case flushed <- struct{}{}:
+			default:
 			}
 			// Rotate occasionally so the reader follows live segment churn.
 			if tick%97 == 96 {
@@ -81,7 +92,7 @@ func TestTailFollowConcurrentAppend(t *testing.T) {
 	tr := NewTailReader(filepath.Join(dir), 0)
 	defer tr.Close()
 	for want := uint64(0); want < records; want++ {
-		tick, payload := tailNext(t, tr, 10*time.Second)
+		tick, payload := tailNext(t, tr, flushed, 10*time.Second)
 		if tick != want {
 			t.Fatalf("tail returned tick %d, want %d", tick, want)
 		}
@@ -156,7 +167,7 @@ func TestTailFollowsRotation(t *testing.T) {
 	}
 	must(l.Append(0, []byte("a")))
 	must(l.Flush())
-	if tick, p := tailNext(t, tr, time.Second); tick != 0 || p != "a" {
+	if tick, p := tailNext(t, tr, nil, time.Second); tick != 0 || p != "a" {
 		t.Fatalf("got %d %q", tick, p)
 	}
 	// Catch up fully, then rotate: the reader is parked at the live tail of
@@ -167,7 +178,7 @@ func TestTailFollowsRotation(t *testing.T) {
 	must(l.Rotate(1))
 	must(l.Append(1, []byte("b")))
 	must(l.Flush())
-	if tick, p := tailNext(t, tr, time.Second); tick != 1 || p != "b" {
+	if tick, p := tailNext(t, tr, nil, time.Second); tick != 1 || p != "b" {
 		t.Fatalf("after rotation got %d %q", tick, p)
 	}
 }

@@ -352,7 +352,8 @@ func (l *Log) Close() error {
 // Replay invokes fn for every record with tick >= from, in order, reading
 // only the segments that can hold one. A torn tail in the final segment is
 // skipped silently (those ticks were never acknowledged as durable);
-// corruption in the middle of the log is reported as an error.
+// corruption in the middle of the log is reported as an error. A payload is
+// valid only until fn returns: its read chunk is then reused.
 func (l *Log) Replay(from uint64, fn func(tick uint64, payload []byte) error) error {
 	r, err := l.NewReader(from)
 	if err != nil {
@@ -373,5 +374,6 @@ func (l *Log) Replay(from uint64, fn func(tick uint64, payload []byte) error) er
 		if err := fn(tick, payload); err != nil {
 			return err
 		}
+		r.Release(r.Records())
 	}
 }
