@@ -261,3 +261,53 @@ func declaredNames(t *testing.T, dir string) map[string]bool {
 	}
 	return names
 }
+
+// TestReadmePackageMapIsComplete fails when README's "What's here" block
+// misses a directory under internal/, cmd/ or examples/, or names one that
+// does not exist. An entry is a two-space-indented line; its names are the
+// "name/" tokens before the first gap of two spaces.
+func TestReadmePackageMapIsComplete(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(data)
+	start := strings.Index(text, "## What's here")
+	if start < 0 {
+		t.Fatal("README has no \"What's here\" section")
+	}
+	block := strings.SplitN(text[start:], "```", 3)
+	if len(block) < 3 {
+		t.Fatal("README's \"What's here\" section has no code block")
+	}
+	named := map[string]bool{} // "root/name"
+	root := ""
+	entry := regexp.MustCompile(`([a-z0-9_]+)/`)
+	for _, line := range strings.Split(block[1], "\n") {
+		switch {
+		case strings.HasSuffix(line, "/") && !strings.HasPrefix(line, " "):
+			root = strings.TrimSuffix(line, "/")
+		case strings.HasPrefix(line, "  ") && !strings.HasPrefix(line, "   ") && root != "":
+			head, _, _ := strings.Cut(strings.TrimSpace(line), "  ")
+			for _, m := range entry.FindAllStringSubmatch(head, -1) {
+				named[root+"/"+m[1]] = true
+			}
+		}
+	}
+	for _, dir := range []string{"internal", "cmd", "examples"} {
+		ents, err := os.ReadDir(filepath.Join("..", "..", dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ent := range ents {
+			if ent.IsDir() && !named[dir+"/"+ent.Name()] {
+				t.Errorf("README's package map does not list %s/%s", dir, ent.Name())
+			}
+		}
+	}
+	for name := range named {
+		if info, err := os.Stat(filepath.Join("..", "..", name)); err != nil || !info.IsDir() {
+			t.Errorf("README's package map lists %s, which is not a directory", name)
+		}
+	}
+}

@@ -183,9 +183,9 @@ func (e *TornError) Error() string {
 // RAM (PeerRAM), then the disk pipeline, which is always there. A rung that
 // was not attached is skipped without a trace; an attached rung that fails
 // is noted, counted and falls through, so the returned mode is always the
-// one that actually served. The disk rung extends replay past the node's own
-// WAL with tail (nil for none): the capped inbox, see engine.RecoverWithTail.
-func recoverNode(root string, opts Options, i int, tail func() (recovery.RecordSource, error)) (*engine.Engine, recovery.ParallelResult, RecoveryMode, string, error) {
+// one that actually served. The disk rung merges the node's own WAL with
+// inbox (nil for none), the capped inbox store: see engine.RecoverWith.
+func recoverNode(root string, opts Options, i int, inbox func() (recovery.RecordSource, error)) (*engine.Engine, recovery.ParallelResult, RecoveryMode, string, error) {
 	var notes []string
 	rung := func(m RecoveryMode) *telemetry.Span {
 		return telemetry.StartSpan("recovery/rung",
@@ -215,7 +215,7 @@ func recoverNode(root string, opts Options, i int, tail func() (recovery.RecordS
 		sp := rung(RecoveryPeerRAM)
 		if src, holder, err := opts.PeerRAM.Source(i); err != nil {
 			fellThrough(sp, RecoveryPeerRAM, "%v", err)
-		} else if e, pres, err := engine.RecoverFromPeer(eopts, src); err != nil {
+		} else if e, pres, err := engine.RecoverWith(eopts, src); err != nil {
 			fellThrough(sp, RecoveryPeerRAM, "peerram via node %d: %v", holder, err)
 		} else {
 			sp.End(telemetry.Str("outcome", "served"))
@@ -223,7 +223,7 @@ func recoverNode(root string, opts Options, i int, tail func() (recovery.RecordS
 		}
 	}
 	sp := rung(RecoveryDisk)
-	e, pres, err := engine.RecoverWithTail(eopts, tail)
+	e, pres, err := engine.RecoverWith(eopts, engine.RecoverSource{Records: inbox})
 	if err != nil {
 		sp.End(telemetry.Str("outcome", "failed"))
 	} else {
@@ -245,16 +245,16 @@ func recoverNode(root string, opts Options, i int, tail func() (recovery.RecordS
 //
 // Each partition then walks its own ladder, built from what opts attaches,
 // fastest first — warm-standby promotion (opts.Standbys[i]), peer-RAM
-// restore out of a surviving node's replica (opts.PeerRAM,
-// engine.RecoverFromPeer), and finally the paper's disk restore+replay
-// pipeline, always present — all nodes concurrently; a rung that fails
-// for one partition falls through for that partition only, and
-// WorldRecovery records which rung served whom. The disk rung takes the
-// node's inbox, capped at C, as its tail: its own checkpoint image, its own
-// WAL, then the logged inbound envelopes replayed past wherever its WAL
-// ended (engine.RecoverWithTail, which also heals the WAL so the directory
-// is self-sufficient). A node that does not land exactly on C+1 is a
-// *TornError, never a silent resume.
+// restore out of a surviving node's replica (opts.PeerRAM), and finally the
+// paper's disk restore+replay pipeline, always present — all nodes
+// concurrently; a rung that fails for one partition falls through for that
+// partition only, and WorldRecovery records which rung served whom. The disk
+// rung merges the node's inbox, capped at C, with its own WAL: its own
+// checkpoint image, then every tick the inbox carries from the inbox and
+// every other tick from the WAL, which rolls the node forward past wherever
+// its WAL ended (engine.RecoverWith, which also heals the WAL so the
+// directory is self-sufficient). A node that does not land exactly on C+1
+// is a *TornError, never a silent resume.
 //
 // Messages still inside the delivery window at the crash are not recovered
 // from any log — they are regenerated by re-running opts.Emit (see
@@ -291,7 +291,7 @@ func Recover(root string, opts Options) (*Cluster, *WorldRecovery, error) {
 	// below reports the torn world.
 	var resume uint64
 	var inboxEnd []uint64 // per node: one past its inbox's final tick
-	tailOf := func(int) func() (recovery.RecordSource, error) { return nil }
+	inboxOf := func(int) func() (recovery.RecordSource, error) { return nil }
 	if opts.logged() {
 		inboxEnd = make([]uint64, n)
 		for i := range inboxEnd {
@@ -304,7 +304,7 @@ func Recover(root string, opts Options) (*Cluster, *WorldRecovery, error) {
 			horizon[cut.Node] = max(horizon[cut.Node], cut.AsOfTick+1)
 		}
 		resume = slices.Min(horizon)
-		tailOf = func(i int) func() (recovery.RecordSource, error) {
+		inboxOf = func(i int) func() (recovery.RecordSource, error) {
 			return func() (recovery.RecordSource, error) {
 				r, err := wal.NewReader(inboxDir(root, i), 0)
 				if err != nil {
@@ -331,7 +331,7 @@ func Recover(root string, opts Options) (*Cluster, *WorldRecovery, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			engines[i], wr.PerNode[i], wr.Modes[i], wr.Fallbacks[i], errs[i] = recoverNode(root, opts, i, tailOf(i))
+			engines[i], wr.PerNode[i], wr.Modes[i], wr.Fallbacks[i], errs[i] = recoverNode(root, opts, i, inboxOf(i))
 		}(i)
 	}
 	wg.Wait()

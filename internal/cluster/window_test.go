@@ -492,3 +492,104 @@ func TestTornRefusal(t *testing.T) {
 		t.Fatalf("torn error %+v, want tick 8 against cut 0", torn)
 	}
 }
+
+// TestRollForwardMergesInbox: node 1's WAL lost a whole tick and was torn
+// inside its last tick, two ticks behind the cut. Recovery merges the node's
+// inbox with its WAL — every tick the inbox carries replays from the inbox —
+// so the node rolls forward through the lost tick and the torn one, and the
+// world comes back byte-identical to the serial reference. The heal leaves
+// a directory that recovers to the same bytes with nothing rolled forward.
+func TestRollForwardMergesInbox(t *testing.T) {
+	tab := testTable()
+	const total, perTick, window = 16, 40, 2
+	dir := t.TempDir()
+	emit := testEmit(tab, 2)
+	opts := Options{Table: tab, Dir: dir, Mode: engine.ModeNone, Nodes: 2, MaxSkew: window, Emit: emit, SyncEveryTick: true}
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(c.Nodes())
+	if n != 2 {
+		t.Fatalf("world folded to %d nodes", n)
+	}
+	for tick := uint64(0); tick < total; tick++ {
+		if err := c.Tick(worldBatch(tab, tick, perTick)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite node 1's WAL: drop tick last-1 and cut tick last after its
+	// first record, a frame boundary inside the tick.
+	const last = total - 3
+	walDir := filepath.Join(NodeDir(dir, 1), "wal")
+	r, err := wal.NewReader(walDir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type rec struct {
+		tick    uint64
+		payload []byte
+	}
+	var kept []rec
+	atLast := 0
+	for {
+		tick, payload, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tick == last {
+			atLast++
+		}
+		if tick < last-1 || tick == last && atLast == 1 {
+			kept = append(kept, rec{tick, append([]byte(nil), payload...)})
+		}
+	}
+	r.Close()
+	if atLast < 2 {
+		t.Fatalf("node 1 logged %d records at tick %d, want a tick to tear", atLast, last)
+	}
+	if err := os.RemoveAll(walDir); err != nil {
+		t.Fatal(err)
+	}
+	w, err := wal.Open(walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range kept {
+		if err := w.Append(k.tick, k.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	want := serialReference(t, tab, n, window, total, perTick, emit)
+	for pass, wantRolled := range []uint64{total - 1 - last, 0} {
+		rc, wr, err := Recover(dir, Options{Mode: engine.ModeNone, Emit: emit, SyncEveryTick: true})
+		if err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		if wr.WorldTick != total || wr.RolledForward[0] != 0 || wr.RolledForward[1] != wantRolled {
+			t.Errorf("pass %d: resumed at %d with %v rolled forward, want %d with [0 %d]",
+				pass, wr.WorldTick, wr.RolledForward, total, wantRolled)
+		}
+		got := make([]byte, tab.StateBytes())
+		if err := rc.ReadWorld(got); err != nil {
+			t.Fatal(err)
+		}
+		if err := rc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("pass %d: recovered world diverges from the serial reference", pass)
+		}
+	}
+}

@@ -95,8 +95,7 @@ func (s *CPStats) recordPause(d time.Duration) {
 // named by mask (object w<<6+i for bit i) are about to be written. It runs on
 // the mutator goroutine — the one holding the tick mutex — before the first
 // store of the caller's batch reaches any of them: once per touched word per
-// applyBatch, with one bit from TickWriter.Set and whole-word masks from
-// installObjects. endTick runs on the same goroutine at tick boundaries.
+// applyBatch, and with whole-word masks from installObjects. endTick runs on the same goroutine at tick boundaries.
 type checkpointer interface {
 	onWord(w int32, mask uint64)
 	// endTick may begin a checkpoint; it returns the synchronous pause.

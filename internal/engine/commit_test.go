@@ -17,13 +17,7 @@ import (
 func TestCommitContract(t *testing.T) {
 	const ticks, perTick = 12, 20
 	tab := shardTable()
-	setCell := func(w *TickWriter, b []wal.Update) {
-		for _, u := range b {
-			w.Set(u.Cell, u.Value)
-		}
-	}
-	// Each entry point drives one tick carrying batch b; an action tick's
-	// payload is the encoded batch its replay re-applies.
+	// Each entry point drives one tick carrying batch b.
 	entries := []struct {
 		name    string
 		standby bool
@@ -31,12 +25,6 @@ func TestCommitContract(t *testing.T) {
 	}{
 		{"ApplyTick", false, func(e *Engine, _ uint64, b []wal.Update) error { return e.ApplyTick(b) }},
 		{"ApplyTickParallel", false, func(e *Engine, _ uint64, b []wal.Update) error { return e.ApplyTickParallel(b) }},
-		{"ApplyActionTick", false, func(e *Engine, _ uint64, b []wal.Update) error {
-			return e.ApplyActionTick(wal.EncodeUpdates(nil, b), func(w *TickWriter) error {
-				setCell(w, b)
-				return nil
-			})
-		}},
 		{"ApplyTickEnvelopes", false, func(e *Engine, tick uint64, b []wal.Update) error {
 			return e.ApplyTickEnvelopes([]Envelope{
 				{Origin: -1, Updates: b[:perTick/2]},
@@ -78,11 +66,6 @@ func TestCommitContract(t *testing.T) {
 				opts := Options{
 					Table: tab, Dir: t.TempDir(), Mode: ModeNone, Shards: 2,
 					SyncEveryTick: sync, KeepTickStats: true,
-					ReplayAction: func(_ uint64, payload []byte, w *TickWriter) error {
-						b, err := wal.DecodeUpdates(nil, payload)
-						setCell(w, b)
-						return err
-					},
 				}
 				var e *Engine
 				var err error

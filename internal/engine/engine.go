@@ -50,9 +50,6 @@ type Options struct {
 	// DeviceFactory overrides how backup devices are opened (fault
 	// injection in tests). Nil uses regular files.
 	DeviceFactory func(path string) (disk.Device, error)
-	// ReplayAction re-executes action records logged with ApplyActionTick.
-	// Required if the log contains (or will contain) action ticks.
-	ReplayAction ReplayActionFunc
 }
 
 // TickTiming is the per-tick instrumentation used by the Section 6
@@ -83,10 +80,10 @@ type Engine struct {
 	walDir string
 	plan   shardPlan
 
-	// tickMu serializes the mutator paths (ApplyTick, ApplyActionTick,
-	// IngestReplicated) against the replication snapshot handoff, so
-	// Snapshot never observes a half-applied tick. Uncontended in a
-	// replication-free engine.
+	// tickMu serializes the mutator paths (ApplyTick, ApplyTickEnvelopes,
+	// IngestReplicated, InstallRange) against the replication snapshot
+	// handoff, so Snapshot never observes a half-applied tick. Uncontended
+	// in a replication-free engine.
 	tickMu  sync.Mutex
 	standby bool // accepts only IngestReplicated until Promote
 
@@ -124,7 +121,7 @@ type Engine struct {
 // ΔTrecovery = ΔTrestore + ΔTreplay sum; RecoverFrom is the sharded
 // pipelined alternative.
 func Open(opts Options) (*Engine, error) {
-	e, _, err := open(opts, false, nil, nil)
+	e, _, err := open(opts, false, RecoverSource{})
 	return e, err
 }
 
@@ -137,17 +134,16 @@ func Open(opts Options) (*Engine, error) {
 // shard partition pre-populated; the returned ParallelResult carries the
 // per-shard and per-stage timing breakdown.
 //
-// Recovery is byte-identical to Open's serial path for update-batch logs at
-// any shard count. Logs holding action records replay exactly when
-// Options.ReplayAction derives every write from the payload and cells of
-// the object range it is writing into (e.g. per-unit read-modify-write,
-// gated on TickWriter.Owns); an action whose writes depend on reads from
-// other shards needs the serial path.
+// Recovery is byte-identical to Open's serial path at any shard count: every
+// record kind is data, applied by range.
 func RecoverFrom(opts Options) (*Engine, recovery.ParallelResult, error) {
-	return open(opts, true, nil, nil)
+	return open(opts, true, RecoverSource{})
 }
 
-func open(opts Options, parallel bool, peer *RecoverSource, tail func() (recovery.RecordSource, error)) (*Engine, recovery.ParallelResult, error) {
+// open builds the engine and recovers it: serially, or through the pipeline
+// with src's image and records (see RecoverWith; the serial path takes a zero
+// src).
+func open(opts Options, parallel bool, src RecoverSource) (*Engine, recovery.ParallelResult, error) {
 	if err := opts.Table.Validate(); err != nil {
 		return nil, recovery.ParallelResult{}, err
 	}
@@ -219,10 +215,6 @@ func open(opts Options, parallel bool, peer *RecoverSource, tail func() (recover
 			return nil, pres, err
 		}
 		e.log = log
-		// Record interpretation during replay needs a checkpointer in place
-		// for action ticks; bookkeeping is irrelevant here (everything is
-		// marked dirty after recovery), so a no-op stands in.
-		e.cp = newNop()
 		// Range-install records are logged at the tick *about to run* and
 		// must never count as evidence that tick ran (InstallRange), so the
 		// recovered next tick is derived from non-install records only —
@@ -265,19 +257,18 @@ func open(opts Options, parallel bool, peer *RecoverSource, tail func() (recover
 					ranNext[shard] = tick + 1
 					e.replayUpdates(upds)
 				},
+				Image: src.Image,
 			}
-			if peer != nil {
-				popts.Image = peer.Image
-				popts.Prelude, err = peer.Prelude()
-			}
-			if err == nil && tail != nil {
-				popts.Tail, err = tail()
+			if src.Records != nil {
+				popts.Extra, err = src.Records()
 			}
 			if err == nil {
 				pres, err = recovery.RecoverParallel(popts)
 				res = pres.Result
 			}
-			closeSource(popts.Tail)
+			// The source's payloads stay readable until the heal below is
+			// done too: its readers close once both are.
+			defer closeSource(popts.Extra)
 		} else {
 			// The serial path is the one-bucket case of the same split: the
 			// single bound drops cells past the table.
@@ -312,19 +303,6 @@ func open(opts Options, parallel bool, peer *RecoverSource, tail func() (recover
 		if res.Restored {
 			next = res.AsOfTick + 1
 		}
-		if tail != nil {
-			// Heal the local log with the tail records it was missing, so the
-			// directory recovers to the same tick on its own next time.
-			src, terr := tail()
-			if terr == nil {
-				terr = healLog(log, src, next, pres, pres.LastTickRecords)
-				closeSource(src)
-			}
-			if terr != nil {
-				log.Close()
-				return nil, pres, terr
-			}
-		}
 		for _, n := range ranNext {
 			if n > next {
 				next = n
@@ -341,8 +319,8 @@ func open(opts Options, parallel bool, peer *RecoverSource, tail func() (recover
 			e.prevAsOf = res.AsOfTick
 			e.havePrev = true
 		}
-		if peer != nil {
-			// The slab was restored from a peer's RAM: neither disk image was
+		if src.Image != nil {
+			// The slab was restored from the source: neither disk image was
 			// read, and both may carry headers from the pre-crash incarnation.
 			// Start the epoch at or above whatever the disk holds so the
 			// images this incarnation writes always win ChooseBackup over the
@@ -359,6 +337,12 @@ func open(opts Options, parallel bool, peer *RecoverSource, tail func() (recover
 	e.cp = newCheckpointer(opts.Mode, store, backups, startEpoch, firstBackup, e.plan)
 	e.cpEpoch.Store(startEpoch)
 	opened = true
+	if src.Records != nil && e.log != nil {
+		if err := e.heal(src, pres); err != nil {
+			e.Close()
+			return nil, pres, err
+		}
+	}
 	return e, pres, nil
 }
 
@@ -432,8 +416,7 @@ func (e *Engine) guard(standby bool) error {
 // commit runs one tick through the engine's only durability ordering (see
 // DESIGN.md, "Tick commit"): guards → append → fsync → apply → endTick →
 // stats/telemetry → advance → notify. Every entry point — update batches,
-// action ticks, envelope ticks, replicated ticks — supplies just what is its
-// own: record(i) returns the i-th of nrec encoded log record bodies (kind tag
+// envelope ticks, replicated ticks — supplies just what is its own: record(i) returns the i-th of nrec encoded log record bodies (kind tag
 // included; called only on a durable engine, and valid until the next call),
 // and apply mutates the slab through the checkpointer and returns the number
 // of cell writes. The caller holds tickMu. An error means the tick did not

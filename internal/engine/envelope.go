@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/recovery"
 	"repro/internal/wal"
 )
 
@@ -82,19 +81,4 @@ func (e *Engine) ApplyTickEnvelopes(envs []Envelope) error {
 			}
 			return applied, nil
 		})
-}
-
-// RecoverWithTail opens an engine like RecoverFrom, then extends replay past
-// the end of the local WAL with records from tail: the cluster's
-// roll-forward, where a node that crashed behind the cluster's reconstructed
-// cut replays the inbound envelopes its inbox store logged but its engine
-// never applied. Tail records flow through the same gated per-shard pipeline
-// as local ones (see recovery.ParallelOptions.Tail for the skip contract),
-// and afterwards the missing records are appended to the local WAL and
-// synced, so the recovered directory is self-sufficient — a second crash
-// recovers to the same tick from local state alone. The factory is called
-// twice (pipeline feed, then log heal); each call must return a fresh reader
-// over the same record stream.
-func RecoverWithTail(opts Options, tail func() (recovery.RecordSource, error)) (*Engine, recovery.ParallelResult, error) {
-	return open(opts, true, nil, tail)
 }

@@ -115,9 +115,10 @@ func (s *tailFromLog) Next() (uint64, []byte, bool, error) {
 func (s *tailFromLog) Close() error { return s.r.Close() }
 
 // TestRecoverWithTail feeds an engine only a prefix of the dispatched ticks,
-// crashes it, and recovers with the full dispatch stream as the tail: the
-// engine must roll forward to the end of the stream, and the healed WAL must
-// make a second, tail-less recovery reach the same tick and bytes.
+// crashes it, and recovers with the full dispatch stream as the extra record
+// source: the engine must roll forward to the end of the stream, and the
+// healed WAL must make a second, source-less recovery reach the same tick
+// and bytes.
 func TestRecoverWithTail(t *testing.T) {
 	table := testTable()
 	rng := rand.New(rand.NewSource(11))
@@ -170,7 +171,7 @@ func TestRecoverWithTail(t *testing.T) {
 		}
 		return &tailFromLog{r: r}, nil
 	}
-	r, pres, err := RecoverWithTail(Options{Table: table, Dir: dir, Mode: ModeCopyOnUpdate, Shards: 2}, tail)
+	r, pres, err := RecoverWith(Options{Table: table, Dir: dir, Mode: ModeCopyOnUpdate, Shards: 2}, RecoverSource{Records: tail})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,6 +199,6 @@ func TestRecoverWithTail(t *testing.T) {
 		t.Fatalf("healed log recovers to tick %d, want %d", r2.NextTick(), total)
 	}
 	if !bytes.Equal(r2.Store().Slab(), want) {
-		t.Fatal("healed-log recovery diverges from tail recovery")
+		t.Fatal("healed-log recovery diverges from the rolled-forward recovery")
 	}
 }

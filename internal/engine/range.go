@@ -15,7 +15,7 @@ import (
 // exactly like OpenStandby's bootstrap image.
 
 // recInstall payload layout: u64 lo, u64 hi, then (hi-lo)*objSize raw
-// object bytes (see actions.go for the record kind registry).
+// object bytes (see records.go for the record kind registry).
 const installHdrLen = 16
 
 // SnapshotRange returns a copy of the slab bytes backing objects [lo, hi),
@@ -131,7 +131,10 @@ func decodeInstall(payload []byte, objSize int) (lo, hi int, data []byte, err er
 	lo = int(binary.LittleEndian.Uint64(payload[0:]))
 	hi = int(binary.LittleEndian.Uint64(payload[8:]))
 	data = payload[installHdrLen:]
-	if lo < 0 || hi < lo || len(data) != (hi-lo)*objSize {
+	// Divide rather than multiply: (hi-lo)*objSize wraps for a hostile hi
+	// (2^55 objects of 512 bytes is 2^64), and a wrapped product of 0 would
+	// pass for an empty payload.
+	if lo < 0 || hi < lo || len(data)%objSize != 0 || hi-lo != len(data)/objSize {
 		return 0, 0, nil, fmt.Errorf("engine: install record range [%d,%d) does not match %d payload bytes",
 			lo, hi, len(data))
 	}

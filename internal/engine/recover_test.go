@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -331,75 +330,6 @@ func TestRecoverFromTornHeader(t *testing.T) {
 	}
 	if !ref.matches(e.Store()) {
 		t.Error("torn-header parallel recovery differs from never-crashed reference")
-	}
-}
-
-// TestRecoverFromActionRecords: action ticks replay correctly under the
-// sharded pipeline when the action is a per-cell read-modify-write (writes
-// derived from the payload and the cells being written — the documented
-// contract).
-func TestRecoverFromActionRecords(t *testing.T) {
-	tab := shardTable()
-	// Action payload: pairs of (cell u32, delta u32); replay adds delta to
-	// each cell in payload order.
-	replay := func(tick uint64, payload []byte, w *TickWriter) error {
-		for len(payload) >= 8 {
-			cell := binary.LittleEndian.Uint32(payload)
-			delta := binary.LittleEndian.Uint32(payload[4:])
-			if w.Owns(cell) { // skip (and never read) other shards' cells
-				w.Set(cell, w.Cell(cell)+delta)
-			}
-			payload = payload[8:]
-		}
-		return nil
-	}
-	dir := t.TempDir()
-	e, err := Open(Options{
-		Table: tab, Dir: dir, Mode: ModeCopyOnUpdate, SyncEveryTick: true,
-		Shards: 4, ReplayAction: replay,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(71))
-	const ticks = 40
-	for i := 0; i < ticks; i++ {
-		var payload []byte
-		for j := 0; j < 30; j++ {
-			var rec [8]byte
-			binary.LittleEndian.PutUint32(rec[:4], uint32(rng.Intn(tab.NumCells())))
-			binary.LittleEndian.PutUint32(rec[4:], rng.Uint32())
-			payload = append(payload, rec[:]...)
-		}
-		p := payload
-		if err := e.ApplyActionTick(p, func(w *TickWriter) error { return replay(uint64(i), p, w) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.cp.close()  //nolint:errcheck
-	e.log.Close() //nolint:errcheck
-
-	serial, err := Open(Options{Table: tab, Dir: dir, Mode: ModeCopyOnUpdate, ReplayAction: replay})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialSlab := append([]byte(nil), serial.Store().Slab()...)
-	serial.Close()
-
-	for _, shards := range []int{1, 4} {
-		e2, _, err := RecoverFrom(Options{
-			Table: tab, Dir: dir, Mode: ModeCopyOnUpdate, Shards: shards, ReplayAction: replay,
-		})
-		if err != nil {
-			t.Fatalf("shards %d: %v", shards, err)
-		}
-		if !bytes.Equal(e2.Store().Slab(), serialSlab) {
-			t.Errorf("shards %d: action replay differs from serial", shards)
-		}
-		if e2.NextTick() != ticks {
-			t.Errorf("shards %d: NextTick %d, want %d", shards, e2.NextTick(), ticks)
-		}
-		e2.Close()
 	}
 }
 

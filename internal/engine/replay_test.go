@@ -2,7 +2,7 @@ package engine
 
 import (
 	"bytes"
-	"encoding/binary"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,27 +12,15 @@ import (
 	"repro/internal/wal"
 )
 
-// addAction is the mixed-log tests' action: payload pairs of (cell u32,
-// delta u32), each added to its cell — a per-cell read-modify-write gated on
-// Owns, the contract sharded replay documents.
-func addAction(_ uint64, payload []byte, w *TickWriter) error {
-	for ; len(payload) >= 8; payload = payload[8:] {
-		if cell := binary.LittleEndian.Uint32(payload); w.Owns(cell) {
-			w.Set(cell, w.Cell(cell)+binary.LittleEndian.Uint32(payload[4:]))
-		}
-	}
-	return nil
-}
-
 // writeMixedLog runs a fixed, seeded 32-tick history through a ModeNone
 // engine in dir (no checkpoint: the log is the whole state) that uses every
-// record kind — update batches, world + message envelopes, actions and a
-// range install — and abandons it crash-style. It returns the slab the
-// never-crashed engine ended with.
+// record kind — update batches, world + message envelopes, message-only
+// ticks and a range install — and abandons it crash-style. It returns the
+// slab the never-crashed engine ended with.
 func writeMixedLog(t *testing.T, dir string) []byte {
 	t.Helper()
 	tab := shardTable()
-	e, err := Open(Options{Table: tab, Dir: dir, Mode: ModeNone, Shards: 4, ReplayAction: addAction})
+	e, err := Open(Options{Table: tab, Dir: dir, Mode: ModeNone, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,13 +36,8 @@ func writeMixedLog(t *testing.T, dir string) []byte {
 				{Origin: 1, OriginTick: uint64(tick - 1), Updates: randomBatch(rng, cells, 5)},
 				{Origin: 2, OriginTick: uint64(tick - 1)}, // an empty message
 			})
-		case 2:
-			payload := make([]byte, 8*20)
-			for i := 0; i < len(payload); i += 8 {
-				binary.LittleEndian.PutUint32(payload[i:], uint32(rng.Intn(cells)))
-				binary.LittleEndian.PutUint32(payload[i+4:], rng.Uint32())
-			}
-			err = e.ApplyActionTick(payload, func(w *TickWriter) error { return addAction(uint64(tick), payload, w) })
+		case 2: // a tick that is one message and no world input
+			err = e.ApplyTickEnvelopes([]Envelope{{Origin: 3, OriginTick: uint64(tick - 2), Updates: randomBatch(rng, cells, 20)}})
 		case 3:
 			// An install that straddles the 2- and 8-shard boundaries at
 			// object 256, then the tick it is logged at.
@@ -111,14 +94,14 @@ func recoverEveryWay(t *testing.T, opts Options) []byte {
 	return slab
 }
 
-// TestMixedLogRecoversAtEveryWidth: update, message, action and install
-// records in one log come back byte-identical through the serial path and
+// TestMixedLogRecoversAtEveryWidth: update, message and install records in
+// one log come back byte-identical through the serial path and
 // the reader → decoders → appliers pipeline at 1, 2 and 8 shards, with the
 // same replayed-update count, and equal to the engine that never crashed.
 func TestMixedLogRecoversAtEveryWidth(t *testing.T) {
 	dir := t.TempDir()
 	live := writeMixedLog(t, dir)
-	got := recoverEveryWay(t, Options{Table: shardTable(), Dir: dir, Mode: ModeNone, ReplayAction: addAction})
+	got := recoverEveryWay(t, Options{Table: shardTable(), Dir: dir, Mode: ModeNone})
 	if !bytes.Equal(got, live) {
 		t.Error("recovered slab differs from the engine that never crashed")
 	}
@@ -160,7 +143,7 @@ func TestParentWrittenLogRecovers(t *testing.T) {
 	if now, _ := filepath.Glob(filepath.Join(fresh, "wal", "*.seg")); len(now) != len(segs) {
 		t.Errorf("this commit writes %d segments, the parent wrote %d", len(now), len(segs))
 	}
-	got := recoverEveryWay(t, Options{Table: shardTable(), Dir: old, Mode: ModeNone, ReplayAction: addAction})
+	got := recoverEveryWay(t, Options{Table: shardTable(), Dir: old, Mode: ModeNone})
 	if !bytes.Equal(got, live) {
 		t.Error("the parent-written log recovers to a different state")
 	}
@@ -216,23 +199,61 @@ func TestReplayDropsCellsPastTheTable(t *testing.T) {
 }
 
 // TestUndecodableRecordNamesItsTick: a record whose frame is intact but
-// whose update batch does not decode fails recovery, on either path, with
-// an error that says which tick it was.
+// whose body does not decode — a truncated batch, a message too short for
+// its header, a record of the retired action kind 1 — fails recovery, on
+// either path, with an error that says which tick it was.
 func TestUndecodableRecordNamesItsTick(t *testing.T) {
 	good := updatesRecord(wal.Update{Cell: 9, Value: 9})
 	torn := updatesRecord(wal.Update{Cell: 70_000, Value: 1}, wal.Update{Cell: 3, Value: 2})
 	shortMsg := []byte{recMessage, 1, 2, 3}
-	for name, bad := range map[string][]byte{"truncated batch": torn[:len(torn)-2], "short message": shortMsg} {
+	action := []byte{1, 9, 0, 0, 0, 1, 0, 0, 0}
+	for name, bad := range map[string][]byte{
+		"truncated batch": torn[:len(torn)-2], "short message": shortMsg, "action": action,
+	} {
+		want := "tick 3"
+		if name == "action" {
+			want = "record kind 1 at tick 3"
+		}
 		dir := handWrittenLog(t, good, good, good, bad, good)
 		opts := Options{Table: shardTable(), Dir: dir, Mode: ModeNone}
-		if _, err := Open(opts); err == nil || !strings.Contains(err.Error(), "tick 3") {
-			t.Errorf("%s: serial recovery error %v does not name tick 3", name, err)
+		if _, err := Open(opts); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: serial recovery error %v does not say %q", name, err, want)
 		}
 		for _, shards := range []int{1, 2, 8} {
 			opts.Shards = shards
-			if _, _, err := RecoverFrom(opts); err == nil || !strings.Contains(err.Error(), "tick 3") {
-				t.Errorf("%s: %d-shard recovery error %v does not name tick 3", name, shards, err)
+			if _, _, err := RecoverFrom(opts); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: %d-shard recovery error %v does not say %q", name, shards, err, want)
 			}
 		}
+	}
+}
+
+// TestIngestRefusesRetiredActionKind: a standby refuses a replicated record
+// of the retired action kind 1 with an error naming its tick, and the record
+// never reaches the standby's log.
+func TestIngestRefusesRetiredActionKind(t *testing.T) {
+	tab := shardTable()
+	dir := t.TempDir()
+	e, err := OpenStandby(Options{Table: tab, Dir: dir, Mode: ModeNone}, 0, make([]byte, tab.StateBytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = e.IngestReplicated(0, []byte{1, 9, 0, 0, 0, 1, 0, 0, 0})
+	if err == nil || !strings.Contains(err.Error(), "record kind 1 at tick 0") {
+		t.Errorf("ingest of a kind-1 record: %v", err)
+	}
+	if e.NextTick() != 0 {
+		t.Errorf("refused record advanced the standby to tick %d", e.NextTick())
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := wal.NewReader(filepath.Join(dir, "wal"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, _, err := r.Next(); err != io.EOF {
+		t.Errorf("the standby's log holds a record (or fails: %v)", err)
 	}
 }

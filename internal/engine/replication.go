@@ -192,7 +192,7 @@ func OpenStandby(opts Options, nextTick uint64, data []byte) (*Engine, error) {
 		// no image beneath it: unrecoverable by construction.
 		return nil, errors.New("engine: a standby needs a checkpointing mode (ModeNone cannot persist the bootstrap snapshot)")
 	}
-	e, _, err := open(opts, false, nil, nil)
+	e, _, err := open(opts, false, RecoverSource{})
 	if err != nil {
 		return nil, err
 	}
@@ -264,17 +264,6 @@ func (e *Engine) IngestReplicated(tick uint64, body []byte) error {
 			return fmt.Errorf("engine: replicated tick %d: %w", tick, err)
 		}
 		apply = func() (int64, error) { return e.applyBatch(e.ingestBuf), nil }
-	case recAction:
-		if e.opts.ReplayAction == nil {
-			return fmt.Errorf("engine: replicated action tick %d but no ReplayAction was provided", tick)
-		}
-		apply = func() (int64, error) {
-			w := TickWriter{e: e}
-			if err := e.opts.ReplayAction(tick, payload, &w); err != nil {
-				return 0, fmt.Errorf("engine: replicated action tick %d: %w", tick, err)
-			}
-			return w.applied, nil
-		}
 	default:
 		return fmt.Errorf("engine: unknown replicated record kind %d at tick %d", kind, tick)
 	}

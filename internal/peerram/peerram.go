@@ -11,7 +11,7 @@
 // 1–9), the same WAL tail-follow woken by the engine's
 // tick-commit signal, and the same ack-based log retention — so replication
 // adds no connections of its own kind and no fsyncs to the tick path. On
-// recovery, a surviving holder's replica feeds engine.RecoverFromPeer: the
+// recovery, a surviving holder's replica feeds engine.RecoverWith: the
 // image streams into the slab per shard range while the delta records and
 // the crashed node's own WAL tail replay through the same gated
 // restore∥replay pipeline as a disk recovery, which is what makes the two
@@ -204,7 +204,7 @@ func (m *Mesh) Source(owner int) (engine.RecoverSource, int, error) {
 	}
 	return engine.RecoverSource{
 		Image:   src,
-		Prelude: src.Records,
+		Records: src.Records,
 	}, m.holder(owner), nil
 }
 

@@ -146,7 +146,7 @@ func TestPeerRestoreEquivalence(t *testing.T) {
 	if holder != 1 {
 		t.Fatalf("holder %d, want 1", holder)
 	}
-	re, pres, err := engine.RecoverFromPeer(engine.Options{
+	re, pres, err := engine.RecoverWith(engine.Options{
 		Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate, Shards: 2,
 	}, src)
 	if err != nil {
@@ -225,7 +225,7 @@ func TestRestoreFaultFallsThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = engine.RecoverFromPeer(engine.Options{
+	_, _, err = engine.RecoverWith(engine.Options{
 		Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate,
 	}, src)
 	if err == nil {

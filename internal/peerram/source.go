@@ -9,7 +9,7 @@ import (
 )
 
 // RestoreSource serves one crashed owner's replica out of a holder's store
-// as the two halves engine.RecoverFromPeer consumes: a recovery.ImageSource
+// as the two halves engine.RecoverWith consumes: a recovery.ImageSource
 // (the compressed checkpoint image, inflated once and then read per shard
 // range) and, via Records, a recovery.RecordSource over the delta tail. All
 // serving goes through the store's liveness accounting, so a holder that

@@ -2,10 +2,12 @@ package recovery
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/disk"
@@ -45,7 +47,11 @@ func stampRecord(slab []byte, lo, hi int, tick uint64, payload []byte) {
 // reader has run ahead to the batch bound: the records in flight then span
 // more than one chunk while shard 0 has applied none of them. A chunk reused
 // or unmapped early changes a payload under shard 0's worker, and the slab
-// then differs from serial RunRecords over the same log.
+// then differs from a serial pass over the same records. The log runs alone,
+// and merged with an extra source whose small records, two per gap, fall
+// between the log's ticks: the reader fans them while it holds a log record
+// not yet fanned, and with three records to a period against an even bound,
+// a batch it takes back releases log records while later ones are in flight.
 func TestRecoverParallelPayloadsOutliveTheirChunk(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -57,49 +63,67 @@ func TestRecoverParallelPayloadsOutliveTheirChunk(t *testing.T) {
 			defer log.Close()
 			// About 10 MB in flight at the bound: two and a half chunks.
 			per := (10 << 20) / bound
-			for tick := uint64(1); tick <= uint64(bound+8); tick++ {
+			var logRecs, extra []record
+			for tick := uint64(2); tick <= uint64(2*(bound+8)); tick += 2 {
 				payload := make([]byte, per+rng.Intn(per/3))
 				rng.Read(payload)
 				if err := log.Append(tick, payload); err != nil {
 					t.Fatal(err)
 				}
-			}
-
-			serial := make([]byte, pObj*pObjSize)
-			if _, err := RunRecords(a, b, serial, log, func(tick uint64, payload []byte) error {
-				stampRecord(serial, 0, pObj, tick, payload)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-
-			gate := &gatedDevice{Device: mem, open: make(chan struct{})}
-			split := 0
-			slab := make([]byte, pObj*pObjSize)
-			o := updateLog(ParallelOptions{A: pBackup(t, gate), B: b, Slab: slab, Log: log, Shards: shards})
-			ranges := evenRanges(pObj, shards)
-			o.Split = func([]byte) ([]byte, bool) {
-				// Split runs on the reader, once per record, after it took
-				// the record's batch: with the bound-th record every batch is
-				// in flight and none can come back before shard 0 restores.
-				if split++; split == bound {
-					close(gate.open)
+				logRecs = append(logRecs, record{tick, payload})
+				for range 2 {
+					small := make([]byte, 64)
+					rng.Read(small)
+					extra = append(extra, record{tick - 1, small})
 				}
-				return nil, false
 			}
-			o.Apply = func(shard int, tick uint64, payload []byte) (int64, error) {
-				stampRecord(slab, ranges[shard].Lo, ranges[shard].Hi, tick, payload)
-				return 1, nil
-			}
-			res, err := RecoverParallel(o)
-			if err != nil {
+			image := make([]byte, pObj*pObjSize)
+			if _, err := Restore(a, b, image); err != nil {
 				t.Fatal(err)
 			}
-			if res.BatchesInFlightMax != bound {
-				t.Errorf("%d batches in flight, want the bound %d", res.BatchesInFlightMax, bound)
-			}
-			if !bytes.Equal(slab, serial) {
-				t.Fatal("parallel recovery differs from serial RunRecords: a payload changed under its applier")
+
+			for _, merged := range []bool{false, true} {
+				stream := logRecs
+				src := records(nil)
+				if merged {
+					stream = append(slices.Clone(logRecs), extra...)
+					slices.SortStableFunc(stream, func(x, y record) int { return cmp.Compare(x.tick, y.tick) })
+					src = slices.Clone(extra)
+				}
+				serial := slices.Clone(image)
+				for _, rec := range stream {
+					stampRecord(serial, 0, pObj, rec.tick, rec.payload)
+				}
+
+				gate := &gatedDevice{Device: mem, open: make(chan struct{})}
+				split := 0
+				slab := make([]byte, pObj*pObjSize)
+				ranges := evenRanges(pObj, shards)
+				o := updateLog(ParallelOptions{A: pBackup(t, gate), B: b, Slab: slab, Log: log, Ranges: ranges, Extra: &src})
+				o.Split = func([]byte) ([]byte, bool) {
+					// Split runs on the reader, once per record, after it took
+					// the record's batch: with the bound-th record every batch
+					// is in flight and none can come back before shard 0
+					// restores.
+					if split++; split == bound {
+						close(gate.open)
+					}
+					return nil, false
+				}
+				o.Apply = func(shard int, tick uint64, payload []byte) (int64, error) {
+					stampRecord(slab, ranges[shard].Lo, ranges[shard].Hi, tick, payload)
+					return 1, nil
+				}
+				res, err := RecoverParallel(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.BatchesInFlightMax != bound {
+					t.Errorf("merged=%v: %d batches in flight, want the bound %d", merged, res.BatchesInFlightMax, bound)
+				}
+				if !bytes.Equal(slab, serial) {
+					t.Fatalf("merged=%v: parallel recovery differs from a serial pass: a payload changed under its applier", merged)
+				}
 			}
 		})
 	}

@@ -11,6 +11,7 @@ package recovery
 import (
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,12 +40,9 @@ type ImageSource interface {
 	ReadRange(lo, hi int, dst []byte) error
 }
 
-// RecordSource streams tick-ordered log records from outside the local WAL.
-// When ParallelOptions.Prelude is set, its records replay — through the same
-// gated per-shard workers — before the local log's, and local records at or
-// below the prelude's last tick are skipped: for every tick exactly one
-// source is authoritative, so absolute updates and re-executed actions never
-// apply out of tick order.
+// RecordSource streams tick-ordered log records from outside the local WAL:
+// a peer's delta records, or a cluster node's logged inbox. The pipeline
+// merges it with the local log by tick (see ParallelOptions.Extra).
 type RecordSource interface {
 	// Next returns the next record in tick order; ok=false ends the stream.
 	// Each returned payload must stay valid until the pipeline completes
@@ -61,17 +59,15 @@ type ParallelOptions struct {
 	Slab []byte
 	// Log is the logical log to replay. Nil recovers the image only.
 	Log *wal.Log
-	// Ranges partitions the object space; the ranges must tile [0, objects)
-	// in order. Empty means an even split into Shards ranges.
+	// Ranges partitions the object space into one range per shard; the
+	// ranges must tile [0, objects) in order.
 	Ranges []ShardRange
-	// Shards is the partition width used when Ranges is empty. Values < 1
-	// (and any excess over the object count) are clamped.
-	Shards int
 	// Apply applies one whole log record's effects restricted to shard's
 	// object range, returning the number of updates it applied. Every shard
 	// gets every record Split declines. Calls for one shard (Apply and
-	// ApplyUpdates alike) arrive in log order on a single goroutine; calls
-	// for different shards run concurrently. Required when Log is set.
+	// ApplyUpdates alike) arrive in replay order (the log's, merged with
+	// Extra) on a single goroutine; calls for different shards run
+	// concurrently. Required when Log is set.
 	Apply func(shard int, tick uint64, payload []byte) (int64, error)
 	// Split, when non-nil, names the records that are plain update batches:
 	// for such a record it returns the wal.EncodeUpdates bytes inside the
@@ -91,20 +87,15 @@ type ParallelOptions struct {
 	// its range from it and replay starts at its NextTick. A still supplies
 	// the object geometry; neither backup is read.
 	Image ImageSource
-	// Prelude, when non-nil, replays before the local log and supersedes the
-	// overlapping local span (see RecordSource). Requires Log.
-	Prelude RecordSource
-	// Tail, when non-nil, replays after the local log through the same gated
-	// per-shard workers: its records extend the durable history past the
-	// point where the local log ends (the cluster's roll-forward past a
-	// node's crash point, fed from the cluster's logged-message store).
-	// Records the local log already holds are skipped — whole ticks below
-	// the log's last tick, and the first LastTickRecords records at the last
-	// tick itself, so a final tick the crash tore mid-append is completed
-	// record-by-record. That skip contract requires the tail stream to carry
-	// each tick's records in exactly the order the local log does (true when
-	// both were written from the same dispatch sequence). Requires Log.
-	Tail RecordSource
+	// Extra, when non-nil, is a second record source merged with the local
+	// log by tick, under one rule: a tick at or above the image floor that
+	// Extra carries replays from Extra, and the log's records for that tick
+	// are skipped; every other tick replays from the log. Each tick thus has
+	// exactly one source, so updates never apply out of tick order, and a
+	// torn final log tick is replaced by the source's whole copy. The log is
+	// still read to its end (LastLogTick and LastTickRecords describe it
+	// alone). Requires Log.
+	Extra RecordSource
 }
 
 // ShardTiming is one shard's stage breakdown.
@@ -139,17 +130,17 @@ type ParallelResult struct {
 	// Shards holds one entry per shard range.
 	Shards []ShardTiming
 	// LastLogTick is the highest tick present in the local Log, counted
-	// before any skip (records below the image floor or superseded by the
-	// Prelude included): it marks where the local WAL's durable history
-	// ends, which peer-RAM recovery needs to know to heal the log gaplessly.
+	// before any skip (records below the image floor or superseded by Extra
+	// included): it marks where the local WAL's durable history ends, which
+	// the heal after a recovery with an extra source needs to know.
 	LastLogTick uint64
 	// SawLogTick reports whether the Log held any record at all.
 	SawLogTick bool
 	// LastTickRecords is the number of records the local Log holds at
 	// LastLogTick. A crash can tear the log's final tick (e.g. a range
 	// install flushed without the tick's update batch that follows it);
-	// comparing this count against a peer's complete copy of the same tick
-	// detects the tear.
+	// comparing this count against an extra source's complete copy of the
+	// same tick detects the tear.
 	LastTickRecords int
 	// DecodeBusy and ApplyBusy are the replay stage's two kinds of work,
 	// each summed over the goroutines doing it: decoding split records into
@@ -167,29 +158,6 @@ type ParallelResult struct {
 // (an unthrottled restore is over before the first record is decoded).
 func (r *ParallelResult) Overlap() time.Duration {
 	return max(0, r.RestoreDuration+r.ReplayDuration-r.TotalDuration)
-}
-
-// evenRanges splits n objects into at most shards equal contiguous ranges.
-func evenRanges(n, shards int) []ShardRange {
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > n {
-		shards = n
-	}
-	if shards < 1 { // n == 0
-		return []ShardRange{{0, 0}}
-	}
-	per := (n + shards - 1) / shards
-	var ranges []ShardRange
-	for lo := 0; lo < n; lo += per {
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		ranges = append(ranges, ShardRange{lo, hi})
-	}
-	return ranges
 }
 
 // restoreChunk is the slice grain of a shard's vectored image read: the
@@ -226,15 +194,17 @@ type batch struct {
 	ready sync.WaitGroup
 	// left counts the appliers still to finish with the batch.
 	left atomic.Int32
-	// mark is how many local-log records the reader had returned when the
-	// batch was fanned: once the batch is back on the free list, none of
-	// those records' payloads is read any more (see RecoverParallel).
+	// mark is how many local-log records the reader had fanned or skipped
+	// when the batch was fanned, its own included: once the batch is back on
+	// the free list, none of those records' payloads is read any more (see
+	// RecoverParallel).
 	mark uint64
 }
 
 // RecoverParallel restores the newest complete checkpoint image with one
-// concurrent reader per shard, then replays the logical log with per-shard
-// workers fed in log order by a single log reader, update batches decoded
+// concurrent reader per shard, then replays the logical log (merged with
+// opts.Extra by tick) with per-shard workers fed in that order by a single
+// reader, update batches decoded
 // once on the way into one bucket per shard. Shard s's worker applies
 // nothing until shard s's restore watermark covers its whole range, but is
 // not gated on any other shard — replay overlaps the remaining restores.
@@ -248,9 +218,6 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 		return res, fmt.Errorf("recovery: slab %d bytes, image holds %d", len(opts.Slab), objects*objSize)
 	}
 	ranges := opts.Ranges
-	if len(ranges) == 0 {
-		ranges = evenRanges(objects, opts.Shards)
-	}
 	next := 0
 	for _, r := range ranges {
 		if r.Lo != next || r.Hi < r.Lo || r.Hi > objects {
@@ -269,11 +236,8 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 		return res, fmt.Errorf("recovery: Split needs ApplyUpdates and one cell bound per shard (%d bounds, %d shards)",
 			len(opts.CellBounds), len(ranges))
 	}
-	if opts.Prelude != nil && opts.Log == nil {
-		return res, fmt.Errorf("recovery: Prelude set without Log")
-	}
-	if opts.Tail != nil && opts.Log == nil {
-		return res, fmt.Errorf("recovery: Tail set without Log")
+	if opts.Extra != nil && opts.Log == nil {
+		return res, fmt.Errorf("recovery: Extra set without Log")
 	}
 
 	var src *disk.Backup
@@ -367,15 +331,15 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 	}
 
 	// Replay stage: reader → decoders → appliers. The single reader fixes
-	// the order: it pushes every record onto every shard's feed, in log
-	// order, and queues the ones Split accepts for the decoders. A decoder
-	// parses a record once, straight into one bucket per shard; shard s's
-	// applier — the only goroutine that writes shard s's slab range — takes
-	// records off its feed in log order, waits for the record's decoder and
-	// applies its own bucket unfiltered. Records Split declines (the reader
-	// cannot split an opaque payload: an action is re-executed whole on
-	// every shard, an install copied by range) reach Apply through the same
-	// feeds, so their place in each shard's order is the log's.
+	// the order: it merges the local log with Extra by tick, pushes every
+	// record onto every shard's feed in that order, and queues the ones Split
+	// accepts for the decoders. A decoder parses a record once, straight into
+	// one bucket per shard; shard s's applier — the only goroutine that
+	// writes shard s's slab range — takes records off its feed in order,
+	// waits for the record's decoder and applies its own bucket unfiltered.
+	// Records Split declines (range installs, copied by range) reach Apply
+	// through the same feeds, so their place in each shard's order is the
+	// merged stream's.
 	var lastTick uint64
 	sawTick := false
 	var readerErr error
@@ -384,10 +348,12 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 	// The local log's reader owns the chunks its payloads alias. It is closed
 	// only once every decoder and applier is joined, and it reuses a chunk
 	// only once the batches of all its records are back on the free list.
-	// Every shard applies its feed in log order, so a batch's last applier
+	// Every shard applies its feed in order, so a batch's last applier
 	// finishes after every earlier batch's: a batch taken off the free list
-	// releases all log records up to its mark.
+	// releases all log records up to its mark. handled counts the log records
+	// already fanned or skipped, the mark of the next batch.
 	var logReader *wal.Reader
+	var handled uint64
 	if opts.Log != nil {
 		// No channel below ever blocks its sender: each can hold every batch
 		// there is. The reader's only wait is for a free batch.
@@ -499,7 +465,7 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 			}
 			if logReader != nil {
 				logReader.Release(b.mark)
-				b.mark = logReader.Records()
+				b.mark = handled
 			}
 			b.tick, b.payload, b.split, b.err = tick, payload, false, nil
 			if opts.Split != nil {
@@ -514,91 +480,47 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 				feeds[s] <- b
 			}
 		}
-		// Prelude first: its records are authoritative for every tick they
-		// carry, so the local log's copies of those ticks are skipped below.
-		var preludeLast uint64
-		sawPrelude := false
-		if opts.Prelude != nil {
-			for {
-				tick, payload, ok, err := opts.Prelude.Next()
-				if err != nil {
-					readerErr = fmt.Errorf("recovery: prelude: %w", err)
-					break
+		// The reader starts at the first segment that can hold a record at or
+		// above from; sealed segments before it are never opened.
+		var end logEnd
+		var err error
+		ex := merge{src: opts.Extra, from: from}
+		ex.advance()
+		logReader, err = opts.Log.NewReader(from)
+		if err == nil {
+			end, err = scanLog(logReader, func(tick uint64, payload []byte) error {
+				if tick >= from {
+					if err := ex.upTo(tick, fan); err != nil {
+						return err
+					}
+					if !ex.carries(tick) {
+						handled = logReader.Records()
+						fan(tick, payload)
+					}
 				}
-				if !ok {
-					break
-				}
-				if tick < from {
-					continue // covered by the image
-				}
-				sawPrelude, preludeLast = true, tick
-				fan(tick, payload)
+				handled = logReader.Records()
+				return nil
+			})
+			logBytes, logSkipped = end.bytes, end.skipped
+		}
+		if err == nil {
+			err = ex.upTo(math.MaxUint64, fan) // the ticks past the log's end
+		}
+		// The log's last tick is counted before any skip. When it is at or
+		// above from, every record carrying it was in a segment just read.
+		// Otherwise (a crash right after a checkpoint rotated the log) it may
+		// sit in a skipped segment, and only an unskipped read tells.
+		if err == nil && end.skipped > 0 && !(end.saw && end.lastTick >= from) {
+			var r *wal.Reader
+			if r, err = opts.Log.NewReader(0); err == nil {
+				end, err = scanLog(r, func(uint64, []byte) error { r.Release(r.Records()); return nil })
+				r.Close() //nolint:errcheck // read-only handles
+				logBytes += end.bytes
 			}
 		}
-		if readerErr == nil {
-			// The reader starts at the first segment that can hold a record
-			// at or above from; sealed segments before it are never opened.
-			var end logEnd
-			var err error
-			logReader, err = opts.Log.NewReader(from)
-			if err == nil {
-				end, err = scanLog(logReader, func(tick uint64, payload []byte) {
-					if tick < from {
-						return
-					}
-					if sawPrelude && tick <= preludeLast {
-						return // the prelude already carried this tick
-					}
-					fan(tick, payload)
-				})
-				logBytes, logSkipped = end.bytes, end.skipped
-			}
-			// The log's last tick is counted before any skip. When it is at or
-			// above from, every record carrying it was in a segment just read.
-			// Otherwise (a crash right after a checkpoint rotated the log) it
-			// may sit in a skipped segment, and only an unskipped read tells.
-			if err == nil && end.skipped > 0 && !(end.saw && end.lastTick >= from) {
-				var r *wal.Reader
-				if r, err = opts.Log.NewReader(0); err == nil {
-					end, err = scanLog(r, func(uint64, []byte) { r.Release(r.Records()) })
-					r.Close() //nolint:errcheck // read-only handles
-					logBytes += end.bytes
-				}
-			}
-			res.LastLogTick, res.SawLogTick, res.LastTickRecords = end.lastTick, end.saw, end.lastRecords
-			if err != nil {
-				readerErr = fmt.Errorf("recovery: replay: %w", err)
-			}
-		}
-		// Tail last: it extends history past the local log, skipping the span
-		// the log is authoritative for (whole ticks below its last tick, and
-		// the records of the last tick itself that the log holds — a torn
-		// final tick resumes mid-tick at the first missing record).
-		if readerErr == nil && opts.Tail != nil {
-			skip := res.LastTickRecords
-			for {
-				tick, payload, ok, err := opts.Tail.Next()
-				if err != nil {
-					readerErr = fmt.Errorf("recovery: tail: %w", err)
-					break
-				}
-				if !ok {
-					break
-				}
-				if tick < from {
-					continue // covered by the image
-				}
-				if res.SawLogTick {
-					if tick < res.LastLogTick {
-						continue
-					}
-					if tick == res.LastLogTick && skip > 0 {
-						skip--
-						continue
-					}
-				}
-				fan(tick, payload)
-			}
+		res.LastLogTick, res.SawLogTick, res.LastTickRecords = end.lastTick, end.saw, end.lastRecords
+		if err != nil {
+			readerErr = fmt.Errorf("recovery: replay: %w", err)
 		}
 		close(decode)
 		for s := range feeds {
@@ -698,9 +620,9 @@ type logEnd struct {
 	skipped     int   // sealed segments below from, left unopened
 }
 
-// scanLog hands every record r returns to each, in log order. The caller
-// closes r.
-func scanLog(r *wal.Reader, each func(tick uint64, payload []byte)) (end logEnd, err error) {
+// scanLog hands every record r returns to each, in log order, until each
+// fails. The caller closes r.
+func scanLog(r *wal.Reader, each func(tick uint64, payload []byte) error) (end logEnd, err error) {
 	defer func() { end.bytes, end.skipped = r.BytesRead(), r.Skipped() }()
 	for {
 		tick, payload, err := r.Next()
@@ -714,6 +636,47 @@ func scanLog(r *wal.Reader, each func(tick uint64, payload []byte)) (end logEnd,
 			end.lastTick, end.saw, end.lastRecords = tick, true, 0
 		}
 		end.lastRecords++
-		each(tick, payload)
+		if err := each(tick, payload); err != nil {
+			return end, err
+		}
 	}
 }
+
+// merge is the reader's view of ParallelOptions.Extra: the source read one
+// record ahead, so the reader can interleave it with the local log by tick.
+type merge struct {
+	src  RecordSource // nil: the log alone
+	from uint64       // the image floor; records below it are skipped
+	// tick and payload are the next record when ok.
+	tick    uint64
+	payload []byte
+	ok      bool
+	err     error
+	// last is the last tick the source replayed, when any.
+	last uint64
+	saw  bool
+}
+
+// advance reads the source's next record.
+func (m *merge) advance() {
+	if m.src != nil {
+		m.tick, m.payload, m.ok, m.err = m.src.Next()
+	}
+}
+
+// upTo fans the source's records at ticks up to limit.
+func (m *merge) upTo(limit uint64, fan func(tick uint64, payload []byte)) error {
+	for ; m.err == nil && m.ok && m.tick <= limit; m.advance() {
+		if m.tick >= m.from {
+			fan(m.tick, m.payload)
+			m.last, m.saw = m.tick, true
+		}
+	}
+	if m.err != nil {
+		return fmt.Errorf("extra source: %w", m.err)
+	}
+	return nil
+}
+
+// carries reports whether the source replayed tick, once upTo(tick) ran.
+func (m *merge) carries(tick uint64) bool { return m.saw && m.last == tick }

@@ -91,7 +91,7 @@ func TestRecoverParallelMatchesSerial(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 7} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			slab := bytes.Repeat([]byte{0xFF}, pObj*pObjSize)
-			res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Shards: shards}))
+			res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(pObj, shards)}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,13 +118,22 @@ func TestRecoverParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// updateLog completes o (A, Slab and Shards set) for a log of plain update
-// batches: every record is split at the cell bounds of evenRanges over A's
-// geometry and a shard writes its bucket unfiltered; no record may travel
-// whole.
+// evenRanges splits n objects into at most shards equal contiguous ranges.
+func evenRanges(n, shards int) []ShardRange {
+	per := (n + shards - 1) / shards
+	var ranges []ShardRange
+	for lo := 0; lo < n; lo += per {
+		ranges = append(ranges, ShardRange{lo, min(lo+per, n)})
+	}
+	return ranges
+}
+
+// updateLog completes o (A, Slab and Ranges set) for a log of plain update
+// batches: every record is split at the cell bounds of its ranges and a
+// shard writes its bucket unfiltered; no record may travel whole.
 func updateLog(o ParallelOptions) ParallelOptions {
 	slab := o.Slab
-	for _, r := range evenRanges(o.A.Objects(), o.Shards) {
+	for _, r := range o.Ranges {
 		o.CellBounds = append(o.CellBounds, uint32(r.Hi*o.A.ObjSize()/4))
 	}
 	o.Split = func(payload []byte) ([]byte, bool) { return payload, true }
@@ -154,7 +163,7 @@ func TestRecoverParallelNoImageReplaysEverything(t *testing.T) {
 		}
 	}
 	slab := bytes.Repeat([]byte{0xEE}, pObj*pObjSize)
-	res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Shards: 4}))
+	res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(pObj, 4)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +195,7 @@ func TestRecoverParallelRestoreOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	slab := make([]byte, pObj*pObjSize)
-	res, err := RecoverParallel(ParallelOptions{A: a, B: b, Slab: slab, Shards: 3})
+	res, err := RecoverParallel(ParallelOptions{A: a, B: b, Slab: slab, Ranges: evenRanges(pObj, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +233,11 @@ func TestRecoverParallelValidatesGeometry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	if _, err := RecoverParallel(ParallelOptions{A: a, B: b, Slab: slab, Log: log}); err == nil {
+	if _, err := RecoverParallel(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(pObj, 1)}); err == nil {
 		t.Error("log without Apply accepted")
+	}
+	if _, err := RecoverParallel(ParallelOptions{A: a, B: b, Slab: slab, Ranges: evenRanges(pObj, 1), Extra: &records{}}); err == nil {
+		t.Error("extra source without a log accepted")
 	}
 }
 
@@ -236,7 +248,7 @@ func TestRecoverParallelApplyErrorPropagates(t *testing.T) {
 	sentinel := errors.New("boom")
 	slab := make([]byte, pObj*pObjSize)
 	_, err := RecoverParallel(ParallelOptions{
-		A: a, B: b, Slab: slab, Log: log, Shards: 4,
+		A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(pObj, 4),
 		Apply: func(shard int, tick uint64, payload []byte) (int64, error) {
 			if shard == 2 && tick == 7 {
 				return 0, sentinel
@@ -263,7 +275,7 @@ func TestRecoverParallelOverlap(t *testing.T) {
 	log := buildWorkload(t, a, t.TempDir(), 0, 60, 13)
 	defer log.Close()
 	slab := make([]byte, pObj*pObjSize)
-	res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Shards: 4}))
+	res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(pObj, 4)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +428,7 @@ func TestRecoverParallelSkipsStaleSegments(t *testing.T) {
 			defer telemetry.Disable()
 			telemetry.ResetSpans()
 			slab := make([]byte, pObj*pObjSize)
-			res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Shards: 2}))
+			res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(pObj, 2)}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -484,7 +496,7 @@ func TestRecoverParallelStopsAtUndecodableRecord(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2, 8} {
 		slab := bytes.Repeat([]byte{0xFF}, pObj*pObjSize)
-		res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Shards: shards}))
+		res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(pObj, shards)}))
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("tick %d", badTick)) {
 			t.Fatalf("shards %d: error %v does not name tick %d", shards, err, badTick)
 		}
@@ -514,7 +526,7 @@ func TestRecoverParallelFreeListBound(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		telemetry.ResetSpans()
 		slab := make([]byte, pObj*pObjSize)
-		res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Shards: shards}))
+		res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(pObj, shards)}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -562,12 +574,12 @@ func TestRecoverParallelSplitNeedsItsHalves(t *testing.T) {
 	log := buildWorkload(t, a, t.TempDir(), 0, 3, 29)
 	defer log.Close()
 	slab := make([]byte, pObj*pObjSize)
-	opts := updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Shards: 2})
+	opts := updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(pObj, 2)})
 	opts.CellBounds = opts.CellBounds[:1]
 	if _, err := RecoverParallel(opts); err == nil {
 		t.Error("one cell bound for two shards accepted")
 	}
-	opts = updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Shards: 2})
+	opts = updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(pObj, 2)})
 	opts.ApplyUpdates = nil
 	if _, err := RecoverParallel(opts); err == nil {
 		t.Error("Split without ApplyUpdates accepted")
@@ -614,7 +626,7 @@ func BenchmarkReplayPipeline(b *testing.B) {
 	slab := make([]byte, objects*objSize)
 	for _, shards := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			opts := updateLog(ParallelOptions{A: a, B: bb, Slab: slab, Log: log, Shards: shards})
+			opts := updateLog(ParallelOptions{A: a, B: bb, Slab: slab, Log: log, Ranges: evenRanges(objects, shards)})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := RecoverParallel(opts)

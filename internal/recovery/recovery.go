@@ -103,8 +103,8 @@ func Restore(a, b *disk.Backup, slab []byte) (Result, error) {
 // RunRecords performs full recovery with caller-interpreted log records:
 // Restore, then invoke apply for every logged record after the image's
 // consistency point, in log order. The caller decides what a record payload
-// means (the engine mixes physical update batches and logical action
-// records in one log).
+// means (the engine mixes update batches, messages and range installs in one
+// log).
 func RunRecords(a, b *disk.Backup, slab []byte, log *wal.Log,
 	apply func(tick uint64, payload []byte) error) (Result, error) {
 

@@ -354,63 +354,6 @@ func TestBackpressureBoundsInFlightTicks(t *testing.T) {
 	}
 }
 
-// TestActionReplication: ApplyActionTick records replicate and re-execute
-// through the standby's ReplayAction, including across promotion.
-func TestActionReplication(t *testing.T) {
-	tab := gamestate.Table{Rows: 256, Cols: 8, CellSize: 4, ObjSize: 512}
-	// The action payload is a (cell, delta) pair: a read-modify-write that
-	// only determinism makes replicable.
-	replay := func(tick uint64, payload []byte, w *engine.TickWriter) error {
-		cell := binary.LittleEndian.Uint32(payload)
-		delta := binary.LittleEndian.Uint32(payload[4:])
-		if w.Owns(cell) {
-			w.Set(cell, w.Cell(cell)+delta)
-		}
-		return nil
-	}
-	p, err := engine.Open(engine.Options{Table: tab, Dir: t.TempDir(), Mode: engine.ModeCopyOnUpdate, ReplayAction: replay})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	pc, sc := net.Pipe()
-	sb, err := StartStandby(engine.Options{Table: tab, Dir: t.TempDir(), Mode: engine.ModeCopyOnUpdate, ReplayAction: replay}, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := StartShipper(p, pc, StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const ticks = 20
-	payload := make([]byte, 8)
-	for tick := 0; tick < ticks; tick++ {
-		binary.LittleEndian.PutUint32(payload, uint32(tick%tab.NumCells()))
-		binary.LittleEndian.PutUint32(payload[4:], uint32(tick+1))
-		pl := append([]byte(nil), payload...)
-		err := p.ApplyActionTick(pl, func(w *engine.TickWriter) error {
-			return replay(uint64(tick), pl, w)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sh.AwaitAck(ticks-1, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	promoted, err := sb.Promote()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer promoted.Close()
-	if !bytes.Equal(promoted.Store().Slab(), p.Store().Slab()) {
-		t.Fatal("replicated action state differs from primary")
-	}
-}
-
 // TestHandshakeRejectsGeometryMismatch: differing tables must fail the
 // session before any data moves, on both ends.
 func TestHandshakeRejectsGeometryMismatch(t *testing.T) {

@@ -49,9 +49,10 @@ func TestTCPSessionRoundTrip(t *testing.T) {
 	if c.NextTick != 0 {
 		t.Fatalf("welcome next tick = %d, want 0", c.NextTick)
 	}
-	// Wait for the server goroutine to register the session before ticking.
-	for i := 0; g.Sessions() == 0 && i < 1000; i++ {
-		time.Sleep(time.Millisecond)
+	// ServeConn registers the session before it sends the welcome NewClient
+	// read, so the session is already there.
+	if n := g.Sessions(); n != 1 {
+		t.Fatalf("%d sessions registered after the welcome, want 1", n)
 	}
 
 	in := []wal.Update{{Cell: 1, Value: 10}, {Cell: 2, Value: 20}}
@@ -207,8 +208,8 @@ func TestTCPDroppedDeltaLosesOneFrameOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; g.Sessions() == 0 && i < 1000; i++ {
-		time.Sleep(time.Millisecond)
+	if n := g.Sessions(); n != 1 {
+		t.Fatalf("%d sessions registered after the welcome, want 1", n)
 	}
 	// A second, in-process session writes one cell inside the client's
 	// interest window every tick: one delta frame per tick.
