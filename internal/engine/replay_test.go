@@ -228,6 +228,17 @@ func TestUndecodableRecordNamesItsTick(t *testing.T) {
 	}
 }
 
+// TestRecoveryOfActionLogWithoutReplayFuncFails: a log written by an
+// engine that still logged actions — here one kind-1 record and no
+// checkpoint — cannot be replayed, since nothing interprets its payload;
+// recovery refuses it rather than open with the action's effects missing.
+func TestRecoveryOfActionLogWithoutReplayFuncFails(t *testing.T) {
+	dir := handWrittenLog(t, []byte{1, 5, 0, 0, 0})
+	if _, err := Open(Options{Table: shardTable(), Dir: dir, Mode: ModeNone}); err == nil {
+		t.Error("recovery of an action log succeeded")
+	}
+}
+
 // TestIngestRefusesRetiredActionKind: a standby refuses a replicated record
 // of the retired action kind 1 with an error naming its tick, and the record
 // never reaches the standby's log.
