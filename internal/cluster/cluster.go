@@ -56,8 +56,10 @@ type Options struct {
 	// SyncEveryTick fsyncs each node's log every tick, and each inbox before
 	// its tick is dispatched. With it, the inbox-bounds-the-world invariant
 	// recovery relies on holds across hard kills; without it, only across
-	// clean crashes (Crash/Close), and a hard kill that loses an inbox tail
-	// surfaces as a typed *TornError refusal.
+	// clean crashes (Crash/Close). A hard kill that loses an inbox tail
+	// surfaces as a typed *TornError refusal; one that tears an inbox inside
+	// its last tick is repaired from the node's WAL when that holds the tick
+	// whole, and goes undetected when it does not.
 	SyncEveryTick bool
 	// CheckpointEvery, when > 0, schedules uncoordinated per-node
 	// checkpoints from the node workers: node i cuts after applying tick T

@@ -250,8 +250,9 @@ func recoverNode(root string, opts Options, i int, inbox func() (recovery.Record
 // concurrently; a rung that fails for one partition falls through for that
 // partition only, and WorldRecovery records which rung served whom. The disk
 // rung merges the node's inbox, capped at C, with its own WAL: its own
-// checkpoint image, then every tick the inbox carries from the inbox and
-// every other tick from the WAL, which rolls the node forward past wherever
+// checkpoint image, then every tick the inbox carries from the inbox (unless
+// the WAL holds more of it: an inbox torn by a hard kill) and every other
+// tick from the WAL, which rolls the node forward past wherever
 // its WAL ended (engine.RecoverWith, which also heals the WAL so the
 // directory is self-sufficient). A node that does not land exactly on C+1
 // is a *TornError, never a silent resume.

@@ -493,40 +493,12 @@ func TestTornRefusal(t *testing.T) {
 	}
 }
 
-// TestRollForwardMergesInbox: node 1's WAL lost a whole tick and was torn
-// inside its last tick, two ticks behind the cut. Recovery merges the node's
-// inbox with its WAL — every tick the inbox carries replays from the inbox —
-// so the node rolls forward through the lost tick and the torn one, and the
-// world comes back byte-identical to the serial reference. The heal leaves
-// a directory that recovers to the same bytes with nothing rolled forward.
-func TestRollForwardMergesInbox(t *testing.T) {
-	tab := testTable()
-	const total, perTick, window = 16, 40, 2
-	dir := t.TempDir()
-	emit := testEmit(tab, 2)
-	opts := Options{Table: tab, Dir: dir, Mode: engine.ModeNone, Nodes: 2, MaxSkew: window, Emit: emit, SyncEveryTick: true}
-	c, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(c.Nodes())
-	if n != 2 {
-		t.Fatalf("world folded to %d nodes", n)
-	}
-	for tick := uint64(0); tick < total; tick++ {
-		if err := c.Tick(worldBatch(tab, tick, perTick)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Rewrite node 1's WAL: drop tick last-1 and cut tick last after its
-	// first record, a frame boundary inside the tick.
-	const last = total - 3
-	walDir := filepath.Join(NodeDir(dir, 1), "wal")
-	r, err := wal.NewReader(walDir, 0)
+// rewriteLog rewrites the log in dir to keep only the records keep accepts;
+// k is a record's place within its tick, from 1. It returns the number of
+// records the log held at tick at.
+func rewriteLog(t *testing.T, dir string, at uint64, keep func(tick uint64, k int) bool) int {
+	t.Helper()
+	r, err := wal.NewReader(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +507,7 @@ func TestRollForwardMergesInbox(t *testing.T) {
 		payload []byte
 	}
 	var kept []rec
-	atLast := 0
+	k, prev, atCount := 0, uint64(0), 0
 	for {
 		tick, payload, err := r.Next()
 		if err == io.EOF {
@@ -544,52 +516,135 @@ func TestRollForwardMergesInbox(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tick == last {
-			atLast++
+		if k == 0 || tick != prev {
+			k, prev = 0, tick
 		}
-		if tick < last-1 || tick == last && atLast == 1 {
+		k++
+		if tick == at {
+			atCount++
+		}
+		if keep(tick, k) {
 			kept = append(kept, rec{tick, append([]byte(nil), payload...)})
 		}
 	}
 	r.Close()
-	if atLast < 2 {
-		t.Fatalf("node 1 logged %d records at tick %d, want a tick to tear", atLast, last)
-	}
-	if err := os.RemoveAll(walDir); err != nil {
+	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	w, err := wal.Open(walDir)
+	w, err := wal.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range kept {
-		if err := w.Append(k.tick, k.payload); err != nil {
+	for _, rec := range kept {
+		if err := w.Append(rec.tick, rec.payload); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return atCount
+}
 
-	want := serialReference(t, tab, n, window, total, perTick, emit)
-	for pass, wantRolled := range []uint64{total - 1 - last, 0} {
-		rc, wr, err := Recover(dir, Options{Mode: engine.ModeNone, Emit: emit, SyncEveryTick: true})
-		if err != nil {
-			t.Fatalf("pass %d: %v", pass, err)
+// runLoggedWorld runs a synced two-node world with a window and Emit for
+// total ticks, closes it, and returns its directory, node count and Emit.
+func runLoggedWorld(t *testing.T, total, perTick, window int) (string, int, EmitFunc) {
+	t.Helper()
+	tab := testTable()
+	dir := t.TempDir()
+	emit := testEmit(tab, 2)
+	c, err := New(Options{Table: tab, Dir: dir, Mode: engine.ModeNone, Nodes: 2, MaxSkew: window, Emit: emit, SyncEveryTick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(c.Nodes())
+	if n != 2 {
+		t.Fatalf("world folded to %d nodes", n)
+	}
+	for tick := uint64(0); tick < uint64(total); tick++ {
+		if err := c.Tick(worldBatch(tab, tick, perTick)); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, n, emit
+}
+
+// recoverWorld recovers the world under dir and returns its bytes and the
+// recovery report.
+func recoverWorld(t *testing.T, dir string, emit EmitFunc) ([]byte, *WorldRecovery) {
+	t.Helper()
+	rc, wr, err := Recover(dir, Options{Mode: engine.ModeNone, Emit: emit, SyncEveryTick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, testTable().StateBytes())
+	if err := rc.ReadWorld(got); err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return got, wr
+}
+
+// TestRollForwardMergesInbox: node 1's WAL lost a whole tick and was torn
+// inside its last tick, two ticks behind the cut. Recovery merges the node's
+// inbox with its WAL — every tick the inbox carries replays from the inbox —
+// so the node rolls forward through the lost tick and the torn one, and the
+// world comes back byte-identical to the serial reference. A second recovery
+// of the healed directory reaches the same bytes with nothing rolled forward:
+// the heal appended the ticks past the WAL's torn end, and the tick lost
+// inside the WAL still replays from the inbox.
+func TestRollForwardMergesInbox(t *testing.T) {
+	const total, perTick, window = 16, 40, 2
+	dir, n, emit := runLoggedWorld(t, total, perTick, window)
+
+	// Rewrite node 1's WAL: drop tick last-1 and cut tick last after its
+	// first record, a frame boundary inside the tick.
+	const last = total - 3
+	atLast := rewriteLog(t, filepath.Join(NodeDir(dir, 1), "wal"), last, func(tick uint64, k int) bool {
+		return tick < last-1 || tick == last && k == 1
+	})
+	if atLast < 2 {
+		t.Fatalf("node 1 logged %d records at tick %d, want a tick to tear", atLast, last)
+	}
+
+	want := serialReference(t, testTable(), n, window, total, perTick, emit)
+	for pass, wantRolled := range []uint64{total - 1 - last, 0} {
+		got, wr := recoverWorld(t, dir, emit)
 		if wr.WorldTick != total || wr.RolledForward[0] != 0 || wr.RolledForward[1] != wantRolled {
 			t.Errorf("pass %d: resumed at %d with %v rolled forward, want %d with [0 %d]",
 				pass, wr.WorldTick, wr.RolledForward, total, wantRolled)
 		}
-		got := make([]byte, tab.StateBytes())
-		if err := rc.ReadWorld(got); err != nil {
-			t.Fatal(err)
-		}
-		if err := rc.Close(); err != nil {
-			t.Fatal(err)
-		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("pass %d: recovered world diverges from the serial reference", pass)
 		}
+	}
+}
+
+// TestTornInboxTickGivesWayToWAL: a hard kill flushed node 1's inbox only
+// part way into its last tick, while the node's WAL holds that tick whole.
+// The inbox still carries the tick, but the WAL holds more of it, so the
+// WAL's copy replays and the world comes back byte-identical to the serial
+// reference rather than silently missing the tick's lost envelopes.
+func TestTornInboxTickGivesWayToWAL(t *testing.T) {
+	const total, perTick, window = 12, 40, 2
+	dir, n, emit := runLoggedWorld(t, total, perTick, window)
+	const last = total - 1
+	atLast := rewriteLog(t, inboxDir(dir, 1), last, func(tick uint64, k int) bool {
+		return tick < last || k == 1
+	})
+	if atLast < 2 {
+		t.Fatalf("node 1's inbox held %d records at tick %d, want a tick to tear", atLast, last)
+	}
+	got, wr := recoverWorld(t, dir, emit)
+	if wr.WorldTick != total || wr.RolledForward[0] != 0 || wr.RolledForward[1] != 0 {
+		t.Errorf("resumed at %d with %v rolled forward, want %d with nothing", wr.WorldTick, wr.RolledForward, total)
+	}
+	if !bytes.Equal(got, serialReference(t, testTable(), n, window, total, perTick, emit)) {
+		t.Fatal("recovered world diverges from the serial reference")
 	}
 }

@@ -416,7 +416,8 @@ func (e *Engine) guard(standby bool) error {
 // commit runs one tick through the engine's only durability ordering (see
 // DESIGN.md, "Tick commit"): guards → append → fsync → apply → endTick →
 // stats/telemetry → advance → notify. Every entry point — update batches,
-// envelope ticks, replicated ticks — supplies just what is its own: record(i) returns the i-th of nrec encoded log record bodies (kind tag
+// envelope ticks, replicated ticks — supplies just what is its own:
+// record(i) returns the i-th of nrec encoded log record bodies (kind tag
 // included; called only on a durable engine, and valid until the next call),
 // and apply mutates the slab through the checkpointer and returns the number
 // of cell writes. The caller holds tickMu. An error means the tick did not

@@ -24,9 +24,10 @@ type RecoverSource struct {
 	// backups. Nil restores from the local backups.
 	Image recovery.ImageSource
 	// Records returns a fresh tick-ordered stream of records; replay merges
-	// it with the local WAL (see recovery.ParallelOptions.Extra). For each
-	// tick it carries, it must hold the tick's complete records in the order
-	// the engine logs them. It is called twice — once to feed the pipeline
+	// it with the local WAL (see recovery.ParallelOptions.Extra). It must
+	// carry each tick's records in the order the engine logs them; a crash may
+	// have torn its final tick, and where the WAL holds more records at a tick
+	// than the source, the WAL's copy replays. It is called twice — once to feed the pipeline
 	// and once to heal the local log — so each call must yield an
 	// independent iteration over the same records. Required with Image.
 	Records func() (recovery.RecordSource, error)
@@ -58,10 +59,12 @@ func RecoverWith(opts Options, src RecoverSource) (*Engine, recovery.ParallelRes
 
 // heal makes the local directory self-sufficient again after a recovery
 // that merged src's records: it appends to the log, then syncs, what the log
-// lacks — whole ticks past its last tick, and the missing suffix of a torn
-// last tick. The recovered world may be ahead of everything the log holds,
-// so without a heal a later disk-only recovery of this directory would come
-// up behind the world it claims to be — silently.
+// lacks at its end — whole ticks past its last tick, and the missing suffix
+// of a torn last tick. The recovered world may be ahead of everything the log
+// holds, so without a heal a later disk-only recovery of this directory would
+// come up behind the world it claims to be — silently. A crash tears a log
+// only at its end; a hole inside it (which no crash makes) is not filled,
+// and stays covered only while the source still carries those ticks.
 //
 // Appending closes the gap only when the source vouches for the log's last
 // tick: it holds at least the records the log holds there (the source's copy
@@ -105,7 +108,7 @@ func (e *Engine) heal(src RecoverSource, pres recovery.ParallelResult) error {
 		}
 		if pres.SawLogTick && tick <= last {
 			if tick < last {
-				continue // already in the local log
+				continue // inside the log: a crash left it whole
 			}
 			if atLast++; atLast <= pres.LastTickRecords {
 				continue // the log's own copy of this record

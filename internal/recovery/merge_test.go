@@ -145,3 +145,91 @@ func TestMergeTornLastTickTakesExtraCopy(t *testing.T) {
 	extra := span(27, 29, 3, fromExtra)
 	checkMerge(t, logRecs, extra, append(span(mergeAsOf+1, 26, 3, fromLog), extra...))
 }
+
+// TestMergeRuleAndMarks drives the reader's merge directly over random logs
+// and sources (ticks shared or not, either copy of a tick longer, records
+// below the floor). The fanned stream must follow the merge rule, and no
+// batch's release mark may cover a log record that is fanned after it: the
+// reader would then reuse that record's chunk while the record is still in
+// flight.
+func TestMergeRuleAndMarks(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 500; trial++ {
+		const from = 5
+		// Log record i is payload {i}: the merge hands back the payload, so
+		// a fanned log record names its own count.
+		var logRecs, extra []record
+		for tick := uint64(0); tick < 20; tick++ {
+			for k := rng.Intn(4); k > 0; k-- {
+				logRecs = append(logRecs, record{tick, []byte{byte(len(logRecs) + 1)}})
+			}
+			for k := rng.Intn(4); k > 0; k-- {
+				extra = append(extra, record{tick, nil})
+			}
+		}
+		var want []record
+		for tick := uint64(from); tick < 20; tick++ {
+			inTick := func(rs []record) (out []record) {
+				for _, r := range rs {
+					if r.tick == tick {
+						out = append(out, r)
+					}
+				}
+				return out
+			}
+			l, e := inTick(logRecs), inTick(extra)
+			if len(e) > 0 && len(e) >= len(l) {
+				want = append(want, e...)
+			} else {
+				want = append(want, l...)
+			}
+		}
+
+		type fanned struct {
+			rec  record
+			mark uint64
+		}
+		var got []fanned
+		src := records(slices.Clone(extra))
+		m := merge{src: &src, from: from, fan: func(tick uint64, payload []byte, mark uint64) {
+			got = append(got, fanned{record{tick, payload}, mark})
+		}}
+		m.advance()
+		for i, r := range logRecs {
+			if r.tick >= from {
+				if err := m.log(r.tick, r.payload, uint64(i+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := m.finish(uint64(len(logRecs))); err != nil {
+			t.Fatal(err)
+		}
+
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: fanned %d records, the rule replays %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].rec.tick != want[i].tick || !bytes.Equal(got[i].rec.payload, want[i].payload) {
+				t.Fatalf("trial %d: record %d is (%d, %v), the rule replays (%d, %v)",
+					trial, i, got[i].rec.tick, got[i].rec.payload, want[i].tick, want[i].payload)
+			}
+			for _, later := range got[i+1:] {
+				if later.rec.payload != nil && uint64(later.rec.payload[0]) <= got[i].mark {
+					t.Fatalf("trial %d: record %d's mark %d covers log record %d, fanned after it",
+						trial, i, got[i].mark, later.rec.payload[0])
+				}
+			}
+		}
+	}
+}
+
+// TestMergeTornExtraTickTakesLogCopy: the crash tore the extra source's last
+// tick after one of its three records (an inbox flushed mid-tick) while the
+// log holds that tick whole — the log's copy replays, not the source's part.
+func TestMergeTornExtraTickTakesLogCopy(t *testing.T) {
+	logRecs := span(0, 29, 3, fromLog)
+	extra := append(span(20, 28, 3, fromExtra), span(29, 29, 3, fromExtra)[0])
+	want := append(span(mergeAsOf+1, 19, 3, fromLog), span(20, 28, 3, fromExtra)...)
+	checkMerge(t, logRecs, extra, append(want, span(29, 29, 3, fromLog)...))
+}

@@ -11,7 +11,6 @@ package recovery
 import (
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,7 +41,9 @@ type ImageSource interface {
 
 // RecordSource streams tick-ordered log records from outside the local WAL:
 // a peer's delta records, or a cluster node's logged inbox. The pipeline
-// merges it with the local log by tick (see ParallelOptions.Extra).
+// merges it with the local log by tick (see ParallelOptions.Extra), which
+// assumes both carry each tick's records in the same order, so that a copy
+// torn by a crash is a prefix of the whole one.
 type RecordSource interface {
 	// Next returns the next record in tick order; ok=false ends the stream.
 	// Each returned payload must stay valid until the pipeline completes
@@ -90,11 +91,13 @@ type ParallelOptions struct {
 	// Extra, when non-nil, is a second record source merged with the local
 	// log by tick, under one rule: a tick at or above the image floor that
 	// Extra carries replays from Extra, and the log's records for that tick
-	// are skipped; every other tick replays from the log. Each tick thus has
-	// exactly one source, so updates never apply out of tick order, and a
-	// torn final log tick is replaced by the source's whole copy. The log is
-	// still read to its end (LastLogTick and LastTickRecords describe it
-	// alone). Requires Log.
+	// are skipped — unless the log holds more records at that tick, when the
+	// log's copy replays and Extra's is skipped. Every other tick replays from
+	// the log. Each tick thus has exactly one source, so updates never apply
+	// out of tick order, and a copy a crash tore (the log's final tick, or
+	// Extra's) gives way to the other side's whole one. The log is still read
+	// to its end (LastLogTick and LastTickRecords describe it alone). Requires
+	// Log.
 	Extra RecordSource
 }
 
@@ -194,9 +197,9 @@ type batch struct {
 	ready sync.WaitGroup
 	// left counts the appliers still to finish with the batch.
 	left atomic.Int32
-	// mark is how many local-log records the reader had fanned or skipped
-	// when the batch was fanned, its own included: once the batch is back on
-	// the free list, none of those records' payloads is read any more (see
+	// mark counts the leading local-log records whose payloads nothing reads
+	// once the batch is back on the free list: those fanned with or before it
+	// and those skipped, never one still held or not yet fanned (see
 	// RecoverParallel).
 	mark uint64
 }
@@ -350,10 +353,8 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 	// only once the batches of all its records are back on the free list.
 	// Every shard applies its feed in order, so a batch's last applier
 	// finishes after every earlier batch's: a batch taken off the free list
-	// releases all log records up to its mark. handled counts the log records
-	// already fanned or skipped, the mark of the next batch.
+	// releases all log records up to its mark.
 	var logReader *wal.Reader
-	var handled uint64
 	if opts.Log != nil {
 		// No channel below ever blocks its sender: each can hold every batch
 		// there is. The reader's only wait is for a free batch.
@@ -446,7 +447,9 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 		}
 
 		allocated := 0
-		fan := func(tick uint64, payload []byte) {
+		// fan pushes one record onto every shard's feed; mark is the batch's
+		// release mark (see batch.mark).
+		fan := func(tick uint64, payload []byte, mark uint64) {
 			if !sawTick || tick != lastTick {
 				res.ReplayedTicks++
 			}
@@ -463,10 +466,8 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 					b = <-free
 				}
 			}
-			if logReader != nil {
-				logReader.Release(b.mark)
-				b.mark = handled
-			}
+			logReader.Release(b.mark)
+			b.mark = mark
 			b.tick, b.payload, b.split, b.err = tick, payload, false, nil
 			if opts.Split != nil {
 				b.updates, b.split = opts.Split(payload)
@@ -484,27 +485,24 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 		// above from; sealed segments before it are never opened.
 		var end logEnd
 		var err error
-		ex := merge{src: opts.Extra, from: from}
-		ex.advance()
 		logReader, err = opts.Log.NewReader(from)
 		if err == nil {
+			ex := merge{src: opts.Extra, from: from, fan: fan}
+			ex.advance()
 			end, err = scanLog(logReader, func(tick uint64, payload []byte) error {
-				if tick >= from {
-					if err := ex.upTo(tick, fan); err != nil {
-						return err
-					}
-					if !ex.carries(tick) {
-						handled = logReader.Records()
-						fan(tick, payload)
-					}
+				switch {
+				case tick < from:
+					return nil
+				case opts.Extra == nil:
+					fan(tick, payload, logReader.Records())
+					return nil
 				}
-				handled = logReader.Records()
-				return nil
+				return ex.log(tick, payload, logReader.Records())
 			})
+			if err == nil {
+				err = ex.finish(logReader.Records()) // the ticks past the log's end
+			}
 			logBytes, logSkipped = end.bytes, end.skipped
-		}
-		if err == nil {
-			err = ex.upTo(math.MaxUint64, fan) // the ticks past the log's end
 		}
 		// The log's last tick is counted before any skip. When it is at or
 		// above from, every record carrying it was in a segment just read.
@@ -643,18 +641,32 @@ func scanLog(r *wal.Reader, each func(tick uint64, payload []byte) error) (end l
 }
 
 // merge is the reader's view of ParallelOptions.Extra: the source read one
-// record ahead, so the reader can interleave it with the local log by tick.
+// record ahead, so the reader can interleave it with the local log by tick. A
+// tick both carry is held back until the log has moved past it, then replays
+// from one side only (see settle).
 type merge struct {
 	src  RecordSource // nil: the log alone
 	from uint64       // the image floor; records below it are skipped
-	// tick and payload are the next record when ok.
+	fan  func(tick uint64, payload []byte, mark uint64)
+	// tick and payload are the source's next record when ok.
 	tick    uint64
 	payload []byte
 	ok      bool
 	err     error
-	// last is the last tick the source replayed, when any.
-	last uint64
-	saw  bool
+	// held reports a tick both carry whose log records are still being read:
+	// shared is the tick, srcRecs the source's records at it and logRecs the
+	// log's, each with its release mark.
+	held    bool
+	shared  uint64
+	srcRecs [][]byte
+	logRecs []heldRecord
+}
+
+// heldRecord is a log record held back at a shared tick, with the log's
+// record count through it (the mark it is fanned with if the log wins).
+type heldRecord struct {
+	payload []byte
+	mark    uint64
 }
 
 // advance reads the source's next record.
@@ -664,12 +676,64 @@ func (m *merge) advance() {
 	}
 }
 
-// upTo fans the source's records at ticks up to limit.
-func (m *merge) upTo(limit uint64, fan func(tick uint64, payload []byte)) error {
-	for ; m.err == nil && m.ok && m.tick <= limit; m.advance() {
+// log takes the local log's next record at or above the floor; n counts the
+// log records read, this one included, so the first n-1 are done with once
+// the held tick is settled.
+func (m *merge) log(tick uint64, payload []byte, n uint64) error {
+	if !m.held || tick != m.shared {
+		m.settle(n - 1)
+		// The source's ticks below this one replay first.
+		for ; m.err == nil && m.ok && m.tick < tick; m.advance() {
+			if m.tick >= m.from {
+				m.fan(m.tick, m.payload, n-1)
+			}
+		}
+		for ; m.err == nil && m.ok && m.tick == tick; m.advance() {
+			m.held, m.shared = true, tick
+			m.srcRecs = append(m.srcRecs, m.payload)
+		}
+		if m.err != nil {
+			return fmt.Errorf("extra source: %w", m.err)
+		}
+	}
+	if m.held {
+		m.logRecs = append(m.logRecs, heldRecord{payload, n})
+		return nil
+	}
+	m.fan(tick, payload, n)
+	return nil
+}
+
+// settle replays the held tick from one side: the source's copy, unless the
+// log holds more records at that tick. Either copy is complete unless a crash
+// tore it, and a torn copy is a prefix of the whole one, so the longer copy is
+// the whole tick. done counts the log records no longer needed once the
+// source's copy replays in place of the log's.
+func (m *merge) settle(done uint64) {
+	if !m.held {
+		return
+	}
+	if len(m.srcRecs) >= len(m.logRecs) {
+		for _, p := range m.srcRecs {
+			m.fan(m.shared, p, done)
+		}
+	} else {
+		for _, r := range m.logRecs {
+			m.fan(m.shared, r.payload, r.mark)
+		}
+	}
+	clear(m.srcRecs)
+	clear(m.logRecs)
+	m.srcRecs, m.logRecs, m.held = m.srcRecs[:0], m.logRecs[:0], false
+}
+
+// finish replays what is left once the log has ended: the held tick, then
+// the source's ticks past the log. done counts the log records read.
+func (m *merge) finish(done uint64) error {
+	m.settle(done)
+	for ; m.err == nil && m.ok; m.advance() {
 		if m.tick >= m.from {
-			fan(m.tick, m.payload)
-			m.last, m.saw = m.tick, true
+			m.fan(m.tick, m.payload, done)
 		}
 	}
 	if m.err != nil {
@@ -677,6 +741,3 @@ func (m *merge) upTo(limit uint64, fan func(tick uint64, payload []byte)) error 
 	}
 	return nil
 }
-
-// carries reports whether the source replayed tick, once upTo(tick) ran.
-func (m *merge) carries(tick uint64) bool { return m.saw && m.last == tick }
