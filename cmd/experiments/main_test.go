@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -136,17 +137,18 @@ func experimentsCommands(text string, markdown bool) []string {
 	return cmds
 }
 
-// runbookTable returns the body rows of the first markdown table after the
-// RUNBOOK line containing heading, one trimmed string per cell.
-func runbookTable(t *testing.T, heading string) [][]string {
+// docTable returns the body rows of the first markdown table after the line
+// of doc (a path from the repository root) containing heading, one trimmed
+// string per cell.
+func docTable(t *testing.T, doc, heading string) [][]string {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("..", "..", "docs", "RUNBOOK.md"))
+	data, err := os.ReadFile(filepath.Join("..", "..", doc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, text, ok := strings.Cut(string(data), heading)
 	if !ok {
-		t.Fatalf("RUNBOOK.md has no %q", heading)
+		t.Fatalf("%s has no %q", doc, heading)
 	}
 	var rows [][]string
 	for _, line := range strings.Split(text, "\n") {
@@ -163,7 +165,7 @@ func runbookTable(t *testing.T, heading string) [][]string {
 		rows = append(rows, cells)
 	}
 	if len(rows) < 3 {
-		t.Fatalf("RUNBOOK.md: no table after %q", heading)
+		t.Fatalf("%s: no table after %q", doc, heading)
 	}
 	return rows[2:] // past the header and the separator
 }
@@ -174,7 +176,7 @@ func runbookTable(t *testing.T, heading string) [][]string {
 // prints a HELP line for each registered family.
 func TestRunbookMetricFamiliesMatchRegistry(t *testing.T) {
 	documented := map[string]bool{}
-	for _, row := range runbookTable(t, "Metric families by subsystem") {
+	for _, row := range docTable(t, "docs/RUNBOOK.md", "Metric families by subsystem") {
 		for _, m := range inlineCode.FindAllStringSubmatch(row[len(row)-1], -1) {
 			if f := family.FindStringSubmatch(m[1]); f != nil {
 				documented[f[1]] = true
@@ -208,7 +210,7 @@ func TestRunbookMetricFamiliesMatchRegistry(t *testing.T) {
 // typed-error table is not declared in the package its row names.
 func TestRunbookTypedErrorsAreDeclared(t *testing.T) {
 	decls := map[string]map[string]bool{}
-	for _, row := range runbookTable(t, "## Typed errors, one place") {
+	for _, row := range docTable(t, "docs/RUNBOOK.md", "## Typed errors, one place") {
 		name := strings.TrimSuffix(strings.TrimPrefix(strings.Trim(row[0], "`"), "*"), "()")
 		if i := strings.LastIndex(name, "."); i >= 0 {
 			name = name[i+1:] // a package-qualified name: chaos.ErrInjected
@@ -260,6 +262,97 @@ func declaredNames(t *testing.T, dir string) map[string]bool {
 		}
 	}
 	return names
+}
+
+// frameProtocols maps each protocol DESIGN.md's frame-type registry names
+// to the file declaring its frame constants.
+var frameProtocols = map[string]string{
+	"standby":                     "internal/replication/protocol.go",
+	"cluster node":                "internal/cluster/serve.go",
+	"client session (`MMOGATE1`)": "internal/session/net.go",
+}
+
+// frameConst is a frame-type constant's name.
+var frameConst = regexp.MustCompile(`^(ft|Frame|cmd|frame)[A-Z]`)
+
+// TestFrameRegistryMatchesConstants fails when a value in DESIGN.md's
+// frame-type registry has no frame constant of that value in the named
+// protocol's package, or a frame constant is missing from the registry. A
+// row whose protocol is "—" lists unassigned values.
+func TestFrameRegistryMatchesConstants(t *testing.T) {
+	documented := map[string]map[int64]bool{} // by protocol
+	for _, row := range docTable(t, "DESIGN.md", "Frame-type registry") {
+		proto := row[1]
+		if proto == "—" {
+			continue
+		}
+		file, ok := frameProtocols[proto]
+		if !ok {
+			t.Errorf("DESIGN.md's frame registry lists %s for protocol %q, which declares no frame constants", row[0], proto)
+			continue
+		}
+		consts := frameConsts(t, file)
+		if documented[proto] == nil {
+			documented[proto] = map[int64]bool{}
+		}
+		for _, part := range strings.Split(strings.ReplaceAll(row[0], "`", ""), ",") {
+			lo, hi, isRange := strings.Cut(strings.TrimSpace(part), "–")
+			if !isRange {
+				hi = lo
+			}
+			from, err1 := strconv.ParseInt(lo, 0, 64)
+			to, err2 := strconv.ParseInt(hi, 0, 64)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("DESIGN.md's frame registry: bad value %q", row[0])
+			}
+			for v := from; v <= to; v++ {
+				if consts[v] == "" {
+					t.Errorf("DESIGN.md's frame registry lists %s value %d, which no constant in %s has", proto, v, file)
+				}
+				documented[proto][v] = true
+			}
+		}
+	}
+	for proto, file := range frameProtocols {
+		for v, name := range frameConsts(t, file) {
+			if !documented[proto][v] {
+				t.Errorf("frame constant %s = %d (%s) is missing from DESIGN.md's frame registry", name, v, proto)
+			}
+		}
+	}
+}
+
+// frameConsts returns the frame-type constants file declares, by value.
+func frameConsts(t *testing.T, file string) map[int64]string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("..", "..", file), nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	consts := map[int64]string{}
+	for _, d := range f.Decls {
+		if d, ok := d.(*ast.GenDecl); ok && d.Tok == token.CONST {
+			for _, spec := range d.Specs {
+				s := spec.(*ast.ValueSpec)
+				for i, n := range s.Names {
+					if !frameConst.MatchString(n.Name) || i >= len(s.Values) {
+						continue
+					}
+					if lit, ok := s.Values[i].(*ast.BasicLit); ok && lit.Kind == token.INT {
+						v, err := strconv.ParseInt(lit.Value, 0, 64)
+						if err != nil {
+							t.Fatal(err)
+						}
+						consts[v] = n.Name
+					}
+				}
+			}
+		}
+	}
+	if len(consts) == 0 {
+		t.Fatalf("%s declares no frame constants", file)
+	}
+	return consts
 }
 
 // TestReadmePackageMapIsComplete fails when README's "What's here" block

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"hash/crc32"
 	"net"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/gamestate"
 	"repro/internal/wal"
 )
 
@@ -123,4 +125,84 @@ func TestServeNodeRejectsOutOfOrderTick(t *testing.T) {
 	}
 	<-done
 	cc.Close()
+}
+
+// FuzzServeNode opens a session with a valid hello, then sends fuzzed
+// command frames — data is a sequence of u8-length-prefixed bodies — to
+// ServeNode over a pipe, against a small InMemory engine. ServeNode must
+// never panic; a body malformed for its command, or an unknown command,
+// ends the session with a cmdErr frame and an error; a cmdHashRange outside
+// the engine's objects is refused the same way; every other command is
+// answered with its own reply or cmdErr. The seeds are checked in under
+// testdata/fuzz: one well-formed session and one malformed body per
+// command.
+func FuzzServeNode(f *testing.F) {
+	tab := gamestate.Table{Rows: 64, Cols: 4, CellSize: 4, ObjSize: 64}
+	replies := map[byte]byte{
+		cmdHello: cmdWelcome, cmdTick: cmdTickOK, cmdCheckpoint: cmdCheckpointOK, cmdHashRange: cmdHashOK,
+	}
+	sizes := map[byte]func(n int) bool{
+		cmdHello:      func(n int) bool { return n == 33 },
+		cmdTick:       func(n int) bool { return n >= 9 },
+		cmdCheckpoint: func(n int) bool { return n == 9 },
+		cmdHashRange:  func(n int) bool { return n == 17 },
+		cmdBye:        func(int) bool { return true },
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := engine.Open(engine.Options{Table: tab, InMemory: true, Mode: engine.ModeNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		cc, nc := net.Pipe()
+		defer cc.Close()
+		served := make(chan error, 1)
+		go func() {
+			served <- ServeNode(nc, e)
+			nc.Close()
+		}()
+		rn, _, err := Attach(cc, tab)
+		if err != nil {
+			t.Fatalf("valid hello refused: %v", err)
+		}
+		for len(data) > 0 {
+			n := min(int(data[0]), len(data)-1)
+			body := data[1 : 1+n]
+			data = data[1+n:]
+			if n == 0 {
+				continue // the frame layer refuses empty bodies before ServeNode sees them
+			}
+			if err := rn.c.Send(append(rn.c.Frame(body[0]), body[1:]...)); err != nil {
+				t.Fatalf("send %x: %v", body, err)
+			}
+			if body[0] == cmdBye {
+				if err := <-served; err != nil {
+					t.Fatalf("bye ended the session with %v", err)
+				}
+				return
+			}
+			reply, err := rn.c.ReadFrame()
+			if err != nil {
+				t.Fatalf("no reply to %x: %v", body, err)
+			}
+			ok, known := sizes[body[0]]
+			refuse := !known || !ok(len(body))
+			if body[0] == cmdHashRange && !refuse {
+				lo := int(binary.LittleEndian.Uint64(body[1:]))
+				hi := int(binary.LittleEndian.Uint64(body[9:]))
+				refuse = lo < 0 || hi > e.Store().NumObjects() || lo >= hi
+			}
+			switch {
+			case reply[0] == cmdErr:
+				if err := <-served; err == nil {
+					t.Fatalf("cmdErr for %x, but ServeNode returned nil", body)
+				}
+				return
+			case refuse:
+				t.Fatalf("body %x answered with %#x, want cmdErr", body, reply[0])
+			case reply[0] != replies[body[0]]:
+				t.Fatalf("body %x answered with %#x, want %#x", body, reply[0], replies[body[0]])
+			}
+		}
+	})
 }

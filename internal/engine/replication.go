@@ -4,16 +4,18 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/wal"
 )
 
-// Replication hooks: the engine-side integration points of the live WAL
-// shipping subsystem (internal/replication). A primary exposes three things
-// to a shipper — a tick-commit notification (so the shipper's tail reader
-// never polls blind), a consistent image snapshot handoff (the standby's
-// bootstrap), and a log-retention watermark (so segment pruning never
-// deletes records the shipper has not streamed yet). A standby engine is
+// Replication hooks: the engine-side integration points of both replica
+// rungs, the warm standby (internal/replication) and the peer-RAM replica
+// (internal/peerram). A primary exposes three things to them — a log
+// follower woken by tick commits (LogFollower, so neither rung polls
+// blind), a consistent image snapshot handoff (the bootstrap), and a
+// log-retention watermark (so segment pruning never deletes records a
+// replica does not hold yet). A standby engine is
 // opened with OpenStandby, fed with IngestReplicated, and flipped into a
 // primary with Promote.
 
@@ -133,6 +135,121 @@ func (e *Engine) notifySubs(tick uint64) {
 	}
 	for _, s := range e.subs {
 		s.signal(tick)
+	}
+}
+
+// idlePoll is a LogFollower's fallback wake-up when no tick-commit signal
+// arrives (the engine is idle, or a record was appended before the signal
+// the follower last saw).
+const idlePoll = 5 * time.Millisecond
+
+// LogFollower tail-follows the engine's log and hands back whole committed
+// ticks: the one WAL reader under both replica rungs (the standby Shipper
+// and the peer-RAM link). A tick's records are held until a later tick's
+// record appears or the commit watermark covers the tick, so a consumer
+// never sees a torn tick — a range install and the batch logged at the same
+// tick always arrive together. Its TickSub pins log retention at the
+// watermark the consumer publishes with NeedFrom.
+type LogFollower struct {
+	sub  *TickSub
+	dir  string
+	tail *wal.TailReader // opened by the first Next
+	done uint64          // ticks below it are committed, so all their records are readable
+	cur  uint64          // tick of held
+	held [][]byte        // records of cur, copied out of the tail's read chunk
+	out  [][]byte        // the tick the last Next returned, recycled
+}
+
+// FollowLog subscribes to e's tick commits and returns a follower of its
+// log. The commit watermark starts at the last tick committed before the
+// call (the log is flushed under the tick lock so those records are
+// readable), so a tick committed before the subscription is yielded even if
+// the engine never commits another. Close it before closing e.
+func (e *Engine) FollowLog() (*LogFollower, error) {
+	sub, err := e.SubscribeTicks()
+	if err != nil {
+		return nil, err
+	}
+	e.tickMu.Lock()
+	err = e.log.Flush()
+	done := e.tick
+	e.tickMu.Unlock()
+	if err != nil {
+		sub.Close()
+		return nil, err
+	}
+	return &LogFollower{sub: sub, dir: e.walDir, done: done}, nil
+}
+
+// Next returns the next whole committed tick at or above floor, the first
+// tick the caller's image does not cover (pass the same floor every call).
+// recs are copies of the tick's log record bodies, in log order, valid
+// until the next call. It blocks until a tick is whole, and returns
+// ok=false once stop is closed.
+func (f *LogFollower) Next(floor uint64, stop <-chan struct{}) (tick uint64, recs [][]byte, ok bool, err error) {
+	if f.tail == nil {
+		f.tail = wal.NewTailReader(f.dir, floor)
+	}
+	for {
+		select {
+		case <-stop:
+			return 0, nil, false, nil
+		default:
+		}
+		t, payload, more, err := f.tail.TryNext()
+		if err != nil {
+			return 0, nil, false, err
+		}
+		switch {
+		case more && t < floor:
+			continue
+		case more && len(f.held) > 0 && t != f.cur:
+			// A later tick's record proves cur whole.
+			tick, recs = f.cur, f.yield()
+			f.cur, f.held = t, appendCopy(f.held, payload)
+			return tick, recs, true, nil
+		case more:
+			f.cur, f.held = t, appendCopy(f.held, payload)
+			continue
+		case len(f.held) > 0 && f.cur < f.done:
+			return f.cur, f.yield(), true, nil
+		}
+		select {
+		case <-stop:
+			return 0, nil, false, nil
+		case c := <-f.sub.C:
+			f.done = max(f.done, c+1)
+		case <-time.After(idlePoll):
+		}
+	}
+}
+
+// yield hands the held records out and recycles the previous tick's slices
+// as the new hold.
+func (f *LogFollower) yield() [][]byte {
+	f.out, f.held = f.held, f.out[:0]
+	return f.out
+}
+
+// appendCopy appends a copy of p to recs, reusing a recycled slice's bytes
+// when one is there.
+func appendCopy(recs [][]byte, p []byte) [][]byte {
+	if n := len(recs); n < cap(recs) {
+		recs = recs[:n+1]
+		recs[n] = append(recs[n][:0], p...)
+		return recs
+	}
+	return append(recs, append([]byte(nil), p...))
+}
+
+// NeedFrom publishes the consumer's retention watermark (TickSub.NeedFrom).
+func (f *LogFollower) NeedFrom(tick uint64) { f.sub.NeedFrom(tick) }
+
+// Close cancels the subscription and releases the reader.
+func (f *LogFollower) Close() {
+	f.sub.Close()
+	if f.tail != nil {
+		f.tail.Close() //nolint:errcheck // read-only
 	}
 }
 

@@ -50,7 +50,7 @@ func inflate(comp []byte, rawLen int) ([]byte, error) {
 	if _, err := io.ReadFull(zr, raw); err != nil {
 		return nil, fmt.Errorf("peerram: decompress: %w", err)
 	}
-	// A trailing byte means the frame lied about rawLen: corrupt replica.
+	// A trailing byte means the stored rawLen lied: corrupt replica.
 	var one [1]byte
 	if n, _ := zr.Read(one[:]); n != 0 {
 		return nil, fmt.Errorf("peerram: decompress: replica longer than declared %d bytes", rawLen)

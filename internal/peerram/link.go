@@ -2,338 +2,193 @@ package peerram
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/replication"
-	"repro/internal/wal"
 )
 
-// idlePoll is the tail-follow loop's fallback wake-up when no tick-commit
-// signal arrives (the engine is idle, or a record was appended before the
-// sender subscribed).
-const idlePoll = 5 * time.Millisecond
+// errLinkStopped ends a Drain or Refresh on a link whose feed has stopped
+// without an error of its own (it was detached).
+var errLinkStopped = errors.New("peerram: link stopped")
 
-// Sender streams one engine's checkpoint image and dirty-since-cut tick
-// deltas into one peer's replica store. It is the warm-standby shipper with
-// the standby replaced by compressed RAM: the same WAL tail-follow woken by
-// the engine's tick-commit signal, and the same ack-bounded
-// replication.Stream underneath — CRC framing, lag gate, ack-based
-// retention (the holder's watermark feeds TickSub.NeedFrom) — with no fsync
-// anywhere on the tick path.
+// link is one (owner → holder) replica feed: one goroutine follows the
+// owner's WAL through an engine.LogFollower — the reader under the
+// warm-standby Shipper too — and puts every whole tick, flate-compressed,
+// straight into the holder's Store. The store's watermark (the first tick
+// it still needs) is the owner's log retention, so pruning never outruns
+// the replica, and nothing on the tick path fsyncs.
 //
-// Deltas are shipped one complete tick per frame: the sender holds a tick's
-// records back until the engine's commit watermark proves the tick is fully
-// in the log (or a later tick's record appears, which proves the same), so
-// a connection cut can only ever cost whole ticks at the holder — the
-// replica never holds a torn tick.
-type Sender struct {
-	e   *engine.Engine
-	st  *replication.Stream
-	sub *engine.TickSub
+// One bundle per tick is what keeps the replica whole: the follower yields
+// a tick only once all of its records are in the log, so the store never
+// holds a torn tick — unlike a crashed node's own WAL, whose final tick can
+// tear between the records that share it.
+type link struct {
+	owner int
+	e     *engine.Engine
+	store *Store
+	f     *engine.LogFollower
 
-	refresh chan chan error
-	done    chan struct{}
+	// imageMu makes snapshot-and-put one step, so images land in the store
+	// in snapshot order: a Refresh racing the initial image never regresses
+	// it.
+	imageMu sync.Mutex
+
+	mu      sync.Mutex
+	w       uint64        // the store's watermark for owner
+	err     error         // why the feed ended; nil while it runs
+	changed chan struct{} // closed and replaced whenever w or err moves
+
+	stop chan struct{}
+	done chan struct{}
 }
 
-// StartSender attaches a replica sender to a live engine and starts
-// streaming to conn (the holder's end is a Holder). It returns immediately;
-// the initial image ships on a background goroutine. The caller must Stop
-// the sender before closing the engine.
-func StartSender(e *engine.Engine, conn net.Conn, opts replication.StreamOptions) (*Sender, error) {
-	sub, err := e.SubscribeTicks()
+// startLink starts feeding owner's replica on e into store. It returns
+// immediately; the initial image is put on the feed goroutine.
+func startLink(owner int, e *engine.Engine, store *Store) (*link, error) {
+	f, err := e.FollowLog()
 	if err != nil {
 		return nil, err
 	}
-	s := &Sender{
+	l := &link{
+		owner:   owner,
 		e:       e,
-		st:      replication.NewStream(conn, opts),
-		sub:     sub,
-		refresh: make(chan chan error, 1),
+		store:   store,
+		f:       f,
+		changed: make(chan struct{}),
+		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	go s.run()
-	return s, nil
+	go l.run()
+	return l, nil
 }
 
-func (s *Sender) run() {
-	defer close(s.done)
-	s.st.Fail(s.ship())
-	s.st.Stop() //nolint:errcheck // closes the conn (unblocks the holder) and joins the ack reader
-	s.sub.Close()
+func (l *link) run() {
+	defer close(l.done)
+	err := l.feed()
+	l.f.Close()
+	if err == nil {
+		err = errLinkStopped
+	}
+	l.publish(0, err)
 }
 
-// shipImage snapshots the engine, compresses the slab, and ships it as one
-// image frame. It returns the image floor (the first tick the image does
-// not cover) so the delta stream can skip everything below it.
-func (s *Sender) shipImage() (uint64, error) {
-	nextTick, snap, err := s.e.Snapshot()
+// feed is the link's main line: the initial image, then one delta bundle
+// per whole tick the follower yields.
+func (l *link) feed() error {
+	floor, err := l.putImage()
+	if err != nil {
+		return err
+	}
+	var bundle []byte // u32-length-prefixed records of one tick
+	for {
+		// A tick a Refresh has since covered is a stale put the store skips.
+		tick, recs, ok, err := l.f.Next(floor, l.stop)
+		if err != nil || !ok {
+			return err
+		}
+		bundle = bundle[:0]
+		for _, rec := range recs {
+			bundle = binary.LittleEndian.AppendUint32(bundle, uint32(len(rec)))
+			bundle = append(bundle, rec...)
+		}
+		comp, err := deflate(bundle)
+		if err != nil {
+			return err
+		}
+		w, err := l.store.PutDelta(l.owner, tick, len(bundle), comp)
+		if err != nil {
+			return err
+		}
+		l.publish(w, nil)
+	}
+}
+
+// putImage snapshots the engine, compresses the slab and installs it as the
+// holder's image, dropping the deltas it supersedes. It returns the first
+// tick the image does not cover.
+func (l *link) putImage() (uint64, error) {
+	l.imageMu.Lock()
+	defer l.imageMu.Unlock()
+	nextTick, snap, err := l.e.Snapshot()
 	if err != nil {
 		return 0, err
 	}
-	epoch := s.e.CheckpointEpoch()
+	epoch := l.e.CheckpointEpoch()
 	comp, err := deflate(snap)
 	if err != nil {
 		return 0, err
 	}
-	b := binary.LittleEndian.AppendUint64(s.st.Frame(replication.FrameReplicaImage), epoch)
-	b = binary.LittleEndian.AppendUint64(b, nextTick)
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(snap)))
-	return nextTick, s.st.Send(append(b, comp...))
+	w, err := l.store.PutImage(l.owner, epoch, nextTick, len(snap), comp)
+	if err != nil {
+		return 0, err
+	}
+	l.publish(w, nil)
+	return nextTick, nil
 }
 
-// ship is the sender's main line: initial image, then the commit-gated
-// bundle loop tail-following the engine's WAL.
-func (s *Sender) ship() error {
-	floor, err := s.shipImage()
+// publish moves the link's watermark forward (never back), releases the
+// owner's log below it, latches the first error, and wakes every Drain.
+func (l *link) publish(w uint64, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if w > l.w {
+		l.w = w
+		l.f.NeedFrom(w)
+	}
+	if l.err == nil {
+		l.err = err
+	}
+	close(l.changed)
+	l.changed = make(chan struct{})
+}
+
+// refresh puts a fresh checkpoint image; when it returns, the store's image
+// is the new cut and the deltas it supersedes are gone.
+func (l *link) refresh() error {
+	l.mu.Lock()
+	err := l.err
+	l.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	s.sub.NeedFrom(floor)
+	_, err = l.putImage()
+	return err
+}
 
-	// The holder acks with its retention watermark — the first tick it still
-	// needs, everything below being safe in its RAM — which is the stream's
-	// own form and exactly what the engine's log retention takes.
-	s.st.StartAcks(replication.FrameReplicaAck, func(w uint64) uint64 {
-		s.sub.NeedFrom(w)
-		return w
-	})
-
-	tail := wal.NewTailReader(s.e.WALDir(), floor)
-	defer tail.Close()
-
-	var (
-		cur     uint64 // tick being accumulated
-		have    bool   // recs holds records of cur
-		recs    []byte // raw bundle: u32-length-prefixed records of cur
-		commit  uint64 // engine's latest committed tick
-		sawComm bool
-	)
-	flush := func() error {
-		if !have {
-			return nil
-		}
-		comp, err := deflate(recs)
-		if err != nil {
-			return err
-		}
-		if err := s.st.WaitLag(cur, floor); err != nil {
-			return err
-		}
-		b := binary.LittleEndian.AppendUint64(s.st.Frame(replication.FrameReplicaDelta), cur)
-		b = binary.LittleEndian.AppendUint64(b, uint64(len(recs)))
-		have, recs = false, recs[:0]
-		return s.st.Send(append(b, comp...))
+// await blocks until the store's watermark passes tick (the holder's RAM
+// covers everything at or below it), the feed ends, or the timeout elapses
+// (timeout <= 0 waits without a deadline).
+func (l *link) await(tick uint64, timeout time.Duration) error {
+	var expired <-chan time.Time
+	if timeout > 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		expired = t.C
 	}
 	for {
-		select {
-		case <-s.st.Stopped():
+		l.mu.Lock()
+		w, err, changed := l.w, l.err, l.changed
+		l.mu.Unlock()
+		switch {
+		case w > tick:
 			return nil
-		default:
-		}
-		// Fold any queued commit signals into the watermark (non-blocking:
-		// the channel coalesces to the newest tick).
-		select {
-		case c := <-s.sub.C:
-			commit, sawComm = c, true
-		default:
-		}
-		tick, payload, ok, err := tail.TryNext()
-		if err != nil {
+		case err != nil:
 			return err
-		}
-		if ok {
-			if tick < floor {
-				continue // covered by the image
-			}
-			if have && tick != cur {
-				// A later tick's record proves cur is fully read.
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-			if !have {
-				cur, have = tick, true
-			}
-			recs = binary.LittleEndian.AppendUint32(recs, uint32(len(payload)))
-			recs = append(recs, payload...)
-			continue
-		}
-		// Dry tail: the accumulated tick is complete iff the engine has
-		// committed it (commit ⇒ flushed ⇒ everything of cur was readable).
-		if have && sawComm && commit >= cur {
-			if err := flush(); err != nil {
-				return err
-			}
 		}
 		select {
-		case <-s.st.Stopped():
-			return nil
-		case reply := <-s.refresh:
-			nt, err := s.shipImage()
-			if err != nil {
-				reply <- err
-				return err
-			}
-			if nt > floor {
-				floor = nt
-			}
-			if have && cur < floor {
-				have, recs = false, recs[:0] // superseded by the new image
-			}
-			reply <- nil
-		case c := <-s.sub.C:
-			commit, sawComm = c, true
-		case <-time.After(idlePoll):
+		case <-changed:
+		case <-expired:
+			return fmt.Errorf("peerram: tick %d not held within %v", tick, timeout)
 		}
 	}
 }
 
-// RefreshImage ships a fresh checkpoint image (superseding the holder's
-// deltas below the new floor) and waits for it to be written to the stream.
-// The cluster calls it after every coordinated world checkpoint, so a
-// holder's replica tracks the newest cut and its delta tail stays short.
-func (s *Sender) RefreshImage() error {
-	reply := make(chan error, 1)
-	select {
-	case s.refresh <- reply:
-	case <-s.done:
-		return s.failure()
-	}
-	select {
-	case err := <-reply:
-		return err
-	case <-s.done:
-		return s.failure()
-	}
-}
-
-func (s *Sender) failure() error {
-	if err := s.st.Err(); err != nil {
-		return err
-	}
-	return replication.ErrStopped
-}
-
-// AwaitAck blocks until the holder's watermark passes tick (its RAM covers
-// everything at or below tick), the stream fails, or the timeout elapses.
-func (s *Sender) AwaitAck(tick uint64, timeout time.Duration) error {
-	return s.st.AwaitAck(tick, timeout)
-}
-
-// Stop tears the link down and joins the goroutines. It returns the first
-// stream error, or nil if the link was healthy.
-func (s *Sender) Stop() error {
-	s.st.Stop() //nolint:errcheck // reported below, once run has latched its own
-	<-s.done
-	return s.st.Err()
-}
-
-// Holder is the receiving end of one replica link: it ingests image and
-// delta frames into a Store and answers each with the store's retention
-// watermark. One holder goroutine serves one (owner, holder-node) link.
-type Holder struct {
-	owner int
-	store *Store
-	c     *replication.Conn
-
-	mu      sync.Mutex
-	err     error
-	stopped bool
-	done    chan struct{}
-}
-
-// StartHolder starts ingesting replica frames for owner into store.
-func StartHolder(owner int, store *Store, conn net.Conn) *Holder {
-	h := &Holder{owner: owner, store: store, c: replication.NewConn(conn, replication.MaxFrameSize), done: make(chan struct{})}
-	go h.run()
-	return h
-}
-
-func (h *Holder) run() {
-	defer close(h.done)
-	err := h.serve()
-	h.mu.Lock()
-	if h.err == nil && err != nil && !h.stopped {
-		h.err = err
-	}
-	h.mu.Unlock()
-	h.c.Close() //nolint:errcheck // unblocks the sender; best effort
-}
-
-func (h *Holder) serve() error {
-	for {
-		body, err := h.c.ReadFrame()
-		if err != nil {
-			return err
-		}
-		var w uint64
-		switch body[0] {
-		case replication.FrameReplicaImage:
-			if len(body) < 25 {
-				return fmt.Errorf("peerram: short image frame (%d bytes)", len(body))
-			}
-			epoch := binary.LittleEndian.Uint64(body[1:])
-			nextTick := binary.LittleEndian.Uint64(body[9:])
-			rawLen, comp, err := replicaPayload(body[17:])
-			if err != nil {
-				return err
-			}
-			if w, err = h.store.PutImage(h.owner, epoch, nextTick, rawLen, comp); err != nil {
-				return err
-			}
-		case replication.FrameReplicaDelta:
-			if len(body) < 17 {
-				return fmt.Errorf("peerram: short delta frame (%d bytes)", len(body))
-			}
-			tick := binary.LittleEndian.Uint64(body[1:])
-			rawLen, comp, err := replicaPayload(body[9:])
-			if err != nil {
-				return err
-			}
-			if w, err = h.store.PutDelta(h.owner, tick, rawLen, comp); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("peerram: unexpected frame type %d", body[0])
-		}
-		if err := h.c.SendU64(replication.FrameReplicaAck, w); err != nil {
-			return err
-		}
-	}
-}
-
-// replicaPayload splits the tail both replica frames share — u64 rawLen,
-// then the flate stream — copying the compressed bytes out of the read
-// buffer. rawLen comes from outside and later sizes the restore path's
-// buffer, so one DEFLATE cannot produce (ErrRawLen) is refused here, before
-// the store changes.
-func replicaPayload(p []byte) (rawLen int, comp []byte, err error) {
-	raw := binary.LittleEndian.Uint64(p)
-	comp = p[8:]
-	if raw > maxInflated(len(comp)) {
-		return 0, nil, fmt.Errorf("%w: frame declares %d bytes for a %d-byte stream", ErrRawLen, raw, len(comp))
-	}
-	return int(raw), append([]byte(nil), comp...), nil
-}
-
-// Err returns the stream error that ended the holder, nil while running or
-// after a clean Stop.
-func (h *Holder) Err() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.err
-}
-
-// Stop closes the link and joins the ingest goroutine.
-func (h *Holder) Stop() error {
-	h.mu.Lock()
-	h.stopped = true
-	h.mu.Unlock()
-	h.c.Close() //nolint:errcheck // unblocks the read loop
-	<-h.done
-	return h.Err()
+// close stops the feed and joins its goroutine. The store keeps what it
+// holds.
+func (l *link) close() {
+	close(l.stop)
+	<-l.done
 }

@@ -5,12 +5,11 @@
 // instead of through the paper's disk-bound restore+replay pipeline — the
 // ReStore idea applied to the MMO tick engine.
 //
-// The replica stream is the warm-standby wire protocol with the standby
-// replaced by compressed bytes: the same framed connection
-// (replication.Conn, frame types 10–12 alongside the standby stream's
-// 1–9), the same WAL tail-follow woken by the engine's
-// tick-commit signal, and the same ack-based log retention — so replication
-// adds no connections of its own kind and no fsyncs to the tick path. On
+// The replica feed is in process. One goroutine per (owner → holder) link
+// follows the owner's WAL through engine.LogFollower — the same follower
+// that feeds the warm-standby Shipper — and puts each whole tick, flate
+// compressed, straight into the holder's Store. The store's watermark is
+// the owner's log retention, and nothing on the tick path fsyncs. On
 // recovery, a surviving holder's replica feeds engine.RecoverWith: the
 // image streams into the slab per shard range while the delta records and
 // the crashed node's own WAL tail replay through the same gated
@@ -20,27 +19,18 @@ package peerram
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/replication"
 )
-
-// link is one (owner → holder) replica stream.
-type link struct {
-	holder int
-	sender *Sender
-	recv   *Holder
-}
 
 // Mesh is the cluster's replica placement map: node i's checkpoint image
 // and delta tail are held by its ring successor, (i+1) mod n. It owns the
-// per-node stores and the sender/holder pair of every link. A Mesh
-// deliberately outlives the Cluster that attached to it — the surviving
-// nodes' RAM is exactly what peer-RAM recovery restores from after the
-// cluster's engines have crashed.
+// per-node stores and the feed of every link. A Mesh deliberately outlives
+// the Cluster that attached to it — the surviving nodes' RAM is exactly
+// what peer-RAM recovery restores from after the cluster's engines have
+// crashed.
 type Mesh struct {
 	n int
 
@@ -74,10 +64,9 @@ func (m *Mesh) holder(owner int) int {
 	return (owner + 1) % m.n
 }
 
-// Attach starts owner's replica link: one sender on e and one holder on the
-// ring successor, connected by an in-process pipe (the frames are designed
-// to multiplex onto the cluster's existing streams; the pipe stands in for
-// that mux). The initial image ships in the background; Drain awaits it.
+// Attach starts owner's replica link: one goroutine following e's log into
+// the ring successor's store. The initial image is put in the background;
+// Drain awaits it.
 // The caller must Detach (or Crash) owner before closing e.
 //
 // Attaching a node Crash marked dead revives it with a fresh holder store:
@@ -101,23 +90,20 @@ func (m *Mesh) Attach(owner int, e *engine.Engine) error {
 	if h < 0 {
 		return nil
 	}
-	sc, hc := net.Pipe()
-	recv := StartHolder(owner, m.stores[h], hc)
-	sender, err := StartSender(e, sc, replication.StreamOptions{})
+	l, err := startLink(owner, e, m.stores[h])
 	if err != nil {
-		recv.Stop() //nolint:errcheck // unwinding
 		return err
 	}
-	m.links[owner] = &link{holder: h, sender: sender, recv: recv}
+	m.links[owner] = l
 	return nil
 }
 
-// Refresh ships a fresh checkpoint image on owner's link, if its holder is
+// Refresh puts a fresh checkpoint image on owner's link, if its holder is
 // alive. Call it right after a coordinated checkpoint cut so the replica
 // tracks the newest image and drops the deltas it supersedes.
 func (m *Mesh) Refresh(owner int) error {
 	if l := m.liveLink(owner); l != nil {
-		if err := l.sender.RefreshImage(); err != nil {
+		if err := l.refresh(); err != nil {
 			return err
 		}
 	}
@@ -126,12 +112,12 @@ func (m *Mesh) Refresh(owner int) error {
 	return nil
 }
 
-// Drain blocks until a live holder of owner's replica covers tick, or the
-// timeout elapses. It is the graceful-shutdown barrier: after Drain,
-// owner's full history through tick is in its peer's RAM.
+// Drain blocks until a live holder of owner's replica covers tick, the link
+// fails, or the timeout elapses. It is the graceful-shutdown barrier: after
+// Drain, owner's full history through tick is in its peer's RAM.
 func (m *Mesh) Drain(owner int, tick uint64, timeout time.Duration) error {
 	if l := m.liveLink(owner); l != nil {
-		if err := l.sender.AwaitAck(tick, timeout); err != nil {
+		if err := l.await(tick, timeout); err != nil {
 			return err
 		}
 	}
@@ -145,21 +131,20 @@ func (m *Mesh) Drain(owner int, tick uint64, timeout time.Duration) error {
 func (m *Mesh) liveLink(owner int) *link {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if l := m.links[owner]; l != nil && !m.dead[l.holder] {
+	if l := m.links[owner]; l != nil && !m.dead[m.holder(owner)] {
 		return l
 	}
 	return nil
 }
 
-// Detach stops owner's link (sender first, then holder), leaving the
-// holder's store intact: the replica stays servable, frozen at its last
-// acked tick. Call it before closing owner's engine.
+// Detach stops owner's link, leaving the holder's store intact: the replica
+// stays servable, frozen at the last tick it was given. Call it before
+// closing owner's engine.
 func (m *Mesh) Detach(owner int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if l := m.links[owner]; l != nil {
-		l.sender.Stop() //nolint:errcheck // teardown
-		l.recv.Stop()   //nolint:errcheck // teardown
+		l.close()
 		m.links[owner] = nil
 	}
 }

@@ -86,7 +86,7 @@ func (s *RestoreSource) Records() (recovery.RecordSource, error) {
 
 // recordIter walks the delta bundles, inflating each into a fresh buffer
 // (fanned-out payloads must outlive the iterator) and splitting it into the
-// u32-length-prefixed records the sender packed.
+// u32-length-prefixed records the link packed.
 type recordIter struct {
 	src  *RestoreSource
 	next int    // next bundle index

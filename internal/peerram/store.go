@@ -17,15 +17,15 @@ var (
 	// holding peer died while streaming its image or deltas into the
 	// recovering engine.
 	ErrReplicaGone = errors.New("peerram: replica holder died mid-restore")
-	// ErrRawLen reports a replica whose declared inflated size is one its
-	// compressed bytes cannot produce: a corrupt or hostile frame at ingest,
-	// a corrupt store entry at restore.
+	// ErrRawLen reports a stored replica whose declared inflated size is one
+	// its compressed bytes cannot produce: a corrupt store entry, refused at
+	// restore.
 	ErrRawLen = errors.New("peerram: impossible declared raw length")
 )
 
 // deltaBundle is one complete tick's worth of log records, compressed.
-// Bundling per tick is what makes the holder's tail trustworthy: a frame
-// is CRC-framed all-or-nothing, so the replica never holds a torn tick —
+// Bundling per tick is what makes the holder's tail trustworthy: a bundle
+// is put whole or not at all, so the replica never holds a torn tick —
 // unlike a crashed node's own WAL, whose final tick can tear between the
 // records that share it.
 type deltaBundle struct {
@@ -58,7 +58,7 @@ type replica struct {
 
 // Store is one node's holder-side replica set: the compressed images and
 // delta tails this node keeps in RAM on behalf of their owners. All methods
-// are safe for concurrent use (holder goroutines ingest while a recovery
+// are safe for concurrent use (link goroutines put while a recovery
 // reads).
 type Store struct {
 	mu       sync.Mutex

@@ -8,19 +8,21 @@
 // The dataflow is deliberately log-structured, mirroring ReStore-style
 // in-memory checkpoint/replication systems:
 //
-//	primary engine ── wal append ──► wal dir ── TailReader ──► Shipper ──► conn
-//	                                                            ▲  acks │
-//	                                                            └───────┤
+//	primary engine ── wal append ──► wal dir ── engine.LogFollower ──► Shipper ──► conn
+//	                                                                    ▲  acks │
+//	                                                                    └───────┤
 //	conn ──► Standby ── IngestReplicated ──► standby engine (own WAL + checkpoints)
 //
-// The shipper is a *second concurrent consumer* of the primary's WAL: it
-// tail-follows the segment being appended (wal.TailReader), woken by the
-// engine's tick-commit notification, and streams a bootstrap snapshot
-// followed by tick records over a single duplex connection. The standby
-// acknowledges each applied tick; the shipper enforces a bounded
-// number of in-flight (shipped-but-unacked) ticks, so a slow standby
-// throttles shipping — it never corrupts it, and the primary never blocks
-// beyond its lag budget's worth of buffering.
+// The shipper is a *second concurrent consumer* of the primary's WAL: an
+// engine.LogFollower tail-follows the segment being appended, woken by the
+// engine's tick-commit notification, and hands back whole committed ticks
+// (the same follower feeds the peer-RAM replicas of internal/peerram, in
+// process). The shipper streams a bootstrap snapshot followed by tick
+// records over a single duplex connection — the one replica wire protocol
+// in the repository. The standby acknowledges each applied tick; the
+// shipper enforces a bounded number of in-flight (shipped-but-unacked)
+// ticks, so a slow standby throttles shipping — it never corrupts it, and
+// the primary never blocks beyond its lag budget's worth of buffering.
 //
 // Everything on the wire is tick-framed, length-prefixed and CRC-checked,
 // so a connection cut at any byte seals the stream at the last complete
@@ -42,9 +44,9 @@ const protocolVersion = 2
 // clear error instead of a CRC mismatch.
 var magic = [8]byte{'M', 'M', 'O', 'R', 'E', 'P', 'L', protocolVersion}
 
-// Frame types. The stream is: hello ⇄ welcome, snapshot begin/chunk*/end,
-// then tick* one way and ack* the other. Values are wire-stable; 8 is
-// unassigned.
+// Frame types. The stream is: hello ⇄ welcome, resume, snapshot
+// begin/chunk*/end, then tick* one way and ack* the other. Values are
+// wire-stable; 8 and 10–12 are unassigned.
 const (
 	ftHello     byte = 1 // primary → standby: magic, geometry
 	ftWelcome   byte = 2 // standby → primary: magic, geometry echo
@@ -67,37 +69,13 @@ const (
 	ftResume byte = 9 // nextTick+1 u64, or 0 for a fresh bootstrap
 )
 
-// Peer-RAM replica frames (internal/peerram). They ride the same framed
-// connection (Conn) and the same ack-based retention discipline as the
-// warm-standby stream, multiplexed over the cluster's existing connections — a replica holder is a tick-stream
-// consumer that keeps compressed bytes in RAM instead of a live engine.
-// Exported so internal/peerram can speak the protocol without a second
-// framing layer; values stay clear of the standby stream's 1–9.
-const (
-	// FrameReplicaImage replaces the holder's image for one owner:
-	// epoch u64, nextTick u64, rawLen u64, flate-compressed slab. The
-	// holder's deltas below nextTick become obsolete and are dropped.
-	FrameReplicaImage byte = 10
-	// FrameReplicaDelta appends one tick record to the holder's delta tail:
-	// tick u64, rawLen u64, flate-compressed engine log record body. Ticks
-	// arrive in order; several records may share one tick (a range install
-	// and the tick's batch).
-	FrameReplicaDelta byte = 11
-	// FrameReplicaAck is the holder's retention watermark: the first tick it
-	// still needs from the sender's WAL (everything below is safely in the
-	// holder's RAM). It plays the role ftAck plays for a standby — the
-	// sender feeds it to TickSub.NeedFrom so log pruning never outruns the
-	// replica.
-	FrameReplicaAck byte = 12
-)
-
 // snapChunkSize is the snapshot transfer granule.
 const snapChunkSize = 256 << 10
 
 // sendSnapshot ships a tick-consistent image of the whole slab as
 // snapBegin, snapChunk* and snapEnd frames: a standby session's bootstrap
 // leg.
-func (s *Stream) sendSnapshot(nextTick uint64, data []byte) error {
+func (s *stream) sendSnapshot(nextTick uint64, data []byte) error {
 	if err := s.c.SendU64(ftSnapBegin, nextTick, uint64(len(data))); err != nil {
 		return err
 	}

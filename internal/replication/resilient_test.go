@@ -177,3 +177,95 @@ func TestBackoffSequence(t *testing.T) {
 		t.Fatalf("zero-value base = %v, want 10ms", got)
 	}
 }
+
+// TestStandbyResumesAgainstIdlePrimary severs the first session mid-stream
+// and lets the standby redial only once the primary has committed its last
+// tick and gone idle. The resumed session's log follower starts with no
+// commit signal to come, so it must treat every tick committed before it
+// began as whole: the last retained tick reaches the standby, and the
+// promoted standby holds every tick.
+func TestStandbyResumesAgainstIdlePrimary(t *testing.T) {
+	const ticks, perTick = 60, 48
+	tab := gamestate.Table{Rows: 256, Cols: 8, CellSize: 4, ObjSize: 512}
+	p, err := engine.Open(engine.Options{
+		Table: tab, Dir: t.TempDir(), Mode: engine.ModeCopyOnUpdate,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	// Session 1 carries the snapshot and a few ticks, then severs; session
+	// 2 dials only after the last tick has committed.
+	conns := make(chan net.Conn)
+	idle := make(chan struct{})
+	session := 0
+	shipDial := func() (net.Conn, error) {
+		limit := int64(tab.StateBytes()) + 2500
+		if session > 0 {
+			<-idle
+			limit = 0
+		}
+		session++
+		sc, pc := net.Pipe()
+		wrapped := chaos.WrapConn(pc, 7, fmt.Sprintf("idle#%d", session), chaos.ConnFaults{SeverAfterBytes: limit})
+		select {
+		case conns <- sc:
+			return wrapped, nil
+		case <-time.After(10 * time.Second):
+			return nil, errors.New("standby never picked up")
+		}
+	}
+	standbyDial := func() (net.Conn, error) {
+		select {
+		case c := <-conns:
+			return c, nil
+		case <-time.After(10 * time.Second):
+			return nil, errors.New("shipper never dialed")
+		}
+	}
+	fast := Backoff{Base: time.Millisecond, Cap: 10 * time.Millisecond}
+	sb, err := StartResilientStandby(engine.Options{
+		Table: tab, Dir: t.TempDir(), Mode: engine.ModeCopyOnUpdate,
+	}, standbyDial, ResilientOptions{Backoff: fast})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := StartResilientShipper(p, shipDial, StreamOptions{}, ResilientOptions{Backoff: fast})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select { // the bootstrap snapshot precedes every tick, so they all stream
+	case <-sb.Ready():
+	case <-sb.Done():
+		t.Fatalf("standby died before bootstrap: %v", sb.Err())
+	case <-time.After(10 * time.Second):
+		t.Fatal("standby never bootstrapped")
+	}
+	for tick := 0; tick < ticks; tick++ {
+		if err := p.ApplyTick(detBatch(tab, tick, perTick)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, ok := sh.Acked(); ok && a >= ticks-1 {
+		t.Fatalf("session 1 acked tick %d: the budget never severed it", a)
+	}
+	close(idle)
+	if err := sh.AwaitAck(ticks-1, 30*time.Second); err != nil {
+		t.Fatalf("await last tick after an idle resume: %v (sessions=%d)", err, sh.Sessions())
+	}
+	if sh.Sessions() < 2 {
+		t.Fatalf("%d sessions: the standby never resumed", sh.Sessions())
+	}
+	if err := sh.Stop(); err != nil {
+		t.Fatalf("shipper stop: %v", err)
+	}
+	promoted, err := sb.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer promoted.Close()
+	if promoted.NextTick() != ticks || !bytes.Equal(promoted.Store().Slab(), referenceSlab(t, tab, ticks)) {
+		t.Fatalf("promoted at tick %d, want %d and the reference slab", promoted.NextTick(), ticks)
+	}
+}

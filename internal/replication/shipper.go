@@ -8,13 +8,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/wal"
 )
-
-// idlePoll is the tail-follow loop's fallback wake-up when no tick-commit
-// signal arrives (the primary is idle, or a record was appended before the
-// shipper subscribed).
-const idlePoll = 5 * time.Millisecond
 
 // ShipperStats is a snapshot of a shipper's progress counters.
 type ShipperStats struct {
@@ -32,13 +26,13 @@ type ShipperStats struct {
 }
 
 // Shipper streams a primary engine to one standby: bootstrap snapshot
-// first, then live WAL records tail-followed from the engine's log
-// directory, over an ack-bounded Stream. Start it with StartShipper; it
+// first, then the whole ticks an engine.LogFollower reads from the engine's
+// log, over an ack-bounded stream. Start it with StartShipper; it
 // runs until the connection breaks, the engine closes, or Stop.
 type Shipper struct {
 	e     *engine.Engine
-	st    *Stream
-	sub   *engine.TickSub
+	st    *stream
+	f     *engine.LogFollower
 	acked func(tick uint64) // a supervisor's ack hook; nil for a plain shipper
 
 	mu    sync.Mutex
@@ -59,14 +53,14 @@ func StartShipper(e *engine.Engine, conn net.Conn, opts StreamOptions) (*Shipper
 // startShipper is StartShipper with acked, if non-nil, called on the ack
 // reader goroutine for every acknowledgement the standby sends.
 func startShipper(e *engine.Engine, conn net.Conn, opts StreamOptions, acked func(tick uint64)) (*Shipper, error) {
-	sub, err := e.SubscribeTicks()
+	f, err := e.FollowLog()
 	if err != nil {
 		return nil, err
 	}
 	s := &Shipper{
 		e:     e,
-		st:    NewStream(conn, opts),
-		sub:   sub,
+		st:    newStream(conn, opts),
+		f:     f,
 		acked: acked,
 		done:  make(chan struct{}),
 	}
@@ -78,7 +72,7 @@ func (s *Shipper) run() {
 	defer close(s.done)
 	s.st.Fail(s.ship())
 	s.st.Stop() //nolint:errcheck // closes the conn (unblocks the peer) and joins the ack reader
-	s.sub.Close()
+	s.f.Close()
 }
 
 // ship is the shipper's main line: handshake, snapshot bootstrap, then the
@@ -119,7 +113,7 @@ func (s *Shipper) ship() error {
 	} else {
 		nextTick = resume - 1
 	}
-	s.sub.NeedFrom(nextTick)
+	s.f.NeedFrom(nextTick)
 	s.mu.Lock()
 	s.stats.StartTick = nextTick
 	s.stats.SnapshotBytes = int64(len(snap))
@@ -130,59 +124,40 @@ func (s *Shipper) ship() error {
 		}
 	}
 
-	s.st.StartAcks(ftAck, s.onAck)
+	s.st.StartAcks(s.onAck)
 
-	// The live stream: tail-follow the WAL, framing every record with
-	// tick >= nextTick. TryNext is non-blocking; on a dry tail we wait for
-	// the engine's tick-commit signal (or idlePoll, which covers
-	// records that were appended before we subscribed). Range installs need
-	// no special casing at the snapshot boundary: they are logged at the
+	// The live stream: every whole tick at or above nextTick the log
+	// follower yields, one ftTick frame per record. Range installs need no
+	// special casing at the snapshot boundary: they are logged at the
 	// engine's next tick (>= our nextTick), so one sharing the snapshot's
 	// inter-tick window is streamed regardless of which side of the copy it
 	// landed on — and re-applying absolute bytes the snapshot already
 	// contains is idempotent on the standby.
-	tail := wal.NewTailReader(s.e.WALDir(), nextTick)
-	defer tail.Close()
 	for {
-		select {
-		case <-s.st.Stopped():
-			return nil
-		default:
-		}
-		tick, payload, ok, err := tail.TryNext()
-		if err != nil {
+		tick, recs, ok, err := s.f.Next(nextTick, s.st.Stopped())
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			select {
-			case <-s.st.Stopped():
-				return nil
-			case <-s.sub.C:
-			case <-time.After(idlePoll):
+		for _, rec := range recs {
+			if err := s.st.WaitLag(tick, nextTick); err != nil {
+				return err
 			}
-			continue
-		}
-		if tick < nextTick {
-			continue // covered by the snapshot
-		}
-		if err := s.st.WaitLag(tick, nextTick); err != nil {
-			return err
-		}
-		b := binary.LittleEndian.AppendUint64(s.st.Frame(ftTick), tick)
-		if err := s.st.Send(append(b, payload...)); err != nil {
-			return err
-		}
-		shipped := 9 + len(payload) // the frame body: type, tick, record
-		s.mu.Lock()
-		s.stats.TicksShipped++
-		s.stats.BytesShipped += int64(shipped)
-		s.stats.Shipped, s.stats.HasShipped = tick, true
-		s.mu.Unlock()
-		telTicksShipped.Inc()
-		telBytesShipped.Add(uint64(shipped))
-		telShippedTick.Set(int64(tick))
-		if acked, ok := s.st.Acked(); ok {
-			telLagTicks.Set(lagTicks(tick, acked))
+			b := binary.LittleEndian.AppendUint64(s.st.Frame(ftTick), tick)
+			if err := s.st.Send(append(b, rec...)); err != nil {
+				return err
+			}
+			shipped := 9 + len(rec) // the frame body: type, tick, record
+			s.mu.Lock()
+			s.stats.TicksShipped++
+			s.stats.BytesShipped += int64(shipped)
+			s.stats.Shipped, s.stats.HasShipped = tick, true
+			s.mu.Unlock()
+			telTicksShipped.Inc()
+			telBytesShipped.Add(uint64(shipped))
+			telShippedTick.Set(int64(tick))
+			if acked, ok := s.st.Acked(); ok {
+				telLagTicks.Set(lagTicks(tick, acked))
+			}
 		}
 		// Retention deliberately does NOT advance here: ticks in
 		// (acked, shipped] stay in the primary's log until the standby
@@ -200,7 +175,7 @@ func (s *Shipper) onAck(tick uint64) (next uint64) {
 	s.mu.Unlock()
 	telAckedTick.Set(int64(tick))
 	telLagTicks.Set(lagTicks(shipped, tick))
-	s.sub.NeedFrom(tick + 1)
+	s.f.NeedFrom(tick + 1)
 	if s.acked != nil {
 		s.acked(tick)
 	}

@@ -11,8 +11,7 @@ import (
 // ErrStopped reports a stream shut down by Stop rather than by a failure.
 var ErrStopped = errors.New("replication: stream stopped")
 
-// StreamOptions configures an ack-bounded tick stream and the WAL
-// tail-follow that feeds it (Shipper, peerram.Sender).
+// StreamOptions configures a Shipper's ack-bounded tick stream.
 type StreamOptions struct {
 	// MaxLagTicks bounds the number of sent-but-unacknowledged ticks: the
 	// sender stalls (never drops, never reorders) once the peer falls this
@@ -21,22 +20,20 @@ type StreamOptions struct {
 	MaxLagTicks int
 }
 
-// Stream is the sending end of one ack-bounded tick stream over a framed
-// connection: the one mechanism under the warm-standby Shipper and the
-// peer-RAM replica Sender. It owns the connection, the peer's
-// acknowledgement watermark with the goroutine that reads it, the in-flight
-// lag gate, the first-error latch and the stopped flag. What travels in the
-// frames — snapshots, WAL records, compressed bundles — stays with the
-// caller.
+// stream is the sending end of the Shipper's ack-bounded tick stream over a
+// framed connection. It owns the connection, the standby's acknowledgement
+// watermark with the goroutine that reads it, the in-flight lag gate, the
+// first-error latch and the stopped flag. What travels in the frames —
+// the snapshot and the WAL records — stays with the Shipper.
 //
 // The watermark is kept in one form, "the first tick the peer has not
-// acknowledged", which is also the form engine.TickSub.NeedFrom takes.
-// Peers that acknowledge "applied through tick t" are normalised to t+1 by
-// the caller's StartAcks hook, not by a mode in here.
+// acknowledged", which is also the form engine.TickSub.NeedFrom takes. The
+// standby acknowledges "applied through tick t"; the StartAcks hook
+// normalises that to t+1.
 //
 // Frame and Send are for a single writer goroutine; every other method is
 // safe for concurrent use.
-type Stream struct {
+type stream struct {
 	c      *Conn
 	maxLag uint64
 
@@ -49,12 +46,12 @@ type Stream struct {
 	acks chan struct{} // closed when the ack reader exits; nil until StartAcks
 }
 
-// NewStream wraps conn; opts.MaxLagTicks is the WaitLag bound.
-func NewStream(conn net.Conn, opts StreamOptions) *Stream {
+// newStream wraps conn; opts.MaxLagTicks is the WaitLag bound.
+func newStream(conn net.Conn, opts StreamOptions) *stream {
 	if opts.MaxLagTicks <= 0 {
 		opts.MaxLagTicks = 64
 	}
-	s := &Stream{
+	s := &stream{
 		c:      NewConn(conn, MaxFrameSize),
 		maxLag: uint64(opts.MaxLagTicks),
 		stop:   make(chan struct{}),
@@ -65,19 +62,19 @@ func NewStream(conn net.Conn, opts StreamOptions) *Stream {
 
 // Frame starts a frame of the given type in the connection's write buffer;
 // the caller appends the body and hands the result to Send (see Conn.Frame).
-func (s *Stream) Frame(typ byte) []byte { return s.c.Frame(typ) }
+func (s *stream) Frame(typ byte) []byte { return s.c.Frame(typ) }
 
 // Send ships a frame built on Frame's slice in one Write.
-func (s *Stream) Send(b []byte) error { return s.c.Send(b) }
+func (s *stream) Send(b []byte) error { return s.c.Send(b) }
 
 // StartAcks starts the goroutine that owns the connection's read half from
-// here on: every frame the peer sends must be an ackType frame carrying one
+// here on: every frame the peer sends must be an ftAck frame carrying one
 // u64. onAck maps that wire value to the first tick the peer has not
 // acknowledged; it runs on the reader goroutine before waiters are woken, so
 // it is also where a caller releases log retention (TickSub.NeedFrom). The
 // watermark only ever moves forward. A read or decode failure latches the
 // stream's error and ends the reader.
-func (s *Stream) StartAcks(ackType byte, onAck func(v uint64) (next uint64)) {
+func (s *stream) StartAcks(onAck func(v uint64) (next uint64)) {
 	done := make(chan struct{})
 	s.mu.Lock()
 	if s.stopped() {
@@ -94,7 +91,7 @@ func (s *Stream) StartAcks(ackType byte, onAck func(v uint64) (next uint64)) {
 				s.Fail(fmt.Errorf("replication: ack stream: %w", err))
 				return
 			}
-			v, err := decodeU64(ackType, body)
+			v, err := decodeU64(ftAck, body)
 			if err != nil {
 				s.Fail(err)
 				return
@@ -112,7 +109,7 @@ func (s *Stream) StartAcks(ackType byte, onAck func(v uint64) (next uint64)) {
 
 // Fail latches err as the stream's error if it is the first and the stream
 // was not stopped, and wakes every waiter. A nil err is ignored.
-func (s *Stream) Fail(err error) {
+func (s *stream) Fail(err error) {
 	s.mu.Lock()
 	if err != nil && s.err == nil && !s.stopped() {
 		s.err = err
@@ -125,7 +122,7 @@ func (s *Stream) Fail(err error) {
 // ticks from the acknowledgement watermark (or floor, the first tick this
 // stream carries, while that is higher) through tick — within the lag
 // bound, the stream fails, or it is stopped.
-func (s *Stream) WaitLag(tick, floor uint64) error {
+func (s *stream) WaitLag(tick, floor uint64) error {
 	return waitTick(s.cond, tick, 0, func() (bool, error) {
 		switch {
 		case s.stopped():
@@ -141,7 +138,7 @@ func (s *Stream) WaitLag(tick, floor uint64) error {
 
 // AwaitAck blocks until the peer has acknowledged tick, the stream fails or
 // is stopped, or the timeout elapses (timeout <= 0 waits without a deadline).
-func (s *Stream) AwaitAck(tick uint64, timeout time.Duration) error {
+func (s *stream) AwaitAck(tick uint64, timeout time.Duration) error {
 	return waitTick(s.cond, tick, timeout, func() (bool, error) {
 		switch {
 		case s.next > tick:
@@ -187,7 +184,7 @@ func waitTick(cond *sync.Cond, tick uint64, timeout time.Duration, check func() 
 
 // Acked returns the highest tick the peer has acknowledged; ok is false
 // until the first acknowledgement.
-func (s *Stream) Acked() (tick uint64, ok bool) {
+func (s *stream) Acked() (tick uint64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.next == 0 {
@@ -198,16 +195,16 @@ func (s *Stream) Acked() (tick uint64, ok bool) {
 
 // Err returns the first stream error, nil while healthy or after a clean
 // Stop.
-func (s *Stream) Err() error {
+func (s *stream) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
 }
 
 // Stopped is closed by Stop: the signal a sender's own loop selects on.
-func (s *Stream) Stopped() <-chan struct{} { return s.stop }
+func (s *stream) Stopped() <-chan struct{} { return s.stop }
 
-func (s *Stream) stopped() bool {
+func (s *stream) stopped() bool {
 	select {
 	case <-s.stop:
 		return true
@@ -220,7 +217,7 @@ func (s *Stream) stopped() bool {
 // stream end; blocked reads, writes and waiters return) and joins the ack
 // reader. Failures after Stop are not latched. It returns the first stream
 // error, nil if the stream was healthy; safe to call more than once.
-func (s *Stream) Stop() error {
+func (s *stream) Stop() error {
 	s.mu.Lock()
 	if !s.stopped() {
 		close(s.stop)
@@ -237,7 +234,7 @@ func (s *Stream) Stop() error {
 
 // handshake runs the initiating side of the geometry handshake (hello ⇄
 // welcome) before StartAcks takes over the read half.
-func (s *Stream) handshake(local hello) error {
+func (s *stream) handshake(local hello) error {
 	if err := local.send(s.c, ftHello); err != nil {
 		return fmt.Errorf("replication: handshake: %w", err)
 	}

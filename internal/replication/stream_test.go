@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// The Stream primitive alone, over net.Pipe: no engine, no WAL. The peer end
+// The stream primitive alone, over net.Pipe: no engine, no WAL. The peer end
 // is the test itself — it drains whatever the stream sends and writes ack
 // frames by hand.
 
@@ -17,11 +17,11 @@ const streamTestLag = 4
 // newTestStream returns a started stream with a lag bound of streamTestLag
 // whose peer acks "applied through tick" (normalised like Shipper does), and
 // an ack function writing one such frame from the peer end.
-func newTestStream(t *testing.T) (st *Stream, peer net.Conn, ack func(tick uint64)) {
+func newTestStream(t *testing.T) (st *stream, peer net.Conn, ack func(tick uint64)) {
 	t.Helper()
 	sc, pc := net.Pipe()
-	st = NewStream(sc, StreamOptions{MaxLagTicks: streamTestLag})
-	st.StartAcks(ftAck, func(tick uint64) uint64 { return tick + 1 })
+	st = newStream(sc, StreamOptions{MaxLagTicks: streamTestLag})
+	st.StartAcks(func(tick uint64) uint64 { return tick + 1 })
 	peerc := NewConn(pc, MaxFrameSize)
 	go func() { // drain the send direction; ends when either side closes
 		for {

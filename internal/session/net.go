@@ -53,6 +53,25 @@ func appendHello(b []byte, id uint64, interest Range, t gamestate.Table) []byte 
 	return b
 }
 
+// parseHello decodes a hello frame's body, type byte included, and checks
+// the client's geometry against the world's table t.
+func parseHello(buf []byte, t gamestate.Table) (id uint64, interest Range, err error) {
+	if len(buf) != 1+8+8+8+8+8+4+4 || buf[0] != frameHello || string(buf[1:9]) != protoMagic {
+		return 0, Range{}, fmt.Errorf("session: bad hello frame (%d bytes)", len(buf))
+	}
+	id = binary.LittleEndian.Uint64(buf[9:17])
+	interest = Range{
+		Lo: int(binary.LittleEndian.Uint64(buf[17:25])),
+		Hi: int(binary.LittleEndian.Uint64(buf[25:33])),
+	}
+	if objs := binary.LittleEndian.Uint64(buf[33:41]); int(objs) != t.NumObjects() ||
+		binary.LittleEndian.Uint32(buf[41:45]) != uint32(t.ObjSize) ||
+		binary.LittleEndian.Uint32(buf[45:49]) != uint32(t.CellSize) {
+		return 0, Range{}, fmt.Errorf("session %d: client geometry disagrees with world %v", id, t)
+	}
+	return id, interest, nil
+}
+
 // ServeConn runs one client session over a framed connection: handshake,
 // then a reader loop staging intent frames and a writer goroutine pushing
 // delta frames, until EOF, bye, or error. It blocks for the session's
@@ -67,19 +86,9 @@ func (g *Gateway) ServeConn(conn net.Conn) error {
 	if err != nil {
 		return fmt.Errorf("session: hello: %w", err)
 	}
-	if len(buf) != 1+8+8+8+8+8+4+4 || buf[0] != frameHello || string(buf[1:9]) != protoMagic {
-		return fmt.Errorf("session: bad hello frame (%d bytes)", len(buf))
-	}
-	id := binary.LittleEndian.Uint64(buf[9:17])
-	interest := Range{
-		Lo: int(binary.LittleEndian.Uint64(buf[17:25])),
-		Hi: int(binary.LittleEndian.Uint64(buf[25:33])),
-	}
-	t := g.Table()
-	if objs := binary.LittleEndian.Uint64(buf[33:41]); int(objs) != t.NumObjects() ||
-		binary.LittleEndian.Uint32(buf[41:45]) != uint32(t.ObjSize) ||
-		binary.LittleEndian.Uint32(buf[45:49]) != uint32(t.CellSize) {
-		return fmt.Errorf("session %d: client geometry disagrees with world %v", id, t)
+	id, interest, err := parseHello(buf, g.Table())
+	if err != nil {
+		return err
 	}
 	s, err := g.Connect(id, interest)
 	if err != nil {

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"bytes"
 	"encoding/binary"
 	"net"
 	"runtime"
@@ -249,4 +250,22 @@ func TestTCPDroppedDeltaLosesOneFrameOnly(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatalf("ServeConn: %v", err)
 	}
+}
+
+// FuzzParseHello feeds an arbitrary hello body to the MMOGATE1 handshake
+// every accepted client connection opens with. parseHello must never panic,
+// and a body it accepts must re-encode through appendHello, for the world's
+// table, to the same bytes. The seeds are checked in under testdata/fuzz:
+// a valid hello, the wrong magic, another geometry, short and long bodies.
+func FuzzParseHello(f *testing.F) {
+	tab := testTable()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		id, interest, err := parseHello(body, tab)
+		if err != nil {
+			return
+		}
+		if again := appendHello([]byte{frameHello}, id, interest, tab); !bytes.Equal(again, body) {
+			t.Fatalf("accepted hello %x re-encodes to %x", body, again)
+		}
+	})
 }
