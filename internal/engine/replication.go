@@ -182,7 +182,8 @@ func (e *Engine) FollowLog() (*LogFollower, error) {
 }
 
 // Next returns the next whole committed tick at or above floor, the first
-// tick the caller's image does not cover (pass the same floor every call).
+// tick the caller's image does not cover (pass the same floor every call
+// until Restart).
 // recs are copies of the tick's log record bodies, in log order, valid
 // until the next call. It blocks until a tick is whole, and returns
 // ok=false once stop is closed.
@@ -240,6 +241,18 @@ func appendCopy(recs [][]byte, p []byte) [][]byte {
 		return recs
 	}
 	return append(recs, append([]byte(nil), p...))
+}
+
+// Restart drops the read position and the held records, so the next Next
+// reads the log again from its floor: the consumer's peer lost what it was
+// sent. The commit watermark is kept, so a tick committed before the
+// restart is still yielded on an idle engine.
+func (f *LogFollower) Restart() {
+	if f.tail != nil {
+		f.tail.Close() //nolint:errcheck // read-only
+		f.tail = nil
+	}
+	f.held = f.held[:0]
 }
 
 // NeedFrom publishes the consumer's retention watermark (TickSub.NeedFrom).

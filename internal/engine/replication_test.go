@@ -315,3 +315,45 @@ func TestSubscribeCommitsWorksEverywhereAndNeverPins(t *testing.T) {
 		t.Fatalf("commit-only subscriber moved the prune floor to %d, want 42", got)
 	}
 }
+
+// TestLogFollowerRestartRereadsFromFloor: after Restart, Next reads the log
+// again from the floor it is given — lower than, or equal to, where the
+// follower stood — and a tick committed before the restart is still yielded
+// on an idle engine: the commit watermark survives the restart.
+func TestLogFollowerRestartRereadsFromFloor(t *testing.T) {
+	e, err := Open(Options{Table: testTable(), Dir: t.TempDir(), Mode: ModeNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	f, err := e.FollowLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const ticks = 6
+	for tick := 0; tick < ticks; tick++ {
+		if err := e.ApplyTick([]wal.Update{{Cell: uint32(tick), Value: uint32(tick)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// read yields from floor through the last tick; the engine commits
+	// nothing more, so the last one is whole only by the commit watermark.
+	read := func(floor uint64) {
+		t.Helper()
+		stop := make(chan struct{})
+		timer := time.AfterFunc(10*time.Second, func() { close(stop) })
+		defer timer.Stop()
+		for want := floor; want < ticks; want++ {
+			tick, recs, ok, err := f.Next(floor, stop)
+			if err != nil || !ok || tick != want || len(recs) != 1 {
+				t.Fatalf("Next(%d) = tick %d, %d records, ok=%v, err=%v; want tick %d", floor, tick, len(recs), ok, err, want)
+			}
+		}
+	}
+	read(3)
+	f.Restart()
+	read(1)
+	f.Restart()
+	read(1)
+}

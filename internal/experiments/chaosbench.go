@@ -468,6 +468,10 @@ func chaosReplinkCell(table gamestate.Table, src workload.Source, ref []byte, se
 	}
 	close(quit)
 	cell.Sessions = sh.Sessions()
+	// Read the standby's counters while the last session is live: every
+	// earlier session's end is counted by then, and whether the cut Stop
+	// makes lands before Promote is a race the report must not depend on.
+	st := sb.Stats()
 	sh.Stop() //nolint:errcheck // the stream's death is the scenario
 	promoted, err := sb.Promote()
 	if err != nil {
@@ -479,7 +483,6 @@ func chaosReplinkCell(table gamestate.Table, src workload.Source, ref []byte, se
 		cell.Faults += wc.Injected()
 	}
 	connMu.Unlock()
-	st := sb.Stats()
 	cell.Identical = promoted.NextTick() == uint64(ticks) && bytes.Equal(promoted.Store().Slab(), ref)
 	if promoted.NextTick() != uint64(ticks) {
 		cell.Detail = fmt.Sprintf("promoted at tick %d, want %d", promoted.NextTick(), ticks)

@@ -9,10 +9,11 @@ import (
 
 // Network guards: bounded dial, accept and read waits for the raw-TCP
 // deployments (cmd/replicate, cmd/cluster). The library core stays
-// deadline-free — net.Pipe has no deadlines and the supervisors in
-// resilient.go bound waits their own way — but a real socket to a dead or
-// partitioned peer can otherwise hang a process forever on a blocking
-// Accept or a mid-stream read. Every guard surfaces the same typed
+// deadline-free — net.Pipe has no deadlines and the one reconnect
+// supervisor (supervise, under the Shipper and the Standby) bounds waits
+// its own way — but a real socket to a dead or partitioned peer can
+// otherwise hang a process forever on a blocking Accept or a mid-stream
+// read. Every guard surfaces the same typed
 // *NetTimeoutError, so callers can distinguish "the peer is slow or gone"
 // (retryable, a resilient session redials) from a protocol failure.
 

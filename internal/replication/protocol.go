@@ -18,8 +18,11 @@
 // engine's tick-commit notification, and hands back whole committed ticks
 // (the same follower feeds the peer-RAM replicas of internal/peerram, in
 // process). The shipper streams a bootstrap snapshot followed by tick
-// records over a single duplex connection — the one replica wire protocol
-// in the repository. The standby acknowledges each applied tick; the
+// records over a duplex connection — the one replica wire protocol in the
+// repository. One Shipper type serves both shapes: a single connection
+// (StartShipper), or sessions it redials after a cut
+// (StartResilientShipper), with one ack watermark and one log follower
+// kept across them. The standby acknowledges each applied tick; the
 // shipper enforces a bounded number of in-flight (shipped-but-unacked)
 // ticks, so a slow standby throttles shipping — it never corrupts it, and
 // the primary never blocks beyond its lag budget's worth of buffering.
@@ -75,21 +78,18 @@ const snapChunkSize = 256 << 10
 // sendSnapshot ships a tick-consistent image of the whole slab as
 // snapBegin, snapChunk* and snapEnd frames: a standby session's bootstrap
 // leg.
-func (s *stream) sendSnapshot(nextTick uint64, data []byte) error {
-	if err := s.c.SendU64(ftSnapBegin, nextTick, uint64(len(data))); err != nil {
+func sendSnapshot(c *Conn, nextTick uint64, data []byte) error {
+	if err := c.SendU64(ftSnapBegin, nextTick, uint64(len(data))); err != nil {
 		return err
 	}
 	for off := 0; off < len(data); off += snapChunkSize {
-		end := off + snapChunkSize
-		if end > len(data) {
-			end = len(data)
-		}
-		chunk := binary.LittleEndian.AppendUint64(s.c.Frame(ftSnapChunk), uint64(off))
-		if err := s.c.Send(append(chunk, data[off:end]...)); err != nil {
+		end := min(off+snapChunkSize, len(data))
+		chunk := binary.LittleEndian.AppendUint64(c.Frame(ftSnapChunk), uint64(off))
+		if err := c.Send(append(chunk, data[off:end]...)); err != nil {
 			return err
 		}
 	}
-	return s.c.Send(s.c.Frame(ftSnapEnd))
+	return c.Send(c.Frame(ftSnapEnd))
 }
 
 // recvSnapshot collects the snapshot sent by sendSnapshot, enforcing the
@@ -154,21 +154,31 @@ func (h hello) send(c *Conn, typ byte) error {
 // expect reads the peer's handshake frame of the given type and checks its
 // geometry against h.
 func (h hello) expect(c *Conn, typ byte) error {
+	peer, err := readHello(c, typ)
+	if err != nil {
+		return err
+	}
+	return h.check(peer)
+}
+
+// readHello reads a handshake frame of the given type and returns the
+// geometry it carries, unchecked.
+func readHello(c *Conn, typ byte) (hello, error) {
 	body, err := c.ReadFrame()
 	if err != nil {
-		return fmt.Errorf("replication: handshake: %w", err)
+		return hello{}, fmt.Errorf("replication: handshake: %w", err)
 	}
 	if len(body) != 1+len(magic)+16 || body[0] != typ {
-		return fmt.Errorf("replication: malformed handshake frame (type %d, %d bytes)", body[0], len(body))
+		return hello{}, fmt.Errorf("replication: malformed handshake frame (type %d, %d bytes)", body[0], len(body))
 	}
 	if [8]byte(body[1:9]) != magic {
-		return errors.New("replication: peer is not speaking this protocol version")
+		return hello{}, errors.New("replication: peer is not speaking this protocol version")
 	}
-	return h.check(hello{
+	return hello{
 		objects:  binary.LittleEndian.Uint64(body[9:]),
 		objSize:  binary.LittleEndian.Uint32(body[17:]),
 		cellSize: binary.LittleEndian.Uint32(body[21:]),
-	})
+	}, nil
 }
 
 // errGeometry marks a handshake whose two ends disagree on the state

@@ -375,8 +375,11 @@ func TestHandshakeRejectsGeometryMismatch(t *testing.T) {
 	}
 	<-sh.Done()
 	<-sb.Done()
-	if sb.Err() == nil {
-		t.Fatal("standby accepted a mismatched geometry")
+	if err := sb.Err(); !errors.Is(err, errGeometry) {
+		t.Fatalf("standby ended with %v, want a geometry mismatch", err)
+	}
+	if err := sh.Err(); !errors.Is(err, errGeometry) {
+		t.Fatalf("shipper ended with %v, want a geometry mismatch", err)
 	}
 	if _, err := sb.Promote(); err == nil {
 		t.Fatal("never-bootstrapped standby promoted")

@@ -124,41 +124,6 @@ func TestResilientPairSurvivesRepeatedSevers(t *testing.T) {
 	}
 }
 
-// TestResilientStandbyGivesUpAfterMaxSessions bounds the retry loop: a
-// dial that always fails must surface the last error after exactly
-// MaxSessions attempts instead of spinning forever.
-func TestResilientStandbyGivesUpAfterMaxSessions(t *testing.T) {
-	tab := gamestate.Table{Rows: 64, Cols: 8, CellSize: 4, ObjSize: 512}
-	dialErr := errors.New("connection refused")
-	calls := 0
-	sb, err := StartResilientStandby(engine.Options{
-		Table: tab, Dir: t.TempDir(), Mode: engine.ModeCopyOnUpdate,
-	}, func() (net.Conn, error) {
-		calls++
-		return nil, dialErr
-	}, ResilientOptions{
-		Backoff:     Backoff{Base: time.Millisecond, Cap: time.Millisecond},
-		MaxSessions: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-sb.Done():
-	case <-time.After(10 * time.Second):
-		t.Fatal("standby never gave up")
-	}
-	if calls != 3 {
-		t.Fatalf("dialed %d times, want 3", calls)
-	}
-	if err := sb.Err(); !errors.Is(err, dialErr) {
-		t.Fatalf("terminal error %v does not wrap the dial failure", err)
-	}
-	if err := sb.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestBackoffSequence pins the capped exponential shape and the reset.
 func TestBackoffSequence(t *testing.T) {
 	b := Backoff{Base: 10 * time.Millisecond, Cap: 70 * time.Millisecond}
@@ -247,8 +212,8 @@ func TestStandbyResumesAgainstIdlePrimary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a, ok := sh.Acked(); ok && a >= ticks-1 {
-		t.Fatalf("session 1 acked tick %d: the budget never severed it", a)
+	if st := sh.Stats(); st.HasAcked && st.Acked >= ticks-1 {
+		t.Fatalf("session 1 acked tick %d: the budget never severed it", st.Acked)
 	}
 	close(idle)
 	if err := sh.AwaitAck(ticks-1, 30*time.Second); err != nil {
@@ -256,6 +221,158 @@ func TestStandbyResumesAgainstIdlePrimary(t *testing.T) {
 	}
 	if sh.Sessions() < 2 {
 		t.Fatalf("%d sessions: the standby never resumed", sh.Sessions())
+	}
+	if err := sh.Stop(); err != nil {
+		t.Fatalf("shipper stop: %v", err)
+	}
+	promoted, err := sb.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer promoted.Close()
+	if promoted.NextTick() != ticks || !bytes.Equal(promoted.Store().Slab(), referenceSlab(t, tab, ticks)) {
+		t.Fatalf("promoted at tick %d, want %d and the reference slab", promoted.NextTick(), ticks)
+	}
+}
+
+// TestResilientShipperStopsAtGeometryMismatch: a reconnecting shipper that
+// meets a standby of another geometry learns it from the welcome and stops
+// after that one session — redialling cannot change a table.
+func TestResilientShipperStopsAtGeometryMismatch(t *testing.T) {
+	tab := gamestate.Table{Rows: 256, Cols: 8, CellSize: 4, ObjSize: 512}
+	other := gamestate.Table{Rows: 512, Cols: 8, CellSize: 4, ObjSize: 512}
+	p, err := engine.Open(engine.Options{Table: tab, Dir: t.TempDir(), Mode: engine.ModeNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var standbys []*Standby
+	dial := func() (net.Conn, error) {
+		pc, sc := net.Pipe()
+		sb, err := StartStandby(engine.Options{Table: other, Dir: t.TempDir(), Mode: engine.ModeCopyOnUpdate}, sc)
+		if err != nil {
+			return nil, err
+		}
+		standbys = append(standbys, sb)
+		return pc, nil
+	}
+	sh, err := StartResilientShipper(p, dial, StreamOptions{}, ResilientOptions{
+		Backoff: Backoff{Base: time.Millisecond, Cap: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sh.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("shipper still redialling after %d sessions", sh.Sessions())
+	}
+	if n := sh.Sessions(); n != 1 || len(standbys) != 1 {
+		t.Fatalf("%d sessions, %d dials, want 1", n, len(standbys))
+	}
+	if err := sh.Err(); !errors.Is(err, errGeometry) {
+		t.Fatalf("shipper ended with %v, want a geometry mismatch", err)
+	}
+	if err := sh.Stop(); !errors.Is(err, errGeometry) {
+		t.Fatalf("Stop returned %v, want the geometry mismatch", err)
+	}
+	for _, sb := range standbys {
+		sb.Close()
+	}
+}
+
+// TestShipperLogPinHoldsAcrossDisconnect: while no session runs, the
+// primary keeps ticking and checkpoints, which prunes its log. The
+// shipper's one log follower still pins the log at the standby's
+// acknowledged watermark, so the resumed session finds every tick the
+// standby lacks, and the promoted standby matches the reference.
+func TestShipperLogPinHoldsAcrossDisconnect(t *testing.T) {
+	const ticks, perTick = 120, 48
+	tab := gamestate.Table{Rows: 256, Cols: 8, CellSize: 4, ObjSize: 512}
+	p, err := engine.Open(engine.Options{
+		Table: tab, Dir: t.TempDir(), Mode: engine.ModeCopyOnUpdate,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	// Session 1 carries the snapshot and a few ticks, then severs; session
+	// 2's dial reports that no session runs and waits to be let through.
+	conns := make(chan net.Conn)
+	between, resume := make(chan struct{}), make(chan struct{})
+	session := 0
+	shipDial := func() (net.Conn, error) {
+		limit := int64(tab.StateBytes()) + 2500
+		if session > 0 {
+			close(between)
+			<-resume
+			limit = 0
+		}
+		session++
+		sc, pc := net.Pipe()
+		wrapped := chaos.WrapConn(pc, 11, fmt.Sprintf("pin#%d", session), chaos.ConnFaults{SeverAfterBytes: limit})
+		select {
+		case conns <- sc:
+			return wrapped, nil
+		case <-time.After(10 * time.Second):
+			return nil, errors.New("standby never picked up")
+		}
+	}
+	standbyDial := func() (net.Conn, error) {
+		select {
+		case c := <-conns:
+			return c, nil
+		case <-time.After(10 * time.Second):
+			return nil, errors.New("shipper never dialed")
+		}
+	}
+	fast := Backoff{Base: time.Millisecond, Cap: 10 * time.Millisecond}
+	sb, err := StartResilientStandby(engine.Options{
+		Table: tab, Dir: t.TempDir(), Mode: engine.ModeCopyOnUpdate,
+	}, standbyDial, ResilientOptions{Backoff: fast})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := StartResilientShipper(p, shipDial, StreamOptions{}, ResilientOptions{Backoff: fast})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sb.Ready():
+	case <-sb.Done():
+		t.Fatalf("standby died before bootstrap: %v", sb.Err())
+	case <-time.After(10 * time.Second):
+		t.Fatal("standby never bootstrapped")
+	}
+	tick := 0
+	apply := func(n int) {
+		t.Helper()
+		for end := tick + n; tick < end; tick++ {
+			if err := p.ApplyTick(detBatch(tab, tick, perTick)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	apply(ticks / 2)
+	select {
+	case <-between:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the byte budget never severed session 1")
+	}
+	acked := sh.Stats().Acked
+	for i := 0; i < 3; i++ {
+		apply(ticks / 6)
+		if _, err := p.CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := p.Stats().Checkpoints; len(got) < 2 || got[len(got)-2].AsOfTick <= acked {
+		t.Fatalf("checkpoints %+v do not pass the acked tick %d: nothing to prune", got, acked)
+	}
+	close(resume)
+	if err := sh.AwaitAck(ticks-1, 30*time.Second); err != nil {
+		t.Fatalf("await last tick after the resume: %v (sessions=%d, standby=%+v)", err, sh.Sessions(), sb.Stats())
 	}
 	if err := sh.Stop(); err != nil {
 		t.Fatalf("shipper stop: %v", err)

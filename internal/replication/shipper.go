@@ -12,12 +12,13 @@ import (
 
 // ShipperStats is a snapshot of a shipper's progress counters.
 type ShipperStats struct {
-	// StartTick is the first tick the stream carries (the bootstrap
+	// StartTick is the first tick the bootstrap session carries (its
 	// snapshot covers everything before it).
 	StartTick uint64
 	// SnapshotBytes is the size of the bootstrap image shipped.
 	SnapshotBytes int64
-	// TicksShipped and BytesShipped count ftTick traffic.
+	// TicksShipped and BytesShipped count ftTick traffic, over every
+	// session.
 	TicksShipped int64
 	BytesShipped int64
 	// Shipped and Acked are the high-water ticks sent and acknowledged.
@@ -27,16 +28,27 @@ type ShipperStats struct {
 
 // Shipper streams a primary engine to one standby: bootstrap snapshot
 // first, then the whole ticks an engine.LogFollower reads from the engine's
-// log, over an ack-bounded stream. Start it with StartShipper; it
-// runs until the connection breaks, the engine closes, or Stop.
+// log, over an ack-bounded stream. A plain shipper (StartShipper) runs one
+// session on the connection it was given and ends when that breaks, the
+// engine closes, or Stop. A reconnecting one (StartResilientShipper) dials
+// a new session whenever one ends, until Stop or a fatal error; the ack
+// watermark, the lag gate and the log follower — whose NeedFrom pins the
+// primary's log at the standby's acknowledged watermark — live across its
+// sessions, so a cut stream resumes where the standby stands.
 type Shipper struct {
-	e     *engine.Engine
-	st    *stream
-	f     *engine.LogFollower
-	acked func(tick uint64) // a supervisor's ack hook; nil for a plain shipper
+	e  *engine.Engine
+	st *stream
+	f  *engine.LogFollower
 
-	mu    sync.Mutex
-	stats ShipperStats // Acked/HasAcked are filled from the stream on read
+	// dial is set only by StartResilientShipper; nil means one session on
+	// conn.
+	conn  net.Conn
+	dial  func() (net.Conn, error)
+	ropts ResilientOptions
+
+	mu       sync.Mutex
+	stats    ShipperStats // Acked/HasAcked are filled from the stream on read
+	sessions int
 
 	done chan struct{}
 }
@@ -47,39 +59,66 @@ type Shipper struct {
 // be started from one goroutine, in either order). The caller must Stop the
 // shipper before closing the engine.
 func StartShipper(e *engine.Engine, conn net.Conn, opts StreamOptions) (*Shipper, error) {
-	return startShipper(e, conn, opts, nil)
+	return startShipper(e, opts, &Shipper{conn: conn})
 }
 
-// startShipper is StartShipper with acked, if non-nil, called on the ack
-// reader goroutine for every acknowledgement the standby sends.
-func startShipper(e *engine.Engine, conn net.Conn, opts StreamOptions, acked func(tick uint64)) (*Shipper, error) {
+// startShipper opens s's one log follower — its retention pin holds the
+// whole log until the first session sets a floor — and starts s.
+func startShipper(e *engine.Engine, opts StreamOptions, s *Shipper) (*Shipper, error) {
 	f, err := e.FollowLog()
 	if err != nil {
 		return nil, err
 	}
-	s := &Shipper{
-		e:     e,
-		st:    newStream(conn, opts),
-		f:     f,
-		acked: acked,
-		done:  make(chan struct{}),
-	}
+	s.e, s.f, s.done = e, f, make(chan struct{})
+	s.st = newStream(opts, s.dial != nil, s.onAck)
 	go s.run()
 	return s, nil
 }
 
 func (s *Shipper) run() {
 	defer close(s.done)
-	s.st.Fail(s.ship())
-	s.st.Stop() //nolint:errcheck // closes the conn (unblocks the peer) and joins the ack reader
+	var err error
+	if s.dial == nil {
+		_, err = s.attempt(1)
+	} else {
+		_, err = supervise(s.ropts.Backoff, s.st.Stopped(), s.attempt)
+	}
+	s.st.Fail(err) // ignored after Stop
+	s.st.Stop()    //nolint:errcheck // marks the end for later waiters
 	s.f.Close()
 }
 
-// ship is the shipper's main line: handshake, snapshot bootstrap, then the
-// tail-follow loop.
-func (s *Shipper) ship() error {
+// attempt runs session n (counted from 1) on the plain shipper's conn or on
+// a freshly dialled one, and reports whether it advanced the ack watermark.
+func (s *Shipper) attempt(n int) (progressed bool, err error) {
+	s.mu.Lock()
+	s.sessions = n
+	s.mu.Unlock()
+	conn := s.conn
+	if s.dial != nil {
+		if n > 1 {
+			telResumes.Inc()
+		}
+		if conn, err = s.dial(); err != nil {
+			return false, err
+		}
+	}
+	before, had := s.st.Acked()
+	err = s.session(conn)
+	after, has := s.st.Acked()
+	return has && (!had || after > before), err
+}
+
+// session is one stream session on conn: handshake, snapshot bootstrap or
+// resume, then the tail-follow loop.
+func (s *Shipper) session(conn net.Conn) (err error) {
+	c, err := s.st.attach(conn)
+	if err != nil {
+		return err
+	}
+	defer func() { s.st.detach(err) }()
 	store := s.e.Store()
-	err := s.st.handshake(hello{
+	err = handshake(c, hello{
 		objects:  uint64(store.NumObjects()),
 		objSize:  uint32(store.ObjSize()),
 		cellSize: 4,
@@ -92,7 +131,7 @@ func (s *Shipper) ship() error {
 	// fresh standby (0) gets the full bootstrap; a reconnecting one (v>0)
 	// skips the snapshot and the stream picks up at tick v-1 — its own WAL
 	// and checkpoints already cover everything below.
-	body, err := s.st.c.ReadFrame()
+	body, err := c.ReadFrame()
 	if err != nil {
 		return fmt.Errorf("replication: resume: %w", err)
 	}
@@ -113,28 +152,33 @@ func (s *Shipper) ship() error {
 	} else {
 		nextTick = resume - 1
 	}
+	// The follower reads this session's stream from its floor again: what
+	// an earlier session sent past it never reached the standby's engine.
 	s.f.NeedFrom(nextTick)
-	s.mu.Lock()
-	s.stats.StartTick = nextTick
-	s.stats.SnapshotBytes = int64(len(snap))
-	s.mu.Unlock()
+	s.f.Restart()
 	if resume == 0 {
-		if err := s.st.sendSnapshot(nextTick, snap); err != nil {
+		s.mu.Lock()
+		s.stats.StartTick = nextTick
+		s.stats.SnapshotBytes = int64(len(snap))
+		s.mu.Unlock()
+		if err := sendSnapshot(c, nextTick, snap); err != nil {
 			return err
 		}
 	}
 
-	s.st.StartAcks(s.onAck)
+	acks := s.st.StartAcks()
 
 	// The live stream: every whole tick at or above nextTick the log
-	// follower yields, one ftTick frame per record. Range installs need no
-	// special casing at the snapshot boundary: they are logged at the
-	// engine's next tick (>= our nextTick), so one sharing the snapshot's
-	// inter-tick window is streamed regardless of which side of the copy it
-	// landed on — and re-applying absolute bytes the snapshot already
-	// contains is idempotent on the standby.
+	// follower yields, one ftTick frame per record, until the ack reader
+	// ends (the session broke, or Stop). Range installs need no special
+	// casing at the snapshot boundary: they are logged at the engine's next
+	// tick (>= our nextTick), so one sharing the snapshot's inter-tick
+	// window is streamed regardless of which side of the copy it landed on
+	// — and re-applying absolute bytes the snapshot already contains is
+	// idempotent on the standby.
 	for {
-		tick, recs, ok, err := s.f.Next(nextTick, s.st.Stopped())
+		// !ok: the ack reader ended, and recorded why.
+		tick, recs, ok, err := s.f.Next(nextTick, acks)
 		if err != nil || !ok {
 			return err
 		}
@@ -142,8 +186,8 @@ func (s *Shipper) ship() error {
 			if err := s.st.WaitLag(tick, nextTick); err != nil {
 				return err
 			}
-			b := binary.LittleEndian.AppendUint64(s.st.Frame(ftTick), tick)
-			if err := s.st.Send(append(b, rec...)); err != nil {
+			b := binary.LittleEndian.AppendUint64(c.Frame(ftTick), tick)
+			if err := c.Send(append(b, rec...)); err != nil {
 				return err
 			}
 			shipped := 9 + len(rec) // the frame body: type, tick, record
@@ -166,20 +210,17 @@ func (s *Shipper) ship() error {
 	}
 }
 
-// onAck is the stream's ack hook: tick is the standby's high-water applied
-// tick. Everything at or below it is applied (and durable per the standby's
-// sync policy) on the other end; only then may the primary's log reclaim it.
-func (s *Shipper) onAck(tick uint64) (next uint64) {
+// onAck is the stream's ack hook: next is the first tick the standby has
+// not applied. Everything below it is applied (and durable per the
+// standby's sync policy) on the other end; only then may the primary's log
+// reclaim it.
+func (s *Shipper) onAck(next uint64) {
 	s.mu.Lock()
 	shipped := s.stats.Shipped // 0 until the first tick ships
 	s.mu.Unlock()
-	telAckedTick.Set(int64(tick))
-	telLagTicks.Set(lagTicks(shipped, tick))
-	s.f.NeedFrom(tick + 1)
-	if s.acked != nil {
-		s.acked(tick)
-	}
-	return tick + 1
+	telAckedTick.Set(int64(next - 1))
+	telLagTicks.Set(lagTicks(shipped, next-1))
+	s.f.NeedFrom(next)
 }
 
 // lagTicks is shipped minus acked, floored at zero (a bootstrap or resume
@@ -193,15 +234,25 @@ func lagTicks(shipped, acked uint64) int64 {
 
 // Stats returns a snapshot of the shipper's counters.
 func (s *Shipper) Stats() ShipperStats {
+	acked, hasAcked := s.st.Acked()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Acked, st.HasAcked = s.st.Acked()
+	st.Acked, st.HasAcked = acked, hasAcked
 	return st
 }
 
-// AwaitAck blocks until the standby has acknowledged tick, the stream
-// fails, or the timeout elapses.
+// Sessions returns how many sessions were started: 1 for a plain shipper,
+// the number of connection attempts for a reconnecting one.
+func (s *Shipper) Sessions() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sessions
+}
+
+// AwaitAck blocks until the standby has acknowledged tick — across however
+// many sessions that takes — the shipper fails or is stopped, or the
+// timeout elapses (timeout <= 0 waits without a deadline).
 func (s *Shipper) AwaitAck(tick uint64, timeout time.Duration) error {
 	return s.st.AwaitAck(tick, timeout)
 }
@@ -209,13 +260,15 @@ func (s *Shipper) AwaitAck(tick uint64, timeout time.Duration) error {
 // Done is closed when the shipper has fully stopped.
 func (s *Shipper) Done() <-chan struct{} { return s.done }
 
-// Err returns the stream error that ended the shipper, nil while running or
-// after a clean Stop.
+// Err returns the error that ended the shipper — a plain shipper's stream
+// error, a reconnecting one's fatal error — nil while running or after a
+// clean Stop.
 func (s *Shipper) Err() error { return s.st.Err() }
 
-// Stop tears the session down: the connection is closed (the standby sees
-// the stream end and can promote) and the goroutines joined. It returns the
-// first stream error, or nil if the session was healthy.
+// Stop tears the shipper down: the live connection is closed (the standby
+// sees the stream end and can promote), no further session starts, and the
+// goroutines are joined. It returns the error that ended the shipper, or
+// nil if it was healthy.
 func (s *Shipper) Stop() error {
 	s.st.Stop() //nolint:errcheck // reported below, once run has latched its own
 	<-s.done

@@ -130,11 +130,8 @@ func (sb *Standby) serveConn(conn net.Conn) error {
 		cellSize: uint32(sb.opts.Table.CellSize),
 	}
 	err := acceptHandshake(c, local)
-	if errors.Is(err, errGeometry) {
-		return &fatalError{err} // geometry never changes; retrying cannot help
-	}
 	if err != nil {
-		return err
+		return err // a geometry mismatch is fatal to the supervisor
 	}
 
 	// Resume negotiation. A fresh standby (no engine yet) asks for the
@@ -234,8 +231,8 @@ func (sb *Standby) Ready() <-chan struct{} { return sb.ready }
 
 // Done is closed when the stream has ended — however it ended — and the
 // applier goroutine has sealed the engine at the last complete tick. A
-// resilient standby closes Done only when it stops retrying (fatal error,
-// MaxSessions, or Promote/Close).
+// resilient standby closes Done only when it stops retrying (a fatal error,
+// or Promote/Close).
 func (sb *Standby) Done() <-chan struct{} { return sb.done }
 
 // Err returns the cause of the stream end (io.EOF / closed-connection

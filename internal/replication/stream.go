@@ -20,91 +20,132 @@ type StreamOptions struct {
 	MaxLagTicks int
 }
 
-// stream is the sending end of the Shipper's ack-bounded tick stream over a
-// framed connection. It owns the connection, the standby's acknowledgement
-// watermark with the goroutine that reads it, the in-flight lag gate, the
-// first-error latch and the stopped flag. What travels in the frames —
-// the snapshot and the WAL records — stays with the Shipper.
+// stream is the Shipper's ack-bounded tick stream. It lives as long as the
+// Shipper, across however many sessions that runs: it owns the standby's
+// acknowledgement watermark, the in-flight lag gate, the first-error latch
+// and the stopped flag. A session adds only its framed connection and the
+// goroutine that reads acknowledgements from it (attach, StartAcks,
+// detach). What travels in the frames — the snapshot and the WAL records —
+// stays with the Shipper.
 //
 // The watermark is kept in one form, "the first tick the peer has not
-// acknowledged", which is also the form engine.TickSub.NeedFrom takes. The
-// standby acknowledges "applied through tick t"; the StartAcks hook
-// normalises that to t+1.
+// acknowledged", which is also the form engine.LogFollower.NeedFrom takes.
+// The standby acknowledges "applied through tick t"; the reader folds that
+// to t+1.
 //
-// Frame and Send are for a single writer goroutine; every other method is
-// safe for concurrent use.
+// Every method is safe for concurrent use.
 type stream struct {
-	c      *Conn
 	maxLag uint64
+	redial bool              // a session's end is not the stream's: the shipper dials another
+	onAck  func(next uint64) // runs on the reader after the watermark moves, before waiters wake
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	next uint64 // first tick the peer has not acknowledged
-	err  error  // first stream error; stays nil after a clean Stop
+	next uint64 // first tick the peer has not acknowledged, across sessions
+	err  error  // first error that ended the stream; stays nil after a clean Stop
+
+	c    *Conn         // the live session's connection; nil between sessions
+	cut  error         // why the live session ended; nil while it runs
+	acks chan struct{} // closed when the live session's ack reader exits
 
 	stop chan struct{} // closed by Stop, under mu
-	acks chan struct{} // closed when the ack reader exits; nil until StartAcks
 }
 
-// newStream wraps conn; opts.MaxLagTicks is the WaitLag bound.
-func newStream(conn net.Conn, opts StreamOptions) *stream {
+// newStream returns an idle stream; opts.MaxLagTicks is the WaitLag bound.
+// With redial unset, the first session's end cause is the stream's error.
+func newStream(opts StreamOptions, redial bool, onAck func(next uint64)) *stream {
 	if opts.MaxLagTicks <= 0 {
 		opts.MaxLagTicks = 64
 	}
 	s := &stream{
-		c:      NewConn(conn, MaxFrameSize),
 		maxLag: uint64(opts.MaxLagTicks),
+		redial: redial,
+		onAck:  onAck,
 		stop:   make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-// Frame starts a frame of the given type in the connection's write buffer;
-// the caller appends the body and hands the result to Send (see Conn.Frame).
-func (s *stream) Frame(typ byte) []byte { return s.c.Frame(typ) }
+// attach starts a session on conn and returns it framed. A stopped stream
+// closes conn and returns ErrStopped.
+func (s *stream) attach(conn net.Conn) (*Conn, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stopped() {
+		conn.Close() //nolint:errcheck // never used
+		return nil, ErrStopped
+	}
+	s.c, s.cut, s.acks = NewConn(conn, MaxFrameSize), nil, nil
+	return s.c, nil
+}
 
-// Send ships a frame built on Frame's slice in one Write.
-func (s *stream) Send(b []byte) error { return s.c.Send(b) }
+// detach ends the live session with err as its cause (see end) before the
+// reader can report the close: the connection is closed (the peer sees the
+// stream end) and the ack reader joined before it returns.
+func (s *stream) detach(err error) {
+	s.end(err)
+	s.mu.Lock()
+	c, acks := s.c, s.acks
+	s.c, s.acks = nil, nil
+	s.mu.Unlock()
+	c.Close() //nolint:errcheck // unblocks both directions; best effort
+	if acks != nil {
+		<-acks
+	}
+}
 
-// StartAcks starts the goroutine that owns the connection's read half from
-// here on: every frame the peer sends must be an ftAck frame carrying one
-// u64. onAck maps that wire value to the first tick the peer has not
-// acknowledged; it runs on the reader goroutine before waiters are woken, so
-// it is also where a caller releases log retention (TickSub.NeedFrom). The
-// watermark only ever moves forward. A read or decode failure latches the
-// stream's error and ends the reader.
-func (s *stream) StartAcks(onAck func(v uint64) (next uint64)) {
+// StartAcks starts the goroutine that owns the live session's read half
+// from here on: every frame the peer sends must be an ftAck frame carrying
+// one u64. The watermark only ever moves forward. A read or decode failure
+// ends the session (and, without redial, the stream) and the reader. The
+// returned channel is closed when the reader exits, so it is the session's
+// own stop signal: Stop closes the connection under it.
+func (s *stream) StartAcks() <-chan struct{} {
 	done := make(chan struct{})
 	s.mu.Lock()
-	if s.stopped() {
-		s.mu.Unlock()
-		return
-	}
+	c := s.c
 	s.acks = done
 	s.mu.Unlock()
 	go func() {
 		defer close(done)
 		for {
-			body, err := s.c.ReadFrame()
+			body, err := c.ReadFrame()
 			if err != nil {
-				s.Fail(fmt.Errorf("replication: ack stream: %w", err))
+				s.end(fmt.Errorf("replication: ack stream: %w", err))
 				return
 			}
 			v, err := decodeU64(ftAck, body)
 			if err != nil {
-				s.Fail(err)
+				s.end(err)
 				return
 			}
-			next := onAck(v)
 			s.mu.Lock()
-			if next > s.next {
-				s.next = next
-			}
+			s.next = max(s.next, v+1)
+			next := s.next
+			s.mu.Unlock()
+			s.onAck(next)
+			s.mu.Lock()
 			s.cond.Broadcast()
 			s.mu.Unlock()
 		}
 	}()
+	return done
+}
+
+// end records err as the live session's end cause if it is the first and
+// the stream was not stopped — without redial also as the stream's error —
+// and wakes every waiter. A nil err is ignored.
+func (s *stream) end(err error) {
+	s.mu.Lock()
+	if err != nil && s.cut == nil && !s.stopped() {
+		s.cut = err
+		if !s.redial && s.err == nil {
+			s.err = err
+		}
+	}
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
 // Fail latches err as the stream's error if it is the first and the stream
@@ -120,8 +161,8 @@ func (s *stream) Fail(err error) {
 
 // WaitLag blocks until sending tick would keep the in-flight window — the
 // ticks from the acknowledgement watermark (or floor, the first tick this
-// stream carries, while that is higher) through tick — within the lag
-// bound, the stream fails, or it is stopped.
+// session carries, while that is higher) through tick — within the lag
+// bound, the session or the stream fails, or it is stopped.
 func (s *stream) WaitLag(tick, floor uint64) error {
 	return waitTick(s.cond, tick, 0, func() (bool, error) {
 		switch {
@@ -129,6 +170,8 @@ func (s *stream) WaitLag(tick, floor uint64) error {
 			return false, ErrStopped
 		case s.err != nil:
 			return false, s.err
+		case s.cut != nil:
+			return false, s.cut
 		}
 		from := max(floor, s.next)
 		// from > tick (an ack ahead of the send) first: tick-from would wrap.
@@ -136,8 +179,9 @@ func (s *stream) WaitLag(tick, floor uint64) error {
 	})
 }
 
-// AwaitAck blocks until the peer has acknowledged tick, the stream fails or
-// is stopped, or the timeout elapses (timeout <= 0 waits without a deadline).
+// AwaitAck blocks until the peer has acknowledged tick — across however
+// many sessions that takes — the stream fails or is stopped, or the timeout
+// elapses (timeout <= 0 waits without a deadline).
 func (s *stream) AwaitAck(tick uint64, timeout time.Duration) error {
 	return waitTick(s.cond, tick, timeout, func() (bool, error) {
 		switch {
@@ -201,7 +245,7 @@ func (s *stream) Err() error {
 	return s.err
 }
 
-// Stopped is closed by Stop: the signal a sender's own loop selects on.
+// Stopped is closed by Stop: the signal a reconnect loop selects on.
 func (s *stream) Stopped() <-chan struct{} { return s.stop }
 
 func (s *stream) stopped() bool {
@@ -213,42 +257,43 @@ func (s *stream) stopped() bool {
 	}
 }
 
-// Stop marks the stream stopped, closes the connection (the peer sees the
-// stream end; blocked reads, writes and waiters return) and joins the ack
-// reader. Failures after Stop are not latched. It returns the first stream
+// Stop marks the stream stopped and closes the live connection, if any:
+// the peer sees the stream end, and blocked reads, writes and waiters
+// return. Failures after Stop are not latched. It returns the first stream
 // error, nil if the stream was healthy; safe to call more than once.
 func (s *stream) Stop() error {
 	s.mu.Lock()
 	if !s.stopped() {
 		close(s.stop)
 	}
-	acks := s.acks
+	c := s.c
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.c.Close() //nolint:errcheck // unblocks both directions; best effort
-	if acks != nil {
-		<-acks
+	if c != nil {
+		c.Close() //nolint:errcheck // unblocks both directions; best effort
 	}
 	return s.Err()
 }
 
 // handshake runs the initiating side of the geometry handshake (hello ⇄
 // welcome) before StartAcks takes over the read half.
-func (s *stream) handshake(local hello) error {
-	if err := local.send(s.c, ftHello); err != nil {
+func handshake(c *Conn, local hello) error {
+	if err := local.send(c, ftHello); err != nil {
 		return fmt.Errorf("replication: handshake: %w", err)
 	}
-	return local.expect(s.c, ftWelcome)
+	return local.expect(c, ftWelcome)
 }
 
-// acceptHandshake is the answering side: read the hello, check it against
-// the local geometry, echo a welcome.
+// acceptHandshake is the answering side: read the hello, answer a
+// well-formed one with a welcome, then check its geometry — so a mismatch
+// fails on both ends with errGeometry, not only here.
 func acceptHandshake(c *Conn, local hello) error {
-	if err := local.expect(c, ftHello); err != nil {
+	peer, err := readHello(c, ftHello)
+	if err != nil {
 		return err
 	}
 	if err := local.send(c, ftWelcome); err != nil {
 		return fmt.Errorf("replication: handshake: %w", err)
 	}
-	return nil
+	return local.check(peer)
 }

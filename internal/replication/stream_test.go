@@ -14,14 +14,19 @@ import (
 
 const streamTestLag = 4
 
-// newTestStream returns a started stream with a lag bound of streamTestLag
-// whose peer acks "applied through tick" (normalised like Shipper does), and
-// an ack function writing one such frame from the peer end.
-func newTestStream(t *testing.T) (st *stream, peer net.Conn, ack func(tick uint64)) {
+// newTestStream returns a stream with a lag bound of streamTestLag, one
+// session attached and its ack reader started, the session's connection (to
+// send on), and an ack function writing one "applied through tick" frame
+// from the peer end.
+func newTestStream(t *testing.T) (st *stream, c *Conn, peer net.Conn, ack func(tick uint64)) {
 	t.Helper()
 	sc, pc := net.Pipe()
-	st = newStream(sc, StreamOptions{MaxLagTicks: streamTestLag})
-	st.StartAcks(func(tick uint64) uint64 { return tick + 1 })
+	st = newStream(StreamOptions{MaxLagTicks: streamTestLag}, false, func(uint64) {})
+	c, err := st.attach(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.StartAcks()
 	peerc := NewConn(pc, MaxFrameSize)
 	go func() { // drain the send direction; ends when either side closes
 		for {
@@ -34,7 +39,7 @@ func newTestStream(t *testing.T) (st *stream, peer net.Conn, ack func(tick uint6
 		st.Stop() //nolint:errcheck // teardown
 		pc.Close()
 	})
-	return st, pc, func(tick uint64) {
+	return st, c, pc, func(tick uint64) {
 		t.Helper()
 		if err := peerc.SendU64(ftAck, tick); err != nil {
 			t.Fatalf("peer ack %d: %v", tick, err)
@@ -74,13 +79,13 @@ func stillBlocked(t *testing.T, what string, ch <-chan error) {
 }
 
 func TestStreamLagGateBlocksAtBoundAndOneAckReleases(t *testing.T) {
-	st, _, ack := newTestStream(t)
+	st, c, _, ack := newTestStream(t)
 	// Ticks 0..3 are exactly streamTestLag in flight: none may block.
 	for tick := uint64(0); tick < streamTestLag; tick++ {
 		if err := within(t, "WaitLag inside the bound", async(func() error { return st.WaitLag(tick, 0) })); err != nil {
 			t.Fatalf("WaitLag(%d): %v", tick, err)
 		}
-		if err := st.Send(append(binary.LittleEndian.AppendUint64(st.Frame(ftTick), tick), 0)); err != nil {
+		if err := c.Send(append(binary.LittleEndian.AppendUint64(c.Frame(ftTick), tick), 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +107,7 @@ func TestStreamLagGateBlocksAtBoundAndOneAckReleases(t *testing.T) {
 }
 
 func TestStreamPeerCloseLatchesFirstErrorAndUnblocksWaiters(t *testing.T) {
-	st, peer, _ := newTestStream(t)
+	st, _, peer, _ := newTestStream(t)
 	gate := async(func() error { return st.WaitLag(10, 0) })
 	await := async(func() error { return st.AwaitAck(0, time.Minute) })
 	stillBlocked(t, "WaitLag", gate)
@@ -124,7 +129,7 @@ func TestStreamPeerCloseLatchesFirstErrorAndUnblocksWaiters(t *testing.T) {
 }
 
 func TestStreamStopDuringWaitLagIsErrStopped(t *testing.T) {
-	st, _, _ := newTestStream(t)
+	st, _, _, _ := newTestStream(t)
 	gate := async(func() error { return st.WaitLag(10, 0) })
 	stillBlocked(t, "WaitLag", gate)
 	if err := st.Stop(); err != nil {
@@ -147,7 +152,7 @@ func TestStreamStopDuringWaitLagIsErrStopped(t *testing.T) {
 }
 
 func TestStreamAckAheadOfSendDoesNotWedgeGate(t *testing.T) {
-	st, _, ack := newTestStream(t)
+	st, _, _, ack := newTestStream(t)
 	// A resuming peer can acknowledge far past the first tick this stream
 	// sends; tick-minus-watermark must not wrap into a huge in-flight count.
 	ack(100)

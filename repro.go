@@ -176,7 +176,9 @@ func RecoverEngine(opts EngineOptions) (*Engine, ParallelRecoveryResult, error) 
 
 // Shipper streams a primary engine to one warm standby: a bootstrap
 // checkpoint snapshot, then live tick records tail-followed from the
-// engine's logical log, with a bounded number of in-flight ticks.
+// engine's logical log, with a bounded number of in-flight ticks — on one
+// connection (StartPrimary) or over redialled sessions
+// (StartResilientPrimary).
 type Shipper = replication.Shipper
 
 // ShipperOptions configures a primary-side shipper (replay-lag budget).
@@ -208,15 +210,11 @@ type Backoff = replication.Backoff
 // ResilientOptions tunes a reconnecting replication supervisor.
 type ResilientOptions = replication.ResilientOptions
 
-// ResilientShipper keeps a primary streaming to a reconnecting standby
-// across link failures, retaining unacknowledged log records in between.
-type ResilientShipper = replication.ResilientShipper
-
-// StartResilientPrimary attaches a reconnecting shipper: each session is a
-// plain shipper, and the primary's log retains everything above the
-// standby's acknowledged watermark so a cut stream resumes without a
-// re-bootstrap. dial is called once per session attempt.
-func StartResilientPrimary(e *Engine, dial func() (net.Conn, error), opts ShipperOptions, ropts ResilientOptions) (*ResilientShipper, error) {
+// StartResilientPrimary attaches a reconnecting shipper: the same Shipper,
+// dialling a new session whenever one ends, while the primary's log retains
+// everything above the standby's acknowledged watermark so a cut stream
+// resumes without a re-bootstrap. dial is called once per session attempt.
+func StartResilientPrimary(e *Engine, dial func() (net.Conn, error), opts ShipperOptions, ropts ResilientOptions) (*Shipper, error) {
 	return replication.StartResilientShipper(e, dial, opts, ropts)
 }
 
