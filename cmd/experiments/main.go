@@ -14,20 +14,16 @@
 // aligned text tables; -out additionally writes CSV files per figure.
 //
 // -shards N runs the fig6 validation engine sharded (N checkpoint
-// flushers); the recoverytime experiment sweeps shard counts regardless.
-// -recovery-log-ticks trims the recoverytime log-length axis (CI smoke uses
-// a single tiny value). failovertime builds a live primary→standby
-// replication pair per point and reports warm takeover vs cold recovery;
-// -failover-updates/-lag/-shards pin single values for its axes and
-// -failover-log-ticks the crash-point log length.
-//
-// scenariobench sweeps workload scenario × checkpoint method × shard count
-// through warm checkpointing, a replicated live phase, promotion and cold
-// pipeline recovery, and exits non-zero unless every cell's promoted standby
-// and cold-recovered state are byte-identical to the serial reference.
-// -bench-scenarios trims the scenario axis. Its timings are informational:
-// performance is gated by the repo benchmark (BENCHMARK.json,
-// bash benchmark/run.sh), not by this command.
+// flushers). recoverytime runs one crash point per scenario × checkpoint
+// method × shard count × log length: warm checkpointing, a replicated live
+// phase, standby promotion, then cold pipeline and serial recovery of the
+// dead primary's directory. It reports the ΔTrestore/ΔTreplay breakdown
+// with the takeover next to it, and exits non-zero unless every cell's
+// promoted, cold and serial states are byte-identical to the serial
+// reference and replay exactly the log length. -recovery-log-ticks pins one
+// log length and -recovery-disk the backup throttle. Its timings are
+// informational: performance is gated by the repo benchmark
+// (BENCHMARK.json, bash benchmark/run.sh), not by this command.
 //
 // clusterbench runs the real multi-node cluster (internal/cluster) through
 // scenario × cluster size × recovery mode (disk pipeline, standby
@@ -104,8 +100,6 @@ var experimentTable = []struct {
 	{[]string{"logging"}, func(r *runner, _ func(string) bool) { r.logging() }},
 	{[]string{"ksafety"}, func(r *runner, _ func(string) bool) { r.ksafety() }},
 	{[]string{"recoverytime"}, func(r *runner, _ func(string) bool) { r.recoverytime() }},
-	{[]string{"failovertime"}, func(r *runner, _ func(string) bool) { r.failovertime() }},
-	{[]string{"scenariobench"}, func(r *runner, _ func(string) bool) { r.scenariobench() }},
 	{[]string{"clusterbench"}, func(r *runner, _ func(string) bool) { r.clusterbench() }},
 	{[]string{"chaosbench"}, func(r *runner, _ func(string) bool) { r.chaosbench() }},
 	{[]string{"gatewaybench"}, func(r *runner, _ func(string) bool) { r.gatewaybench() }},
@@ -133,12 +127,7 @@ var (
 	diskBench  = flag.Bool("disk-bench", false, "measure real disk bandwidth for table3 (writes 256 MB)")
 	shards     = flag.Int("shards", 0, "engine shards for fig6 validation (0 = paper-faithful single shard)")
 	recLog     = flag.Int("recovery-log-ticks", 0, "single log length for recoverytime (0 = scale default sweep)")
-	recDisk    = flag.Float64("recovery-disk", 0, "recoverytime/failovertime backup throttle in bytes/sec (0 = paper disk, <0 = unthrottled)")
-	foLog      = flag.Int("failover-log-ticks", 0, "failovertime log length behind the crash (0 = scale default)")
-	foUpd      = flag.Int("failover-updates", 0, "single failovertime update rate (0 = default sweep)")
-	foLag      = flag.Int("failover-lag", 0, "single failovertime replay-lag budget (0 = default sweep)")
-	foShards   = flag.Int("failover-shards", 0, "single failovertime shard count (0 = default sweep)")
-	foCheck    = flag.Bool("failover-check", false, "fail if warm takeover is not strictly below cold pipeline recovery in every failovertime row (meaningful under the default paper-disk throttle)")
+	recDisk    = flag.Float64("recovery-disk", 0, "recoverytime backup throttle in bytes/sec (0 = paper disk, <0 = unthrottled)")
 	clustScen  = flag.String("cluster-scenarios", "", "comma-separated clusterbench scenario filter (empty = hotspot,migration,flashcrowd)")
 	clustSize  = flag.String("cluster-sizes", "", "comma-separated clusterbench node counts (empty = 1,2,4)")
 	clustRec   = flag.String("cluster-recovery-modes", "", "comma-separated clusterbench recovery-mode axis (empty = disk,standby,peerram)")
@@ -149,7 +138,6 @@ var (
 	gwProf     = flag.String("gateway-profiles", "", "comma-separated gatewaybench churn profiles (empty = "+joinProfiles()+")")
 	gwSize     = flag.String("gateway-sizes", "", "comma-separated gatewaybench node counts (empty = 1,2,4)")
 	gwClients  = flag.Int("gateway-clients", 0, "gatewaybench simulated client population (0 = scale default)")
-	benchScen  = flag.String("bench-scenarios", "", "comma-separated scenariobench scenario filter (empty = all registered scenarios)")
 )
 
 func main() {
@@ -530,75 +518,34 @@ func (r *runner) gatewaybench() {
 
 func (r *runner) recoverytime() {
 	r.timed("recoverytime", func() {
-		var logLens []int
+		var logTicks []int
 		if *recLog > 0 {
-			logLens = []int{*recLog}
+			logTicks = []int{*recLog}
 		}
-		rt, err := experiments.RunRecoveryTime(r.scale, *seed, []int{1, 2, 4, 8}, logLens, *recDisk)
+		rt, err := experiments.RunRecoveryTime(r.scale, *seed, experiments.RecoveryTimeOptions{
+			LogTicks:        logTicks,
+			DiskBytesPerSec: *recDisk,
+		})
 		if err != nil {
 			fatalf("recoverytime: %v", err)
 		}
-		r.emitTable("Recovery pipeline: ΔTrestore / ΔTreplay / pipeline total vs shard count", rt.Table())
+		r.emitTable("Recovery time: scenario × method × L × shards (apply / ΔTrestore / ΔTreplay / pipeline / serial / takeover)",
+			rt.Table())
 		r.emit("recoverytime-restore", &rt.Restore)
 		r.emit("recoverytime-replay", &rt.Replay)
 		r.emit("recoverytime-total", &rt.Total)
-	})
-}
-
-func (r *runner) failovertime() {
-	r.timed("failovertime", func() {
-		single := func(v int) []int {
-			if v > 0 {
-				return []int{v}
-			}
-			return nil
-		}
-		ft, err := experiments.RunFailoverTime(r.scale, *seed,
-			single(*foUpd), single(*foLag), single(*foShards), *foLog, *recDisk)
-		if err != nil {
-			fatalf("failovertime: %v", err)
-		}
-		r.emitTable("Failover: warm-standby takeover vs cold recovery", ft.Table())
-		r.emit("failovertime-takeover", &ft.Takeover)
-		r.emit("failovertime-cold", &ft.Cold)
-		for _, row := range ft.Rows {
-			// Byte-identity is unconditional: a promoted standby that
-			// differs from cold recovery is corrupt, whatever the timing.
-			if !row.Identical {
-				fatalf("failovertime: promoted standby NOT byte-identical to cold recovery (updates=%d lag=%d shards=%d)",
-					row.Updates, row.LagBudget, row.Shards)
-			}
-			if *foCheck && row.Takeover >= row.ColdPipeline {
-				fatalf("failovertime: warm takeover %v not below cold pipeline %v (updates=%d lag=%d shards=%d)",
-					row.Takeover, row.ColdPipeline, row.Updates, row.LagBudget, row.Shards)
-			}
-		}
-		if *foCheck {
-			fmt.Printf("failover-check passed: warm takeover strictly below cold pipeline in all %d rows, all byte-identical\n",
-				len(ft.Rows))
-		}
-	})
-}
-
-func (r *runner) scenariobench() {
-	r.timed("scenariobench", func() {
-		res, err := experiments.RunScenarioBench(r.scale, *seed, experiments.ScenarioBenchOptions{
-			Scenarios: splitList(*benchScen),
-		})
-		if err != nil {
-			fatalf("scenariobench: %v", err)
-		}
-		r.emitTable("Scenario bench: workload × method × shards (apply / checkpoint / recovery / failover)",
-			res.Table())
 		// Byte identity is unconditional: whatever the timings, a recovery
 		// path that reconstructs different bytes is corrupt.
-		for _, c := range res.Cells {
-			if !c.Identical {
-				fatalf("scenariobench: %s/%s/shards=%d NOT byte-identical to the serial reference",
-					c.Scenario, c.Method, c.Shards)
+		for _, row := range rt.Rows {
+			if !row.Identical {
+				fatalf("recoverytime: %s NOT byte-identical to the serial reference", row.Cell())
+			}
+			if row.ReplayedTicks != row.LogTicks {
+				fatalf("recoverytime: %s replayed %d ticks, want %d", row.Cell(), row.ReplayedTicks, row.LogTicks)
 			}
 		}
-		fmt.Printf("crash equivalence: all %d cells byte-identical to the serial reference\n", len(res.Cells))
+		fmt.Printf("crash equivalence: all %d cells byte-identical to the serial reference (promoted, cold and serial), each replaying exactly its log length\n",
+			len(rt.Rows))
 	})
 }
 

@@ -16,7 +16,7 @@ import (
 // checkpoint, crashes, and recovers every partition in parallel must be
 // byte-identical per cell to a never-crashed single-node serial run of the
 // same scenario — the cluster twin of the engine's shard-equivalence and
-// scenariobench identity checks. The migration scenario additionally
+// recoverytime identity checks. The migration scenario additionally
 // migrates a range mid-stream, so the moved range's install record goes
 // through crash recovery too. The window is one more input: at
 // MaxSkew = 2 (no migration — it is refused there) the crash drops each

@@ -154,9 +154,8 @@ type ClusterBenchOptions struct {
 	UpdatesPerTick int
 	// Table overrides the scale geometry (tests).
 	Table *gamestate.Table
-	// DiskBytesPerSec throttles every node's backups: 0 means the
-	// scenariobench default (10x the scale's paper disk), negative
-	// unthrottled.
+	// DiskBytesPerSec throttles every node's backups: 0 means 10x the
+	// scale's paper disk, negative unthrottled.
 	DiskBytesPerSec float64
 	// RecoveryModes is the recovery-mode axis; every (scenario, size) cell at
 	// MaxSkew = 0 runs once per mode. Defaults to {disk, standby, peerram}.

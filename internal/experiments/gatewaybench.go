@@ -152,9 +152,8 @@ type GatewayBenchOptions struct {
 	TickBudget time.Duration
 	// Table overrides the scale geometry (tests).
 	Table *gamestate.Table
-	// DiskBytesPerSec throttles every node's backups: 0 means the
-	// scenariobench default (10x the scale's paper disk), negative
-	// unthrottled.
+	// DiskBytesPerSec throttles every node's backups: 0 means 10x the
+	// scale's paper disk, negative unthrottled.
 	DiskBytesPerSec float64
 }
 

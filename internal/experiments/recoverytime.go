@@ -1,40 +1,58 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
+	"net"
 	"os"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/gamestate"
+	"repro/internal/replication"
 	"repro/internal/report"
 	"repro/internal/wal"
+	"repro/internal/workload"
 )
 
 // The recovery-time experiment measures the paper's headline quantity,
-// ΔTrecovery = ΔTrestore + ΔTreplay (Section 4.2), through the sharded
-// parallel recovery pipeline: checkpoint method × log length × shard count,
-// reporting the per-stage breakdown, the pipeline wall time, and the serial
-// baseline on the same on-disk state. Because restore and replay overlap
-// (replay of restored shards runs while the rest of the image streams in),
-// the pipeline total undercuts the sum of its stages; the "overlap" column
-// is exactly the recovery time the pipelining buys back.
+// ΔTrecovery = ΔTrestore + ΔTreplay (Section 4.2), at one crash point per
+// cell of scenario × checkpoint method × shard count × log length L, on
+// every recovery path the engine has. Each cell:
 //
-// The workload is built in two phases so the replayed log length is an
-// exact experimental axis: a checkpointing engine writes the image, then a
-// ModeNone engine (no checkpoints, so no log rotation) appends exactly L
-// ticks for recovery to replay. By default the backup devices emulate the
-// paper's dedicated recovery disk (60 MB/s at full scale, 6 MB/s at quick),
-// which is what gives restore a real duration for replay to hide under;
-// pass a negative rate for raw unthrottled files (ReStore-style restore
-// scaling on hardware with internal parallelism).
+//  1. warm — a checkpointing engine applies recoveryWarmTicks ticks (apply
+//     throughput and checkpoint-pause overhead are read from its Stats),
+//     then CheckpointAsOf makes the image cover the whole phase;
+//  2. live — the directory reopens with ModeNone (no checkpoints, so no log
+//     rotation: the replayed log is exactly L ticks) while a warm standby
+//     mirrors the ticks over live WAL shipping;
+//  3. crash — the stream stops and the standby is promoted; the takeover
+//     is timed;
+//  4. cold — the sharded pipeline (engine.RecoverFrom) recovers the dead
+//     primary's directory and reports its stages. Restore and replay
+//     overlap, so the pipeline undercuts the sum of its stages; the overlap
+//     column is the recovery time the pipelining buys back;
+//  5. serial — engine.Open on the same directory gives the single-core
+//     ΔTrestore + ΔTreplay baseline.
+//
+// The promoted, cold and serial slabs must each be byte-identical to a
+// serial in-memory apply of the scenario. A cell that fails identity is
+// corrupt no matter how fast it was. By default the backup devices emulate
+// the paper's dedicated recovery disk (60 MB/s at full scale, 6 MB/s at
+// quick), which gives restore a real duration for replay to hide under.
+// The timings gate nothing; BENCHMARK.json is the repo's timing gate.
 
-// RecoveryTimeRow is one (method, log length, shard count) measurement.
+// RecoveryTimeRow is one (scenario, method, log length, shard count) cell.
 type RecoveryTimeRow struct {
+	Scenario string
 	Mode     engine.Mode
 	LogTicks int
-	// Shards is the requested recovery width, Effective the plan's width.
+	// Shards is the requested width, Effective the recovery plan's width.
 	Shards    int
 	Effective int
+	// Warm phase, read from the checkpointing engine's Stats.
+	ApplyUpdatesPerSec float64
+	OverheadMsPerTick  float64
 	// Restore and Replay are the pipeline's stage wall times (ΔTrestore,
 	// ΔTreplay); Total is the pipeline wall. Overlap is the recovery time
 	// pipelining the stages saved (recovery.ParallelResult.Overlap, never
@@ -43,34 +61,71 @@ type RecoveryTimeRow struct {
 	Replay  time.Duration
 	Total   time.Duration
 	Overlap time.Duration
-	// Serial is ΔTrestore + ΔTreplay through the serial recovery path on
-	// the same directory, the single-core baseline.
+	// Serial is ΔTrestore + ΔTreplay through the serial recovery path.
 	Serial time.Duration
-	// ReplayedTicks confirms the log-length axis took effect.
+	// Takeover is the warm path: primary death → promoted standby ready.
+	Takeover time.Duration
+	// ReplayedTicks confirms the log-length axis took effect; StandbyTicks
+	// is the tick the promoted standby applies next.
 	ReplayedTicks int
+	StandbyTicks  uint64
+	// Identical: the promoted, cold and serial states all match the serial
+	// reference byte for byte.
+	Identical bool
+}
+
+// Cell names the row's cell, as errors and reports print it.
+func (r *RecoveryTimeRow) Cell() string {
+	return fmt.Sprintf("%s/%s/L=%d/shards=%d", r.Scenario, r.Mode, r.LogTicks, r.Shards)
 }
 
 // RecoveryTimeResult aggregates the sweep.
 type RecoveryTimeResult struct {
-	Rows    []RecoveryTimeRow
-	Restore report.Figure // x = shards, y = ΔTrestore seconds
-	Replay  report.Figure // x = shards, y = ΔTreplay seconds
-	Total   report.Figure // x = shards, y = pipeline recovery seconds
+	Rows []RecoveryTimeRow
+	// One series per (scenario, method, L); x = shards.
+	Restore report.Figure // y = ΔTrestore seconds
+	Replay  report.Figure // y = ΔTreplay seconds
+	Total   report.Figure // y = pipeline recovery seconds
 }
 
 // Table renders the rows as an aligned text table.
 func (r *RecoveryTimeResult) Table() *report.TextTable {
 	t := report.NewTextTable()
-	t.Header("method", "log ticks", "shards", "eff",
-		"restore ms", "replay ms", "pipeline ms", "overlap ms", "serial ms", "replayed")
+	t.Header("scenario", "method", "log ticks", "shards", "eff", "apply Mupd/s", "ovh ms/tick",
+		"restore ms", "replay ms", "pipeline ms", "overlap ms", "serial ms", "takeover ms",
+		"replayed", "identical")
 	ms := func(d time.Duration) string { return fmt.Sprintf("%.2f", d.Seconds()*1e3) }
 	for _, row := range r.Rows {
-		t.Row(row.Mode.String(), fmt.Sprint(row.LogTicks),
+		t.Row(row.Scenario, row.Mode.String(), fmt.Sprint(row.LogTicks),
 			fmt.Sprint(row.Shards), fmt.Sprint(row.Effective),
+			fmt.Sprintf("%.2f", row.ApplyUpdatesPerSec/1e6),
+			fmt.Sprintf("%.3f", row.OverheadMsPerTick),
 			ms(row.Restore), ms(row.Replay), ms(row.Total), ms(row.Overlap),
-			ms(row.Serial), fmt.Sprint(row.ReplayedTicks))
+			ms(row.Serial), ms(row.Takeover),
+			fmt.Sprint(row.ReplayedTicks), fmt.Sprint(row.Identical))
 	}
 	return t
+}
+
+// RecoveryTimeOptions trims the sweep. Zero values mean the defaults; tests
+// shrink the geometry.
+type RecoveryTimeOptions struct {
+	// Scenarios defaults to every registered workload scenario.
+	Scenarios []string
+	// Methods defaults to {naive-snapshot, copy-on-update}.
+	Methods []engine.Mode
+	// ShardCounts defaults to {1, 2, 4, 8}.
+	ShardCounts []int
+	// LogTicks is the log-length axis L; it defaults to
+	// DefaultRecoveryLogLens.
+	LogTicks []int
+	// UpdatesPerTick defaults to the scale's Table 4 bold default.
+	UpdatesPerTick int
+	// Table overrides the scale's geometry (tests).
+	Table *gamestate.Table
+	// DiskBytesPerSec throttles the backup devices: 0 means the scale's
+	// paper recovery disk, negative means unthrottled.
+	DiskBytesPerSec float64
 }
 
 // DefaultRecoveryLogLens returns the log-length axis for a scale.
@@ -81,165 +136,237 @@ func DefaultRecoveryLogLens(s Scale) []int {
 	return []int{16, 64}
 }
 
-// recoveryWarmTicks is the pre-checkpoint workload that populates the image.
-const recoveryWarmTicks = 8
+const (
+	// recoveryWarmTicks is the pre-checkpoint workload that populates the
+	// image and gives the standby a real snapshot to bootstrap from.
+	recoveryWarmTicks = 8
+	// recoveryLagBudget is the shipper's in-flight tick bound.
+	recoveryLagBudget = 8
+)
 
-// RunRecoveryTime sweeps checkpoint method × log length × shard count and
-// measures sharded pipelined recovery on each resulting on-disk state. Nil
-// shardCounts defaults to {1,2,4,8}; nil logLens to the scale's default.
-// diskBytesPerSec throttles the backup devices: 0 means the scale's
-// paper-faithful recovery-disk bandwidth, negative means unthrottled.
-func RunRecoveryTime(s Scale, seed int64, shardCounts, logLens []int, diskBytesPerSec float64) (*RecoveryTimeResult, error) {
-	updates := DefaultUpdates(s)
-	if diskBytesPerSec == 0 {
-		diskBytesPerSec = Config(s).Params.DiskBandwidth
-	} else if diskBytesPerSec < 0 {
-		diskBytesPerSec = 0 // engine convention: 0 = unthrottled
+// RunRecoveryTime runs one crash point per scenario × method × L × shard
+// count and measures every recovery path on it.
+func RunRecoveryTime(s Scale, seed int64, opts RecoveryTimeOptions) (*RecoveryTimeResult, error) {
+	if len(opts.Scenarios) == 0 {
+		opts.Scenarios = workload.Names()
 	}
-	if len(shardCounts) == 0 {
-		shardCounts = []int{1, 2, 4, 8}
+	if len(opts.Methods) == 0 {
+		opts.Methods = []engine.Mode{engine.ModeNaiveSnapshot, engine.ModeCopyOnUpdate}
 	}
-	if len(logLens) == 0 {
-		logLens = DefaultRecoveryLogLens(s)
+	if len(opts.ShardCounts) == 0 {
+		opts.ShardCounts = []int{1, 2, 4, 8}
+	}
+	if len(opts.LogTicks) == 0 {
+		opts.LogTicks = DefaultRecoveryLogLens(s)
+	}
+	if opts.UpdatesPerTick <= 0 {
+		opts.UpdatesPerTick = DefaultUpdates(s)
+	}
+	if opts.DiskBytesPerSec == 0 {
+		opts.DiskBytesPerSec = Config(s).Params.DiskBandwidth
+	} else if opts.DiskBytesPerSec < 0 {
+		opts.DiskBytesPerSec = 0 // engine convention: 0 = unthrottled
+	}
+	table := Config(s).Table
+	if opts.Table != nil {
+		table = *opts.Table
+	}
+
+	figure := func(stage, ylabel string) report.Figure {
+		return report.Figure{
+			Title:  fmt.Sprintf("Recovery pipeline (%s scale): %s vs shard count", s, stage),
+			XLabel: "# shards", YLabel: ylabel,
+		}
 	}
 	res := &RecoveryTimeResult{
-		Restore: report.Figure{
-			Title:  fmt.Sprintf("Recovery pipeline (%s scale): restore stage vs shard count", s),
-			XLabel: "# shards", YLabel: "ΔTrestore [sec]",
-		},
-		Replay: report.Figure{
-			Title:  fmt.Sprintf("Recovery pipeline (%s scale): replay stage vs shard count", s),
-			XLabel: "# shards", YLabel: "ΔTreplay [sec]",
-		},
-		Total: report.Figure{
-			Title:  fmt.Sprintf("Recovery pipeline (%s scale): pipeline total vs shard count", s),
-			XLabel: "# shards", YLabel: "recovery time [sec]",
-		},
+		Restore: figure("restore stage", "ΔTrestore [sec]"),
+		Replay:  figure("replay stage", "ΔTreplay [sec]"),
+		Total:   figure("pipeline total", "recovery time [sec]"),
 	}
-
-	for _, mode := range []engine.Mode{engine.ModeNaiveSnapshot, engine.ModeCopyOnUpdate} {
-		for _, logLen := range logLens {
-			dir, err := os.MkdirTemp("", "mmorecov")
+	for _, name := range opts.Scenarios {
+		for _, logTicks := range opts.LogTicks {
+			src, err := workload.New(name, workload.Config{
+				Table:          table,
+				UpdatesPerTick: opts.UpdatesPerTick,
+				Ticks:          recoveryWarmTicks + logTicks,
+				Skew:           DefaultSkew,
+				Seed:           seed,
+			})
 			if err != nil {
 				return nil, err
 			}
-			serial, rows, err := recoveryPoint(mode, s, seed, updates, logLen, shardCounts, dir, diskBytesPerSec)
-			os.RemoveAll(dir)
+			ref, err := scenarioReference(table, src, nil)
 			if err != nil {
 				return nil, err
 			}
-			key := fmt.Sprintf("%s/L=%d", mode, logLen)
-			restoreSeries := report.Series{Name: key}
-			replaySeries := report.Series{Name: key}
-			totalSeries := report.Series{Name: key}
-			for i := range rows {
-				rows[i].Serial = serial
-				restoreSeries.Add(float64(rows[i].Shards), rows[i].Restore.Seconds())
-				replaySeries.Add(float64(rows[i].Shards), rows[i].Replay.Seconds())
-				totalSeries.Add(float64(rows[i].Shards), rows[i].Total.Seconds())
-				res.Rows = append(res.Rows, rows[i])
+			for _, mode := range opts.Methods {
+				key := fmt.Sprintf("%s/%s/L=%d", name, mode, logTicks)
+				restore, replay, total := report.Series{Name: key}, report.Series{Name: key}, report.Series{Name: key}
+				for _, shards := range opts.ShardCounts {
+					row := RecoveryTimeRow{Scenario: name, Mode: mode, LogTicks: logTicks, Shards: shards}
+					if err := recoveryCell(&row, table, src, ref, opts.DiskBytesPerSec); err != nil {
+						return nil, fmt.Errorf("recoverytime %s: %w", row.Cell(), err)
+					}
+					res.Rows = append(res.Rows, row)
+					restore.Add(float64(shards), row.Restore.Seconds())
+					replay.Add(float64(shards), row.Replay.Seconds())
+					total.Add(float64(shards), row.Total.Seconds())
+				}
+				res.Restore.Add(restore)
+				res.Replay.Add(replay)
+				res.Total.Add(total)
 			}
-			res.Restore.Add(restoreSeries)
-			res.Replay.Add(replaySeries)
-			res.Total.Add(totalSeries)
 		}
 	}
 	return res, nil
 }
 
-// recoveryPoint builds one on-disk state (image via mode, then logLen
-// logged-only ticks) and recovers it serially and at each shard count.
-func recoveryPoint(mode engine.Mode, s Scale, seed int64, updates, logLen int,
-	shardCounts []int, dir string, diskRate float64) (time.Duration, []RecoveryTimeRow, error) {
-	cfg := Config(s)
-	src, err := zipfSource(cfg, updates, recoveryWarmTicks+logLen, DefaultSkew, seed)
+// scenarioReference applies the whole scenario serially in memory — the
+// byte-exact ground truth for every recovery path. extra, when non-nil,
+// appends further updates to each tick's batch (clusterbench's delivered
+// cross-partition messages).
+func scenarioReference(table gamestate.Table, src workload.Source, extra func(t int) []wal.Update) ([]byte, error) {
+	e, err := engine.Open(engine.Options{Table: table, Mode: engine.ModeNone, InMemory: true, Shards: 1})
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	var cells []uint32
-	batch := make([]wal.Update, 0, updates)
-	tickBatch := func(t int) []wal.Update {
-		cells = src.AppendTick(t, cells[:0])
-		batch = batch[:0]
-		for _, c := range cells {
-			batch = append(batch, wal.Update{Cell: c, Value: uint32(t)})
+	var batch []wal.Update
+	for t := 0; t < src.NumTicks(); t++ {
+		cells, batch = workload.TickUpdates(src, t, cells, batch)
+		if extra != nil {
+			batch = append(batch, extra(t)...)
 		}
-		return batch
+		if err := e.ApplyTick(batch); err != nil {
+			e.Close()
+			return nil, err
+		}
+	}
+	ref := append([]byte(nil), e.Store().Slab()...)
+	return ref, e.Close()
+}
+
+// recoveryCell runs row's crash point and fills in its measurements: the
+// warm checkpointing phase, the live replicated phase, the timed promotion,
+// then cold pipeline and serial recovery of the dead primary's directory,
+// each compared with the reference ref.
+func recoveryCell(row *RecoveryTimeRow, table gamestate.Table, src workload.Source, ref []byte, diskRate float64) error {
+	pdir, err := os.MkdirTemp("", "mmorecov-p")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(pdir)
+	sdir, err := os.MkdirTemp("", "mmorecov-s")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(sdir)
+	options := func(dir string, mode engine.Mode) engine.Options {
+		return engine.Options{Table: table, Dir: dir, Mode: mode, Shards: row.Shards, DiskBytesPerSec: diskRate}
+	}
+	var cells []uint32
+	var batch []wal.Update
+	applyTick := func(e *engine.Engine, t int) error {
+		cells, batch = workload.TickUpdates(src, t, cells, batch)
+		return e.ApplyTick(batch)
 	}
 
-	// Phase 1: a checkpointing engine writes the image.
-	e, err := engine.Open(engine.Options{Table: cfg.Table, Dir: dir, Mode: mode, DiskBytesPerSec: diskRate})
+	// Warm: a checkpointing engine, measured. The image must cover the
+	// whole phase so the replayed log is exactly the L live ticks;
+	// CheckpointAsOf is the loop that guarantees it.
+	p, err := engine.Open(options(pdir, row.Mode))
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
 	for t := 0; t < recoveryWarmTicks; t++ {
-		if err := e.ApplyTick(tickBatch(t)); err != nil {
-			e.Close()
-			return 0, nil, err
+		if err := applyTick(p, t); err != nil {
+			p.Close()
+			return err
 		}
 	}
-	// The image must cover the whole warm phase so the replayed log is
-	// exactly the logLen ticks below; CheckpointAsOf is the loop that
-	// guarantees it.
-	if _, err := e.CheckpointAsOf(recoveryWarmTicks - 1); err != nil {
-		e.Close()
-		return 0, nil, err
+	st := p.Stats()
+	if st.ApplyTotal > 0 {
+		row.ApplyUpdatesPerSec = float64(st.UpdatesApplied) / st.ApplyTotal.Seconds()
 	}
-	if err := e.Close(); err != nil {
-		return 0, nil, err
+	row.OverheadMsPerTick = st.PauseTotal.Seconds() * 1e3 / recoveryWarmTicks
+	if _, err := p.CheckpointAsOf(recoveryWarmTicks - 1); err != nil {
+		p.Close()
+		return err
+	}
+	if err := p.Close(); err != nil {
+		return err
 	}
 
-	// Phase 2: a ModeNone engine appends exactly logLen replayable ticks
-	// (no checkpoints, so the image stays where phase 1 left it).
-	e, err = engine.Open(engine.Options{Table: cfg.Table, Dir: dir, Mode: engine.ModeNone, DiskBytesPerSec: diskRate})
+	// Live: a ModeNone primary with a warm standby attached.
+	p, err = engine.Open(options(pdir, engine.ModeNone))
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
-	start := int(e.NextTick())
-	for t := 0; t < logLen; t++ {
-		if err := e.ApplyTick(tickBatch(start + t)); err != nil {
-			e.Close()
-			return 0, nil, err
-		}
-	}
-	if err := e.Close(); err != nil {
-		return 0, nil, err
-	}
-
-	// Serial baseline.
-	se, err := engine.Open(engine.Options{Table: cfg.Table, Dir: dir, Mode: mode, DiskBytesPerSec: diskRate})
+	defer p.Close()
+	pc, sc := net.Pipe()
+	sb, err := replication.StartStandby(options(sdir, engine.ModeCopyOnUpdate), sc)
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
-	rec := se.Recovery()
-	serial := rec.RestoreDuration + rec.ReplayDuration
-	if err := se.Close(); err != nil {
-		return 0, nil, err
+	defer sb.Close()
+	sh, err := replication.StartShipper(p, pc, replication.StreamOptions{MaxLagTicks: recoveryLagBudget})
+	if err != nil {
+		return err
+	}
+	defer sh.Stop() //nolint:errcheck // stopped below on success; stream errors are the crash
+	select {
+	case <-sb.Ready():
+	case <-sb.Done():
+		return fmt.Errorf("standby died during bootstrap: %w", sb.Err())
+	}
+	start := int(p.NextTick())
+	for t := 0; t < row.LogTicks; t++ {
+		if err := applyTick(p, start+t); err != nil {
+			return err
+		}
+	}
+	if err := sh.AwaitAck(uint64(start+row.LogTicks-1), 120*time.Second); err != nil {
+		return err
 	}
 
-	// The pipeline at each shard count.
-	var rows []RecoveryTimeRow
-	for _, sc := range shardCounts {
-		pe, pres, err := engine.RecoverFrom(engine.Options{
-			Table: cfg.Table, Dir: dir, Mode: mode, Shards: sc, DiskBytesPerSec: diskRate,
-		})
-		if err != nil {
-			return 0, nil, err
-		}
-		rows = append(rows, RecoveryTimeRow{
-			Mode:          mode,
-			LogTicks:      logLen,
-			Shards:        sc,
-			Effective:     pe.Shards(),
-			Restore:       pres.RestoreDuration,
-			Replay:        pres.ReplayDuration,
-			Total:         pres.TotalDuration,
-			Overlap:       pres.Overlap(),
-			ReplayedTicks: pres.ReplayedTicks,
-		})
-		if err := pe.Close(); err != nil {
-			return 0, nil, err
-		}
+	// Crash: stop the stream, promote the standby, time the takeover.
+	crash := time.Now()
+	sh.Stop() //nolint:errcheck // the "crash"; stream errors are the point
+	promoted, err := sb.Promote()
+	if err != nil {
+		return err
 	}
-	return serial, rows, nil
+	row.Takeover = time.Since(crash)
+	row.StandbyTicks = promoted.NextTick()
+	identical := bytes.Equal(promoted.Store().Slab(), ref)
+	if err := promoted.Close(); err != nil {
+		return err
+	}
+	if err := p.Close(); err != nil {
+		return err
+	}
+
+	// Cold: the sharded pipeline on the dead primary's directory.
+	cold, pres, err := engine.RecoverFrom(options(pdir, row.Mode))
+	if err != nil {
+		return err
+	}
+	row.Effective = cold.Shards()
+	row.Restore, row.Replay, row.Total = pres.RestoreDuration, pres.ReplayDuration, pres.TotalDuration
+	row.Overlap = pres.Overlap()
+	row.ReplayedTicks = pres.ReplayedTicks
+	identical = identical && bytes.Equal(cold.Store().Slab(), ref)
+	if err := cold.Close(); err != nil {
+		return err
+	}
+
+	// Serial: the single-core baseline on the same directory.
+	serial, err := engine.Open(options(pdir, row.Mode))
+	if err != nil {
+		return err
+	}
+	rec := serial.Recovery()
+	row.Serial = rec.RestoreDuration + rec.ReplayDuration
+	row.Identical = identical && bytes.Equal(serial.Store().Slab(), ref)
+	return serial.Close()
 }

@@ -77,13 +77,13 @@ func TestRecoverParallelMatchesSerial(t *testing.T) {
 	defer log.Close()
 
 	serialSlab := make([]byte, pObj*pObjSize)
-	serialRes, err := Run(a, b, serialSlab, log,
+	serialRes, err := replayUpdates(a, b, serialSlab, log,
 		func(u wal.Update) {
 			serialSlab[u.Cell*4] = byte(u.Value)
 			serialSlab[u.Cell*4+1] = byte(u.Value >> 8)
 			serialSlab[u.Cell*4+2] = byte(u.Value >> 16)
 			serialSlab[u.Cell*4+3] = byte(u.Value >> 24)
-		}, nil)
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,9 +489,9 @@ func TestRecoverParallelStopsAtUndecodableRecord(t *testing.T) {
 	}
 	// The serial reference stops at the same record.
 	want := make([]byte, pObj*pObjSize)
-	if _, err := Run(a, b, want, log, func(u wal.Update) {
+	if _, err := replayUpdates(a, b, want, log, func(u wal.Update) {
 		binary.LittleEndian.PutUint32(want[u.Cell*4:], u.Value)
-	}, nil); err == nil {
+	}); err == nil {
 		t.Fatal("serial recovery accepted the truncated batch")
 	}
 	for _, shards := range []int{1, 2, 8} {

@@ -136,30 +136,3 @@ func RunRecords(a, b *disk.Backup, slab []byte, log *wal.Log,
 	}
 	return res, nil
 }
-
-// Run performs full recovery over a log of plain update batches
-// (wal.EncodeUpdates payloads): apply is called once per logged update, in
-// log order; tick boundaries are reported through onTick (which may be nil).
-func Run(a, b *disk.Backup, slab []byte, log *wal.Log,
-	apply func(u wal.Update), onTick func(tick uint64)) (Result, error) {
-
-	var buf []wal.Update
-	var updates int64
-	res, err := RunRecords(a, b, slab, log, func(tick uint64, payload []byte) error {
-		var derr error
-		buf, derr = wal.DecodeUpdates(buf[:0], payload)
-		if derr != nil {
-			return derr
-		}
-		if onTick != nil {
-			onTick(tick)
-		}
-		for _, u := range buf {
-			apply(u)
-		}
-		updates += int64(len(buf))
-		return nil
-	})
-	res.ReplayedUpdates = updates
-	return res, err
-}

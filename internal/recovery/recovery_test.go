@@ -126,7 +126,7 @@ func TestRunRestoresAndReplays(t *testing.T) {
 
 	slab := make([]byte, nObj*objSize)
 	cells := make(map[uint32]uint32)
-	res, err := Run(a, b, slab, log, func(u wal.Update) { cells[u.Cell] = u.Value }, nil)
+	res, err := replayUpdates(a, b, slab, log, func(u wal.Update) { cells[u.Cell] = u.Value })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +163,11 @@ func TestRunFreshStateReplaysEverything(t *testing.T) {
 	}
 	slab := make([]byte, nObj*objSize)
 	var ticksSeen []uint64
-	res, err := Run(mkBackup(t), mkBackup(t), slab, log,
-		func(wal.Update) {}, func(tick uint64) { ticksSeen = append(ticksSeen, tick) })
+	res, err := RunRecords(mkBackup(t), mkBackup(t), slab, log, func(tick uint64, payload []byte) error {
+		ticksSeen = append(ticksSeen, tick)
+		_, err := wal.DecodeUpdates(nil, payload)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +193,28 @@ func TestRunRejectsCorruptBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	slab := make([]byte, nObj*objSize)
-	if _, err := Run(mkBackup(t), mkBackup(t), slab, log, func(wal.Update) {}, nil); err == nil {
+	if _, err := replayUpdates(mkBackup(t), mkBackup(t), slab, log, func(wal.Update) {}); err == nil {
 		t.Error("corrupt batch accepted")
 	}
+}
+
+// replayUpdates is the serial reference over a log of plain update batches:
+// RunRecords, decoding each record in the callback, applying its updates in
+// log order and counting them into ReplayedUpdates.
+func replayUpdates(a, b *disk.Backup, slab []byte, log *wal.Log, apply func(wal.Update)) (Result, error) {
+	var buf []wal.Update
+	var updates int64
+	res, err := RunRecords(a, b, slab, log, func(_ uint64, payload []byte) error {
+		var err error
+		if buf, err = wal.DecodeUpdates(buf[:0], payload); err != nil {
+			return err
+		}
+		for _, u := range buf {
+			apply(u)
+		}
+		updates += int64(len(buf))
+		return nil
+	})
+	res.ReplayedUpdates = updates
+	return res, err
 }

@@ -131,8 +131,8 @@ func TestPromotionCrashEquivalence(t *testing.T) {
 			}
 
 			// Cold recovery of the dead primary must land on the same bytes
-			// (this is what the standby replaced — and what the failovertime
-			// experiment measures the takeover against).
+			// (this is what the standby replaced — and what the recoverytime
+			// experiment times next to the takeover).
 			cold, _, err := engine.RecoverFrom(engine.Options{Table: tab, Dir: pdir, Mode: engine.ModeCopyOnUpdate, Shards: shards})
 			if err != nil {
 				t.Fatal(err)

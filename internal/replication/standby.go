@@ -254,8 +254,8 @@ func (sb *Standby) Stats() StandbyStats {
 // waits for the applier to seal at the last complete tick, and promotes the
 // warm engine to a normal primary (ingested ticks synced durable, ApplyTick
 // enabled). The caller owns the returned engine — including closing it.
-// Promote is the warm path whose wall time the failovertime experiment
-// compares against cold checkpoint recovery.
+// Promote is the warm path whose wall time the recoverytime experiment
+// reports next to cold checkpoint recovery.
 func (sb *Standby) Promote() (*engine.Engine, error) {
 	sb.shutdownStream()
 	<-sb.done

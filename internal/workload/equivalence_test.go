@@ -15,7 +15,7 @@ import (
 // recovered at each shard width, must reconstruct exactly the state a
 // plain serial apply produces — whatever the workload's shape (drifting
 // hot sets, bursts, churn). This is the crash-equivalence guarantee the
-// scenariobench experiment re-checks per cell.
+// recoverytime experiment re-checks per cell.
 func TestScenarioCrashEquivalence(t *testing.T) {
 	// 512 objects so an 8-shard plan keeps 8 effective shards.
 	tab := gamestate.Table{Rows: 8192, Cols: 8, CellSize: 4, ObjSize: 512}

@@ -8,7 +8,7 @@
 // results shift materially with skew and churn. Each scenario here is a
 // deterministic, seedable trace.Source with a name, so the same stream can
 // drive the sharded engine, the parallel recovery pipeline, the replication
-// shipper, cmd/tracegen and the scenariobench identity sweep.
+// shipper, cmd/tracegen and the recoverytime identity sweep.
 //
 // Determinism contract: a Source is a pure function of (Config, tick).
 // Every scenario derives a per-tick RNG from (seed, scenario-name hash,
@@ -73,7 +73,7 @@ func (c Config) Validate() error {
 }
 
 // builders maps scenario names to constructors. Mixed composites live here
-// too, so Names/New cover everything scenariobench sweeps. Populated in
+// too, so Names/New cover everything recoverytime sweeps. Populated in
 // init (newMixed calls New, so a literal map would be an init cycle).
 var builders map[string]func(Config) (Source, error)
 
