@@ -199,11 +199,24 @@ func TestCrashRecoveryEquivalenceStaleSegment(t *testing.T) {
 			ref.apply(batch)
 		}
 	}
-	e, err := Open(Options{Table: tab, Dir: dir, Mode: ModeCopyOnUpdate, SyncEveryTick: true, Shards: 4})
+	// The first ticks are written without a checkpointer. A checkpointing
+	// engine flushes back to back, and when one of those flushes is as of
+	// tick 29 and completes before CheckpointAsOf(29) asks for a fresh one,
+	// two images cover tick 29 and pruning rightly removes every segment
+	// before 30, leaving nothing stale. The reopened engine below restores
+	// no image, so its one checkpoint rotates without pruning.
+	e, err := Open(Options{Table: tab, Dir: dir, Mode: ModeNone, SyncEveryTick: true, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tick(e, 30)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e, err = Open(Options{Table: tab, Dir: dir, Mode: ModeCopyOnUpdate, SyncEveryTick: true, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := e.CheckpointAsOf(29); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/gamestate"
 )
 
@@ -376,29 +377,16 @@ func TestKSafetyComparison(t *testing.T) {
 	}
 }
 
-// TestRecoveryTimePipeline runs the whole crash-point cell (warm
-// checkpointing engine → live replicated phase → crash → promote → cold
-// pipeline → serial recovery) unthrottled at a micro geometry and checks
-// the sweep's counts: the log-length axis controls replay exactly, the
-// standby promotes at the crash tick, all three recovered states match the
-// serial reference, every timing is populated, and the sweep covers every
-// requested cell. No timing is compared with another.
-func TestRecoveryTimePipeline(t *testing.T) {
-	tab := gamestate.Table{Rows: 8192, Cols: 8, CellSize: 4, ObjSize: 512}
-	logTicks := []int{4, 6}
-	rt, err := RunRecoveryTime(Quick, 3, RecoveryTimeOptions{
-		Scenarios:       []string{"migration"},
-		ShardCounts:     []int{1, 2},
-		LogTicks:        logTicks,
-		UpdatesPerTick:  300,
-		Table:           &tab,
-		DiskBytesPerSec: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 1 * 2 * len(logTicks) * 2; len(rt.Rows) != want { // scenarios × methods × L × shards
-		t.Fatalf("%d rows, want %d", len(rt.Rows), want)
+// checkRecoveryRows checks a recoverytime sweep's counts, none of which
+// compares one timing with another: the sweep covers wantRows cells, every
+// cell's promoted, cold and serial states match the serial reference, replay
+// covers exactly the log length, the standby promotes at the crash tick,
+// every timing is populated, the cold pipeline runs at the requested width,
+// and the table and wantSeries series per figure are populated.
+func checkRecoveryRows(t *testing.T, rt *RecoveryTimeResult, wantRows, wantSeries int) {
+	t.Helper()
+	if len(rt.Rows) != wantRows {
+		t.Fatalf("%d rows, want %d", len(rt.Rows), wantRows)
 	}
 	for _, row := range rt.Rows {
 		if !row.Identical {
@@ -421,7 +409,75 @@ func TestRecoveryTimePipeline(t *testing.T) {
 			t.Errorf("%s: effective %d shards", row.Cell(), row.Effective)
 		}
 	}
-	if rt.Table().String() == "" || len(rt.Total.Series) != 2*len(logTicks) {
+	if rt.Table().String() == "" || len(rt.Restore.Series) != wantSeries ||
+		len(rt.Replay.Series) != wantSeries || len(rt.Total.Series) != wantSeries {
 		t.Error("table or figures not populated")
+	}
+}
+
+// TestRecoveryTimePipeline runs the whole crash-point cell (warm
+// checkpointing engine → live replicated phase → crash → promote → cold
+// pipeline → serial recovery) unthrottled at a micro geometry, for both
+// methods and two log lengths, and checks the sweep's counts.
+func TestRecoveryTimePipeline(t *testing.T) {
+	tab := gamestate.Table{Rows: 8192, Cols: 8, CellSize: 4, ObjSize: 512}
+	logTicks := []int{4, 6}
+	rt, err := RunRecoveryTime(Quick, 3, RecoveryTimeOptions{
+		Scenarios:       []string{"migration"},
+		ShardCounts:     []int{1, 2},
+		LogTicks:        logTicks,
+		UpdatesPerTick:  300,
+		Table:           &tab,
+		DiskBytesPerSec: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// scenarios × methods × L × shards; one series per scenario × method × L
+	checkRecoveryRows(t, rt, 1*2*len(logTicks)*2, 2*len(logTicks))
+}
+
+// TestFailoverTimeWarmStandby runs one unthrottled crash-point cell on the
+// paper's Zipf trace at the quick geometry and checks the warm path's
+// contract: the standby promotes at the crash tick, byte-identical to cold
+// and serial recovery, with the takeover and every other timing populated.
+func TestFailoverTimeWarmStandby(t *testing.T) {
+	rt, err := RunRecoveryTime(Quick, 1, RecoveryTimeOptions{
+		Scenarios:       []string{"hotspot"},
+		Methods:         []engine.Mode{engine.ModeCopyOnUpdate},
+		ShardCounts:     []int{2},
+		LogTicks:        []int{6},
+		UpdatesPerTick:  800,
+		DiskBytesPerSec: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRecoveryRows(t, rt, 1, 1)
+}
+
+// TestScenarioBenchMicro runs the crash-point cell at a tiny geometry for
+// one scenario and method across two shard counts, and checks the sweep's
+// invariants: identity holds, the replay axis is pinned, the standby
+// promotes at the crash tick, and the sweep covers every requested cell.
+func TestScenarioBenchMicro(t *testing.T) {
+	tab := gamestate.Table{Rows: 8192, Cols: 8, CellSize: 4, ObjSize: 512}
+	rt, err := RunRecoveryTime(Quick, 3, RecoveryTimeOptions{
+		Scenarios:       []string{"migration"},
+		Methods:         []engine.Mode{engine.ModeCopyOnUpdate},
+		ShardCounts:     []int{1, 2},
+		LogTicks:        []int{6},
+		UpdatesPerTick:  300,
+		Table:           &tab,
+		DiskBytesPerSec: -1, // unthrottled: this is a correctness smoke
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRecoveryRows(t, rt, 2, 1)
+	for _, row := range rt.Rows {
+		if row.StandbyTicks != 14 {
+			t.Errorf("%s: standby promoted at tick %d, want 14", row.Cell(), row.StandbyTicks)
+		}
 	}
 }
