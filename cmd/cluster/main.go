@@ -28,19 +28,18 @@
 // non-zero.
 //
 // A third role runs the whole lifecycle in one process to demonstrate the
-// recovery ladder (peer-RAM replicas and warm standbys need live peers,
-// which the TCP roles' independent process restarts cannot model):
+// recovery ladder (a warm standby needs a live primary to mirror, which the
+// TCP roles' independent process restarts cannot model):
 //
 //	cluster -role world -world-nodes 4 \
 //	    -scenario hotspot -ticks 200 -updates 6400 -checkpoint-every 64
 //
-// runs the scenario on an in-process cluster with the peer-RAM mesh attached
-// to every node and a warm standby to the even-numbered ones, crashes it at
-// the final tick barrier, recovers every partition down the ladder those
-// attachments build (standby → peer-RAM → disk, fastest first), prints which
-// rung actually served each partition and why any rung fell through, and
+// runs the scenario on an in-process cluster with a warm standby attached to
+// the even-numbered nodes, crashes it at the final tick barrier, recovers
+// every partition down its ladder (standby → disk), prints which rung
+// actually served each partition and why a standby fell through, and
 // verifies the recovered world byte-for-byte against the single-node
-// reference: standby serves the even partitions, peer-RAM the odd ones.
+// reference: standby serves the even partitions, disk the odd ones.
 //
 // -max-skew W (default 0, the lock-step barrier) runs the world role with
 // the nodes ticking up to W apart: checkpoints become per-node and staggered
@@ -48,7 +47,7 @@
 // different ticks on purpose, and recovery reconstructs the consistent cut
 // from the logged-message store, rolls the laggards forward, re-dispatches
 // the rolled-back ticks and verifies the same byte identity. Only the disk
-// rung is proven there, so the role attaches neither mesh nor standbys.
+// rung is proven there, so the role attaches no standbys.
 package main
 
 import (
@@ -65,7 +64,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/gamestate"
-	"repro/internal/peerram"
 	"repro/internal/replication"
 	"repro/internal/telemetry"
 	"repro/internal/wal"
@@ -146,15 +144,10 @@ func runWorld(table gamestate.Table, dir string, nodes int, scenario string, tic
 	opts := cluster.Options{
 		Table: table, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: nodes, Shards: shards, MaxSkew: maxSkew,
 	}
-	// The barrier world attaches the mesh to every node; past the barrier
-	// only the disk rung is proven, so nothing is attached and the node
-	// workers take uncoordinated cuts instead of the tick loop's coordinated
-	// ones.
-	var mesh *peerram.Mesh
-	if maxSkew == 0 {
-		mesh = peerram.NewMesh(cluster.Uniform(table.NumObjects(), nodes).NumNodes)
-		opts.PeerRAM = mesh
-	} else {
+	// Past the barrier only the disk rung is proven, so nothing is attached
+	// and the node workers take uncoordinated cuts instead of the tick loop's
+	// coordinated ones.
+	if maxSkew > 0 {
 		opts.CheckpointEvery = ckptEach
 	}
 	c, err := cluster.New(opts)
@@ -165,7 +158,7 @@ func runWorld(table gamestate.Table, dir string, nodes int, scenario string, tic
 	log.Printf("world: %d nodes over %d objects, window %d", eff, table.NumObjects(), maxSkew)
 
 	// The standby rung mirrors the even-numbered nodes over the warm-standby
-	// stream, so one run shows both rungs above disk serving.
+	// stream, so one run shows both rungs serving.
 	var standbys []*replication.Standby
 	var shippers []*replication.Shipper
 	if maxSkew == 0 {
@@ -226,18 +219,9 @@ func runWorld(table gamestate.Table, dir string, nodes int, scenario string, tic
 		log.Fatal(err)
 	}
 	log.Printf("world: crash with node ticks %v", applied)
-	if mesh != nil {
-		var sum int64
-		for _, b := range mesh.MemStats() {
-			sum += b
-		}
-		log.Printf("world: surviving peers hold %.1f KB of compressed replicas (%.1f KB/node)",
-			float64(sum)/1024, float64(sum)/1024/float64(eff))
-	}
 
 	rc, wr, err := cluster.Recover(dir, cluster.Options{
-		Mode: engine.ModeCopyOnUpdate, Shards: shards,
-		PeerRAM: mesh, Standbys: standbys,
+		Mode: engine.ModeCopyOnUpdate, Shards: shards, Standbys: standbys,
 	})
 	if err != nil {
 		log.Fatalf("world: recovery: %v", err)

@@ -27,10 +27,9 @@
 //
 // clusterbench runs the real multi-node cluster (internal/cluster) through
 // scenario × cluster size × recovery mode (disk pipeline, standby
-// promotion, peer-RAM restore): synchronized tick overhead, coordinated
-// world checkpoints, whole-world recovery down each ladder rung with the
-// served mode and compressed replica RAM reported, and a live partition
-// migration cut, with per-cell byte identity against a single-node
+// promotion): synchronized tick overhead, coordinated world checkpoints,
+// whole-world recovery down each ladder rung with the served mode
+// reported, and a live partition migration cut, with per-cell byte identity against a single-node
 // reference. -cluster-scenarios, -cluster-sizes and
 // -cluster-recovery-modes trim the sweep. -cluster-max-skew is the
 // coordination-window axis (a list of cluster MaxSkew values, default 0 =
@@ -40,9 +39,8 @@
 // time next to the barrier's.
 //
 // chaosbench runs seeded fault-injection schedules (internal/chaos) over
-// scenario × fault site × seed: a backup device that dies mid-flush, a
-// replication link severed mid-frame session after session, a peer-RAM
-// holder killed mid-restore.
+// scenario × fault site × seed: a backup device that dies mid-flush, and a
+// replication link severed mid-frame session after session.
 // Every cell must end byte-identical to a
 // never-faulted reference — "survived" when no fault fired, "degraded" when
 // faults fired and the degradation path held; any "failed" cell exits
@@ -130,10 +128,10 @@ var (
 	recDisk    = flag.Float64("recovery-disk", 0, "recoverytime backup throttle in bytes/sec (0 = paper disk, <0 = unthrottled)")
 	clustScen  = flag.String("cluster-scenarios", "", "comma-separated clusterbench scenario filter (empty = hotspot,migration,flashcrowd)")
 	clustSize  = flag.String("cluster-sizes", "", "comma-separated clusterbench node counts (empty = 1,2,4)")
-	clustRec   = flag.String("cluster-recovery-modes", "", "comma-separated clusterbench recovery-mode axis (empty = disk,standby,peerram)")
+	clustRec   = flag.String("cluster-recovery-modes", "", "comma-separated clusterbench recovery-mode axis (empty = disk,standby)")
 	clustSkews = flag.String("cluster-max-skew", "", "comma-separated clusterbench coordination-window axis, cluster MaxSkew values (empty = 0, the barrier)")
 	chaosScen  = flag.String("chaos-scenarios", "", "comma-separated chaosbench scenario filter (empty = flashcrowd,hotspot,migration)")
-	chaosSite  = flag.String("chaos-sites", "", "comma-separated chaosbench fault sites (empty = disk,replink,peerram)")
+	chaosSite  = flag.String("chaos-sites", "", "comma-separated chaosbench fault sites (empty = disk,replink)")
 	chaosSeed  = flag.String("chaos-seeds", "", "comma-separated chaosbench schedule seeds (empty = 1,2,3)")
 	gwProf     = flag.String("gateway-profiles", "", "comma-separated gatewaybench churn profiles (empty = "+joinProfiles()+")")
 	gwSize     = flag.String("gateway-sizes", "", "comma-separated gatewaybench node counts (empty = 1,2,4)")

@@ -8,7 +8,7 @@
 // godoc we guarantee:
 //
 //	go run ./cmd/exportdoc ./internal/session ./internal/cluster ./internal/replication \
-//	    ./internal/peerram ./internal/recovery
+//	    ./internal/recovery
 //
 // Exit status is the number of undocumented exported identifiers capped at
 // 1 — zero means every exported symbol is documented.

@@ -12,7 +12,6 @@ import (
 	"repro/internal/disk"
 	"repro/internal/engine"
 	"repro/internal/gamestate"
-	"repro/internal/peerram"
 	"repro/internal/replication"
 	"repro/internal/telemetry"
 	"repro/internal/wal"
@@ -86,16 +85,8 @@ type Options struct {
 	// DeviceFactory overrides how each node engine opens its backup devices
 	// (fault injection). The path identifies both the node and the backup.
 	DeviceFactory func(path string) (disk.Device, error)
-	// PeerRAM, when non-nil, attaches every node to the replica mesh: each
-	// node's checkpoint image and tick deltas are held compressed in its
-	// ring successor's RAM (piggybacked on the tick-commit stream, no extra
-	// fsyncs), and Recover's ladder can restore a crashed partition out of
-	// that RAM instead of through the disk pipeline. The mesh deliberately
-	// outlives the cluster — surviving peers' RAM is exactly what a later
-	// Recover with the same mesh restores from.
-	PeerRAM *peerram.Mesh
 	// RecoveryMode is ignored: Recover builds each partition's ladder from
-	// what is attached (Standbys, PeerRAM).
+	// what is attached (Standbys).
 	//
 	// Deprecated: attach the sources instead.
 	RecoveryMode RecoveryMode
@@ -108,10 +99,9 @@ type Options struct {
 }
 
 // ErrNeedsBarrier refuses a feature whose composition with logged messages
-// or a non-zero window no byte-identity test proves yet: live migration, the
-// peer-RAM mesh and the standby rung work only on the plain barrier world
-// (MaxSkew = 0, no Emit). New, Recover and Migrate wrap it with the
-// feature's name.
+// or a non-zero window no byte-identity test proves yet: live migration and
+// the standby rung work only on the plain barrier world (MaxSkew = 0, no
+// Emit). New, Recover and Migrate wrap it with the feature's name.
 var ErrNeedsBarrier = errors.New("proven only at MaxSkew = 0 without Emit")
 
 // logged reports whether the policy can need the durable inbox: a non-zero
@@ -132,10 +122,7 @@ func (o *Options) check() error {
 	if o.MaxSkew < 0 || o.MaxSkew > MaxWindow {
 		return fmt.Errorf("cluster: MaxSkew %d outside [0, %d]", o.MaxSkew, MaxWindow)
 	}
-	switch {
-	case o.PeerRAM != nil:
-		return o.needsBarrier("the peer-RAM mesh")
-	case len(o.Standbys) > 0:
+	if len(o.Standbys) > 0 {
 		return o.needsBarrier("standby promotion")
 	}
 	return nil
@@ -340,25 +327,7 @@ func New(opts Options) (*Cluster, error) {
 		c.Close()
 		return nil, err
 	}
-	if err := c.attachPeerRAM(); err != nil {
-		c.Close()
-		return nil, err
-	}
 	return c, nil
-}
-
-// attachPeerRAM starts every node's replica links on the configured mesh;
-// a no-op without one.
-func (c *Cluster) attachPeerRAM() error {
-	if c.opts.PeerRAM == nil {
-		return nil
-	}
-	for _, n := range c.nodes {
-		if err := c.opts.PeerRAM.Attach(n.Index, n.E); err != nil {
-			return fmt.Errorf("cluster: node %d replica mesh: %w", n.Index, err)
-		}
-	}
-	return nil
 }
 
 // nodeEngineOptions is the per-node engine configuration.
@@ -693,17 +662,6 @@ func (c *Cluster) CheckpointWorld() (*Manifest, error) {
 	if err := c.maintainInboxes(c.tick); err != nil {
 		return nil, err
 	}
-	if c.opts.PeerRAM != nil {
-		// Refresh every node's peer-held replica to the new cut: holders
-		// install the fresh image and drop the delta tail it supersedes, so
-		// replica RAM tracks one image plus dirty-since-cut ticks — the same
-		// retention shape as the disk checkpoints the manifest just recorded.
-		for _, n := range c.nodes {
-			if err := c.opts.PeerRAM.Refresh(n.Index); err != nil {
-				return nil, fmt.Errorf("cluster: node %d replica refresh: %w", n.Index, err)
-			}
-		}
-	}
 	wall := time.Since(ckptStart)
 	telCkptWall.ObserveDuration(wall)
 	telCkptLast.Set(wall.Nanoseconds())
@@ -759,18 +717,6 @@ func (c *Cluster) shutdown(crash bool) error {
 	c.mu.Lock()
 	c.crashed = true // whatever is still queued is abandoned
 	c.mu.Unlock()
-	if c.opts.PeerRAM != nil {
-		// Flush each node's replica tail into its holders' RAM, then stop the
-		// links. Detach (not Crash): the stores stay servable, so a Close that
-		// models a crash leaves surviving peers' RAM exactly as a real crash
-		// would. The drain is best-effort — a wedged cluster must still close.
-		for _, n := range c.nodes {
-			if c.tick > 0 {
-				c.opts.PeerRAM.Drain(n.Index, c.tick-1, 2*time.Second) //nolint:errcheck // best-effort
-			}
-			c.opts.PeerRAM.Detach(n.Index)
-		}
-	}
 	for _, ch := range c.work {
 		close(ch)
 	}

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/gamestate"
-	"repro/internal/peerram"
 	"repro/internal/replication"
 	"repro/internal/wal"
 )
@@ -406,10 +405,6 @@ func TestNeedsBarrier(t *testing.T) {
 					return err
 				}
 				_, err = c.Migrate(0, 128, 1)
-				return err
-			},
-			"peerram": func(t *testing.T) error {
-				_, err := world(t, Options{PeerRAM: peerram.NewMesh(2)})
 				return err
 			},
 			"standbys": func(t *testing.T) error {

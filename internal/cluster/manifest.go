@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -140,8 +139,8 @@ type WorldRecovery struct {
 	PerNode []recovery.ParallelResult
 	// Modes records which ladder rung actually served each node's recovery.
 	Modes []RecoveryMode
-	// Fallbacks records, per node, why the attached rungs above the serving
-	// one fell through ("" when the first attached rung served).
+	// Fallbacks records, per node, why an attached standby fell through to
+	// disk ("" when the first attached rung served).
 	Fallbacks []string
 	// Wall is start → last node recovered (nodes recover concurrently, each
 	// from its own checkpoint).
@@ -178,58 +177,42 @@ func (e *TornError) Error() string {
 		e.Node, e.Tick, e.Cut)
 }
 
-// recoverNode walks one partition down its recovery ladder: the rungs the
-// caller attached, fastest first — the warm standby (Standbys[i]), a peer's
-// RAM (PeerRAM), then the disk pipeline, which is always there. A rung that
-// was not attached is skipped without a trace; an attached rung that fails
-// is noted, counted and falls through, so the returned mode is always the
-// one that actually served. The disk rung merges the node's own WAL with
-// inbox (nil for none), the capped inbox store: see engine.RecoverWith.
+// recoverNode walks one partition down its recovery ladder: the warm standby
+// (Standbys[i]) when the caller attached one, then the disk pipeline, which
+// is always there. A standby that was not attached is skipped without a
+// trace; an attached one that fails is noted, counted and falls through, so
+// the returned mode is always the one that actually served. The disk rung
+// merges the node's own WAL with inbox (nil for none), the capped inbox
+// store: see engine.RecoverWith.
 func recoverNode(root string, opts Options, i int, inbox func() (recovery.RecordSource, error)) (*engine.Engine, recovery.ParallelResult, RecoveryMode, string, error) {
-	var notes []string
 	rung := func(m RecoveryMode) *telemetry.Span {
 		return telemetry.StartSpan("recovery/rung",
 			telemetry.Int("node", int64(i)), telemetry.Str("rung", m.String()))
 	}
-	fellThrough := func(sp *telemetry.Span, m RecoveryMode, format string, args ...any) {
-		notes = append(notes, fmt.Sprintf(format, args...))
-		sp.End(telemetry.Str("outcome", "fallthrough"))
-		telFallthrough.With(m.String()).Inc()
-	}
-	eopts := nodeEngineOptions(opts, NodeDir(root, i))
-
+	var note string
 	if i < len(opts.Standbys) && opts.Standbys[i] != nil {
 		sp := rung(RecoveryStandby)
-		if e, err := opts.Standbys[i].Promote(); err != nil {
-			fellThrough(sp, RecoveryStandby, "standby node %d: %v", i, err)
-		} else {
+		e, err := opts.Standbys[i].Promote()
+		if err == nil {
 			// No pipeline ran; the promoted engine's tick is the whole story.
 			var pres recovery.ParallelResult
 			pres.BackupIndex = -1
 			pres.NextTick = e.NextTick()
 			sp.End(telemetry.Str("outcome", "served"))
-			return e, pres, RecoveryStandby, strings.Join(notes, "; "), nil
+			return e, pres, RecoveryStandby, "", nil
 		}
-	}
-	if opts.PeerRAM != nil {
-		sp := rung(RecoveryPeerRAM)
-		if src, holder, err := opts.PeerRAM.Source(i); err != nil {
-			fellThrough(sp, RecoveryPeerRAM, "%v", err)
-		} else if e, pres, err := engine.RecoverWith(eopts, src); err != nil {
-			fellThrough(sp, RecoveryPeerRAM, "peerram via node %d: %v", holder, err)
-		} else {
-			sp.End(telemetry.Str("outcome", "served"))
-			return e, pres, RecoveryPeerRAM, strings.Join(notes, "; "), nil
-		}
+		note = fmt.Sprintf("standby node %d: %v", i, err)
+		sp.End(telemetry.Str("outcome", "fallthrough"))
+		telFallthrough.With(RecoveryStandby.String()).Inc()
 	}
 	sp := rung(RecoveryDisk)
-	e, pres, err := engine.RecoverWith(eopts, engine.RecoverSource{Records: inbox})
+	e, pres, err := engine.RecoverWith(nodeEngineOptions(opts, NodeDir(root, i)), inbox)
 	if err != nil {
 		sp.End(telemetry.Str("outcome", "failed"))
 	} else {
 		sp.End(telemetry.Str("outcome", "served"))
 	}
-	return e, pres, RecoveryDisk, strings.Join(notes, "; "), err
+	return e, pres, RecoveryDisk, note, err
 }
 
 // Recover performs whole-world recovery of a crashed cluster under root and
@@ -243,12 +226,11 @@ func recoverNode(root string, opts Options, i int, inbox func() (recovery.Record
 // before any node sees it, so every applied tick is in every inbox and C
 // bounds what any node can have applied.
 //
-// Each partition then walks its own ladder, built from what opts attaches,
-// fastest first — warm-standby promotion (opts.Standbys[i]), peer-RAM
-// restore out of a surviving node's replica (opts.PeerRAM), and finally the
-// paper's disk restore+replay pipeline, always present — all nodes
-// concurrently; a rung that fails for one partition falls through for that
-// partition only, and WorldRecovery records which rung served whom. The disk
+// Each partition then walks its own ladder, fastest first — warm-standby
+// promotion when opts.Standbys[i] is attached, then the paper's disk
+// restore+replay pipeline, always present — all nodes concurrently; a
+// standby that fails for one partition falls through for that partition
+// only, and WorldRecovery records which rung served whom. The disk
 // rung merges the node's inbox, capped at C, with its own WAL: its own
 // checkpoint image, then every tick the inbox carries from the inbox (unless
 // the WAL holds more of it: an inbox torn by a hard kill) and every other
@@ -404,13 +386,6 @@ func Recover(root string, opts Options) (*Cluster, *WorldRecovery, error) {
 	}
 	if opts.Emit != nil && resume > 0 {
 		c.regenerate(wr.Cut)
-	}
-	// Re-attach the recovered world to the mesh: attach ships a fresh image
-	// per link, so the replicas of the recovered epoch start clean. Standby-
-	// promoted nodes attach like any other — their engine is the primary now.
-	if err := c.attachPeerRAM(); err != nil {
-		c.Close()
-		return nil, nil, err
 	}
 	return c, wr, nil
 }

@@ -16,8 +16,6 @@ const (
 	RecoveryDisk RecoveryMode = iota
 	// RecoveryStandby is warm-standby promotion.
 	RecoveryStandby
-	// RecoveryPeerRAM is a restore out of a surviving peer's RAM.
-	RecoveryPeerRAM
 )
 
 // String names the rung the way the recovery_served_total label and the
@@ -28,8 +26,6 @@ func (m RecoveryMode) String() string {
 		return "disk"
 	case RecoveryStandby:
 		return "standby"
-	case RecoveryPeerRAM:
-		return "peerram"
 	}
 	return fmt.Sprintf("RecoveryMode(%d)", int(m))
 }
@@ -41,8 +37,6 @@ func ParseRecoveryMode(s string) (RecoveryMode, error) {
 		return RecoveryDisk, nil
 	case "standby":
 		return RecoveryStandby, nil
-	case "peerram":
-		return RecoveryPeerRAM, nil
 	}
-	return 0, fmt.Errorf("cluster: unknown recovery mode %q (want disk, standby or peerram)", s)
+	return 0, fmt.Errorf("cluster: unknown recovery mode %q (want disk or standby)", s)
 }

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/gamestate"
-	"repro/internal/peerram"
 	"repro/internal/replication"
 	"repro/internal/telemetry"
 	"repro/internal/wal"
@@ -19,12 +18,12 @@ import (
 
 // The recovery ladder's crash-equivalence harness: for the same workload at
 // 1-, 2- and 4-node sizes, a world recovered with each set of attachments —
-// nothing (the disk pipeline), warm standbys, the peer-RAM mesh, and both —
-// must be byte-identical per cell to a never-crashed single-node serial run,
-// and WorldRecovery must name the rung that actually served each partition:
-// the fastest one attached. The bare world also runs at MaxSkew = 2 — the
-// disk rung is the one proven there — where the crash drops each node's
-// backlog and the rolled-back ticks are re-dispatched.
+// nothing (the disk pipeline) and warm standbys — must be byte-identical per
+// cell to a never-crashed single-node serial run, and WorldRecovery must name
+// the rung that actually served each partition: the fastest one attached.
+// The bare world also runs at MaxSkew = 2 — the disk rung is the one proven
+// there — where the crash drops each node's backlog and the rolled-back
+// ticks are re-dispatched.
 func TestRecoveryModeEquivalence(t *testing.T) {
 	tab := gamestate.Table{Rows: 8192, Cols: 8, CellSize: 4, ObjSize: 512}
 	const ticks, perTick, warm = 20, 400, 8
@@ -51,65 +50,33 @@ func TestRecoveryModeEquivalence(t *testing.T) {
 	want := append([]byte(nil), ref.Store().Slab()...)
 	ref.Close()
 
-	// A cell is named after the rung it attaches ("disk": nothing); "auto"
-	// attaches both and leaves the choice to the ladder.
+	// A cell is named after the rung it attaches ("disk": nothing).
 	type cell struct {
-		name                  string
-		withStandby, withMesh bool
-		window                int
+		name        string
+		withStandby bool
+		window      int
 	}
-	ladders := []cell{
-		{"disk", false, false, 0}, {"standby", true, false, 0}, {"peerram", false, true, 0},
-		{"auto", true, true, 0}, {"disk", false, false, 2},
-	}
+	ladders := []cell{{"disk", false, 0}, {"standby", true, 0}, {"disk", false, 2}}
 	for _, nodes := range []int{1, 2, 4} {
 		for _, cl := range ladders {
-			withStandby, withMesh, window := cl.withStandby, cl.withMesh, cl.window
+			withStandby, window := cl.withStandby, cl.window
 			name := fmt.Sprintf("nodes=%d/mode=%s", nodes, cl.name)
 			if window > 0 {
 				name += fmt.Sprintf("/maxskew=%d", window)
 			}
 			t.Run(name, func(t *testing.T) {
 				dir := t.TempDir()
-
-				var mesh *peerram.Mesh
-				opts := Options{Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: nodes, MaxSkew: window}
-				if withMesh {
-					mesh = peerram.NewMesh(nodes)
-					opts.PeerRAM = mesh
-				}
-				c, err := New(opts)
+				c, err := New(Options{Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: nodes, MaxSkew: window})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := len(c.Nodes()); got != nodes {
 					t.Fatalf("built %d nodes, want %d", got, nodes)
 				}
-
-				// The standby rung mirrors each node over the warm-standby
-				// stream into its own directory.
 				var standbys []*replication.Standby
 				var shippers []*replication.Shipper
 				if withStandby {
-					for i, n := range c.Nodes() {
-						pc, sc := net.Pipe()
-						sb, err := replication.StartStandby(engine.Options{
-							Table: tab, Dir: t.TempDir(), Mode: engine.ModeCopyOnUpdate,
-						}, sc)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sh, err := replication.StartShipper(n.E, pc, replication.StreamOptions{MaxLagTicks: 64})
-						if err != nil {
-							t.Fatal(err)
-						}
-						select {
-						case <-sb.Ready():
-						case <-sb.Done():
-							t.Fatalf("standby %d died during bootstrap: %v", i, sb.Err())
-						}
-						standbys, shippers = append(standbys, sb), append(shippers, sh)
-					}
+					standbys, shippers = attachStandbys(t, c)
 				}
 
 				for i := 0; i < ticks; i++ {
@@ -123,26 +90,16 @@ func TestRecoveryModeEquivalence(t *testing.T) {
 						}
 					}
 				}
-				for i, sh := range shippers {
-					if err := sh.AwaitAck(ticks-1, 20*time.Second); err != nil {
-						t.Fatalf("shipper %d: %v", i, err)
-					}
-					sh.Stop() //nolint:errcheck // stream teardown
-				}
+				stopShippers(t, shippers, ticks-1)
 				if err := c.Crash(); err != nil { // at MaxSkew = 0, a tick barrier
 					t.Fatal(err)
 				}
 
-				rc, wr, err := Recover(dir, Options{
-					Mode: engine.ModeCopyOnUpdate, PeerRAM: mesh, Standbys: standbys,
-				})
+				rc, wr, err := Recover(dir, Options{Mode: engine.ModeCopyOnUpdate, Standbys: standbys})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer rc.Close()
-				for _, sb := range standbys {
-					defer sb.Close()
-				}
 				if window == 0 && wr.WorldTick != ticks {
 					t.Fatalf("recovered to world tick %d, want %d", wr.WorldTick, ticks)
 				}
@@ -156,29 +113,17 @@ func TestRecoveryModeEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				// The fastest attached rung serves. A single node has no peer
-				// replica, so a lone mesh must fall through with a recorded
-				// reason; every other cell's first attached rung serves with
-				// nothing to report.
+				// The attached rung serves, with nothing to report.
 				expect := RecoveryDisk
-				switch {
-				case withStandby:
+				if withStandby {
 					expect = RecoveryStandby
-				case withMesh && nodes > 1:
-					expect = RecoveryPeerRAM
 				}
-				meshFails := withMesh && !withStandby && nodes == 1
 				for i, served := range wr.Modes {
-					if served != expect {
-						t.Fatalf("node %d served by %v (fallbacks %q), want %v", i, served, wr.Fallbacks[i], expect)
+					if served != expect || wr.Fallbacks[i] != "" {
+						t.Fatalf("node %d served by %v (fallbacks %q), want %v with none", i, served, wr.Fallbacks[i], expect)
 					}
-					if meshFails != (wr.Fallbacks[i] != "") || meshFails && !strings.Contains(wr.Fallbacks[i], "replica") {
-						t.Fatalf("node %d fallbacks %q, want the replica failure only when a lone mesh falls through", i, wr.Fallbacks[i])
-					}
-					if served == RecoveryStandby {
-						if wr.PerNode[i].NextTick != ticks {
-							t.Fatalf("node %d standby promotion at tick %d, want %d", i, wr.PerNode[i].NextTick, ticks)
-						}
+					if served == RecoveryStandby && wr.PerNode[i].NextTick != ticks {
+						t.Fatalf("node %d standby promotion at tick %d, want %d", i, wr.PerNode[i].NextTick, ticks)
 					}
 				}
 
@@ -208,77 +153,109 @@ func TestRecoveryModeEquivalence(t *testing.T) {
 	}
 }
 
-// TestRecoveryLadderFallsBackToDiskOnDeadHolder arms the chaos fault that
-// kills the replica-holding peer mid-restore: the peer-RAM rung must fail
-// cleanly, the ladder must land on disk, and the world must still be
+// attachStandbys mirrors every node of c over the warm-standby stream into
+// its own directory; the standbys close with the test.
+func attachStandbys(t *testing.T, c *Cluster) ([]*replication.Standby, []*replication.Shipper) {
+	t.Helper()
+	var standbys []*replication.Standby
+	var shippers []*replication.Shipper
+	for i, n := range c.Nodes() {
+		pc, sc := net.Pipe()
+		sb, err := replication.StartStandby(engine.Options{
+			Table: c.Table(), Dir: t.TempDir(), Mode: engine.ModeCopyOnUpdate,
+		}, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sb.Close() })
+		sh, err := replication.StartShipper(n.E, pc, replication.StreamOptions{MaxLagTicks: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-sb.Ready():
+		case <-sb.Done():
+			t.Fatalf("standby %d died during bootstrap: %v", i, sb.Err())
+		}
+		standbys, shippers = append(standbys, sb), append(shippers, sh)
+	}
+	return standbys, shippers
+}
+
+// stopShippers waits until every standby has acknowledged tick last, then
+// ends the streams.
+func stopShippers(t *testing.T, shippers []*replication.Shipper, last uint64) {
+	t.Helper()
+	for i, sh := range shippers {
+		if err := sh.AwaitAck(last, 20*time.Second); err != nil {
+			t.Fatalf("shipper %d: %v", i, err)
+		}
+		sh.Stop() //nolint:errcheck // stream teardown
+	}
+}
+
+// TestRecoveryLadderFallsBackToDiskOnClosedStandby: an attached rung that
+// fails falls through for its own partition only. Node 0's standby is closed
+// before Recover, so its promotion fails: node 0 must land on disk with a
+// note naming the standby and exactly one recovery_fallthrough_total{standby}
+// increment, node 1 must still be promoted, and the world must be
 // byte-identical to the never-crashed run.
-func TestRecoveryLadderFallsBackToDiskOnDeadHolder(t *testing.T) {
-	tab := gamestate.Table{Rows: 4096, Cols: 8, CellSize: 4, ObjSize: 512}
+func TestRecoveryLadderFallsBackToDiskOnClosedStandby(t *testing.T) {
+	was := telemetry.Enabled()
+	telemetry.Enable()
+	defer func() {
+		if !was {
+			telemetry.Disable()
+		}
+	}()
+	fallthroughs := func() uint64 {
+		v, ok := telemetry.VecValue("recovery_fallthrough_total", "standby")
+		if !ok {
+			t.Fatal("counter family recovery_fallthrough_total is not registered")
+		}
+		return v
+	}
+	tab := testTable()
 	const ticks, perTick = 16, 300
-	src, err := workload.New("flashcrowd", workload.Config{
-		Table: tab, UpdatesPerTick: perTick, Ticks: ticks, Skew: 0.8, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := engine.Open(engine.Options{Table: tab, Mode: engine.ModeNone, InMemory: true, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cells []uint32
-	var batch []wal.Update
-	for i := 0; i < ticks; i++ {
-		cells, batch = workload.TickUpdates(src, i, cells, batch)
-		if err := ref.ApplyTick(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := append([]byte(nil), ref.Store().Slab()...)
-	ref.Close()
-
 	dir := t.TempDir()
-	mesh := peerram.NewMesh(2)
-	c, err := New(Options{Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: 2, PeerRAM: mesh})
+	c, err := New(Options{Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	standbys, shippers := attachStandbys(t, c)
 	for i := 0; i < ticks; i++ {
-		cells, batch = workload.TickUpdates(src, i, cells, batch)
-		if err := c.Tick(batch); err != nil {
+		if err := c.Tick(testBatch(tab, i, perTick)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Close(); err != nil {
+	stopShippers(t, shippers, ticks-1)
+	if err := c.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if err := standbys[0].Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Node 0's holder dies a quarter of the way through serving the image.
-	mesh.FailRestoreAfter(0, int64(tab.StateBytes())/4)
-	rc, wr, err := Recover(dir, Options{
-		Mode: engine.ModeCopyOnUpdate, PeerRAM: mesh,
-	})
+	fell := fallthroughs()
+	rc, wr, err := Recover(dir, Options{Mode: engine.ModeCopyOnUpdate, Standbys: standbys})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	if !mesh.Injected(0) {
-		t.Fatal("restore fault did not fire")
-	}
 	if wr.Modes[0] != RecoveryDisk {
 		t.Fatalf("node 0 served by %v, want disk fallback", wr.Modes[0])
 	}
-	if !strings.Contains(wr.Fallbacks[0], "replica") {
-		t.Fatalf("node 0 fallback does not name the dead holder: %q", wr.Fallbacks[0])
+	if !strings.Contains(wr.Fallbacks[0], "standby") {
+		t.Fatalf("node 0 fallback does not name the standby: %q", wr.Fallbacks[0])
 	}
-	if wr.Modes[1] != RecoveryPeerRAM {
-		t.Fatalf("node 1 served by %v, want peerram (per-partition fall-through)", wr.Modes[1])
+	if d := fallthroughs() - fell; d != 1 {
+		t.Errorf("recovery_fallthrough_total{rung=standby} rose by %d, want 1", d)
 	}
-	got := make([]byte, tab.StateBytes())
-	if err := rc.ReadWorld(got); err != nil {
-		t.Fatal(err)
+	if wr.Modes[1] != RecoveryStandby || wr.Fallbacks[1] != "" {
+		t.Fatalf("node 1 served by %v (fallbacks %q), want standby (per-partition fall-through)", wr.Modes[1], wr.Fallbacks[1])
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("world after fallback recovery diverged from the never-crashed reference")
+	if wr.WorldTick != ticks || !bytes.Equal(world(t, rc), referenceWorld(t, tab, ticks, perTick)) {
+		t.Fatalf("world after fallback recovery at tick %d diverged from the never-crashed reference", wr.WorldTick)
 	}
 }
 
@@ -317,7 +294,7 @@ func TestRecoverReportsOnlyAttachedRungs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fellPeer, fellStandby := counter("recovery_fallthrough_total", "peerram"), counter("recovery_fallthrough_total", "standby")
+	fellStandby := counter("recovery_fallthrough_total", "standby")
 	servedDisk := counter("recovery_served_total", "disk")
 	rc, wr, err := Recover(dir, Options{Mode: engine.ModeCopyOnUpdate})
 	if err != nil {
@@ -328,9 +305,6 @@ func TestRecoverReportsOnlyAttachedRungs(t *testing.T) {
 		if wr.Modes[i] != RecoveryDisk || note != "" {
 			t.Errorf("node %d served by %v with fallbacks %q, want disk with none", i, wr.Modes[i], note)
 		}
-	}
-	if d := counter("recovery_fallthrough_total", "peerram") - fellPeer; d != 0 {
-		t.Errorf("recovery_fallthrough_total{rung=peerram} rose by %d with no mesh attached", d)
 	}
 	if d := counter("recovery_fallthrough_total", "standby") - fellStandby; d != 0 {
 		t.Errorf("recovery_fallthrough_total{rung=standby} rose by %d with no standby attached", d)

@@ -14,7 +14,7 @@ var (
 
 	telWorldWall     = telemetry.NewHistogram("recovery_world_wall_ns", "Whole-world recovery wall time (slowest partition), in nanoseconds.")
 	telWorldWallLast = telemetry.NewGauge("recovery_last_world_wall_ns", "Wall time of the most recent whole-world recovery, in nanoseconds.")
-	telServedRung    = telemetry.NewCounterVec("recovery_served_total", "rung", "Partition recoveries served, by recovery-ladder rung (standby, peerram, disk).")
+	telServedRung    = telemetry.NewCounterVec("recovery_served_total", "rung", "Partition recoveries served, by recovery-ladder rung (standby, disk).")
 	telFallthrough   = telemetry.NewCounterVec("recovery_fallthrough_total", "rung", "Attached recovery-ladder rungs that failed and fell through to the next rung.")
 
 	telMigPause = telemetry.NewHistogram("cluster_migration_install_pause_ns", "Cut pause of completed partition migrations (range copy out of the source plus install on the target), in nanoseconds.")

@@ -106,12 +106,6 @@ type Engine struct {
 	havePrev  bool
 	recovered recovery.Result
 	closed    bool
-
-	// cpEpoch mirrors the epoch of the newest completed checkpoint image
-	// (the recovery start epoch until one completes). Peer-RAM replica
-	// senders read it without taking the tick mutex to stamp the images
-	// they ship.
-	cpEpoch atomic.Uint64
 }
 
 // Open creates or reopens an engine in opts.Dir. If the directory holds a
@@ -121,7 +115,7 @@ type Engine struct {
 // ΔTrecovery = ΔTrestore + ΔTreplay sum; RecoverFrom is the sharded
 // pipelined alternative.
 func Open(opts Options) (*Engine, error) {
-	e, _, err := open(opts, false, RecoverSource{})
+	e, _, err := open(opts, false, nil)
 	return e, err
 }
 
@@ -137,13 +131,13 @@ func Open(opts Options) (*Engine, error) {
 // Recovery is byte-identical to Open's serial path at any shard count: every
 // record kind is data, applied by range.
 func RecoverFrom(opts Options) (*Engine, recovery.ParallelResult, error) {
-	return open(opts, true, RecoverSource{})
+	return open(opts, true, nil)
 }
 
 // open builds the engine and recovers it: serially, or through the pipeline
-// with src's image and records (see RecoverWith; the serial path takes a zero
-// src).
-func open(opts Options, parallel bool, src RecoverSource) (*Engine, recovery.ParallelResult, error) {
+// with records merged into replay (see RecoverWith; the serial path takes
+// nil records).
+func open(opts Options, parallel bool, records func() (recovery.RecordSource, error)) (*Engine, recovery.ParallelResult, error) {
 	if err := opts.Table.Validate(); err != nil {
 		return nil, recovery.ParallelResult{}, err
 	}
@@ -257,10 +251,9 @@ func open(opts Options, parallel bool, src RecoverSource) (*Engine, recovery.Par
 					ranNext[shard] = tick + 1
 					e.replayUpdates(upds)
 				},
-				Image: src.Image,
 			}
-			if src.Records != nil {
-				popts.Extra, err = src.Records()
+			if records != nil {
+				popts.Extra, err = records()
 			}
 			if err == nil {
 				pres, err = recovery.RecoverParallel(popts)
@@ -319,26 +312,12 @@ func open(opts Options, parallel bool, src RecoverSource) (*Engine, recovery.Par
 			e.prevAsOf = res.AsOfTick
 			e.havePrev = true
 		}
-		if src.Image != nil {
-			// The slab was restored from the source: neither disk image was
-			// read, and both may carry headers from the pre-crash incarnation.
-			// Start the epoch at or above whatever the disk holds so the
-			// images this incarnation writes always win ChooseBackup over the
-			// stale leftovers, and target the older family first.
-			if idx, h, cerr := recovery.ChooseBackup(backups[0], backups[1]); cerr == nil && idx >= 0 {
-				if h.Epoch > startEpoch {
-					startEpoch = h.Epoch
-				}
-				firstBackup = 1 - idx
-			}
-		}
 	}
 
 	e.cp = newCheckpointer(opts.Mode, store, backups, startEpoch, firstBackup, e.plan)
-	e.cpEpoch.Store(startEpoch)
 	opened = true
-	if src.Records != nil && e.log != nil {
-		if err := e.heal(src, pres); err != nil {
+	if records != nil && e.log != nil {
+		if err := e.heal(records, pres); err != nil {
 			e.Close()
 			return nil, pres, err
 		}
@@ -353,12 +332,6 @@ func closeSource(src recovery.RecordSource) {
 		c.Close() //nolint:errcheck // read-only handles
 	}
 }
-
-// CheckpointEpoch returns the epoch of the engine's newest completed
-// checkpoint image — the recovery start epoch until the first checkpoint
-// completes. Safe to call from any goroutine; the peer-RAM replica sender
-// stamps shipped images with it.
-func (e *Engine) CheckpointEpoch() uint64 { return e.cpEpoch.Load() }
 
 // Shards returns the effective shard count of the engine's partition.
 func (e *Engine) Shards() int { return e.plan.count() }
@@ -538,8 +511,8 @@ func (e *Engine) drainCompleted(nextTick uint64) {
 	}
 }
 
-// recordCheckpoint books a committed image — the one place Stats, /metrics,
-// the epoch mirror and the prune floor learn of it; an abandoned flush
+// recordCheckpoint books a committed image — the one place Stats, /metrics
+// and the prune floor learn of it; an abandoned flush
 // committed nothing and is not booked. With rotate set (a log record can
 // still follow) it also rotates the log so the new segment is named
 // nextTick, the tick of the first record it will hold — the name is what
@@ -550,7 +523,6 @@ func (e *Engine) recordCheckpoint(ev cpEvent, nextTick uint64, rotate bool) {
 	}
 	info := ev.CheckpointInfo
 	e.stats.Checkpoints = append(e.stats.Checkpoints, info)
-	e.cpEpoch.Store(info.Epoch)
 	telCheckpoints.Inc()
 	telCkptBytes.Add(uint64(info.Bytes))
 	// Records at or before info.AsOfTick are covered by the new image;

@@ -171,7 +171,7 @@ func TestRecoverWithTail(t *testing.T) {
 		}
 		return &tailFromLog{r: r}, nil
 	}
-	r, pres, err := RecoverWith(Options{Table: table, Dir: dir, Mode: ModeCopyOnUpdate, Shards: 2}, RecoverSource{Records: tail})
+	r, pres, err := RecoverWith(Options{Table: table, Dir: dir, Mode: ModeCopyOnUpdate, Shards: 2}, tail)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,11 +9,10 @@ import (
 	"repro/internal/wal"
 )
 
-// Replication hooks: the engine-side integration points of both replica
-// rungs, the warm standby (internal/replication) and the peer-RAM replica
-// (internal/peerram). A primary exposes three things to them — a log
-// follower woken by tick commits (LogFollower, so neither rung polls
-// blind), a consistent image snapshot handoff (the bootstrap), and a
+// Replication hooks: the engine-side integration points of the warm
+// standby (internal/replication). A primary exposes three things to it — a
+// log follower woken by tick commits (LogFollower, so the shipper never
+// polls blind), a consistent image snapshot handoff (the bootstrap), and a
 // log-retention watermark (so segment pruning never deletes records a
 // replica does not hold yet). A standby engine is
 // opened with OpenStandby, fed with IngestReplicated, and flipped into a
@@ -144,8 +143,7 @@ func (e *Engine) notifySubs(tick uint64) {
 const idlePoll = 5 * time.Millisecond
 
 // LogFollower tail-follows the engine's log and hands back whole committed
-// ticks: the one WAL reader under both replica rungs (the standby Shipper
-// and the peer-RAM link). A tick's records are held until a later tick's
+// ticks: the WAL reader under the standby Shipper. A tick's records are held until a later tick's
 // record appears or the commit watermark covers the tick, so a consumer
 // never sees a torn tick — a range install and the batch logged at the same
 // tick always arrive together. Its TickSub pins log retention at the
@@ -322,7 +320,7 @@ func OpenStandby(opts Options, nextTick uint64, data []byte) (*Engine, error) {
 		// no image beneath it: unrecoverable by construction.
 		return nil, errors.New("engine: a standby needs a checkpointing mode (ModeNone cannot persist the bootstrap snapshot)")
 	}
-	e, _, err := open(opts, false, RecoverSource{})
+	e, _, err := open(opts, false, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -11,11 +11,9 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/cluster"
 	"repro/internal/disk"
 	"repro/internal/engine"
 	"repro/internal/gamestate"
-	"repro/internal/peerram"
 	"repro/internal/replication"
 	"repro/internal/report"
 	"repro/internal/telemetry"
@@ -36,12 +34,7 @@ import (
 //     seed-chosen byte budgets, session after session. The resilient pair
 //     must reconnect with backoff and resume from the durable ack watermark,
 //     and the promoted standby must hold the exact final state with no tick
-//     lost or double-applied;
-//   - "peerram" — the peer holding a crashed partition's in-RAM replica dies
-//     at a seed-chosen byte budget while serving the restore. The recovery
-//     ladder must fall back to the disk pipeline for that partition alone
-//     (a budget the restore never reaches simply recovers from peer RAM),
-//     and the recovered world must be byte-identical either way.
+//     lost or double-applied.
 //
 // Every fault decision is a pure function of (seed, site, op-index) — see
 // the chaos package doc — so a failing cell is replayable from the two
@@ -124,19 +117,17 @@ type ChaosBenchOptions struct {
 	// Scenarios defaults to {flashcrowd, hotspot, migration}: the baseline
 	// plus the two that move load around mid-run.
 	Scenarios []string
-	// Sites defaults to {disk, replink, peerram} — all three fault planes.
+	// Sites defaults to {disk, replink} — both fault planes.
 	Sites []string
 	// Seeds defaults to {1, 2, 3}: three independent schedules per
-	// (scenario, site). 3×3×3 = 27 cells.
+	// (scenario, site). 3×2×3 = 18 cells.
 	Seeds []int64
 	// Ticks defaults to 48 (quick) / 96 (full).
 	Ticks int
 	// UpdatesPerTick defaults to 512 — enough traffic to cross every byte
-	// budget, small enough that 27 cells stay CI-sized.
+	// budget, small enough that 18 cells stay CI-sized.
 	UpdatesPerTick int
-	// Table overrides the world geometry. The default (8192×8 cells,
-	// 512-byte objects → 512 objects, 256 KB) partitions into the 2-node
-	// cluster the "peerram" site needs.
+	// Table overrides the world geometry (default chaosTable).
 	Table *gamestate.Table
 }
 
@@ -146,7 +137,7 @@ func chaosBenchDefaults(s Scale, opts ChaosBenchOptions) ChaosBenchOptions {
 		opts.Scenarios = []string{"flashcrowd", "hotspot", "migration"}
 	}
 	if len(opts.Sites) == 0 {
-		opts.Sites = []string{"disk", "replink", "peerram"}
+		opts.Sites = []string{"disk", "replink"}
 	}
 	if len(opts.Seeds) == 0 {
 		opts.Seeds = []int64{1, 2, 3}
@@ -164,8 +155,7 @@ func chaosBenchDefaults(s Scale, opts ChaosBenchOptions) ChaosBenchOptions {
 }
 
 // chaosTable is the default chaos world: 512 objects of 512 bytes (256 KB),
-// small enough that every cell re-derives its reference in milliseconds and
-// power-of-two partitionable for the cluster site.
+// small enough that every cell re-derives its reference in milliseconds.
 func chaosTable() gamestate.Table {
 	return gamestate.Table{Rows: 8192, Cols: 8, CellSize: 4, ObjSize: 512}
 }
@@ -211,10 +201,8 @@ func RunChaosBench(s Scale, opts ChaosBenchOptions) (*ChaosReport, error) {
 					cell, err = chaosDiskCell(table, src, ref, seed)
 				case "replink":
 					cell, err = chaosReplinkCell(table, src, ref, seed)
-				case "peerram":
-					cell, err = chaosPeerramCell(table, src, ref, seed)
 				default:
-					err = fmt.Errorf("chaosbench: unknown fault site %q (disk|replink|peerram)", site)
+					err = fmt.Errorf("chaosbench: unknown fault site %q (disk|replink)", site)
 				}
 				if err != nil {
 					return nil, fmt.Errorf("chaosbench %s/%s/seed=%d: %w", name, site, seed, err)
@@ -491,102 +479,6 @@ func chaosReplinkCell(table gamestate.Table, src workload.Source, ref []byte, se
 	cell.Outcome = chaosOutcome(cell.Faults, cell.Identical)
 	if cell.Outcome == "degraded" && cell.Detail == "" {
 		cell.Detail = fmt.Sprintf("%d severs, %d reconnects, one bootstrap", cell.Faults, st.Reconnects)
-	}
-	return cell, nil
-}
-
-// chaosPeerramCell kills the peer holding a crashed partition's in-RAM
-// replica at a seed-chosen byte budget while it serves the restore, and
-// proves the ladder's fall-back contract: the peer-RAM rung fails cleanly
-// for that partition alone, the disk pipeline carries it instead, and the
-// recovered world is byte-identical. A budget past the replica's total
-// spend means the holder survives the restore and peer RAM serves — the
-// cell then proves the happy path at this seed instead (survived).
-func chaosPeerramCell(table gamestate.Table, src workload.Source, ref []byte, seed int64) (ChaosCell, error) {
-	const site = "peerram"
-	cell := ChaosCell{}
-	dir, err := os.MkdirTemp("", "chaos-peerram")
-	if err != nil {
-		return cell, err
-	}
-	defer os.RemoveAll(dir)
-
-	mesh := peerram.NewMesh(2)
-	c, err := cluster.New(cluster.Options{
-		Table: table, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: 2, PeerRAM: mesh,
-	})
-	if err != nil {
-		return cell, err
-	}
-	var cells []uint32
-	var batch []wal.Update
-	ticks := src.NumTicks()
-	for t := 0; t < ticks; t++ {
-		cells, batch = workload.TickUpdates(src, t, cells, batch)
-		if err := c.Tick(batch); err != nil {
-			c.Close()
-			cell.Outcome, cell.Detail = "failed", fmt.Sprintf("tick %d: %v", t, err)
-			return cell, nil
-		}
-		if t == ticks/2 {
-			// A mid-run coordinated cut, so the replica under attack holds a
-			// refreshed image plus a real delta tail, like production would.
-			if _, err := c.CheckpointWorld(); err != nil {
-				c.Close()
-				cell.Outcome, cell.Detail = "failed", fmt.Sprintf("checkpoint at tick %d: %v", t, err)
-				return cell, nil
-			}
-		}
-	}
-	if err := c.Close(); err != nil { // crash at the final barrier
-		cell.Outcome, cell.Detail = "failed", fmt.Sprintf("close: %v", err)
-		return cell, nil
-	}
-
-	// The holder serves ~StateBytes for the image plus the delta tail; a
-	// budget drawn from [sb/8, 9sb/8) usually dies mid-image, sometimes in
-	// the deltas, and sometimes survives the whole restore.
-	rng := chaos.NewRand(seed, site)
-	victim := rng.Intn(2)
-	sb := int64(table.StateBytes())
-	budget := sb/8 + int64(rng.Intn(int(sb)))
-	mesh.FailRestoreAfter(victim, budget)
-
-	rc, wr, err := cluster.Recover(dir, cluster.Options{
-		Mode: engine.ModeCopyOnUpdate, PeerRAM: mesh,
-	})
-	if err != nil {
-		cell.Outcome, cell.Detail = "failed", fmt.Sprintf("recover: %v", err)
-		return cell, nil
-	}
-	defer rc.Close()
-	if mesh.Injected(victim) {
-		cell.Faults = 1
-	}
-	if cell.Faults > 0 && wr.Modes[victim] != cluster.RecoveryDisk {
-		cell.Outcome = "failed"
-		cell.Detail = fmt.Sprintf("holder died but node %d recovered via %s, want disk fallback", victim, wr.Modes[victim])
-		return cell, nil
-	}
-	if cell.Faults == 0 && wr.Modes[victim] != cluster.RecoveryPeerRAM {
-		cell.Outcome = "failed"
-		cell.Detail = fmt.Sprintf("no fault fired but node %d recovered via %s (fallbacks: %s)",
-			victim, wr.Modes[victim], wr.Fallbacks[victim])
-		return cell, nil
-	}
-
-	world := make([]byte, table.StateBytes())
-	if err := rc.ReadWorld(world); err != nil {
-		cell.Outcome, cell.Detail = "failed", fmt.Sprintf("read world: %v", err)
-		return cell, nil
-	}
-	cell.Identical = wr.WorldTick == uint64(ticks) && bytes.Equal(world, ref)
-	if wr.WorldTick != uint64(ticks) {
-		cell.Detail = fmt.Sprintf("recovered to world tick %d, want %d", wr.WorldTick, ticks)
-	}
-	cell.Outcome = chaosOutcome(cell.Faults, cell.Identical)
-	if cell.Outcome == "degraded" && cell.Detail == "" {
-		cell.Detail = fmt.Sprintf("node %d's holder died after %d bytes; disk pipeline carried the partition", victim, budget)
 	}
 	return cell, nil
 }

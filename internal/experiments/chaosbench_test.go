@@ -2,14 +2,14 @@ package experiments
 
 import "testing"
 
-// TestChaosBenchQuick runs one scenario through all three fault sites at
+// TestChaosBenchQuick runs one scenario through both fault sites at
 // two seeds and requires every cell to survive or degrade cleanly — never
 // fail — with byte identity everywhere and the disk schedules actually
 // firing (their budgets land inside the first family-A flush by
 // construction).
 func TestChaosBenchQuick(t *testing.T) {
 	if testing.Short() {
-		t.Skip("chaosbench drives an engine, a replication pair or a cluster per cell")
+		t.Skip("chaosbench drives an engine or a replication pair per cell")
 	}
 	rep, err := RunChaosBench(Quick, ChaosBenchOptions{
 		Scenarios: []string{"hotspot"},
@@ -18,8 +18,8 @@ func TestChaosBenchQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Cells) != 6 {
-		t.Fatalf("got %d cells, want 6 (1 scenario × 3 sites × 2 seeds)", len(rep.Cells))
+	if len(rep.Cells) != 4 {
+		t.Fatalf("got %d cells, want 4 (1 scenario × 2 sites × 2 seeds)", len(rep.Cells))
 	}
 	for _, c := range rep.Cells {
 		if c.Outcome == "failed" {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/gamestate"
-	"repro/internal/peerram"
 	"repro/internal/replication"
 	"repro/internal/report"
 	"repro/internal/wal"
@@ -29,11 +28,8 @@ import (
 //   - whole-world recovery — crash at a barrier, then recover with only the
 //     axis's rung attached (cluster.Recover); the wall is the slowest node.
 //     The disk rung restores the newest image and replays the WAL in
-//     parallel; the standby rung promotes a warm mirror; the peer-RAM rung
-//     streams a surviving peer's compressed in-RAM replica through the same
-//     pipeline, and its row also reports the replica RAM paid per node.
-//     The walls are reported, never ordered: which rung wins depends on the
-//     disk rate (DESIGN.md "Peer-RAM recovery").
+//     parallel; the standby rung promotes a warm mirror. The walls are
+//     reported, never ordered (DESIGN.md "Why no peer-RAM rung").
 //     Note the design point measured here: every node runs a full-geometry
 //     engine over its partition, so per-node restore spans the whole image
 //     while replay and tick apply scale with 1/nodes — see DESIGN.md;
@@ -73,13 +69,9 @@ type ClusterBenchRow struct {
 	WaitMs float64
 	// Mode is the recovery-mode axis value: the one rung the cell attaches
 	// before Recover. Served lists the rung that actually recovered each
-	// partition (a single-node peerram cell legitimately falls back to disk:
-	// it has no peer).
+	// partition.
 	Mode   string
 	Served string
-	// ReplicaKB is the mean compressed replica RAM per node a peer-RAM cell
-	// paid for its recovery speed (0 for the other modes).
-	ReplicaKB float64
 	// TickMs is the mean tick wall end to end: dispatch plus the final drain,
 	// checkpoint excluded. At MaxSkew = 0 that is the barrier tick.
 	TickMs float64
@@ -108,22 +100,18 @@ type ClusterBenchResult struct {
 func (r *ClusterBenchResult) Table() *report.TextTable {
 	t := report.NewTextTable()
 	t.Header("scenario", "nodes", "eff", "window", "mode", "served", "tick ms", "wait ms", "ckpt ms",
-		"recovery ms", "replica KB", "world tick", "mig pause ms", "identical")
+		"recovery ms", "world tick", "mig pause ms", "identical")
 	for _, row := range r.Rows {
 		pause := "-"
 		if row.MigCutTick > 0 {
 			pause = fmt.Sprintf("%.2f", row.MigPauseMs)
-		}
-		rep := "-"
-		if row.ReplicaKB > 0 {
-			rep = fmt.Sprintf("%.1f", row.ReplicaKB)
 		}
 		t.Row(row.Scenario, fmt.Sprint(row.Nodes), fmt.Sprint(row.Effective),
 			fmt.Sprint(row.MaxSkew), row.Mode, row.Served,
 			fmt.Sprintf("%.3f", row.TickMs),
 			fmt.Sprintf("%.3f", row.WaitMs),
 			fmt.Sprintf("%.2f", row.CheckpointMs),
-			fmt.Sprintf("%.2f", row.RecoveryMs), rep,
+			fmt.Sprintf("%.2f", row.RecoveryMs),
 			fmt.Sprint(row.WorldTick), pause, fmt.Sprint(row.Identical))
 	}
 	return t
@@ -158,7 +146,7 @@ type ClusterBenchOptions struct {
 	// scale's paper disk, negative unthrottled.
 	DiskBytesPerSec float64
 	// RecoveryModes is the recovery-mode axis; every (scenario, size) cell at
-	// MaxSkew = 0 runs once per mode. Defaults to {disk, standby, peerram}.
+	// MaxSkew = 0 runs once per mode. Defaults to {disk, standby}.
 	// A MaxSkew > 0 cell always recovers through the disk rung, the one
 	// proven there.
 	RecoveryModes []cluster.RecoveryMode
@@ -190,9 +178,7 @@ func clusterBenchDefaults(s Scale, opts ClusterBenchOptions) ClusterBenchOptions
 		opts.DiskBytesPerSec = 0
 	}
 	if len(opts.RecoveryModes) == 0 {
-		opts.RecoveryModes = []cluster.RecoveryMode{
-			cluster.RecoveryDisk, cluster.RecoveryStandby, cluster.RecoveryPeerRAM,
-		}
+		opts.RecoveryModes = []cluster.RecoveryMode{cluster.RecoveryDisk, cluster.RecoveryStandby}
 	}
 	if len(opts.Windows) == 0 {
 		opts.Windows = []int{0}
@@ -329,19 +315,10 @@ func clusterBenchCell(table gamestate.Table, src workload.Source,
 	if err != nil {
 		return row, err
 	}
-	copts := cluster.Options{
+	c, err := cluster.New(cluster.Options{
 		Table: table, Dir: dir, Mode: engine.ModeCopyOnUpdate,
 		Nodes: nodes, MaxSkew: window, Emit: emit, DiskBytesPerSec: opts.DiskBytesPerSec,
-	}
-	var mesh *peerram.Mesh
-	if mode == cluster.RecoveryPeerRAM {
-		// The mesh is sized to the effective node count (the requested size
-		// may fold on small worlds); it outlives the cluster, because the
-		// surviving peers' RAM is what Recover restores from.
-		mesh = peerram.NewMesh(eff)
-		copts.PeerRAM = mesh
-	}
-	c, err := cluster.New(copts)
+	})
 	if err != nil {
 		return row, err
 	}
@@ -432,20 +409,10 @@ func clusterBenchCell(table gamestate.Table, src workload.Source,
 	if err := c.Crash(); err != nil { // drained: every node at the final tick
 		return row, err
 	}
-	if mesh != nil {
-		// The RAM bill, measured at the moment of the crash: compressed
-		// image + delta bytes each surviving node holds for its peers.
-		stats := mesh.MemStats()
-		var sum int64
-		for _, b := range stats {
-			sum += b
-		}
-		row.ReplicaKB = float64(sum) / float64(len(stats)) / 1024
-	}
 
 	rc, wr, err := cluster.Recover(dir, cluster.Options{
 		Mode: engine.ModeCopyOnUpdate, DiskBytesPerSec: opts.DiskBytesPerSec,
-		PeerRAM: mesh, Standbys: standbys, Emit: emit,
+		Standbys: standbys, Emit: emit,
 	})
 	for _, sb := range standbys {
 		defer sb.Close()
@@ -464,11 +431,10 @@ func clusterBenchCell(table gamestate.Table, src workload.Source,
 		served[i] = m.String()
 	}
 	row.Served = strings.Join(served, ",")
-	// Served-mode honesty: outside the legitimate single-node peerram
-	// fallback (no peer exists), the attached rung must be the one that
-	// recovered every partition.
+	// Served-mode honesty: the attached rung must be the one that recovered
+	// every partition.
 	for i, m := range wr.Modes {
-		if m != mode && !(mode == cluster.RecoveryPeerRAM && row.Effective == 1) {
+		if m != mode {
 			rc.Close()
 			return row, fmt.Errorf("node %d recovered via %s, want %s (fallbacks: %s)",
 				i, m, mode, wr.Fallbacks[i])

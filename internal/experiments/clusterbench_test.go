@@ -25,8 +25,8 @@ func TestClusterBenchMicro(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 12 { // 3 sizes × ({disk, standby, peerram} at MaxSkew 0 + disk at 2)
-		t.Fatalf("got %d rows, want 12", len(res.Rows))
+	if len(res.Rows) != 9 { // 3 sizes × ({disk, standby} at MaxSkew 0 + disk at 2)
+		t.Fatalf("got %d rows, want 9", len(res.Rows))
 	}
 	for _, row := range res.Rows {
 		if !row.Identical {
@@ -38,16 +38,6 @@ func TestClusterBenchMicro(t *testing.T) {
 		}
 		if row.RecoveryMs <= 0 || row.CheckpointMs <= 0 || row.TickMs <= 0 {
 			t.Errorf("%s/nodes=%d/%s: empty measurement: %+v", row.Scenario, row.Nodes, row.Mode, row)
-		}
-		switch {
-		case row.Mode == "peerram" && row.Effective > 1:
-			if row.ReplicaKB <= 0 {
-				t.Errorf("%s/nodes=%d/%s: no replica RAM reported", row.Scenario, row.Nodes, row.Mode)
-			}
-		case row.Mode == "peerram": // single node: no peer, disk fallback
-			if row.Served != "disk" {
-				t.Errorf("%s/nodes=%d/%s: served %q, want disk fallback", row.Scenario, row.Nodes, row.Mode, row.Served)
-			}
 		}
 		if row.Effective > 1 && row.MaxSkew == 0 {
 			// The cut lands at the boundary before the second-to-last tick.

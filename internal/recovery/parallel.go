@@ -23,24 +23,8 @@ import (
 // ShardRange is one shard's contiguous object range [Lo, Hi).
 type ShardRange struct{ Lo, Hi int }
 
-// ImageSource is an alternative restore image: when ParallelOptions.Image is
-// set, the pipeline restores every shard range from it instead of choosing
-// among the A/B disk backups. It is the hook peer-RAM recovery uses to
-// stream a compressed replica image held in a surviving node's memory
-// through the same gated restore∥replay pipeline as a disk image.
-type ImageSource interface {
-	// Info identifies the image: the checkpoint epoch it carries and the
-	// first tick it does NOT cover (replay starts there). NextTick 0 means
-	// an image of the pre-tick world — structurally a zeroed slab.
-	Info() (epoch, nextTick uint64, err error)
-	// ReadRange fills dst with the image bytes of objects [lo, hi);
-	// len(dst) is exactly (hi-lo)×objSize. Shard restore goroutines call it
-	// concurrently for disjoint ranges.
-	ReadRange(lo, hi int, dst []byte) error
-}
-
 // RecordSource streams tick-ordered log records from outside the local WAL:
-// a peer's delta records, or a cluster node's logged inbox. The pipeline
+// a cluster node's logged inbox. The pipeline
 // merges it with the local log by tick (see ParallelOptions.Extra), which
 // assumes both carry each tick's records in the same order, so that a copy
 // torn by a crash is a prefix of the whole one.
@@ -84,10 +68,6 @@ type ParallelOptions struct {
 	// ApplyUpdates applies shard's bucket of one split record — every update
 	// in it is the shard's own, in batch order. Required with Split.
 	ApplyUpdates func(shard int, tick uint64, updates []wal.Update)
-	// Image, when non-nil, replaces the A/B disk restore: every shard reads
-	// its range from it and replay starts at its NextTick. A still supplies
-	// the object geometry; neither backup is read.
-	Image ImageSource
 	// Extra, when non-nil, is a second record source merged with the local
 	// log by tick, under one rule: a tick at or above the image floor that
 	// Extra carries replays from Extra, and the log's records for that tick
@@ -243,40 +223,22 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 		return res, fmt.Errorf("recovery: Extra set without Log")
 	}
 
-	var src *disk.Backup
-	idx := -1
+	idx, h, err := ChooseBackup(opts.A, opts.B)
+	if err != nil {
+		return res, err
+	}
+	res.BackupIndex = idx
+	src := opts.A
+	if idx == 1 {
+		src = opts.B
+	}
 	from := uint64(0)
-	if opts.Image != nil {
-		epoch, next, err := opts.Image.Info()
-		if err != nil {
-			return res, err
-		}
-		res.Epoch = epoch
-		from = next
-		if next > 0 {
-			res.Restored = true
-			res.AsOfTick = next - 1
-			res.NextTick = next
-		}
-	} else {
-		var h disk.Header
-		var err error
-		idx, h, err = ChooseBackup(opts.A, opts.B)
-		if err != nil {
-			return res, err
-		}
-		res.BackupIndex = idx
-		src = opts.A
-		if idx == 1 {
-			src = opts.B
-		}
-		if idx >= 0 {
-			res.Restored = true
-			res.Epoch = h.Epoch
-			res.AsOfTick = h.AsOfTick
-			res.NextTick = h.AsOfTick + 1
-			from = h.AsOfTick + 1
-		}
+	if idx >= 0 {
+		res.Restored = true
+		res.Epoch = h.Epoch
+		res.AsOfTick = h.AsOfTick
+		res.NextTick = h.AsOfTick + 1
+		from = h.AsOfTick + 1
 	}
 
 	n := len(ranges)
@@ -305,13 +267,7 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 			defer close(gate[s])
 			t0 := time.Now()
 			region := opts.Slab[r.Lo*objSize : r.Hi*objSize]
-			if opts.Image != nil {
-				if len(region) > 0 {
-					if err := opts.Image.ReadRange(r.Lo, r.Hi, region); err != nil {
-						shardErrs[s] = fmt.Errorf("recovery: restore shard %d [%d,%d): %w", s, r.Lo, r.Hi, err)
-					}
-				}
-			} else if idx < 0 {
+			if idx < 0 {
 				for i := range region {
 					region[i] = 0
 				}

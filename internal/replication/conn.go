@@ -10,15 +10,15 @@ import (
 )
 
 // Frame layout, the same under every protocol in this repository (standby,
-// peer-RAM replica, cluster node, client session): u32
-// length, u32 CRC32-IEEE of the body, body. Both integers are little-endian,
-// length counts the body only, and the body's first byte is the frame type.
+// cluster node, client session): u32 length, u32 CRC32-IEEE of the body,
+// body. Both integers are little-endian, length counts the body only, and
+// the body's first byte is the frame type.
 const frameHeader = 8
 
-// MaxFrameSize bounds one frame body on replication, peer-RAM and cluster
-// links; larger lengths mark a corrupt or hostile stream. It must
-// accommodate a whole tick record (mirrors wal's record bound) plus the
-// frame type byte and a snapshot chunk.
+// MaxFrameSize bounds one frame body on replication and cluster links;
+// larger lengths mark a corrupt or hostile stream. It must accommodate a
+// whole tick record (mirrors wal's record bound) plus the frame type byte
+// and a snapshot chunk.
 const MaxFrameSize = 1<<28 + 64
 
 // growStep is the least the reader may allocate ahead of the body bytes it

@@ -15,9 +15,8 @@
 //
 // The shipper is a *second concurrent consumer* of the primary's WAL: an
 // engine.LogFollower tail-follows the segment being appended, woken by the
-// engine's tick-commit notification, and hands back whole committed ticks
-// (the same follower feeds the peer-RAM replicas of internal/peerram, in
-// process). The shipper streams a bootstrap snapshot followed by tick
+// engine's tick-commit notification, and hands back whole committed ticks.
+// The shipper streams a bootstrap snapshot followed by tick
 // records over a duplex connection — the one replica wire protocol in the
 // repository. One Shipper type serves both shapes: a single connection
 // (StartShipper), or sessions it redials after a cut

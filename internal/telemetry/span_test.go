@@ -77,7 +77,7 @@ func TestSpansJSON(t *testing.T) {
 	defer Disable()
 	ResetSpans()
 	start := time.Now()
-	RecordSpan("recovery/restore", start, start.Add(3*time.Millisecond), Int("shard", 1), Str("rung", "peerram"))
+	RecordSpan("recovery/restore", start, start.Add(3*time.Millisecond), Int("shard", 1), Str("rung", "disk"))
 	body, err := SpansJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestSpansJSON(t *testing.T) {
 		t.Fatalf("unexpected spans.json: %s", body)
 	}
 	attrs := out[0]["attrs"].(map[string]any)
-	if attrs["shard"] != float64(1) || attrs["rung"] != "peerram" {
+	if attrs["shard"] != float64(1) || attrs["rung"] != "disk" {
 		t.Fatalf("typed attrs lost: %v", attrs)
 	}
 	if out[0]["duration_ns"] != float64(3*time.Millisecond) {
