@@ -229,8 +229,12 @@ func TestImageCommitOrder(t *testing.T) {
 			if phase != idle {
 				t.Fatalf("log ends in phase %d of an uncommitted image", phase)
 			}
-			if seen != images {
-				t.Fatalf("saw %d committed images, want %d", seen, images)
+			// A tick may begin a flush of its own before the next
+			// CheckpointNow, so more images than requested can commit; every
+			// committed image must be a booked one.
+			booked := len(e.Stats().Checkpoints)
+			if booked < images || seen != booked {
+				t.Fatalf("saw %d committed images, %d booked, want %d booked at least", seen, booked, images)
 			}
 		})
 	}
