@@ -149,6 +149,15 @@ func (b *Backup) ReadHeader() (Header, error) {
 	return h, nil
 }
 
+// Blank reports whether the device holds no byte past the image header, so
+// every slot reads as zeros once a write extends the file past it. A device
+// that zero-fills reads past its end (Mem) is never blank.
+func (b *Backup) Blank() bool {
+	var one [1]byte
+	n, err := b.dev.ReadAt(one[:], HeaderSize)
+	return n == 0 && errors.Is(err, io.EOF)
+}
+
 // WriteRun writes a contiguous run of object slots starting at startObj.
 // data must be a whole number of objects. Runs are how the sorted-write
 // optimization coalesces adjacent dirty sectors. Concurrent WriteRun (and

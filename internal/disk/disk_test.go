@@ -335,3 +335,49 @@ func FuzzDecodeHeader(f *testing.F) {
 		}
 	})
 }
+
+// TestBackupBlank: a backup is blank while its device holds no byte past the
+// header — a fresh file or a header alone, also behind a throttle — and not
+// once one stray byte lies past it. A Mem device, whose reads past its end
+// return zeros, and an unreadable device are never blank.
+func TestBackupBlank(t *testing.T) {
+	f, err := OpenFile(filepath.Join(t.TempDir(), "img"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	blank := func(dev Device) bool {
+		b, err := NewBackup(dev, 4, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.Blank()
+	}
+	if !blank(f) || !blank(NewThrottle(f, 1e6)) {
+		t.Error("empty file is not blank")
+	}
+	b, _ := NewBackup(f, 4, 64)
+	if err := b.WriteHeader(Header{Epoch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !blank(f) {
+		t.Error("header-only file is not blank")
+	}
+	if _, err := f.WriteAt([]byte{0}, HeaderSize); err != nil {
+		t.Fatal(err)
+	}
+	if blank(f) || blank(NewThrottle(f, 1e6)) {
+		t.Error("file with a byte past its header is blank")
+	}
+	if blank(NewMem()) {
+		t.Error("Mem device is blank")
+	}
+	g, err := OpenFile(filepath.Join(t.TempDir(), "img"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if blank(NewReadFault(g)) {
+		t.Error("unreadable device is blank")
+	}
+}

@@ -48,8 +48,8 @@ func BenchmarkApplyTick(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer e.Close()
-			// Past the two cold full images, so checkpoints are dirty-set
-			// sized as they are in a long-running engine.
+			// Past the first image of each backup, so checkpoints are
+			// dirty-set sized as they are in a long-running engine.
 			for t := 0; t < 10; t++ {
 				if err := e.ApplyTick(batches[t]); err != nil {
 					b.Fatal(err)

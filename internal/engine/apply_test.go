@@ -423,7 +423,14 @@ func checkImagesAgainstHistory(t *testing.T, dir string, history map[uint64][]by
 func TestCOULocksOncePerObjectPerCheckpoint(t *testing.T) {
 	const k, n, perObj = 24, 10, 3
 	e, h := openHoldable(t, ModeCopyOnUpdate, 1)
-	h.tickAndHold(t, e, []wal.Update{{Cell: 0, Value: 1}})
+	// The first tick dirties every object: a fresh engine's first image
+	// writes only what it dirtied, and the held flush must be the whole
+	// state for k write-set objects to sit past the parked cursor.
+	var first []wal.Update
+	for obj := 0; obj < e.store.NumObjects(); obj++ {
+		first = append(first, wal.Update{Cell: uint32(obj) * e.store.cellsPerObj, Value: 1})
+	}
+	h.tickAndHold(t, e, first)
 	cp := e.cp.(*couCP)
 	cursor := int(cp.shards[0].cursor.Load())
 	if cursor+k > e.store.NumObjects() {

@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"errors"
 	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/disk"
+	"repro/internal/wal"
 )
 
 // Mode selects the recovery method the engine runs.
@@ -114,6 +116,10 @@ type checkpointer interface {
 	// pruning its log (the degrade contract recovery depends on: with a
 	// single image family, the full log must stay replayable).
 	degraded() bool
+	// supersede abandons the in-flight image if it is older than tick; the
+	// next cut goes back to its backup (see DESIGN.md "Superseding a stale
+	// flush").
+	supersede(tick uint64)
 	// bootstrap persists the live slab, consistent as of asOfTick, as a
 	// complete image on the backup the next checkpoint would have targeted,
 	// stamped with the next epoch, and leaves the rotation pointing at the
@@ -124,8 +130,8 @@ type checkpointer interface {
 }
 
 // cpEvent is the writer's report on one checkpoint: the committed image's
-// info, or abandoned when the flush failed and no image was committed. The
-// engine books the first kind; the second only wakes CheckpointNow.
+// info, or abandoned when the flush failed or was superseded. The engine
+// books the first kind; the second only wakes CheckpointNow.
 type cpEvent struct {
 	CheckpointInfo
 	abandoned bool
@@ -142,6 +148,7 @@ func newNop() *nopCheckpointer {
 }
 
 func (n *nopCheckpointer) onWord(int32, uint64) {}
+func (n *nopCheckpointer) supersede(uint64)     {}
 func (n *nopCheckpointer) bootstrap(uint64) (cpEvent, bool, error) {
 	return cpEvent{}, false, nil
 }
@@ -162,6 +169,7 @@ type strategy interface {
 	// cut fixes the image of the tick that just ended — the objects to
 	// write to backup target and, where the method copies eagerly, their
 	// bytes — and returns the bytes it copied. It runs inside the pause.
+	// After a superseded image (redo) it also adds that image's write set.
 	cut(target int) (pauseBytes int64)
 	// flushShard writes shard s's share of the cut image to b, in ascending
 	// offset order, and returns the objects and bytes written. The writer
@@ -170,27 +178,33 @@ type strategy interface {
 }
 
 // newCheckpointer builds the checkpointer for mode: the strategy's own
-// buffers, then the shared coordinator around them.
-func newCheckpointer(mode Mode, store *Store, backups [2]*disk.Backup, startEpoch uint64, firstBackup int, plan shardPlan) checkpointer {
+// buffers, then the shared coordinator around them. emptyWorld means open
+// restored no image and replayed no record, so the state is all zeros;
+// log is nil on an engine without one.
+func newCheckpointer(mode Mode, store *Store, backups [2]*disk.Backup, startEpoch uint64, firstBackup int, plan shardPlan, emptyWorld bool, log *wal.Log) checkpointer {
 	var (
-		s strategy
-		c *coordinator
+		s     strategy
+		c     *coordinator
+		blank [2]bool
 	)
+	for i, b := range backups {
+		blank[i] = emptyWorld && b.Blank()
+	}
 	switch mode {
 	case ModeNaiveSnapshot:
 		cp := &naiveCP{shadow: make([]byte, len(store.Slab()))}
 		s, c = cp, &cp.coordinator
 	case ModeCopyOnUpdate, ModeDribble:
-		cp := newCOU(store, plan, mode == ModeDribble)
+		cp := newCOU(store, plan, mode == ModeDribble, blank)
 		s, c = cp, &cp.coordinator
 	case ModeAtomicCopy:
-		cp := newAtomicCopy(store)
+		cp := newAtomicCopy(store, blank)
 		s, c = cp, &cp.coordinator
 	default:
 		return newNop()
 	}
 	c.method, c.store, c.backups, c.plan = s, store, backups, plan
-	c.epoch, c.cur = startEpoch, firstBackup
+	c.epoch, c.cur, c.log = startEpoch, firstBackup, log
 	c.jobs = make(chan cpJob, 1)
 	// The engine drains after every endTick, so at most two events are ever
 	// pending; the slack lets a crash test close the checkpointer without
@@ -230,17 +244,30 @@ type cpJob struct {
 // retried: its image is already invalid, and a method's flush state (shard
 // cursors) advanced during the failed flush, so a retry against the same cut
 // would mix tick states. The next endTick cuts fresh state for the survivor.
+// That first degraded cut invalidates the only complete image while the log
+// may be pruned past the state's start, so it is anchored first: the whole
+// state goes to the log as one synced install record, and from then on the
+// retained log alone rebuilds the state. A failed anchor is fatal.
 type coordinator struct {
 	method  strategy
 	store   *Store
 	backups [2]*disk.Backup
 	plan    shardPlan
+	log     *wal.Log // nil without one
 
-	// epoch and cur (the backup the next checkpoint targets) belong to the
-	// goroutine that calls endTick; the writer sees them only through jobs.
+	// epoch, cur (the backup the next checkpoint targets), jobTick, redo and
+	// anchored belong to the goroutine that calls endTick; the writer sees
+	// them only through jobs.
 	epoch    uint64
 	cur      int
+	jobTick  uint64 // the in-flight image's tick
+	redo     bool   // this cut rewrites a superseded image's backup
+	anchored bool   // the degrade rule's install record is logged
 	inFlight atomic.Bool
+	// stale asks the flushers to abandon the in-flight image; when they did,
+	// the writer stores its backup+1 in superseded before it lowers inFlight.
+	stale      atomic.Bool
+	superseded atomic.Int32
 
 	jobs chan cpJob
 	done chan cpEvent
@@ -258,7 +285,18 @@ func (c *coordinator) endTick(tick uint64) time.Duration {
 	if c.inFlight.Load() || c.werr.get() != nil {
 		return 0
 	}
+	if c.log != nil && c.sick.any() && !c.anchored {
+		if err := c.logState(tick + 1); err != nil {
+			c.werr.set(err)
+			return 0
+		}
+		c.anchored = true
+	}
 	begin := time.Now()
+	b := c.superseded.Swap(0)
+	if c.redo = b > 0; c.redo {
+		c.cur = int(b - 1)
+	}
 	target := c.sick.redirect(c.cur)
 	pauseBytes := c.method.cut(target)
 	pause := time.Since(begin)
@@ -266,6 +304,8 @@ func (c *coordinator) endTick(tick uint64) time.Duration {
 	c.st.PauseBytes.Add(pauseBytes)
 	c.epoch++
 	c.cur = target ^ 1
+	c.jobTick = tick
+	c.stale.Store(false)
 	// Raised after the cut: whatever the cut published (write set, rewound
 	// cursors) is in place before any onWord can observe the new flush.
 	c.inFlight.Store(true)
@@ -277,7 +317,10 @@ func (c *coordinator) writer() {
 	defer c.wg.Done()
 	for job := range c.jobs {
 		info, err := c.writeImage(job, c.method.flushShard)
-		if err != nil {
+		switch {
+		case errors.Is(err, errSuperseded):
+			c.superseded.Store(int32(job.backup) + 1)
+		case err != nil:
 			if !c.sick.markSick(job.backup) {
 				c.werr.set(err)
 			}
@@ -341,6 +384,34 @@ func (c *coordinator) writeRegion(b *disk.Backup, src []byte, s int) (int, int64
 		return 0, 0, err
 	}
 	return hi - lo, int64(len(region)), nil
+}
+
+// anchorChunk bounds one install record of the degrade rule's anchor, well
+// under the log's record bound (a variable so tests can split small states).
+var anchorChunk = 64 << 20
+
+// logState is the degrade rule's anchor: the whole state, logged at tick next
+// as install records of at most anchorChunk bytes, then synced.
+func (c *coordinator) logState(next uint64) error {
+	var rec []byte
+	n, per := c.store.NumObjects(), max(1, anchorChunk/c.store.ObjSize())
+	for lo := 0; lo < n; lo += per {
+		hi := min(lo+per, n)
+		rec = appendInstallRecord(rec[:0], lo, hi, c.store.SlabRange(lo, hi))
+		if err := c.log.Append(next, rec); err != nil {
+			return err
+		}
+	}
+	return c.log.Sync()
+}
+
+// errSuperseded is a flusher's answer to stale; it marks no backup sick.
+var errSuperseded = errors.New("engine: checkpoint superseded")
+
+func (c *coordinator) supersede(tick uint64) {
+	if c.inFlight.Load() && c.jobTick < tick {
+		c.stale.Store(true)
+	}
 }
 
 func (c *coordinator) completed() <-chan cpEvent { return c.done }
@@ -427,13 +498,13 @@ func fanOutFlush(plan shardPlan, b *disk.Backup, flushShard func(s int, b *disk.
 		objs[s], byts[s], errs[s] = flushShard(s, b)
 	})
 	for s := range errs {
-		if errs[s] != nil {
-			return 0, 0, errs[s]
+		if errs[s] != nil && (err == nil || errors.Is(err, errSuperseded)) {
+			err = errs[s] // a device error outranks a superseded shard
 		}
 		objects += objs[s]
 		bytes += byts[s]
 	}
-	return objects, bytes, nil
+	return objects, bytes, err
 }
 
 // dirtyMaps is the bookkeeping the dirty-set methods share: one bitmap per
@@ -446,12 +517,19 @@ func fanOutFlush(plan shardPlan, b *disk.Backup, flushShard func(s int, b *disk.
 // the same word concurrently.
 type dirtyMaps struct{ dirty [2][]uint64 }
 
-// init allocates the maps with every object dirty: on a cold start nothing
-// is on disk, and after recovery the images' exact dirty sets are unknown,
-// so the next checkpoint of each backup rewrites everything.
-func (d *dirtyMaps) init(n int) {
+// init allocates the maps. A blank backup of an empty world (see
+// newCheckpointer) starts clean but for the last object, whose write extends
+// the first image to full length: every slot never dirtied is a hole that
+// reads back as the zeros the state holds. Every other map starts all dirty,
+// since an old file's bytes, or after recovery the images' dirty sets, are
+// unknown.
+func (d *dirtyMaps) init(n int, blank [2]bool) {
 	for i := range d.dirty {
 		d.dirty[i] = make([]uint64, (n+63)/64)
+		if blank[i] {
+			d.dirty[i][(n-1)>>6] = 1 << (uint(n-1) & 63)
+			continue
+		}
 		for w := range d.dirty[i] {
 			d.dirty[i][w] = ^uint64(0)
 		}

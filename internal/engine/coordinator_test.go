@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -284,5 +288,79 @@ func TestCloseBooksShutdownCheckpoint(t *testing.T) {
 	}
 	if got := counter("engine_checkpoint_bytes_total") - bytes0; got != sum {
 		t.Errorf("engine_checkpoint_bytes_total advanced by %d, Stats checkpoints sum to %d", got, sum)
+	}
+}
+
+// TestCheckpointAsOfSupersedesStaleFlush: CheckpointAsOf does not wait out
+// an in-flight image older than the tick it asks for. The stale flush stops
+// at its next write, no image of it is committed, and the covering image is
+// written to the same backup with the stale write set added back — the
+// other backup is never touched, and the image restores byte-identical.
+func TestCheckpointAsOfSupersedesStaleFlush(t *testing.T) {
+	for _, c := range []struct {
+		mode   Mode
+		shards int
+	}{{ModeCopyOnUpdate, 1}, {ModeCopyOnUpdate, 2}, {ModeDribble, 2}, {ModeAtomicCopy, 1}, {ModeAtomicCopy, 2}} {
+		t.Run(fmt.Sprintf("%v/shards=%d", c.mode, c.shards), func(t *testing.T) {
+			e, h := openHoldable(t, c.mode, c.shards)
+			// Every other object: one run per object, so the stale flush
+			// checks in again after its parked write.
+			var first []wal.Update
+			for obj := 0; obj < e.store.NumObjects(); obj += 2 {
+				first = append(first, wal.Update{Cell: uint32(obj) * e.store.cellsPerObj, Value: uint32(obj) + 1})
+			}
+			h.tickAndHold(t, e, first)
+			rng := rand.New(rand.NewSource(int64(c.shards)))
+			for i := 0; i < 3; i++ {
+				if err := e.ApplyTick(randomBatch(rng, e.opts.Table.NumCells(), 50)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			last := e.NextTick() - 1
+			e.cp.supersede(last) // before the parked flush resumes
+			h.release()
+			info, err := e.CheckpointAsOf(last)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cps := e.Stats().Checkpoints; len(cps) != 1 || info.Epoch != 2 || info.AsOfTick != last {
+				t.Fatalf("images %+v, want only epoch 2 as of tick %d", cps, last)
+			}
+			want := bytes.Clone(e.Store().Slab())
+			opts := e.opts
+			opts.DeviceFactory = nil
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st, err := os.Stat(filepath.Join(opts.Dir, "backup-b.img")); err != nil || st.Size() != 0 {
+				t.Fatalf("backup b was written (%v): the covering image left the superseded one's backup", err)
+			}
+			restoresFrom(t, opts, 0, want)
+		})
+	}
+}
+
+// TestFanOutFlushPrefersDeviceError: when one shard stops as superseded and
+// another hits a device error, the flush reports the device error, so the
+// writer marks the backup sick instead of sending the next cut back to it.
+func TestFanOutFlushPrefersDeviceError(t *testing.T) {
+	devErr := errors.New("disk: medium died")
+	plan := makeShardPlan(4*64, 4)
+	if plan.count() != 4 {
+		t.Fatalf("plan has %d shards, want 4", plan.count())
+	}
+	for bad := 1; bad < plan.count(); bad++ {
+		_, _, err := fanOutFlush(plan, nil, func(s int, _ *disk.Backup) (int, int64, error) {
+			switch s {
+			case 0:
+				return 0, 0, errSuperseded
+			case bad:
+				return 0, 0, devErr
+			}
+			return 64, 64, nil
+		})
+		if !errors.Is(err, devErr) {
+			t.Errorf("device error on shard %d: flush returned %v, want %v", bad, err, devErr)
+		}
 	}
 }

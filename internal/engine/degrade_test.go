@@ -2,6 +2,8 @@ package engine
 
 import (
 	"errors"
+	"fmt"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -176,6 +178,93 @@ func TestCheckpointBothBackupsSickIsFatal(t *testing.T) {
 			}
 			if err := e.Close(); !errors.Is(err, sickErr) {
 				t.Fatalf("Close: %v, want %v", err, sickErr)
+			}
+		})
+	}
+}
+
+// dataFailDev fails every write past the image header once tripped, so a
+// flush still invalidates the header before its first data write fails.
+type dataFailDev struct {
+	disk.Device
+	trip *atomic.Bool
+	err  error
+}
+
+func (d *dataFailDev) WriteAt(p []byte, off int64) (int, error) {
+	if d.trip.Load() && off >= disk.HeaderSize {
+		return 0, d.err
+	}
+	return d.Device.WriteAt(p, off)
+}
+
+// TestDegradedFlushAfterPruneRecovers: once the log is pruned, the first
+// degraded flush invalidates the survivor's image, the only complete one
+// left. When the survivor then fails too, neither backup holds an image and
+// recovery rebuilds from the retained log alone — which must still give the
+// exact state, though the ticks before the prune floor are gone from it.
+// The anchor is cut into install records of 15 objects each here.
+func TestDegradedFlushAfterPruneRecovers(t *testing.T) {
+	defer func(old int) { anchorChunk = old }(anchorChunk)
+	anchorChunk = 1000
+	for _, mode := range checkpointingModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			table := gamestate.Table{Rows: 256, Cols: 4, CellSize: 4, ObjSize: 64}
+			sickErr := errors.New("disk: medium died")
+			var trip atomic.Bool
+			opts := Options{Table: table, Dir: t.TempDir(), Mode: mode, SyncEveryTick: true}
+			faulty := opts
+			faulty.DeviceFactory = func(path string) (disk.Device, error) {
+				dev, err := disk.OpenFile(path)
+				if err != nil {
+					return nil, err
+				}
+				return &dataFailDev{Device: dev, trip: &trip, err: sickErr}, nil
+			}
+			e, err := Open(faulty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newReference(table)
+			// Each tick writes a cell no later tick touches, one per record
+			// of the anchor, so a lost tick shows in the recovered state.
+			for i := 0; i < 5; i++ {
+				batch := []wal.Update{{Cell: uint32(i * 211), Value: uint32(i + 1)}}
+				if err := e.ApplyTick(batch); err != nil {
+					t.Fatal(err)
+				}
+				ref.apply(batch)
+				if _, err := e.CheckpointNow(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			segs, _ := filepath.Glob(filepath.Join(opts.Dir, "wal", "*.seg"))
+			if len(segs) == 0 || strings.HasSuffix(segs[0], fmt.Sprintf("%020d.seg", 0)) {
+				t.Fatalf("log segments %v: the prune never ran", segs)
+			}
+			trip.Store(true)
+			batch := []wal.Update{{Cell: 200, Value: 7}}
+			if err := e.ApplyTick(batch); err != nil {
+				t.Fatal(err)
+			}
+			ref.apply(batch)
+			if _, err := e.CheckpointNow(); !errors.Is(err, sickErr) {
+				t.Fatalf("CheckpointNow with both backups failing: %v, want %v", err, sickErr)
+			}
+			// Crash: stop the writer and drop the engine without Close.
+			e.cp.close() //nolint:errcheck
+			e.log.Close()
+
+			re, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if re.Recovery().Restored {
+				t.Fatal("recovery restored an image; both should be invalid")
+			}
+			if re.NextTick() != 6 || !ref.matches(re.Store()) {
+				t.Fatalf("recovered to tick %d (want 6); state matches reference: %v", re.NextTick(), ref.matches(re.Store()))
 			}
 		})
 	}

@@ -314,7 +314,8 @@ func open(opts Options, parallel bool, records func() (recovery.RecordSource, er
 		}
 	}
 
-	e.cp = newCheckpointer(opts.Mode, store, backups, startEpoch, firstBackup, e.plan)
+	e.cp = newCheckpointer(opts.Mode, store, backups, startEpoch, firstBackup, e.plan,
+		!e.recovered.Restored && e.recovered.ReplayedTicks == 0, e.log)
 	opened = true
 	if records != nil && e.log != nil {
 		if err := e.heal(records, pres); err != nil {
@@ -565,12 +566,14 @@ func (e *Engine) CheckpointNow() (CheckpointInfo, error) {
 		// Every pass either finds the writer dead or leaves a flush in flight
 		// — endTick is a no-op while one already is — and every flush ends in
 		// exactly one event, so the receive below cannot park forever. An
-		// abandoned flush (a backup went sick mid-write) loops: the next cut
-		// targets the surviving backup, or the check finds the fatal error.
+		// abandoned flush loops: after a superseded one the next cut rewrites
+		// its backup; after a backup went sick mid-write it targets the
+		// survivor, or the check finds the fatal error (a failed anchor
+		// included).
+		e.cp.endTick(e.tick - 1)
 		if err := e.cp.err(); err != nil {
 			return CheckpointInfo{}, fmt.Errorf("engine: checkpoint writer failed: %w", err)
 		}
-		e.cp.endTick(e.tick - 1)
 		ev, ok := <-e.cp.completed()
 		if !ok {
 			return CheckpointInfo{}, errors.New("engine: checkpointer stopped")
@@ -590,19 +593,19 @@ func (e *Engine) CheckpointDegraded() bool { return e.cp.degraded() }
 
 // CheckpointAsOf blocks until a completed checkpoint image covers tick —
 // its AsOfTick at or past tick — and returns that checkpoint's info.
-// Checkpoints run back-to-back, so a single CheckpointNow may return a
-// flush that began ticks ago and is as-of an old tick; every caller that
-// needs "the image covers tick T" must loop until the returned AsOfTick
-// reaches the target, and this is that loop. tick must already have been
-// applied. It is the building block of the cluster's coordinated cuts: all
-// nodes CheckpointAsOf the same tick and the per-node images form a
-// globally consistent world checkpoint by construction of synchronized
-// ticks.
+// Checkpoints run back-to-back, so a flush in flight may have begun ticks
+// ago and be as-of an old tick; CheckpointAsOf supersedes such a flush
+// rather than wait it out, and loops until the returned AsOfTick reaches
+// the target. tick must already have been applied. It is the building block
+// of the cluster's coordinated cuts: all nodes CheckpointAsOf the same tick
+// and the per-node images form a globally consistent world checkpoint by
+// construction of synchronized ticks.
 func (e *Engine) CheckpointAsOf(tick uint64) (CheckpointInfo, error) {
 	if tick >= e.tick {
 		return CheckpointInfo{}, fmt.Errorf("engine: checkpoint as-of tick %d: only %d ticks applied", tick, e.tick)
 	}
 	for {
+		e.cp.supersede(tick)
 		info, err := e.CheckpointNow()
 		if err != nil || info.AsOfTick >= tick {
 			return info, err

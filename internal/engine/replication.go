@@ -333,7 +333,7 @@ func OpenStandby(opts Options, nextTick uint64, data []byte) (*Engine, error) {
 		e.Close()
 		return nil, fmt.Errorf("engine: snapshot is %d bytes, state holds %d", len(data), len(e.store.Slab()))
 	}
-	copy(e.store.Slab(), data)
+	e.installObjects(0, e.store.NumObjects(), data) // both dirty maps learn the snapshot
 	e.tick = nextTick
 	e.standby = true
 	if nextTick > 0 {

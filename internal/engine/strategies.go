@@ -82,7 +82,7 @@ type couCP struct {
 	chunk    int
 }
 
-func newCOU(store *Store, plan shardPlan, fullSet bool) *couCP {
+func newCOU(store *Store, plan shardPlan, fullSet bool, blank [2]bool) *couCP {
 	n := store.NumObjects()
 	words := (n + 63) / 64
 	c := &couCP{
@@ -93,7 +93,7 @@ func newCOU(store *Store, plan shardPlan, fullSet bool) *couCP {
 		shards:   make([]couShard, plan.count()),
 		chunk:    flushChunk(plan, store.ObjSize()),
 	}
-	c.dirtyMaps.init(n)
+	c.dirtyMaps.init(n, blank)
 	for s := range c.shards {
 		sh := &c.shards[s]
 		sh.lo, sh.hi = plan.objRange(s)
@@ -182,6 +182,8 @@ func (c *couCP) cut(target int) int64 {
 	for i, w := range src {
 		if c.fullSet {
 			w = ^uint64(0)
+		} else if c.redo {
+			w |= atomic.LoadUint64(&c.writeSet[i])
 		}
 		atomic.StoreUint64(&c.writeSet[i], w)
 		src[i] = 0
@@ -229,6 +231,9 @@ func (c *couCP) flushShard(s int, b *disk.Backup) (int, int64, error) {
 			sh.cursor.Store(int64(obj) + 1)
 			mu.Unlock()
 			if len(stage) >= c.chunk || obj+1 == end {
+				if c.stale.Load() {
+					return 0, 0, errSuperseded
+				}
 				if err := b.WriteRun(at, stage); err != nil {
 					return 0, 0, err
 				}
@@ -258,13 +263,13 @@ type atomicCP struct {
 	side     []byte   // eager copies, written before the job is sent
 }
 
-func newAtomicCopy(store *Store) *atomicCP {
+func newAtomicCopy(store *Store, blank [2]bool) *atomicCP {
 	n := store.NumObjects()
 	c := &atomicCP{
 		writeSet: make([]uint64, (n+63)/64),
 		side:     make([]byte, n*store.ObjSize()),
 	}
-	c.dirtyMaps.init(n)
+	c.dirtyMaps.init(n, blank)
 	return c
 }
 
@@ -291,6 +296,9 @@ func (c *atomicCP) copyRange(src []uint64, loWord, hiWord int) int64 {
 	copied := 0
 	for wi := loWord; wi < hiWord; wi++ {
 		word := src[wi]
+		if c.redo {
+			word |= c.writeSet[wi]
+		}
 		c.writeSet[wi] = word
 		src[wi] = 0
 		for word != 0 {
@@ -316,6 +324,9 @@ func (c *atomicCP) flushShard(s int, b *disk.Backup) (int, int64, error) {
 		start, end, ok := it.next()
 		if !ok {
 			return objects, bytes, nil
+		}
+		if c.stale.Load() {
+			return 0, 0, errSuperseded
 		}
 		region := c.side[start*sz : end*sz]
 		if err := b.WriteRunVec(start, chunkSlices(region)); err != nil {

@@ -288,12 +288,17 @@ func (l *Log) Rotate(nextTick uint64) error {
 	if nextTick <= l.segStart && l.segStart != 0 {
 		return fmt.Errorf("wal: rotate to %d not after segment start %d", nextTick, l.segStart)
 	}
+	var t0 time.Time
+	if telemetry.Enabled() {
+		t0 = time.Now()
+	}
 	if err := l.bw.Flush(); err != nil {
 		return err
 	}
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
+	telSeal.ObserveSince(t0)
 	if err := l.f.Close(); err != nil {
 		return err
 	}
