@@ -38,15 +38,6 @@
 // cut-reconstruction recovery, reporting the coordinator's per-tick blocked
 // time next to the barrier's.
 //
-// chaosbench runs seeded fault-injection schedules (internal/chaos) over
-// scenario × fault site × seed: a backup device that dies mid-flush, and a
-// replication link severed mid-frame session after session.
-// Every cell must end byte-identical to a
-// never-faulted reference — "survived" when no fault fired, "degraded" when
-// faults fired and the degradation path held; any "failed" cell exits
-// non-zero, printing the (seed, site) pair that replays it.
-// -chaos-scenarios, -chaos-sites and -chaos-seeds trim the matrix.
-//
 // gatewaybench runs the session tier (internal/session) over the real
 // cluster: a simulated client population connects through a gateway,
 // per-tick intents flow in and interest-managed deltas flow back out, per
@@ -99,7 +90,6 @@ var experimentTable = []struct {
 	{[]string{"ksafety"}, func(r *runner, _ func(string) bool) { r.ksafety() }},
 	{[]string{"recoverytime"}, func(r *runner, _ func(string) bool) { r.recoverytime() }},
 	{[]string{"clusterbench"}, func(r *runner, _ func(string) bool) { r.clusterbench() }},
-	{[]string{"chaosbench"}, func(r *runner, _ func(string) bool) { r.chaosbench() }},
 	{[]string{"gatewaybench"}, func(r *runner, _ func(string) bool) { r.gatewaybench() }},
 }
 
@@ -130,9 +120,6 @@ var (
 	clustSize  = flag.String("cluster-sizes", "", "comma-separated clusterbench node counts (empty = 1,2,4)")
 	clustRec   = flag.String("cluster-recovery-modes", "", "comma-separated clusterbench recovery-mode axis (empty = disk,standby)")
 	clustSkews = flag.String("cluster-max-skew", "", "comma-separated clusterbench coordination-window axis, cluster MaxSkew values (empty = 0, the barrier)")
-	chaosScen  = flag.String("chaos-scenarios", "", "comma-separated chaosbench scenario filter (empty = flashcrowd,hotspot,migration)")
-	chaosSite  = flag.String("chaos-sites", "", "comma-separated chaosbench fault sites (empty = disk,replink)")
-	chaosSeed  = flag.String("chaos-seeds", "", "comma-separated chaosbench schedule seeds (empty = 1,2,3)")
 	gwProf     = flag.String("gateway-profiles", "", "comma-separated gatewaybench churn profiles (empty = "+joinProfiles()+")")
 	gwSize     = flag.String("gateway-sizes", "", "comma-separated gatewaybench node counts (empty = 1,2,4)")
 	gwClients  = flag.Int("gateway-clients", 0, "gatewaybench simulated client population (0 = scale default)")
@@ -435,42 +422,6 @@ func (r *runner) clusterbench() {
 		}
 		fmt.Printf("cluster crash equivalence: all %d rows byte-identical to the single-node reference\n",
 			len(cb.Rows))
-	})
-}
-
-func (r *runner) chaosbench() {
-	r.timed("chaosbench", func() {
-		var seeds []int64
-		for _, v := range splitList(*chaosSeed) {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				fatalf("chaosbench: bad -chaos-seeds entry %q", v)
-			}
-			seeds = append(seeds, n)
-		}
-		rep, err := experiments.RunChaosBench(r.scale, experiments.ChaosBenchOptions{
-			Scenarios: splitList(*chaosScen),
-			Sites:     splitList(*chaosSite),
-			Seeds:     seeds,
-		})
-		if err != nil {
-			fatalf("chaosbench: %v", err)
-		}
-		r.emitTable("Chaos bench: scenario × fault site × seed (injected faults vs degradation paths)",
-			rep.Table())
-		// Byte identity under injected faults is the whole point: a failed
-		// cell means a degradation path lost state, and the (seed, site)
-		// pair printed below replays the exact fault schedule.
-		if failed := rep.Failed(); len(failed) > 0 {
-			for _, c := range failed {
-				fmt.Fprintf(os.Stderr, "chaosbench: FAILED %s/%s seed=%d: %s\n",
-					c.Scenario, c.Site, c.Seed, c.Detail)
-			}
-			fatalf("chaosbench: %d of %d fault schedules failed; replay any with -chaos-scenarios/-chaos-sites/-chaos-seeds",
-				len(failed), len(rep.Cells))
-		}
-		fmt.Printf("chaos equivalence: %d fault schedules, %d degraded cleanly, 0 failed — every cell byte-identical to its never-faulted reference\n",
-			len(rep.Cells), rep.Degraded())
 	})
 }
 

@@ -3,9 +3,6 @@ package chaos
 import (
 	"net"
 	"sync"
-	"time"
-
-	"repro/internal/telemetry"
 )
 
 // ConnFaults selects the network fault shapes a chaos Conn injects on its
@@ -13,25 +10,18 @@ import (
 // so the shapes map cleanly onto protocol events: a *drop* loses exactly one
 // frame (the peer sees a gap or an out-of-order chunk and fails the
 // session), a *sever* cuts the stream mid-frame (the peer seals at the last
-// complete frame), a *delay* stretches latency without corrupting anything.
+// complete frame).
 type ConnFaults struct {
-	// SeverProb severs the connection on a write with this probability: a
-	// schedule-chosen prefix of the buffer goes out, then the conn closes —
-	// a cut mid-frame. Both directions die (the transport is gone).
-	SeverProb float64
-	// SeverAfterBytes severs deterministically once the cumulative bytes
-	// written cross this threshold (0 disables). The crossing write is cut
-	// exactly at the threshold.
+	// SeverAfterBytes severs the connection once the cumulative bytes
+	// written cross this threshold (0 disables): the crossing write is cut
+	// exactly at the threshold, then the conn closes. Both directions die
+	// (the transport is gone).
 	SeverAfterBytes int64
 	// DropProb silently swallows a whole write with this probability while
 	// reporting success — a one-direction partition: this end keeps
 	// sending, the peer stops hearing. With per-frame writes this loses
 	// exactly one frame.
 	DropProb float64
-	// DelayProb sleeps Delay before a write completes (default 1ms when
-	// Delay is zero). Delays reorder nothing; they only stretch time.
-	DelayProb float64
-	Delay     time.Duration
 }
 
 // Conn wraps a net.Conn with schedule-driven write-path fault injection.
@@ -41,8 +31,6 @@ type Conn struct {
 	net.Conn
 	site   string
 	faults ConnFaults
-	sleep  func(time.Duration)
-	tel    *telemetry.VecCounter
 
 	mu       sync.Mutex
 	rng      *Rand
@@ -55,34 +43,14 @@ type Conn struct {
 // WrapConn builds the injector for one site. The same (seed, site) always
 // yields the same decision stream.
 func WrapConn(c net.Conn, seed int64, site string, faults ConnFaults) *Conn {
-	if faults.Delay <= 0 {
-		faults.Delay = time.Millisecond
-	}
-	return &Conn{
-		Conn:   c,
-		site:   site,
-		faults: faults,
-		sleep:  time.Sleep,
-		tel:    telInjected.With(site),
-		rng:    NewRand(seed, site),
-	}
+	return &Conn{Conn: c, site: site, faults: faults, rng: NewRand(seed, site)}
 }
-
-// SetSleep replaces the delay clock (tests stub it out).
-func (c *Conn) SetSleep(fn func(time.Duration)) { c.sleep = fn }
 
 // Injected returns how many faults this conn has injected.
 func (c *Conn) Injected() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.injected
-}
-
-// Severed reports whether an injected sever has cut the conn.
-func (c *Conn) Severed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.severed
 }
 
 // Write implements net.Conn with the fault schedule applied per call.
@@ -92,40 +60,26 @@ func (c *Conn) Write(p []byte) (int, error) {
 	n := c.writes
 	if c.severed {
 		c.injected++
-		c.tel.Inc()
-		err := &Error{Site: c.site, Op: "sever", N: n}
 		c.mu.Unlock()
-		return 0, err
+		return 0, &Error{Site: c.site, Op: "sever", N: n}
 	}
-	delay := c.faults.DelayProb > 0 && c.rng.Float64() < c.faults.DelayProb
 	drop := c.faults.DropProb > 0 && c.rng.Float64() < c.faults.DropProb
-	sever := c.faults.SeverProb > 0 && c.rng.Float64() < c.faults.SeverProb
-	cut := int64(len(p))
-	if sever && len(p) > 0 {
-		cut = int64(c.rng.Intn(len(p)))
-	}
+	cut, sever := int64(len(p)), false
 	if c.faults.SeverAfterBytes > 0 && !drop {
 		if remaining := c.faults.SeverAfterBytes - c.written; cut >= remaining {
 			cut, sever = remaining, true
 		}
 	}
-	var ierr error
 	if sever {
 		c.severed = true
+	}
+	if sever || drop {
 		c.injected++
-		c.tel.Inc()
-		ierr = &Error{Site: c.site, Op: "sever", N: n}
-	} else if drop {
-		c.injected++
-		c.tel.Inc()
 	}
 	if !drop {
 		c.written += cut
 	}
 	c.mu.Unlock()
-	if delay {
-		c.sleep(c.faults.Delay)
-	}
 	switch {
 	case sever:
 		wn := 0
@@ -133,74 +87,10 @@ func (c *Conn) Write(p []byte) (int, error) {
 			wn, _ = c.Conn.Write(p[:cut])
 		}
 		c.Conn.Close() //nolint:errcheck // the sever; best effort
-		return wn, ierr
+		return wn, &Error{Site: c.site, Op: "sever", N: n}
 	case drop:
 		return len(p), nil
 	default:
 		return c.Conn.Write(p)
 	}
-}
-
-// Listener wraps a net.Listener so every accepted conn gets its own
-// substream: the Kth accept is keyed "site#K", making each session's faults
-// independent of how earlier sessions consumed the schedule.
-type Listener struct {
-	net.Listener
-	seed   int64
-	site   string
-	faults ConnFaults
-
-	mu       sync.Mutex
-	accepted int
-	conns    []*Conn
-}
-
-// WrapListener builds the accept-side injector for one site.
-func WrapListener(ln net.Listener, seed int64, site string, faults ConnFaults) *Listener {
-	return &Listener{Listener: ln, seed: seed, site: site, faults: faults}
-}
-
-// Accept wraps the next conn with the site's next substream.
-func (l *Listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	k := l.accepted
-	l.accepted++
-	wc := WrapConn(c, l.seed, subSite(l.site, k), l.faults)
-	l.conns = append(l.conns, wc)
-	l.mu.Unlock()
-	return wc, nil
-}
-
-// Injected sums injected faults across every accepted conn.
-func (l *Listener) Injected() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var total int64
-	for _, c := range l.conns {
-		total += c.Injected()
-	}
-	return total
-}
-
-// subSite names session K of a site's schedule.
-func subSite(site string, k int) string {
-	return site + "#" + itoa(k)
-}
-
-func itoa(k int) string {
-	if k == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for k > 0 {
-		i--
-		buf[i] = byte('0' + k%10)
-		k /= 10
-	}
-	return string(buf[i:])
 }

@@ -1,20 +1,10 @@
-// Package chaos is the deterministic fault-injection layer: schedule-driven
-// wrappers for disk devices (torn writes, read/write/sync errors, stalls,
-// bit-flips on unsynced bytes) and network connections (drops, delays,
-// one-direction partitions, mid-frame severs), all keyed by a (seed, site)
-// pair so every chaos run — and every failure it surfaces — is replayable
-// from its seed alone.
-//
-// The design splits *decision* from *timing*: whether the Nth operation at a
-// site faults is a pure function of (seed, site, N), computed from a
-// SplitMix64 stream. What can drift between runs is how many operations a
-// concurrent component has issued by a given wall-clock moment (an async
-// checkpoint flush may be one chunk further along), so replays reproduce the
-// same fault *shape* at the same *operation index*, not necessarily at the
-// same nanosecond. That is the strongest determinism an injection layer can
-// offer without lock-stepping the system under test, and it is enough: a
-// failing (seed, site) cell reproduces the same injected faults in the same
-// per-site order every run.
+// Package chaos is deterministic network fault injection: a net.Conn
+// wrapper that severs the stream mid-frame after a byte budget or drops
+// whole writes, every decision drawn from a stream keyed by a (seed, site)
+// pair, so a failing schedule replays from its seed alone. What may drift
+// between runs is how far a concurrent peer has got by a given moment, so a
+// replay reproduces the same fault at the same per-site write index, not at
+// the same nanosecond. Disk faults are disk.Fault and disk.ReadFault.
 package chaos
 
 import (
@@ -31,9 +21,9 @@ var ErrInjected = errors.New("chaos: injected fault")
 // identify the schedule cell, N the operation index within the site's
 // stream — together with the seed, enough to replay the exact fault.
 type Error struct {
-	Site string // schedule site, e.g. "disk/a" or "replink/standby"
-	Op   string // operation faulted, e.g. "write", "read", "sync", "sever"
-	N    int64  // site-local operation index at which the fault fired
+	Site string // schedule site, e.g. "replink#0"
+	Op   string // operation faulted: "sever"
+	N    int64  // site-local write index at which the fault fired
 }
 
 func (e *Error) Error() string {
@@ -77,12 +67,4 @@ func (r *Rand) Uint64() uint64 {
 // Float64 draws from [0, 1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Intn draws from [0, n). n must be positive.
-func (r *Rand) Intn(n int) int {
-	if n <= 0 {
-		panic("chaos: Intn with non-positive n")
-	}
-	return int(r.Uint64() % uint64(n))
 }

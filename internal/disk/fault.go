@@ -5,67 +5,86 @@ import (
 	"sync"
 )
 
-// ErrFaultInjected is returned by a Fault device once its write budget is
-// exhausted — the test harness's stand-in for a power cut mid-checkpoint.
+// ErrFaultInjected is returned by a Fault device once its fault has fired —
+// the test harness's stand-in for a power cut or a dead medium
+// mid-checkpoint.
 var ErrFaultInjected = errors.New("disk: injected fault")
 
-// Fault wraps a Device and fails every write after a byte budget is spent.
-// Reads keep working (the medium survives; the machine crashed).
+// Fault wraps a Device and fails its writes and syncs from one op on. Ops
+// are numbered from 0 in the order they reach the device, and op budget is
+// the first to fail: a failing write lands the first half of its buffer,
+// like a real torn write, and every later write and sync fails outright.
+// Reads keep working (the medium survives; the machine crashed). Faults made
+// by Share count their ops against one budget, so a sweep over budget
+// enumerates every crash point of a backup pair.
 type Fault struct {
 	dev Device
-
-	mu     sync.Mutex
-	budget int64
-	dead   bool
+	b   *faultBudget
 }
 
-// NewFault wraps dev with a write budget of budget bytes.
-func NewFault(dev Device, budget int64) *Fault {
-	return &Fault{dev: dev, budget: budget}
+type faultBudget struct {
+	mu    sync.Mutex
+	left  int
+	fired bool
 }
 
-// WriteAt implements Device: it consumes budget and fails once exhausted.
-// A write that crosses the boundary is applied partially — like a real torn
-// write.
+// NewFault wraps dev so that op budget is its first to fail.
+func NewFault(dev Device, budget int) *Fault {
+	return &Fault{dev: dev, b: &faultBudget{left: budget}}
+}
+
+// Share wraps dev in a Fault that counts its ops against f's budget.
+func (f *Fault) Share(dev Device) *Fault { return &Fault{dev: dev, b: f.b} }
+
+// Fired reports whether the fault has fired.
+func (f *Fault) Fired() bool {
+	f.b.mu.Lock()
+	defer f.b.mu.Unlock()
+	return f.b.fired
+}
+
+// take counts one op and reports whether it fails, and whether it is the
+// first to.
+func (b *faultBudget) take() (fail, first bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.fired {
+		return true, false
+	}
+	if b.left == 0 {
+		b.fired = true
+		return true, true
+	}
+	b.left--
+	return false, false
+}
+
+// WriteAt implements Device.
 func (f *Fault) WriteAt(p []byte, off int64) (int, error) {
-	f.mu.Lock()
-	if f.dead {
-		f.mu.Unlock()
+	fail, first := f.b.take()
+	if !fail {
+		return f.dev.WriteAt(p, off)
+	}
+	if !first {
 		return 0, ErrFaultInjected
 	}
-	allowed := int64(len(p))
-	if allowed > f.budget {
-		allowed = f.budget
-		f.dead = true
+	// The torn write: land the prefix, then report the fault. An error from
+	// the underlying device is joined in rather than swallowed — a double
+	// fault (tear + sick device) must not read as a clean tear, and
+	// errors.Is still matches ErrFaultInjected.
+	n, err := f.dev.WriteAt(p[:len(p)/2], off)
+	if err != nil {
+		return n, errors.Join(ErrFaultInjected, err)
 	}
-	f.budget -= allowed
-	f.mu.Unlock()
-	if allowed < int64(len(p)) {
-		// The torn partial write: land the prefix, then report the fault.
-		// An error from the underlying device is joined in rather than
-		// swallowed — a double fault (tear + sick device) must not read as
-		// a clean tear, and errors.Is still matches ErrFaultInjected.
-		var n int
-		if allowed > 0 {
-			var werr error
-			if n, werr = f.dev.WriteAt(p[:allowed], off); werr != nil {
-				return n, errors.Join(ErrFaultInjected, werr)
-			}
-		}
-		return n, ErrFaultInjected
-	}
-	return f.dev.WriteAt(p, off)
+	return n, ErrFaultInjected
 }
 
 // ReadAt implements Device.
 func (f *Fault) ReadAt(p []byte, off int64) (int, error) { return f.dev.ReadAt(p, off) }
 
-// Sync implements Device; it fails after the fault fires.
+// Sync implements Device.
 func (f *Fault) Sync() error {
-	f.mu.Lock()
-	dead := f.dead
-	f.mu.Unlock()
-	if dead {
+	if fail, _ := f.b.take(); fail {
 		return ErrFaultInjected
 	}
 	return f.dev.Sync()

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/gamestate"
+	"repro/internal/telemetry"
 	"repro/internal/wal"
 )
 
@@ -124,6 +125,73 @@ func TestCheckpointDegradeSurvivesOneSickBackup(t *testing.T) {
 				t.Fatal("recovered state differs from the degraded engine's")
 			}
 		})
+	}
+}
+
+// TestDegradedGaugeMatchesVerdict: engine_checkpoint_degraded tells a scrape
+// what CheckpointDegraded tells the caller. It reads 0 once an engine opens,
+// 1 once a flush loses a backup, and 0 again after a fresh Open of the same
+// directory on healthy devices.
+func TestDegradedGaugeMatchesVerdict(t *testing.T) {
+	was := telemetry.Enabled()
+	telemetry.Enable()
+	defer func() {
+		if !was {
+			telemetry.Disable()
+		}
+	}()
+	gauge := func() int64 {
+		v, ok := telemetry.GaugeValue("engine_checkpoint_degraded")
+		if !ok {
+			t.Fatal("gauge engine_checkpoint_degraded is not registered")
+		}
+		return v
+	}
+	var trip atomic.Bool
+	opts := Options{Table: gamestate.Table{Rows: 256, Cols: 4, CellSize: 4, ObjSize: 64}, Dir: t.TempDir(), Mode: ModeCopyOnUpdate}
+	sick := opts
+	sick.DeviceFactory = func(path string) (disk.Device, error) {
+		dev, err := disk.OpenFile(path)
+		if err != nil || !strings.HasSuffix(path, "backup-a.img") {
+			return dev, err
+		}
+		return &flakyDev{Device: dev, trip: &trip, err: errors.New("disk: medium died")}, nil
+	}
+	e, err := Open(sick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := gauge(); g != 0 {
+		t.Fatalf("gauge reads %d on a healthy engine", g)
+	}
+	trip.Store(true)
+	for i := uint32(0); i < 2 && !e.CheckpointDegraded(); i++ {
+		if err := e.ApplyTick([]wal.Update{{Cell: i, Value: i + 1}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !e.CheckpointDegraded() {
+		t.Fatal("checkpointer never degraded")
+	}
+	if g := gauge(); g != 1 {
+		t.Fatalf("degraded engine, gauge reads %d", g)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.CheckpointDegraded() {
+		t.Fatal("engine on healthy devices reports degraded")
+	}
+	if g := gauge(); g != 0 {
+		t.Fatalf("fresh engine on healthy devices, gauge reads %d", g)
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -15,9 +16,10 @@ import (
 )
 
 // crashRun drives a Fault-device engine until the injected fault kills the
-// checkpoint writer (or maxTicks elapse), then abandons it crash-style. It
-// returns the reference state and the number of durably applied ticks.
-func crashRun(t *testing.T, dir string, budget int64, seed int64) (*reference, int) {
+// checkpoint writer (or maxTicks elapse), then abandons it crash-style. Each
+// backup fails from its own op budget on. It returns the reference state and
+// the number of durably applied ticks.
+func crashRun(t *testing.T, dir string, budget int, seed int64) (*reference, int) {
 	t.Helper()
 	tab := shardTable()
 	ref := newReference(tab)
@@ -59,14 +61,17 @@ func crashRun(t *testing.T, dir string, budget int64, seed int64) (*reference, i
 // recovery path and to an engine that never crashed.
 func TestCrashRecoveryEquivalence(t *testing.T) {
 	tab := shardTable()
-	imageBytes := int64(tab.StateBytes()) + 2*disk.HeaderSize
 	rng := rand.New(rand.NewSource(41))
-	// Budgets land the fault before, inside, and after the first full image
-	// flush; one run survives to maxTicks without a fault.
-	budgets := []int64{
-		1 + rng.Int63n(imageBytes),          // mid first flush
-		imageBytes + rng.Int63n(imageBytes), // mid a later flush
-		1 << 40,                             // never trips: clean-ish crash
+	// An image costs a header write and sync, one write per dirty run, a
+	// sync and the committing header write and sync: backup A's first image
+	// (the first tick's dirty objects) takes about 60 ops and its next about
+	// 120. The budgets land the fault inside the first image's data writes
+	// and inside A's next image; one run survives to maxTicks without a
+	// fault.
+	budgets := []int{
+		2 + rng.Intn(40),  // mid first flush
+		70 + rng.Intn(40), // mid a later flush
+		math.MaxInt,       // never trips: clean-ish crash
 	}
 	for bi, budget := range budgets {
 		dir := t.TempDir()
@@ -311,7 +316,7 @@ func TestCrashRecoveryEquivalenceStaleSegment(t *testing.T) {
 func TestRecoverFromTornHeader(t *testing.T) {
 	tab := shardTable()
 	dir := t.TempDir()
-	ref, applied := crashRun(t, dir, 1<<40, 61)
+	ref, applied := crashRun(t, dir, math.MaxInt, 61)
 	if applied == 0 {
 		t.Fatal("no ticks applied")
 	}

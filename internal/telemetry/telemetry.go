@@ -190,7 +190,7 @@ func GaugeValue(name string) (v int64, ok bool) {
 }
 
 // CounterVec is a family of counters distinguished by one label (e.g.
-// chaos_injected_faults_total{site="disk/a"}). With creates or returns the
+// recovery_served_total{rung="disk"}). With creates or returns the
 // per-value child under a lock; callers cache the child at setup time so
 // the recording path stays lock-free and allocation-free.
 type CounterVec struct {
