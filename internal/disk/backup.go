@@ -1,11 +1,13 @@
 package disk
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 )
 
 // The double-backup organization (Salem and Garcia-Molina [29], Section 3.2):
@@ -15,21 +17,36 @@ import (
 //
 // Image layout: one 512-byte header followed by n fixed-size object slots.
 //
-//	header: magic "MMCK" | version u8 | objects u32 | objSize u32 |
-//	        epoch u64 | asOfTick u64 | complete u8 | crc32 u32
+//	header v1: magic "MMCK" | version u8 | objects u32 | objSize u32 |
+//	           epoch u64 | asOfTick u64 | complete u8 | crc32 u32
+//	header v2: the v1 fields, version 2 | grain u8 | mapLen u16 |
+//	           mapLen bytes of populated map
+//
+// The crc32 sits at byte 30 in both versions; in v2 it also covers the
+// grain, the length and the map. The populated map (see Populated) has one
+// bit per 2^grain bitmap words of 64 objects, set where the image may hold a
+// non-zero byte. An image whose map has every bit set gets a v1 header, so a
+// fully populated image's header reads the same in both versions.
 //
 // The header is written twice per checkpoint: once with complete=0 before
 // any data (so a crash mid-write invalidates the image) and once with
-// complete=1 after all data and a sync (commit point).
+// complete=1 after all data and a sync (commit point). Both carry the same
+// map, which bounds what the file holds for the whole flush.
 
 const (
 	// HeaderSize is the reserved image header area (one disk sector).
 	HeaderSize = 512
-	// headerLen is how much of the reserved area the header uses; the rest
+	// headerLen is how much of the reserved area a v1 header uses; the rest
 	// is written as zeros and never read.
 	headerLen = 34
+	// mapOff is where a v2 header's map starts, after its grain and length.
+	mapOff = headerLen + 3
+	// maxMapBytes bounds a v2 map: 3,776 bits, so an image of up to 3,776
+	// bitmap words maps one word per bit.
+	maxMapBytes = 472
 
 	backupVersion = 1
+	mapVersion    = 2
 )
 
 var backupMagic = [4]byte{'M', 'M', 'C', 'K'}
@@ -51,7 +68,69 @@ type Header struct {
 	Complete bool
 }
 
-func (h Header) encode() []byte {
+// Populated is an image's populated map as its header records it: bit i
+// covers the bitmap words [i<<grain, (i+1)<<grain), word w being the
+// objects [64w, 64w+64), and is set when the image may hold a non-zero byte
+// there. The slots of a clear bit read as zeros. The zero Populated is the
+// full map, every word: what a v1 header, or no header, says.
+type Populated struct {
+	grain uint8
+	bits  []byte // nil: every word
+}
+
+// Full reports whether the map covers every word.
+func (p Populated) Full() bool { return p.bits == nil }
+
+// Has reports whether the image may hold a non-zero byte in word w, a word
+// of the image.
+func (p Populated) Has(w int) bool {
+	if p.bits == nil {
+		return true
+	}
+	i := w >> p.grain
+	return p.bits[i>>3]&(1<<(i&7)) != 0
+}
+
+// Words returns the number of bitmap words of an image of objects objects.
+func Words(objects int) int { return (objects + 63) / 64 }
+
+// mapShape returns the grain and the bit count of the map of an image of
+// words words: the smallest power-of-two number of words per bit that fits
+// the header.
+func mapShape(words int) (grain uint8, nbits int) {
+	for (words+1<<grain-1)>>grain > maxMapBytes*8 {
+		grain++
+	}
+	return grain, (words + 1<<grain - 1) >> grain
+}
+
+// newPopulated coarsens a word map of an image of objects objects, bit w of
+// words set when word w may hold a non-zero byte, to the header's grain. A
+// map whose every bit ends up set is the full map.
+func newPopulated(objects int, words []uint64) Populated {
+	grain, nbits := mapShape(Words(objects))
+	m := make([]byte, (nbits+7)/8)
+	set := 0
+	for k, x := range words {
+		for ; x != 0; x &= x - 1 {
+			i := (k<<6 + bits.TrailingZeros64(x)) >> grain
+			if i >= nbits {
+				break
+			}
+			if m[i>>3]&(1<<(i&7)) == 0 {
+				m[i>>3] |= 1 << (i & 7)
+				set++
+			}
+		}
+	}
+	if set == nbits {
+		return Populated{}
+	}
+	return Populated{grain: grain, bits: m}
+}
+
+// encode lays out the header with map p: v1 when p is full, else v2.
+func (h Header) encode(p Populated) []byte {
 	buf := make([]byte, HeaderSize)
 	copy(buf, backupMagic[:])
 	buf[4] = backupVersion
@@ -62,31 +141,83 @@ func (h Header) encode() []byte {
 	if h.Complete {
 		buf[29] = 1
 	}
-	crc := crc32.ChecksumIEEE(buf[:30])
-	binary.LittleEndian.PutUint32(buf[30:], crc)
+	if !p.Full() {
+		buf[4] = mapVersion
+		buf[headerLen] = p.grain
+		binary.LittleEndian.PutUint16(buf[headerLen+1:], uint16(len(p.bits)))
+		copy(buf[mapOff:], p.bits)
+	}
+	binary.LittleEndian.PutUint32(buf[30:], headerCRC(buf, len(p.bits)))
 	return buf
 }
 
-// decodeHeader parses the header at the start of buf. It accepts only what
-// encode writes: a header it returns re-encodes to buf's first headerLen
-// bytes.
-func decodeHeader(buf []byte) (Header, error) {
+// headerCRC checksums the fixed fields and, for a v2 header, the grain, the
+// length and the mapLen map bytes.
+func headerCRC(buf []byte, mapLen int) uint32 {
+	crc := crc32.ChecksumIEEE(buf[:30])
+	if buf[4] == mapVersion {
+		crc = crc32.Update(crc, crc32.IEEETable, buf[headerLen:mapOff+mapLen])
+	}
+	return crc
+}
+
+// decodeHeader parses the header at the start of buf and its populated map.
+// It accepts only what encode writes: a header and map it returns re-encode
+// to buf's leading bytes (headerLen of them for v1, through the map for v2).
+// A v2 map's length is checked against the header room before anything is
+// read from it, and its grain and length must be the ones its geometry
+// gives.
+func decodeHeader(buf []byte) (Header, Populated, error) {
 	var h Header
 	if len(buf) < headerLen || [4]byte(buf[:4]) != backupMagic {
-		return h, ErrNoImage
+		return h, Populated{}, ErrNoImage
 	}
-	if buf[4] != backupVersion {
-		return h, fmt.Errorf("disk: unsupported backup version %d", buf[4])
+	mapLen := 0
+	switch buf[4] {
+	case backupVersion:
+	case mapVersion:
+		if len(buf) < mapOff {
+			return h, Populated{}, ErrNoImage
+		}
+		mapLen = int(binary.LittleEndian.Uint16(buf[headerLen+1:]))
+		if mapLen > maxMapBytes || len(buf) < mapOff+mapLen {
+			return h, Populated{}, ErrNoImage
+		}
+	default:
+		return h, Populated{}, fmt.Errorf("disk: unsupported backup version %d", buf[4])
 	}
-	if crc := crc32.ChecksumIEEE(buf[:30]); crc != binary.LittleEndian.Uint32(buf[30:]) || buf[29] > 1 {
-		return h, ErrNoImage
+	if headerCRC(buf, mapLen) != binary.LittleEndian.Uint32(buf[30:]) || buf[29] > 1 {
+		return h, Populated{}, ErrNoImage
 	}
-	h.Objects = binary.LittleEndian.Uint32(buf[5:])
+	objects := binary.LittleEndian.Uint32(buf[5:])
+	var p Populated
+	if buf[4] == mapVersion {
+		grain, nbits := mapShape(Words(int(objects)))
+		m := buf[mapOff : mapOff+mapLen]
+		if buf[headerLen] != grain || mapLen != (nbits+7)/8 || !validMap(m, nbits) {
+			return h, Populated{}, ErrNoImage
+		}
+		p = Populated{grain: grain, bits: bytes.Clone(m)}
+	}
+	h.Objects = objects
 	h.ObjSize = binary.LittleEndian.Uint32(buf[9:])
 	h.Epoch = binary.LittleEndian.Uint64(buf[13:])
 	h.AsOfTick = binary.LittleEndian.Uint64(buf[21:])
 	h.Complete = buf[29] == 1
-	return h, nil
+	return h, p, nil
+}
+
+// validMap reports whether m is a map encode writes for nbits bits: no bit
+// set past nbits, and not every bit set (a full map is written as v1).
+func validMap(m []byte, nbits int) bool {
+	set := 0
+	for i, b := range m {
+		if i == len(m)-1 && nbits&7 != 0 && b>>(nbits&7) != 0 {
+			return false
+		}
+		set += bits.OnesCount8(b)
+	}
+	return set < nbits
 }
 
 // Backup is one checkpoint image on a device.
@@ -115,11 +246,20 @@ func (b *Backup) offset(idx int) int64 {
 	return HeaderSize + int64(idx)*int64(b.objSize)
 }
 
-// WriteHeader writes and syncs the image header.
-func (b *Backup) WriteHeader(h Header) error {
+// WriteHeader writes and syncs the image header of a fully populated image.
+func (b *Backup) WriteHeader(h Header) error { return b.WriteHeaderMap(h, nil) }
+
+// WriteHeaderMap writes and syncs the image header with its populated map:
+// bit w of words set when word w may hold a non-zero byte, nil for every
+// word (see newPopulated).
+func (b *Backup) WriteHeaderMap(h Header, words []uint64) error {
 	h.Objects = uint32(b.objects)
 	h.ObjSize = uint32(b.objSize)
-	if _, err := b.dev.WriteAt(h.encode(), 0); err != nil {
+	var p Populated
+	if words != nil {
+		p = newPopulated(b.objects, words)
+	}
+	if _, err := b.dev.WriteAt(h.encode(p), 0); err != nil {
 		return err
 	}
 	return b.dev.Sync()
@@ -131,22 +271,28 @@ func (b *Backup) WriteHeader(h Header) error {
 // recovery can distinguish "no image here" from "this backup is unreadable"
 // and degrade to the other backup.
 func (b *Backup) ReadHeader() (Header, error) {
+	h, _, err := b.ReadHeaderMap()
+	return h, err
+}
+
+// ReadHeaderMap is ReadHeader that also returns the image's populated map.
+func (b *Backup) ReadHeaderMap() (Header, Populated, error) {
 	buf := make([]byte, HeaderSize)
 	if _, err := b.dev.ReadAt(buf, 0); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return Header{}, ErrNoImage
+			return Header{}, Populated{}, ErrNoImage
 		}
-		return Header{}, fmt.Errorf("disk: read backup header: %w", err)
+		return Header{}, Populated{}, fmt.Errorf("disk: read backup header: %w", err)
 	}
-	h, err := decodeHeader(buf)
+	h, p, err := decodeHeader(buf)
 	if err != nil {
-		return Header{}, err
+		return Header{}, Populated{}, err
 	}
 	if h.Objects != uint32(b.objects) || h.ObjSize != uint32(b.objSize) {
-		return Header{}, fmt.Errorf("disk: backup geometry %dx%d does not match %dx%d",
+		return Header{}, Populated{}, fmt.Errorf("disk: backup geometry %dx%d does not match %dx%d",
 			h.Objects, h.ObjSize, b.objects, b.objSize)
 	}
-	return h, nil
+	return h, p, nil
 }
 
 // Blank reports whether the device holds no byte past the image header, so
@@ -228,29 +374,6 @@ func (b *Backup) ReadRunVec(startObj int, bufs [][]byte) error {
 	}
 	_, err := ReadVAt(b.dev, bufs, b.offset(startObj))
 	return err
-}
-
-// ReadInto reads the whole image's object data into buf, which must hold
-// objects×objSize bytes.
-func (b *Backup) ReadInto(buf []byte) error {
-	if len(buf) != b.objects*b.objSize {
-		return fmt.Errorf("disk: buffer %d bytes, image holds %d", len(buf), b.objects*b.objSize)
-	}
-	// Read in 1 MiB chunks so throttled devices account realistically.
-	const chunk = 1 << 20
-	off := int64(HeaderSize)
-	for done := 0; done < len(buf); {
-		end := done + chunk
-		if end > len(buf) {
-			end = len(buf)
-		}
-		if _, err := b.dev.ReadAt(buf[done:end], off); err != nil {
-			return err
-		}
-		off += int64(end - done)
-		done = end
-	}
-	return nil
 }
 
 // Sync flushes the device.

@@ -3,6 +3,7 @@ package disk
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -187,7 +188,7 @@ func TestBackupGeometryMismatch(t *testing.T) {
 	}
 }
 
-func TestBackupWriteRunAndReadInto(t *testing.T) {
+func TestBackupWriteRunAndReadRun(t *testing.T) {
 	const n, size = 8, 16
 	b, _ := NewBackup(NewMem(), n, size)
 	// Write objects 2,3 as one run and 6 alone.
@@ -199,7 +200,7 @@ func TestBackupWriteRunAndReadInto(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, n*size)
-	if err := b.ReadInto(buf); err != nil {
+	if err := b.ReadRun(0, buf); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -229,8 +230,8 @@ func TestBackupWriteRunValidation(t *testing.T) {
 	if err := b.WriteRun(-1, make([]byte, 16)); err == nil {
 		t.Error("negative run accepted")
 	}
-	if err := b.ReadInto(make([]byte, 7)); err == nil {
-		t.Error("short ReadInto buffer accepted")
+	if err := b.ReadRun(0, make([]byte, 7)); err == nil {
+		t.Error("partial-object read accepted")
 	}
 }
 
@@ -263,7 +264,7 @@ func TestQuickBackupWrites(t *testing.T) {
 			copy(want[start*size:], data)
 		}
 		got := make([]byte, n*size)
-		if err := b.ReadInto(got); err != nil {
+		if err := b.ReadRun(0, got); err != nil {
 			return false
 		}
 		return bytes.Equal(got, want)
@@ -314,24 +315,31 @@ func TestReadHeaderDeviceErrorPropagates(t *testing.T) {
 }
 
 // FuzzDecodeHeader: the image header is the first thing every restore reads,
-// from a device that may hold anything. decodeHeader never panics, and a
-// header it accepts re-encodes to the bytes it came from.
+// from a device that may hold anything. decodeHeader never panics, checks a
+// populated map's length against the header room before it reads the map,
+// and a header it accepts, either version, re-encodes to the bytes it came
+// from.
 func FuzzDecodeHeader(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(Header{Objects: 4, ObjSize: 64, Epoch: 9, AsOfTick: 41, Complete: true}.encode())
-	f.Add(Header{Objects: 1, ObjSize: 1}.encode()[:headerLen])
-	f.Add(Header{Epoch: 1}.encode()[:headerLen-1])
+	f.Add(Header{Objects: 4, ObjSize: 64, Epoch: 9, AsOfTick: 41, Complete: true}.encode(Populated{}))
+	f.Add(Header{Objects: 1, ObjSize: 1}.encode(Populated{})[:headerLen])
+	f.Add(Header{Epoch: 1}.encode(Populated{})[:headerLen-1])
 	f.Add(append([]byte("MMCK\x02"), make([]byte, 40)...))
+	f.Add(Header{Objects: 640, ObjSize: 8, Epoch: 2, Complete: true}.encode(newPopulated(640, []uint64{0b101})))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		h, err := decodeHeader(b)
+		h, p, err := decodeHeader(b)
 		if err != nil {
-			if h != (Header{}) {
-				t.Fatalf("rejected header decoded as %+v", h)
+			if h != (Header{}) || !p.Full() {
+				t.Fatalf("rejected header decoded as %+v, map %v", h, p)
 			}
 			return
 		}
-		if enc := h.encode(); !bytes.Equal(enc[:headerLen], b[:headerLen]) {
-			t.Fatalf("header %+v does not re-encode to its bytes", h)
+		n := headerLen
+		if !p.Full() {
+			n = mapOff + len(p.bits)
+		}
+		if enc := h.encode(p); !bytes.Equal(enc[:n], b[:n]) {
+			t.Fatalf("header %+v with map %v does not re-encode to its bytes", h, p)
 		}
 	})
 }
@@ -379,5 +387,96 @@ func TestBackupBlank(t *testing.T) {
 	defer g.Close()
 	if blank(NewReadFault(g)) {
 		t.Error("unreadable device is blank")
+	}
+}
+
+// TestHeaderPopulatedMap: a partial map round-trips through a v2 header one
+// word per bit; a table past the header's 3,776 bits coarsens to the
+// smallest power-of-two grain that fits, covering whole groups of words; and
+// a map with every bit set, however given, is the full map.
+func TestHeaderPopulatedMap(t *testing.T) {
+	check := func(objects int, words []uint64, has func(w int) bool) Populated {
+		t.Helper()
+		b, err := NewBackup(NewMem(), objects, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := Header{Epoch: 4, AsOfTick: 17, Complete: true}
+		if err := b.WriteHeaderMap(h, words); err != nil {
+			t.Fatal(err)
+		}
+		got, p, err := b.ReadHeaderMap()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Epoch != h.Epoch || got.AsOfTick != h.AsOfTick || !got.Complete {
+			t.Fatalf("header round trip: %+v", got)
+		}
+		for w := 0; w < Words(objects); w++ {
+			if p.Has(w) != has(w) {
+				t.Fatalf("%d objects: word %d populated %v, want %v", objects, w, p.Has(w), has(w))
+			}
+		}
+		return p
+	}
+	// 10 words, 3 populated: one word per bit.
+	if p := check(640, []uint64{0b10_0000_0101}, func(w int) bool { return w == 0 || w == 2 || w == 9 }); p.grain != 0 {
+		t.Errorf("10-word map has grain %d, want 0", p.grain)
+	}
+	// 10,000 words: 4 words per bit (2,500 bits); word 4097 populates its
+	// group of 4096..4099.
+	words := make([]uint64, (10_000+63)/64)
+	words[4097>>6] |= 1 << (4097 & 63)
+	p := check(64*10_000, words, func(w int) bool { return w >= 4096 && w < 4100 })
+	if p.grain != 2 || len(p.bits) != 2500/8+1 {
+		t.Errorf("10,000-word map: grain %d, %d bytes; want grain 2, %d bytes", p.grain, len(p.bits), 2500/8+1)
+	}
+	// Every word populated, and the 3,777-word table whose last bit covers
+	// one word of two: both full.
+	all := func(int) bool { return true }
+	if p := check(640, []uint64{1<<10 - 1}, all); !p.Full() {
+		t.Error("a map of every word is not the full map")
+	}
+	words = make([]uint64, (3777+63)/64)
+	for w := 0; w < 3777; w++ {
+		words[w>>6] |= 1 << (w & 63)
+	}
+	if p := check(64*3777, words, all); !p.Full() {
+		t.Error("a coarsened map of every word is not the full map")
+	}
+	if p := check(640, nil, all); !p.Full() {
+		t.Error("a nil word map is not the full map")
+	}
+}
+
+// TestFullMapHeaderIsVersion1: the checked-in image was written before
+// headers carried a populated map. Its header decodes as the full map, and
+// the header of a fully populated image today is the same 512 bytes.
+func TestFullMapHeaderIsVersion1(t *testing.T) {
+	img, err := os.ReadFile(filepath.Join("testdata", "backup-v1.img"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, p, err := decodeHeader(img[:HeaderSize])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Full() || !h.Complete || h.Objects != 128 || h.ObjSize != 64 {
+		t.Fatalf("checked-in image: header %+v, full map %v", h, p.Full())
+	}
+	dev := NewMem()
+	b, err := NewBackup(dev, 128, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.WriteHeaderMap(h, []uint64{0b11}); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, HeaderSize)
+	if _, err := dev.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, img[:HeaderSize]) {
+		t.Error("a fully populated image's header differs from the version-1 header")
 	}
 }

@@ -102,7 +102,7 @@ func TestWriteRunVec(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]byte, n*size)
-	if err := b.ReadInto(got); err != nil {
+	if err := b.ReadRun(0, got); err != nil {
 		t.Fatal(err)
 	}
 	want := append(append([]byte{}, one...), two...)
@@ -158,7 +158,7 @@ func TestConcurrentWriteRuns(t *testing.T) {
 			}
 		}
 		got := make([]byte, n*size)
-		if err := b.ReadInto(got); err != nil {
+		if err := b.ReadRun(0, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {

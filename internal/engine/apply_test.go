@@ -407,7 +407,7 @@ func checkImagesAgainstHistory(t *testing.T, dir string, history map[uint64][]by
 			continue
 		}
 		got := make([]byte, tab.StateBytes())
-		if err := b.ReadInto(got); err != nil {
+		if err := b.ReadRun(0, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, history[hdr.AsOfTick]) {

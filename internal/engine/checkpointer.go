@@ -175,35 +175,47 @@ type strategy interface {
 	// offset order, and returns the objects and bytes written. The writer
 	// runs one call per shard concurrently.
 	flushShard(s int, b *disk.Backup) (objects int, bytes int64, err error)
+	// written returns the cut image's write set, one bit per object, or nil
+	// when the image is the whole state. The writer reads it while the job
+	// is in flight, when nothing writes it.
+	written() []uint64
 }
 
+// imageSeed is what the engine knows of one backup's image when it opens
+// (see seedImages): words has one bit per bitmap word, set where the image
+// may hold a non-zero byte or may differ from the state; blank marks a
+// device with no byte past its header.
+type imageSeed struct {
+	words []uint64
+	blank bool
+}
+
+// has reports whether word w's bit is set.
+func (s imageSeed) has(w int) bool { return s.words[w>>6]&(1<<(uint(w)&63)) != 0 }
+
 // newCheckpointer builds the checkpointer for mode: the strategy's own
-// buffers, then the shared coordinator around them. emptyWorld means open
-// restored no image and replayed no record, so the state is all zeros;
-// log is nil on an engine without one.
-func newCheckpointer(mode Mode, store *Store, backups [2]*disk.Backup, startEpoch uint64, firstBackup int, plan shardPlan, emptyWorld bool, log *wal.Log) checkpointer {
+// buffers, then the shared coordinator around them. seeds start each
+// backup's dirty and populated maps; log is nil on an engine without one.
+func newCheckpointer(mode Mode, store *Store, backups [2]*disk.Backup, startEpoch uint64, firstBackup int, plan shardPlan, seeds [2]imageSeed, log *wal.Log) checkpointer {
 	var (
-		s     strategy
-		c     *coordinator
-		blank [2]bool
+		s strategy
+		c *coordinator
 	)
-	for i, b := range backups {
-		blank[i] = emptyWorld && b.Blank()
-	}
 	switch mode {
 	case ModeNaiveSnapshot:
 		cp := &naiveCP{shadow: make([]byte, len(store.Slab()))}
 		s, c = cp, &cp.coordinator
 	case ModeCopyOnUpdate, ModeDribble:
-		cp := newCOU(store, plan, mode == ModeDribble, blank)
+		cp := newCOU(store, plan, mode == ModeDribble, seeds)
 		s, c = cp, &cp.coordinator
 	case ModeAtomicCopy:
-		cp := newAtomicCopy(store, blank)
+		cp := newAtomicCopy(store, seeds)
 		s, c = cp, &cp.coordinator
 	default:
 		return newNop()
 	}
 	c.method, c.store, c.backups, c.plan = s, store, backups, plan
+	c.populated = [2][]uint64{seeds[0].words, seeds[1].words}
 	c.epoch, c.cur, c.log = startEpoch, firstBackup, log
 	c.jobs = make(chan cpJob, 1)
 	// The engine drains after every endTick, so at most two events are ever
@@ -254,6 +266,10 @@ type coordinator struct {
 	backups [2]*disk.Backup
 	plan    shardPlan
 	log     *wal.Log // nil without one
+	// populated holds each backup's populated map, one bit per bitmap word,
+	// set where its file may hold a non-zero byte: the seed, ORed with every
+	// write set flushed to it since. Only the writer touches it once it runs.
+	populated [2][]uint64
 
 	// epoch, cur (the backup the next checkpoint targets), jobTick, redo and
 	// anchored belong to the goroutine that calls endTick; the writer sees
@@ -316,7 +332,7 @@ func (c *coordinator) endTick(tick uint64) time.Duration {
 func (c *coordinator) writer() {
 	defer c.wg.Done()
 	for job := range c.jobs {
-		info, err := c.writeImage(job, c.method.flushShard)
+		info, err := c.writeImage(job, c.method.flushShard, c.method.written())
 		switch {
 		case errors.Is(err, errSuperseded):
 			c.superseded.Store(int32(job.backup) + 1)
@@ -333,10 +349,24 @@ func (c *coordinator) writer() {
 
 // writeImage is the engine's only image-commit routine (see the commit
 // protocol above): checkpoints and the bootstrap image both go through it.
-func (c *coordinator) writeImage(job cpJob, flushShard func(s int, b *disk.Backup) (int, int64, error)) (CheckpointInfo, error) {
+// written is the image's write set (nil: the whole state); it joins the
+// backup's populated map before the first header, so both headers carry a
+// map that bounds the file however far the flush gets.
+func (c *coordinator) writeImage(job cpJob, flushShard func(s int, b *disk.Backup) (int, int64, error), written []uint64) (CheckpointInfo, error) {
 	b := c.backups[job.backup]
+	pop := c.populated[job.backup]
+	for i, w := range written {
+		if w != 0 {
+			pop[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+	if written == nil {
+		for i := range pop {
+			pop[i] = ^uint64(0)
+		}
+	}
 	hdr := disk.Header{Epoch: job.epoch, AsOfTick: job.tick}
-	if err := b.WriteHeader(hdr); err != nil { // invalidate the old image
+	if err := b.WriteHeaderMap(hdr, pop); err != nil { // invalidate the old image
 		return CheckpointInfo{}, err
 	}
 	objects, bytes, err := fanOutFlush(c.plan, b, flushShard)
@@ -347,7 +377,7 @@ func (c *coordinator) writeImage(job cpJob, flushShard func(s int, b *disk.Backu
 		return CheckpointInfo{}, err
 	}
 	hdr.Complete = true
-	if err := b.WriteHeader(hdr); err != nil { // commit point
+	if err := b.WriteHeaderMap(hdr, pop); err != nil { // commit point
 		return CheckpointInfo{}, err
 	}
 	c.st.Checkpoints.Add(1)
@@ -369,7 +399,7 @@ func (c *coordinator) bootstrap(asOfTick uint64) (cpEvent, bool, error) {
 	// Nothing ticks yet, so the live slab is the immutable source.
 	info, err := c.writeImage(job, func(s int, b *disk.Backup) (int, int64, error) {
 		return c.writeRegion(b, c.store.Slab(), s)
-	})
+	}, nil)
 	return cpEvent{CheckpointInfo: info}, true, err
 }
 
@@ -517,23 +547,22 @@ func fanOutFlush(plan shardPlan, b *disk.Backup, flushShard func(s int, b *disk.
 // the same word concurrently.
 type dirtyMaps struct{ dirty [2][]uint64 }
 
-// init allocates the maps. A blank backup of an empty world (see
-// newCheckpointer) starts clean but for the last object, whose write extends
-// the first image to full length: every slot never dirtied is a hole that
-// reads back as the zeros the state holds. Every other map starts all dirty,
-// since an old file's bytes, or after recovery the images' dirty sets, are
-// unknown.
-func (d *dirtyMaps) init(n int, blank [2]bool) {
+// init allocates the maps from the seeds (see seedImages): every object of
+// a seeded word starts dirty, and so does the last object of a blank
+// backup, whose write extends the first image to full length; every slot
+// never written is a hole that reads back as zeros.
+func (d *dirtyMaps) init(n int, seeds [2]imageSeed) {
 	for i := range d.dirty {
 		d.dirty[i] = make([]uint64, (n+63)/64)
-		if blank[i] {
-			d.dirty[i][(n-1)>>6] = 1 << (uint(n-1) & 63)
-			continue
-		}
 		for w := range d.dirty[i] {
-			d.dirty[i][w] = ^uint64(0)
+			if seeds[i].has(w) {
+				d.dirty[i][w] = ^uint64(0)
+			}
 		}
 		trimTail(d.dirty[i], n)
+		if seeds[i].blank {
+			d.dirty[i][(n-1)>>6] |= 1 << (uint(n-1) & 63)
+		}
 	}
 }
 

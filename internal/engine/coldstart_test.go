@@ -229,11 +229,13 @@ func TestColdStartStandbyOtherBackup(t *testing.T) {
 	}
 }
 
-// TestColdStartReplayedWorldWritesFull: backups left blank by a ModeNone
-// engine are still blank when a checkpointing engine reopens the directory,
-// but the world is not empty — replay rebuilt it from the log — so the first
-// image of each backup is the whole state.
-func TestColdStartReplayedWorldWritesFull(t *testing.T) {
+// TestColdStartReplayedWorldWritesNonZeroWords: backups left blank by a
+// ModeNone engine are still blank when a checkpointing engine reopens the
+// directory, but the world is not empty — replay rebuilt it from the log —
+// so the first image of each backup writes every bitmap word where the
+// replayed state holds a non-zero byte, plus the last object, and restores
+// to that state.
+func TestColdStartReplayedWorldWritesNonZeroWords(t *testing.T) {
 	tab := shardTable()
 	for _, mode := range coldModes {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -259,6 +261,20 @@ func TestColdStartReplayedWorldWritesFull(t *testing.T) {
 			if rec := e.Recovery(); rec.Restored || rec.ReplayedTicks != 1 {
 				t.Fatalf("reopen: recovery %+v, want one tick replayed and no image", rec)
 			}
+			want, last := 0, false
+			wordBytes := 64 * tab.ObjSize
+			for w := 0; w*wordBytes < len(e.Store().Slab()); w++ {
+				if !allZero(e.Store().Slab()[w*wordBytes : (w+1)*wordBytes]) {
+					want += 64
+					last = (w+1)*64 >= tab.NumObjects()
+				}
+			}
+			if !last {
+				want++
+			}
+			if want <= 1 || want >= tab.NumObjects() {
+				t.Fatalf("tick 0 leaves %d objects to write of %d: not a partial world", want, tab.NumObjects())
+			}
 			if err := e.ApplyTick(nil); err != nil {
 				t.Fatal(err)
 			}
@@ -266,9 +282,14 @@ func TestColdStartReplayedWorldWritesFull(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info.Objects != tab.NumObjects() {
-				t.Errorf("first image of a replayed world wrote %d objects, want all %d", info.Objects, tab.NumObjects())
+			if info.Objects != want {
+				t.Errorf("first image of a replayed world wrote %d objects, want the %d of its non-zero words and the last object", info.Objects, want)
 			}
+			state := bytes.Clone(e.Store().Slab())
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			restoresFrom(t, opts, 0, state)
 		})
 	}
 }

@@ -337,3 +337,87 @@ func TestDegradedFlushAfterPruneRecovers(t *testing.T) {
 		})
 	}
 }
+
+// TestDegradedCheckpointsNeverPrune holds the degrade rule's other half: no
+// prune runs while degraded. Backup a dies at its first op, so every image
+// lands on the survivor; then the survivor's next flush fails past its
+// header, leaving no complete image anywhere. Recovery rebuilds from the log
+// alone, which must still hold every tick since the start — a prune at any
+// degraded checkpoint drops the first ticks and the anchor with them.
+func TestDegradedCheckpointsNeverPrune(t *testing.T) {
+	for _, mode := range checkpointingModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			table := gamestate.Table{Rows: 256, Cols: 4, CellSize: 4, ObjSize: 64}
+			sickErr := errors.New("disk: medium died")
+			var trip atomic.Bool
+			opts := Options{Table: table, Dir: t.TempDir(), Mode: mode, SyncEveryTick: true}
+			faulty := opts
+			faulty.DeviceFactory = func(path string) (disk.Device, error) {
+				dev, err := disk.OpenFile(path)
+				if err != nil {
+					return nil, err
+				}
+				if strings.HasSuffix(path, "backup-a.img") {
+					return disk.NewFault(dev, 0), nil
+				}
+				return &dataFailDev{Device: dev, trip: &trip, err: sickErr}, nil
+			}
+			e, err := Open(faulty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newReference(table)
+			// Each tick writes a cell no later tick touches, so a lost tick
+			// shows in the recovered state.
+			for i := 0; i < 6; i++ {
+				batch := []wal.Update{{Cell: uint32(i * 97), Value: uint32(i + 1)}}
+				if err := e.ApplyTick(batch); err != nil {
+					t.Fatal(err)
+				}
+				ref.apply(batch)
+				if _, err := e.CheckpointNow(); err != nil {
+					t.Fatal(err)
+				}
+				if !e.CheckpointDegraded() {
+					t.Fatal("backup a failed, but the checkpointer is not degraded")
+				}
+			}
+			if n := len(e.Stats().Checkpoints); n < 3 {
+				t.Fatalf("the survivor committed %d images, want several", n)
+			}
+			trip.Store(true)
+			batch := []wal.Update{{Cell: 1000, Value: 7}}
+			if err := e.ApplyTick(batch); err != nil {
+				t.Fatal(err)
+			}
+			ref.apply(batch)
+			if _, err := e.CheckpointNow(); !errors.Is(err, sickErr) {
+				t.Fatalf("CheckpointNow with the survivor failing: %v, want %v", err, sickErr)
+			}
+			// Crash: stop the writer and drop the engine without Close.
+			e.cp.close() //nolint:errcheck
+			e.log.Close()
+
+			for _, path := range []string{"Open", "RecoverFrom"} {
+				var re *Engine
+				if path == "Open" {
+					re, err = Open(opts)
+				} else {
+					re, _, err = RecoverFrom(opts)
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", path, err)
+				}
+				if re.Recovery().Restored {
+					t.Errorf("%s restored an image; both should be invalid", path)
+				}
+				if re.NextTick() != 7 || !ref.matches(re.Store()) {
+					t.Errorf("%s recovered to tick %d (want 7); state matches reference: %v", path, re.NextTick(), ref.matches(re.Store()))
+				}
+				if err := re.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}

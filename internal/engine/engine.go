@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -314,8 +315,11 @@ func open(opts Options, parallel bool, records func() (recovery.RecordSource, er
 		}
 	}
 
-	e.cp = newCheckpointer(opts.Mode, store, backups, startEpoch, firstBackup, e.plan,
-		!e.recovered.Restored && e.recovered.ReplayedTicks == 0, e.log)
+	var seeds [2]imageSeed
+	if opts.Mode != ModeNone {
+		seeds = e.seedImages(backups)
+	}
+	e.cp = newCheckpointer(opts.Mode, store, backups, startEpoch, firstBackup, e.plan, seeds, e.log)
 	opened = true
 	if records != nil && e.log != nil {
 		if err := e.heal(records, pres); err != nil {
@@ -324,6 +328,60 @@ func open(opts Options, parallel bool, records func() (recovery.RecordSource, er
 		}
 	}
 	return e, pres, nil
+}
+
+// seedImages returns what each backup's image holds as far as the opening
+// engine knows, to start the backup's dirty and populated maps from: the
+// words the restored image's map covers, the words the backup's own header
+// map covers, and every other word where the recovered state holds a
+// non-zero byte. A header's map counts whether the image is complete or
+// not, since both headers of a flush carry the map that bounds the file
+// however far the flush got. A backup with no valid header covers every
+// word unless it is blank, when its own map is empty (Blank's read is
+// skipped where the restored image covers every word anyway). The scan for
+// non-zero words skips the words both seeds already cover, and the state is
+// all zeros when nothing was restored or replayed.
+func (e *Engine) seedImages(backups [2]*disk.Backup) [2]imageSeed {
+	res := e.recovered
+	restored := func(w int) bool { return res.Restored && res.Images[res.BackupIndex].Has(w) }
+	whole := res.Restored && res.Images[res.BackupIndex].Full()
+	n, sz, objs := disk.Words(e.store.NumObjects()), e.store.ObjSize(), e.store.NumObjects()
+	var seeds [2]imageSeed
+	for i, b := range backups {
+		seeds[i].words = make([]uint64, (n+63)/64)
+		seeds[i].blank = !whole && res.Images[i].Full() && b.Blank()
+	}
+	zero := !res.Restored && res.ReplayedTicks == 0
+	for w := 0; w < n; w++ {
+		var in [2]bool
+		for i := range seeds {
+			in[i] = restored(w) || !seeds[i].blank && res.Images[i].Has(w)
+		}
+		if !(in[0] && in[1]) && !zero && !allZero(e.store.slab[(w<<6)*sz:min((w+1)<<6, objs)*sz]) {
+			in = [2]bool{true, true}
+		}
+		for i := range seeds {
+			if in[i] {
+				seeds[i].words[w>>6] |= 1 << (uint(w) & 63)
+			}
+		}
+	}
+	return seeds
+}
+
+// allZero reports whether every byte of b is zero.
+func allZero(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b) != 0 {
+			return false
+		}
+	}
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // closeSource closes a record source that holds resources (a log reader's

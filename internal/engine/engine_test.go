@@ -333,7 +333,7 @@ func TestCheckpointImageConsistency(t *testing.T) {
 			t.Fatalf("image as-of tick %d has no snapshot", h.AsOfTick)
 		}
 		got := make([]byte, tab.StateBytes())
-		if err := b.ReadInto(got); err != nil {
+		if err := b.ReadRun(0, got); err != nil {
 			t.Fatal(err)
 		}
 		dev.Close()
@@ -362,7 +362,9 @@ func TestCOUWritesOnlyDirty(t *testing.T) {
 		if err := e.ApplyTick(randomBatch(rng, 256, 50)); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(100 * time.Microsecond) // let the writer drain between ticks
+		if _, err := e.CheckpointNow(); err != nil { // every tick ends with its image committed
+			t.Fatal(err)
+		}
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -539,7 +541,7 @@ func TestAtomicCopyImageConsistency(t *testing.T) {
 			t.Fatalf("image as-of tick %d has no snapshot", h.AsOfTick)
 		}
 		got := make([]byte, tab.StateBytes())
-		if err := b.ReadInto(got); err != nil {
+		if err := b.ReadRun(0, got); err != nil {
 			t.Fatal(err)
 		}
 		dev.Close()
@@ -618,7 +620,9 @@ func TestAtomicCopySteadyStateWritesDirtyOnly(t *testing.T) {
 		if err := e.ApplyTick(randomBatch(rng, 256, 50)); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(100 * time.Microsecond)
+		if _, err := e.CheckpointNow(); err != nil { // every tick ends with its image committed
+			t.Fatal(err)
+		}
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -652,7 +656,9 @@ func TestDribbleMode(t *testing.T) {
 		if err := e.ApplyTick(batch); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(100 * time.Microsecond)
+		if _, err := e.CheckpointNow(); err != nil { // every tick ends with its image committed
+			t.Fatal(err)
+		}
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)

@@ -276,7 +276,9 @@ func TestShardedWritesOnlyDirty(t *testing.T) {
 		if err := e.ApplyTick(randomBatch(rng, 512, 50)); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(100 * time.Microsecond)
+		if _, err := e.CheckpointNow(); err != nil { // every tick ends with its image committed
+			t.Fatal(err)
+		}
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)

@@ -21,6 +21,7 @@ type naiveCP struct {
 }
 
 func (c *naiveCP) onWord(int32, uint64) {}
+func (c *naiveCP) written() []uint64    { return nil }
 
 // cut is the quiescent eager copy of the full state: the pause.
 func (c *naiveCP) cut(int) int64 {
@@ -82,7 +83,7 @@ type couCP struct {
 	chunk    int
 }
 
-func newCOU(store *Store, plan shardPlan, fullSet bool, blank [2]bool) *couCP {
+func newCOU(store *Store, plan shardPlan, fullSet bool, seeds [2]imageSeed) *couCP {
 	n := store.NumObjects()
 	words := (n + 63) / 64
 	c := &couCP{
@@ -93,7 +94,7 @@ func newCOU(store *Store, plan shardPlan, fullSet bool, blank [2]bool) *couCP {
 		shards:   make([]couShard, plan.count()),
 		chunk:    flushChunk(plan, store.ObjSize()),
 	}
-	c.dirtyMaps.init(n, blank)
+	c.dirtyMaps.init(n, seeds)
 	for s := range c.shards {
 		sh := &c.shards[s]
 		sh.lo, sh.hi = plan.objRange(s)
@@ -159,6 +160,8 @@ func (c *couCP) onWord(w int32, mask uint64) {
 		mu.Unlock()
 	}
 }
+
+func (c *couCP) written() []uint64 { return c.writeSet }
 
 // orUint64 atomically ORs mask into *addr.
 func orUint64(addr *uint64, mask uint64) {
@@ -263,17 +266,18 @@ type atomicCP struct {
 	side     []byte   // eager copies, written before the job is sent
 }
 
-func newAtomicCopy(store *Store, blank [2]bool) *atomicCP {
+func newAtomicCopy(store *Store, seeds [2]imageSeed) *atomicCP {
 	n := store.NumObjects()
 	c := &atomicCP{
 		writeSet: make([]uint64, (n+63)/64),
 		side:     make([]byte, n*store.ObjSize()),
 	}
-	c.dirtyMaps.init(n, blank)
+	c.dirtyMaps.init(n, seeds)
 	return c
 }
 
 func (c *atomicCP) onWord(w int32, mask uint64) { c.mark(w, mask) }
+func (c *atomicCP) written() []uint64           { return c.writeSet }
 
 // cut is the eager copy: every object dirty for the target moves to the side
 // buffer during the natural quiescence at the end of the tick, in parallel

@@ -41,6 +41,8 @@ type ParallelOptions struct {
 	// A and B are the double backup.
 	A, B *disk.Backup
 	// Slab receives the restored state; it must hold objects×objSize bytes.
+	// Only the words the restored image's populated map covers are read:
+	// the rest must arrive zero, as in a fresh disk.MapZeroed slab.
 	Slab []byte
 	// Log is the logical log to replay. Nil recovers the image only.
 	Log *wal.Log
@@ -143,10 +145,10 @@ func (r *ParallelResult) Overlap() time.Duration {
 	return max(0, r.RestoreDuration+r.ReplayDuration-r.TotalDuration)
 }
 
-// restoreChunk is the slice grain of a shard's vectored image read: the
-// shard's region is read in one ReadRunVec of restoreChunk-sized slices
-// (preadv on Linux), so even a multi-hundred-MB shard restores in a handful
-// of syscalls.
+// restoreChunk is the slice grain of a restore's vectored image reads: each
+// run of populated words is read in one ReadRunVec of restoreChunk-sized
+// slices (preadv on Linux), so even a multi-hundred-MB shard restores in a
+// handful of syscalls.
 const restoreChunk = 1 << 20
 
 // batchesPerShard bounds the replay stage: at most batchesPerShard × shards
@@ -223,11 +225,11 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 		return res, fmt.Errorf("recovery: Extra set without Log")
 	}
 
-	idx, h, err := ChooseBackup(opts.A, opts.B)
+	idx, h, maps, err := chooseBackup(opts.A, opts.B)
 	if err != nil {
 		return res, err
 	}
-	res.BackupIndex = idx
+	res.BackupIndex, res.Images = idx, maps
 	src := opts.A
 	if idx == 1 {
 		src = opts.B
@@ -266,23 +268,10 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 		go func(s int, r ShardRange) {
 			defer close(gate[s])
 			t0 := time.Now()
-			region := opts.Slab[r.Lo*objSize : r.Hi*objSize]
 			if idx < 0 {
-				for i := range region {
-					region[i] = 0
-				}
-			} else if len(region) > 0 {
-				var bufs [][]byte
-				for off := 0; off < len(region); off += restoreChunk {
-					end := off + restoreChunk
-					if end > len(region) {
-						end = len(region)
-					}
-					bufs = append(bufs, region[off:end])
-				}
-				if err := src.ReadRunVec(r.Lo, bufs); err != nil {
-					shardErrs[s] = fmt.Errorf("recovery: restore shard %d [%d,%d): %w", s, r.Lo, r.Hi, err)
-				}
+				clear(opts.Slab[r.Lo*objSize : r.Hi*objSize])
+			} else if err := readImage(src, maps[idx], opts.Slab, r.Lo, r.Hi); err != nil {
+				shardErrs[s] = fmt.Errorf("recovery: restore shard %d [%d,%d): %w", s, r.Lo, r.Hi, err)
 			}
 			restoredAt[s] = time.Now()
 			res.Shards[s].Restore = restoredAt[s].Sub(t0)

@@ -30,6 +30,10 @@ type Result struct {
 	// RestoreDuration and ReplayDuration measure ΔTrestore and ΔTreplay.
 	RestoreDuration time.Duration
 	ReplayDuration  time.Duration
+	// Images holds each backup's populated map as its valid header records
+	// it, complete or not, and the full map where the header is missing,
+	// torn or unreadable. Images[BackupIndex] is the map the restore read.
+	Images [2]disk.Populated
 }
 
 // ChooseBackup inspects both image headers and returns the index of the
@@ -41,11 +45,19 @@ type Result struct {
 // backup errored AND no complete image exists — falling back to an empty
 // state would silently discard the state the broken backup may hold.
 func ChooseBackup(a, b *disk.Backup) (int, disk.Header, error) {
+	idx, h, _, err := chooseBackup(a, b)
+	return idx, h, err
+}
+
+// chooseBackup is ChooseBackup that also returns each backup's populated
+// map (see Result.Images).
+func chooseBackup(a, b *disk.Backup) (int, disk.Header, [2]disk.Populated, error) {
 	var best disk.Header
+	var maps [2]disk.Populated
 	var firstErr error
 	idx := -1
 	for i, bk := range []*disk.Backup{a, b} {
-		h, err := bk.ReadHeader()
+		h, p, err := bk.ReadHeaderMap()
 		if err == disk.ErrNoImage {
 			continue
 		}
@@ -55,6 +67,7 @@ func ChooseBackup(a, b *disk.Backup) (int, disk.Header, error) {
 			}
 			continue
 		}
+		maps[i] = p
 		if !h.Complete {
 			continue
 		}
@@ -64,20 +77,22 @@ func ChooseBackup(a, b *disk.Backup) (int, disk.Header, error) {
 		}
 	}
 	if idx < 0 && firstErr != nil {
-		return -1, disk.Header{}, firstErr
+		return -1, disk.Header{}, maps, firstErr
 	}
-	return idx, best, nil
+	return idx, best, maps, nil
 }
 
 // Restore loads the newest complete image into slab. If neither image is
-// complete the slab is zeroed. It returns which image was used.
+// complete the slab is zeroed. Otherwise only the words the image's
+// populated map covers are read: the rest of slab must already be zero, as
+// a fresh disk.MapZeroed slab is. It returns which image was used.
 func Restore(a, b *disk.Backup, slab []byte) (Result, error) {
 	start := time.Now()
-	idx, h, err := ChooseBackup(a, b)
+	idx, h, maps, err := chooseBackup(a, b)
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{BackupIndex: idx}
+	res := Result{BackupIndex: idx, Images: maps}
 	if idx < 0 {
 		for i := range slab {
 			slab[i] = 0
@@ -89,7 +104,10 @@ func Restore(a, b *disk.Backup, slab []byte) (Result, error) {
 	if idx == 1 {
 		src = b
 	}
-	if err := src.ReadInto(slab); err != nil {
+	if len(slab) != src.Objects()*src.ObjSize() {
+		return Result{}, fmt.Errorf("recovery: slab %d bytes, image holds %d", len(slab), src.Objects()*src.ObjSize())
+	}
+	if err := readImage(src, maps[idx], slab, 0, src.Objects()); err != nil {
 		return Result{}, fmt.Errorf("recovery: restore image %d: %w", idx, err)
 	}
 	res.Restored = true
@@ -98,6 +116,35 @@ func Restore(a, b *disk.Backup, slab []byte) (Result, error) {
 	res.NextTick = h.AsOfTick + 1
 	res.RestoreDuration = time.Since(start)
 	return res, nil
+}
+
+// readImage is the one run walker of both restores: it reads the objects
+// [lo, hi) of src's image that lie in words p covers into slab, one vectored
+// read of restoreChunk slices per run of consecutive covered words, and
+// leaves every other object of slab as it is.
+func readImage(src *disk.Backup, p disk.Populated, slab []byte, lo, hi int) error {
+	sz := src.ObjSize()
+	for start := lo; start < hi; {
+		if !p.Has(start >> 6) {
+			start = (start>>6 + 1) << 6
+			continue
+		}
+		end := start
+		for end < hi && p.Has(end>>6) {
+			end = (end>>6 + 1) << 6
+		}
+		end = min(end, hi)
+		region := slab[start*sz : end*sz]
+		bufs := make([][]byte, 0, (len(region)+restoreChunk-1)/restoreChunk)
+		for off := 0; off < len(region); off += restoreChunk {
+			bufs = append(bufs, region[off:min(off+restoreChunk, len(region))])
+		}
+		if err := src.ReadRunVec(start, bufs); err != nil {
+			return err
+		}
+		start = end
+	}
+	return nil
 }
 
 // RunRecords performs full recovery with caller-interpreted log records:
