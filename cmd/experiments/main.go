@@ -412,8 +412,6 @@ func (r *runner) clusterbench() {
 			cb.Table())
 		r.emit("clusterbench-tick", &cb.Tick)
 		r.emit("clusterbench-recovery", &cb.Recovery)
-		// The windowed coordinator's wait ≈ 0 honesty bound is enforced per
-		// cell inside RunClusterBench; only identity is checked here.
 		for _, row := range cb.Rows {
 			if !row.Identical {
 				fatalf("clusterbench: %s/nodes=%d/maxskew=%d NOT byte-identical to the single-node reference",

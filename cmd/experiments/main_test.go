@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"go/ast"
 	"go/parser"
@@ -92,15 +93,18 @@ func TestDocsNameRegisteredExperimentsAndFlags(t *testing.T) {
 }
 
 // experimentsCommands returns the argument text of every cmd/experiments
-// invocation in a document: fenced code lines (with backslash
-// continuations), indented code lines and inline code spans — which may wrap
-// — in markdown; any line elsewhere. Shell comments and pipes end a command.
+// invocation in a document: in markdown, its code (see codeSpans); any line
+// elsewhere. Shell comments and pipes end a command.
 func experimentsCommands(text string, markdown bool) []string {
+	spans := strings.Split(text, "\n")
+	if markdown {
+		spans = codeSpans(text)
+	}
 	var cmds []string
-	add := func(s string) {
+	for _, s := range spans {
 		i := strings.Index(s, experimentsCmd)
 		if i < 0 {
-			return
+			continue
 		}
 		s = s[i+len(experimentsCmd):]
 		if j := strings.IndexAny(s, "#|"); j >= 0 {
@@ -108,13 +112,14 @@ func experimentsCommands(text string, markdown bool) []string {
 		}
 		cmds = append(cmds, s)
 	}
-	if !markdown {
-		for _, line := range strings.Split(text, "\n") {
-			add(line)
-		}
-		return cmds
-	}
-	var prose []string
+	return cmds
+}
+
+// codeSpans returns the code of a markdown document: fenced code lines
+// (with backslash continuations), indented code lines and inline code
+// spans, which may wrap.
+func codeSpans(text string) []string {
+	var spans, prose []string
 	fenced, cont := false, ""
 	for _, line := range strings.Split(text, "\n") {
 		switch {
@@ -123,18 +128,78 @@ func experimentsCommands(text string, markdown bool) []string {
 		case fenced && strings.HasSuffix(line, `\`):
 			cont += strings.TrimSuffix(line, `\`) + " "
 		case fenced:
-			add(cont + line)
+			spans = append(spans, cont+line)
 			cont = ""
 		case strings.HasPrefix(line, "    ") && !strings.Contains(line, "`"):
-			add(line)
+			spans = append(spans, line)
 		default:
 			prose = append(prose, line)
 		}
 	}
 	for _, m := range inlineCode.FindAllStringSubmatch(strings.Join(prose, "\n"), -1) {
-		add(m[1])
+		spans = append(spans, m[1])
 	}
-	return cmds
+	return spans
+}
+
+// goCommand is a go run or go test invocation up to the end of its shell
+// command.
+var goCommand = regexp.MustCompile(`go (run|test)\s([^#|;&]*)`)
+
+// TestDocsRunExistingPackages fails when a document tells a reader to
+// go run a directory that holds no main package, or to go test one that
+// holds no package.
+func TestDocsRunExistingPackages(t *testing.T) {
+	for _, doc := range []string{"README.md", "ARCHITECTURE.md", "docs/RUNBOOK.md", ".claude/skills/verify/SKILL.md"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if os.IsNotExist(err) {
+			t.Logf("%s: not present, skipped", doc)
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpans(string(data)) {
+			for _, m := range goCommand.FindAllStringSubmatch(span, -1) {
+				for _, arg := range strings.Fields(m[2]) {
+					if arg != "." && !strings.HasPrefix(arg, "./") {
+						continue
+					}
+					dir := strings.TrimSuffix(strings.TrimSuffix(arg, "..."), "/")
+					name, err := packageName(dir)
+					switch {
+					case err != nil:
+						t.Errorf("%s: go %s %s: %v", doc, m[1], arg, err)
+					case m[1] == "run" && name != "main":
+						t.Errorf("%s: go run %s: package %s is not a main package", doc, arg, name)
+					}
+					if m[1] == "run" {
+						break // the arguments after the package are the program's
+					}
+				}
+			}
+		}
+	}
+}
+
+// packageName returns the package clause of the non-test Go files in dir, a
+// path from the repository root.
+func packageName(dir string) (string, error) {
+	files, err := filepath.Glob(filepath.Join("..", "..", dir, "*.go"))
+	if err != nil {
+		return "", err
+	}
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.PackageClauseOnly)
+		if err != nil {
+			return "", err
+		}
+		return file.Name.Name, nil
+	}
+	return "", errors.New("no Go package in " + dir)
 }
 
 // docTable returns the body rows of the first markdown table after the line
@@ -356,7 +421,7 @@ func frameConsts(t *testing.T, file string) map[int64]string {
 }
 
 // TestReadmePackageMapIsComplete fails when README's "What's here" block
-// misses a directory under internal/, cmd/ or examples/, or names one that
+// misses a directory under internal/ or cmd/, or names one that
 // does not exist. An entry is a two-space-indented line; its names are the
 // "name/" tokens before the first gap of two spaces.
 func TestReadmePackageMapIsComplete(t *testing.T) {
@@ -387,7 +452,7 @@ func TestReadmePackageMapIsComplete(t *testing.T) {
 			}
 		}
 	}
-	for _, dir := range []string{"internal", "cmd", "examples"} {
+	for _, dir := range []string{"internal", "cmd"} {
 		ents, err := os.ReadDir(filepath.Join("..", "..", dir))
 		if err != nil {
 			t.Fatal(err)

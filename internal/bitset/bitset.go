@@ -1,6 +1,6 @@
 // Package bitset provides the dense bitmaps that back the dirty-object
 // bookkeeping of the checkpointing algorithms: one bit per atomic object,
-// with the operations the algorithms of the paper need — set/clear/test,
+// with the operations the algorithms of the paper need — set/test,
 // population counts, contiguous-run counting (for the ΔTsync group term),
 // rank queries (for log-flush cursors), and whole-set snapshot/clear.
 package bitset
@@ -39,25 +39,10 @@ func (s *Set) Set(i int) {
 	s.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
-// Clear clears bit i.
-func (s *Set) Clear(i int) {
-	s.check(i)
-	s.words[i>>6] &^= 1 << (uint(i) & 63)
-}
-
 // Test reports whether bit i is set.
 func (s *Set) Test(i int) bool {
 	s.check(i)
 	return s.words[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
-// TestAndSet sets bit i and reports whether it was already set.
-func (s *Set) TestAndSet(i int) bool {
-	s.check(i)
-	w, m := i>>6, uint64(1)<<(uint(i)&63)
-	old := s.words[w]&m != 0
-	s.words[w] |= m
-	return old
 }
 
 // Count returns the number of set bits.
@@ -142,36 +127,6 @@ func boolBit(b bool) uint64 {
 	return 0
 }
 
-// ForEach calls fn with the index of every set bit, in increasing order.
-func (s *Set) ForEach(fn func(i int)) {
-	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			fn(wi<<6 + b)
-			w &= w - 1
-		}
-	}
-}
-
-// ForEachRun calls fn(start, length) for every maximal run of set bits, in
-// increasing order of start.
-func (s *Set) ForEachRun(fn func(start, length int)) {
-	start := -1
-	for i := 0; i < s.n; i++ {
-		if s.Test(i) {
-			if start < 0 {
-				start = i
-			}
-		} else if start >= 0 {
-			fn(start, i-start)
-			start = -1
-		}
-	}
-	if start >= 0 {
-		fn(start, s.n-start)
-	}
-}
-
 // Rank is a static rank index over a snapshot of a Set. Rank queries answer
 // "how many set bits precede position i", which the simulator uses to decide
 // whether a log-flush cursor (that writes the k dirty objects in offset
@@ -214,25 +169,3 @@ func (r *Rank) Rank(i int) int {
 
 // Test reports whether bit i is set in the snapshot.
 func (r *Rank) Test(i int) bool { return r.set.Test(i) }
-
-// Select returns the position of the j-th set bit (0-based), or -1 if j is
-// out of range. It runs in O(words) and is used only in tests and tools.
-func (r *Rank) Select(j int) int {
-	if j < 0 || j >= r.total {
-		return -1
-	}
-	for wi, w := range r.set.words {
-		c := bits.OnesCount64(w)
-		if j < c {
-			for ; ; j-- {
-				b := bits.TrailingZeros64(w)
-				if j == 0 {
-					return wi<<6 + b
-				}
-				w &= w - 1
-			}
-		}
-		j -= c
-	}
-	return -1
-}

@@ -26,26 +26,6 @@ func TestBasicOps(t *testing.T) {
 	if got := s.Count(); got != 8 {
 		t.Errorf("Count = %d, want 8", got)
 	}
-	s.Clear(64)
-	if s.Test(64) {
-		t.Error("Test(64) = true after Clear")
-	}
-	if got := s.Count(); got != 7 {
-		t.Errorf("Count = %d, want 7", got)
-	}
-}
-
-func TestTestAndSet(t *testing.T) {
-	s := New(10)
-	if s.TestAndSet(3) {
-		t.Error("TestAndSet on clear bit returned true")
-	}
-	if !s.TestAndSet(3) {
-		t.Error("TestAndSet on set bit returned false")
-	}
-	if !s.Test(3) {
-		t.Error("bit 3 not set after TestAndSet")
-	}
 }
 
 func TestOutOfRangePanics(t *testing.T) {
@@ -90,7 +70,7 @@ func TestCloneAndCopyFrom(t *testing.T) {
 	s.Set(5)
 	s.Set(99)
 	c := s.Clone()
-	s.Clear(5)
+	s.Reset()
 	if !c.Test(5) || !c.Test(99) {
 		t.Error("Clone shares storage with original")
 	}
@@ -158,47 +138,6 @@ func TestRunsEdgeCases(t *testing.T) {
 	}
 }
 
-func TestForEachOrderAndCompleteness(t *testing.T) {
-	s := New(300)
-	want := []int{0, 7, 63, 64, 150, 299}
-	for _, i := range want {
-		s.Set(i)
-	}
-	var got []int
-	s.ForEach(func(i int) { got = append(got, i) })
-	if len(got) != len(want) {
-		t.Fatalf("ForEach visited %d bits, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("ForEach[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
-func TestForEachRun(t *testing.T) {
-	s := New(200)
-	for i := 10; i < 20; i++ {
-		s.Set(i)
-	}
-	for i := 60; i < 70; i++ {
-		s.Set(i)
-	}
-	s.Set(199)
-	type run struct{ start, length int }
-	var got []run
-	s.ForEachRun(func(start, length int) { got = append(got, run{start, length}) })
-	want := []run{{10, 10}, {60, 10}, {199, 1}}
-	if len(got) != len(want) {
-		t.Fatalf("got %d runs, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("run[%d] = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestRankAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -241,30 +180,7 @@ func TestRankIsSnapshot(t *testing.T) {
 	}
 }
 
-func TestSelectInvertsRank(t *testing.T) {
-	s := New(300)
-	for _, i := range []int{3, 64, 65, 127, 128, 250} {
-		s.Set(i)
-	}
-	r := NewRank(s)
-	for j := 0; j < r.Total(); j++ {
-		pos := r.Select(j)
-		if pos < 0 {
-			t.Fatalf("Select(%d) = -1", j)
-		}
-		if got := r.Rank(pos); got != j {
-			t.Errorf("Rank(Select(%d)) = %d", j, got)
-		}
-		if !r.Test(pos) {
-			t.Errorf("Select(%d) = %d is not set", j, pos)
-		}
-	}
-	if r.Select(-1) != -1 || r.Select(r.Total()) != -1 {
-		t.Error("Select out of range should return -1")
-	}
-}
-
-// Property: for random bit patterns, Count == number of ForEach visits ==
+// Property: for random bit patterns, Count == number of set bits Test sees ==
 // Rank(n), and Runs matches the naive scan.
 func TestQuickInvariants(t *testing.T) {
 	f := func(pattern []uint64, extra uint8) bool {
@@ -278,46 +194,20 @@ func TestQuickInvariants(t *testing.T) {
 				s.Set(i)
 			}
 		}
-		visits := 0
-		s.ForEach(func(int) { visits++ })
+		set := 0
+		for i := 0; i < n; i++ {
+			if s.Test(i) {
+				set++
+			}
+		}
 		r := NewRank(s)
-		return visits == s.Count() &&
+		return set == s.Count() &&
 			r.Rank(n) == s.Count() &&
 			s.Runs() == runsNaive(s)
 	}
 	cfg := &quick.Config{MaxCount: 60}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: TestAndSet is idempotent in effect and Count never decreases
-// under Set.
-func TestQuickTestAndSet(t *testing.T) {
-	f := func(idx []uint16, size uint16) bool {
-		n := int(size%2000) + 1
-		s := New(n)
-		seen := map[int]bool{}
-		for _, raw := range idx {
-			i := int(raw) % n
-			was := s.TestAndSet(i)
-			if was != seen[i] {
-				return false
-			}
-			seen[i] = true
-		}
-		return s.Count() == len(seen)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkTestAndSet(b *testing.B) {
-	s := New(1 << 20)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.TestAndSet(i & (1<<20 - 1))
 	}
 }
 

@@ -478,7 +478,7 @@ func NodeDir(root string, i int) string {
 // Nodes returns the cluster members.
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
-// Routing returns the live ownership history.
+// Routing returns the live partition map.
 func (c *Cluster) Routing() *Routing { return c.routing }
 
 // NextTick returns the tick the next Tick call will dispatch. At MaxSkew = 0
@@ -515,7 +515,7 @@ func (c *Cluster) Tick(batch []wal.Update) error {
 	}
 	tick := c.tick
 	bufs := &c.ring[tick%uint64(len(c.ring))]
-	bufs.perNode = RouteTick(c.routing.MapAt(tick), c.cellsPerObj, batch, bufs.perNode)
+	bufs.perNode = RouteTick(c.routing.Current(), c.cellsPerObj, batch, bufs.perNode)
 	for i := range c.nodes {
 		bufs.envs[i] = append(bufs.envs[i][:0], engine.Envelope{Origin: -1, OriginTick: tick, Updates: bufs.perNode[i]})
 	}

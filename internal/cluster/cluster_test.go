@@ -146,6 +146,9 @@ func TestClusterMigrationZeroBlackout(t *testing.T) {
 		}
 	}
 	run(pre)
+	if got := c.Routing().Current().Owner(0); got != 0 {
+		t.Fatalf("object 0 owned by %d before the cut", got)
+	}
 	// Move the first half of node 0's range to node 1.
 	rep, err := c.Migrate(0, 128, 1)
 	if err != nil {
@@ -154,12 +157,8 @@ func TestClusterMigrationZeroBlackout(t *testing.T) {
 	if rep.CutTick != pre || rep.From != 0 || rep.To != 1 || rep.Pause <= 0 {
 		t.Fatalf("migration report %+v, want node 0 → 1 cut at the boundary %d", rep, pre)
 	}
-	// Ownership flipped exactly at the cut.
-	if got := c.Routing().OwnerAt(0, rep.CutTick-1); got != 0 {
-		t.Fatalf("object 0 owned by %d just before the cut", got)
-	}
-	if got := c.Routing().OwnerAt(0, rep.CutTick); got != 1 {
-		t.Fatalf("object 0 owned by %d at the cut", got)
+	if got := c.Routing().Current().Owner(0); got != 1 {
+		t.Fatalf("object 0 owned by %d after the cut", got)
 	}
 	run(post)
 	if !bytes.Equal(world(t, c), referenceWorld(t, tab, tick, perTick)) {

@@ -77,8 +77,7 @@ func (m *Manifest) Validate() error {
 
 // manifest assembles the current manifest value.
 func (c *Cluster) manifest() *Manifest {
-	last := c.routing.epochs[len(c.routing.epochs)-1]
-	man := &Manifest{Table: c.opts.Table, Map: last.Map, MapFromTick: last.FromTick, MaxSkew: c.opts.MaxSkew}
+	man := &Manifest{Table: c.opts.Table, Map: c.routing.cur, MapFromTick: c.routing.fromTick, MaxSkew: c.opts.MaxSkew}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := range c.nodes {
@@ -376,7 +375,7 @@ func Recover(root string, opts Options) (*Cluster, *WorldRecovery, error) {
 		}
 	}
 
-	routing := &Routing{epochs: []routingEpoch{{FromTick: man.MapFromTick, Map: man.Map}}}
+	routing := &Routing{cur: man.Map, fromTick: man.MapFromTick}
 	c, err := build(opts, routing, resume, man.NodeCuts, func(i int, dir string) (*engine.Engine, error) {
 		return engines[i], nil
 	})

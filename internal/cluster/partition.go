@@ -161,64 +161,42 @@ func (m PartitionMap) Move(lo, hi, to int) (PartitionMap, error) {
 	return next, nil
 }
 
-// routingEpoch is one entry of the ownership history: map holds from tick
-// FromTick (inclusive) until the next epoch's FromTick.
-type routingEpoch struct {
-	FromTick uint64
-	Map      PartitionMap
-}
-
-// Routing is the versioned partition map: ownership is a function of
-// (object, tick), and it changes only at tick boundaries — a cutover
-// schedules a whole new map from a tick on, never a mid-tick split. That is
-// the invariant that makes a migration drop zero ticks: for every tick
-// there is exactly one owner of every object, before, at and after the cut.
+// Routing is the partition map in force and the tick it took effect.
+// Ownership changes only at tick boundaries — a cutover installs a whole new
+// map from a tick on, never a mid-tick split. That is the invariant that
+// makes a migration drop zero ticks: for every tick there is exactly one
+// owner of every object, before, at and after the cut.
 type Routing struct {
-	epochs []routingEpoch
+	cur      PartitionMap
+	fromTick uint64
 }
 
-// NewRouting starts the history with m effective from fromTick (0 for a
-// fresh world; the recovered world tick when reloading a manifest).
+// NewRouting starts with m effective from fromTick (0 for a fresh world; the
+// recovered world tick when reloading a manifest).
 func NewRouting(m PartitionMap, fromTick uint64) (*Routing, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return &Routing{epochs: []routingEpoch{{FromTick: fromTick, Map: m}}}, nil
+	return &Routing{cur: m, fromTick: fromTick}, nil
 }
 
-// Current returns the newest map.
-func (r *Routing) Current() PartitionMap { return r.epochs[len(r.epochs)-1].Map }
+// Current returns the map in force.
+func (r *Routing) Current() PartitionMap { return r.cur }
 
-// MapAt returns the map governing a tick. Ticks before the first epoch are
-// governed by it (the manifest's map is the oldest history retained).
-func (r *Routing) MapAt(tick uint64) PartitionMap {
-	m := r.epochs[0].Map
-	for _, e := range r.epochs[1:] {
-		if tick < e.FromTick {
-			break
-		}
-		m = e.Map
-	}
-	return m
-}
-
-// OwnerAt returns the node owning obj at tick.
-func (r *Routing) OwnerAt(obj int, tick uint64) int { return r.MapAt(tick).Owner(obj) }
-
-// Cut appends a new epoch: m owns the world from fromTick on. fromTick must
-// be strictly after the last epoch's start — ownership changes at tick
+// Cut installs m as the owner of the world from fromTick on. fromTick must
+// be strictly after the current map's start — ownership changes at tick
 // boundaries, in order.
 func (r *Routing) Cut(fromTick uint64, m PartitionMap) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	if last := r.epochs[len(r.epochs)-1]; fromTick <= last.FromTick {
-		return fmt.Errorf("cluster: routing cut at tick %d not after epoch start %d", fromTick, last.FromTick)
+	if fromTick <= r.fromTick {
+		return fmt.Errorf("cluster: routing cut at tick %d not after map start %d", fromTick, r.fromTick)
 	}
-	if m.Objects != r.Current().Objects {
-		return fmt.Errorf("cluster: routing cut changes world size %d → %d", r.Current().Objects, m.Objects)
+	if m.Objects != r.cur.Objects {
+		return fmt.Errorf("cluster: routing cut changes world size %d → %d", r.cur.Objects, m.Objects)
 	}
-	r.epochs = append(r.epochs, routingEpoch{FromTick: fromTick, Map: m})
+	r.cur, r.fromTick = m, fromTick
 	return nil
 }
 

@@ -148,15 +148,6 @@ func (t *TextTable) Header(cols ...string) { t.header = cols }
 // Row appends a row.
 func (t *TextTable) Row(cells ...string) { t.rows = append(t.rows, cells) }
 
-// Rowf appends a row built with Sprintf on each (format, value) pair.
-func (t *TextTable) Rowf(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		row[i] = fmt.Sprint(c)
-	}
-	t.rows = append(t.rows, row)
-}
-
 // String renders the table with aligned columns.
 func (t *TextTable) String() string {
 	cols := len(t.header)

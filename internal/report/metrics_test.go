@@ -96,17 +96,6 @@ func TestTextTableAlignment(t *testing.T) {
 	_ = tt.String()
 }
 
-func TestTextTableRowf(t *testing.T) {
-	tt := NewTextTable()
-	tt.Rowf("x", 42, 1.5)
-	out := tt.String()
-	for _, want := range []string{"x", "42", "1.5"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Rowf output missing %q", want)
-		}
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{4, 1, 3, 2})
 	if s.Count != 4 || s.Min != 1 || s.Max != 4 {

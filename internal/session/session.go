@@ -490,9 +490,6 @@ type Session struct {
 // ID returns the session's canonical ordering key.
 func (s *Session) ID() uint64 { return s.id }
 
-// Interest returns the session's area-of-interest object window.
-func (s *Session) Interest() Range { return s.interest }
-
 // Submit stages intents for the next tick, in order, after the intents this
 // session already staged. Cells must address the world's table.
 func (s *Session) Submit(intents []wal.Update) error {

@@ -84,10 +84,6 @@ func (m *Mixer) NumTicks() int { return m.total }
 // NumCells implements trace.Source.
 func (m *Mixer) NumCells() int { return m.cells }
 
-// PhaseStart returns the first tick of phase i (tests pin boundary
-// exactness against it).
-func (m *Mixer) PhaseStart(i int) int { return m.starts[i] }
-
 // AppendTick implements trace.Source.
 func (m *Mixer) AppendTick(t int, buf []uint32) []uint32 {
 	if t < 0 || t >= m.total {

@@ -160,9 +160,6 @@ func TestMixerPhaseBoundaries(t *testing.T) {
 	if m.NumTicks() != 12 {
 		t.Fatalf("NumTicks = %d, want 12", m.NumTicks())
 	}
-	if m.PhaseStart(0) != 0 || m.PhaseStart(1) != 5 {
-		t.Fatalf("phase starts = %d,%d, want 0,5", m.PhaseStart(0), m.PhaseStart(1))
-	}
 	for tick := 0; tick < 12; tick++ {
 		want := uint32(0)
 		if tick >= 5 {

@@ -74,9 +74,6 @@ func zeta(n int, theta float64) float64 {
 // N returns the number of items.
 func (g *Generator) N() int { return g.n }
 
-// Theta returns the skew parameter.
-func (g *Generator) Theta() float64 { return g.theta }
-
 // Next draws the next rank in [0, n) using rng. Rank 0 is the hottest item.
 func (g *Generator) Next(rng *rand.Rand) int {
 	if g.theta == 0 {

@@ -40,23 +40,6 @@ func TestFacadeSimulate(t *testing.T) {
 	}
 }
 
-func TestFacadeSimulateAll(t *testing.T) {
-	cfg := smallSimConfig()
-	src, err := NewZipfianTrace(ZipfianTraceConfig{
-		Table: cfg.Table, UpdatesPerTick: 200, Ticks: 40, Skew: 0.5, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := SimulateAll(Methods(), cfg, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 6 {
-		t.Fatalf("%d results, want 6", len(results))
-	}
-}
-
 func TestFacadeDefaults(t *testing.T) {
 	if DefaultParams().TickFreq != 30 {
 		t.Error("default params lost Table 3 values")
@@ -75,39 +58,6 @@ func TestFacadeDefaults(t *testing.T) {
 	}
 }
 
-func TestFacadeEngineRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	tab := Table{Rows: 128, Cols: 8, CellSize: 4, ObjSize: 512}
-	e, err := OpenEngine(EngineOptions{
-		Table: tab, Dir: dir, Mode: ModeCopyOnUpdate, SyncEveryTick: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tick := 0; tick < 30; tick++ {
-		batch := []Update{{Cell: uint32(tick), Value: uint32(tick * 10)}}
-		if err := e.ApplyTick(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := OpenEngine(EngineOptions{Table: tab, Dir: dir, Mode: ModeCopyOnUpdate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	for tick := 0; tick < 30; tick++ {
-		if got := e2.Store().Cell(uint32(tick)); got != uint32(tick*10) {
-			t.Fatalf("cell %d = %d after recovery, want %d", tick, got, tick*10)
-		}
-	}
-	if e2.NextTick() != 30 {
-		t.Errorf("NextTick = %d, want 30", e2.NextTick())
-	}
-}
-
 func TestFacadeGameTrace(t *testing.T) {
 	cfg := DefaultGameConfig()
 	cfg.Units = 2000
@@ -120,6 +70,17 @@ func TestFacadeGameTrace(t *testing.T) {
 	}
 	if stats.Units != 2000 || stats.Attrs != 13 {
 		t.Errorf("stats: %+v", stats)
+	}
+	g, err := NewGame(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Table().NumCells(); got != 2000*13 {
+		t.Errorf("battle table has %d cells, want %d", got, 2000*13)
+	}
+	g.Step()
+	if g.TickIndex() != 1 {
+		t.Errorf("battle at tick %d after one step", g.TickIndex())
 	}
 }
 
