@@ -16,11 +16,12 @@
 // -shards N runs the fig6 validation engine sharded (N checkpoint
 // flushers). recoverytime runs one crash point per scenario × checkpoint
 // method × shard count × log length: warm checkpointing, a replicated live
-// phase, standby promotion, then cold pipeline and serial recovery of the
-// dead primary's directory. It reports the ΔTrestore/ΔTreplay breakdown
-// with the takeover next to it, and exits non-zero unless every cell's
-// promoted, cold and serial states are byte-identical to the serial
-// reference and replay exactly the log length. -recovery-log-ticks pins one
+// phase, standby promotion, then cold pipeline recovery of the dead
+// primary's directory at the cell's width and at one shard (the serial
+// ΔTrestore + ΔTreplay baseline). It reports the ΔTrestore/ΔTreplay
+// breakdown with the takeover next to it, and exits non-zero unless every
+// cell's promoted, cold and one-shard states are byte-identical to the
+// serial reference and replay exactly the log length. -recovery-log-ticks pins one
 // log length and -recovery-disk the backup throttle. Its timings are
 // informational: performance is gated by the repo benchmark
 // (BENCHMARK.json, bash benchmark/run.sh), not by this command.
@@ -491,7 +492,7 @@ func (r *runner) recoverytime() {
 				fatalf("recoverytime: %s replayed %d ticks, want %d", row.Cell(), row.ReplayedTicks, row.LogTicks)
 			}
 		}
-		fmt.Printf("crash equivalence: all %d cells byte-identical to the serial reference (promoted, cold and serial), each replaying exactly its log length\n",
+		fmt.Printf("crash equivalence: all %d cells byte-identical to the serial reference (promoted, cold and one-shard), each replaying exactly its log length\n",
 			len(rt.Rows))
 	})
 }

@@ -271,6 +271,94 @@ func TestRunbookMetricFamiliesMatchRegistry(t *testing.T) {
 	}
 }
 
+// runbookSections maps each service binary to the heading of its RUNBOOK.md
+// section.
+var runbookSections = map[string]string{
+	"cmd/cluster":   "## cmd/cluster —",
+	"cmd/replicate": "## cmd/replicate —",
+	"cmd/gateway":   "## cmd/gateway —",
+}
+
+// docFlag is a -flag as prose, code or a table names it.
+var docFlag = regexp.MustCompile(`(?:^|[^A-Za-z0-9-])-([a-z][a-z0-9-]*)`)
+
+// TestRunbookFlagsMatchBinaries fails when a service binary defines a flag
+// that its RUNBOOK.md section, the conventions every service shares and the
+// Telemetry section all leave unnamed, or when a section's flag table
+// documents a flag its binary does not define.
+func TestRunbookFlagsMatchBinaries(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "docs/RUNBOOK.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(data)
+	section := func(heading string) string {
+		_, rest, ok := strings.Cut(text, heading)
+		if !ok {
+			t.Fatalf("RUNBOOK.md has no %q", heading)
+		}
+		body, _, _ := strings.Cut(rest, "\n## ")
+		return body
+	}
+	shared, _, _ := strings.Cut(text, "\n## ") // the conventions, before the first section
+	shared += section("## Telemetry")
+	for bin, heading := range runbookSections {
+		defined := definedFlags(t, bin)
+		named := map[string]bool{}
+		for _, m := range docFlag.FindAllStringSubmatch(shared+section(heading), -1) {
+			named[m[1]] = true
+		}
+		for name := range defined {
+			if !named[name] {
+				t.Errorf("%s defines -%s, which RUNBOOK.md names neither in its section, the shared conventions nor Telemetry", bin, name)
+			}
+		}
+		for _, row := range docTable(t, "docs/RUNBOOK.md", heading) {
+			for _, m := range docFlag.FindAllStringSubmatch(row[0], -1) {
+				if !defined[m[1]] {
+					t.Errorf("RUNBOOK.md's %s table documents -%s, which %s does not define", bin, m[1], bin)
+				}
+			}
+		}
+	}
+}
+
+// definedFlags returns the name of every flag.*("name", …) call in dir's
+// main.go, a path from the repository root.
+func definedFlags(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("..", "..", dir, "main.go"), nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			name, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			names[name] = true
+		}
+		return true
+	})
+	if len(names) == 0 {
+		t.Fatalf("%s/main.go defines no flags", dir)
+	}
+	return names
+}
+
 // TestRunbookTypedErrorsAreDeclared fails when an identifier in RUNBOOK's
 // typed-error table is not declared in the package its row names.
 func TestRunbookTypedErrorsAreDeclared(t *testing.T) {

@@ -110,35 +110,30 @@ type Engine struct {
 }
 
 // Open creates or reopens an engine in opts.Dir. If the directory holds a
-// previous incarnation's state, Open performs crash recovery (restore newest
-// complete image + replay the logical log) before returning; the outcome is
-// available via Recovery(). Open recovers serially — the paper's
-// ΔTrecovery = ΔTrestore + ΔTreplay sum; RecoverFrom is the sharded
-// pipelined alternative.
+// previous incarnation's state, Open performs crash recovery before
+// returning, as RecoverFrom does; the outcome is available via Recovery().
 func Open(opts Options) (*Engine, error) {
-	e, _, err := open(opts, false, nil)
+	e, _, err := RecoverFrom(opts)
 	return e, err
 }
 
-// RecoverFrom opens an engine in opts.Dir like Open, but runs the sharded
-// parallel recovery pipeline: the backup image is restored by one vectored
-// reader per shard while the logical log replays in parallel — every update
-// batch decoded once into per-shard buckets, every shard applying only its
-// own — each shard's replay gated on its own restore watermark (see
-// recovery.RecoverParallel). The recovered engine resumes ticking with its
-// shard partition pre-populated; the returned ParallelResult carries the
-// per-shard and per-stage timing breakdown.
-//
-// Recovery is byte-identical to Open's serial path at any shard count: every
-// record kind is data, applied by range.
+// RecoverFrom opens an engine in opts.Dir like Open and returns the
+// recovery pipeline's per-shard and per-stage timing breakdown. Crash
+// recovery restores the newest complete backup image with one vectored
+// reader per shard while the logical log replays — every update batch
+// decoded once into per-shard buckets, every shard applying only its own —
+// each shard's replay gated on its own restore watermark (see
+// recovery.RecoverParallel). At one shard that gate is the whole restore,
+// so the pipeline is the paper's ΔTrestore + ΔTreplay sum. Every record
+// kind is data, applied by range, so the recovered state is the same at
+// any shard count.
 func RecoverFrom(opts Options) (*Engine, recovery.ParallelResult, error) {
-	return open(opts, true, nil)
+	return open(opts, nil)
 }
 
-// open builds the engine and recovers it: serially, or through the pipeline
-// with records merged into replay (see RecoverWith; the serial path takes
-// nil records).
-func open(opts Options, parallel bool, records func() (recovery.RecordSource, error)) (*Engine, recovery.ParallelResult, error) {
+// open builds the engine and recovers it through the pipeline, with
+// records, when non-nil, merged into replay (see RecoverWith).
+func open(opts Options, records func() (recovery.RecordSource, error)) (*Engine, recovery.ParallelResult, error) {
 	if err := opts.Table.Validate(); err != nil {
 		return nil, recovery.ParallelResult{}, err
 	}
@@ -215,102 +210,69 @@ func open(opts Options, parallel bool, records func() (recovery.RecordSource, er
 		// recovered next tick is derived from non-install records only —
 		// the generic recovery layer's lastTick+1 would overshoot by one
 		// when an install is the final record (crash right after a
-		// migration cutover, before its first tick).
-		var res recovery.Result
-		// ranNext[w] is one past the last tick replay worker w saw a
-		// non-install record for; 0 means none.
-		var ranNext []uint64
-		ran := func(w int, tick uint64, body []byte) {
-			if len(body) > 0 && body[0] != recInstall {
-				ranNext[w] = tick + 1
-			}
-		}
+		// migration cutover, before its first tick). ranNext[s] is one past
+		// the last tick shard s's replay worker saw a non-install record
+		// for; 0 means none.
+		//
+		// The pipeline is partitioned exactly like the engine: one restore
+		// reader and one replay worker per shard, each owning its plan
+		// range of the slab. Update batches reach a worker as its own
+		// bucket of cells, cut at the plan's cell bounds.
+		ranges := make([]recovery.ShardRange, e.plan.count())
+		bounds := make([]uint32, e.plan.count())
+		ranNext := make([]uint64, e.plan.count())
 		cellsPerObj := store.Table().CellsPerObject()
-		if parallel {
-			// The pipeline is partitioned exactly like the engine: one
-			// restore reader and one replay worker per shard, each owning
-			// its plan range of the slab. Update batches reach a worker as
-			// its own bucket of cells, cut at the plan's cell bounds.
-			ranges := make([]recovery.ShardRange, e.plan.count())
-			bounds := make([]uint32, e.plan.count())
-			ranNext = make([]uint64, e.plan.count())
-			for s := range ranges {
-				lo, hi := e.plan.objRange(s)
-				ranges[s] = recovery.ShardRange{Lo: lo, Hi: hi}
-				bounds[s] = uint32(hi * cellsPerObj)
-			}
-			popts := recovery.ParallelOptions{
-				A: backups[0], B: backups[1], Slab: store.Slab(), Log: log,
-				Ranges: ranges,
-				Apply: func(shard int, tick uint64, body []byte) (int64, error) {
-					ran(shard, tick, body)
-					return e.replayRecordRange(ranges[shard].Lo, ranges[shard].Hi, tick, body)
-				},
-				Split:      updateBatch,
-				CellBounds: bounds,
-				ApplyUpdates: func(shard int, tick uint64, upds []wal.Update) {
-					ranNext[shard] = tick + 1
-					e.replayUpdates(upds)
-				},
-			}
-			if records != nil {
-				popts.Extra, err = records()
-			}
-			if err == nil {
-				pres, err = recovery.RecoverParallel(popts)
-				res = pres.Result
-			}
-			// The source's payloads stay readable until the heal below is
-			// done too: its readers close once both are.
-			defer closeSource(popts.Extra)
-		} else {
-			// The serial path is the one-bucket case of the same split: the
-			// single bound drops cells past the table.
-			var bucket [1][]wal.Update
-			bound := [1]uint32{uint32(store.NumObjects() * cellsPerObj)}
-			var replayed int64
-			ranNext = make([]uint64, 1)
-			res, err = recovery.RunRecords(backups[0], backups[1], store.Slab(), log,
-				func(tick uint64, body []byte) error {
-					ran(0, tick, body)
-					batch, ok := updateBatch(body)
-					if !ok {
-						n, rerr := e.replayRecordRange(0, store.NumObjects(), tick, body)
-						replayed += n
-						return rerr
-					}
-					bucket[0] = bucket[0][:0]
-					if derr := wal.SplitUpdates(bucket[:], bound[:], batch); derr != nil {
-						return fmt.Errorf("record at tick %d: %w", tick, derr)
-					}
-					e.replayUpdates(bucket[0])
-					replayed += int64(len(bucket[0]))
-					return nil
-				})
-			res.ReplayedUpdates = replayed
+		for s := range ranges {
+			lo, hi := e.plan.objRange(s)
+			ranges[s] = recovery.ShardRange{Lo: lo, Hi: hi}
+			bounds[s] = uint32(hi * cellsPerObj)
 		}
+		popts := recovery.ParallelOptions{
+			A: backups[0], B: backups[1], Slab: store.Slab(), Log: log,
+			Ranges: ranges,
+			Apply: func(shard int, tick uint64, body []byte) (int64, error) {
+				if len(body) > 0 && body[0] != recInstall {
+					ranNext[shard] = tick + 1
+				}
+				return e.replayRecordRange(ranges[shard].Lo, ranges[shard].Hi, tick, body)
+			},
+			Split:      updateBatch,
+			CellBounds: bounds,
+			ApplyUpdates: func(shard int, tick uint64, upds []wal.Update) {
+				ranNext[shard] = tick + 1
+				e.replayUpdates(upds)
+			},
+		}
+		if records != nil {
+			popts.Extra, err = records()
+		}
+		if err == nil {
+			pres, err = recovery.RecoverParallel(popts)
+		}
+		// The source's payloads stay readable until the heal below is done
+		// too: its readers close once both are.
+		defer closeSource(popts.Extra)
 		if err != nil {
 			log.Close()
 			return nil, pres, err
 		}
 		next := uint64(0) // first tick the restored image does not cover
-		if res.Restored {
-			next = res.AsOfTick + 1
+		if pres.Restored {
+			next = pres.AsOfTick + 1
 		}
 		for _, n := range ranNext {
 			if n > next {
 				next = n
 			}
 		}
-		res.NextTick = next
 		pres.NextTick = next
-		e.recovered = res
-		e.tick = res.NextTick
-		startEpoch = res.Epoch
-		if res.Restored && res.BackupIndex >= 0 {
+		e.recovered = pres.Result
+		e.tick = next
+		startEpoch = pres.Epoch
+		if pres.Restored {
 			// Write the next image over the stale backup.
-			firstBackup = 1 - res.BackupIndex
-			e.prevAsOf = res.AsOfTick
+			firstBackup = 1 - pres.BackupIndex
+			e.prevAsOf = pres.AsOfTick
 			e.havePrev = true
 		}
 	}
@@ -395,7 +357,7 @@ func closeSource(src recovery.RecordSource) {
 // Shards returns the effective shard count of the engine's partition.
 func (e *Engine) Shards() int { return e.plan.count() }
 
-// Recovery returns the outcome of the recovery performed by Open.
+// Recovery returns the outcome of the recovery Open or RecoverFrom performed.
 func (e *Engine) Recovery() recovery.Result { return e.recovered }
 
 // Store exposes the in-memory state for reads.

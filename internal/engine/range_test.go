@@ -66,28 +66,18 @@ func TestSnapshotInstallRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Serial recovery and the sharded pipeline at several widths must both
-	// replay the install record to the same bytes.
-	se, err := Open(Options{Table: tab, Dir: dirB, Mode: ModeCopyOnUpdate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if se.NextTick() != wantTick {
-		t.Fatalf("serial recovery to tick %d, want %d", se.NextTick(), wantTick)
-	}
-	if !bytes.Equal(se.Store().Slab(), want) {
-		t.Fatal("serial recovery diverges after range install")
-	}
-	if err := se.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// Recovery at every width must replay the install record to the same
+	// bytes and the same next tick.
 	for _, shards := range []int{1, 2, 8} {
 		pe, _, err := RecoverFrom(Options{Table: tab, Dir: dirB, Mode: ModeCopyOnUpdate, Shards: shards})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
+		if pe.NextTick() != wantTick {
+			t.Fatalf("shards=%d: recovery to tick %d, want %d", shards, pe.NextTick(), wantTick)
+		}
 		if !bytes.Equal(pe.Store().Slab(), want) {
-			t.Fatalf("shards=%d: parallel recovery diverges after range install", shards)
+			t.Fatalf("shards=%d: recovery diverges after range install", shards)
 		}
 		if err := pe.Close(); err != nil {
 			t.Fatal(err)
@@ -234,7 +224,7 @@ func TestInstallAfterCoveringCheckpoint(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{0, 1, 4} { // 0 = serial Open
+	for _, shards := range []int{0, 1, 4} { // 0 = Open at the default width
 		var re *Engine
 		var err error
 		if shards == 0 {

@@ -36,8 +36,7 @@ func updateBatch(body []byte) ([]byte, bool) {
 
 // replayUpdates writes one bucket of a decoded update batch straight into
 // the slab (recovery marks everything dirty afterwards, so no checkpointer
-// bookkeeping). The bucket holds only cells inside the table, and under the
-// parallel pipeline only cells of the calling worker's shard.
+// bookkeeping). The bucket holds only cells of the calling worker's shard.
 func (e *Engine) replayUpdates(upds []wal.Update) {
 	for _, u := range upds {
 		e.store.SetCell(u.Cell, u.Value)
@@ -45,11 +44,9 @@ func (e *Engine) replayUpdates(upds []wal.Update) {
 }
 
 // replayRecordRange applies one logged record that is not an update batch —
-// a range install, copied by range — keeping only objects in [lo, hi): the
-// whole object space under serial recovery, one shard's range under the
-// parallel pipeline, which hands such a record to every shard's replay
-// worker. It returns the number of objects installed, so the per-shard
-// counts sum to the serial path's total.
+// a range install, copied by range — keeping only objects in [lo, hi), the
+// calling worker's shard: the pipeline hands such a record to every shard's
+// replay worker. It returns the number of objects installed in the range.
 func (e *Engine) replayRecordRange(lo, hi int, tick uint64, body []byte) (int64, error) {
 	if len(body) == 0 {
 		return 0, fmt.Errorf("engine: empty log record at tick %d", tick)

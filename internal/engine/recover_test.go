@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/disk"
+	"repro/internal/recovery"
 	"repro/internal/wal"
 )
 
@@ -55,10 +56,9 @@ func crashRun(t *testing.T, dir string, budget int, seed int64) (*reference, int
 	return ref, applied
 }
 
-// TestCrashRecoveryEquivalence is the sharded-recovery correctness
-// contract: after a crash at an arbitrary point mid-flush, RecoverParallel
-// through 1, 2 and 8 shards must produce state byte-identical to the serial
-// recovery path and to an engine that never crashed.
+// TestCrashRecoveryEquivalence is the recovery correctness contract: after a
+// crash at an arbitrary point mid-flush, Open and RecoverFrom at 1, 2 and 8
+// shards must produce state byte-identical to an engine that never crashed.
 func TestCrashRecoveryEquivalence(t *testing.T) {
 	tab := shardTable()
 	rng := rand.New(rand.NewSource(41))
@@ -82,9 +82,31 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 
 		checkRecoveryEquivalence(t, fmt.Sprintf("budget %d", budget), dir, ref, applied)
 
+		// The crash may leave an image that covers every logged tick, and
+		// then nothing replays. Log a tail past it without a checkpointer,
+		// which leaves the images as the crash left them, and recover
+		// again: now the log must replay at least the tail.
+		e, err := Open(Options{Table: tab, Dir: dir, Mode: ModeNone, SyncEveryTick: true, Shards: 4})
+		if err != nil {
+			t.Fatalf("budget %d: reopen for the tail: %v", budget, err)
+		}
+		const tailTicks = 5
+		tail := rand.New(rand.NewSource(int64(70 + bi)))
+		for i := 0; i < tailTicks; i++ {
+			batch := randomBatch(tail, tab.NumCells(), 60)
+			if err := e.ApplyTick(batch); err != nil {
+				t.Fatal(err)
+			}
+			ref.apply(batch)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		checkRecoveryEquivalence(t, fmt.Sprintf("budget %d + tail", budget), dir, ref, applied+tailTicks)
+
 		// A recovered engine must resume ticking (checkpoints from here on
 		// rewrite the directory, so this runs after all comparisons).
-		e, _, err := RecoverFrom(Options{Table: tab, Dir: dir, Mode: ModeCopyOnUpdate, Shards: 2})
+		e, _, err = RecoverFrom(Options{Table: tab, Dir: dir, Mode: ModeCopyOnUpdate, Shards: 2})
 		if err != nil {
 			t.Fatalf("budget %d: RecoverFrom for resume: %v", budget, err)
 		}
@@ -97,44 +119,50 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	}
 }
 
-// checkRecoveryEquivalence recovers the crashed directory serially and
-// through 1, 2 and 8 shards, and checks every result against the
-// never-crashed reference and against each other. It returns the serial
-// slab. No recovery ticks, so the directory is left as the crash left it
-// (torn tail aside).
+// checkRecoveryEquivalence recovers the crashed directory through Open and
+// through RecoverFrom at 1, 2 and 8 shards, and checks every slab against the
+// never-crashed reference and every recovery's counts against each other.
+// It returns the recovered slab. No recovery ticks, so the directory is left
+// as the crash left it (torn tail aside).
 func checkRecoveryEquivalence(t *testing.T, name, dir string, ref *reference, applied int) []byte {
 	t.Helper()
 	tab := shardTable()
-	// Serial recovery is the ground truth.
-	serial, err := Open(Options{Table: tab, Dir: dir, Mode: ModeCopyOnUpdate})
-	if err != nil {
-		t.Fatalf("%s: serial recovery: %v", name, err)
-	}
-	serialSlab := append([]byte(nil), serial.Store().Slab()...)
-	serialRec := serial.Recovery()
-	serial.Close()
-	if !ref.matches(&Store{table: tab, slab: serialSlab, cellsPerObj: uint32(tab.CellsPerObject())}) {
-		t.Fatalf("%s: serial recovery differs from never-crashed reference", name)
-	}
-	if serialRec.NextTick != uint64(applied) {
-		t.Errorf("%s: serial NextTick %d, want %d", name, serialRec.NextTick, applied)
-	}
-
-	for _, shards := range []int{1, 2, 8} {
-		e, pres, err := RecoverFrom(Options{Table: tab, Dir: dir, Mode: ModeCopyOnUpdate, Shards: shards})
+	var slab []byte
+	var first recovery.Result
+	// check compares one recovered engine with the reference and with the
+	// first recovery, then closes it. Closing without ticking leaves the
+	// directory untouched, so every recovery reads the same on-disk state.
+	check := func(what string, e *Engine, err error) {
+		t.Helper()
 		if err != nil {
-			t.Fatalf("%s shards %d: RecoverFrom: %v", name, shards, err)
+			t.Fatalf("%s: %s: %v", name, what, err)
 		}
-		if !bytes.Equal(e.Store().Slab(), serialSlab) {
-			t.Errorf("%s shards %d: parallel recovery differs from serial", name, shards)
+		defer func() {
+			if err := e.Close(); err != nil {
+				t.Errorf("%s: %s: close: %v", name, what, err)
+			}
+		}()
+		if !ref.matches(e.Store()) {
+			t.Errorf("%s: %s differs from never-crashed reference", name, what)
 		}
-		if got := e.Recovery(); got.NextTick != serialRec.NextTick ||
-			got.Restored != serialRec.Restored ||
-			got.ReplayedTicks != serialRec.ReplayedTicks ||
-			got.ReplayedUpdates != serialRec.ReplayedUpdates {
-			t.Errorf("%s shards %d: recovery result %+v, serial %+v",
-				name, shards, got, serialRec)
+		got := e.Recovery()
+		if slab == nil {
+			slab, first = append([]byte(nil), e.Store().Slab()...), got
+			if got.NextTick != uint64(applied) {
+				t.Errorf("%s: %s NextTick %d, want %d", name, what, got.NextTick, applied)
+			}
 		}
+		if got.NextTick != first.NextTick || got.Restored != first.Restored ||
+			got.ReplayedTicks != first.ReplayedTicks || got.ReplayedUpdates != first.ReplayedUpdates {
+			t.Errorf("%s: %s recovery result %+v, first recovery %+v", name, what, got, first)
+		}
+	}
+	for _, shards := range []int{1, 2, 8} {
+		opts := Options{Table: tab, Dir: dir, Mode: ModeCopyOnUpdate, Shards: shards}
+		e, err := Open(opts)
+		check(fmt.Sprintf("Open at %d shards", shards), e, err)
+		e, pres, err := RecoverFrom(opts)
+		check(fmt.Sprintf("RecoverFrom at %d shards", shards), e, err)
 		// Stage accounting sanity: the pipeline total may exceed the
 		// stage sum only by bookkeeping noise (goroutine setup, the
 		// reader's EOF scan), never by a stage's worth of serialization.
@@ -144,17 +172,11 @@ func checkRecoveryEquivalence(t *testing.T, name, dir string, ref *reference, ap
 			t.Errorf("%s shards %d: pipeline total %v far exceeds stage sum %v+%v",
 				name, shards, pres.TotalDuration, pres.RestoreDuration, pres.ReplayDuration)
 		}
-		if len(pres.Shards) != e.Shards() {
-			t.Errorf("%s shards %d: %d shard timings for %d shards",
-				name, shards, len(pres.Shards), e.Shards())
-		}
-		// Closing without ticking leaves the directory untouched, so
-		// every shard count recovers the same on-disk state.
-		if err := e.Close(); err != nil {
-			t.Errorf("%s shards %d: close: %v", name, shards, err)
+		if len(pres.Shards) != shards {
+			t.Errorf("%s shards %d: %d shard timings", name, shards, len(pres.Shards))
 		}
 	}
-	return serialSlab
+	return slab
 }
 
 // walSegments lists the start ticks in the names of dir's log segments,
@@ -254,7 +276,7 @@ func TestCrashRecoveryEquivalenceStaleSegment(t *testing.T) {
 		t.Fatalf("segment %d starts with tick %d (err %v), %d of %d skipped", newest, first, err, r.Skipped(), len(starts))
 	}
 
-	serialSlab := checkRecoveryEquivalence(t, "stale segment", dir, ref, 50)
+	want := checkRecoveryEquivalence(t, "stale segment", dir, ref, 50)
 
 	recoverSlab := func(name string) ([]byte, error) {
 		e, _, err := RecoverFrom(Options{Table: tab, Dir: dir, Mode: ModeNone, Shards: 2})
@@ -276,8 +298,8 @@ func TestCrashRecoveryEquivalenceStaleSegment(t *testing.T) {
 		}
 	}
 	oldName(true)
-	if slab, err := recoverSlab("old naming"); err != nil || !bytes.Equal(slab, serialSlab) {
-		t.Fatalf("directory with the segment named one too high: err %v, identical %v", err, bytes.Equal(slab, serialSlab))
+	if slab, err := recoverSlab("old naming"); err != nil || !bytes.Equal(slab, want) {
+		t.Fatalf("directory with the segment named one too high: err %v, identical %v", err, bytes.Equal(slab, want))
 	}
 	oldName(false)
 
@@ -292,17 +314,9 @@ func TestCrashRecoveryEquivalenceStaleSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if slab, err := recoverSlab("corrupt stale segments"); err != nil || !bytes.Equal(slab, serialSlab) {
-		t.Fatalf("corrupt stale segments: err %v, identical %v", err, bytes.Equal(slab, serialSlab))
+	if slab, err := recoverSlab("corrupt stale segments"); err != nil || !bytes.Equal(slab, want) {
+		t.Fatalf("corrupt stale segments: err %v, identical %v", err, bytes.Equal(slab, want))
 	}
-	serial, err := Open(Options{Table: tab, Dir: dir, Mode: ModeNone})
-	if err != nil {
-		t.Fatalf("serial recovery opened a stale segment: %v", err)
-	}
-	if !bytes.Equal(serial.Store().Slab(), serialSlab) {
-		t.Error("serial recovery past corrupt stale segments differs")
-	}
-	serial.Close()
 	// ...and one that cannot prove them stale still reports the corruption.
 	oldName(true)
 	if _, err := recoverSlab("old naming, corrupt"); err == nil {
@@ -311,8 +325,8 @@ func TestCrashRecoveryEquivalenceStaleSegment(t *testing.T) {
 }
 
 // TestRecoverFromTornHeader corrupts one backup's header after a crash —
-// parallel recovery must fall back to the intact image and still match the
-// serial path byte for byte.
+// recovery must fall back to the intact image and still match the
+// never-crashed reference byte for byte.
 func TestRecoverFromTornHeader(t *testing.T) {
 	tab := shardTable()
 	dir := t.TempDir()
@@ -331,23 +345,13 @@ func TestRecoverFromTornHeader(t *testing.T) {
 	}
 	f.Close()
 
-	serial, err := Open(Options{Table: tab, Dir: dir, Mode: ModeCopyOnUpdate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialSlab := append([]byte(nil), serial.Store().Slab()...)
-	serial.Close()
-
 	e, _, err := RecoverFrom(Options{Table: tab, Dir: dir, Mode: ModeCopyOnUpdate, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if !bytes.Equal(e.Store().Slab(), serialSlab) {
-		t.Error("torn-header parallel recovery differs from serial")
-	}
 	if !ref.matches(e.Store()) {
-		t.Error("torn-header parallel recovery differs from never-crashed reference")
+		t.Error("torn-header recovery differs from never-crashed reference")
 	}
 }
 

@@ -57,18 +57,19 @@ func writeMixedLog(t *testing.T, dir string) []byte {
 	return slab
 }
 
-// recoverEveryWay recovers dir through the serial Open path and through the
-// pipeline at 1, 2 and 8 shards and requires all four to agree on the slab,
-// the next tick and the replayed-update count. It returns the serial slab.
+// recoverEveryWay recovers dir through Open at the options' width and
+// through RecoverFrom at 1, 2 and 8 shards and requires all four to agree on
+// the slab, the next tick and the replayed-update count. It returns Open's
+// slab.
 func recoverEveryWay(t *testing.T, opts Options) []byte {
 	t.Helper()
-	serial, err := Open(opts)
+	opened, err := Open(opts)
 	if err != nil {
-		t.Fatalf("serial recovery: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
-	slab := append([]byte(nil), serial.Store().Slab()...)
-	want := serial.Recovery()
-	serial.Close()
+	slab := append([]byte(nil), opened.Store().Slab()...)
+	want := opened.Recovery()
+	opened.Close()
 	for _, shards := range []int{1, 2, 8} {
 		opts.Shards = shards
 		e, pres, err := RecoverFrom(opts)
@@ -79,10 +80,10 @@ func recoverEveryWay(t *testing.T, opts Options) []byte {
 			t.Fatalf("plan folded to %d shards, want %d", e.Shards(), shards)
 		}
 		if !bytes.Equal(e.Store().Slab(), slab) {
-			t.Errorf("shards %d: slab differs from serial recovery", shards)
+			t.Errorf("shards %d: slab differs from Open's", shards)
 		}
 		if pres.ReplayedUpdates != want.ReplayedUpdates || pres.NextTick != want.NextTick || pres.ReplayedTicks != want.ReplayedTicks {
-			t.Errorf("shards %d: replayed %d updates over %d ticks to tick %d; serial %d over %d to %d", shards,
+			t.Errorf("shards %d: replayed %d updates over %d ticks to tick %d; Open %d over %d to %d", shards,
 				pres.ReplayedUpdates, pres.ReplayedTicks, pres.NextTick, want.ReplayedUpdates, want.ReplayedTicks, want.NextTick)
 		}
 		if pres.BatchesInFlightMax < 1 || pres.DecodeBusy <= 0 || pres.ApplyBusy <= 0 {
@@ -95,8 +96,8 @@ func recoverEveryWay(t *testing.T, opts Options) []byte {
 }
 
 // TestMixedLogRecoversAtEveryWidth: update, message and install records in
-// one log come back byte-identical through the serial path and
-// the reader → decoders → appliers pipeline at 1, 2 and 8 shards, with the
+// one log come back byte-identical through Open and through the
+// reader → decoders → appliers pipeline at 1, 2 and 8 shards, with the
 // same replayed-update count, and equal to the engine that never crashed.
 func TestMixedLogRecoversAtEveryWidth(t *testing.T) {
 	dir := t.TempDir()
@@ -174,8 +175,7 @@ func updatesRecord(updates ...wal.Update) []byte {
 }
 
 // TestReplayDropsCellsPastTheTable: a logged update to a cell beyond the
-// last object is dropped and not counted, on the serial path and at every
-// pipeline width alike.
+// last object is dropped and not counted at every pipeline width alike.
 func TestReplayDropsCellsPastTheTable(t *testing.T) {
 	tab := shardTable()
 	end := uint32(tab.NumObjects() * tab.CellsPerObject())
@@ -200,8 +200,8 @@ func TestReplayDropsCellsPastTheTable(t *testing.T) {
 
 // TestUndecodableRecordNamesItsTick: a record whose frame is intact but
 // whose body does not decode — a truncated batch, a message too short for
-// its header, a record of the retired action kind 1 — fails recovery, on
-// either path, with an error that says which tick it was.
+// its header, a record of the retired action kind 1 — fails recovery, through
+// Open and at every width, with an error that says which tick it was.
 func TestUndecodableRecordNamesItsTick(t *testing.T) {
 	good := updatesRecord(wal.Update{Cell: 9, Value: 9})
 	torn := updatesRecord(wal.Update{Cell: 70_000, Value: 1}, wal.Update{Cell: 3, Value: 2})
@@ -217,7 +217,7 @@ func TestUndecodableRecordNamesItsTick(t *testing.T) {
 		dir := handWrittenLog(t, good, good, good, bad, good)
 		opts := Options{Table: shardTable(), Dir: dir, Mode: ModeNone}
 		if _, err := Open(opts); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: serial recovery error %v does not say %q", name, err, want)
+			t.Errorf("%s: Open error %v does not say %q", name, err, want)
 		}
 		for _, shards := range []int{1, 2, 8} {
 			opts.Shards = shards

@@ -320,7 +320,7 @@ func OpenStandby(opts Options, nextTick uint64, data []byte) (*Engine, error) {
 		// no image beneath it: unrecoverable by construction.
 		return nil, errors.New("engine: a standby needs a checkpointing mode (ModeNone cannot persist the bootstrap snapshot)")
 	}
-	e, _, err := open(opts, false, nil)
+	e, err := Open(opts)
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ import (
 // must yield an independent iteration over the same records. A nil records
 // is RecoverFrom.
 func RecoverWith(opts Options, records func() (recovery.RecordSource, error)) (*Engine, recovery.ParallelResult, error) {
-	return open(opts, true, records)
+	return open(opts, records)
 }
 
 // heal makes the local directory self-sufficient again after a recovery

@@ -379,7 +379,7 @@ func TestKSafetyComparison(t *testing.T) {
 
 // checkRecoveryRows checks a recoverytime sweep's counts, none of which
 // compares one timing with another: the sweep covers wantRows cells, every
-// cell's promoted, cold and serial states match the serial reference, replay
+// cell's promoted, cold and one-shard states match the serial reference, replay
 // covers exactly the log length, the standby promotes at the crash tick,
 // every timing is populated, the cold pipeline runs at the requested width,
 // and the table and wantSeries series per figure are populated.
@@ -417,7 +417,7 @@ func checkRecoveryRows(t *testing.T, rt *RecoveryTimeResult, wantRows, wantSerie
 
 // TestRecoveryTimePipeline runs the whole crash-point cell (warm
 // checkpointing engine → live replicated phase → crash → promote → cold
-// pipeline → serial recovery) unthrottled at a micro geometry, for both
+// pipeline → one-shard pipeline) unthrottled at a micro geometry, for both
 // methods and two log lengths, and checks the sweep's counts.
 func TestRecoveryTimePipeline(t *testing.T) {
 	tab := gamestate.Table{Rows: 8192, Cols: 8, CellSize: 4, ObjSize: 512}
@@ -440,7 +440,8 @@ func TestRecoveryTimePipeline(t *testing.T) {
 // TestFailoverTimeWarmStandby runs one unthrottled crash-point cell on the
 // paper's Zipf trace at the quick geometry and checks the warm path's
 // contract: the standby promotes at the crash tick, byte-identical to cold
-// and serial recovery, with the takeover and every other timing populated.
+// recovery at its width and at one shard, with the takeover and every other
+// timing populated.
 func TestFailoverTimeWarmStandby(t *testing.T) {
 	rt, err := RunRecoveryTime(Quick, 1, RecoveryTimeOptions{
 		Scenarios:       []string{"hotspot"},

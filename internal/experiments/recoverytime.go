@@ -32,10 +32,11 @@ import (
 //     primary's directory and reports its stages. Restore and replay
 //     overlap, so the pipeline undercuts the sum of its stages; the overlap
 //     column is the recovery time the pipelining buys back;
-//  5. serial — engine.Open on the same directory gives the single-core
-//     ΔTrestore + ΔTreplay baseline.
+//  5. serial — the same pipeline at one shard on the same directory: its
+//     one replay worker waits for the whole restore, so its restore +
+//     replay stage sum is the single-core ΔTrestore + ΔTreplay baseline.
 //
-// The promoted, cold and serial slabs must each be byte-identical to a
+// The promoted, cold and one-shard slabs must each be byte-identical to a
 // serial in-memory apply of the scenario. A cell that fails identity is
 // corrupt no matter how fast it was. By default the backup devices emulate
 // the paper's dedicated recovery disk (60 MB/s at full scale, 6 MB/s at
@@ -61,7 +62,8 @@ type RecoveryTimeRow struct {
 	Replay  time.Duration
 	Total   time.Duration
 	Overlap time.Duration
-	// Serial is ΔTrestore + ΔTreplay through the serial recovery path.
+	// Serial is ΔTrestore + ΔTreplay of the one-shard pipeline: its restore
+	// and replay stage sum.
 	Serial time.Duration
 	// Takeover is the warm path: primary death → promoted standby ready.
 	Takeover time.Duration
@@ -69,8 +71,8 @@ type RecoveryTimeRow struct {
 	// is the tick the promoted standby applies next.
 	ReplayedTicks int
 	StandbyTicks  uint64
-	// Identical: the promoted, cold and serial states all match the serial
-	// reference byte for byte.
+	// Identical: the promoted, cold and one-shard states all match the
+	// serial reference byte for byte.
 	Identical bool
 }
 
@@ -248,8 +250,8 @@ func scenarioReference(table gamestate.Table, src workload.Source, extra func(t 
 
 // recoveryCell runs row's crash point and fills in its measurements: the
 // warm checkpointing phase, the live replicated phase, the timed promotion,
-// then cold pipeline and serial recovery of the dead primary's directory,
-// each compared with the reference ref.
+// then cold recovery of the dead primary's directory at the row's width and
+// at one shard, each compared with the reference ref.
 func recoveryCell(row *RecoveryTimeRow, table gamestate.Table, src workload.Source, ref []byte, diskRate float64) error {
 	pdir, err := os.MkdirTemp("", "mmorecov-p")
 	if err != nil {
@@ -360,13 +362,15 @@ func recoveryCell(row *RecoveryTimeRow, table gamestate.Table, src workload.Sour
 		return err
 	}
 
-	// Serial: the single-core baseline on the same directory.
-	serial, err := engine.Open(options(pdir, row.Mode))
+	// Serial: the one-shard pipeline, the single-core baseline, on the same
+	// directory.
+	one := options(pdir, row.Mode)
+	one.Shards = 1
+	serial, spres, err := engine.RecoverFrom(one)
 	if err != nil {
 		return err
 	}
-	rec := serial.Recovery()
-	row.Serial = rec.RestoreDuration + rec.ReplayDuration
+	row.Serial = spres.RestoreDuration + spres.ReplayDuration
 	row.Identical = identical && bytes.Equal(serial.Store().Slab(), ref)
 	return serial.Close()
 }

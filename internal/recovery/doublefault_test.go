@@ -21,9 +21,9 @@ func TestChooseBackupBothHeadersUnreadable(t *testing.T) {
 		}
 		return pBackup(t, disk.NewReadFault(dev))
 	}
-	idx, _, err := ChooseBackup(mk(), mk())
+	idx, _, _, err := chooseBackup(mk(), mk())
 	if err == nil {
-		t.Fatal("both headers unreadable but ChooseBackup returned nil error")
+		t.Fatal("both headers unreadable but chooseBackup returned nil error")
 	}
 	if idx != -1 {
 		t.Fatalf("both headers unreadable but backup %d was chosen", idx)
@@ -64,18 +64,18 @@ func TestChooseBackupClassificationMatrix(t *testing.T) {
 
 	// Fresh + fresh: ErrNoImage on both classifies as a cold start — no
 	// error, no image chosen.
-	if idx, _, err := ChooseBackup(fresh(), fresh()); err != nil || idx != -1 {
+	if idx, _, _, err := chooseBackup(fresh(), fresh()); err != nil || idx != -1 {
 		t.Fatalf("fresh pair: idx=%d err=%v, want cold start (-1, nil)", idx, err)
 	}
 	// Fresh + complete: the lone image wins; the ErrNoImage side is not an
 	// error.
-	if idx, h, err := ChooseBackup(fresh(), complete(4)); err != nil || idx != 1 || h.Epoch != 4 {
+	if idx, h, _, err := chooseBackup(fresh(), complete(4)); err != nil || idx != 1 || h.Epoch != 4 {
 		t.Fatalf("fresh+complete: idx=%d epoch=%d err=%v, want backup 1 epoch 4", idx, h.Epoch, err)
 	}
 	// Sick + complete: a device error on one backup degrades to the
 	// survivor without surfacing the error, even though the sick backup's
 	// image was newer.
-	if idx, h, err := ChooseBackup(sick(), complete(4)); err != nil || idx != 1 || h.Epoch != 4 {
+	if idx, h, _, err := chooseBackup(sick(), complete(4)); err != nil || idx != 1 || h.Epoch != 4 {
 		t.Fatalf("sick+complete: idx=%d epoch=%d err=%v, want backup 1 epoch 4", idx, h.Epoch, err)
 	}
 }

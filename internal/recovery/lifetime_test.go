@@ -59,7 +59,7 @@ func TestRecoverParallelPayloadsOutliveTheirChunk(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(shards)))
 			mem := disk.NewMem()
 			a, b := pBackup(t, mem), pBackup(t, disk.NewMem())
-			log := buildWorkload(t, a, t.TempDir(), 0, 0, 31)
+			log, image, _ := buildWorkload(t, a, t.TempDir(), 0, 0, 31)
 			defer log.Close()
 			// About 10 MB in flight at the bound: two and a half chunks.
 			per := (10 << 20) / bound
@@ -76,10 +76,6 @@ func TestRecoverParallelPayloadsOutliveTheirChunk(t *testing.T) {
 					rng.Read(small)
 					extra = append(extra, record{tick - 1, small})
 				}
-			}
-			image := make([]byte, pObj*pObjSize)
-			if _, err := Restore(a, b, image); err != nil {
-				t.Fatal(err)
 			}
 
 			for _, merged := range []bool{false, true} {

@@ -81,12 +81,7 @@ func checkMerge(t *testing.T, logRecs, extra, want []record) {
 			t.Fatal(err)
 		}
 	}
-	ref := slices.Clone(img)
-	for _, rec := range want {
-		if err := applyBatch(ref, rec.payload); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ref := applyFrom(t, img, want, 0)
 	last := logRecs[len(logRecs)-1].tick
 	lastRecs := 0
 	for _, rec := range logRecs {

@@ -34,8 +34,9 @@ func applyBatch(slab []byte, payload []byte) error {
 }
 
 // buildWorkload writes an image consistent as of asOf into a and a log of
-// [0, ticks) update batches, returning the log.
-func buildWorkload(t *testing.T, a *disk.Backup, dir string, asOf uint64, ticks int, seed int64) *wal.Log {
+// [0, ticks) update batches, returning the log, the image and the records
+// it logged.
+func buildWorkload(t *testing.T, a *disk.Backup, dir string, asOf uint64, ticks int, seed int64) (*wal.Log, []byte, []record) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	img := make([]byte, pObj*pObjSize)
@@ -50,16 +51,35 @@ func buildWorkload(t *testing.T, a *disk.Backup, dir string, asOf uint64, ticks 
 	if err != nil {
 		t.Fatal(err)
 	}
+	var recs []record
 	for tick := uint64(0); tick < uint64(ticks); tick++ {
 		var batch []wal.Update
 		for i := 0; i < 20; i++ {
 			batch = append(batch, wal.Update{Cell: uint32(rng.Intn(pCells)), Value: rng.Uint32()})
 		}
-		if err := log.Append(tick, wal.EncodeUpdates(nil, batch)); err != nil {
+		payload := wal.EncodeUpdates(nil, batch)
+		if err := log.Append(tick, payload); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, record{tick, payload})
+	}
+	return log, img, recs
+}
+
+// applyFrom is the in-memory reference of a recovery whose image floor is
+// from: img with every record at or above from applied in log order.
+func applyFrom(t *testing.T, img []byte, recs []record, from uint64) []byte {
+	t.Helper()
+	slab := bytes.Clone(img)
+	for _, rec := range recs {
+		if rec.tick < from {
+			continue
+		}
+		if err := applyBatch(slab, rec.payload); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return log
+	return slab
 }
 
 func pBackup(t *testing.T, dev disk.Device) *disk.Backup {
@@ -71,22 +91,16 @@ func pBackup(t *testing.T, dev disk.Device) *disk.Backup {
 	return b
 }
 
+// TestRecoverParallelMatchesSerial: at any shard count the pipeline reaches
+// the serial reference — the image the test wrote with every logged batch
+// above its floor applied in order — and counts exactly those ticks and
+// updates.
 func TestRecoverParallelMatchesSerial(t *testing.T) {
+	const asOf, ticks, perTick = 10, 40, 20
 	a, b := pBackup(t, disk.NewMem()), pBackup(t, disk.NewMem())
-	log := buildWorkload(t, a, t.TempDir(), 10, 40, 7)
+	log, img, recs := buildWorkload(t, a, t.TempDir(), asOf, ticks, 7)
 	defer log.Close()
-
-	serialSlab := make([]byte, pObj*pObjSize)
-	serialRes, err := replayUpdates(a, b, serialSlab, log,
-		func(u wal.Update) {
-			serialSlab[u.Cell*4] = byte(u.Value)
-			serialSlab[u.Cell*4+1] = byte(u.Value >> 8)
-			serialSlab[u.Cell*4+2] = byte(u.Value >> 16)
-			serialSlab[u.Cell*4+3] = byte(u.Value >> 24)
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := applyFrom(t, img, recs, asOf+1)
 
 	for _, shards := range []int{1, 2, 4, 7} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -95,13 +109,14 @@ func TestRecoverParallelMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(slab, serialSlab) {
-				t.Fatal("parallel recovery slab differs from serial")
+			if !bytes.Equal(slab, want) {
+				t.Fatal("parallel recovery slab differs from the serial reference")
 			}
-			if res.NextTick != serialRes.NextTick || res.ReplayedTicks != serialRes.ReplayedTicks ||
-				res.ReplayedUpdates != serialRes.ReplayedUpdates ||
-				res.Restored != serialRes.Restored || res.AsOfTick != serialRes.AsOfTick {
-				t.Errorf("parallel result %+v differs from serial %+v", res.Result, serialRes)
+			const replayed = ticks - asOf - 1
+			if !res.Restored || res.AsOfTick != asOf || res.NextTick != ticks ||
+				res.ReplayedTicks != replayed || res.ReplayedUpdates != replayed*perTick {
+				t.Errorf("result %+v, want image as of %d, next tick %d, %d ticks and %d updates replayed",
+					res.Result, asOf, ticks, replayed, replayed*perTick)
 			}
 			if len(res.Shards) == 0 || res.TotalDuration <= 0 {
 				t.Errorf("missing pipeline timings: %+v", res)
@@ -243,7 +258,7 @@ func TestRecoverParallelValidatesGeometry(t *testing.T) {
 
 func TestRecoverParallelApplyErrorPropagates(t *testing.T) {
 	a, b := pBackup(t, disk.NewMem()), pBackup(t, disk.NewMem())
-	log := buildWorkload(t, a, t.TempDir(), 2, 10, 11)
+	log, _, _ := buildWorkload(t, a, t.TempDir(), 2, 10, 11)
 	defer log.Close()
 	sentinel := errors.New("boom")
 	slab := make([]byte, pObj*pObjSize)
@@ -272,7 +287,7 @@ func TestRecoverParallelOverlap(t *testing.T) {
 	// runner.
 	dev := disk.NewThrottle(disk.NewMem(), 1e5)
 	a, b := pBackup(t, dev), pBackup(t, disk.NewMem())
-	log := buildWorkload(t, a, t.TempDir(), 0, 60, 13)
+	log, _, _ := buildWorkload(t, a, t.TempDir(), 0, 60, 13)
 	defer log.Close()
 	slab := make([]byte, pObj*pObjSize)
 	res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(pObj, 4)}))
@@ -304,7 +319,7 @@ func TestChooseBackupDegradesToReadableBackup(t *testing.T) {
 	}
 	bad := pBackup(t, disk.NewReadFault(badDev))
 
-	idx, h, err := ChooseBackup(good, bad)
+	idx, h, _, err := chooseBackup(good, bad)
 	if err != nil {
 		t.Fatalf("degraded choose errored: %v", err)
 	}
@@ -312,19 +327,19 @@ func TestChooseBackupDegradesToReadableBackup(t *testing.T) {
 		t.Errorf("chose %d epoch %d, want backup 0 epoch 3", idx, h.Epoch)
 	}
 	// Order must not matter.
-	idx, h, err = ChooseBackup(bad, good)
+	idx, h, _, err = chooseBackup(bad, good)
 	if err != nil || idx != 1 || h.Epoch != 3 {
 		t.Errorf("reversed: idx=%d epoch=%d err=%v, want backup 1 epoch 3", idx, h.Epoch, err)
 	}
 
 	// Restore through the degraded pair works end to end.
 	slab := make([]byte, pObj*pObjSize)
-	res, err := Restore(good, bad, slab)
+	res, err := RecoverParallel(ParallelOptions{A: good, B: bad, Slab: slab, Ranges: evenRanges(pObj, 1)})
 	if err != nil {
 		t.Fatalf("degraded restore: %v", err)
 	}
 	if !res.Restored || res.BackupIndex != 0 || !bytes.Equal(slab, img) {
-		t.Errorf("degraded restore result %+v", res)
+		t.Errorf("degraded restore result %+v", res.Result)
 	}
 }
 
@@ -338,11 +353,11 @@ func TestChooseBackupFailsWhenBothUnusable(t *testing.T) {
 	}
 	bad := pBackup(t, disk.NewReadFault(badDev))
 	fresh := pBackup(t, disk.NewMem())
-	if _, _, err := ChooseBackup(bad, fresh); !errors.Is(err, disk.ErrFaultInjected) {
+	if _, _, _, err := chooseBackup(bad, fresh); !errors.Is(err, disk.ErrFaultInjected) {
 		t.Errorf("both-unusable choose = %v, want wrapped ErrFaultInjected", err)
 	}
 	// Two erroring backups: still an error.
-	if _, _, err := ChooseBackup(bad, bad); err == nil {
+	if _, _, _, err := chooseBackup(bad, bad); err == nil {
 		t.Error("two faulted backups chosen silently")
 	}
 }
@@ -392,7 +407,7 @@ func TestRecoverParallelSkipsStaleSegments(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := pBackup(t, disk.NewMem()), pBackup(t, disk.NewMem())
 			dir := t.TempDir()
-			log := buildWorkload(t, a, dir, asOf, asOf+1, 11)
+			log, img, _ := buildWorkload(t, a, dir, asOf, asOf+1, 11)
 			defer log.Close()
 			if err := log.Append(asOf, wal.EncodeUpdates(nil, nil)); err != nil { // two records at the stale segment's last tick
 				t.Fatal(err)
@@ -406,9 +421,11 @@ func TestRecoverParallelSkipsStaleSegments(t *testing.T) {
 				}
 			}
 			rng := rand.New(rand.NewSource(3))
+			var tail []record
 			for _, tick := range tc.tail {
 				batch := []wal.Update{{Cell: uint32(rng.Intn(pCells)), Value: rng.Uint32()}}
-				if err := log.Append(tick, wal.EncodeUpdates(nil, batch)); err != nil {
+				tail = append(tail, record{tick, wal.EncodeUpdates(nil, batch)})
+				if err := log.Append(tick, tail[len(tail)-1].payload); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -417,12 +434,7 @@ func TestRecoverParallelSkipsStaleSegments(t *testing.T) {
 			}
 			wantLast, wantSaw, wantRecs := unskippedLogStats(t, dir)
 
-			serialSlab := make([]byte, pObj*pObjSize)
-			if _, err := RunRecords(a, b, serialSlab, log, func(_ uint64, payload []byte) error {
-				return applyBatch(serialSlab, payload)
-			}); err != nil {
-				t.Fatal(err)
-			}
+			want := applyFrom(t, img, tail, asOf+1)
 
 			telemetry.Enable()
 			defer telemetry.Disable()
@@ -432,8 +444,8 @@ func TestRecoverParallelSkipsStaleSegments(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(slab, serialSlab) {
-				t.Error("recovery that skips the stale segment differs from serial")
+			if !bytes.Equal(slab, want) {
+				t.Error("recovery that skips the stale segment differs from the image plus the tail")
 			}
 			if res.LastLogTick != wantLast || res.SawLogTick != wantSaw || res.LastTickRecords != wantRecs {
 				t.Errorf("log end (%d, %v, %d records), an unskipped read reports (%d, %v, %d)",
@@ -476,7 +488,7 @@ func TestRecoverParallelSkipsStaleSegments(t *testing.T) {
 func TestRecoverParallelStopsAtUndecodableRecord(t *testing.T) {
 	const asOf, badTick = 10, 25
 	a, b := pBackup(t, disk.NewMem()), pBackup(t, disk.NewMem())
-	log := buildWorkload(t, a, t.TempDir(), asOf, badTick, 17)
+	log, img, recs := buildWorkload(t, a, t.TempDir(), asOf, badTick, 17)
 	defer log.Close()
 	good := wal.EncodeUpdates(nil, []wal.Update{{Cell: 5, Value: 0xBAD}, {Cell: pCells - 1, Value: 0xBAD}})
 	if err := log.Append(badTick, good[:len(good)-3]); err != nil { // claims two updates, holds one and a half
@@ -487,13 +499,9 @@ func TestRecoverParallelStopsAtUndecodableRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The serial reference stops at the same record.
-	want := make([]byte, pObj*pObjSize)
-	if _, err := replayUpdates(a, b, want, log, func(u wal.Update) {
-		binary.LittleEndian.PutUint32(want[u.Cell*4:], u.Value)
-	}); err == nil {
-		t.Fatal("serial recovery accepted the truncated batch")
-	}
+	// Recovery stops at the bad record: the reference is the image with the
+	// records before it applied.
+	want := applyFrom(t, img, recs, asOf+1)
 	for _, shards := range []int{1, 2, 8} {
 		slab := bytes.Repeat([]byte{0xFF}, pObj*pObjSize)
 		res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(pObj, shards)}))
@@ -519,7 +527,7 @@ func TestRecoverParallelStopsAtUndecodableRecord(t *testing.T) {
 // recovery/replay span.
 func TestRecoverParallelFreeListBound(t *testing.T) {
 	a, b := pBackup(t, disk.NewMem()), pBackup(t, disk.NewMem())
-	log := buildWorkload(t, a, t.TempDir(), 0, 2000, 23)
+	log, _, _ := buildWorkload(t, a, t.TempDir(), 0, 2000, 23)
 	defer log.Close()
 	telemetry.Enable()
 	defer telemetry.Disable()
@@ -571,7 +579,7 @@ func TestOverlapNeverNegative(t *testing.T) {
 // or with the wrong number of cell bounds is refused up front.
 func TestRecoverParallelSplitNeedsItsHalves(t *testing.T) {
 	a, b := pBackup(t, disk.NewMem()), pBackup(t, disk.NewMem())
-	log := buildWorkload(t, a, t.TempDir(), 0, 3, 29)
+	log, _, _ := buildWorkload(t, a, t.TempDir(), 0, 3, 29)
 	defer log.Close()
 	slab := make([]byte, pObj*pObjSize)
 	opts := updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(pObj, 2)})

@@ -25,9 +25,9 @@ func (d *readLog) ReadAt(p []byte, off int64) (int, error) {
 
 // TestRestoreSkipsClearWords: an image whose populated map clears a word
 // restores that word as the zeros the slab holds and reads none of its
-// bytes — even where the file holds stray bytes there — through the serial
-// restore and the pipeline at shard ranges that cut words apart. Every other
-// byte of the image is read and restored.
+// bytes — even where the file holds stray bytes there — through the
+// pipeline at one range and at shard ranges that cut words apart. Every
+// other byte of the image is read and restored.
 func TestRestoreSkipsClearWords(t *testing.T) {
 	const objects, objSize = 256, 16 // 4 bitmap words
 	const gap = 1
@@ -40,17 +40,8 @@ func TestRestoreSkipsClearWords(t *testing.T) {
 	lo, hi := int64(disk.HeaderSize+gap*wordBytes), int64(disk.HeaderSize+(gap+1)*wordBytes)
 	clear(want[gap*wordBytes : (gap+1)*wordBytes])
 
-	restores := map[string]func(a, b *disk.Backup, slab []byte) (Result, error){
-		"serial": Restore,
-	}
 	for _, shards := range []int{1, 2, 3, 8} {
-		restores[fmt.Sprintf("parallel/shards=%d", shards)] = func(a, b *disk.Backup, slab []byte) (Result, error) {
-			res, err := RecoverParallel(ParallelOptions{A: a, B: b, Slab: slab, Ranges: evenRanges(objects, shards)})
-			return res.Result, err
-		}
-	}
-	for name, restore := range restores {
-		t.Run(name, func(t *testing.T) {
+		t.Run(fmt.Sprintf("parallel/shards=%d", shards), func(t *testing.T) {
 			// The shards' run reads meet in one Throttle, as the engine's do.
 			dev := &readLog{Device: disk.NewMem()}
 			a, err := disk.NewBackup(disk.NewThrottle(dev, 1e9), objects, objSize)
@@ -69,12 +60,12 @@ func TestRestoreSkipsClearWords(t *testing.T) {
 				t.Fatal(err)
 			}
 			slab := make([]byte, objects*objSize)
-			res, err := restore(a, b, slab)
+			res, err := RecoverParallel(ParallelOptions{A: a, B: b, Slab: slab, Ranges: evenRanges(objects, shards)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !res.Restored || res.BackupIndex != 0 || res.Images[0].Has(gap) || !res.Images[0].Has(0) {
-				t.Fatalf("result %+v: want backup 0 restored with word %d clear in its map", res, gap)
+				t.Fatalf("result %+v: want backup 0 restored with word %d clear in its map", res.Result, gap)
 			}
 			if !bytes.Equal(slab, want) {
 				t.Fatal("restored state differs from the image with the clear word zeroed")

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/disk"
-	"repro/internal/wal"
 )
 
 // Result describes a completed recovery.
@@ -36,21 +35,15 @@ type Result struct {
 	Images [2]disk.Populated
 }
 
-// ChooseBackup inspects both image headers and returns the index of the
-// newest complete image, or -1 if neither is usable. disk.ErrNoImage from a
-// header read is treated as "no image" (fresh or torn), not an error. Any
-// other header error (unreadable device, geometry mismatch) makes that
-// backup unusable but does not abort recovery: the point of the double
-// backup is that one image surviving is enough. Recovery fails only when a
-// backup errored AND no complete image exists — falling back to an empty
-// state would silently discard the state the broken backup may hold.
-func ChooseBackup(a, b *disk.Backup) (int, disk.Header, error) {
-	idx, h, _, err := chooseBackup(a, b)
-	return idx, h, err
-}
-
-// chooseBackup is ChooseBackup that also returns each backup's populated
-// map (see Result.Images).
+// chooseBackup inspects both image headers and returns the index of the
+// newest complete image, or -1 if neither is usable, with each backup's
+// populated map (see Result.Images). disk.ErrNoImage from a header read is
+// treated as "no image" (fresh or torn), not an error. Any other header
+// error (unreadable device, geometry mismatch) makes that backup unusable
+// but does not abort recovery: the point of the double backup is that one
+// image surviving is enough. Recovery fails only when a backup errored AND
+// no complete image exists — falling back to an empty state would silently
+// discard the state the broken backup may hold.
 func chooseBackup(a, b *disk.Backup) (int, disk.Header, [2]disk.Populated, error) {
 	var best disk.Header
 	var maps [2]disk.Populated
@@ -82,43 +75,7 @@ func chooseBackup(a, b *disk.Backup) (int, disk.Header, [2]disk.Populated, error
 	return idx, best, maps, nil
 }
 
-// Restore loads the newest complete image into slab. If neither image is
-// complete the slab is zeroed. Otherwise only the words the image's
-// populated map covers are read: the rest of slab must already be zero, as
-// a fresh disk.MapZeroed slab is. It returns which image was used.
-func Restore(a, b *disk.Backup, slab []byte) (Result, error) {
-	start := time.Now()
-	idx, h, maps, err := chooseBackup(a, b)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{BackupIndex: idx, Images: maps}
-	if idx < 0 {
-		for i := range slab {
-			slab[i] = 0
-		}
-		res.RestoreDuration = time.Since(start)
-		return res, nil
-	}
-	src := a
-	if idx == 1 {
-		src = b
-	}
-	if len(slab) != src.Objects()*src.ObjSize() {
-		return Result{}, fmt.Errorf("recovery: slab %d bytes, image holds %d", len(slab), src.Objects()*src.ObjSize())
-	}
-	if err := readImage(src, maps[idx], slab, 0, src.Objects()); err != nil {
-		return Result{}, fmt.Errorf("recovery: restore image %d: %w", idx, err)
-	}
-	res.Restored = true
-	res.Epoch = h.Epoch
-	res.AsOfTick = h.AsOfTick
-	res.NextTick = h.AsOfTick + 1
-	res.RestoreDuration = time.Since(start)
-	return res, nil
-}
-
-// readImage is the one run walker of both restores: it reads the objects
+// readImage is the restore's run walker: it reads the objects
 // [lo, hi) of src's image that lie in words p covers into slab, one vectored
 // read of restoreChunk slices per run of consecutive covered words, and
 // leaves every other object of slab as it is.
@@ -145,41 +102,4 @@ func readImage(src *disk.Backup, p disk.Populated, slab []byte, lo, hi int) erro
 		start = end
 	}
 	return nil
-}
-
-// RunRecords performs full recovery with caller-interpreted log records:
-// Restore, then invoke apply for every logged record after the image's
-// consistency point, in log order. The caller decides what a record payload
-// means (the engine mixes update batches, messages and range installs in one
-// log).
-func RunRecords(a, b *disk.Backup, slab []byte, log *wal.Log,
-	apply func(tick uint64, payload []byte) error) (Result, error) {
-
-	res, err := Restore(a, b, slab)
-	if err != nil {
-		return res, err
-	}
-	from := uint64(0)
-	if res.Restored {
-		from = res.AsOfTick + 1
-	}
-	replayStart := time.Now()
-	lastTick := uint64(0)
-	sawTick := false
-	err = log.Replay(from, func(tick uint64, payload []byte) error {
-		if !sawTick || tick != lastTick {
-			res.ReplayedTicks++
-		}
-		sawTick = true
-		lastTick = tick
-		return apply(tick, payload)
-	})
-	if err != nil {
-		return res, fmt.Errorf("recovery: replay: %w", err)
-	}
-	res.ReplayDuration = time.Since(replayStart)
-	if sawTick {
-		res.NextTick = lastTick + 1
-	}
-	return res, nil
 }

@@ -37,7 +37,7 @@ func TestChooseBackupPicksNewestComplete(t *testing.T) {
 	a, b := mkBackup(t), mkBackup(t)
 	fillImage(t, a, 1, disk.Header{Epoch: 3, AsOfTick: 30, Complete: true})
 	fillImage(t, b, 2, disk.Header{Epoch: 4, AsOfTick: 40, Complete: true})
-	idx, h, err := ChooseBackup(a, b)
+	idx, h, _, err := chooseBackup(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestChooseBackupSkipsIncomplete(t *testing.T) {
 	a, b := mkBackup(t), mkBackup(t)
 	fillImage(t, a, 1, disk.Header{Epoch: 3, AsOfTick: 30, Complete: true})
 	fillImage(t, b, 2, disk.Header{Epoch: 4, AsOfTick: 40, Complete: false}) // torn
-	idx, h, err := ChooseBackup(a, b)
+	idx, h, _, err := chooseBackup(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestChooseBackupSkipsIncomplete(t *testing.T) {
 }
 
 func TestChooseBackupNone(t *testing.T) {
-	idx, _, err := ChooseBackup(mkBackup(t), mkBackup(t))
+	idx, _, _, err := chooseBackup(mkBackup(t), mkBackup(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,16 +69,22 @@ func TestChooseBackupNone(t *testing.T) {
 	}
 }
 
+// restoreOnly runs RecoverParallel without a log over one range, the whole
+// object space.
+func restoreOnly(a, b *disk.Backup, slab []byte) (ParallelResult, error) {
+	return RecoverParallel(ParallelOptions{A: a, B: b, Slab: slab, Ranges: evenRanges(a.Objects(), 1)})
+}
+
 func TestRestoreLoadsImage(t *testing.T) {
 	a, b := mkBackup(t), mkBackup(t)
 	fillImage(t, a, 0xAA, disk.Header{Epoch: 9, AsOfTick: 99, Complete: true})
 	slab := make([]byte, nObj*objSize)
-	res, err := Restore(a, b, slab)
+	res, err := restoreOnly(a, b, slab)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Restored || res.Epoch != 9 || res.AsOfTick != 99 || res.NextTick != 100 {
-		t.Errorf("restore result: %+v", res)
+		t.Errorf("restore result: %+v", res.Result)
 	}
 	for i, v := range slab {
 		if v != 0xAA {
@@ -89,7 +95,7 @@ func TestRestoreLoadsImage(t *testing.T) {
 
 func TestRestoreZeroesWithoutImage(t *testing.T) {
 	slab := bytes.Repeat([]byte{0xFF}, nObj*objSize)
-	res, err := Restore(mkBackup(t), mkBackup(t), slab)
+	res, err := restoreOnly(mkBackup(t), mkBackup(t), slab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +132,12 @@ func TestRunRestoresAndReplays(t *testing.T) {
 
 	slab := make([]byte, nObj*objSize)
 	cells := make(map[uint32]uint32)
-	res, err := replayUpdates(a, b, slab, log, func(u wal.Update) { cells[u.Cell] = u.Value })
+	res, err := replayUpdates(a, b, slab, log, func(_ uint64, u wal.Update) { cells[u.Cell] = u.Value })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Restored || res.AsOfTick != 10 {
-		t.Errorf("result: %+v", res)
+		t.Errorf("result: %+v", res.Result)
 	}
 	if res.ReplayedTicks != 4 || res.ReplayedUpdates != 4 {
 		t.Errorf("replayed %d ticks / %d updates, want 4/4", res.ReplayedTicks, res.ReplayedUpdates)
@@ -163,10 +169,8 @@ func TestRunFreshStateReplaysEverything(t *testing.T) {
 	}
 	slab := make([]byte, nObj*objSize)
 	var ticksSeen []uint64
-	res, err := RunRecords(mkBackup(t), mkBackup(t), slab, log, func(tick uint64, payload []byte) error {
+	res, err := replayUpdates(mkBackup(t), mkBackup(t), slab, log, func(tick uint64, _ wal.Update) {
 		ticksSeen = append(ticksSeen, tick)
-		_, err := wal.DecodeUpdates(nil, payload)
-		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,28 +197,20 @@ func TestRunRejectsCorruptBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	slab := make([]byte, nObj*objSize)
-	if _, err := replayUpdates(mkBackup(t), mkBackup(t), slab, log, func(wal.Update) {}); err == nil {
+	if _, err := replayUpdates(mkBackup(t), mkBackup(t), slab, log, func(uint64, wal.Update) {}); err == nil {
 		t.Error("corrupt batch accepted")
 	}
 }
 
-// replayUpdates is the serial reference over a log of plain update batches:
-// RunRecords, decoding each record in the callback, applying its updates in
-// log order and counting them into ReplayedUpdates.
-func replayUpdates(a, b *disk.Backup, slab []byte, log *wal.Log, apply func(wal.Update)) (Result, error) {
-	var buf []wal.Update
-	var updates int64
-	res, err := RunRecords(a, b, slab, log, func(_ uint64, payload []byte) error {
-		var err error
-		if buf, err = wal.DecodeUpdates(buf[:0], payload); err != nil {
-			return err
+// replayUpdates recovers a log of plain update batches through RecoverParallel
+// over one range, the whole object space, handing every replayed update to
+// apply in log order with its tick.
+func replayUpdates(a, b *disk.Backup, slab []byte, log *wal.Log, apply func(tick uint64, u wal.Update)) (ParallelResult, error) {
+	o := updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(a.Objects(), 1)})
+	o.ApplyUpdates = func(_ int, tick uint64, updates []wal.Update) {
+		for _, u := range updates {
+			apply(tick, u)
 		}
-		for _, u := range buf {
-			apply(u)
-		}
-		updates += int64(len(buf))
-		return nil
-	})
-	res.ReplayedUpdates = updates
-	return res, err
+	}
+	return RecoverParallel(o)
 }

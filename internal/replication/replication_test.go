@@ -52,9 +52,9 @@ func referenceSlab(t *testing.T, tab gamestate.Table, n int) []byte {
 
 // TestPromotionCrashEquivalence is the failover correctness contract: a
 // standby attached mid-history, caught up, and promoted after the primary
-// dies must be byte-identical to (a) cold crash recovery of the primary's
-// directory through the parallel pipeline, (b) serial recovery, and (c) a
-// never-crashed engine — at 1, 2 and 8 shards.
+// dies must be byte-identical to a never-crashed engine, and so must cold
+// crash recovery of the primary's directory through RecoverFrom and through
+// Open — at 1, 2 and 8 shards.
 func TestPromotionCrashEquivalence(t *testing.T) {
 	const warmTicks, streamTicks = 10, 30
 	tab := replTable()
@@ -130,25 +130,33 @@ func TestPromotionCrashEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Cold recovery of the dead primary must land on the same bytes
-			// (this is what the standby replaced — and what the recoverytime
-			// experiment times next to the takeover).
-			cold, _, err := engine.RecoverFrom(engine.Options{Table: tab, Dir: pdir, Mode: engine.ModeCopyOnUpdate, Shards: shards})
+			// Cold recovery of the dead primary, through RecoverFrom and
+			// through Open, must land on the never-crashed bytes (this is
+			// what the standby replaced — and what the recoverytime
+			// experiment times next to the takeover), and both must count
+			// the same replay.
+			popts := engine.Options{Table: tab, Dir: pdir, Mode: engine.ModeCopyOnUpdate, Shards: shards}
+			cold, _, err := engine.RecoverFrom(popts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(cold.Store().Slab(), promotedSlab) {
-				t.Fatal("cold parallel recovery differs from promoted standby")
+			if !bytes.Equal(cold.Store().Slab(), want) {
+				t.Fatal("cold RecoverFrom differs from never-crashed reference")
 			}
+			coldRec := cold.Recovery()
 			cold.Close()
-			serial, err := engine.Open(engine.Options{Table: tab, Dir: pdir, Mode: engine.ModeCopyOnUpdate})
+			opened, err := engine.Open(popts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(serial.Store().Slab(), promotedSlab) {
-				t.Fatal("serial recovery differs from promoted standby")
+			if !bytes.Equal(opened.Store().Slab(), want) {
+				t.Fatal("cold Open differs from never-crashed reference")
 			}
-			serial.Close()
+			if got := opened.Recovery(); got.NextTick != coldRec.NextTick ||
+				got.ReplayedTicks != coldRec.ReplayedTicks || got.ReplayedUpdates != coldRec.ReplayedUpdates {
+				t.Errorf("Open recovered %+v, RecoverFrom %+v", got, coldRec)
+			}
+			opened.Close()
 
 			// The promoted standby is itself durable: restarting its
 			// directory recovers the same state at the same tick.

@@ -153,10 +153,10 @@ func TestReaderSkipsSealedSegmentsBelowFrom(t *testing.T) {
 			t.Errorf("from %d: read %d bytes, want %d", tc.from, r.BytesRead(), want)
 		}
 	}
-	// Replay filters the records of the first kept segment that are below from.
+	// The caller filters the records of the first kept segment below from.
 	got := collect(t, l, 25)
 	if len(got) != 5 {
-		t.Errorf("Replay(25) returned %d records, want 5", len(got))
+		t.Errorf("collect(25) returned %d records, want 5", len(got))
 	}
 }
 

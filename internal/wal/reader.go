@@ -15,10 +15,10 @@ import (
 // Log as long as the writer is quiescent — Log.NewReader flushes buffered
 // appends to guarantee that.
 //
-// Tail semantics match Log.Replay: a torn or corrupt tail in the final
-// segment silently ends the scan (those ticks were never acknowledged as
-// durable); corruption inside a sealed segment that is read is reported as
-// an error. Skipped segments are never opened.
+// A torn or corrupt tail in the final segment silently ends the scan (those
+// ticks were never acknowledged as durable); corruption inside a sealed
+// segment that is read is reported as an error. Skipped segments are never
+// opened.
 type Reader struct {
 	dir     string
 	starts  []uint64 // the segments to read, in order

@@ -353,32 +353,3 @@ func (l *Log) Close() error {
 	}
 	return l.f.Close()
 }
-
-// Replay invokes fn for every record with tick >= from, in order, reading
-// only the segments that can hold one. A torn tail in the final segment is
-// skipped silently (those ticks were never acknowledged as durable);
-// corruption in the middle of the log is reported as an error. A payload is
-// valid only until fn returns: its read chunk is then reused.
-func (l *Log) Replay(from uint64, fn func(tick uint64, payload []byte) error) error {
-	r, err := l.NewReader(from)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	for {
-		tick, payload, err := r.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if tick < from {
-			continue
-		}
-		if err := fn(tick, payload); err != nil {
-			return err
-		}
-		r.Release(r.Records())
-	}
-}

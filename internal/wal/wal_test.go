@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -9,15 +10,21 @@ import (
 	"testing/quick"
 )
 
+// collect reads every record with tick >= from through a Reader, dropping
+// the ones below from that the first kept segment may still return.
 func collect(t *testing.T, l *Log, from uint64) map[uint64]string {
 	t.Helper()
-	got := map[uint64]string{}
-	err := l.Replay(from, func(tick uint64, payload []byte) error {
-		got[tick] = string(payload)
-		return nil
-	})
+	r, err := l.NewReader(from)
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer r.Close()
+	ticks, payloads := readAll(t, r)
+	got := map[uint64]string{}
+	for i, tick := range ticks {
+		if tick >= from {
+			got[tick] = payloads[i]
+		}
 	}
 	return got
 }
@@ -41,7 +48,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if got[3] != "d" {
 		t.Errorf("tick 3 payload = %q", got[3])
 	}
-	// Replay from the middle.
+	// Read from the middle.
 	mid := collect(t, l, 5)
 	if len(mid) != 5 {
 		t.Errorf("replay from 5 returned %d records", len(mid))
@@ -240,8 +247,8 @@ func TestClosedLogErrors(t *testing.T) {
 	if err := l.Sync(); err != ErrClosed {
 		t.Errorf("Sync after close = %v, want ErrClosed", err)
 	}
-	if err := l.Replay(0, nil); err != ErrClosed {
-		t.Errorf("Replay after close = %v, want ErrClosed", err)
+	if _, err := l.NewReader(0); err != ErrClosed {
+		t.Errorf("NewReader after close = %v, want ErrClosed", err)
 	}
 }
 
@@ -331,17 +338,20 @@ func TestQuickRotationReplay(t *testing.T) {
 				}
 			}
 		}
-		count := 0
-		prev := int64(-1)
-		err = l.Replay(0, func(tick uint64, payload []byte) error {
-			if int64(tick) <= prev || payload[0] != byte(tick) {
-				return os.ErrInvalid
+		r, err := l.NewReader(0)
+		if err != nil {
+			return false
+		}
+		defer r.Close()
+		for want := 0; ; want++ {
+			tick, payload, err := r.Next()
+			if err == io.EOF {
+				return want == n
 			}
-			prev = int64(tick)
-			count++
-			return nil
-		})
-		return err == nil && count == n
+			if err != nil || tick != uint64(want) || payload[0] != byte(tick) {
+				return false
+			}
+		}
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -410,38 +420,15 @@ func TestMidLogCorruptionIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	err = l.Replay(0, func(uint64, []byte) error { return nil })
-	if err == nil {
-		t.Error("mid-log corruption replayed silently")
-	}
-}
-
-// TestReplayPropagatesCallbackError: an error from the replay callback must
-// abort and surface.
-func TestReplayPropagatesCallbackError(t *testing.T) {
-	l, err := Open(t.TempDir())
+	r, err := l.NewReader(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	for tick := uint64(0); tick < 3; tick++ {
-		if err := l.Append(tick, nil); err != nil {
-			t.Fatal(err)
-		}
+	defer r.Close()
+	for err == nil {
+		_, _, err = r.Next()
 	}
-	sentinel := os.ErrPermission
-	calls := 0
-	err = l.Replay(0, func(tick uint64, _ []byte) error {
-		calls++
-		if tick == 1 {
-			return sentinel
-		}
-		return nil
-	})
-	if err == nil {
-		t.Error("callback error swallowed")
-	}
-	if calls != 2 {
-		t.Errorf("callback ran %d times, want 2 (abort on error)", calls)
+	if err == io.EOF {
+		t.Error("mid-log corruption read silently")
 	}
 }

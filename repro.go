@@ -164,21 +164,21 @@ type ParallelRecoveryResult = recovery.ParallelResult
 
 // OpenEngine creates or reopens a durable engine. Reopening a directory
 // that holds a previous incarnation's state performs crash recovery before
-// returning.
+// returning, through the sharded recovery pipeline RecoverEngine reports on.
 func OpenEngine(opts EngineOptions) (*Engine, error) { return engine.Open(opts) }
 
-// RecoverEngine is OpenEngine through the sharded parallel recovery
-// pipeline: per-shard vectored restore overlapped with per-shard log
-// replay, gated by per-shard restore watermarks.
+// RecoverEngine is OpenEngine that also returns the recovery pipeline's
+// breakdown: per-shard vectored restore overlapped with per-shard log
+// replay, gated by per-shard restore watermarks. At one shard it is the
+// paper's serial ΔTrestore + ΔTreplay.
 func RecoverEngine(opts EngineOptions) (*Engine, ParallelRecoveryResult, error) {
 	return engine.RecoverFrom(opts)
 }
 
-// Shipper streams a primary engine to one warm standby: a bootstrap
-// checkpoint snapshot, then live tick records tail-followed from the
-// engine's logical log, with a bounded number of in-flight ticks — on one
-// connection (StartPrimary) or over redialled sessions
-// (StartResilientPrimary).
+// Shipper streams a primary engine to one warm standby over one connection
+// (StartPrimary): a bootstrap checkpoint snapshot, then live tick records
+// tail-followed from the engine's logical log, with a bounded number of
+// in-flight ticks.
 type Shipper = replication.Shipper
 
 // ShipperOptions configures a primary-side shipper (replay-lag budget).
@@ -202,27 +202,6 @@ func StartPrimary(e *Engine, conn net.Conn, opts ShipperOptions) (*Shipper, erro
 // recovery of the primary would have produced.
 func StartStandby(opts EngineOptions, conn net.Conn) (*Standby, error) {
 	return replication.StartStandby(opts, conn)
-}
-
-// Backoff is a capped exponential delay sequence for reconnect loops.
-type Backoff = replication.Backoff
-
-// ResilientOptions tunes a reconnecting replication supervisor.
-type ResilientOptions = replication.ResilientOptions
-
-// StartResilientPrimary attaches a reconnecting shipper: the same Shipper,
-// dialling a new session whenever one ends, while the primary's log retains
-// everything above the standby's acknowledged watermark so a cut stream
-// resumes without a re-bootstrap. dial is called once per session attempt.
-func StartResilientPrimary(e *Engine, dial func() (net.Conn, error), opts ShipperOptions, ropts ResilientOptions) (*Shipper, error) {
-	return replication.StartResilientShipper(e, dial, opts, ropts)
-}
-
-// StartResilientStandby opens a standby that redials the primary with
-// capped exponential backoff whenever the stream cuts, resuming from its
-// engine's durable watermark with no lost or repeated ticks.
-func StartResilientStandby(opts EngineOptions, dial func() (net.Conn, error), ropts ResilientOptions) (*Standby, error) {
-	return replication.StartResilientStandby(opts, dial, ropts)
 }
 
 // NetTimeoutError is the typed error every bounded network wait below
