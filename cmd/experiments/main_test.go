@@ -370,7 +370,7 @@ func TestRunbookTypedErrorsAreDeclared(t *testing.T) {
 		}
 		pkg := strings.Trim(row[1], "`")
 		if decls[pkg] == nil {
-			decls[pkg] = declaredNames(t, filepath.Join("..", "..", pkg))
+			decls[pkg], _ = declaredNames(t, filepath.Join("..", "..", pkg))
 		}
 		if !decls[pkg][name] {
 			t.Errorf("RUNBOOK.md's typed-error table names %s, which %s does not declare", row[0], pkg)
@@ -379,14 +379,21 @@ func TestRunbookTypedErrorsAreDeclared(t *testing.T) {
 }
 
 // declaredNames parses the non-test Go files in dir and returns every
-// top-level name they declare: types, functions, methods, vars and consts.
-func declaredNames(t *testing.T, dir string) map[string]bool {
+// top-level name they declare (types, functions, methods, vars and consts)
+// and, per type name, the methods and struct or interface fields it has.
+func declaredNames(t *testing.T, dir string) (names map[string]bool, members map[string]map[string]bool) {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("%s: no Go files (%v)", dir, err)
 	}
-	names := map[string]bool{}
+	names, members = map[string]bool{}, map[string]map[string]bool{}
+	member := func(typ, name string) {
+		if members[typ] == nil {
+			members[typ] = map[string]bool{}
+		}
+		members[typ][name] = true
+	}
 	fset := token.NewFileSet()
 	for _, path := range files {
 		if strings.HasSuffix(path, "_test.go") {
@@ -400,11 +407,29 @@ func declaredNames(t *testing.T, dir string) map[string]bool {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				names[d.Name.Name] = true
+				if d.Recv != nil {
+					member(typeName(d.Recv.List[0].Type), d.Name.Name)
+				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
 						names[s.Name.Name] = true
+						fields := &ast.FieldList{}
+						switch ty := s.Type.(type) {
+						case *ast.StructType:
+							fields = ty.Fields
+						case *ast.InterfaceType:
+							fields = ty.Methods
+						}
+						for _, f := range fields.List {
+							for _, n := range f.Names {
+								member(s.Name.Name, n.Name)
+							}
+							if len(f.Names) == 0 { // embedded
+								member(s.Name.Name, typeName(f.Type))
+							}
+						}
 					case *ast.ValueSpec:
 						for _, n := range s.Names {
 							names[n.Name] = true
@@ -414,7 +439,82 @@ func declaredNames(t *testing.T, dir string) map[string]bool {
 			}
 		}
 	}
-	return names
+	return names, members
+}
+
+// typeName is the name of the type a receiver or embedded field refers to:
+// T, *T and pkg.T all name T.
+func typeName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return typeName(e.X)
+	case *ast.SelectorExpr:
+		return e.Sel.Name
+	case *ast.Ident:
+		return e.Name
+	}
+	return ""
+}
+
+// docRef is a code span that starts with an exported identifier of a
+// package, pkg.Name, or with a member of one of its types, pkg.Type.Member.
+var docRef = regexp.MustCompile(`^([a-z]+)\.([A-Z]\w*)(?:\.([A-Za-z_]\w*))?`)
+
+// TestDocsNameExistingIdentifiers fails when a document names, in a code
+// span, an identifier of a package under internal/ that the package does not
+// declare: pkg.Name must be a package-level declaration or a method or field
+// of one of the package's types, and pkg.Type.Member a method or field of
+// Type.
+func TestDocsNameExistingIdentifiers(t *testing.T) {
+	type decls struct {
+		names   map[string]bool
+		members map[string]map[string]bool
+	}
+	pkgs := map[string]decls{}
+	entries, err := os.ReadDir(filepath.Join("..", "..", "internal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.IsDir() {
+			names, members := declaredNames(t, filepath.Join("..", "..", "internal", e.Name()))
+			pkgs[e.Name()] = decls{names, members}
+		}
+	}
+	checked := map[string]bool{}
+	for _, doc := range []string{"README.md", "ARCHITECTURE.md", "DESIGN.md", "docs/RUNBOOK.md"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpans(string(data)) {
+			m := docRef.FindStringSubmatch(span)
+			if m == nil {
+				continue
+			}
+			d, ok := pkgs[m[1]]
+			if !ok {
+				continue
+			}
+			checked[m[0]] = true
+			var found bool
+			if m[3] != "" {
+				found = d.members[m[2]][m[3]]
+			} else {
+				found = d.names[m[2]]
+				for _, ms := range d.members {
+					found = found || ms[m[2]]
+				}
+			}
+			if !found {
+				t.Errorf("%s names `%s`, which internal/%s does not declare", doc, m[0], m[1])
+			}
+		}
+	}
+	if len(checked) == 0 {
+		t.Fatal("no package-qualified identifier found in the docs")
+	}
+	t.Logf("%d distinct identifiers checked", len(checked))
 }
 
 // frameProtocols maps each protocol DESIGN.md's frame-type registry names

@@ -278,8 +278,8 @@ func (s *CommitSub) signal(tick uint64) {
 	}
 }
 
-// SubscribeCommits registers a commit subscription. Unlike the engine's
-// SubscribeTicks it carries no log-retention semantics — the cluster's WALs
+// SubscribeCommits registers a commit subscription. Like the engine's
+// SubscribeCommits it carries no log-retention semantics — the cluster's WALs
 // belong to its nodes — so it works on any cluster and never delays pruning.
 func (c *Cluster) SubscribeCommits() *CommitSub {
 	s := &CommitSub{c: make(chan uint64, 1), l: c}

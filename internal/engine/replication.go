@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync/atomic"
 	"time"
 
@@ -18,12 +19,12 @@ import (
 // opened with OpenStandby, fed with IngestReplicated, and flipped into a
 // primary with Promote.
 
-// TickSub is a live subscription to the engine's tick commits. While any
-// subscription is open the engine flushes the logical log at every tick
-// (making the freshly appended frame visible to wal.TailReader) and sends a
-// coalesced signal on C carrying the latest committed tick. The engine's
-// log pruning additionally retains every segment that may hold a record at
-// or above the subscriber's NeedFrom watermark.
+// TickSub is a live subscription to the engine's tick commits: it sends a
+// coalesced signal on C carrying the latest committed tick. A LogFollower's
+// subscription also reads the log, so while one is open the engine flushes
+// the logical log at every tick (making the freshly appended frame visible
+// to a wal.Reader following it) and its pruning retains every segment that
+// may hold a record at or above the follower's watermark.
 type TickSub struct {
 	// C receives the latest committed tick. The channel holds at most one
 	// pending value: a slow consumer sees the newest tick, not a backlog.
@@ -36,11 +37,6 @@ type TickSub struct {
 	// log flushes nor pins segment pruning.
 	commitOnly bool
 }
-
-// NeedFrom publishes that log records below tick are no longer needed by
-// this subscriber (they were streamed, or are covered by the bootstrap
-// snapshot). Pruning may then reclaim segments wholly below the watermark.
-func (s *TickSub) NeedFrom(tick uint64) { s.need.Store(tick) }
 
 // Close cancels the subscription.
 func (s *TickSub) Close() {
@@ -71,23 +67,12 @@ func (s *TickSub) signal(tick uint64) {
 	}
 }
 
-// SubscribeTicks registers a tick-commit subscription. It requires a
-// durable log (replication streams the WAL; an InMemory engine has none).
-// Until the subscriber publishes a NeedFrom watermark, pruning retains the
-// whole log on its behalf.
-func (e *Engine) SubscribeTicks() (*TickSub, error) {
-	if e.log == nil {
-		return nil, errors.New("engine: replication requires a durable log (not InMemory)")
-	}
-	return e.subscribe(false), nil
-}
-
 // SubscribeCommits registers a commit-only tick subscription: C delivers the
-// latest committed tick exactly like SubscribeTicks, but the subscriber
-// declares it will never read the log — so the engine does not flush the log
-// on its behalf, the subscription works on any engine (InMemory included),
-// and log pruning ignores it (its retention watermark starts at "needs
-// nothing" and NeedFrom should not be called). It is the session gateway's
+// latest committed tick exactly like a LogFollower's subscription, but the
+// subscriber declares it will never read the log — so the engine does not
+// flush the log on its behalf, the subscription works on any engine
+// (InMemory included), and log pruning ignores it (its retention watermark
+// starts at "needs nothing"). It is the session gateway's
 // delta fan-out hook: the gateway rides the same commit signal the
 // replication shipper does, without the durability coupling.
 func (e *Engine) SubscribeCommits() *TickSub { return e.subscribe(true) }
@@ -105,7 +90,7 @@ func (e *Engine) subscribe(commitOnly bool) *TickSub {
 	return s
 }
 
-// notifySubs flushes the log (tail-reader visibility barrier) and signals
+// notifySubs flushes the log (a following reader's visibility barrier) and signals
 // every subscriber that tick committed. Called at the end of each applied
 // or ingested tick, on the mutator goroutine, after the tick has fully
 // committed — so a flush failure must NOT fail the tick (the caller's
@@ -151,25 +136,27 @@ const idlePoll = 5 * time.Millisecond
 type LogFollower struct {
 	sub  *TickSub
 	dir  string
-	tail *wal.TailReader // opened by the first Next
-	done uint64          // ticks below it are committed, so all their records are readable
-	cur  uint64          // tick of held
-	held [][]byte        // records of cur, copied out of the tail's read chunk
-	out  [][]byte        // the tick the last Next returned, recycled
+	r    *wal.Reader // opened by the first Next
+	done uint64      // ticks below it are committed, so all their records are readable
+	cur  uint64      // tick of held
+	held [][]byte    // records of cur, copied out of the reader's chunk
+	out  [][]byte    // the tick the last Next returned, recycled
 }
 
 // FollowLog subscribes to e's tick commits and returns a follower of its
-// log. The commit watermark starts at the last tick committed before the
-// call (the log is flushed under the tick lock so those records are
+// log. It requires a durable log (an InMemory engine has none). Until the
+// consumer publishes a NeedFrom watermark, pruning retains the whole log on
+// its behalf. The commit watermark starts at the last tick committed before
+// the call (the log is flushed under the tick lock so those records are
 // readable), so a tick committed before the subscription is yielded even if
 // the engine never commits another. Close it before closing e.
 func (e *Engine) FollowLog() (*LogFollower, error) {
-	sub, err := e.SubscribeTicks()
-	if err != nil {
-		return nil, err
+	if e.log == nil {
+		return nil, errors.New("engine: replication requires a durable log (not InMemory)")
 	}
+	sub := e.subscribe(false)
 	e.tickMu.Lock()
-	err = e.log.Flush()
+	err := e.log.Flush()
 	done := e.tick
 	e.tickMu.Unlock()
 	if err != nil {
@@ -186,8 +173,10 @@ func (e *Engine) FollowLog() (*LogFollower, error) {
 // until the next call. It blocks until a tick is whole, and returns
 // ok=false once stop is closed.
 func (f *LogFollower) Next(floor uint64, stop <-chan struct{}) (tick uint64, recs [][]byte, ok bool, err error) {
-	if f.tail == nil {
-		f.tail = wal.NewTailReader(f.dir, floor)
+	if f.r == nil {
+		if f.r, err = wal.NewReader(f.dir, floor); err != nil {
+			return 0, nil, false, err
+		}
 	}
 	for {
 		select {
@@ -195,23 +184,27 @@ func (f *LogFollower) Next(floor uint64, stop <-chan struct{}) (tick uint64, rec
 			return 0, nil, false, nil
 		default:
 		}
-		t, payload, more, err := f.tail.TryNext()
-		if err != nil {
-			return 0, nil, false, err
-		}
+		// Every record read so far is copied out or skipped: its chunk can
+		// be reused.
+		f.r.Release(f.r.Records())
+		t, payload, err := f.r.Next()
 		switch {
-		case more && t < floor:
+		case err == io.EOF: // caught up with the writer
+			if len(f.held) > 0 && f.cur < f.done {
+				return f.cur, f.yield(), true, nil
+			}
+		case err != nil:
+			return 0, nil, false, err
+		case t < floor:
 			continue
-		case more && len(f.held) > 0 && t != f.cur:
+		case len(f.held) > 0 && t != f.cur:
 			// A later tick's record proves cur whole.
 			tick, recs = f.cur, f.yield()
 			f.cur, f.held = t, appendCopy(f.held, payload)
 			return tick, recs, true, nil
-		case more:
+		default:
 			f.cur, f.held = t, appendCopy(f.held, payload)
 			continue
-		case len(f.held) > 0 && f.cur < f.done:
-			return f.cur, f.yield(), true, nil
 		}
 		select {
 		case <-stop:
@@ -246,21 +239,23 @@ func appendCopy(recs [][]byte, p []byte) [][]byte {
 // sent. The commit watermark is kept, so a tick committed before the
 // restart is still yielded on an idle engine.
 func (f *LogFollower) Restart() {
-	if f.tail != nil {
-		f.tail.Close() //nolint:errcheck // read-only
-		f.tail = nil
+	if f.r != nil {
+		f.r.Close() //nolint:errcheck // read-only
+		f.r = nil
 	}
 	f.held = f.held[:0]
 }
 
-// NeedFrom publishes the consumer's retention watermark (TickSub.NeedFrom).
-func (f *LogFollower) NeedFrom(tick uint64) { f.sub.NeedFrom(tick) }
+// NeedFrom publishes that the consumer no longer needs log records below
+// tick (they were streamed and acknowledged, or are covered by the bootstrap
+// snapshot). Pruning may then reclaim segments wholly below the watermark.
+func (f *LogFollower) NeedFrom(tick uint64) { f.sub.need.Store(tick) }
 
 // Close cancels the subscription and releases the reader.
 func (f *LogFollower) Close() {
 	f.sub.Close()
-	if f.tail != nil {
-		f.tail.Close() //nolint:errcheck // read-only
+	if f.r != nil {
+		f.r.Close() //nolint:errcheck // read-only
 	}
 }
 

@@ -10,29 +10,33 @@ import (
 	"repro/internal/wal"
 )
 
-// TestSubscribeTicksSignalsAndFlushes: a subscriber sees a coalesced signal
-// per tick, and the freshly appended record is already visible to a
-// tail-follow reader when the signal arrives (the flush barrier).
-func TestSubscribeTicksSignalsAndFlushes(t *testing.T) {
+// TestFollowLogSignalsAndFlushes: a log follower's subscription sees a
+// coalesced signal per tick, and the freshly appended record is already
+// visible to a wal.Reader following the log when the signal arrives (the
+// flush barrier).
+func TestFollowLogSignalsAndFlushes(t *testing.T) {
 	e, err := Open(Options{Table: testTable(), Dir: t.TempDir(), Mode: ModeNone})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	sub, err := e.SubscribeTicks()
+	f, err := e.FollowLog()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sub.Close()
+	defer f.Close()
 
-	tr := wal.NewTailReader(e.WALDir(), 0)
-	defer tr.Close()
+	r, err := wal.NewReader(e.WALDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
 	for tick := 0; tick < 5; tick++ {
 		if err := e.ApplyTick([]wal.Update{{Cell: uint32(tick), Value: uint32(tick)}}); err != nil {
 			t.Fatal(err)
 		}
 		select {
-		case got := <-sub.C:
+		case got := <-f.sub.C:
 			if got != uint64(tick) {
 				t.Fatalf("signal carried tick %d, want %d", got, tick)
 			}
@@ -40,21 +44,21 @@ func TestSubscribeTicksSignalsAndFlushes(t *testing.T) {
 			t.Fatalf("no signal for tick %d", tick)
 		}
 		// The record must be on disk (flushed) by signal time.
-		rt, _, ok, err := tr.TryNext()
-		if err != nil || !ok || rt != uint64(tick) {
-			t.Fatalf("tail after tick %d: tick=%d ok=%v err=%v", tick, rt, ok, err)
+		rt, _, err := r.Next()
+		if err != nil || rt != uint64(tick) {
+			t.Fatalf("reader after tick %d: tick=%d err=%v", tick, rt, err)
 		}
 	}
 }
 
-func TestSubscribeTicksRequiresLog(t *testing.T) {
+func TestFollowLogRequiresLog(t *testing.T) {
 	e, err := Open(Options{Table: testTable(), InMemory: true, Mode: ModeNone})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if _, err := e.SubscribeTicks(); err == nil {
-		t.Fatal("SubscribeTicks on an InMemory engine did not fail")
+	if _, err := e.FollowLog(); err == nil {
+		t.Fatal("FollowLog on an InMemory engine did not fail")
 	}
 }
 
@@ -109,11 +113,11 @@ func TestSubscriberRetainsLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	sub, err := e.SubscribeTicks()
+	f, err := e.FollowLog()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sub.Close()
+	defer f.Close()
 
 	rng := rand.New(rand.NewSource(9))
 	checkpoint := func() {
@@ -135,7 +139,7 @@ func TestSubscriberRetainsLog(t *testing.T) {
 
 	// Advance the watermark beyond the log: pruning behaves as without
 	// a subscriber again.
-	sub.NeedFrom(e.NextTick())
+	f.NeedFrom(e.NextTick())
 	for i := 0; i < 2; i++ {
 		checkpoint()
 	}
@@ -285,7 +289,7 @@ func TestOpenStandbyRejectsUsedDirAndBadGeometry(t *testing.T) {
 }
 
 // TestSubscribeCommitsWorksEverywhereAndNeverPins: a commit-only
-// subscription signals on an InMemory engine (where SubscribeTicks refuses),
+// subscription signals on an InMemory engine (where FollowLog refuses),
 // and on a durable engine it neither pins log pruning nor forces per-tick
 // flushes on the commit path.
 func TestSubscribeCommitsWorksEverywhereAndNeverPins(t *testing.T) {

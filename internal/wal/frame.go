@@ -16,8 +16,8 @@ const frameHdrLen = 8
 
 // parseFrame parses the frame at the start of b: the single source of truth
 // for the frame layout (u32 length | u32 crc | u64 tick | payload, where
-// length counts tick and payload and the CRC covers both) shared by the
-// batch Reader, the tail-follow reader and the open-time scan.
+// length counts tick and payload and the CRC covers both) under every
+// Reader: recovery's, the shipper's and the open-time scan.
 //
 //   - size > 0: b starts with a valid frame of size bytes; payload is a
 //     slice of b, never a copy.

@@ -11,30 +11,36 @@ import (
 // starting at the first segment that can hold a record at or above its from
 // tick. It owns its file handles, so any number of Readers may scan one
 // directory concurrently (the recovery pipeline reads the log while restore
-// workers stream the backup image), and a Reader may run alongside an open
-// Log as long as the writer is quiescent — Log.NewReader flushes buffered
-// appends to guarantee that.
+// workers stream the backup image), and a Reader may follow a log that is
+// still being appended to: it is both recovery's replay source and the
+// replication shipper's view of the live log.
 //
-// A torn or corrupt tail in the final segment silently ends the scan (those
-// ticks were never acknowledged as durable); corruption inside a sealed
-// segment that is read is reported as an error. Skipped segments are never
-// opened.
+// A record is returned only once its whole frame (length, body, CRC) is in
+// the file, so a concurrent writer never exposes a torn read. At the end of
+// the log Next returns io.EOF, but that EOF is not final: the last segment
+// stays open at its first unparsed frame, and a later Next returns what was
+// appended since, following rotation into newer segments. The writer seals
+// a segment (flush, sync, close) before creating its successor, so once a
+// newer segment exists the older one is final: a frame there that still
+// does not parse is corruption, reported as a sticky error — records that
+// were acknowledged durable are never skipped silently. A torn or corrupt
+// tail in the newest segment reads as the end of the log (those ticks were
+// never acknowledged). Skipped segments are never opened.
 type Reader struct {
 	dir     string
-	starts  []uint64 // the segments to read, in order
+	starts  []uint64 // the open segment, then the newer ones known, in order
 	skipped int      // sealed segments below from, left unopened
-	seg     int      // index into starts of the open segment; len(starts) when done
 	sc      segScanner
-	// segTick/segHas are the last tick of the segment being (or last) read:
-	// with sc.off, what the Log needs to know about its final segment.
+	// segTick/segHas are the last tick of the segment being read: with
+	// sc.off, what the Log needs to know about its final segment.
 	segTick uint64
 	segHas  bool
 	log     *Log  // told the final segment's valid length, if set
 	err     error // sticky: a corrupt log never silently resumes
 }
 
-// NewReader opens a reader over the segments currently in dir that can hold
-// a record with tick >= from. Records below from may still be returned (the
+// NewReader opens a reader over dir from the first segment that can hold a
+// record with tick >= from. Records below from may still be returned (the
 // caller filters); from only lets the reader skip whole sealed segments.
 func NewReader(dir string, from uint64) (*Reader, error) {
 	starts, err := segments(dir)
@@ -46,11 +52,11 @@ func NewReader(dir string, from uint64) (*Reader, error) {
 	return &Reader{dir: dir, starts: starts[skip:], skipped: skip}, nil
 }
 
-// NewReader flushes buffered appends and opens a reader over the log's
-// current segments from the first that can hold tick from (see the package
-// NewReader). The caller must not append while the reader is in use. A
-// reader that walks the final segment to its end tells the log where the
-// valid frames stop, which saves a freshly opened log its own scan.
+// NewReader flushes buffered appends and opens a reader over the log from
+// the first segment that can hold tick from (see the package NewReader).
+// The caller must not append while the reader is in use. A reader that
+// walks the final segment to its end tells the log where the valid frames
+// stop, which saves a freshly opened log its own scan.
 func (l *Log) NewReader(from uint64) (*Reader, error) {
 	l.mu.Lock()
 	if l.closed {
@@ -76,64 +82,99 @@ func (l *Log) NewReader(from uint64) (*Reader, error) {
 // Next returns the next record in log order. The payload is a slice of a
 // read chunk shared with neighbouring records: it stays valid until Release
 // covers it or the reader is closed, may be handed to another goroutine, and
-// must be treated as read-only — never append to or write through it. At the end of
-// the log it returns io.EOF. An error is sticky: once a sealed segment
-// reports corruption, every further Next repeats the error rather than
-// silently resuming past the hole.
+// must be treated as read-only — never append to or write through it. At the
+// end of the log it returns io.EOF; a later call returns the records
+// appended since. An error is sticky: once a sealed segment reports
+// corruption, every further Next repeats the error rather than silently
+// resuming past the hole.
 func (r *Reader) Next() (tick uint64, payload []byte, err error) {
 	if r.err != nil {
 		return 0, nil, r.err
 	}
 	for {
 		if r.sc.f == nil {
-			if r.seg >= len(r.starts) {
-				return 0, nil, io.EOF
+			if len(r.starts) == 0 {
+				if _, err := r.listNewer(); err != nil {
+					return 0, nil, err
+				}
+				if len(r.starts) == 0 {
+					return 0, nil, io.EOF
+				}
 			}
-			f, err := os.Open(filepath.Join(r.dir, segName(r.starts[r.seg])))
+			f, err := os.Open(filepath.Join(r.dir, segName(r.starts[0])))
 			if err != nil {
 				return 0, nil, fmt.Errorf("wal: %w", err)
 			}
 			r.sc.open(f)
 			r.segHas = false
 		}
-		tick, payload, ok, err := r.sc.next()
-		if err != nil {
-			// A device read failure, not frame content: sticky, like
-			// sealed-segment corruption — never silently resume past it.
-			r.err = fmt.Errorf("wal: %w", err)
+		if tick, payload, ok, err := r.scan(); ok || err != nil {
+			return tick, payload, err
+		}
+		// The scan stopped short: a clean end, a frame still being
+		// appended, a torn tail or corruption. Only a newer segment tells
+		// the last two from the first two.
+		if len(r.starts) == 1 {
+			newer, err := r.listNewer()
+			if err != nil {
+				return 0, nil, err
+			}
+			if !newer {
+				if r.log != nil {
+					if err := r.log.tailScanned(r.starts[0], r.sc.off, r.segTick, r.segHas); err != nil {
+						r.err = err
+						return 0, nil, err
+					}
+				}
+				return 0, nil, io.EOF
+			}
+			// The successor may have appeared between the failed scan and
+			// the listing, so the now-sealed segment is scanned once more.
+			if tick, payload, ok, err := r.scan(); ok || err != nil {
+				return tick, payload, err
+			}
+		}
+		if r.sc.off < r.sc.size {
+			r.err = corruptErr(r.starts[0], r.sc.off, r.sc.size)
 			return 0, nil, r.err
 		}
-		if ok {
-			r.segTick, r.segHas = tick, true
-			return tick, payload, nil
-		}
-		// The scan stopped short: clean end, torn tail, or corruption.
-		if err := r.finishSegment(); err != nil {
-			r.err = err
-			return 0, nil, err
-		}
+		r.closeSegment()
+		r.starts = r.starts[1:]
 	}
 }
 
-// finishSegment closes the open segment after its scan stopped, erroring if
-// a sealed (non-final) segment ended before its physical size — records that
-// were acknowledged durable must never be skipped silently. The end of the
-// final segment is reported to the owning log, if any.
-func (r *Reader) finishSegment() error {
-	start := r.starts[r.seg]
-	r.closeSegment()
-	lastSeg := r.seg == len(r.starts)-1
-	r.seg++
-	if !lastSeg {
-		if r.sc.off < r.sc.size {
-			return corruptErr(start, r.sc.off, r.sc.size)
+// scan returns the frame at the open segment's read offset. ok=false with a
+// nil error means no complete valid frame is there; an error is a device
+// read failure, not frame content, and is sticky like sealed-segment
+// corruption.
+func (r *Reader) scan() (tick uint64, payload []byte, ok bool, err error) {
+	off := r.sc.off
+	tick, payload, ok, err = r.sc.next()
+	if err != nil {
+		r.err = fmt.Errorf("wal: segment %s at offset %d: %w", segName(r.starts[0]), off, err)
+		return 0, nil, false, r.err
+	}
+	if ok {
+		r.segTick, r.segHas = tick, true
+	}
+	return tick, payload, ok, nil
+}
+
+// listNewer lists the directory and appends the segments newer than the last
+// one known, reporting whether there were any.
+func (r *Reader) listNewer() (bool, error) {
+	starts, err := segments(r.dir)
+	if err != nil {
+		r.err = fmt.Errorf("wal: %w", err)
+		return false, r.err
+	}
+	n := len(r.starts)
+	for _, s := range starts {
+		if n == 0 || s > r.starts[n-1] {
+			r.starts = append(r.starts, s)
 		}
-		return nil
 	}
-	if r.log != nil {
-		return r.log.tailScanned(start, r.sc.off, r.segTick, r.segHas)
-	}
-	return nil
+	return len(r.starts) > n, nil
 }
 
 func (r *Reader) closeSegment() {
@@ -164,6 +205,6 @@ func (r *Reader) Release(n uint64) { r.sc.ring.release(n) }
 func (r *Reader) Close() error {
 	r.closeSegment()
 	r.sc.ring.close()
-	r.seg = len(r.starts)
+	r.err = io.EOF
 	return nil
 }

@@ -222,9 +222,9 @@ func (l *Log) Append(tick uint64, payload []byte) error {
 }
 
 // Flush writes buffered records through to the active segment file without
-// fsyncing. It is the visibility barrier for tail-follow consumers: after
-// Flush, a TailReader sees every appended frame. Durability still comes
-// from Sync (or rotation/close).
+// fsyncing. It is the visibility barrier for a Reader following the live
+// log: after Flush, its next Next sees every appended frame. Durability
+// still comes from Sync (or rotation/close).
 func (l *Log) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
