@@ -132,7 +132,7 @@ func TestSkewEquivalence(t *testing.T) {
 // TestMaxSkewZeroMatchesBarrier: with MaxSkew 0 and no messages the one
 // runtime is the plain barrier world — every node's WAL segment files are
 // byte-identical to a lone engine fed that node's routed batches through
-// ApplyTickParallel, and no inbox is opened. ModeNone keeps the full history
+// ApplyTick, and no inbox is opened. ModeNone keeps the full history
 // deterministic (the CoU checkpointer rotates and prunes segments at
 // timing-dependent ticks, which perturbs retention, not semantics; state
 // identity under CoU is TestSkewEquivalence's job).
@@ -160,7 +160,7 @@ func TestMaxSkewZeroMatchesBarrier(t *testing.T) {
 				}
 				perNode = RouteTick(m, uint32(tab.CellsPerObject()), batch, perNode)
 				for i, ref := range refs {
-					if err := ref.ApplyTickParallel(perNode[i]); err != nil {
+					if err := ref.ApplyTick(perNode[i]); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -163,7 +163,7 @@ func TestImageCommitOrder(t *testing.T) {
 				if c.standby {
 					err = e.IngestReplicated(e.NextTick(), wal.EncodeUpdates([]byte{recUpdates}, batch))
 				} else {
-					err = e.ApplyTickParallel(batch)
+					err = e.ApplyTick(batch)
 				}
 				if err != nil {
 					t.Fatal(err)

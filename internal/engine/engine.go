@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,9 +44,9 @@ type Options struct {
 	// stripe locks, flush cursor and checkpoint flusher: checkpoints flush,
 	// and recovery restores and replays, all shards concurrently. A tick is
 	// applied by its one mutator goroutine whatever the count (see
-	// applyBatch). 0 uses GOMAXPROCS; the count is rounded down to a power
-	// of two and small states fold to fewer shards (Shards reports the
-	// effective count). 1 reproduces the paper's single-writer engine
+	// applyBucket). 0 uses GOMAXPROCS; shards are equal runs of 64-object
+	// bitmap words, and small states fold to fewer shards (Shards reports
+	// the effective count). 1 reproduces the paper's single-writer engine
 	// exactly.
 	Shards int
 	// DeviceFactory overrides how backup devices are opened (fault
@@ -97,16 +98,17 @@ type Engine struct {
 	tick      uint64
 	encBuf    []byte
 	ingestBuf []wal.Update
-	// bucket and off are applyBatch's reused counting-sort buffers: the
-	// tick's updates in bitmap-word order, and word w's segment bounds
-	// off[w]:off[w+1].
-	bucket    []wal.Update
-	off       []int32
-	stats     Stats
-	prevAsOf  uint64
-	havePrev  bool
-	recovered recovery.Result
-	closed    bool
+	// bucket and off are bucketBatch's reused counting-sort buffers: the
+	// tick's updates in bitmap-word order (under ApplyTickEnvelopes one
+	// segment per envelope, ending at bucketEnds), and the per-word counts.
+	bucket     []wal.Update
+	bucketEnds []int
+	off        []int32
+	stats      Stats
+	prevAsOf   uint64
+	havePrev   bool
+	recovered  recovery.Result
+	closed     bool
 }
 
 // Open creates or reopens an engine in opts.Dir. If the directory holds a
@@ -120,13 +122,13 @@ func Open(opts Options) (*Engine, error) {
 // RecoverFrom opens an engine in opts.Dir like Open and returns the
 // recovery pipeline's per-shard and per-stage timing breakdown. Crash
 // recovery restores the newest complete backup image with one vectored
-// reader per shard while the logical log replays — every update batch
-// decoded once into per-shard buckets, every shard applying only its own —
-// each shard's replay gated on its own restore watermark (see
-// recovery.RecoverParallel). At one shard that gate is the whole restore,
-// so the pipeline is the paper's ΔTrestore + ΔTreplay sum. Every record
-// kind is data, applied by range, so the recovered state is the same at
-// any shard count.
+// reader per shard while the logical log replays — every shard's worker
+// reads every record and stores only its own cells, jumping over the other
+// shards' runs of a run record — each shard's replay gated on its own
+// restore watermark (see recovery.RecoverParallel). At one shard that gate
+// is the whole restore, so the pipeline is the paper's ΔTrestore +
+// ΔTreplay sum. Every record kind is data, applied by range, so the
+// recovered state is the same at any shard count.
 func RecoverFrom(opts Options) (*Engine, recovery.ParallelResult, error) {
 	return open(opts, nil)
 }
@@ -216,17 +218,10 @@ func open(opts Options, records func() (recovery.RecordSource, error)) (*Engine,
 		//
 		// The pipeline is partitioned exactly like the engine: one restore
 		// reader and one replay worker per shard, each owning its plan
-		// range of the slab. Update batches reach a worker as its own
-		// bucket of cells, cut at the plan's cell bounds.
-		ranges := make([]recovery.ShardRange, e.plan.count())
-		bounds := make([]uint32, e.plan.count())
-		ranNext := make([]uint64, e.plan.count())
-		cellsPerObj := store.Table().CellsPerObject()
-		for s := range ranges {
-			lo, hi := e.plan.objRange(s)
-			ranges[s] = recovery.ShardRange{Lo: lo, Hi: hi}
-			bounds[s] = uint32(hi * cellsPerObj)
-		}
+		// range of the slab and applying every record to that range alone.
+		ranges := e.plan.ranges()
+		reps := e.replayers(ranges)
+		ranNext := make([]uint64, len(ranges))
 		popts := recovery.ParallelOptions{
 			A: backups[0], B: backups[1], Slab: store.Slab(), Log: log,
 			Ranges: ranges,
@@ -234,13 +229,7 @@ func open(opts Options, records func() (recovery.RecordSource, error)) (*Engine,
 				if len(body) > 0 && body[0] != recInstall {
 					ranNext[shard] = tick + 1
 				}
-				return e.replayRecordRange(ranges[shard].Lo, ranges[shard].Hi, tick, body)
-			},
-			Split:      updateBatch,
-			CellBounds: bounds,
-			ApplyUpdates: func(shard int, tick uint64, upds []wal.Update) {
-				ranNext[shard] = tick + 1
-				e.replayUpdates(upds)
+				return reps[shard].apply(tick, body)
 			},
 		}
 		if records != nil {
@@ -372,21 +361,25 @@ func (e *Engine) Table() gamestate.Table { return e.opts.Table }
 // ApplyTick logs and applies one tick's update batch on the calling
 // goroutine, then runs the end-of-tick checkpoint management. It is the
 // discrete-event simulation loop's integration point: call it exactly once
-// per game tick, from one goroutine.
+// per game tick, from one goroutine. The batch is sorted once, by bitmap
+// word (bucketBatch), before it is logged: the log holds that order as runs
+// and the apply walks the same bucket.
 func (e *Engine) ApplyTick(updates []wal.Update) error {
 	e.tickMu.Lock()
 	defer e.tickMu.Unlock()
+	e.bucket = e.bucketBatch(e.bucket[:0], updates)
 	return e.commit(false, 1,
 		func(int) []byte {
-			e.encBuf = wal.EncodeUpdates(append(e.encBuf[:0], recUpdates), updates)
+			e.encBuf = appendRunRecord(e.encBuf[:0], -1, 0, e.bucket)
 			return e.encBuf
 		},
-		func() (int64, error) { return e.applyBatch(updates), nil })
+		func() (int64, error) { return e.applyBucket(e.bucket), nil })
 }
 
 // ApplyTickParallel is ApplyTick: the per-shard apply pool it once selected
 // lost to the inline bucketed apply on the hosts measured (DESIGN.md,
-// "Sharding layout"), and the name survives for the repository benchmark.
+// "Sharding layout"). The name stays only because the repository benchmark
+// (benchmark/) calls it; everything else calls ApplyTick.
 func (e *Engine) ApplyTickParallel(updates []wal.Update) error { return e.ApplyTick(updates) }
 
 // guard is the precondition every mutation of the engine shares: open, on
@@ -465,19 +458,16 @@ func (e *Engine) commit(standby bool, nrec int, record func(i int) []byte, apply
 	return nil
 }
 
-// applyBatch applies one update batch through the checkpointer and returns
-// the number of cells written. It buckets the batch once, by a stable counting
-// sort on bitmap word (64 objects: the grain of the dirty maps, the shard
-// plan, the router and the gateway fan-out), then per touched word tells the
-// checkpointer which objects are about to change — one onWord call — and
-// writes the word's segment, so the stores walk the slab in address order.
-// Stability keeps the batch order of writes to any one cell: the slab ends
-// byte-identical to applying the batch update by update. An update whose
-// cell lies past the table is written nowhere and not counted, exactly as
-// replay drops it (wal.SplitUpdates' last bound).
-func (e *Engine) applyBatch(updates []wal.Update) int64 {
-	cpo := e.store.cellsPerObj
-	cpw := 64 * cpo
+// bucketBatch appends updates to dst in bitmap-word order (64 objects: the
+// grain of the dirty maps, the shard plan, the router and the gateway
+// fan-out) and returns it: a stable counting sort, so the batch order of
+// writes to any one cell is kept and applying the bucket leaves the slab
+// byte-identical to applying the batch update by update. An update whose cell
+// lies past the table is dropped: it is neither logged nor applied, exactly
+// as replay drops it from an older log. The tick's bucket is what the engine
+// logs (as runs) and what applyBucket walks.
+func (e *Engine) bucketBatch(dst, updates []wal.Update) []wal.Update {
+	cpw := 64 * e.store.cellsPerObj
 	limit := uint32(len(e.store.slab) / 4)
 	// Count at word+2, so that after the prefix sum off[w+1] is where word w
 	// starts; placing through off[w+1]++ then leaves off[w] at word w's start.
@@ -491,10 +481,9 @@ func (e *Engine) applyBatch(updates []wal.Update) int64 {
 	for w := 2; w < len(off); w++ {
 		off[w] += off[w-1]
 	}
-	if cap(e.bucket) < len(updates) {
-		e.bucket = make([]wal.Update, len(updates))
-	}
-	bucket := e.bucket[:len(updates)]
+	start, n := len(dst), int(off[len(off)-1])
+	dst = slices.Grow(dst, n)[:start+n]
+	bucket := dst[start:]
 	for _, u := range updates {
 		if u.Cell < limit {
 			at := &off[u.Cell/cpw+1]
@@ -502,21 +491,38 @@ func (e *Engine) applyBatch(updates []wal.Update) int64 {
 			*at++
 		}
 	}
-	for w := 0; w < len(off)-2; w++ {
-		seg := bucket[off[w]:off[w+1]]
-		if len(seg) == 0 {
-			continue
-		}
+	return dst
+}
+
+// applyBucket applies a bucketBatch result through the checkpointer and
+// returns the number of cells written: per touched word it tells the
+// checkpointer which objects are about to change — one onWord call — then
+// writes the word's segment, so the stores walk the slab in address order.
+func (e *Engine) applyBucket(bucket []wal.Update) int64 {
+	cpo := e.store.cellsPerObj
+	cpw := 64 * cpo
+	for i := 0; i < len(bucket); {
+		w := bucket[i].Cell / cpw
+		end := uint64(w+1) * uint64(cpw)
 		var mask uint64
-		for _, u := range seg {
-			mask |= 1 << (u.Cell / cpo & 63)
+		j := i
+		for ; j < len(bucket) && uint64(bucket[j].Cell) < end; j++ {
+			mask |= 1 << (bucket[j].Cell / cpo & 63)
 		}
 		e.cp.onWord(int32(w), mask)
-		for _, u := range seg {
+		for _, u := range bucket[i:j] {
 			e.store.SetCell(u.Cell, u.Value)
 		}
+		i = j
 	}
-	return int64(off[len(off)-1])
+	return int64(len(bucket))
+}
+
+// applyBatch buckets and applies one batch: the apply half of ApplyTick for
+// a batch that is already logged (a replicated tick).
+func (e *Engine) applyBatch(updates []wal.Update) int64 {
+	e.bucket = e.bucketBatch(e.bucket[:0], updates)
+	return e.applyBucket(e.bucket)
 }
 
 // drainCompleted consumes the checkpoint writer's pending reports. nextTick

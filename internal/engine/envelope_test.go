@@ -18,8 +18,13 @@ func TestEnvelopeRecordRoundtrip(t *testing.T) {
 		{Origin: 2, OriginTick: 41, Updates: []wal.Update{{Cell: 12, Value: 0xdead}}},
 		{Origin: 0, OriginTick: 0, Updates: nil},
 	}
-	for i, env := range cases {
-		body := EncodeEnvelopeRecord(nil, env)
+	// Each case twice: as the inbox encodes it, and as the engine logs it.
+	var bodies [][]byte
+	for _, env := range cases {
+		bodies = append(bodies, EncodeEnvelopeRecord(nil, env), appendRunRecord(nil, env.Origin, env.OriginTick, env.Updates))
+	}
+	for i, body := range bodies {
+		env := cases[i/2]
 		got, err := DecodeEnvelopeRecord(body)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)

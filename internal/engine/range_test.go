@@ -32,7 +32,7 @@ func TestSnapshotInstallRoundTrip(t *testing.T) {
 		if err := a.ApplyTick(randomBatch(rng, tab.NumCells(), 80)); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.ApplyTickParallel(randomBatch(rng, tab.NumCells(), 80)); err != nil {
+		if err := b.ApplyTick(randomBatch(rng, tab.NumCells(), 80)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,7 +53,7 @@ func TestSnapshotInstallRoundTrip(t *testing.T) {
 	}
 	// More ticks after the install, some touching the installed range.
 	for i := 0; i < 8; i++ {
-		if err := b.ApplyTickParallel(randomBatch(rng, tab.NumCells(), 80)); err != nil {
+		if err := b.ApplyTick(randomBatch(rng, tab.NumCells(), 80)); err != nil {
 			t.Fatal(err)
 		}
 	}

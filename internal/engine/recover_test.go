@@ -43,7 +43,7 @@ func crashRun(t *testing.T, dir string, budget int, seed int64) (*reference, int
 	applied := 0
 	for i := 0; i < maxTicks; i++ {
 		batch := randomBatch(rng, tab.NumCells(), 60)
-		if err := e.ApplyTickParallel(batch); err != nil {
+		if err := e.ApplyTick(batch); err != nil {
 			break // checkpoint writer died on the injected fault
 		}
 		ref.apply(batch)
@@ -110,7 +110,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("budget %d: RecoverFrom for resume: %v", budget, err)
 		}
-		if err := e.ApplyTickParallel(randomBatch(rand.New(rand.NewSource(99)), tab.NumCells(), 10)); err != nil {
+		if err := e.ApplyTick(randomBatch(rand.New(rand.NewSource(99)), tab.NumCells(), 10)); err != nil {
 			t.Errorf("budget %d: recovered engine cannot tick: %v", budget, err)
 		}
 		if err := e.Close(); err != nil {
@@ -220,7 +220,7 @@ func TestCrashRecoveryEquivalenceStaleSegment(t *testing.T) {
 		t.Helper()
 		for i := 0; i < n; i++ {
 			batch := randomBatch(rng, tab.NumCells(), 60)
-			if err := e.ApplyTickParallel(batch); err != nil {
+			if err := e.ApplyTick(batch); err != nil {
 				t.Fatal(err)
 			}
 			ref.apply(batch)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gamestate"
 	"repro/internal/wal"
 )
 
@@ -29,7 +30,7 @@ func writeMixedLog(t *testing.T, dir string) []byte {
 	for tick := 0; tick < 32; tick++ {
 		switch tick % 4 {
 		case 0:
-			err = e.ApplyTickParallel(randomBatch(rng, cells, 50))
+			err = e.ApplyTick(randomBatch(rng, cells, 50))
 		case 1:
 			err = e.ApplyTickEnvelopes([]Envelope{
 				{Origin: -1, Updates: randomBatch(rng, cells, 40)},
@@ -86,9 +87,11 @@ func recoverEveryWay(t *testing.T, opts Options) []byte {
 			t.Errorf("shards %d: replayed %d updates over %d ticks to tick %d; Open %d over %d to %d", shards,
 				pres.ReplayedUpdates, pres.ReplayedTicks, pres.NextTick, want.ReplayedUpdates, want.ReplayedTicks, want.NextTick)
 		}
-		if pres.BatchesInFlightMax < 1 || pres.DecodeBusy <= 0 || pres.ApplyBusy <= 0 {
-			t.Errorf("shards %d: replay stage not accounted: %d batches, decode %v, apply %v", shards,
-				pres.BatchesInFlightMax, pres.DecodeBusy, pres.ApplyBusy)
+		// 16 a shard is the pipeline's free-list bound (recovery's
+		// batchesPerShard).
+		if pres.BatchesInFlightMax < 1 || pres.BatchesInFlightMax > 16*shards || pres.ApplyBusy <= 0 {
+			t.Errorf("shards %d: replay stage not accounted: %d batches in flight, apply %v", shards,
+				pres.BatchesInFlightMax, pres.ApplyBusy)
 		}
 		e.Close()
 	}
@@ -97,8 +100,8 @@ func recoverEveryWay(t *testing.T, opts Options) []byte {
 
 // TestMixedLogRecoversAtEveryWidth: update, message and install records in
 // one log come back byte-identical through Open and through the
-// reader → decoders → appliers pipeline at 1, 2 and 8 shards, with the
-// same replayed-update count, and equal to the engine that never crashed.
+// reader → appliers pipeline at 1, 2 and 8 shards, with the same
+// replayed-update count, and equal to the engine that never crashed.
 func TestMixedLogRecoversAtEveryWidth(t *testing.T) {
 	dir := t.TempDir()
 	live := writeMixedLog(t, dir)
@@ -108,22 +111,118 @@ func TestMixedLogRecoversAtEveryWidth(t *testing.T) {
 	}
 }
 
-// TestParentWrittenLogRecovers pins the log format across this change in
-// both directions: testdata/parent-wal is writeMixedLog's directory as the
-// commit before the decode stage wrote it. The same history written now
-// must produce those bytes (so that commit reads what this one writes), and
-// the checked-in bytes must recover, on every path, to the state the live
-// engine held.
+// TestLegacyAndRunRecordsMixInOneLog: a log whose ticks alternate between
+// run records (the engine's own) and varint records in arrival order (what
+// a heal appends from a cluster inbox) — updates, messages, a cell past the
+// table — recovers at every width to the state of an engine that logged
+// every tick as runs, with the same replayed-update count.
+func TestLegacyAndRunRecordsMixInOneLog(t *testing.T) {
+	// 7.6 pages of cells: at two shards the boundary falls inside a page, so
+	// a worker skips pages, stores whole ones and filters the shared one.
+	tab := gamestate.Table{Rows: 50_000, Cols: 10, CellSize: 4, ObjSize: 512}
+	rng := rand.New(rand.NewSource(46))
+	cells := tab.NumCells()
+	past := wal.Update{Cell: uint32(tab.NumObjects()*tab.CellsPerObject()) + 7, Value: 9}
+	ticks := make([][]Envelope, 24)
+	for i := range ticks {
+		ticks[i] = []Envelope{
+			{Origin: -1, Updates: append(randomBatch(rng, cells, 40), past)},
+			{Origin: 2, OriginTick: uint64(i), Updates: randomBatch(rng, cells, 6)},
+		}
+	}
+	runsOnly, mixed := t.TempDir(), t.TempDir()
+	ref, err := Open(Options{Table: tab, Dir: runsOnly, Mode: ModeNone, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, envs := range ticks {
+		if err := ref.ApplyTickEnvelopes(envs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := bytes.Clone(ref.Store().Slab())
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The mixed log: ticks in blocks of four, the engine logging the even
+	// blocks and a heal-style append the odd ones, between recoveries.
+	for block := 0; block < len(ticks)/4; block++ {
+		if block%2 == 0 {
+			e, err := Open(Options{Table: tab, Dir: mixed, Mode: ModeNone, Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, envs := range ticks[4*block : 4*block+4] {
+				if err := e.ApplyTickEnvelopes(envs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		log, err := wal.Open(filepath.Join(mixed, "wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 4 * block; i < 4*block+4; i++ {
+			for _, env := range ticks[i] {
+				if err := log.Append(uint64(i), EncodeEnvelopeRecord(nil, env)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := recoverEveryWay(t, Options{Table: tab, Dir: runsOnly, Mode: ModeNone})
+	got := recoverEveryWay(t, Options{Table: tab, Dir: mixed, Mode: ModeNone})
+	if !bytes.Equal(want, live) || !bytes.Equal(got, live) {
+		t.Fatalf("recovered slabs differ from the live engine's (runs only %v, mixed %v)",
+			bytes.Equal(want, live), bytes.Equal(got, live))
+	}
+	a, err := Open(Options{Table: tab, Dir: runsOnly, Mode: ModeNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := Open(Options{Table: tab, Dir: mixed, Mode: ModeNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if ra, rb := a.Recovery(), b.Recovery(); ra.ReplayedUpdates != rb.ReplayedUpdates || ra.NextTick != rb.NextTick ||
+		ra.ReplayedUpdates != int64(len(ticks)*46) {
+		t.Errorf("runs-only log replayed %d updates to tick %d, mixed log %d to %d; want %d in-table updates",
+			ra.ReplayedUpdates, ra.NextTick, rb.ReplayedUpdates, rb.NextTick, len(ticks)*46)
+	}
+}
+
+// TestParentWrittenLogRecovers: testdata/parent-wal is writeMixedLog's
+// directory as the engine wrote it before it logged runs — varint update and
+// message records in arrival order. The checked-in bytes must recover, on
+// every path, to the state the live engine holds.
 func TestParentWrittenLogRecovers(t *testing.T) {
+	live := writeMixedLog(t, t.TempDir())
+	got := recoverEveryWay(t, Options{Table: shardTable(), Dir: fixtureDir(t, "parent-wal"), Mode: ModeNone})
+	if !bytes.Equal(got, live) {
+		t.Error("the parent-written log recovers to a different state")
+	}
+}
+
+// TestRunWrittenLogIsPinned pins the run format: testdata/runs-wal is
+// writeMixedLog's directory as this format writes it. The same history
+// written now must produce those bytes, segment for segment, and the
+// checked-in bytes must recover, on every path, to the live engine's state.
+func TestRunWrittenLogIsPinned(t *testing.T) {
 	fresh := t.TempDir()
 	live := writeMixedLog(t, fresh)
-	segs, err := filepath.Glob(filepath.Join("testdata", "parent-wal", "*.seg"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no checked-in segments: %v", err)
-	}
-	old := t.TempDir()
-	if err := os.Mkdir(filepath.Join(old, "wal"), 0o755); err != nil {
-		t.Fatal(err)
+	pinned := fixtureDir(t, "runs-wal")
+	segs, _ := filepath.Glob(filepath.Join(pinned, "wal", "*.seg"))
+	if now, _ := filepath.Glob(filepath.Join(fresh, "wal", "*.seg")); len(now) != len(segs) {
+		t.Errorf("the history writes %d segments, the fixture holds %d", len(now), len(segs))
 	}
 	for _, seg := range segs {
 		want, err := os.ReadFile(seg)
@@ -135,19 +234,37 @@ func TestParentWrittenLogRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s: this commit writes %d bytes that differ from the parent's %d", filepath.Base(seg), len(got), len(want))
+			t.Errorf("%s: the history writes %d bytes that differ from the fixture's %d", filepath.Base(seg), len(got), len(want))
 		}
-		if err := os.WriteFile(filepath.Join(old, "wal", filepath.Base(seg)), want, 0o644); err != nil {
+	}
+	got := recoverEveryWay(t, Options{Table: shardTable(), Dir: pinned, Mode: ModeNone})
+	if !bytes.Equal(got, live) {
+		t.Error("the pinned run log recovers to a different state")
+	}
+}
+
+// fixtureDir copies testdata/<name>'s segments into the wal directory of a
+// fresh state directory and returns it.
+func fixtureDir(t *testing.T, name string) string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join("testdata", name, "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no checked-in segments in testdata/%s: %v", name, err)
+	}
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "wal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "wal", filepath.Base(seg)), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if now, _ := filepath.Glob(filepath.Join(fresh, "wal", "*.seg")); len(now) != len(segs) {
-		t.Errorf("this commit writes %d segments, the parent wrote %d", len(now), len(segs))
-	}
-	got := recoverEveryWay(t, Options{Table: shardTable(), Dir: old, Mode: ModeNone})
-	if !bytes.Equal(got, live) {
-		t.Error("the parent-written log recovers to a different state")
-	}
+	return dir
 }
 
 // handWrittenLog writes the given record bodies, one per tick from 0, as the
@@ -175,13 +292,15 @@ func updatesRecord(updates ...wal.Update) []byte {
 }
 
 // TestReplayDropsCellsPastTheTable: a logged update to a cell beyond the
-// last object is dropped and not counted at every pipeline width alike.
+// last object — in a varint record, or in a run record's pages past the
+// table — is dropped and not counted at every pipeline width alike.
 func TestReplayDropsCellsPastTheTable(t *testing.T) {
 	tab := shardTable()
 	end := uint32(tab.NumObjects() * tab.CellsPerObject())
 	dir := handWrittenLog(t,
 		updatesRecord(wal.Update{Cell: 7, Value: 1}, wal.Update{Cell: end, Value: 2}, wal.Update{Cell: end - 1, Value: 3}),
 		wal.EncodeMessage([]byte{recMessage}, 1, 0, []wal.Update{{Cell: 1<<32 - 1, Value: 4}, {Cell: 40_000, Value: 5}}),
+		appendRunRecord(nil, -1, 0, []wal.Update{{Cell: end - 2, Value: 6}, {Cell: end + 70_000, Value: 7}, {Cell: 1<<32 - 1, Value: 8}}),
 	)
 	opts := Options{Table: tab, Dir: dir, Mode: ModeNone}
 	recoverEveryWay(t, opts)
@@ -190,25 +309,28 @@ func TestReplayDropsCellsPastTheTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if n := e.Recovery().ReplayedUpdates; n != 3 {
-		t.Errorf("replayed %d updates, want the 3 inside the table", n)
+	if n := e.Recovery().ReplayedUpdates; n != 4 {
+		t.Errorf("replayed %d updates, want the 4 inside the table", n)
 	}
-	if e.Store().Cell(7) != 1 || e.Store().Cell(end-1) != 3 || e.Store().Cell(40_000) != 5 {
+	if e.Store().Cell(7) != 1 || e.Store().Cell(end-1) != 3 || e.Store().Cell(40_000) != 5 || e.Store().Cell(end-2) != 6 {
 		t.Error("an in-table update next to a dropped one was lost")
 	}
 }
 
 // TestUndecodableRecordNamesItsTick: a record whose frame is intact but
-// whose body does not decode — a truncated batch, a message too short for
-// its header, a record of the retired action kind 1 — fails recovery, through
-// Open and at every width, with an error that says which tick it was.
+// whose body does not decode — a truncated batch of either encoding, a
+// message too short for its header, a record of the retired action kind 1 —
+// fails recovery, through Open and at every width, with an error that says
+// which tick it was.
 func TestUndecodableRecordNamesItsTick(t *testing.T) {
 	good := updatesRecord(wal.Update{Cell: 9, Value: 9})
 	torn := updatesRecord(wal.Update{Cell: 70_000, Value: 1}, wal.Update{Cell: 3, Value: 2})
 	shortMsg := []byte{recMessage, 1, 2, 3}
 	action := []byte{1, 9, 0, 0, 0, 1, 0, 0, 0}
+	tornRuns := appendRunRecord(nil, -1, 0, []wal.Update{{Cell: 3, Value: 2}, {Cell: 70_000, Value: 1}})
 	for name, bad := range map[string][]byte{
 		"truncated batch": torn[:len(torn)-2], "short message": shortMsg, "action": action,
+		"truncated runs": tornRuns[:len(tornRuns)-2], "short run message": {recMessageRuns, 1, 2, 3},
 	} {
 		want := "tick 3"
 		if name == "action" {

@@ -381,9 +381,13 @@ func (e *Engine) IngestReplicated(tick uint64, body []byte) error {
 		// advance it (InstallRange); mirror that — the tick's regular
 		// record follows at the same tick number.
 		return e.ingestInstall(tick, body)
-	case recUpdates:
+	case recUpdates, recUpdateRuns:
+		decode := wal.DecodeUpdates
+		if kind == recUpdateRuns {
+			decode = wal.DecodeRuns
+		}
 		var err error
-		if e.ingestBuf, err = wal.DecodeUpdates(e.ingestBuf[:0], payload); err != nil {
+		if e.ingestBuf, err = decode(e.ingestBuf[:0], payload); err != nil {
 			return fmt.Errorf("engine: replicated tick %d: %w", tick, err)
 		}
 		apply = func() (int64, error) { return e.applyBatch(e.ingestBuf), nil }

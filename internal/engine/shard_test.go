@@ -20,14 +20,17 @@ func TestShardPlanGeometry(t *testing.T) {
 		n, requested     int
 		shards, perShard int
 	}{
-		{16, 1, 1, 64},     // tiny state folds to one shard
-		{16, 4, 1, 64},     // even when more are requested
-		{128, 1, 1, 128},   // single shard spans everything
-		{128, 4, 2, 64},    // word floor caps the shard count
-		{512, 4, 4, 128},   // exact power-of-two split
-		{7813, 4, 4, 2048}, // quick-scale table, ragged tail
-		{7813, 3, 2, 4096}, // non-power-of-two request rounds down
-		{7813, 0, 0, 0},    // auto: GOMAXPROCS-dependent, checked below
+		{16, 1, 1, 64},       // tiny state folds to one shard
+		{16, 4, 1, 64},       // even when more are requested
+		{128, 1, 1, 128},     // single shard spans everything
+		{128, 4, 2, 64},      // word floor caps the shard count
+		{512, 4, 4, 128},     // even split
+		{320, 4, 3, 128},     // 5 words at 2 a shard: 3 shards
+		{7813, 4, 4, 1984},   // quick-scale table, ragged tail
+		{7813, 3, 3, 2624},   // any request, not only powers of two
+		{78125, 2, 2, 39104}, // the full table: 611 + 610 words
+		{78125, 8, 8, 9792},  // 7 × 153 words + 150
+		{7813, 0, 0, 0},      // auto: GOMAXPROCS-dependent, checked below
 	}
 	for _, c := range cases {
 		p := makeShardPlan(c.n, c.requested)

@@ -95,22 +95,23 @@ func TestRecoverParallelPayloadsOutliveTheirChunk(t *testing.T) {
 				split := 0
 				slab := make([]byte, pObj*pObjSize)
 				ranges := evenRanges(pObj, shards)
-				o := updateLog(ParallelOptions{A: pBackup(t, gate), B: b, Slab: slab, Log: log, Ranges: ranges, Extra: &src})
-				o.Split = func([]byte) ([]byte, bool) {
-					// Split runs on the reader, once per record, after it took
-					// the record's batch: with the bound-th record every batch
-					// is in flight and none can come back before shard 0
-					// restores.
+				fanned = func() {
+					// fanned runs on the reader, once per record, after it
+					// took the record's batch: with the bound-th record every
+					// batch is in flight and none can come back before shard
+					// 0 restores.
 					if split++; split == bound {
 						close(gate.open)
 					}
-					return nil, false
 				}
-				o.Apply = func(shard int, tick uint64, payload []byte) (int64, error) {
-					stampRecord(slab, ranges[shard].Lo, ranges[shard].Hi, tick, payload)
-					return 1, nil
-				}
-				res, err := RecoverParallel(o)
+				res, err := RecoverParallel(ParallelOptions{
+					A: pBackup(t, gate), B: b, Slab: slab, Log: log, Ranges: ranges, Extra: &src,
+					Apply: func(shard int, tick uint64, payload []byte) (int64, error) {
+						stampRecord(slab, ranges[shard].Lo, ranges[shard].Hi, tick, payload)
+						return 1, nil
+					},
+				})
+				fanned = nil
 				if err != nil {
 					t.Fatal(err)
 				}

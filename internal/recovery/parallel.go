@@ -51,25 +51,12 @@ type ParallelOptions struct {
 	Ranges []ShardRange
 	// Apply applies one whole log record's effects restricted to shard's
 	// object range, returning the number of updates it applied. Every shard
-	// gets every record Split declines. Calls for one shard (Apply and
-	// ApplyUpdates alike) arrive in replay order (the log's, merged with
-	// Extra) on a single goroutine; calls for different shards run
-	// concurrently. Required when Log is set.
+	// gets every record. Calls for one shard arrive in replay order (the
+	// log's, merged with Extra) on a single goroutine; calls for different
+	// shards run concurrently. An error stops the shard's replay at that
+	// record, so Apply must refuse a record before it applies any of it for
+	// the shards to stop at the same place. Required when Log is set.
 	Apply func(shard int, tick uint64, payload []byte) (int64, error)
-	// Split, when non-nil, names the records that are plain update batches:
-	// for such a record it returns the wal.EncodeUpdates bytes inside the
-	// payload and true. The pipeline decodes those once, straight into one
-	// bucket per shard, and hands shard s only its own bucket through
-	// ApplyUpdates instead of the whole record through Apply. It runs on the
-	// log reader's goroutine, once per record.
-	Split func(payload []byte) (batch []byte, ok bool)
-	// CellBounds[s] is one past the last cell shard s owns: ascending, one
-	// per shard range. An update at or past the last bound is dropped and
-	// not counted. Required with Split.
-	CellBounds []uint32
-	// ApplyUpdates applies shard's bucket of one split record — every update
-	// in it is the shard's own, in batch order. Required with Split.
-	ApplyUpdates func(shard int, tick uint64, updates []wal.Update)
 	// Extra, when non-nil, is a second record source merged with the local
 	// log by tick, under one rule: a tick at or above the image floor that
 	// Extra carries replays from Extra, and the log's records for that tick
@@ -92,10 +79,6 @@ type ShardTiming struct {
 	// Wait is how long the shard's replay worker was gated on the restore
 	// watermark before it could apply its first record.
 	Wait time.Duration
-	// DecodeWait is how long the worker then stood waiting for a decoder to
-	// finish the record it was due to apply next: large against Replay means
-	// the replay stage is decode-bound, near zero that it is apply-bound.
-	DecodeWait time.Duration
 	// Replay is the wall time from the gate opening to the worker finishing.
 	Replay time.Duration
 	// Records is the number of log records the worker applied.
@@ -127,10 +110,9 @@ type ParallelResult struct {
 	// comparing this count against an extra source's complete copy of the
 	// same tick detects the tear.
 	LastTickRecords int
-	// DecodeBusy and ApplyBusy are the replay stage's two kinds of work,
-	// each summed over the goroutines doing it: decoding split records into
-	// buckets, and applying buckets and whole records to the slab.
-	DecodeBusy, ApplyBusy time.Duration
+	// ApplyBusy is the replay stage's work, summed over the shards' appliers:
+	// the time spent inside Apply.
+	ApplyBusy time.Duration
 	// BatchesInFlightMax is the most records that were between the log
 	// reader and their last applier at once; never above the free list's
 	// bound (batchesPerShard × shards).
@@ -154,12 +136,12 @@ const restoreChunk = 1 << 20
 // batchesPerShard bounds the replay stage: at most batchesPerShard × shards
 // records are in flight between the log reader and their last applier, so
 // the reader can run that far ahead of a slow shard (or a shard still gated
-// on its restore) and no further, and the decoded buckets held in memory are
-// capped. The depth is there to absorb scheduling: a record is ~20 µs of
-// work per stage, so with only a few in flight every stage blocks on its
-// neighbour once per record; measured on BenchmarkReplayPipeline, 16 per
-// shard replays a third faster than 4 at one shard and a tenth faster at
-// two, and 32 adds nothing.
+// on its restore) and no further, and the log chunks held in memory are
+// capped. The depth is there to absorb scheduling: with only a few records
+// in flight the reader and the appliers block on each other once per
+// record; measured on BenchmarkReplayPipeline when a decoder stage sat
+// between them, 16 per shard replayed a third faster than 4 at one shard,
+// and 32 added nothing.
 const batchesPerShard = 16
 
 // batch is one log record in flight from the reader to the appliers. It is
@@ -168,15 +150,6 @@ const batchesPerShard = 16
 type batch struct {
 	tick    uint64
 	payload []byte // the whole record, as read
-	// split marks a record the decoders bucket, updates being its
-	// update-batch bytes; any other record travels whole.
-	split   bool
-	updates []byte
-	// parts[s] is shard s's bucket of a split record and err its decode
-	// error, both written by one decoder before it calls ready.Done.
-	parts [][]wal.Update
-	err   error
-	ready sync.WaitGroup
 	// left counts the appliers still to finish with the batch.
 	left atomic.Int32
 	// mark counts the leading local-log records whose payloads nothing reads
@@ -186,13 +159,18 @@ type batch struct {
 	mark uint64
 }
 
+// fanned, when set, runs on the log reader's goroutine once per record, after
+// the record took its batch and before it is pushed to the feeds: the hook a
+// test uses to act once the reader has run a given distance ahead.
+var fanned func()
+
 // RecoverParallel restores the newest complete checkpoint image with one
 // concurrent reader per shard, then replays the logical log (merged with
 // opts.Extra by tick) with per-shard workers fed in that order by a single
-// reader, update batches decoded
-// once on the way into one bucket per shard. Shard s's worker applies
-// nothing until shard s's restore watermark covers its whole range, but is
-// not gated on any other shard — replay overlaps the remaining restores.
+// reader, each worker applying every record to its own range. Shard s's
+// worker applies nothing until shard s's restore watermark covers its whole
+// range, but is not gated on any other shard — replay overlaps the
+// remaining restores.
 func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 	start := time.Now()
 	var res ParallelResult
@@ -216,10 +194,6 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 	}
 	if opts.Log != nil && opts.Apply == nil {
 		return res, fmt.Errorf("recovery: Log set without Apply")
-	}
-	if opts.Split != nil && (opts.ApplyUpdates == nil || len(opts.CellBounds) != len(ranges)) {
-		return res, fmt.Errorf("recovery: Split needs ApplyUpdates and one cell bound per shard (%d bounds, %d shards)",
-			len(opts.CellBounds), len(ranges))
 	}
 	if opts.Extra != nil && opts.Log == nil {
 		return res, fmt.Errorf("recovery: Extra set without Log")
@@ -278,24 +252,19 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 		}(s, ranges[s])
 	}
 
-	// Replay stage: reader → decoders → appliers. The single reader fixes
-	// the order: it merges the local log with Extra by tick, pushes every
-	// record onto every shard's feed in that order, and queues the ones Split
-	// accepts for the decoders. A decoder parses a record once, straight into
-	// one bucket per shard; shard s's applier — the only goroutine that
-	// writes shard s's slab range — takes records off its feed in order,
-	// waits for the record's decoder and applies its own bucket unfiltered.
-	// Records Split declines (range installs, copied by range) reach Apply
-	// through the same feeds, so their place in each shard's order is the
-	// merged stream's.
+	// Replay stage: reader → appliers. The single reader fixes the order: it
+	// merges the local log with Extra by tick and pushes every record onto
+	// every shard's feed in that order; shard s's applier — the only
+	// goroutine that writes shard s's slab range — takes records off its feed
+	// in order and applies each to its range through Apply.
 	var lastTick uint64
 	sawTick := false
 	var readerErr error
 	var logBytes int64 // bytes of the local log read
 	logSkipped := 0    // stale sealed segments left unopened
 	// The local log's reader owns the chunks its payloads alias. It is closed
-	// only once every decoder and applier is joined, and it reuses a chunk
-	// only once the batches of all its records are back on the free list.
+	// only once every applier is joined, and it reuses a chunk only once the
+	// batches of all its records are back on the free list.
 	// Every shard applies its feed in order, so a batch's last applier
 	// finishes after every earlier batch's: a batch taken off the free list
 	// releases all log records up to its mark.
@@ -305,39 +274,18 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 		// there is. The reader's only wait is for a free batch.
 		bound := batchesPerShard * n
 		free := make(chan *batch, bound)
-		decode := make(chan *batch, bound)
 		feeds := make([]chan *batch, n)
 		for s := range feeds {
 			feeds[s] = make(chan *batch, bound)
 		}
-		decodeBusy := make([]time.Duration, n)
 		applyBusy := make([]time.Duration, n)
-		var decoders, appliers sync.WaitGroup
-		for d := 0; d < n; d++ { // one decoder per shard: as wide as the appliers
-			decoders.Add(1)
-			go func(d int) {
-				defer decoders.Done()
-				var busy time.Duration
-				for b := range decode {
-					t0 := time.Now()
-					for s := range b.parts {
-						b.parts[s] = b.parts[s][:0]
-					}
-					if err := wal.SplitUpdates(b.parts, opts.CellBounds, b.updates); err != nil {
-						b.err = fmt.Errorf("recovery: replay: record at tick %d: %w", b.tick, err)
-					}
-					busy += time.Since(t0)
-					b.ready.Done()
-				}
-				decodeBusy[d] = busy
-			}(d)
-		}
+		var appliers sync.WaitGroup
 		for s := range feeds {
 			appliers.Add(1)
 			go func(s int) {
 				// The per-record counters stay on this goroutine's stack
 				// until it is done: the shards' slots sit side by side.
-				var busy, decodeWait time.Duration
+				var busy time.Duration
 				var applied int64
 				var records int
 				var first time.Time
@@ -346,29 +294,11 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 				g0 := time.Now()
 				err := shardErrs[s] // an unrestored shard must not replay
 				for b := range feeds[s] {
-					t0 := time.Now()
-					if first.IsZero() && err == nil {
-						first = t0
-					}
-					t1 := t0
-					if b.split {
-						// Always wait, even after an error: the batch must not go
-						// back to the free list while a decoder still writes it.
-						b.ready.Wait()
-						t1 = time.Now()
-						decodeWait += t1.Sub(t0)
-					}
-					switch {
-					case err != nil: // drain so the reader never blocks
-					case b.err != nil:
-						// Every shard meets the undecodable record at the same
-						// place in its feed and applies nothing from there on.
-						err = b.err
-					case b.split:
-						opts.ApplyUpdates(s, b.tick, b.parts[s])
-						applied += int64(len(b.parts[s]))
-						records++
-					default:
+					if err == nil { // else drain, so the reader never blocks
+						t0 := time.Now()
+						if first.IsZero() {
+							first = t0
+						}
 						var nUpd int64
 						nUpd, err = opts.Apply(s, b.tick, b.payload)
 						applied += nUpd
@@ -377,15 +307,15 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 						} else {
 							records++
 						}
+						busy += time.Since(t0)
 					}
-					busy += time.Since(t1)
 					if b.left.Add(-1) == 0 {
 						free <- b
 					}
 				}
 				replayDone[s] = time.Now()
 				st := &res.Shards[s]
-				st.Wait, st.DecodeWait, st.Replay, st.Records = g0.Sub(w0), decodeWait, replayDone[s].Sub(g0), records
+				st.Wait, st.Replay, st.Records = g0.Sub(w0), replayDone[s].Sub(g0), records
 				shardErrs[s], replayFirst[s], updates[s], applyBusy[s] = err, first, applied, busy
 				appliers.Done()
 			}(s)
@@ -406,21 +336,17 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 			default:
 				if allocated < bound {
 					allocated++
-					b = &batch{parts: make([][]wal.Update, n)}
+					b = &batch{}
 				} else {
 					b = <-free
 				}
 			}
 			logReader.Release(b.mark)
 			b.mark = mark
-			b.tick, b.payload, b.split, b.err = tick, payload, false, nil
-			if opts.Split != nil {
-				b.updates, b.split = opts.Split(payload)
-			}
+			b.tick, b.payload = tick, payload
 			b.left.Store(int32(n))
-			if b.split {
-				b.ready.Add(1)
-				decode <- b
+			if fanned != nil {
+				fanned()
 			}
 			for s := range feeds {
 				feeds[s] <- b
@@ -465,18 +391,15 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 		if err != nil {
 			readerErr = fmt.Errorf("recovery: replay: %w", err)
 		}
-		close(decode)
 		for s := range feeds {
 			close(feeds[s])
 		}
 		appliers.Wait()
-		decoders.Wait()
 		if logReader != nil {
 			logReader.Close() //nolint:errcheck // read-only handles
 		}
 		res.BatchesInFlightMax = allocated
 		for s := range feeds {
-			res.DecodeBusy += decodeBusy[s]
 			res.ApplyBusy += applyBusy[s]
 		}
 	} else {
@@ -532,7 +455,6 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 				telemetry.Int("replayed_updates", res.ReplayedUpdates),
 				telemetry.Int("log_bytes", logBytes),
 				telemetry.Int("segments_skipped", int64(logSkipped)),
-				telemetry.Int("decode_ns", int64(res.DecodeBusy)),
 				telemetry.Int("apply_ns", int64(res.ApplyBusy)),
 				telemetry.Int("batches_in_flight_max", int64(res.BatchesInFlightMax)))
 		}

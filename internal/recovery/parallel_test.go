@@ -144,21 +144,34 @@ func evenRanges(n, shards int) []ShardRange {
 }
 
 // updateLog completes o (A, Slab and Ranges set) for a log of plain update
-// batches: every record is split at the cell bounds of its ranges and a
-// shard writes its bucket unfiltered; no record may travel whole.
+// batches: every shard's Apply decodes the whole record and writes the
+// updates inside its range, counting them.
 func updateLog(o ParallelOptions) ParallelOptions {
-	slab := o.Slab
-	for _, r := range o.Ranges {
-		o.CellBounds = append(o.CellBounds, uint32(r.Hi*o.A.ObjSize()/4))
-	}
-	o.Split = func(payload []byte) ([]byte, bool) { return payload, true }
-	o.ApplyUpdates = func(_ int, _ uint64, updates []wal.Update) {
-		for _, u := range updates {
-			binary.LittleEndian.PutUint32(slab[u.Cell*4:], u.Value)
+	return recordsTo(o, func(_ uint64, u wal.Update) {
+		binary.LittleEndian.PutUint32(o.Slab[u.Cell*4:], u.Value)
+	})
+}
+
+// recordsTo completes o for a log of plain update batches as updateLog does,
+// handing each shard's updates to apply instead, in the shard's replay order.
+// A record that does not decode is refused whole, naming its tick.
+func recordsTo(o ParallelOptions, apply func(tick uint64, u wal.Update)) ParallelOptions {
+	cellsPerObj := o.A.ObjSize() / 4
+	scratch := make([][]wal.Update, len(o.Ranges))
+	o.Apply = func(shard int, tick uint64, payload []byte) (int64, error) {
+		var err error
+		if scratch[shard], err = wal.DecodeUpdates(scratch[shard][:0], payload); err != nil {
+			return 0, fmt.Errorf("record at tick %d: %w", tick, err)
 		}
-	}
-	o.Apply = func(shard int, tick uint64, _ []byte) (int64, error) {
-		return 0, fmt.Errorf("shard %d handed the update record at tick %d whole", shard, tick)
+		lo, hi := uint32(o.Ranges[shard].Lo*cellsPerObj), uint32(o.Ranges[shard].Hi*cellsPerObj)
+		var n int64
+		for _, u := range scratch[shard] {
+			if u.Cell >= lo && u.Cell < hi {
+				apply(tick, u)
+				n++
+			}
+		}
+		return n, nil
 	}
 	return o
 }
@@ -542,8 +555,8 @@ func TestRecoverParallelFreeListBound(t *testing.T) {
 			t.Errorf("shards %d: %d batches in flight over %d records, bound %d",
 				shards, res.BatchesInFlightMax, res.ReplayedTicks, batchesPerShard*shards)
 		}
-		if res.DecodeBusy <= 0 || res.ApplyBusy <= 0 {
-			t.Errorf("shards %d: decode busy %v, apply busy %v", shards, res.DecodeBusy, res.ApplyBusy)
+		if res.ApplyBusy <= 0 {
+			t.Errorf("shards %d: apply busy %v", shards, res.ApplyBusy)
 		}
 		for _, sp := range telemetry.Spans() {
 			if sp.Name != "recovery/replay" {
@@ -553,10 +566,9 @@ func TestRecoverParallelFreeListBound(t *testing.T) {
 			for _, at := range sp.Attrs {
 				attrs[at.Key] = at.Int
 			}
-			if attrs["decode_ns"] != int64(res.DecodeBusy) || attrs["apply_ns"] != int64(res.ApplyBusy) ||
-				attrs["batches_in_flight_max"] != int64(res.BatchesInFlightMax) {
-				t.Errorf("shards %d: replay span %v disagrees with the result (%v, %v, %d)",
-					shards, attrs, res.DecodeBusy, res.ApplyBusy, res.BatchesInFlightMax)
+			if attrs["apply_ns"] != int64(res.ApplyBusy) || attrs["batches_in_flight_max"] != int64(res.BatchesInFlightMax) {
+				t.Errorf("shards %d: replay span %v disagrees with the result (%v, %d)",
+					shards, attrs, res.ApplyBusy, res.BatchesInFlightMax)
 			}
 		}
 	}
@@ -572,77 +584,5 @@ func TestOverlapNeverNegative(t *testing.T) {
 	r.TotalDuration = 95
 	if got := r.Overlap(); got != 3 {
 		t.Errorf("overlap %v, want 3", got)
-	}
-}
-
-// TestRecoverParallelSplitNeedsItsHalves: Split without the bucket applier
-// or with the wrong number of cell bounds is refused up front.
-func TestRecoverParallelSplitNeedsItsHalves(t *testing.T) {
-	a, b := pBackup(t, disk.NewMem()), pBackup(t, disk.NewMem())
-	log, _, _ := buildWorkload(t, a, t.TempDir(), 0, 3, 29)
-	defer log.Close()
-	slab := make([]byte, pObj*pObjSize)
-	opts := updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(pObj, 2)})
-	opts.CellBounds = opts.CellBounds[:1]
-	if _, err := RecoverParallel(opts); err == nil {
-		t.Error("one cell bound for two shards accepted")
-	}
-	opts = updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(pObj, 2)})
-	opts.ApplyUpdates = nil
-	if _, err := RecoverParallel(opts); err == nil {
-		t.Error("Split without ApplyUpdates accepted")
-	}
-}
-
-// BenchmarkReplayPipeline is the replay stage alone at the repo benchmark's
-// crash-recover shape: 640 records of 6,400 hotspot-spread updates over a
-// 40 MB table, restored from an in-memory image so the log is the work.
-func BenchmarkReplayPipeline(b *testing.B) {
-	const (
-		objects, objSize = 78_125, 512
-		cells            = objects * objSize / 4
-		records, perRec  = 640, 6400
-	)
-	a, err := disk.NewBackup(disk.NewMem(), objects, objSize)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bb, err := disk.NewBackup(disk.NewMem(), objects, objSize)
-	if err != nil {
-		b.Fatal(err)
-	}
-	log, err := wal.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer log.Close()
-	rng := rand.New(rand.NewSource(1))
-	batch := make([]wal.Update, perRec)
-	var buf []byte
-	for tick := uint64(0); tick < records; tick++ {
-		for i := range batch {
-			batch[i] = wal.Update{Cell: uint32(rng.Intn(cells)), Value: rng.Uint32()}
-		}
-		buf = wal.EncodeUpdates(buf[:0], batch)
-		if err := log.Append(tick, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := log.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	slab := make([]byte, objects*objSize)
-	for _, shards := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			opts := updateLog(ParallelOptions{A: a, B: bb, Slab: slab, Log: log, Ranges: evenRanges(objects, shards)})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := RecoverParallel(opts)
-				if err != nil || res.ReplayedUpdates != records*perRec {
-					b.Fatalf("replayed %d updates: %v", res.ReplayedUpdates, err)
-				}
-			}
-			b.ReportMetric(float64(b.N)*records*perRec/b.Elapsed().Seconds(), "updates/s")
-		})
 	}
 }

@@ -206,11 +206,5 @@ func TestRunRejectsCorruptBatch(t *testing.T) {
 // over one range, the whole object space, handing every replayed update to
 // apply in log order with its tick.
 func replayUpdates(a, b *disk.Backup, slab []byte, log *wal.Log, apply func(tick uint64, u wal.Update)) (ParallelResult, error) {
-	o := updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(a.Objects(), 1)})
-	o.ApplyUpdates = func(_ int, tick uint64, updates []wal.Update) {
-		for _, u := range updates {
-			apply(tick, u)
-		}
-	}
-	return RecoverParallel(o)
+	return RecoverParallel(recordsTo(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(a.Objects(), 1)}, apply))
 }

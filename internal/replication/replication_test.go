@@ -68,7 +68,7 @@ func TestPromotionCrashEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for tick := 0; tick < warmTicks; tick++ {
-				if err := p.ApplyTickParallel(detBatch(tab, tick, 48)); err != nil {
+				if err := p.ApplyTick(detBatch(tab, tick, 48)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -93,7 +93,7 @@ func TestPromotionCrashEquivalence(t *testing.T) {
 				t.Fatalf("standby died during bootstrap: %v", sb.Err())
 			}
 			for tick := warmTicks; tick < warmTicks+streamTicks; tick++ {
-				if err := p.ApplyTickParallel(detBatch(tab, tick, 48)); err != nil {
+				if err := p.ApplyTick(detBatch(tab, tick, 48)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -202,7 +202,9 @@ func (c *cutConn) Write(p []byte) (int, error) {
 // boundary mid-stream promotes to a state that equals the reference at some
 // whole tick count — partial frames never reach the engine.
 func TestMidStreamCutSealsAtWholeTick(t *testing.T) {
-	const warmTicks, streamTicks = 4, 40
+	// The stream must outlast the largest budget below, or the cut never
+	// comes: 60 ticks of 48 updates run past 12 KB in either log encoding.
+	const warmTicks, streamTicks = 4, 60
 	tab := replTable()
 
 	// Budgets: past the bootstrap (handshake + one snapshot chunk for this

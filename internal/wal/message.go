@@ -13,32 +13,43 @@ import (
 // tick, and it is logged with its origin pinned on it: (origin node, origin
 // tick, update batch). Recovery uses the origin tick to re-derive which
 // messages were still in flight at the crash; replay treats the batch exactly
-// like a tick's own updates. The encoding lives here, next to the update
-// batch codec it wraps, so the engine's record framing and the cluster's
-// message store agree on the bytes byte-for-byte.
+// like a tick's own updates. The header codec lives here, next to the batch
+// codecs it prefixes, so the engine's records and the cluster's message
+// store frame a message alike.
 
 // MessageHeaderLen is the length of the origin header (u32 node, u64 tick)
 // in front of a message's update batch.
 const MessageHeaderLen = 12
 
+// AppendMessageHeader appends a message's origin header to buf; the batch,
+// in either encoding, follows it.
+func AppendMessageHeader(buf []byte, origin uint32, originTick uint64) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, origin)
+	return binary.LittleEndian.AppendUint64(buf, originTick)
+}
+
+// SplitMessage parses a message's origin header and returns the batch bytes
+// behind it.
+func SplitMessage(payload []byte) (origin uint32, originTick uint64, batch []byte, err error) {
+	if len(payload) < MessageHeaderLen {
+		return 0, 0, nil, fmt.Errorf("wal: message payload %d bytes, want >= %d", len(payload), MessageHeaderLen)
+	}
+	return binary.LittleEndian.Uint32(payload[0:]), binary.LittleEndian.Uint64(payload[4:]), payload[MessageHeaderLen:], nil
+}
+
 // EncodeMessage appends the message encoding to buf and returns it: the
 // origin node, the origin tick, then the update batch in EncodeUpdates form.
 func EncodeMessage(buf []byte, origin uint32, originTick uint64, updates []Update) []byte {
-	var hdr [MessageHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], origin)
-	binary.LittleEndian.PutUint64(hdr[4:], originTick)
-	buf = append(buf, hdr[:]...)
-	return EncodeUpdates(buf, updates)
+	return EncodeUpdates(AppendMessageHeader(buf, origin, originTick), updates)
 }
 
 // DecodeMessage parses a payload encoded by EncodeMessage, appending the
 // update batch to dst.
 func DecodeMessage(dst []Update, payload []byte) (origin uint32, originTick uint64, updates []Update, err error) {
-	if len(payload) < MessageHeaderLen {
-		return 0, 0, dst, fmt.Errorf("wal: message payload %d bytes, want >= %d", len(payload), MessageHeaderLen)
+	origin, originTick, batch, err := SplitMessage(payload)
+	if err != nil {
+		return 0, 0, dst, err
 	}
-	origin = binary.LittleEndian.Uint32(payload[0:])
-	originTick = binary.LittleEndian.Uint64(payload[4:])
-	updates, err = DecodeUpdates(dst, payload[MessageHeaderLen:])
+	updates, err = DecodeUpdates(dst, batch)
 	return origin, originTick, updates, err
 }

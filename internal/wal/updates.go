@@ -75,59 +75,18 @@ const minUpdateLen = 5
 
 // DecodeUpdates parses a batch encoded by EncodeUpdates, appending to dst.
 func DecodeUpdates(dst []Update, payload []byte) ([]Update, error) {
-	parts := [1][]Update{dst}
-	err := splitUpdates(parts[:], nil, payload)
-	return parts[0], err
-}
-
-// SplitUpdates parses a batch encoded by EncodeUpdates straight into
-// per-range buckets: an update lands in the first bucket s with
-// Cell < bounds[s], appended to parts[s] in batch order (so the order of the
-// writes to any one cell is kept). bounds must be ascending and as long as
-// parts; an update at or past the last bound lands nowhere. It accepts
-// exactly the payloads DecodeUpdates accepts; after an error the buckets
-// hold an unspecified prefix of the batch.
-func SplitUpdates(parts [][]Update, bounds []uint32, payload []byte) error {
-	if len(parts) != len(bounds) {
-		return fmt.Errorf("wal: %d buckets for %d bounds", len(parts), len(bounds))
-	}
-	return splitUpdates(parts, bounds, payload)
-}
-
-// splitUpdates is the one decode loop. With one more bucket than bounds the
-// last bucket is unbounded, which is how DecodeUpdates keeps every update.
-func splitUpdates(parts [][]Update, bounds []uint32, payload []byte) error {
 	count, n := binary.Uvarint(payload)
 	if n <= 0 {
-		return fmt.Errorf("wal: bad update count")
+		return dst, fmt.Errorf("wal: bad update count")
 	}
 	p := payload[n:]
 	// Every update takes at least minUpdateLen bytes, so a larger count can
 	// only end in a truncation error: refusing it here means the count never
 	// sizes an allocation or a loop the payload does not back.
 	if count > uint64(len(p)/minUpdateLen) {
-		return fmt.Errorf("wal: update count %d exceeds what %d payload bytes can hold", count, len(p))
+		return dst, fmt.Errorf("wal: update count %d exceeds what %d payload bytes can hold", count, len(p))
 	}
-	// The loop appends through a private copy of the bucket headers, put
-	// back on every way out. The caller's headers are small heap objects;
-	// two goroutines splitting different records would otherwise bump
-	// lengths that share a cache line on every update.
-	var onStack [16][]Update
-	local := onStack[:0]
-	if len(parts) <= len(onStack) {
-		local = onStack[:len(parts)]
-	} else {
-		local = make([][]Update, len(parts))
-	}
-	copy(local, parts)
-	defer copy(parts, local)
-	if len(local) == 1 {
-		if free := cap(local[0]) - len(local[0]); free < int(count) {
-			grown := make([]Update, len(local[0]), len(local[0])+int(count))
-			copy(grown, local[0])
-			local[0] = grown
-		}
-	}
+	dst = growUpdates(dst, int(count))
 	prev := int64(0)
 	for i := uint64(0); i < count; i++ {
 		var d int64
@@ -161,33 +120,36 @@ func splitUpdates(parts [][]Update, bounds []uint32, payload []byte) error {
 			// (over-long or out of range): the general decoder.
 			d, n = binary.Varint(p)
 			if n <= 0 {
-				return fmt.Errorf("wal: bad cell delta at update %d", i)
+				return dst, fmt.Errorf("wal: bad cell delta at update %d", i)
 			}
 			p = p[n:]
 			if len(p) < 4 {
-				return fmt.Errorf("wal: truncated value at update %d", i)
+				return dst, fmt.Errorf("wal: truncated value at update %d", i)
 			}
 			value = binary.LittleEndian.Uint32(p)
 			p = p[4:]
 		}
 		cell := prev + d
 		if cell < 0 || cell > 1<<32-1 {
-			return fmt.Errorf("wal: cell %d out of range at update %d", cell, i)
+			return dst, fmt.Errorf("wal: cell %d out of range at update %d", cell, i)
 		}
 		prev = cell
-		// The bucket is the number of bounds at or below the cell, counted
-		// by sign bit: which side of a bound a hotspot cell falls on is a
-		// coin toss no branch predictor wins.
-		s := 0
-		for _, b := range bounds {
-			s += int(uint64(int64(b)-cell-1) >> 63)
-		}
-		if s < len(local) {
-			local[s] = append(local[s], Update{Cell: uint32(cell), Value: value})
-		}
+		dst = append(dst, Update{Cell: uint32(cell), Value: value})
 	}
 	if len(p) != 0 {
-		return fmt.Errorf("wal: %d trailing bytes after batch", len(p))
+		return dst, fmt.Errorf("wal: %d trailing bytes after batch", len(p))
 	}
-	return nil
+	return dst, nil
+}
+
+// growUpdates returns dst with room for n more updates, grown to exactly
+// that when it lacks it: a count the payload backs sizes the buffer and
+// nothing past it.
+func growUpdates(dst []Update, n int) []Update {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	grown := make([]Update, len(dst), len(dst)+n)
+	copy(grown, dst)
+	return grown
 }

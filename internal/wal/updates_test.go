@@ -97,44 +97,20 @@ func FuzzEncodeUpdates(f *testing.F) {
 	})
 }
 
-// stablePartition is SplitUpdates' contract spelt out on a decoded batch.
-func stablePartition(updates []Update, bounds []uint32) [][]Update {
-	parts := make([][]Update, len(bounds))
-	for _, u := range updates {
-		for s, b := range bounds {
-			if u.Cell < b {
-				parts[s] = append(parts[s], u)
-				break
-			}
-		}
-	}
-	return parts
-}
-
-// checkAgainstReference runs both decoders of the current codec on payload
-// and compares them with the reference loop.
-func checkAgainstReference(t *testing.T, payload []byte, bounds []uint32) {
+// checkAgainstReference runs the current decoder on payload and compares it
+// with the reference loop.
+func checkAgainstReference(t *testing.T, payload []byte) {
 	t.Helper()
 	want, wantErr := referenceDecodeUpdates(nil, payload)
 	got, err := DecodeUpdates(nil, payload)
 	if (err != nil) != (wantErr != nil) {
 		t.Fatalf("DecodeUpdates err %v, reference err %v", err, wantErr)
 	}
-	parts := make([][]Update, len(bounds))
-	splitErr := SplitUpdates(parts, bounds, payload)
-	if (splitErr != nil) != (wantErr != nil) {
-		t.Fatalf("SplitUpdates err %v, reference err %v", splitErr, wantErr)
-	}
 	if wantErr != nil {
 		return
 	}
 	if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 		t.Fatalf("DecodeUpdates differs from the reference:\n got %v\nwant %v", got, want)
-	}
-	for s, wantPart := range stablePartition(want, bounds) {
-		if len(parts[s]) != len(wantPart) || (len(wantPart) > 0 && !reflect.DeepEqual(parts[s], wantPart)) {
-			t.Fatalf("bucket %d (bounds %v):\n got %v\nwant %v", s, bounds, parts[s], wantPart)
-		}
 	}
 	// A canonical payload is one EncodeUpdates could have written: it must
 	// come back out of the encoder byte for byte.
@@ -146,38 +122,33 @@ func checkAgainstReference(t *testing.T, payload []byte, bounds []uint32) {
 	}
 }
 
-// FuzzDecodeUpdates: on arbitrary bytes the unrolled decoder and the bucket
-// splitter take the reference loop's accept/reject decision, produce its
-// updates (the buckets, a stable partition of them by the fuzzed bounds),
-// never panic, and an accepted batch re-encodes to something that decodes
-// to itself — to the same bytes when the input was canonical.
+// FuzzDecodeUpdates: on arbitrary bytes the unrolled decoder takes the
+// reference loop's accept/reject decision, produces its updates, never
+// panics, and an accepted batch re-encodes to something that decodes to
+// itself — to the same bytes when the input was canonical.
 func FuzzDecodeUpdates(f *testing.F) {
 	enc := func(us ...Update) []byte { return EncodeUpdates(nil, us) }
-	f.Add(enc(), uint32(0), uint32(0))
-	f.Add(enc(Update{Cell: 1, Value: 2}, Update{Cell: 60, Value: 3}), uint32(2), uint32(61))                                                  // 1-byte deltas
-	f.Add(enc(Update{Cell: 1 << 19, Value: 7}, Update{Cell: 9, Value: 8}), uint32(10), uint32(1<<19))                                         // 3-byte deltas, one negative
-	f.Add(enc(Update{Cell: 9_999_999, Value: 1}, Update{Cell: 12, Value: 2}), uint32(5_000_000), uint32(1e7))                                 // 4-byte deltas
-	f.Add(enc(Update{Cell: 1<<32 - 1, Value: 1}, Update{Cell: 0, Value: 2}, Update{Cell: 1 << 31, Value: 3}), uint32(1<<31), uint32(1<<32-1)) // 5-byte deltas
-	f.Add(append(enc(Update{Cell: 3, Value: 4}), make([]byte, 12)...), uint32(1), uint32(2))                                                  // trailing bytes
-	f.Add([]byte{1, 0x86, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00, 1, 2, 3, 4}, uint32(1), uint32(4))                                              // over-long varint for cell 3
-	f.Add([]byte{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1, 2, 3, 4}, uint32(0), uint32(0))                            // 10-byte delta, out of range
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 2, 1, 2, 3, 4}, uint32(0), uint32(9))                                                          // count larger than the payload
-	f.Add(enc(Update{Cell: 70_000, Value: 0xdeadbeef})[:5], uint32(0), uint32(1<<20))                                                         // truncated value
-	f.Add([]byte{1, 0x80}, uint32(0), uint32(0))                                                                                              // truncated delta
-	f.Add([]byte{}, uint32(0), uint32(0))
-	f.Fuzz(func(t *testing.T, payload []byte, b0, b1 uint32) {
-		if b0 > b1 {
-			b0, b1 = b1, b0
-		}
-		checkAgainstReference(t, payload, []uint32{b0, b1})
-		checkAgainstReference(t, payload, []uint32{b1})
+	f.Add(enc())
+	f.Add(enc(Update{Cell: 1, Value: 2}, Update{Cell: 60, Value: 3}))                                         // 1-byte deltas
+	f.Add(enc(Update{Cell: 1 << 19, Value: 7}, Update{Cell: 9, Value: 8}))                                    // 3-byte deltas, one negative
+	f.Add(enc(Update{Cell: 9_999_999, Value: 1}, Update{Cell: 12, Value: 2}))                                 // 4-byte deltas
+	f.Add(enc(Update{Cell: 1<<32 - 1, Value: 1}, Update{Cell: 0, Value: 2}, Update{Cell: 1 << 31, Value: 3})) // 5-byte deltas
+	f.Add(append(enc(Update{Cell: 3, Value: 4}), make([]byte, 12)...))                                        // trailing bytes
+	f.Add([]byte{1, 0x86, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00, 1, 2, 3, 4})                                    // over-long varint for cell 3
+	f.Add([]byte{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1, 2, 3, 4})                  // 10-byte delta, out of range
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 2, 1, 2, 3, 4})                                                // count larger than the payload
+	f.Add(enc(Update{Cell: 70_000, Value: 0xdeadbeef})[:5])                                                   // truncated value
+	f.Add([]byte{1, 0x80})                                                                                    // truncated delta
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		checkAgainstReference(t, payload)
 	})
 }
 
-// TestSplitUpdatesRandomBatches drives the differential over batches shaped
-// like real ticks (every delta width, both signs), at several bucket counts,
-// and over every truncation of one batch.
-func TestSplitUpdatesRandomBatches(t *testing.T) {
+// TestDecodeUpdatesRandomBatches drives the differential over batches shaped
+// like real ticks (every delta width, both signs), and over every truncation
+// of one batch.
+func TestDecodeUpdatesRandomBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, span := range []uint32{50, 1 << 13, 1 << 20, 1 << 27, 1<<32 - 1} {
 		batch := make([]Update, 300)
@@ -188,21 +159,12 @@ func TestSplitUpdatesRandomBatches(t *testing.T) {
 		if !bytes.Equal(payload, referenceEncodeUpdates(nil, batch)) {
 			t.Fatalf("span %d: EncodeUpdates differs from the reference loop", span)
 		}
-		for _, buckets := range []int{1, 2, 8} {
-			bounds := make([]uint32, buckets)
-			for s := range bounds {
-				bounds[s] = uint32(uint64(span) * uint64(s+1) / uint64(buckets+1)) // the top slice is dropped
-			}
-			checkAgainstReference(t, payload, bounds)
-		}
+		checkAgainstReference(t, payload)
 		if span == 1<<20 {
 			for cut := 0; cut < len(payload); cut += 7 {
-				checkAgainstReference(t, payload[:cut], []uint32{span / 2, span})
+				checkAgainstReference(t, payload[:cut])
 			}
 		}
-	}
-	if err := SplitUpdates(make([][]Update, 2), []uint32{1}, EncodeUpdates(nil, nil)); err == nil {
-		t.Error("two buckets for one bound accepted")
 	}
 }
 
@@ -284,31 +246,5 @@ func BenchmarkDecodeUpdates(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.N)*6400/b.Elapsed().Seconds(), "updates/s")
 		})
-	}
-}
-
-func BenchmarkSplitUpdates(b *testing.B) {
-	for _, c := range benchShapes {
-		for _, buckets := range []int{2, 8} {
-			b.Run(fmt.Sprintf("%s/buckets=%d", c.name, buckets), func(b *testing.B) {
-				batches := benchBatches(c.clustered)
-				parts := make([][]Update, buckets)
-				bounds := make([]uint32, buckets)
-				for s := range bounds {
-					bounds[s] = uint32(10_000_000 / buckets * (s + 1))
-				}
-				b.SetBytes(int64(len(batches[0])))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for s := range parts {
-						parts[s] = parts[s][:0]
-					}
-					if err := SplitUpdates(parts, bounds, batches[i%len(batches)]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.N)*6400/b.Elapsed().Seconds(), "updates/s")
-			})
-		}
 	}
 }

@@ -40,7 +40,7 @@ func TestScenarioCrashEquivalence(t *testing.T) {
 					var batch []wal.Update
 					for i := 0; i < src.NumTicks(); i++ {
 						cells, batch = tickBatch(src, i, cells, batch)
-						if err := e.ApplyTickParallel(batch); err != nil {
+						if err := e.ApplyTick(batch); err != nil {
 							t.Fatal(err)
 						}
 					}
