@@ -138,9 +138,9 @@ func runPrimary(opts repro.EngineOptions, listen string, updates, ticks, tickMs,
 		log.Fatalf("primary: standby never caught up: %v", err)
 	}
 	st := sh.Stats()
-	log.Printf("primary: %d ticks in %v; shipped %d ticks / %.1f MB (+%.1f MB bootstrap)",
+	log.Printf("primary: %d ticks in %v; shipped %d ticks / %.1f MB (+%.1f MB image, stream from tick %d)",
 		ticks, time.Since(start).Round(time.Millisecond),
-		st.TicksShipped, float64(st.BytesShipped)/1e6, float64(st.SnapshotBytes)/1e6)
+		st.TicksShipped, float64(st.BytesShipped)/1e6, float64(st.ImageBytes)/1e6, st.StartTick)
 	fmt.Printf("primary final state: tick %d, checksum %08x\n",
 		e.NextTick(), crc32.ChecksumIEEE(e.Store().Slab()))
 	log.Printf("primary: exiting now — the standby should promote")
@@ -162,8 +162,8 @@ func runStandby(opts repro.EngineOptions, connect string, netTO time.Duration) {
 	select {
 	case <-sb.Ready():
 		st := sb.Stats()
-		log.Printf("standby: bootstrapped %.1f MB as of tick %d; mirroring",
-			float64(st.SnapshotBytes)/1e6, st.StartTick)
+		log.Printf("standby: bootstrapped a %.1f MB image; streaming from tick %d",
+			float64(st.ImageBytes)/1e6, st.StartTick)
 	case <-sb.Done():
 		log.Fatalf("standby: bootstrap failed: %v", sb.Err())
 	}

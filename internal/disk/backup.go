@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/bits"
+	"slices"
 )
 
 // The double-backup organization (Salem and Garcia-Molina [29], Section 3.2):
@@ -89,6 +90,28 @@ func (p Populated) Has(w int) bool {
 	}
 	i := w >> p.grain
 	return p.bits[i>>3]&(1<<(i&7)) != 0
+}
+
+// EachRun calls fn for each maximal run [start, end) of the objects in
+// [lo, hi) that lie in words p covers, in ascending order, and stops at fn's
+// first error: the restore's and the image transfer's run walker.
+func (p Populated) EachRun(lo, hi int, fn func(start, end int) error) error {
+	for start := lo; start < hi; {
+		if !p.Has(start >> 6) {
+			start = (start>>6 + 1) << 6
+			continue
+		}
+		end := start
+		for end < hi && p.Has(end>>6) {
+			end = (end>>6 + 1) << 6
+		}
+		end = min(end, hi)
+		if err := fn(start, end); err != nil {
+			return err
+		}
+		start = end
+	}
+	return nil
 }
 
 // Words returns the number of bitmap words of an image of objects objects.
@@ -253,12 +276,17 @@ func (b *Backup) WriteHeader(h Header) error { return b.WriteHeaderMap(h, nil) }
 // bit w of words set when word w may hold a non-zero byte, nil for every
 // word (see newPopulated).
 func (b *Backup) WriteHeaderMap(h Header, words []uint64) error {
-	h.Objects = uint32(b.objects)
-	h.ObjSize = uint32(b.objSize)
 	var p Populated
 	if words != nil {
 		p = newPopulated(b.objects, words)
 	}
+	return b.writeHeader(h, p)
+}
+
+// writeHeader writes and syncs the image header with map p.
+func (b *Backup) writeHeader(h Header, p Populated) error {
+	h.Objects = uint32(b.objects)
+	h.ObjSize = uint32(b.objSize)
 	if _, err := b.dev.WriteAt(h.encode(p), 0); err != nil {
 		return err
 	}
@@ -284,15 +312,97 @@ func (b *Backup) ReadHeaderMap() (Header, Populated, error) {
 		}
 		return Header{}, Populated{}, fmt.Errorf("disk: read backup header: %w", err)
 	}
+	return b.decodeFor(buf)
+}
+
+// decodeFor parses buf as the header of an image of b's geometry, with its
+// populated map.
+func (b *Backup) decodeFor(buf []byte) (Header, Populated, error) {
 	h, p, err := decodeHeader(buf)
+	if err == nil && (h.Objects != uint32(b.objects) || h.ObjSize != uint32(b.objSize)) {
+		err = fmt.Errorf("disk: backup geometry %dx%d does not match %dx%d",
+			h.Objects, h.ObjSize, b.objects, b.objSize)
+	}
 	if err != nil {
 		return Header{}, Populated{}, err
 	}
-	if h.Objects != uint32(b.objects) || h.ObjSize != uint32(b.objSize) {
-		return Header{}, Populated{}, fmt.Errorf("disk: backup geometry %dx%d does not match %dx%d",
-			h.Objects, h.ObjSize, b.objects, b.objSize)
-	}
 	return h, p, nil
+}
+
+// Image is a complete image read into memory to be shipped: its header
+// block, the header and map it encodes, and the objects of every word the
+// map covers, in object order. The zero Image (nil Block) is no image.
+type Image struct {
+	Block  []byte
+	Header Header
+	Map    Populated
+	Data   []byte
+}
+
+// ReadImage reads b's complete image into memory; nothing may write b
+// meanwhile.
+func (b *Backup) ReadImage() (Image, error) {
+	h, p, err := b.ReadHeaderMap()
+	if err == nil && !h.Complete {
+		err = errors.New("disk: backup image is not complete")
+	}
+	im := Image{Block: h.encode(p), Header: h, Map: p}
+	if err == nil {
+		err = p.EachRun(0, b.objects, func(start, end int) error {
+			n, k := len(im.Data), (end-start)*b.objSize
+			im.Data = slices.Grow(im.Data, k)[:n+k]
+			return b.ReadRun(start, im.Data[n:])
+		})
+	}
+	return im, err
+}
+
+// Install lands an image that arrives piece by piece, a shipped one, on b
+// in the order a checkpoint commits one: block's header marked incomplete,
+// the runs of the words its map covers in ascending order, end's check, a
+// sync, the header marked complete — so a failure at any step leaves b
+// without a complete image. block must be the header block of a complete
+// image of b's geometry. run returns the next whole objects from start on,
+// at most max of them. It returns the installed header.
+func (b *Backup) Install(block []byte, run func(start, max int) ([]byte, error), end func() error) (Header, error) {
+	h, p, err := b.decodeFor(block)
+	if err == nil && (len(block) != HeaderSize || !h.Complete) {
+		err = fmt.Errorf("disk: install of a %d-byte header block, complete=%v", len(block), h.Complete)
+	}
+	if err != nil {
+		return h, err
+	}
+	h.Complete = false
+	if err := b.writeHeader(h, p); err != nil {
+		return h, err
+	}
+	err = p.EachRun(0, b.objects, func(start, stop int) error {
+		for start < stop {
+			data, err := run(start, stop-start)
+			if err != nil {
+				return err
+			}
+			n := len(data) / b.objSize
+			if n == 0 || n > stop-start || len(data)%b.objSize != 0 {
+				return fmt.Errorf("disk: install run of %d bytes at object %d, inside [%d, %d)", len(data), start, start, stop)
+			}
+			if err := b.WriteRun(start, data); err != nil {
+				return err
+			}
+			start += n
+		}
+		return nil
+	})
+	if h.Complete = true; err == nil {
+		err = end()
+	}
+	if err == nil {
+		err = b.Sync()
+	}
+	if err == nil {
+		err = b.writeHeader(h, p)
+	}
+	return h, err
 }
 
 // Blank reports whether the device holds no byte past the image header, so

@@ -97,7 +97,7 @@ func (s *CPStats) recordPause(d time.Duration) {
 // named by mask (object w<<6+i for bit i) are about to be written. It runs on
 // the mutator goroutine — the one holding the tick mutex — before the first
 // store of the caller's batch reaches any of them: once per touched word per
-// applyBatch, and with whole-word masks from installObjects. endTick runs on the same goroutine at tick boundaries.
+// applyBatch, and with whole-word masks from a range install. endTick runs on the same goroutine at tick boundaries.
 type checkpointer interface {
 	onWord(w int32, mask uint64)
 	// endTick may begin a checkpoint; it returns the synchronous pause.
@@ -120,13 +120,13 @@ type checkpointer interface {
 	// next cut goes back to its backup (see DESIGN.md "Superseding a stale
 	// flush").
 	supersede(tick uint64)
-	// bootstrap persists the live slab, consistent as of asOfTick, as a
-	// complete image on the backup the next checkpoint would have targeted,
-	// stamped with the next epoch, and leaves the rotation pointing at the
-	// other backup — exactly the state recovery sets up after restoring an
-	// image. Called before any tick, on the opening goroutine, while the
-	// writer is idle. ok is false when the mode has no backups.
-	bootstrap(asOfTick uint64) (ev cpEvent, ok bool, err error)
+	// pin holds cuts off the backup with the newest complete image and
+	// returns it, -1 for none; unpin releases it. waitPin, on endTick's
+	// goroutine, waits out a pin that held the last cut off and reports
+	// whether there was one.
+	pin() int
+	unpin()
+	waitPin() bool
 }
 
 // cpEvent is the writer's report on one checkpoint: the committed image's
@@ -137,21 +137,19 @@ type cpEvent struct {
 	abandoned bool
 }
 
-// nopCheckpointer is the ModeNone baseline.
+// nopCheckpointer is the ModeNone baseline. Nothing writes its backups, so
+// the image it restored at open (restored, -1 for none) stays the newest.
 type nopCheckpointer struct {
-	st   CPStats
-	done chan cpEvent
+	st       CPStats
+	done     chan cpEvent
+	restored int
 }
 
-func newNop() *nopCheckpointer {
-	return &nopCheckpointer{done: make(chan cpEvent)}
-}
-
-func (n *nopCheckpointer) onWord(int32, uint64) {}
-func (n *nopCheckpointer) supersede(uint64)     {}
-func (n *nopCheckpointer) bootstrap(uint64) (cpEvent, bool, error) {
-	return cpEvent{}, false, nil
-}
+func (n *nopCheckpointer) onWord(int32, uint64)         {}
+func (n *nopCheckpointer) supersede(uint64)             {}
+func (n *nopCheckpointer) pin() int                     { return n.restored }
+func (n *nopCheckpointer) unpin()                       {}
+func (n *nopCheckpointer) waitPin() bool                { return false }
 func (n *nopCheckpointer) endTick(uint64) time.Duration { return 0 }
 func (n *nopCheckpointer) completed() <-chan cpEvent    { return n.done }
 func (n *nopCheckpointer) close() error                 { close(n.done); return nil }
@@ -194,8 +192,10 @@ type imageSeed struct {
 func (s imageSeed) has(w int) bool { return s.words[w>>6]&(1<<(uint(w)&63)) != 0 }
 
 // newCheckpointer builds the checkpointer for mode: the strategy's own
-// buffers, then the shared coordinator around them. seeds start each
-// backup's dirty and populated maps; log is nil on an engine without one.
+// buffers, then the shared coordinator around them. A startEpoch above 0 is
+// the epoch of the image restored from the backup other than firstBackup.
+// seeds start each backup's dirty and populated maps; log is nil on an
+// engine without one.
 func newCheckpointer(mode Mode, store *Store, backups [2]*disk.Backup, startEpoch uint64, firstBackup int, plan shardPlan, seeds [2]imageSeed, log *wal.Log) checkpointer {
 	var (
 		s strategy
@@ -212,11 +212,16 @@ func newCheckpointer(mode Mode, store *Store, backups [2]*disk.Backup, startEpoc
 		cp := newAtomicCopy(store, seeds)
 		s, c = cp, &cp.coordinator
 	default:
-		return newNop()
+		n := &nopCheckpointer{done: make(chan cpEvent), restored: -1}
+		if startEpoch > 0 {
+			n.restored = firstBackup ^ 1
+		}
+		return n
 	}
 	c.method, c.store, c.backups, c.plan = s, store, backups, plan
 	c.populated = [2][]uint64{seeds[0].words, seeds[1].words}
 	c.epoch, c.cur, c.log = startEpoch, firstBackup, log
+	c.images[firstBackup^1].Store(startEpoch)
 	c.jobs = make(chan cpJob, 1)
 	// The engine drains after every endTick, so at most two events are ever
 	// pending; the slack lets a crash test close the checkpointer without
@@ -291,13 +296,26 @@ type coordinator struct {
 	st   CPStats
 	werr writerErr
 	sick sickSet
+
+	// The image pin (DESIGN.md "The image pin"): pinned is the pinned
+	// backup+1 (0: none), cutting the backup+1 a cut has announced, until
+	// its flush ends; each side stores its own before it loads the other's.
+	// images holds each backup's complete image epoch (0: none); pinMu is
+	// held for a pin's whole length, so one waits for the pin by taking it;
+	// pinSkip, the backup+1 whose pin held the last cut off, belongs to
+	// endTick's goroutine.
+	pinned, cutting atomic.Int32
+	images          [2]atomic.Uint64
+	pinMu           sync.Mutex
+	pinSkip         int32
 }
 
-// endTick begins a checkpoint unless one is in flight or the writer is dead.
-// The pause it returns is the strategy's cut and nothing else; the target is
-// picked here, at the cut, so the dirty map a strategy cuts from is the
-// target's own.
+// endTick begins a checkpoint unless one is in flight, the writer is dead
+// or an image pin holds the target. The pause it returns is the strategy's
+// cut and nothing else; the target is picked here, at the cut, so the dirty
+// map a strategy cuts from is the target's own.
 func (c *coordinator) endTick(tick uint64) time.Duration {
+	c.pinSkip = 0
 	if c.inFlight.Load() || c.werr.get() != nil {
 		return 0
 	}
@@ -308,12 +326,21 @@ func (c *coordinator) endTick(tick uint64) time.Duration {
 		}
 		c.anchored = true
 	}
-	begin := time.Now()
-	b := c.superseded.Swap(0)
-	if c.redo = b > 0; c.redo {
-		c.cur = int(b - 1)
+	b := c.superseded.Load()
+	cur := c.cur
+	if b > 0 {
+		cur = int(b - 1)
 	}
-	target := c.sick.redirect(c.cur)
+	target := c.sick.redirect(cur)
+	c.cutting.Store(int32(target) + 1)
+	if c.pinned.Load() == int32(target)+1 {
+		c.cutting.Store(0) // an image is being read off target
+		c.pinSkip = int32(target) + 1
+		return 0
+	}
+	begin := time.Now()
+	c.superseded.Store(0)
+	c.redo, c.cur = b > 0, cur
 	pauseBytes := c.method.cut(target)
 	pause := time.Since(begin)
 	c.st.recordPause(pause)
@@ -342,13 +369,16 @@ func (c *coordinator) writer() {
 			}
 			telDegraded.Set(1)
 		}
+		c.images[job.backup].Store(info.Epoch) // 0 when abandoned
+		c.cutting.Store(0)
 		c.inFlight.Store(false)
 		c.done <- cpEvent{CheckpointInfo: info, abandoned: err != nil}
 	}
 }
 
 // writeImage is the engine's only image-commit routine (see the commit
-// protocol above): checkpoints and the bootstrap image both go through it.
+// protocol above; a standby's shipped image lands through disk.Install in
+// the same order).
 // written is the image's write set (nil: the whole state); it joins the
 // backup's populated map before the first header, so both headers carry a
 // map that bounds the file however far the flush gets.
@@ -392,28 +422,38 @@ func (c *coordinator) writeImage(job cpJob, flushShard func(s int, b *disk.Backu
 	}, nil
 }
 
-func (c *coordinator) bootstrap(asOfTick uint64) (cpEvent, bool, error) {
-	c.epoch++
-	job := cpJob{epoch: c.epoch, tick: asOfTick, backup: c.cur, begin: time.Now()}
-	c.cur ^= 1
-	// Nothing ticks yet, so the live slab is the immutable source.
-	info, err := c.writeImage(job, func(s int, b *disk.Backup) (int, int64, error) {
-		return c.writeRegion(b, c.store.Slab(), s)
-	}, nil)
-	return cpEvent{CheckpointInfo: info}, true, err
+func (c *coordinator) pin() int {
+	c.pinMu.Lock()
+	for {
+		b := 0
+		if c.images[1].Load() > c.images[0].Load() {
+			b = 1
+		}
+		if c.images[b].Load() == 0 {
+			c.pinMu.Unlock()
+			return -1
+		}
+		c.pinned.Store(int32(b) + 1)
+		if c.cutting.Load() != int32(b)+1 {
+			return b
+		}
+		c.pinned.Store(0) // a cut of b is under way: poll until its flush ends
+		time.Sleep(time.Millisecond)
+	}
 }
 
-// writeRegion is the straight shard flusher: src is a whole-state buffer
-// nothing mutates while the image is written, so shard s's region goes out
-// of it directly — ioChunk slices batched into one vectored write.
-func (c *coordinator) writeRegion(b *disk.Backup, src []byte, s int) (int, int64, error) {
-	lo, hi := c.plan.objRange(s)
-	sz := c.store.ObjSize()
-	region := src[lo*sz : hi*sz]
-	if err := b.WriteRunVec(lo, chunkSlices(region)); err != nil {
-		return 0, 0, err
+func (c *coordinator) unpin() {
+	c.pinned.Store(0)
+	c.pinMu.Unlock()
+}
+
+func (c *coordinator) waitPin() bool {
+	if c.pinSkip == 0 {
+		return false
 	}
-	return hi - lo, int64(len(region)), nil
+	c.pinMu.Lock() // the pinner holds it until unpin
+	c.pinMu.Unlock()
+	return true
 }
 
 // anchorChunk bounds one install record of the degrade rule's anchor, well

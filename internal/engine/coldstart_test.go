@@ -185,24 +185,37 @@ func TestColdStartNonBlankBackupWritesFull(t *testing.T) {
 	}
 }
 
-// TestColdStartStandbyOtherBackup: OpenStandby installs the snapshot into a
-// fresh engine whose backups are both blank, then writes it to one as the
-// bootstrap image. The snapshot must reach the other backup's dirty map too,
-// or that backup's first image would hold the promoted tick's objects over
-// zeros instead of over the snapshot.
+// TestColdStartStandbyOtherBackup: a standby lands the shipped image on one
+// of its blank backups and recovers from it. The image must reach the other
+// backup's dirty map too, or that backup's first image would hold the
+// promoted tick's objects over zeros instead of over the image.
 func TestColdStartStandbyOtherBackup(t *testing.T) {
 	tab := shardTable()
 	for _, mode := range coldModes {
 		for _, shards := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("%v/shards=%d", mode, shards), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(20 + shards)))
-				snap := make([]byte, tab.StateBytes())
-				rng.Read(snap)
-				opts := Options{Table: tab, Dir: t.TempDir(), Mode: mode, Shards: shards}
-				e, err := OpenStandby(opts, 5, snap)
+				// A primary whose image, as of tick 4, holds a random world.
+				p, err := Open(Options{Table: tab, Dir: t.TempDir(), Mode: ModeCopyOnUpdate})
 				if err != nil {
 					t.Fatal(err)
 				}
+				defer p.Close()
+				world := make([]wal.Update, tab.NumCells())
+				for i := range world {
+					world[i] = wal.Update{Cell: uint32(i), Value: rng.Uint32()}
+				}
+				for tick := 0; tick < 5; tick++ {
+					if err := p.ApplyTick(world); err != nil {
+						t.Fatal(err)
+					}
+					world = nil
+				}
+				if _, err := p.CheckpointAsOf(4); err != nil {
+					t.Fatal(err)
+				}
+				opts := Options{Table: tab, Dir: t.TempDir(), Mode: mode, Shards: shards}
+				e := standbyOf(t, p, opts)
 				defer e.Close()
 				if err := e.Promote(); err != nil {
 					t.Fatal(err)
@@ -210,13 +223,13 @@ func TestColdStartStandbyOtherBackup(t *testing.T) {
 				if err := e.ApplyTick(randomBatch(rng, tab.NumCells(), 8)); err != nil {
 					t.Fatal(err)
 				}
-				for len(e.Stats().Checkpoints) < 2 { // the bootstrap, then backup b's first
+				for len(e.Stats().Checkpoints) < 1 { // backup b's first image
 					if _, err := e.CheckpointNow(); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if cp := e.Stats().Checkpoints[1]; cp.Epoch != 2 || cp.AsOfTick != 5 {
-					t.Fatalf("first image after the bootstrap: epoch %d as of tick %d, want 2 as of 5", cp.Epoch, cp.AsOfTick)
+				if cp, epoch := e.Stats().Checkpoints[0], e.Recovery().Epoch; cp.Epoch != epoch+1 || cp.AsOfTick != 5 {
+					t.Fatalf("first image after the shipped one: epoch %d as of tick %d, want %d as of 5", cp.Epoch, cp.AsOfTick, epoch+1)
 				}
 				want := bytes.Clone(e.Store().Slab())
 				if err := e.Close(); err != nil {

@@ -70,7 +70,7 @@ func TestCommitContract(t *testing.T) {
 				var e *Engine
 				var err error
 				if en.standby {
-					e, err = OpenStandby(opts, 0, make([]byte, tab.StateBytes()))
+					e, err = OpenStandby(opts, nil)
 				} else {
 					e, err = Open(opts)
 				}

@@ -75,17 +75,18 @@ type Stats struct {
 // Engine is the durable game-state store: an in-memory slab, a logical log,
 // and an asynchronous checkpointer.
 type Engine struct {
-	opts   Options
-	store  *Store
-	cp     checkpointer
-	log    *wal.Log
-	walDir string
-	plan   shardPlan
+	opts    Options
+	store   *Store
+	cp      checkpointer
+	log     *wal.Log
+	walDir  string
+	plan    shardPlan
+	backups [2]*disk.Backup
 
 	// tickMu serializes the mutator paths (ApplyTick, ApplyTickEnvelopes,
-	// IngestReplicated, InstallRange) against the replication snapshot
-	// handoff, so Snapshot never observes a half-applied tick. Uncontended
-	// in a replication-free engine.
+	// IngestReplicated, InstallRange) against migration's SnapshotRange, so
+	// the range it copies never holds a half-applied tick. Uncontended
+	// outside a migration.
 	tickMu  sync.Mutex
 	standby bool // accepts only IngestReplicated until Promote
 
@@ -187,13 +188,12 @@ func open(opts Options, records func() (recovery.RecordSource, error)) (*Engine,
 		devs[0] = disk.NewThrottle(devs[0], opts.DiskBytesPerSec)
 		devs[1] = disk.NewThrottle(devs[1], opts.DiskBytesPerSec)
 	}
-	var backups [2]*disk.Backup
 	for i, d := range devs {
 		b, err := disk.NewBackup(d, store.NumObjects(), store.ObjSize())
 		if err != nil {
 			return nil, pres, err
 		}
-		backups[i] = b
+		e.backups[i] = b
 	}
 
 	startEpoch := uint64(0)
@@ -223,7 +223,7 @@ func open(opts Options, records func() (recovery.RecordSource, error)) (*Engine,
 		reps := e.replayers(ranges)
 		ranNext := make([]uint64, len(ranges))
 		popts := recovery.ParallelOptions{
-			A: backups[0], B: backups[1], Slab: store.Slab(), Log: log,
+			A: e.backups[0], B: e.backups[1], Slab: store.Slab(), Log: log,
 			Ranges: ranges,
 			Apply: func(shard int, tick uint64, body []byte) (int64, error) {
 				if len(body) > 0 && body[0] != recInstall {
@@ -268,9 +268,9 @@ func open(opts Options, records func() (recovery.RecordSource, error)) (*Engine,
 
 	var seeds [2]imageSeed
 	if opts.Mode != ModeNone {
-		seeds = e.seedImages(backups)
+		seeds = e.seedImages(e.backups)
 	}
-	e.cp = newCheckpointer(opts.Mode, store, backups, startEpoch, firstBackup, e.plan, seeds, e.log)
+	e.cp = newCheckpointer(opts.Mode, store, e.backups, startEpoch, firstBackup, e.plan, seeds, e.log)
 	opened = true
 	if records != nil && e.log != nil {
 		if err := e.heal(records, pres); err != nil {
@@ -589,9 +589,10 @@ func (e *Engine) CheckpointNow() (CheckpointInfo, error) {
 	// than one that finished before it.
 	e.drainCompleted(e.tick)
 	for {
-		// Every pass either finds the writer dead or leaves a flush in flight
-		// — endTick is a no-op while one already is — and every flush ends in
-		// exactly one event, so the receive below cannot park forever. An
+		// Every pass either finds the writer dead, waits out an image pin
+		// that held the cut off, or leaves a flush in flight — endTick is a
+		// no-op while one already is — and every flush ends in exactly one
+		// event, so the receive below cannot park forever. An
 		// abandoned flush loops: after a superseded one the next cut rewrites
 		// its backup; after a backup went sick mid-write it targets the
 		// survivor, or the check finds the fatal error (a failed anchor
@@ -599,6 +600,9 @@ func (e *Engine) CheckpointNow() (CheckpointInfo, error) {
 		e.cp.endTick(e.tick - 1)
 		if err := e.cp.err(); err != nil {
 			return CheckpointInfo{}, fmt.Errorf("engine: checkpoint writer failed: %w", err)
+		}
+		if e.cp.waitPin() {
+			continue // an image pin held the cut off, and has dropped
 		}
 		ev, ok := <-e.cp.completed()
 		if !ok {

@@ -11,8 +11,7 @@ import (
 // object space from one node to another is a cut at a tick boundary: copy
 // the range out of the source (SnapshotRange) and land it on the target as
 // a single InstallRange — the range bytes, logged as one durable WAL record
-// so the target is crash-recoverable from the moment it owns the range,
-// exactly like OpenStandby's bootstrap image.
+// so the target is crash-recoverable from the moment it owns the range.
 
 // recInstall payload layout: u64 lo, u64 hi, then (hi-lo)*objSize raw
 // object bytes (see records.go for the record kind registry).
@@ -20,9 +19,9 @@ const installHdrLen = 16
 
 // SnapshotRange returns a copy of the slab bytes backing objects [lo, hi),
 // consistent as of the last applied tick, plus the tick the next record
-// will carry (the first tick the snapshot does NOT cover). It is the
-// range-sized sibling of Snapshot: the migration cut's copy. Safe to
-// call concurrently with the tick loop (serializes on the tick mutex).
+// will carry (the first tick the snapshot does NOT cover): the migration
+// cut's copy. Safe to call concurrently with the tick loop (serializes on
+// the tick mutex).
 func (e *Engine) SnapshotRange(lo, hi int) (nextTick uint64, data []byte, err error) {
 	e.tickMu.Lock()
 	defer e.tickMu.Unlock()
@@ -94,17 +93,8 @@ func (e *Engine) install(standby bool, body []byte, lo, hi int, data []byte) err
 			return err
 		}
 	}
-	e.installObjects(lo, hi, data)
-	if e.tick > 0 {
-		e.notifySubs(e.tick - 1)
-	}
-	return nil
-}
-
-// installObjects copies object bytes into the slab through the
-// checkpointer, one onWord per bitmap word before its objects' bytes change,
-// so an in-flight copy-on-update flush still sees consistent pre-images.
-func (e *Engine) installObjects(lo, hi int, data []byte) {
+	// One onWord per bitmap word before its objects' bytes change, so an
+	// in-flight copy-on-update flush still sees consistent pre-images.
 	sz := e.store.ObjSize()
 	for at := lo; at < hi; {
 		end := min((at|63)+1, hi)
@@ -112,6 +102,10 @@ func (e *Engine) installObjects(lo, hi int, data []byte) {
 		copy(e.store.SlabRange(at, end), data[(at-lo)*sz:(end-lo)*sz])
 		at = end
 	}
+	if e.tick > 0 {
+		e.notifySubs(e.tick - 1)
+	}
+	return nil
 }
 
 // appendInstallRecord encodes a recInstall record body (kind tag included)

@@ -143,14 +143,11 @@ func TestIngestReplicatedInstall(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		appendTick(uint64(i), randomBatch(rng, tab.NumCells(), 40))
 	}
-	next, snap, err := p.Snapshot()
-	if err != nil {
+	if _, err := p.CheckpointAsOf(3); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenStandby(Options{Table: tab, Dir: dirS, Mode: ModeCopyOnUpdate}, next, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := standbyOf(t, p, Options{Table: tab, Dir: dirS, Mode: ModeCopyOnUpdate})
+	next := s.NextTick()
 	// One more tick on both, then an install record shipped at that tick.
 	batch := randomBatch(rng, tab.NumCells(), 40)
 	if err := p.ApplyTick(batch); err != nil {

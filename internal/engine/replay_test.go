@@ -367,7 +367,7 @@ func TestRecoveryOfActionLogWithoutReplayFuncFails(t *testing.T) {
 func TestIngestRefusesRetiredActionKind(t *testing.T) {
 	tab := shardTable()
 	dir := t.TempDir()
-	e, err := OpenStandby(Options{Table: tab, Dir: dir, Mode: ModeNone}, 0, make([]byte, tab.StateBytes()))
+	e, err := OpenStandby(Options{Table: tab, Dir: dir, Mode: ModeNone}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,17 +7,20 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/disk"
 	"repro/internal/wal"
 )
 
 // Replication hooks: the engine-side integration points of the warm
-// standby (internal/replication). A primary exposes three things to it — a
-// log follower woken by tick commits (LogFollower, so the shipper never
-// polls blind), a consistent image snapshot handoff (the bootstrap), and a
-// log-retention watermark (so segment pruning never deletes records a
-// replica does not hold yet). A standby engine is
-// opened with OpenStandby, fed with IngestReplicated, and flipped into a
-// primary with Promote.
+// standby (internal/replication). A primary exposes three things to it — its
+// newest complete backup image, read under an image pin (ReadImage: the
+// bootstrap), a log follower woken by tick commits (LogFollower, so the
+// shipper never polls blind) that streams the log from that image's tick
+// on, and a log-retention watermark (so segment pruning never deletes
+// records a replica does not hold yet). A standby engine is opened with
+// OpenStandby, which lands the shipped image and recovers from it like a
+// crashed primary, fed with IngestReplicated, and flipped into a primary
+// with Promote.
 
 // TickSub is a live subscription to the engine's tick commits: it sends a
 // coalesced signal on C carrying the latest committed tick. A LogFollower's
@@ -248,7 +251,7 @@ func (f *LogFollower) Restart() {
 
 // NeedFrom publishes that the consumer no longer needs log records below
 // tick (they were streamed and acknowledged, or are covered by the bootstrap
-// snapshot). Pruning may then reclaim segments wholly below the watermark.
+// image). Pruning may then reclaim segments wholly below the watermark.
 func (f *LogFollower) NeedFrom(tick uint64) { f.sub.need.Store(tick) }
 
 // Close cancels the subscription and releases the reader.
@@ -275,14 +278,21 @@ func (e *Engine) retainFrom(keepFrom uint64) uint64 {
 	return keepFrom
 }
 
-// Snapshot returns a copy of the state slab consistent as of the last
-// applied tick, plus the tick the next record will carry (the first tick
-// the snapshot does NOT cover). It is the standby bootstrap handoff: ship
-// the image, then stream WAL records from nextTick on. Safe to call
-// concurrently with the tick loop — it serializes with ApplyTick on the
-// engine's tick mutex, so the copy never observes a half-applied tick.
-func (e *Engine) Snapshot() (nextTick uint64, data []byte, err error) {
-	return e.SnapshotRange(0, e.store.NumObjects())
+// ReadImage reads the engine's newest complete backup image — the one
+// recovery would restore, the image restored at open included — into
+// memory: the standby bootstrap, which streams the log from the image's
+// AsOfTick+1 on. It returns the zero Image when the engine has none. While
+// it reads, an image pin holds checkpoint cuts off that backup (endTick
+// skips them, so no tick waits); when the only complete image is being
+// overwritten (a degraded engine's survivor mid-flush) it waits for that
+// flush. Safe to call from any goroutine while the engine ticks.
+func (e *Engine) ReadImage() (disk.Image, error) {
+	b := e.cp.pin()
+	if b < 0 {
+		return disk.Image{}, nil
+	}
+	defer e.cp.unpin()
+	return e.backups[b].ReadImage()
 }
 
 // WALDir returns the directory of the engine's logical log, or "" for an
@@ -297,23 +307,17 @@ func (e *Engine) IsStandby() bool {
 	return e.standby
 }
 
-// OpenStandby opens a warm-standby engine in opts.Dir from a primary's
-// snapshot handoff: the slab is initialized from data (consistent as of
-// nextTick-1), and — so the standby is durable from the first ingested
-// tick, not from its first own checkpoint — the snapshot is written to the
-// standby's backup as a complete bootstrap image before OpenStandby
-// returns. Recovery of a standby that crashed mid-stream is then exactly
-// the paper's procedure: restore the bootstrap (or a newer own) image,
-// replay the standby's own log.
-//
-// The directory must be fresh (no prior images, no log): a standby inherits
-// its identity from the stream, not from local state. The returned engine
-// accepts only IngestReplicated until Promote.
-func OpenStandby(opts Options, nextTick uint64, data []byte) (*Engine, error) {
-	if opts.Mode == ModeNone && nextTick > 0 {
-		// A ModeNone standby would hold a log that starts mid-history with
-		// no image beneath it: unrecoverable by construction.
-		return nil, errors.New("engine: a standby needs a checkpointing mode (ModeNone cannot persist the bootstrap snapshot)")
+// OpenStandby opens a warm-standby engine in opts.Dir, which must hold no
+// state: a standby inherits its identity from the stream. install, when
+// non-nil, writes the primary's shipped image onto the directory's first
+// backup (see disk.Install); the engine then opens through RecoverFrom like
+// any crashed primary, at the image's AsOfTick+1, so it is durable from the
+// first ingested tick: a standby that crashes mid-stream restores that (or a
+// newer own) image and replays its own log. Without install it starts at
+// tick 0. The returned engine accepts only IngestReplicated until Promote.
+func OpenStandby(opts Options, install func(*disk.Backup) error) (*Engine, error) {
+	if opts.InMemory && install != nil {
+		return nil, errors.New("engine: a standby bootstrapped from an image needs a directory (not InMemory)")
 	}
 	e, err := Open(opts)
 	if err != nil {
@@ -324,36 +328,20 @@ func OpenStandby(opts Options, nextTick uint64, data []byte) (*Engine, error) {
 		return nil, fmt.Errorf("engine: standby dir %s holds previous state (recovered to tick %d)",
 			opts.Dir, e.recovered.NextTick)
 	}
-	if len(data) != len(e.store.Slab()) {
-		e.Close()
-		return nil, fmt.Errorf("engine: snapshot is %d bytes, state holds %d", len(data), len(e.store.Slab()))
-	}
-	e.installObjects(0, e.store.NumObjects(), data) // both dirty maps learn the snapshot
-	e.tick = nextTick
-	e.standby = true
-	if nextTick > 0 {
-		if err := e.writeBootstrapImage(nextTick - 1); err != nil {
-			e.Close()
+	if install != nil {
+		err = install(e.backups[0])
+		if cerr := e.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			e, _, err = RecoverFrom(opts)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
+	e.standby = true
 	return e, nil
-}
-
-// writeBootstrapImage persists the freshly installed snapshot as a complete
-// checkpoint image through the checkpointer's own commit protocol. It runs
-// before any ingest, while the checkpointer is idle, and leaves it targeting
-// the other backup with a later epoch — exactly the state recovery would
-// have set up had this image been restored from disk.
-func (e *Engine) writeBootstrapImage(asOfTick uint64) error {
-	ev, ok, err := e.cp.bootstrap(asOfTick)
-	if err != nil {
-		return fmt.Errorf("engine: bootstrap image: %w", err)
-	}
-	if ok { // not ModeNone (nextTick 0 only): there was something to seed
-		e.recordCheckpoint(ev, e.tick, false)
-	}
-	return nil
 }
 
 // IngestReplicated applies one replicated tick record on the standby: the

@@ -2,11 +2,16 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/disk"
+	"repro/internal/gamestate"
 	"repro/internal/wal"
 )
 
@@ -62,43 +67,224 @@ func TestFollowLogRequiresLog(t *testing.T) {
 	}
 }
 
-// TestSnapshotIsTickConsistent: the handoff covers exactly the ticks before
-// nextTick, regardless of how much is applied afterwards.
-func TestSnapshotIsTickConsistent(t *testing.T) {
+// installImage lands img on b the way a standby lands a shipped image:
+// through disk.Install, run by run.
+func installImage(b *disk.Backup, img disk.Image) error {
+	if img.Block == nil {
+		return nil
+	}
+	data := img.Data
+	_, err := b.Install(img.Block, func(_, max int) ([]byte, error) {
+		run := data[:max*int(img.Header.ObjSize)]
+		data = data[len(run):]
+		return run, nil
+	}, func() error { return nil })
+	return err
+}
+
+// standbyOf opens a standby in opts.Dir bootstrapped from p's newest
+// complete image.
+func standbyOf(t *testing.T, p *Engine, opts Options) *Engine {
+	t.Helper()
+	img, err := p.ReadImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenStandby(opts, func(b *disk.Backup) error { return installImage(b, img) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestReadImageIsTickConsistent: the bootstrap image is the newest complete
+// one, holds exactly the state as of its tick, and is not changed by the
+// ticks and checkpoints that follow.
+func TestReadImageIsTickConsistent(t *testing.T) {
 	tab := testTable()
 	e, err := Open(Options{Table: tab, Dir: t.TempDir(), Mode: ModeCopyOnUpdate})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	if img, err := e.ReadImage(); err != nil || img.Block != nil {
+		t.Fatalf("a fresh engine read an image as of tick %d (%v)", img.Header.AsOfTick, err)
+	}
 	rng := rand.New(rand.NewSource(7))
-	ref := newReference(tab)
 	for tick := 0; tick < 10; tick++ {
-		batch := randomBatch(rng, tab.NumCells(), 32)
-		if err := e.ApplyTick(batch); err != nil {
-			t.Fatal(err)
-		}
-		ref.apply(batch)
-	}
-	nextTick, snap, err := e.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nextTick != 10 {
-		t.Fatalf("snapshot nextTick %d, want 10", nextTick)
-	}
-	if !bytes.Equal(snap, e.Store().Slab()) {
-		t.Fatal("snapshot differs from the slab at capture time")
-	}
-	// More ticks must not retroactively change the captured copy.
-	before := append([]byte(nil), snap...)
-	for tick := 0; tick < 5; tick++ {
 		if err := e.ApplyTick(randomBatch(rng, tab.NumCells(), 32)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(snap, before) {
-		t.Fatal("snapshot mutated by later ticks")
+	if _, err := e.CheckpointAsOf(9); err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(e.Store().Slab())
+	img, err := e.ReadImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !img.Header.Complete || img.Header.AsOfTick != 9 {
+		t.Fatalf("image header %+v, want complete as of tick 9", img.Header)
+	}
+	dev := disk.NewMem()
+	b, err := disk.NewBackup(dev, tab.NumObjects(), tab.ObjSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := installImage(b, img); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want))
+	if err := b.ReadRun(0, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatal("image differs from the slab as of its tick")
+	}
+	before := bytes.Clone(img.Data)
+	for tick := 0; tick < 5; tick++ {
+		if err := e.ApplyTick(randomBatch(rng, tab.NumCells(), 32)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(img.Data, before) {
+		t.Fatal("image mutated by later ticks")
+	}
+	if img, err := e.ReadImage(); err != nil || img.Header.AsOfTick != 14 {
+		t.Fatalf("after 5 more checkpoints the newest image is as of tick %d (%v), want 14", img.Header.AsOfTick, err)
+	}
+}
+
+// pinDevs counts each backup's writes and, once armed, parks the first read
+// past an image header (the bootstrap's image read) until release closes.
+type pinDevs struct {
+	writes  [2]atomic.Int64
+	armed   atomic.Bool
+	parked  chan int // the backup whose read parked
+	release chan struct{}
+}
+
+type pinDev struct {
+	disk.Device
+	i int
+	d *pinDevs
+}
+
+func (d *pinDev) WriteAt(p []byte, off int64) (int, error) {
+	d.d.writes[d.i].Add(1)
+	return d.Device.WriteAt(p, off)
+}
+
+func (d *pinDev) ReadAt(p []byte, off int64) (int, error) {
+	if off >= disk.HeaderSize && d.d.armed.CompareAndSwap(true, false) {
+		d.d.parked <- d.i
+		<-d.d.release
+	}
+	return d.Device.ReadAt(p, off)
+}
+
+// TestImagePinHoldsCutsOff holds the bootstrap's image read on a channel.
+// Meanwhile every tick completes, checkpoints go on back to back but never
+// write the pinned backup, and a CheckpointNow that needs that backup
+// returns only after the pin drops.
+func TestImagePinHoldsCutsOff(t *testing.T) {
+	tab := biggerTable()
+	d := &pinDevs{parked: make(chan int, 1), release: make(chan struct{})}
+	opts := Options{Table: tab, Dir: t.TempDir(), Mode: ModeCopyOnUpdate,
+		DeviceFactory: func(path string) (disk.Device, error) {
+			dev, err := disk.OpenFile(path)
+			if err != nil {
+				return nil, err
+			}
+			i := 0
+			if strings.HasSuffix(path, "backup-b.img") {
+				i = 1
+			}
+			return &pinDev{Device: dev, i: i, d: d}, nil
+		}}
+	e, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	rng := rand.New(rand.NewSource(23))
+	apply := func() {
+		t.Helper()
+		batch := randomBatch(rng, tab.NumCells(), 64)
+		done := make(chan error, 1)
+		go func() { done <- e.ApplyTick(batch) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("ApplyTick blocked behind the pinned image read")
+		}
+	}
+	for i := 0; i < 4; i++ {
+		apply()
+	}
+	if _, err := e.CheckpointAsOf(3); err != nil {
+		t.Fatal(err)
+	}
+
+	d.armed.Store(true)
+	type read struct {
+		img disk.Image
+		err error
+	}
+	reads := make(chan read, 1)
+	go func() {
+		img, err := e.ReadImage()
+		reads <- read{img, err}
+	}()
+	var pinned int
+	select {
+	case pinned = <-d.parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the image read never started")
+	}
+	before := d.writes[pinned].Load()
+	booked := len(e.Stats().Checkpoints)
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; i < 20 || len(e.Stats().Checkpoints) <= booked; i++ {
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint completed on the unpinned backup")
+		}
+		apply()
+	}
+	if got := d.writes[pinned].Load(); got != before {
+		t.Fatalf("%d writes reached the pinned backup during the image read", got-before)
+	}
+
+	var released atomic.Bool
+	cps := make(chan error, 1)
+	go func() {
+		info, err := e.CheckpointNow()
+		if err == nil && !released.Load() {
+			err = fmt.Errorf("CheckpointNow returned %+v while the pin held its backup", info)
+		}
+		cps <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // room for a CheckpointNow that ignores the pin to return
+	released.Store(true)
+	close(d.release)
+	select {
+	case err := <-cps:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("CheckpointNow never returned after the pin dropped")
+	}
+	r := <-reads
+	if r.err != nil || r.img.Header.AsOfTick != 3 {
+		t.Fatalf("pinned image as of tick %d (%v), want 3", r.img.Header.AsOfTick, r.err)
+	}
+	if d.writes[pinned].Load() == before {
+		t.Fatal("the checkpoint after the pin dropped did not write the pinned backup")
 	}
 }
 
@@ -169,14 +355,14 @@ func logTicks(t *testing.T, l *wal.Log) []uint64 {
 	}
 }
 
-// TestStandbyLifecycle: OpenStandby installs the snapshot and bootstrap
-// image, gates normal ticking, ingests in strict order, and Promote makes
+// TestStandbyLifecycle: OpenStandby lands the primary's image and recovers
+// from it, gates normal ticking, ingests in strict order, and Promote makes
 // the engine a normal primary whose on-disk state recovers byte-identically.
 func TestStandbyLifecycle(t *testing.T) {
 	tab := testTable()
 	rng := rand.New(rand.NewSource(11))
 
-	// A primary with some history provides the snapshot.
+	// A primary with some history provides the image.
 	pdir := t.TempDir()
 	p, err := Open(Options{Table: tab, Dir: pdir, Mode: ModeCopyOnUpdate, SyncEveryTick: true})
 	if err != nil {
@@ -190,18 +376,17 @@ func TestStandbyLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nextTick, snap, err := p.Snapshot()
-	if err != nil {
+	if _, err := p.CheckpointAsOf(5); err != nil {
 		t.Fatal(err)
 	}
 
 	sdir := t.TempDir()
-	s, err := OpenStandby(Options{Table: tab, Dir: sdir, Mode: ModeCopyOnUpdate, SyncEveryTick: true}, nextTick, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := standbyOf(t, p, Options{Table: tab, Dir: sdir, Mode: ModeCopyOnUpdate, SyncEveryTick: true})
 	if !s.IsStandby() {
 		t.Fatal("OpenStandby engine does not report standby")
+	}
+	if rec := s.Recovery(); !rec.Restored || rec.AsOfTick != 5 || s.NextTick() != 6 {
+		t.Fatalf("standby recovered %+v to tick %d, want the image as of 5 and tick 6", rec, s.NextTick())
 	}
 	if err := s.ApplyTick(batches[0]); err == nil {
 		t.Fatal("standby accepted ApplyTick before Promote")
@@ -247,14 +432,15 @@ func TestStandbyLifecycle(t *testing.T) {
 	p.Close()
 
 	// Standby durability: a crash-restart of the standby's own directory
-	// recovers through its bootstrap image + own log to the same bytes.
+	// recovers through the shipped (or a newer own) image + own log to the
+	// same bytes.
 	s2, err := Open(Options{Table: tab, Dir: sdir, Mode: ModeCopyOnUpdate})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
 	if got := s2.Recovery(); !got.Restored {
-		t.Fatal("standby restart found no bootstrap image")
+		t.Fatal("standby restart found no image")
 	}
 	if s2.NextTick() != wantNext {
 		t.Fatalf("standby restart recovered to tick %d, want %d", s2.NextTick(), wantNext)
@@ -264,6 +450,10 @@ func TestStandbyLifecycle(t *testing.T) {
 	}
 }
 
+// TestOpenStandbyRejectsUsedDirAndBadGeometry: OpenStandby refuses a
+// directory with prior state before anything lands in it, an image of
+// another geometry, and an InMemory engine for a shipped image; a ModeNone
+// standby holds its image like any other.
 func TestOpenStandbyRejectsUsedDirAndBadGeometry(t *testing.T) {
 	tab := testTable()
 	dir := t.TempDir()
@@ -276,15 +466,43 @@ func TestOpenStandbyRejectsUsedDirAndBadGeometry(t *testing.T) {
 	}
 	e.Close()
 
-	snap := make([]byte, tab.StateBytes())
-	if _, err := OpenStandby(Options{Table: tab, Dir: dir, Mode: ModeCopyOnUpdate}, 1, snap); err == nil {
-		t.Fatal("OpenStandby accepted a directory with prior state")
+	landed := false
+	land := func(*disk.Backup) error { landed = true; return nil }
+	if _, err := OpenStandby(Options{Table: tab, Dir: dir, Mode: ModeCopyOnUpdate}, land); err == nil || landed {
+		t.Fatalf("OpenStandby accepted a directory with prior state (image landed: %v)", landed)
 	}
-	if _, err := OpenStandby(Options{Table: tab, Dir: t.TempDir(), Mode: ModeCopyOnUpdate}, 1, snap[:8]); err == nil {
-		t.Fatal("OpenStandby accepted a short snapshot")
+	if _, err := OpenStandby(Options{Table: tab, InMemory: true, Mode: ModeCopyOnUpdate}, land); err == nil || landed {
+		t.Fatal("OpenStandby landed an image on an InMemory engine")
 	}
-	if _, err := OpenStandby(Options{Table: tab, Dir: t.TempDir(), Mode: ModeNone}, 1, snap); err == nil {
-		t.Fatal("OpenStandby accepted ModeNone with history")
+
+	// A primary of another geometry, and a checkpointed primary of this one.
+	imageOf := func(tab gamestate.Table) *Engine {
+		p, err := Open(Options{Table: tab, Dir: t.TempDir(), Mode: ModeCopyOnUpdate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		if err := p.ApplyTick([]wal.Update{{Cell: 3, Value: 4}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.CheckpointAsOf(0); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	img, err := imageOf(biggerTable()).ReadImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStandby(Options{Table: tab, Dir: t.TempDir(), Mode: ModeCopyOnUpdate},
+		func(b *disk.Backup) error { return installImage(b, img) }); err == nil {
+		t.Fatal("OpenStandby accepted an image of another geometry")
+	}
+	p := imageOf(tab)
+	s := standbyOf(t, p, Options{Table: tab, Dir: t.TempDir(), Mode: ModeNone})
+	defer s.Close()
+	if s.NextTick() != 1 || !bytes.Equal(s.Store().Slab(), p.Store().Slab()) {
+		t.Fatalf("ModeNone standby at tick %d, want 1 and the primary's state", s.NextTick())
 	}
 }
 

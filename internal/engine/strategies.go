@@ -33,9 +33,15 @@ func (c *naiveCP) cut(int) int64 {
 }
 
 // flushShard writes the shard's region straight out of the shadow, which is
-// immutable while the job is in flight.
+// immutable while the job is in flight: ioChunk slices batched into one
+// vectored write.
 func (c *naiveCP) flushShard(s int, b *disk.Backup) (int, int64, error) {
-	return c.writeRegion(b, c.shadow, s)
+	lo, hi := c.plan.objRange(s)
+	region := c.shadow[lo*c.store.ObjSize() : hi*c.store.ObjSize()]
+	if err := b.WriteRunVec(lo, chunkSlices(region)); err != nil {
+		return 0, 0, err
+	}
+	return hi - lo, int64(len(region)), nil
 }
 
 // couStripes is the per-shard stripe lock count (power of two).

@@ -81,25 +81,12 @@ func chooseBackup(a, b *disk.Backup) (int, disk.Header, [2]disk.Populated, error
 // leaves every other object of slab as it is.
 func readImage(src *disk.Backup, p disk.Populated, slab []byte, lo, hi int) error {
 	sz := src.ObjSize()
-	for start := lo; start < hi; {
-		if !p.Has(start >> 6) {
-			start = (start>>6 + 1) << 6
-			continue
-		}
-		end := start
-		for end < hi && p.Has(end>>6) {
-			end = (end>>6 + 1) << 6
-		}
-		end = min(end, hi)
+	return p.EachRun(lo, hi, func(start, end int) error {
 		region := slab[start*sz : end*sz]
 		bufs := make([][]byte, 0, (len(region)+restoreChunk-1)/restoreChunk)
 		for off := 0; off < len(region); off += restoreChunk {
 			bufs = append(bufs, region[off:min(off+restoreChunk, len(region))])
 		}
-		if err := src.ReadRunVec(start, bufs); err != nil {
-			return err
-		}
-		start = end
-	}
-	return nil
+		return src.ReadRunVec(start, bufs)
+	})
 }

@@ -18,7 +18,7 @@ const frameHeader = 8
 // MaxFrameSize bounds one frame body on replication and cluster links;
 // larger lengths mark a corrupt or hostile stream. It must accommodate a
 // whole tick record (mirrors wal's record bound) plus the frame type byte
-// and a snapshot chunk.
+// and an image run.
 const MaxFrameSize = 1<<28 + 64
 
 // growStep is the least the reader may allocate ahead of the body bytes it

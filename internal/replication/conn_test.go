@@ -88,7 +88,7 @@ func TestConnLengthFieldNeverSizesAllocation(t *testing.T) {
 	}
 }
 
-// TestConnLargeFramesRoundTripAndReuseBuffer: a snapshot chunk and a
+// TestConnLargeFramesRoundTripAndReuseBuffer: an image run frame and a
 // multi-MB replica image cross a pipe intact, one Write each, and the buffer
 // the big frame grew is the one the next frame lands in.
 func TestConnLargeFramesRoundTripAndReuseBuffer(t *testing.T) {
@@ -97,7 +97,7 @@ func TestConnLargeFramesRoundTripAndReuseBuffer(t *testing.T) {
 	defer pc.Close()
 	rec := &scriptConn{}
 	r, w, mirror := NewConn(rc, MaxFrameSize), NewConn(pc, MaxFrameSize), NewConn(rec, MaxFrameSize)
-	bodies := [][]byte{make([]byte, 5<<20), make([]byte, snapChunkSize), {7}}
+	bodies := [][]byte{make([]byte, 5<<20), make([]byte, imageRun), {7}}
 	for _, b := range bodies {
 		for i := range b {
 			b[i] = byte(i * 31)
@@ -105,7 +105,7 @@ func TestConnLargeFramesRoundTripAndReuseBuffer(t *testing.T) {
 	}
 	sent := async(func() error {
 		for _, b := range bodies {
-			if err := w.Send(append(w.Frame(ftSnapChunk), b...)); err != nil {
+			if err := w.Send(append(w.Frame(ftImageRun), b...)); err != nil {
 				return err
 			}
 		}
@@ -117,7 +117,7 @@ func TestConnLargeFramesRoundTripAndReuseBuffer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if got[0] != ftSnapChunk || !bytes.Equal(got[1:], want) {
+		if got[0] != ftImageRun || !bytes.Equal(got[1:], want) {
 			t.Fatalf("frame %d (%d bytes) arrived damaged", i, len(want))
 		}
 		if i == 0 {
@@ -136,7 +136,7 @@ func TestConnLargeFramesRoundTripAndReuseBuffer(t *testing.T) {
 		t.Fatalf("%d frames went out in %d Writes, want one each", len(bodies), len(rec.writes))
 	}
 	for i, b := range bodies {
-		if !bytes.Equal(rec.writes[i], rawFrame(append([]byte{ftSnapChunk}, b...))) {
+		if !bytes.Equal(rec.writes[i], rawFrame(append([]byte{ftImageRun}, b...))) {
 			t.Fatalf("frame %d is not length | CRC | body on the wire", i)
 		}
 	}

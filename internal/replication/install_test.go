@@ -13,12 +13,12 @@ import (
 	"repro/internal/wal"
 )
 
-// TestShipperReshipsBoundaryInstall: a range install is logged at the last
-// applied tick, so an install record at nextTick-1 straddles the bootstrap
-// snapshot boundary. The shipper must re-ship it (skipping the regular
-// update record at the same tick), and the standby must apply it
-// idempotently — ending byte-identical to the primary whether or not the
-// snapshot copy already contained the installed bytes.
+// TestShipperReshipsBoundaryInstall: a range install is logged at the
+// primary's next tick without advancing it, so one made right after the
+// image's tick straddles the bootstrap boundary: the image lacks the
+// installed bytes, and the stream from the image's tick on carries the
+// install ahead of that tick's own record. The standby must apply both,
+// ending byte-identical to the primary.
 func TestShipperReshipsBoundaryInstall(t *testing.T) {
 	tab := gamestate.Table{Rows: 8192, Cols: 8, CellSize: 4, ObjSize: 512}
 	rng := rand.New(rand.NewSource(21))
@@ -40,8 +40,11 @@ func TestShipperReshipsBoundaryInstall(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The boundary install: logged at tick 5 = nextTick-1 of the snapshot
-	// the shipper is about to take.
+	// The boundary install: logged at tick 6, right past the image as of
+	// tick 5 the shipper is about to read.
+	if _, err := p.CheckpointAsOf(5); err != nil {
+		t.Fatal(err)
+	}
 	_, data, err := p.SnapshotRange(64, 192)
 	if err != nil {
 		t.Fatal(err)

@@ -13,11 +13,15 @@
 //	                                                                    └───────┤
 //	conn ──► Standby ── IngestReplicated ──► standby engine (own WAL + checkpoints)
 //
-// The shipper is a *second concurrent consumer* of the primary's WAL: an
-// engine.LogFollower tail-follows the segment being appended, woken by the
-// engine's tick-commit notification, and hands back whole committed ticks.
-// The shipper streams a bootstrap snapshot followed by tick
-// records over a duplex connection — the one replica wire protocol in the
+// A standby bootstraps the way a crashed server recovers: the shipper sends
+// the primary's newest complete backup image as it lies on disk (header
+// block and populated runs, read under the engine's image pin), the standby
+// writes it into its own backup and opens through engine.RecoverFrom, and
+// the log from the image's tick on follows. The shipper is a *second
+// concurrent consumer* of the primary's WAL: an engine.LogFollower
+// tail-follows the segment being appended, woken by the engine's
+// tick-commit notification, and hands back whole committed ticks, streamed
+// over a duplex connection — the one replica wire protocol in the
 // repository. One Shipper type serves both shapes: a single connection
 // (StartShipper), or sessions it redials after a cut
 // (StartResilientShipper), with one ack watermark and one log follower
@@ -36,26 +40,30 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"repro/internal/disk"
 )
 
 // protocolVersion gates the handshake; both ends must match exactly.
-// Version 2 added the mandatory resume frame after the welcome.
-const protocolVersion = 2
+// Version 2 added the mandatory resume frame after the welcome; version 3
+// ships a backup image instead of a slab snapshot.
+const protocolVersion = 3
 
 // magic opens the hello frame, so a mis-wired connection fails fast with a
 // clear error instead of a CRC mismatch.
 var magic = [8]byte{'M', 'M', 'O', 'R', 'E', 'P', 'L', protocolVersion}
 
-// Frame types. The stream is: hello ⇄ welcome, resume, snapshot
-// begin/chunk*/end, then tick* one way and ack* the other. Values are
+// Frame types. The stream is: hello ⇄ welcome, resume, image header,
+// run* and end (a fresh standby's bootstrap; the end alone when the primary
+// has no image), then tick* one way and ack* the other. Values are
 // wire-stable; 8 and 10–12 are unassigned.
 const (
-	ftHello     byte = 1 // primary → standby: magic, geometry
-	ftWelcome   byte = 2 // standby → primary: magic, geometry echo
-	ftSnapBegin byte = 3 // nextTick u64, total snapshot bytes u64
-	ftSnapChunk byte = 4 // offset u64, data
-	ftSnapEnd   byte = 5 // empty
-	ftTick      byte = 6 // tick u64, engine log record body
+	ftHello       byte = 1 // primary → standby: magic, geometry
+	ftWelcome     byte = 2 // standby → primary: magic, geometry echo
+	ftImageHeader byte = 3 // the image's disk.HeaderSize header block
+	ftImageRun    byte = 4 // first object u64, whole objects of covered words
+	ftImageEnd    byte = 5 // empty
+	ftTick        byte = 6 // tick u64, engine log record body
 	// ftAck carries the standby's high-water applied tick: logged to the
 	// standby's own WAL and applied to its slab. Durability of the
 	// standby's log follows its own SyncEveryTick configuration (and
@@ -63,74 +71,81 @@ const (
 	// like a primary's.
 	ftAck byte = 7 // tick u64
 	// ftResume is the standby's one mandatory frame after the welcome: 0
-	// requests a fresh bootstrap snapshot; v>0 says "my engine stands at
-	// tick v-1's boundary — skip the snapshot and stream from tick v-1".
+	// requests a fresh bootstrap image; v>0 says "my engine stands at tick
+	// v-1's boundary — skip the image and stream from tick v-1".
 	// The +1 bias keeps a standby resuming at tick 0 distinguishable from
 	// a fresh one. Reconnecting standbys (StartResilientStandby) use it to
 	// pick the stream back up from their durable watermark.
 	ftResume byte = 9 // nextTick+1 u64, or 0 for a fresh bootstrap
 )
 
-// snapChunkSize is the snapshot transfer granule.
-const snapChunkSize = 256 << 10
+// imageRun bounds the bytes of one run frame.
+const imageRun = 256 << 10
 
-// sendSnapshot ships a tick-consistent image of the whole slab as
-// snapBegin, snapChunk* and snapEnd frames: a standby session's bootstrap
-// leg.
-func sendSnapshot(c *Conn, nextTick uint64, data []byte) error {
-	if err := c.SendU64(ftSnapBegin, nextTick, uint64(len(data))); err != nil {
-		return err
-	}
-	for off := 0; off < len(data); off += snapChunkSize {
-		end := min(off+snapChunkSize, len(data))
-		chunk := binary.LittleEndian.AppendUint64(c.Frame(ftSnapChunk), uint64(off))
-		if err := c.Send(append(chunk, data[off:end]...)); err != nil {
+// sendImage ships img, read off the primary's backup, as an image header
+// frame, its populated runs cut into frames of at most imageRun bytes, and an
+// end frame: a fresh standby's bootstrap leg. The zero Image is the end alone.
+func sendImage(c *Conn, img disk.Image) error {
+	if img.Block != nil {
+		if err := c.Send(append(c.Frame(ftImageHeader), img.Block...)); err != nil {
+			return err
+		}
+		sz := int(img.Header.ObjSize)
+		per, data := max(1, imageRun/sz), img.Data
+		err := img.Map.EachRun(0, int(img.Header.Objects), func(start, end int) error {
+			for ; start < end; start += per {
+				n := min(per, end-start) * sz
+				b := binary.LittleEndian.AppendUint64(c.Frame(ftImageRun), uint64(start))
+				if err := c.Send(append(b, data[:n]...)); err != nil {
+					return err
+				}
+				data = data[n:]
+			}
+			return nil
+		})
+		if err != nil {
 			return err
 		}
 	}
-	return c.Send(c.Frame(ftSnapEnd))
+	return c.Send(c.Frame(ftImageEnd))
 }
 
-// recvSnapshot collects the snapshot sent by sendSnapshot, enforcing the
-// expected size and in-order chunking.
-func recvSnapshot(c *Conn, want uint64) (nextTick uint64, snap []byte, err error) {
+// recvImage lands the image sendImage ships on b through disk.Install, which
+// checks the header against b's geometry and each run against the header's
+// map before it writes, and returns the first tick the image does not cover
+// (0: the primary had none) and the object bytes received.
+func recvImage(c *Conn, b *disk.Backup) (next uint64, n int64, err error) {
 	body, err := c.ReadFrame()
+	if err == nil && len(body) == 1 && body[0] == ftImageEnd {
+		return 0, 0, nil
+	}
+	if err == nil && body[0] != ftImageHeader {
+		err = fmt.Errorf("expected an image header frame, got type %d", body[0])
+	}
+	var h disk.Header
+	if err == nil {
+		h, err = b.Install(body[1:], func(start, _ int) ([]byte, error) {
+			body, err := c.ReadFrame()
+			if err == nil && (len(body) < 9 || body[0] != ftImageRun || binary.LittleEndian.Uint64(body[1:]) != uint64(start)) {
+				err = fmt.Errorf("image frame (type %d, %d bytes) where the run at object %d belongs", body[0], len(body), start)
+			}
+			if err != nil {
+				return nil, err
+			}
+			n += int64(len(body) - 9)
+			return body[9:], nil
+		}, func() error {
+			body, err := c.ReadFrame()
+			if err == nil && (len(body) != 1 || body[0] != ftImageEnd) {
+				err = fmt.Errorf("frame type %d where the image ends", body[0])
+			}
+			return err
+		})
+	}
 	if err != nil {
-		return 0, nil, fmt.Errorf("replication: bootstrap: %w", err)
+		return 0, 0, fmt.Errorf("replication: bootstrap: %w", err)
 	}
-	if len(body) != 17 || body[0] != ftSnapBegin {
-		return 0, nil, errors.New("replication: expected snapshot begin frame")
-	}
-	nextTick = binary.LittleEndian.Uint64(body[1:])
-	total := binary.LittleEndian.Uint64(body[9:])
-	if total != want {
-		return 0, nil, fmt.Errorf("replication: snapshot is %d bytes, state holds %d", total, want)
-	}
-	snap = make([]byte, total)
-	received := uint64(0)
-	for {
-		if body, err = c.ReadFrame(); err != nil {
-			return 0, nil, fmt.Errorf("replication: bootstrap: %w", err)
-		}
-		if body[0] == ftSnapEnd {
-			break
-		}
-		if len(body) < 9 || body[0] != ftSnapChunk {
-			return 0, nil, errors.New("replication: expected snapshot chunk frame")
-		}
-		off := binary.LittleEndian.Uint64(body[1:])
-		data := body[9:]
-		if off != received || off+uint64(len(data)) > total {
-			return 0, nil, fmt.Errorf("replication: snapshot chunk at %d out of order (have %d of %d)",
-				off, received, total)
-		}
-		copy(snap[off:], data)
-		received += uint64(len(data))
-	}
-	if received != total {
-		return 0, nil, fmt.Errorf("replication: snapshot ended at %d of %d bytes", received, total)
-	}
-	return nextTick, snap, nil
+	return h.AsOfTick + 1, n, nil
 }
 
 // hello is the geometry handshake, sent by the primary and echoed by the

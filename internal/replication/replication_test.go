@@ -50,6 +50,32 @@ func referenceSlab(t *testing.T, tab gamestate.Table, n int) []byte {
 	return append([]byte(nil), e.Store().Slab()...)
 }
 
+// imageWireBytes is what a fresh standby's bootstrap sends after the
+// handshake and the resume: p's newest complete image, framed by sendImage.
+func imageWireBytes(t *testing.T, p *engine.Engine) int64 {
+	t.Helper()
+	img, err := p.ReadImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &scriptConn{}
+	if err := sendImage(NewConn(rec, MaxFrameSize), img); err != nil {
+		t.Fatal(err)
+	}
+	return int64(len(bytes.Join(rec.writes, nil)))
+}
+
+// await fails the test unless done closes within 10 s, naming what it
+// waited for next to the shipper's counters.
+func await(t *testing.T, done <-chan struct{}, what string, sh *Shipper) {
+	t.Helper()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s never ended; shipper %+v", what, sh.Stats())
+	}
+}
+
 // TestPromotionCrashEquivalence is the failover correctness contract: a
 // standby attached mid-history, caught up, and promoted after the primary
 // dies must be byte-identical to a never-crashed engine, and so must cold
@@ -72,9 +98,16 @@ func TestPromotionCrashEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if _, err := p.CheckpointAsOf(warmTicks - 1); err != nil {
+				t.Fatal(err)
+			}
+			img, err := p.ReadImage()
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			// Attach the standby to the running primary: the bootstrap
-			// snapshot covers the warm ticks, the stream the rest.
+			// image covers the warm ticks, the stream the rest.
 			pc, sc := net.Pipe()
 			sb, err := StartStandby(engine.Options{Table: tab, Dir: sdir, Mode: engine.ModeCopyOnUpdate, Shards: shards}, sc)
 			if err != nil {
@@ -85,8 +118,8 @@ func TestPromotionCrashEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Wait out the bootstrap so the stream start is deterministic
-			// (the shipper snapshots asynchronously; ticking on would move
-			// the snapshot point).
+			// (the shipper reads the image asynchronously; ticking on could
+			// checkpoint a newer one first).
 			select {
 			case <-sb.Ready():
 			case <-sb.Done():
@@ -101,11 +134,11 @@ func TestPromotionCrashEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := sh.Stats()
-			if st.StartTick != warmTicks {
-				t.Errorf("stream started at tick %d, want %d", st.StartTick, warmTicks)
+			if st.StartTick != img.Header.AsOfTick+1 {
+				t.Errorf("stream started at tick %d, want the newest image's tick %d + 1", st.StartTick, img.Header.AsOfTick)
 			}
-			if st.SnapshotBytes != int64(tab.StateBytes()) {
-				t.Errorf("snapshot %d bytes, want %d", st.SnapshotBytes, tab.StateBytes())
+			if st.ImageBytes != int64(len(img.Data)) {
+				t.Errorf("image of %d bytes shipped, want %d", st.ImageBytes, len(img.Data))
 			}
 
 			// The primary dies; the warm standby takes over.
@@ -207,10 +240,9 @@ func TestMidStreamCutSealsAtWholeTick(t *testing.T) {
 	const warmTicks, streamTicks = 4, 60
 	tab := replTable()
 
-	// Budgets: past the bootstrap (handshake + one snapshot chunk for this
-	// 256 KB table + frame overhead), landing at assorted offsets in the
-	// tick stream, including mid-frame.
-	bootstrap := int64(33 + 25 + (17 + len(make([]byte, tab.StateBytes()))) + 9 + 64)
+	// Budgets: past the bootstrap (the hello, the image frames and 64 bytes
+	// to spare), landing at assorted offsets in the tick stream, including
+	// mid-frame.
 	for i, extra := range []int64{100, 1111, 5000, 12345} {
 		t.Run(fmt.Sprintf("cut=%d", i), func(t *testing.T) {
 			pdir, sdir := t.TempDir(), t.TempDir()
@@ -224,6 +256,10 @@ func TestMidStreamCutSealsAtWholeTick(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if _, err := p.CheckpointAsOf(warmTicks - 1); err != nil {
+				t.Fatal(err)
+			}
+			bootstrap := 33 + imageWireBytes(t, p) + 64
 			pc, sc := net.Pipe()
 			cut := &cutConn{Conn: pc, budget: bootstrap + extra}
 			sb, err := StartStandby(engine.Options{Table: tab, Dir: sdir, Mode: engine.ModeCopyOnUpdate}, sc)
@@ -247,7 +283,7 @@ func TestMidStreamCutSealsAtWholeTick(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			<-sh.Done() // the cut kills the stream
+			await(t, sh.Done(), "the cut stream", sh)
 			if sh.Err() == nil {
 				t.Fatal("shipper survived the cut")
 			}
@@ -304,7 +340,7 @@ func TestBackpressureBoundsInFlightTicks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if body[0] == ftSnapEnd {
+		if body[0] == ftImageEnd {
 			break
 		}
 	}
@@ -383,8 +419,8 @@ func TestHandshakeRejectsGeometryMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-sh.Done()
-	<-sb.Done()
+	await(t, sh.Done(), "the shipper", sh)
+	await(t, sb.Done(), "the standby", sh)
 	if err := sb.Err(); !errors.Is(err, errGeometry) {
 		t.Fatalf("standby ended with %v, want a geometry mismatch", err)
 	}

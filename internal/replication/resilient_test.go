@@ -21,7 +21,7 @@ import (
 // eventually promoted standby is byte-identical to the never-faulted
 // reference.
 func TestResilientPairSurvivesRepeatedSevers(t *testing.T) {
-	const ticks, perTick = 200, 48
+	const warmTicks, ticks, perTick = 10, 200, 48
 	tab := gamestate.Table{Rows: 256, Cols: 8, CellSize: 4, ObjSize: 512}
 	p, err := engine.Open(engine.Options{
 		Table: tab, Dir: t.TempDir(), Mode: engine.ModeCopyOnUpdate,
@@ -30,10 +30,23 @@ func TestResilientPairSurvivesRepeatedSevers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	for tick := 0; tick < warmTicks; tick++ {
+		if err := p.ApplyTick(detBatch(tab, tick, perTick)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := p.CheckpointAsOf(warmTicks - 1); err != nil {
+		t.Fatal(err)
+	}
+	img, err := p.ReadImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bootstrap := imageWireBytes(t, p)
 
 	// The "network": each shipper dial builds a fresh pipe whose primary
 	// side severs after a byte budget — the bootstrap session gets enough
-	// for the snapshot plus a few dozen ticks, every later one much less,
+	// for the image plus a few dozen ticks, every later one much less,
 	// so the stream dies mid-flight several times over the run.
 	conns := make(chan net.Conn)
 	quit := make(chan struct{})
@@ -41,7 +54,7 @@ func TestResilientPairSurvivesRepeatedSevers(t *testing.T) {
 	shipDial := func() (net.Conn, error) {
 		limit := int64(2500)
 		if session == 0 {
-			limit += int64(tab.StateBytes())
+			limit += bootstrap
 		}
 		site := fmt.Sprintf("replink#%d", session)
 		session++
@@ -86,7 +99,7 @@ func TestResilientPairSurvivesRepeatedSevers(t *testing.T) {
 		t.Fatal("standby never bootstrapped")
 	}
 
-	for tick := 0; tick < ticks; tick++ {
+	for tick := warmTicks; tick < ticks; tick++ {
 		if err := p.ApplyTick(detBatch(tab, tick, perTick)); err != nil {
 			t.Fatal(err)
 		}
@@ -103,8 +116,9 @@ func TestResilientPairSurvivesRepeatedSevers(t *testing.T) {
 	if stats.Reconnects < 2 {
 		t.Fatalf("standby reconnected %d times, want >= 2; stats %+v", stats.Reconnects, stats)
 	}
-	if stats.SnapshotBytes != int64(tab.StateBytes()) {
-		t.Fatalf("snapshot shipped %d bytes, want one bootstrap of %d", stats.SnapshotBytes, tab.StateBytes())
+	if stats.StartTick != warmTicks || stats.ImageBytes != int64(len(img.Data)) {
+		t.Fatalf("bootstrap from tick %d with %d image bytes, want one bootstrap from %d with %d",
+			stats.StartTick, stats.ImageBytes, warmTicks, len(img.Data))
 	}
 
 	close(quit)
@@ -160,13 +174,15 @@ func TestStandbyResumesAgainstIdlePrimary(t *testing.T) {
 	}
 	defer p.Close()
 
-	// Session 1 carries the snapshot and a few ticks, then severs; session
-	// 2 dials only after the last tick has committed.
+	// Session 1 carries the bootstrap (the fresh primary has no image: an
+	// end frame) and a few ticks, then severs; session 2 dials only after
+	// the last tick has committed.
 	conns := make(chan net.Conn)
 	idle := make(chan struct{})
 	session := 0
+	bootstrap := imageWireBytes(t, p)
 	shipDial := func() (net.Conn, error) {
-		limit := int64(tab.StateBytes()) + 2500
+		limit := bootstrap + 2500
 		if session > 0 {
 			<-idle
 			limit = 0
@@ -200,7 +216,7 @@ func TestStandbyResumesAgainstIdlePrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	select { // the bootstrap snapshot precedes every tick, so they all stream
+	select { // the bootstrap precedes every tick, so they all stream
 	case <-sb.Ready():
 	case <-sb.Done():
 		t.Fatalf("standby died before bootstrap: %v", sb.Err())
@@ -297,13 +313,15 @@ func TestShipperLogPinHoldsAcrossDisconnect(t *testing.T) {
 	}
 	defer p.Close()
 
-	// Session 1 carries the snapshot and a few ticks, then severs; session
-	// 2's dial reports that no session runs and waits to be let through.
+	// Session 1 carries the bootstrap (an end frame: no image yet) and a
+	// few ticks, then severs; session 2's dial reports that no session runs
+	// and waits to be let through.
 	conns := make(chan net.Conn)
 	between, resume := make(chan struct{}), make(chan struct{})
 	session := 0
+	bootstrap := imageWireBytes(t, p)
 	shipDial := func() (net.Conn, error) {
-		limit := int64(tab.StateBytes()) + 2500
+		limit := bootstrap + 2500
 		if session > 0 {
 			close(between)
 			<-resume

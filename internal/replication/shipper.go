@@ -7,16 +7,18 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/disk"
 	"repro/internal/engine"
 )
 
 // ShipperStats is a snapshot of a shipper's progress counters.
 type ShipperStats struct {
-	// StartTick is the first tick the bootstrap session carries (its
-	// snapshot covers everything before it).
+	// StartTick is the first tick the bootstrap session carries: the
+	// shipped image's AsOfTick+1, or 0 when the primary had no image.
 	StartTick uint64
-	// SnapshotBytes is the size of the bootstrap image shipped.
-	SnapshotBytes int64
+	// ImageBytes counts the object bytes of the bootstrap image shipped:
+	// its populated runs.
+	ImageBytes int64
 	// TicksShipped and BytesShipped count ftTick traffic, over every
 	// session.
 	TicksShipped int64
@@ -26,11 +28,11 @@ type ShipperStats struct {
 	HasShipped, HasAcked bool
 }
 
-// Shipper streams a primary engine to one standby: bootstrap snapshot
-// first, then the whole ticks an engine.LogFollower reads from the engine's
-// log, over an ack-bounded stream. A plain shipper (StartShipper) runs one
-// session on the connection it was given and ends when that breaks, the
-// engine closes, or Stop. A reconnecting one (StartResilientShipper) dials
+// Shipper streams a primary engine to one standby: its newest complete
+// backup image first, then the whole ticks an engine.LogFollower reads from
+// the engine's log, over an ack-bounded stream. A plain shipper
+// (StartShipper) runs one session on the connection it was given and ends
+// when that breaks, the engine closes, or Stop. A reconnecting one (StartResilientShipper) dials
 // a new session whenever one ends, until Stop or a fatal error; the ack
 // watermark, the lag gate and the log follower — whose NeedFrom pins the
 // primary's log at the standby's acknowledged watermark — live across its
@@ -54,7 +56,7 @@ type Shipper struct {
 }
 
 // StartShipper attaches a shipper to a live engine and starts streaming to
-// conn. It returns immediately; the handshake, snapshot and shipping all
+// conn. It returns immediately; the handshake, image and shipping all
 // run on background goroutines (the two ends of a connection can therefore
 // be started from one goroutine, in either order). The caller must Stop the
 // shipper before closing the engine.
@@ -109,7 +111,7 @@ func (s *Shipper) attempt(n int) (progressed bool, err error) {
 	return has && (!had || after > before), err
 }
 
-// session is one stream session on conn: handshake, snapshot bootstrap or
+// session is one stream session on conn: handshake, image bootstrap or
 // resume, then the tail-follow loop.
 func (s *Shipper) session(conn net.Conn) (err error) {
 	c, err := s.st.attach(conn)
@@ -128,9 +130,9 @@ func (s *Shipper) session(conn net.Conn) (err error) {
 	}
 
 	// Resume negotiation: the standby states where its engine stands. A
-	// fresh standby (0) gets the full bootstrap; a reconnecting one (v>0)
-	// skips the snapshot and the stream picks up at tick v-1 — its own WAL
-	// and checkpoints already cover everything below.
+	// fresh standby (0) gets the image bootstrap; a reconnecting one (v>0)
+	// skips it and the stream picks up at tick v-1 — its own WAL and
+	// checkpoints already cover everything below.
 	body, err := c.ReadFrame()
 	if err != nil {
 		return fmt.Errorf("replication: resume: %w", err)
@@ -140,17 +142,21 @@ func (s *Shipper) session(conn net.Conn) (err error) {
 		return err
 	}
 
-	var nextTick uint64
-	var snap []byte
+	nextTick := resume - 1
+	var img disk.Image
 	if resume == 0 {
-		// Bootstrap: a consistent image as of nextTick-1, shipped in
-		// chunks. The engine keeps ticking while this streams; the WAL
-		// retains everything from nextTick for us (NeedFrom below).
-		if nextTick, snap, err = s.e.Snapshot(); err != nil {
+		// Bootstrap: the newest complete image, read under the engine's
+		// image pin, which drops before anything is sent. The follower holds
+		// the whole log until the floor is set below; the engine's own
+		// pruning keeps everything past its newest image anyway.
+		s.f.NeedFrom(0)
+		if img, err = s.e.ReadImage(); err != nil {
 			return err
 		}
-	} else {
-		nextTick = resume - 1
+		nextTick = 0
+		if img.Block != nil {
+			nextTick = img.Header.AsOfTick + 1
+		}
 	}
 	// The follower reads this session's stream from its floor again: what
 	// an earlier session sent past it never reached the standby's engine.
@@ -159,9 +165,9 @@ func (s *Shipper) session(conn net.Conn) (err error) {
 	if resume == 0 {
 		s.mu.Lock()
 		s.stats.StartTick = nextTick
-		s.stats.SnapshotBytes = int64(len(snap))
+		s.stats.ImageBytes = int64(len(img.Data))
 		s.mu.Unlock()
-		if err := sendSnapshot(c, nextTick, snap); err != nil {
+		if err := sendImage(c, img); err != nil {
 			return err
 		}
 	}
@@ -171,11 +177,10 @@ func (s *Shipper) session(conn net.Conn) (err error) {
 	// The live stream: every whole tick at or above nextTick the log
 	// follower yields, one ftTick frame per record, until the ack reader
 	// ends (the session broke, or Stop). Range installs need no special
-	// casing at the snapshot boundary: they are logged at the engine's next
-	// tick (>= our nextTick), so one sharing the snapshot's inter-tick
-	// window is streamed regardless of which side of the copy it landed on
-	// — and re-applying absolute bytes the snapshot already contains is
-	// idempotent on the standby.
+	// casing at the image boundary: they are logged at the engine's next
+	// tick (>= our nextTick), so one logged after the image's tick is
+	// streamed — and re-applying absolute bytes the image already contains
+	// is idempotent on the standby.
 	for {
 		// !ok: the ack reader ended, and recorded why.
 		tick, recs, ok, err := s.f.Next(nextTick, acks)

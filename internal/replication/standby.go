@@ -7,16 +7,17 @@ import (
 	"net"
 	"sync"
 
+	"repro/internal/disk"
 	"repro/internal/engine"
 )
 
 // StandbyStats is a snapshot of a standby's progress counters.
 type StandbyStats struct {
-	// StartTick is the first streamed tick; the bootstrap snapshot covers
+	// StartTick is the first streamed tick; the bootstrap image covers
 	// everything before it.
 	StartTick uint64
-	// SnapshotBytes is the bootstrap image size received.
-	SnapshotBytes int64
+	// ImageBytes counts the object bytes of the bootstrap image received.
+	ImageBytes int64
 	// TicksApplied counts ingested ticks; Applied is the high-water tick
 	// applied (logged to the standby's own WAL and in its slab; synced
 	// per the engine's SyncEveryTick setting, and always at promotion).
@@ -31,9 +32,10 @@ type StandbyStats struct {
 }
 
 // Standby mirrors a primary over a connection into its own engine
-// directory: it receives the bootstrap snapshot, opens a standby engine,
-// applies every streamed tick through the engine's own log and
-// checkpointer, and acknowledges each applied tick back to the shipper.
+// directory: it lands the bootstrap image in its own backup, opens a
+// standby engine from it through recovery, applies every streamed tick
+// through the engine's own log and checkpointer, and acknowledges each
+// applied tick back to the shipper.
 //
 // When the stream ends — the primary died, the network cut, or the
 // shipper was stopped — the standby seals at the last *complete* tick
@@ -59,7 +61,7 @@ type Standby struct {
 	stopping bool
 
 	stop  chan struct{} // closed by Promote/Close to end the session loop
-	ready chan struct{} // closed once the bootstrap snapshot is installed
+	ready chan struct{} // closed once the bootstrap image is installed
 	done  chan struct{} // closed when the stream has ended and the applier joined
 }
 
@@ -70,7 +72,7 @@ const (
 )
 
 // StartStandby connects a new standby: it opens a warm engine in opts.Dir
-// (which must be fresh) once the primary's bootstrap snapshot arrives, then
+// (which must be fresh) once the primary's bootstrap image has landed, then
 // mirrors the stream until it ends. It returns immediately; Ready is closed
 // when the engine is warm, Done when the stream has ended. Errors surface
 // via Err and Promote.
@@ -135,9 +137,9 @@ func (sb *Standby) serveConn(conn net.Conn) error {
 	}
 
 	// Resume negotiation. A fresh standby (no engine yet) asks for the
-	// bootstrap snapshot with 0; a reconnecting one already holds everything
+	// bootstrap image with 0; a reconnecting one already holds everything
 	// below its engine's NextTick (own WAL + checkpoints), so it skips the
-	// snapshot and has the stream pick up exactly where it cut — the +1 bias
+	// image and has the stream pick up exactly where it cut — the +1 bias
 	// distinguishes "resume at tick 0" from "fresh".
 	sb.mu.Lock()
 	e := sb.e
@@ -151,30 +153,34 @@ func (sb *Standby) serveConn(conn net.Conn) error {
 		return fmt.Errorf("replication: resume: %w", err)
 	}
 	if e == nil {
-		// Open the engine from the snapshot (OpenStandby persists it as the
-		// bootstrap checkpoint image, so the standby is recoverable before
-		// the first streamed tick lands).
-		var snap []byte
-		if next, snap, err = recvSnapshot(c, uint64(sb.opts.Table.StateBytes())); err != nil {
-			return err
+		// The image lands in the engine's blank backup and the engine opens
+		// from it through recovery, so the standby is recoverable before the
+		// first streamed tick lands.
+		var n int64
+		var recvErr error
+		e, err = engine.OpenStandby(sb.opts, func(b *disk.Backup) error {
+			next, n, recvErr = recvImage(c, b)
+			return recvErr
+		})
+		if recvErr != nil {
+			return recvErr // the stream broke: the next session starts over
 		}
-		if e, err = engine.OpenStandby(sb.opts, next, snap); err != nil {
+		if err != nil {
 			return &fatalError{err} // a broken local dir stays broken
 		}
 		sb.mu.Lock()
 		sb.e = e
 		sb.stats.StartTick = next
-		sb.stats.SnapshotBytes = int64(len(snap))
+		sb.stats.ImageBytes = n
 		if next > 0 {
 			sb.stats.Applied, sb.stats.HasApplied = next-1, true
 		}
 		sb.mu.Unlock()
 		close(sb.ready)
 	}
-	// Seed the session's ack watermark with the durable state: the snapshot
-	// (persisted as the first checkpoint image) or the engine's own log and
-	// checkpoints cover every tick below next, so a caught-up standby is
-	// observable even when nothing streams.
+	// Seed the session's ack watermark with the durable state: the shipped
+	// image or the engine's own log and checkpoints cover every tick below
+	// next, so a caught-up standby is observable even when nothing streams.
 	if next > 0 {
 		if err := c.SendU64(ftAck, next-1); err != nil {
 			return err
@@ -225,7 +231,7 @@ func (sb *Standby) shutdownStream() {
 	}
 }
 
-// Ready is closed once the bootstrap snapshot is installed and the engine
+// Ready is closed once the bootstrap image is installed and the engine
 // is warm (streamed ticks may already be applying).
 func (sb *Standby) Ready() <-chan struct{} { return sb.ready }
 

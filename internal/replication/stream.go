@@ -25,7 +25,7 @@ type StreamOptions struct {
 // acknowledgement watermark, the in-flight lag gate, the first-error latch
 // and the stopped flag. A session adds only its framed connection and the
 // goroutine that reads acknowledgements from it (attach, StartAcks,
-// detach). What travels in the frames — the snapshot and the WAL records —
+// detach). What travels in the frames — the image and the WAL records —
 // stays with the Shipper.
 //
 // The watermark is kept in one form, "the first tick the peer has not

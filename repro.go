@@ -176,9 +176,9 @@ func RecoverEngine(opts EngineOptions) (*Engine, ParallelRecoveryResult, error) 
 }
 
 // Shipper streams a primary engine to one warm standby over one connection
-// (StartPrimary): a bootstrap checkpoint snapshot, then live tick records
-// tail-followed from the engine's logical log, with a bounded number of
-// in-flight ticks.
+// (StartPrimary): its newest complete backup image, then live tick records
+// tail-followed from the engine's logical log from that image's tick on,
+// with a bounded number of in-flight ticks.
 type Shipper = replication.Shipper
 
 // ShipperOptions configures a primary-side shipper (replay-lag budget).
@@ -189,8 +189,8 @@ type ShipperOptions = replication.StreamOptions
 type Standby = replication.Standby
 
 // StartPrimary attaches a live WAL shipper to a running engine, streaming
-// a bootstrap snapshot and then every committed tick to the standby on
-// conn. Stop the shipper before closing the engine.
+// its newest backup image and then every committed tick after it to the
+// standby on conn. Stop the shipper before closing the engine.
 func StartPrimary(e *Engine, conn net.Conn, opts ShipperOptions) (*Shipper, error) {
 	return replication.StartShipper(e, conn, opts)
 }
