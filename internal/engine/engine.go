@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -82,6 +83,7 @@ type Engine struct {
 	walDir  string
 	plan    shardPlan
 	backups [2]*disk.Backup
+	devs    [2]disk.Device // the backups' devices, closed by Close
 
 	// tickMu serializes the mutator paths (ApplyTick, ApplyTickEnvelopes,
 	// IngestReplicated, InstallRange) against migration's SnapshotRange, so
@@ -122,14 +124,13 @@ func Open(opts Options) (*Engine, error) {
 
 // RecoverFrom opens an engine in opts.Dir like Open and returns the
 // recovery pipeline's per-shard and per-stage timing breakdown. Crash
-// recovery restores the newest complete backup image with one vectored
-// reader per shard while the logical log replays — every shard's worker
-// reads every record and stores only its own cells, jumping over the other
-// shards' runs of a run record — each shard's replay gated on its own
-// restore watermark (see recovery.RecoverParallel). At one shard that gate
-// is the whole restore, so the pipeline is the paper's ΔTrestore +
-// ΔTreplay sum. Every record kind is data, applied by range, so the
-// recovered state is the same at any shard count.
+// recovery reads the logical log in windows and hands each to every shard:
+// a shard indexes the window's runs on its own pages, then walks its pages
+// in order, restoring each from the newest complete backup image with
+// vectored reads and applying every record's run on it (see replayer and
+// recovery.RecoverParallel). At one shard the stages add up to the paper's
+// ΔTrestore + ΔTreplay sum. Every record kind is data, applied by range, so
+// the recovered state is the same at any shard count.
 func RecoverFrom(opts Options) (*Engine, recovery.ParallelResult, error) {
 	return open(opts, nil)
 }
@@ -150,19 +151,20 @@ func open(opts Options, records func() (recovery.RecordSource, error)) (*Engine,
 	if err != nil {
 		return nil, pres, err
 	}
-	opened := false
-	defer func() {
-		if !opened { // every goroutine of a failed recovery is joined
-			store.release()
-		}
-	}()
 	e := &Engine{
 		opts: opts, store: store, plan: makeShardPlan(store.NumObjects(), opts.Shards),
 		off: make([]int32, (store.NumObjects()+63)/64+2),
 	}
+	opened := false
+	defer func() {
+		if !opened { // every goroutine of a failed recovery is joined
+			store.release()
+			e.closeDevices() //nolint:errcheck // the open error is the one to report
+		}
+	}()
 	telDegraded.Set(0)
 
-	var devs [2]disk.Device
+	devs := &e.devs
 	if opts.InMemory {
 		devs[0], devs[1] = disk.NewMem(), disk.NewMem()
 	} else {
@@ -216,20 +218,23 @@ func open(opts Options, records func() (recovery.RecordSource, error)) (*Engine,
 		// the last tick shard s's replay worker saw a non-install record
 		// for; 0 means none.
 		//
-		// The pipeline is partitioned exactly like the engine: one restore
-		// reader and one replay worker per shard, each owning its plan
-		// range of the slab and applying every record to that range alone.
+		// The pipeline is partitioned exactly like the engine: one
+		// goroutine per shard restores and replays its plan range of the
+		// slab, applying every record to that range alone.
 		ranges := e.plan.ranges()
 		reps := e.replayers(ranges)
 		ranNext := make([]uint64, len(ranges))
 		popts := recovery.ParallelOptions{
 			A: e.backups[0], B: e.backups[1], Slab: store.Slab(), Log: log,
 			Ranges: ranges,
-			Apply: func(shard int, tick uint64, body []byte) (int64, error) {
-				if len(body) > 0 && body[0] != recInstall {
-					ranNext[shard] = tick + 1
+			Replay: func(shard int, window []recovery.Record, restore *recovery.Restorer) (int, int64, error) {
+				k, n, err := reps[shard].replay(window, restore)
+				for _, rec := range window[:k] {
+					if len(rec.Payload) > 0 && rec.Payload[0] != recInstall {
+						ranNext[shard] = rec.Tick + 1
+					}
 				}
-				return reps[shard].apply(tick, body)
+				return k, n, err
 			},
 		}
 		if records != nil {
@@ -672,8 +677,17 @@ func (e *Engine) Close() error {
 	// The checkpointer's writer and its shard flushers are joined, and every
 	// other slab reader holds tickMu and checks closed.
 	e.store.release()
-	if cpErr != nil {
-		return cpErr
+	return cmp.Or(cpErr, logErr, e.closeDevices())
+}
+
+// closeDevices closes the backup devices open has opened and returns the
+// first error.
+func (e *Engine) closeDevices() error {
+	var first error
+	for _, d := range e.devs {
+		if d != nil {
+			first = cmp.Or(first, d.Close())
+		}
 	}
-	return logErr
+	return first
 }

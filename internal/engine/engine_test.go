@@ -2,8 +2,11 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -111,6 +114,83 @@ func TestCloseReleasesSlab(t *testing.T) {
 		}
 	}()
 	e.Store().Cell(0)
+}
+
+// closeCounter is a DeviceFactory that opens file devices and counts how
+// many of them were opened and how many closed; after fail opens it fails.
+type closeCounter struct {
+	mu             sync.Mutex
+	opened, closed int
+	fail           int
+}
+
+func (c *closeCounter) open(path string) (disk.Device, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.fail > 0 && c.opened == c.fail {
+		return nil, errors.New("no more devices")
+	}
+	f, err := disk.OpenFile(path)
+	if err != nil {
+		return nil, err
+	}
+	c.opened++
+	return &countedClose{Device: f, c: c}, nil
+}
+
+type countedClose struct {
+	disk.Device
+	c *closeCounter
+}
+
+func (d *countedClose) Close() error {
+	d.c.mu.Lock()
+	d.c.closed++
+	d.c.mu.Unlock()
+	return d.Device.Close()
+}
+
+// TestCloseClosesBackupDevices: Close closes both backup devices Open
+// opened, and an Open that fails once it has opened devices closes the ones
+// it has — the log directory unusable, or the second device failing to open.
+func TestCloseClosesBackupDevices(t *testing.T) {
+	var c closeCounter
+	e, err := Open(Options{Table: testTable(), Dir: t.TempDir(), Mode: ModeCopyOnUpdate, DeviceFactory: c.open})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ApplyTick([]wal.Update{{Cell: 1, Value: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if c.closed != 0 {
+		t.Fatalf("%d devices closed while the engine runs", c.closed)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c.opened != 2 || c.closed != 2 {
+		t.Errorf("Close: %d devices opened, %d closed", c.opened, c.closed)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c = closeCounter{}
+	if _, err := Open(Options{Table: testTable(), Dir: dir, Mode: ModeCopyOnUpdate, DeviceFactory: c.open}); err == nil {
+		t.Fatal("Open over a file where the log directory goes succeeded")
+	}
+	if c.opened != 2 || c.closed != 2 {
+		t.Errorf("failed log open: %d devices opened, %d closed", c.opened, c.closed)
+	}
+
+	c = closeCounter{fail: 1}
+	if _, err := Open(Options{Table: testTable(), Dir: t.TempDir(), Mode: ModeCopyOnUpdate, DeviceFactory: c.open}); err == nil {
+		t.Fatal("Open without its second device succeeded")
+	}
+	if c.opened != 1 || c.closed != 1 {
+		t.Errorf("failed device open: %d devices opened, %d closed", c.opened, c.closed)
+	}
 }
 
 func TestNewStoreRejects(t *testing.T) {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -17,10 +18,11 @@ import (
 // benchmark's crash-recover shape: 640 ticks of 6,400 hotspot updates (skew
 // 0.8) over the 40 MB table, logged by an engine as it logs them live,
 // replayed over a full image restored from memory — so the log is the work —
-// through the recovery pipeline with the engine's shard plan and replay
-// workers. The requested shard count names the sub-benchmark; the plan may
-// fold to fewer. Compare commits with alternated binaries (go test -c),
-// -benchtime 10x.
+// through the recovery pipeline with the engine's shard plan and replayers.
+// Every run must end on the image with ticks 1–640 applied, as the engine
+// that logged them holds it. The requested shard count names the
+// sub-benchmark; the plan may fold to fewer. Compare commits with alternated
+// binaries (go test -c), -benchtime 10x.
 func BenchmarkReplayPipeline(b *testing.B) {
 	const records, perRec = 640, 6400
 	tab := gamestate.Default()
@@ -32,6 +34,10 @@ func BenchmarkReplayPipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	image := make([]byte, tab.StateBytes())
+	rand.New(rand.NewSource(1)).Read(image)
+	// The logging engine holds the image's bytes once tick 0 is logged, so it
+	// ends on the state the replay must reach.
 	w, err := Open(Options{Table: tab, Dir: dir, Mode: ModeNone, Shards: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -46,14 +52,14 @@ func BenchmarkReplayPipeline(b *testing.B) {
 		}
 		if t == 0 {
 			first = w.Stats().UpdatesApplied
+			copy(w.store.Slab(), image)
 		}
 	}
 	want := w.Stats().UpdatesApplied - first
+	final := bytes.Clone(w.store.Slab())
 	if err := w.Close(); err != nil {
 		b.Fatal(err)
 	}
-	image := make([]byte, tab.StateBytes())
-	rand.New(rand.NewSource(1)).Read(image)
 	var backups [2]*disk.Backup
 	for i := range backups {
 		if backups[i], err = disk.NewBackup(disk.NewMem(), tab.NumObjects(), tab.ObjSize); err != nil {
@@ -82,8 +88,8 @@ func BenchmarkReplayPipeline(b *testing.B) {
 			reps := e.replayers(ranges)
 			opts := recovery.ParallelOptions{
 				A: backups[0], B: backups[1], Slab: e.store.Slab(), Log: log, Ranges: ranges,
-				Apply: func(shard int, tick uint64, body []byte) (int64, error) {
-					return reps[shard].apply(tick, body)
+				Replay: func(shard int, window []recovery.Record, restore *recovery.Restorer) (int, int64, error) {
+					return reps[shard].replay(window, restore)
 				},
 			}
 			b.ResetTimer()
@@ -92,6 +98,10 @@ func BenchmarkReplayPipeline(b *testing.B) {
 				if err != nil || res.ReplayedUpdates != want {
 					b.Fatalf("replayed %d updates, want %d: %v", res.ReplayedUpdates, want, err)
 				}
+			}
+			b.StopTimer()
+			if !bytes.Equal(e.store.Slab(), final) {
+				b.Fatal("the replayed slab is not the image with ticks 1–640 applied")
 			}
 			b.ReportMetric(float64(b.N)*float64(want)/b.Elapsed().Seconds(), "updates/s")
 		})

@@ -11,7 +11,7 @@ import (
 // word-aligned ranges of as near equal size as the 64-object bitmap word
 // allows. Each shard owns its slice of the dirty bitmaps, the pre-image side
 // buffer, the stripe locks and a flush cursor, so S checkpoint flushers — and
-// S restore readers and replay appliers at recovery — run with zero
+// S restore-and-replay shards at recovery — run with zero
 // cross-shard contention: no two shards ever touch the same bitmap word, slab
 // byte, or backup region. The live tick is applied by its one mutator
 // goroutine, which partitions the batch itself, serially, at the bitmap-word

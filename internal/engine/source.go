@@ -10,8 +10,8 @@ import (
 // second record source merged into replay. The source is the cluster's
 // logged-message store (internal/cluster), which supplies a node's inbox,
 // whose records roll the node forward past where its own WAL ends. The
-// pipeline itself is unchanged (per-shard restore watermarks gating
-// per-shard replay, see recovery.RecoverParallel) and only the byte sources
+// pipeline itself is unchanged (each shard restoring and replaying its own
+// range, see recovery.RecoverParallel) and only the byte sources
 // differ, which is what makes it byte-identical to the disk pipeline by
 // construction.
 

@@ -2,7 +2,6 @@ package recovery
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -12,21 +11,6 @@ import (
 
 	"repro/internal/disk"
 )
-
-// gatedDevice holds every read of the object at HeaderSize — the start of
-// shard 0's range — until open is closed, so shard 0's restore, and with it
-// its replay worker, waits for as long as the test likes.
-type gatedDevice struct {
-	disk.Device
-	open chan struct{}
-}
-
-func (d *gatedDevice) ReadAt(p []byte, off int64) (int, error) {
-	if off == disk.HeaderSize {
-		<-d.open
-	}
-	return d.Device.ReadAt(p, off)
-}
 
 // stampRecord folds a digest of the whole payload into one cell of every
 // object in [lo, hi): any byte of any record that changed under its applier
@@ -41,85 +25,75 @@ func stampRecord(slab []byte, lo, hi int, tick uint64, payload []byte) {
 }
 
 // TestRecoverParallelPayloadsOutliveTheirChunk: the log reader reuses a read
-// chunk once every record read into it is back on the free list, and closes
-// only after the pipeline is joined. Records here are large and of odd sizes,
-// so they straddle chunk boundaries, and shard 0's restore is held until the
-// reader has run ahead to the batch bound: the records in flight then span
-// more than one chunk while shard 0 has applied none of them. A chunk reused
-// or unmapped early changes a payload under shard 0's worker, and the slab
-// then differs from a serial pass over the same records. The log runs alone,
-// and merged with an extra source whose small records, two per gap, fall
-// between the log's ticks: the reader fans them while it holds a log record
-// not yet fanned, and with three records to a period against an even bound,
-// a batch it takes back releases log records while later ones are in flight.
+// chunk only once every record read into it is in a window all shards are
+// done with, and closes only after the last window. Records here are large
+// and of odd sizes, so they straddle chunk boundaries, and the window budget
+// is lowered so that each window spans more than one chunk and the log
+// several windows. A chunk reused or unmapped early changes a payload under a
+// shard, and the slab then differs from a serial pass over the same records.
+// The log runs alone, and merged with an extra source that holds one record
+// in each gap between the log's ticks and one at each of the log's ticks,
+// where the log holds two: the reader holds a shared tick's log records back
+// until it has read past them, then replays the log's longer copy, so a
+// window can end between two log records while the reader has read further.
 func TestRecoverParallelPayloadsOutliveTheirChunk(t *testing.T) {
+	defer func(b int) { windowBudget = b }(windowBudget)
+	windowBudget = 10 << 20
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			bound := batchesPerShard * shards
 			rng := rand.New(rand.NewSource(int64(shards)))
-			mem := disk.NewMem()
-			a, b := pBackup(t, mem), pBackup(t, disk.NewMem())
+			a, b := pBackup(t, disk.NewMem()), pBackup(t, disk.NewMem())
 			log, image, _ := buildWorkload(t, a, t.TempDir(), 0, 0, 31)
 			defer log.Close()
-			// About 10 MB in flight at the bound: two and a half chunks.
-			per := (10 << 20) / bound
-			var logRecs, extra []record
-			for tick := uint64(2); tick <= uint64(2*(bound+8)); tick += 2 {
-				payload := make([]byte, per+rng.Intn(per/3))
-				rng.Read(payload)
-				if err := log.Append(tick, payload); err != nil {
-					t.Fatal(err)
-				}
-				logRecs = append(logRecs, record{tick, payload})
+			payload := func() []byte {
+				const per = 400 << 10
+				p := make([]byte, per+rng.Intn(per/6))
+				rng.Read(p)
+				return p
+			}
+			// About 43 MB of log, and 65 MB of log and source merged: a window
+			// spans two or three 4 MB read chunks.
+			var logRecs, merged, extra []record
+			for tick := uint64(2); tick <= 100; tick += 2 {
+				gap := record{tick - 1, payload()}
+				extra = append(extra, gap, record{tick, payload()})
+				merged = append(merged, gap)
 				for range 2 {
-					small := make([]byte, 64)
-					rng.Read(small)
-					extra = append(extra, record{tick - 1, small})
+					rec := record{tick, payload()}
+					if err := log.Append(tick, rec.payload); err != nil {
+						t.Fatal(err)
+					}
+					logRecs = append(logRecs, rec)
+					merged = append(merged, rec)
 				}
 			}
 
-			for _, merged := range []bool{false, true} {
-				stream := logRecs
-				src := records(nil)
-				if merged {
-					stream = append(slices.Clone(logRecs), extra...)
-					slices.SortStableFunc(stream, func(x, y record) int { return cmp.Compare(x.tick, y.tick) })
-					src = slices.Clone(extra)
+			for _, withExtra := range []bool{false, true} {
+				stream, src := logRecs, records(nil)
+				if withExtra {
+					stream, src = merged, slices.Clone(extra)
 				}
 				serial := slices.Clone(image)
 				for _, rec := range stream {
 					stampRecord(serial, 0, pObj, rec.tick, rec.payload)
 				}
 
-				gate := &gatedDevice{Device: mem, open: make(chan struct{})}
-				split := 0
 				slab := make([]byte, pObj*pObjSize)
 				ranges := evenRanges(pObj, shards)
-				fanned = func() {
-					// fanned runs on the reader, once per record, after it
-					// took the record's batch: with the bound-th record every
-					// batch is in flight and none can come back before shard
-					// 0 restores.
-					if split++; split == bound {
-						close(gate.open)
-					}
-				}
-				res, err := RecoverParallel(ParallelOptions{
-					A: pBackup(t, gate), B: b, Slab: slab, Log: log, Ranges: ranges, Extra: &src,
-					Apply: func(shard int, tick uint64, payload []byte) (int64, error) {
-						stampRecord(slab, ranges[shard].Lo, ranges[shard].Hi, tick, payload)
-						return 1, nil
-					},
-				})
-				fanned = nil
+				res, err := RecoverParallel(perRecord(ParallelOptions{
+					A: a, B: b, Slab: slab, Log: log, Ranges: ranges, Extra: &src,
+				}, func(shard int, tick uint64, payload []byte) (int64, error) {
+					stampRecord(slab, ranges[shard].Lo, ranges[shard].Hi, tick, payload)
+					return 1, nil
+				}))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.BatchesInFlightMax != bound {
-					t.Errorf("merged=%v: %d batches in flight, want the bound %d", merged, res.BatchesInFlightMax, bound)
+				if res.Windows < 4 {
+					t.Errorf("extra=%v: %d windows, want several", withExtra, res.Windows)
 				}
 				if !bytes.Equal(slab, serial) {
-					t.Fatalf("merged=%v: parallel recovery differs from a serial pass: a payload changed under its applier", merged)
+					t.Fatalf("extra=%v: parallel recovery differs from a serial pass: a payload changed under its applier", withExtra)
 				}
 			}
 		})

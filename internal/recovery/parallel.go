@@ -1,18 +1,16 @@
-// Sharded, pipelined recovery: the paper's ΔTrecovery = ΔTrestore + ΔTreplay
-// is a serial sum only on a single-threaded recoverer. RecoverParallel
-// partitions the backup image by the caller's shard geometry, restores all
-// shards concurrently with vectored reads, and overlaps log replay with the
-// restore: each shard's replay is gated on that shard's "restored up to"
-// watermark, so replay of already-restored shards proceeds while the rest of
-// the image is still streaming in, and no logged update ever lands on an
-// unrestored object.
+// Sharded recovery: the paper's ΔTrecovery = ΔTrestore + ΔTreplay, with the
+// two stages fused in each shard. RecoverParallel partitions the backup image
+// by the caller's shard geometry and reads the logical log in windows; every
+// shard replays every window into its own object range and restores that
+// range as it goes, so the shards run concurrently and the caller can restore
+// a stretch of the slab and bring it to the crash tick while it is still in
+// cache (see ParallelOptions.Replay).
 package recovery
 
 import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/disk"
@@ -31,9 +29,15 @@ type ShardRange struct{ Lo, Hi int }
 type RecordSource interface {
 	// Next returns the next record in tick order; ok=false ends the stream.
 	// Each returned payload must stay valid until the pipeline completes
-	// (records are fanned out to per-shard workers and consumed
-	// asynchronously).
+	// (records are held in a replay window until every shard is done with
+	// it).
 	Next() (tick uint64, payload []byte, ok bool, err error)
+}
+
+// Record is one log record of a replay window.
+type Record struct {
+	Tick    uint64
+	Payload []byte
 }
 
 // ParallelOptions configures RecoverParallel.
@@ -49,14 +53,18 @@ type ParallelOptions struct {
 	// Ranges partitions the object space into one range per shard; the
 	// ranges must tile [0, objects) in order.
 	Ranges []ShardRange
-	// Apply applies one whole log record's effects restricted to shard's
-	// object range, returning the number of updates it applied. Every shard
-	// gets every record. Calls for one shard arrive in replay order (the
-	// log's, merged with Extra) on a single goroutine; calls for different
-	// shards run concurrently. An error stops the shard's replay at that
-	// record, so Apply must refuse a record before it applies any of it for
-	// the shards to stop at the same place. Required when Log is set.
-	Apply func(shard int, tick uint64, payload []byte) (int64, error)
+	// Replay applies one window of log records — consecutive in replay order,
+	// the log's merged with Extra — to shard's object range, and returns how
+	// many of the records it applied and the updates they wrote. It restores
+	// the range through restore as it goes: no record may write an object
+	// restore has not covered, and when Replay returns without error restore
+	// must cover the whole range. Every shard gets every window, in order, on
+	// one goroutine at a time; the shards of a window run concurrently, and
+	// the next window waits for all of them. An error stops replay, so Replay
+	// must apply every record before the one it refuses and none after it,
+	// for the shards to stop at the same record. The payloads are read-only
+	// and valid until Replay returns. Required when Log is set.
+	Replay func(shard int, window []Record, restore *Restorer) (records int, updates int64, err error)
 	// Extra, when non-nil, is a second record source merged with the local
 	// log by tick, under one rule: a tick at or above the image floor that
 	// Extra carries replays from Extra, and the log's records for that tick
@@ -70,27 +78,66 @@ type ParallelOptions struct {
 	Extra RecordSource
 }
 
+// Restorer brings one shard's range of the chosen image into the slab, in
+// object order: everything below its watermark is restored, nothing above
+// it. With no image to restore it zeroes the range instead.
+type Restorer struct {
+	src   *disk.Backup // nil: no image
+	p     disk.Populated
+	slab  []byte
+	size  int // object bytes
+	shard int
+	mark  int // the watermark: [Lo, mark) is restored
+	hi    int
+	slow  bool // a read ran below slowRestore
+	busy  time.Duration
+	err   error
+}
+
+// To restores the shard's objects below obj, clamped to its range, that are
+// not restored yet — all the rest of the range once the device has proved
+// slow (see slowRestore). An error is sticky.
+func (r *Restorer) To(obj int) error {
+	if obj <= r.mark || r.err != nil {
+		return r.err
+	}
+	if obj = min(obj, r.hi); r.slow {
+		obj = r.hi
+	}
+	t0 := time.Now()
+	if r.src == nil {
+		clear(r.slab[r.mark*r.size : obj*r.size])
+	} else if err := readImage(r.src, r.p, r.slab, r.mark, obj); err != nil {
+		r.err = fmt.Errorf("recovery: restore shard %d [%d,%d): %w", r.shard, r.mark, obj, err)
+	}
+	d := time.Since(t0)
+	r.slow = r.slow || float64((obj-r.mark)*r.size) < slowRestore*d.Seconds()
+	r.mark = obj
+	r.busy += d
+	return r.err
+}
+
+// Restored returns the watermark: the objects below it are restored.
+func (r *Restorer) Restored() int { return r.mark }
+
 // ShardTiming is one shard's stage breakdown.
 type ShardTiming struct {
 	Shard  int
 	Lo, Hi int
-	// Restore is the wall time of this shard's image read (or zeroing).
+	// Restore is the time the shard spent reading its image (or zeroing).
 	Restore time.Duration
-	// Wait is how long the shard's replay worker was gated on the restore
-	// watermark before it could apply its first record.
-	Wait time.Duration
-	// Replay is the wall time from the gate opening to the worker finishing.
+	// Replay is the time the shard spent in Replay, its restores excluded.
 	Replay time.Duration
-	// Records is the number of log records the worker applied.
+	// Records is the number of log records the shard applied.
 	Records int
 }
 
 // ParallelResult is a Result plus the pipeline's per-shard and per-stage
-// timings. RestoreDuration spans the restore stage (start to last shard
-// restored) and ReplayDuration the replay stage (first record applied to
-// last worker done), so TotalDuration < RestoreDuration + ReplayDuration is
-// the restore∥replay overlap made visible: the difference is exactly how
-// much replay ran while restore was still streaming.
+// timings. Each stage is timed as the time spent in it: RestoreDuration is
+// the most any shard spent restoring, and ReplayDuration the log reader's
+// time plus the most any shard spent replaying. At one shard they add up to
+// TotalDuration less the image choice; across shards, one shard's restore
+// runs beside another's replay, and Overlap says how much that saved.
 type ParallelResult struct {
 	Result
 	// TotalDuration is the pipeline wall time.
@@ -110,19 +157,17 @@ type ParallelResult struct {
 	// comparing this count against an extra source's complete copy of the
 	// same tick detects the tear.
 	LastTickRecords int
-	// ApplyBusy is the replay stage's work, summed over the shards' appliers:
-	// the time spent inside Apply.
+	// ApplyBusy is the replay stage's work, summed over the shards: the time
+	// spent inside Replay, restores excluded.
 	ApplyBusy time.Duration
-	// BatchesInFlightMax is the most records that were between the log
-	// reader and their last applier at once; never above the free list's
-	// bound (batchesPerShard × shards).
-	BatchesInFlightMax int
+	// Windows is the number of windows the replay read the log in (one per
+	// windowBytes of payload, and one for the rest).
+	Windows int
 }
 
-// Overlap returns the recovery time saved by pipelining restore and replay
-// compared to running the measured stages back to back. It is never
-// negative: 0 means replay started only after the last shard was restored
-// (an unthrottled restore is over before the first record is decoded).
+// Overlap returns the recovery time saved by running the stages side by
+// side compared to running the measured stages back to back. It is never
+// negative: 0 means they ran one after the other, as at one shard.
 func (r *ParallelResult) Overlap() time.Duration {
 	return max(0, r.RestoreDuration+r.ReplayDuration-r.TotalDuration)
 }
@@ -133,44 +178,33 @@ func (r *ParallelResult) Overlap() time.Duration {
 // handful of syscalls.
 const restoreChunk = 1 << 20
 
-// batchesPerShard bounds the replay stage: at most batchesPerShard × shards
-// records are in flight between the log reader and their last applier, so
-// the reader can run that far ahead of a slow shard (or a shard still gated
-// on its restore) and no further, and the log chunks held in memory are
-// capped. The depth is there to absorb scheduling: with only a few records
-// in flight the reader and the appliers block on each other once per
-// record; measured on BenchmarkReplayPipeline when a decoder stage sat
-// between them, 16 per shard replayed a third faster than 4 at one shard,
-// and 32 added nothing.
-const batchesPerShard = 16
+// slowRestore is the read rate, in bytes a second, below which a Restorer
+// stops reading a stretch at a time and reads the rest of its range at once.
+// Page by page pays where the replay is the cost, so that it finds each page
+// in cache; on a device that slow the read is the cost, and a throttled one
+// loses a sleep's overshoot (about 1 ms on a 2-core VM) per read, 16 ms
+// over a 4 MB image read page by page at one shard.
+const slowRestore = 200 << 20
 
-// batch is one log record in flight from the reader to the appliers. It is
-// taken from a free list, reused, and returned by the last applier done
-// with it, so the steady state allocates nothing per record.
-type batch struct {
-	tick    uint64
-	payload []byte // the whole record, as read
-	// left counts the appliers still to finish with the batch.
-	left atomic.Int32
-	// mark counts the leading local-log records whose payloads nothing reads
-	// once the batch is back on the free list: those fanned with or before it
-	// and those skipped, never one still held or not yet fanned (see
-	// RecoverParallel).
-	mark uint64
-}
+// windowBytes is the payload a replay window holds: the reader hands the
+// shards a window once its records reach that many bytes, or at the end of
+// the log. A window is the span over which a shard can order its work by
+// place rather than by record, so it should hold a checkpoint interval's
+// tail whole (measured at the crash-recover shape, windows of 6 MB saved a
+// tenth of the replay time that one window of the whole tail saved); the
+// price is that a window's chunks stay held until every shard is done.
+const windowBytes = 64 << 20
 
-// fanned, when set, runs on the log reader's goroutine once per record, after
-// the record took its batch and before it is pushed to the feeds: the hook a
-// test uses to act once the reader has run a given distance ahead.
-var fanned func()
+// windowBudget is windowBytes; a test lowers it to force several windows.
+var windowBudget = windowBytes
 
-// RecoverParallel restores the newest complete checkpoint image with one
-// concurrent reader per shard, then replays the logical log (merged with
-// opts.Extra by tick) with per-shard workers fed in that order by a single
-// reader, each worker applying every record to its own range. Shard s's
-// worker applies nothing until shard s's restore watermark covers its whole
-// range, but is not gated on any other shard — replay overlaps the
-// remaining restores.
+// RecoverParallel restores the newest complete checkpoint image and replays
+// the logical log (merged with opts.Extra by tick) with one goroutine per
+// shard. A single reader fixes the order: it reads the merged log into
+// windows and hands each to every shard at once; shard s — the only
+// goroutine that writes shard s's range of the slab — restores the range and
+// applies the window to it through Replay. A shard never waits for another
+// shard's restore.
 func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 	start := time.Now()
 	var res ParallelResult
@@ -192,8 +226,8 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 	if next != objects {
 		return res, fmt.Errorf("recovery: ranges cover [0,%d), want [0,%d)", next, objects)
 	}
-	if opts.Log != nil && opts.Apply == nil {
-		return res, fmt.Errorf("recovery: Log set without Apply")
+	if opts.Log != nil && opts.Replay == nil {
+		return res, fmt.Errorf("recovery: Log set without Replay")
 	}
 	if opts.Extra != nil && opts.Log == nil {
 		return res, fmt.Errorf("recovery: Extra set without Log")
@@ -204,12 +238,10 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 		return res, err
 	}
 	res.BackupIndex, res.Images = idx, maps
-	src := opts.A
-	if idx == 1 {
-		src = opts.B
-	}
 	from := uint64(0)
+	var src *disk.Backup // nil: no image, so the restorers zero
 	if idx >= 0 {
+		src = [2]*disk.Backup{opts.A, opts.B}[idx]
 		res.Restored = true
 		res.Epoch = h.Epoch
 		res.AsOfTick = h.AsOfTick
@@ -219,143 +251,87 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 
 	n := len(ranges)
 	res.Shards = make([]ShardTiming, n)
+	restorers := make([]Restorer, n)
 	for s, r := range ranges {
 		res.Shards[s] = ShardTiming{Shard: s, Lo: r.Lo, Hi: r.Hi}
+		restorers[s] = Restorer{src: src, p: maps[max(idx, 0)], slab: opts.Slab, size: objSize, shard: s, mark: r.Lo, hi: r.Hi}
+	}
+	replay := opts.Replay
+	if replay == nil { // the image only
+		replay = func(_ int, _ []Record, r *Restorer) (int, int64, error) { return 0, 0, r.To(r.hi) }
 	}
 
-	// Per-shard slots, each written by exactly one goroutine and read only
+	// Per-shard slots, each written by one shard's goroutine and read only
 	// after that goroutine is joined.
-	restoredAt := make([]time.Time, n)  // when the shard's watermark reached Hi
-	replayFirst := make([]time.Time, n) // when the worker applied its first record
-	replayDone := make([]time.Time, n)  // when the worker finished
 	shardErrs := make([]error, n)
 	updates := make([]int64, n)
-
-	// Restore stage: one goroutine per shard; closing gate[s] publishes that
-	// shard s's watermark covers [Lo, Hi) — the happens-before edge that lets
-	// its replay worker touch the slab range without locks.
-	gate := make([]chan struct{}, n)
-	for s := range gate {
-		gate[s] = make(chan struct{})
+	var window []Record
+	var windowLen int          // payload bytes in window
+	var inShards time.Duration // wall time the reader waited on the shards
+	failed := false
+	// run hands the window to every shard and waits for all of them.
+	run := func() {
+		t0 := time.Now()
+		var wg sync.WaitGroup
+		for s := range ranges {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				st, rs := &res.Shards[s], &restorers[s]
+				t0, r0 := time.Now(), rs.busy
+				k, u, err := replay(s, window, rs)
+				st.Replay += time.Since(t0) - (rs.busy - r0)
+				st.Records += k
+				updates[s] += u
+				if rs.err != nil {
+					shardErrs[s] = rs.err
+				} else if err != nil {
+					shardErrs[s] = fmt.Errorf("recovery: replay shard %d: %w", s, err)
+				}
+			}(s)
+		}
+		wg.Wait()
+		inShards += time.Since(t0)
+		res.Windows++
+		for s := range shardErrs {
+			failed = failed || shardErrs[s] != nil
+		}
+		clear(window)
+		window, windowLen = window[:0], 0
 	}
-	for s := range ranges {
-		go func(s int, r ShardRange) {
-			defer close(gate[s])
-			t0 := time.Now()
-			if idx < 0 {
-				clear(opts.Slab[r.Lo*objSize : r.Hi*objSize])
-			} else if err := readImage(src, maps[idx], opts.Slab, r.Lo, r.Hi); err != nil {
-				shardErrs[s] = fmt.Errorf("recovery: restore shard %d [%d,%d): %w", s, r.Lo, r.Hi, err)
-			}
-			restoredAt[s] = time.Now()
-			res.Shards[s].Restore = restoredAt[s].Sub(t0)
-		}(s, ranges[s])
-	}
 
-	// Replay stage: reader → appliers. The single reader fixes the order: it
-	// merges the local log with Extra by tick and pushes every record onto
-	// every shard's feed in that order; shard s's applier — the only
-	// goroutine that writes shard s's slab range — takes records off its feed
-	// in order and applies each to its range through Apply.
 	var lastTick uint64
 	sawTick := false
 	var readerErr error
 	var logBytes int64 // bytes of the local log read
 	logSkipped := 0    // stale sealed segments left unopened
-	// The local log's reader owns the chunks its payloads alias. It is closed
-	// only once every applier is joined, and it reuses a chunk only once the
-	// batches of all its records are back on the free list.
-	// Every shard applies its feed in order, so a batch's last applier
-	// finishes after every earlier batch's: a batch taken off the free list
-	// releases all log records up to its mark.
-	var logReader *wal.Reader
+	readStart := time.Now()
 	if opts.Log != nil {
-		// No channel below ever blocks its sender: each can hold every batch
-		// there is. The reader's only wait is for a free batch.
-		bound := batchesPerShard * n
-		free := make(chan *batch, bound)
-		feeds := make([]chan *batch, n)
-		for s := range feeds {
-			feeds[s] = make(chan *batch, bound)
-		}
-		applyBusy := make([]time.Duration, n)
-		var appliers sync.WaitGroup
-		for s := range feeds {
-			appliers.Add(1)
-			go func(s int) {
-				// The per-record counters stay on this goroutine's stack
-				// until it is done: the shards' slots sit side by side.
-				var busy time.Duration
-				var applied int64
-				var records int
-				var first time.Time
-				w0 := time.Now()
-				<-gate[s]
-				g0 := time.Now()
-				err := shardErrs[s] // an unrestored shard must not replay
-				for b := range feeds[s] {
-					if err == nil { // else drain, so the reader never blocks
-						t0 := time.Now()
-						if first.IsZero() {
-							first = t0
-						}
-						var nUpd int64
-						nUpd, err = opts.Apply(s, b.tick, b.payload)
-						applied += nUpd
-						if err != nil {
-							err = fmt.Errorf("recovery: replay shard %d: %w", s, err)
-						} else {
-							records++
-						}
-						busy += time.Since(t0)
-					}
-					if b.left.Add(-1) == 0 {
-						free <- b
-					}
-				}
-				replayDone[s] = time.Now()
-				st := &res.Shards[s]
-				st.Wait, st.Replay, st.Records = g0.Sub(w0), replayDone[s].Sub(g0), records
-				shardErrs[s], replayFirst[s], updates[s], applyBusy[s] = err, first, applied, busy
-				appliers.Done()
-			}(s)
-		}
-
-		allocated := 0
-		// fan pushes one record onto every shard's feed; mark is the batch's
-		// release mark (see batch.mark).
+		// The local log's reader owns the chunks the payloads alias. Once a
+		// window's shards are done, the reader may reuse the chunks of every
+		// log record up to the mark of the window's last record (see
+		// TestMergeRuleAndMarks): none of them is held by the merge for a
+		// later window. It is closed only once the last window is done.
+		var logReader *wal.Reader
 		fan := func(tick uint64, payload []byte, mark uint64) {
 			if !sawTick || tick != lastTick {
 				res.ReplayedTicks++
 			}
 			sawTick = true
 			lastTick = tick
-			var b *batch
-			select {
-			case b = <-free:
-			default:
-				if allocated < bound {
-					allocated++
-					b = &batch{}
-				} else {
-					b = <-free
+			if !failed { // a failed replay reads on only to find the log's end
+				window = append(window, Record{tick, payload})
+				windowLen += len(payload)
+				if windowLen < windowBudget {
+					return
 				}
+				run()
 			}
-			logReader.Release(b.mark)
-			b.mark = mark
-			b.tick, b.payload = tick, payload
-			b.left.Store(int32(n))
-			if fanned != nil {
-				fanned()
-			}
-			for s := range feeds {
-				feeds[s] <- b
-			}
+			logReader.Release(mark)
 		}
 		// The reader starts at the first segment that can hold a record at or
 		// above from; sealed segments before it are never opened.
 		var end logEnd
-		var err error
 		logReader, err = opts.Log.NewReader(from)
 		if err == nil {
 			ex := merge{src: opts.Extra, from: from, fan: fan}
@@ -391,74 +367,59 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 		if err != nil {
 			readerErr = fmt.Errorf("recovery: replay: %w", err)
 		}
-		for s := range feeds {
-			close(feeds[s])
+		// The last window, and the only one of a log shorter than the budget
+		// or empty: its walk restores what no window has.
+		if !failed && (len(window) > 0 || res.Windows == 0) {
+			run()
 		}
-		appliers.Wait()
 		if logReader != nil {
 			logReader.Close() //nolint:errcheck // read-only handles
 		}
-		res.BatchesInFlightMax = allocated
-		for s := range feeds {
-			res.ApplyBusy += applyBusy[s]
-		}
 	} else {
-		// Restore-only: join the restore goroutines via their gates.
-		for s := range gate {
-			<-gate[s]
-		}
+		run()
 	}
+	readDur := time.Since(readStart) - inShards
 
 	// All goroutines are joined: the per-shard slots are safe to read.
-	var restoreEnd time.Time
+	var replayMax time.Duration
 	for s := range ranges {
-		if restoredAt[s].After(restoreEnd) {
-			restoreEnd = restoredAt[s]
-		}
+		st := &res.Shards[s]
+		st.Restore = restorers[s].busy
+		res.RestoreDuration = max(res.RestoreDuration, st.Restore)
+		replayMax = max(replayMax, st.Replay)
+		res.ApplyBusy += st.Replay
 		res.ReplayedUpdates += updates[s]
 	}
-	res.RestoreDuration = restoreEnd.Sub(start)
-	var firstApply, replayEnd time.Time
-	for s := range ranges {
-		if replayFirst[s].IsZero() {
-			continue
-		}
-		if firstApply.IsZero() || replayFirst[s].Before(firstApply) {
-			firstApply = replayFirst[s]
-		}
-		if replayDone[s].After(replayEnd) {
-			replayEnd = replayDone[s]
-		}
-	}
-	if !firstApply.IsZero() {
-		res.ReplayDuration = replayEnd.Sub(firstApply)
+	if res.ReplayedTicks > 0 {
+		res.ReplayDuration = readDur + replayMax
 	}
 	res.TotalDuration = time.Since(start)
 	if sawTick {
 		res.NextTick = lastTick + 1
 	}
-	// Stage spans for the trace ring: the restore and replay stages overlap
-	// by design, so their spans carry real (overlapping) start/end stamps
-	// and the pipeline span records how much wall the overlap saved.
+	// Stage spans for the trace ring: each stage's span is as long as the
+	// time spent in it, the restore's from the pipeline's start and the
+	// replay's up to its end.
 	if telemetry.Enabled() {
 		restored := int64(0)
 		if res.Restored {
 			restored = 1
 		}
-		telemetry.RecordSpan("recovery/restore", start, restoreEnd,
+		end := start.Add(res.TotalDuration)
+		telemetry.RecordSpan("recovery/restore", start, start.Add(res.RestoreDuration),
 			telemetry.Int("shards", int64(len(ranges))),
 			telemetry.Int("restored", restored))
-		if !firstApply.IsZero() {
-			telemetry.RecordSpan("recovery/replay", firstApply, replayEnd,
+		if res.ReplayDuration > 0 {
+			telemetry.RecordSpan("recovery/replay", end.Add(-res.ReplayDuration), end,
 				telemetry.Int("shards", int64(len(ranges))),
 				telemetry.Int("replayed_ticks", int64(res.ReplayedTicks)),
 				telemetry.Int("replayed_updates", res.ReplayedUpdates),
 				telemetry.Int("log_bytes", logBytes),
 				telemetry.Int("segments_skipped", int64(logSkipped)),
 				telemetry.Int("apply_ns", int64(res.ApplyBusy)),
-				telemetry.Int("batches_in_flight_max", int64(res.BatchesInFlightMax)))
+				telemetry.Int("windows", int64(res.Windows)))
 		}
-		telemetry.RecordSpan("recovery/pipeline", start, start.Add(res.TotalDuration),
+		telemetry.RecordSpan("recovery/pipeline", start, end,
 			telemetry.Int("shards", int64(len(ranges))),
 			telemetry.Int("overlap_ns", int64(res.Overlap())))
 	}

@@ -158,7 +158,7 @@ func updateLog(o ParallelOptions) ParallelOptions {
 func recordsTo(o ParallelOptions, apply func(tick uint64, u wal.Update)) ParallelOptions {
 	cellsPerObj := o.A.ObjSize() / 4
 	scratch := make([][]wal.Update, len(o.Ranges))
-	o.Apply = func(shard int, tick uint64, payload []byte) (int64, error) {
+	return perRecord(o, func(shard int, tick uint64, payload []byte) (int64, error) {
 		var err error
 		if scratch[shard], err = wal.DecodeUpdates(scratch[shard][:0], payload); err != nil {
 			return 0, fmt.Errorf("record at tick %d: %w", tick, err)
@@ -172,6 +172,25 @@ func recordsTo(o ParallelOptions, apply func(tick uint64, u wal.Update)) Paralle
 			}
 		}
 		return n, nil
+	})
+}
+
+// perRecord completes o with a Replay that restores the shard's whole range,
+// then hands apply the window's records one at a time, stopping at the first
+// it refuses.
+func perRecord(o ParallelOptions, apply func(shard int, tick uint64, payload []byte) (int64, error)) ParallelOptions {
+	o.Replay = func(shard int, window []Record, restore *Restorer) (int, int64, error) {
+		var n int64
+		if err := restore.To(o.Ranges[shard].Hi); err != nil {
+			return 0, 0, err
+		}
+		for i, rec := range window {
+			m, err := apply(shard, rec.Tick, rec.Payload)
+			if n += m; err != nil {
+				return i, n, err
+			}
+		}
+		return len(window), n, nil
 	}
 	return o
 }
@@ -262,7 +281,7 @@ func TestRecoverParallelValidatesGeometry(t *testing.T) {
 	}
 	defer log.Close()
 	if _, err := RecoverParallel(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(pObj, 1)}); err == nil {
-		t.Error("log without Apply accepted")
+		t.Error("log without Replay accepted")
 	}
 	if _, err := RecoverParallel(ParallelOptions{A: a, B: b, Slab: slab, Ranges: evenRanges(pObj, 1), Extra: &records{}}); err == nil {
 		t.Error("extra source without a log accepted")
@@ -275,41 +294,40 @@ func TestRecoverParallelApplyErrorPropagates(t *testing.T) {
 	defer log.Close()
 	sentinel := errors.New("boom")
 	slab := make([]byte, pObj*pObjSize)
-	_, err := RecoverParallel(ParallelOptions{
+	_, err := RecoverParallel(perRecord(ParallelOptions{
 		A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(pObj, 4),
-		Apply: func(shard int, tick uint64, payload []byte) (int64, error) {
-			if shard == 2 && tick == 7 {
-				return 0, sentinel
-			}
-			return 0, nil
-		},
-	})
+	}, func(shard int, tick uint64, payload []byte) (int64, error) {
+		if shard == 2 && tick == 7 {
+			return 0, sentinel
+		}
+		return 0, nil
+	}))
 	if !errors.Is(err, sentinel) {
 		t.Errorf("apply error not propagated: %v", err)
 	}
 }
 
-// TestRecoverParallelOverlap: with a throttled backup the early shards'
-// replay must begin while later shards are still restoring, so the overlap
-// is strictly positive and the pipeline total undercuts the serial sum of
-// the stages.
-func TestRecoverParallelOverlap(t *testing.T) {
-	// 4 KB image at 100 KB/s ≈ 40 ms restore; the token bucket staggers the
-	// four shards ≈10 ms apart, so the first shard's replay leads the last
-	// shard's restore by ≈30 ms — wide enough to stay positive on a loaded
-	// runner.
+// TestRecoverParallelStagesAddUpAtOneShard: each stage is timed as the time
+// spent in it, so at one shard, where restore and replay take turns on one
+// goroutine, they add up to the pipeline and never past it. The restore is
+// throttled to about 40 ms, most of the pipeline.
+func TestRecoverParallelStagesAddUpAtOneShard(t *testing.T) {
 	dev := disk.NewThrottle(disk.NewMem(), 1e5)
 	a, b := pBackup(t, dev), pBackup(t, disk.NewMem())
 	log, _, _ := buildWorkload(t, a, t.TempDir(), 0, 60, 13)
 	defer log.Close()
 	slab := make([]byte, pObj*pObjSize)
-	res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(pObj, 4)}))
+	res, err := RecoverParallel(updateLog(ParallelOptions{A: a, B: b, Slab: slab, Log: log, Ranges: evenRanges(pObj, 1)}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Overlap() <= 0 {
-		t.Errorf("restore∥replay overlap %v not positive: restore=%v replay=%v total=%v",
-			res.Overlap(), res.RestoreDuration, res.ReplayDuration, res.TotalDuration)
+	sum := res.RestoreDuration + res.ReplayDuration
+	if res.RestoreDuration <= 0 || res.ReplayDuration <= 0 || sum > res.TotalDuration || sum < res.TotalDuration/2 {
+		t.Errorf("restore %v + replay %v do not add up to the pipeline's %v",
+			res.RestoreDuration, res.ReplayDuration, res.TotalDuration)
+	}
+	if res.Overlap() != 0 {
+		t.Errorf("overlap %v at one shard", res.Overlap())
 	}
 }
 
@@ -533,15 +551,27 @@ func TestRecoverParallelStopsAtUndecodableRecord(t *testing.T) {
 	}
 }
 
-// TestRecoverParallelFreeListBound: over a 2,000-record log the replay stage
-// never has more than batchesPerShard × shards records in flight — it
-// allocates that many batches at most and recycles them — and says how many
-// it used, and where the replay stage's time went, in the result and on the
-// recovery/replay span.
-func TestRecoverParallelFreeListBound(t *testing.T) {
+// TestRecoverParallelWindowAccounting: the reader hands the shards a window
+// each time its records reach the budget, and one for the rest, and says how
+// many windows it read, and where the replay stage's time went, in the
+// result and on the recovery/replay span.
+func TestRecoverParallelWindowAccounting(t *testing.T) {
 	a, b := pBackup(t, disk.NewMem()), pBackup(t, disk.NewMem())
-	log, _, _ := buildWorkload(t, a, t.TempDir(), 0, 2000, 23)
+	log, img, recs := buildWorkload(t, a, t.TempDir(), 0, 2000, 23)
 	defer log.Close()
+	want := applyFrom(t, img, recs, 1)
+	defer func(b int) { windowBudget = b }(windowBudget)
+	windowBudget = 20 << 10
+	full, rest := 0, 0 // the windows the budget closes, and the bytes left
+	for _, rec := range recs[1:] {
+		if rest += len(rec.payload); rest >= windowBudget {
+			full, rest = full+1, 0
+		}
+	}
+	wantWindows := full
+	if rest > 0 {
+		wantWindows++
+	}
 	telemetry.Enable()
 	defer telemetry.Disable()
 	for _, shards := range []int{1, 2, 8} {
@@ -551,9 +581,11 @@ func TestRecoverParallelFreeListBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.BatchesInFlightMax < 1 || res.BatchesInFlightMax > batchesPerShard*shards {
-			t.Errorf("shards %d: %d batches in flight over %d records, bound %d",
-				shards, res.BatchesInFlightMax, res.ReplayedTicks, batchesPerShard*shards)
+		if !bytes.Equal(slab, want) {
+			t.Errorf("shards %d: windowed replay differs from the serial reference", shards)
+		}
+		if res.Windows != wantWindows || wantWindows < 3 {
+			t.Errorf("shards %d: %d windows over %d records, want %d", shards, res.Windows, res.ReplayedTicks, wantWindows)
 		}
 		if res.ApplyBusy <= 0 {
 			t.Errorf("shards %d: apply busy %v", shards, res.ApplyBusy)
@@ -566,9 +598,9 @@ func TestRecoverParallelFreeListBound(t *testing.T) {
 			for _, at := range sp.Attrs {
 				attrs[at.Key] = at.Int
 			}
-			if attrs["apply_ns"] != int64(res.ApplyBusy) || attrs["batches_in_flight_max"] != int64(res.BatchesInFlightMax) {
+			if attrs["apply_ns"] != int64(res.ApplyBusy) || attrs["windows"] != int64(res.Windows) {
 				t.Errorf("shards %d: replay span %v disagrees with the result (%v, %d)",
-					shards, attrs, res.ApplyBusy, res.BatchesInFlightMax)
+					shards, attrs, res.ApplyBusy, res.Windows)
 			}
 		}
 	}
@@ -584,5 +616,52 @@ func TestOverlapNeverNegative(t *testing.T) {
 	r.TotalDuration = 95
 	if got := r.Overlap(); got != 3 {
 		t.Errorf("overlap %v, want 3", got)
+	}
+}
+
+// readCounter counts the reads that reach a device.
+type readCounter struct {
+	disk.Device
+	reads int
+}
+
+func (d *readCounter) ReadAt(p []byte, off int64) (int, error) {
+	d.reads++
+	return d.Device.ReadAt(p, off)
+}
+
+// TestRestorerReadsTheRestAtOnceOnASlowDevice: once a read has run below
+// slowRestore, the next To reads the whole rest of the range in one read,
+// and later ones read nothing; the restored bytes are the image's.
+func TestRestorerReadsTheRestAtOnceOnASlowDevice(t *testing.T) {
+	const objs, size = 1024, 1024 // 1 MB, read a quarter at a time
+	dev := &readCounter{Device: disk.NewThrottle(disk.NewMem(), 1e8)}
+	b, err := disk.NewBackup(dev, objs, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := make([]byte, objs*size)
+	rand.New(rand.NewSource(5)).Read(img)
+	if err := b.WriteRun(0, img); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.WriteHeader(disk.Header{Epoch: 1, Complete: true}); err != nil {
+		t.Fatal(err)
+	}
+	_, p, err := b.ReadHeaderMap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	slab := make([]byte, objs*size)
+	r := Restorer{src: b, p: p, slab: slab, size: size, hi: objs}
+	dev.reads = 0
+	for _, obj := range []int{objs / 4, objs / 2, 3 * objs / 4, objs} {
+		if err := r.To(obj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dev.reads != 2 || r.Restored() != objs || !bytes.Equal(slab, img) {
+		t.Errorf("%d reads restored %d objects (image restored: %v); want a quarter at 100 MB/s, then the rest in one read",
+			dev.reads, r.Restored(), bytes.Equal(slab, img))
 	}
 }

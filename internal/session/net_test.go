@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"net"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,10 +37,63 @@ func tcpPair(t *testing.T) (server, client net.Conn) {
 	return server, client
 }
 
+// watchedConn counts the bytes written to a connection and, on the side
+// that reads, tells when the reader has taken everything it was sent.
+// ServeConn's reader loop is: read a frame, stage its intents, read again,
+// so once it re-enters Read having consumed every byte the client wrote,
+// every intent the client submitted is staged.
+type watchedConn struct {
+	net.Conn
+	written atomic.Int64
+
+	mu       sync.Mutex
+	consumed int64         // bytes Read has returned
+	idleAt   int64         // consumed at the latest entry into Read
+	wake     chan struct{} // closed and replaced at every entry into Read
+}
+
+func watchConn(c net.Conn) *watchedConn {
+	return &watchedConn{Conn: c, idleAt: -1, wake: make(chan struct{})}
+}
+
+func (c *watchedConn) Read(p []byte) (int, error) {
+	c.mu.Lock()
+	c.idleAt = c.consumed
+	close(c.wake)
+	c.wake = make(chan struct{})
+	c.mu.Unlock()
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.consumed += int64(n)
+	c.mu.Unlock()
+	return n, err
+}
+
+func (c *watchedConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.written.Add(int64(n))
+	return n, err
+}
+
+// awaitConsumed blocks until the reader has re-entered Read with at least
+// target bytes consumed; the test's deadline bounds the wait.
+func (c *watchedConn) awaitConsumed(target int64) {
+	for {
+		c.mu.Lock()
+		at, wake := c.idleAt, c.wake
+		c.mu.Unlock()
+		if at >= target {
+			return
+		}
+		<-wake
+	}
+}
+
 func TestTCPSessionRoundTrip(t *testing.T) {
 	w, _ := memWorld(t)
 	g := newTestGateway(t, Options{World: w})
-	sconn, cconn := tcpPair(t)
+	server, client := tcpPair(t)
+	sconn, cconn := watchConn(server), watchConn(client)
 
 	served := make(chan error, 1)
 	go func() { served <- g.ServeConn(sconn) }()
@@ -60,20 +115,12 @@ func TestTCPSessionRoundTrip(t *testing.T) {
 	if err := c.Submit(in); err != nil {
 		t.Fatal(err)
 	}
-	// Submit is async to Step: poll until the intents are staged.
-	deadline := time.Now().Add(5 * time.Second)
-	var batch []wal.Update
-	for {
-		if batch, err = g.Step(); err != nil {
-			t.Fatal(err)
-		}
-		if len(batch) > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("intents never arrived at the gateway")
-		}
-		time.Sleep(time.Millisecond)
+	// Submit is async to Step: the intents are staged once the server's
+	// reader has consumed every byte the client wrote.
+	sconn.awaitConsumed(cconn.written.Load())
+	batch, err := g.Step()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(batch) != 2 || batch[0] != in[0] || batch[1] != in[1] {
 		t.Fatalf("batch = %v, want %v", batch, in)

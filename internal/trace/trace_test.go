@@ -76,6 +76,39 @@ func TestZipfianDeterministicAndOrderIndependent(t *testing.T) {
 	}
 }
 
+// TestAppendTickAllocatesNothing: a tick's generator comes from the pool,
+// so generating into a buffer with room allocates nothing.
+func TestAppendTickAllocatesNothing(t *testing.T) {
+	z, err := NewZipfian(smallZipfCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]uint32, 0, 200)
+	tick := 0
+	if n := testing.AllocsPerRun(100, func() {
+		buf = z.AppendTick(tick%20, buf[:0])
+		tick++
+	}); n != 0 {
+		t.Errorf("AppendTick allocates %v times a tick", n)
+	}
+}
+
+// TestSeededRandMatchesFreshSource: a pooled generator, reseeded after any
+// use, Read included, yields the stream of a fresh one with the same seed.
+func TestSeededRandMatchesFreshSource(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		rng := SeededRand(seed)
+		fresh := rand.New(rand.NewSource(seed))
+		got, want := make([]byte, 13), make([]byte, 13)
+		rng.Read(got)
+		fresh.Read(want)
+		if !bytes.Equal(got, want) || rng.Int63() != fresh.Int63() || rng.Intn(1000) != fresh.Intn(1000) {
+			t.Fatalf("seed %d: the pooled generator's stream differs from a fresh one's", seed)
+		}
+		PutRand(rng)
+	}
+}
+
 func TestZipfianDifferentSeedsDiffer(t *testing.T) {
 	cfgA, cfgB := smallZipfCfg(), smallZipfCfg()
 	cfgB.Seed = 8

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/gamestate"
 	"repro/internal/zipf"
@@ -94,12 +95,30 @@ func (z *Zipfian) tickSeed(t int) int64 {
 	return int64(x >> 1) // keep non-negative for rand.NewSource clarity
 }
 
+// seeded holds generators for SeededRand to reseed: a fresh generator's
+// source is 4.9 KB, allocated once per generated tick otherwise. Sources may
+// be generated from concurrently, hence a pool.
+var seeded = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
+// SeededRand returns a generator whose stream is that of
+// rand.New(rand.NewSource(seed)), taken from a pool; PutRand gives it back.
+func SeededRand(seed int64) *rand.Rand {
+	rng := seeded.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng
+}
+
+// PutRand returns a generator from SeededRand to the pool; the caller must
+// not use it afterwards.
+func PutRand(rng *rand.Rand) { seeded.Put(rng) }
+
 // AppendTick implements Source.
 func (z *Zipfian) AppendTick(t int, buf []uint32) []uint32 {
 	if t < 0 || t >= z.ticks {
 		panic(fmt.Sprintf("trace: tick %d out of range [0,%d)", t, z.ticks))
 	}
-	rng := rand.New(rand.NewSource(z.tickSeed(t)))
+	rng := SeededRand(z.tickSeed(t))
+	defer PutRand(rng)
 	cols := z.table.Cols
 	for i := 0; i < z.updates; i++ {
 		row := z.rowGen.Next(rng)

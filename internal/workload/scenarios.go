@@ -55,6 +55,7 @@ func newQuiescent(cfg Config) (Source, error) {
 // AppendTick implements trace.Source.
 func (q *quiescent) AppendTick(t int, buf []uint32) []uint32 {
 	rng := q.rng(t)
+	defer trace.PutRand(rng)
 	for i := 0; i < q.perTick; i++ {
 		buf = append(buf, uint32(rng.Intn(q.cells)))
 	}
@@ -94,6 +95,7 @@ func newRaid(cfg Config) (Source, error) {
 // AppendTick implements trace.Source.
 func (r *raid) AppendTick(t int, buf []uint32) []uint32 {
 	rng := r.rng(t)
+	defer trace.PutRand(rng)
 	for i := 0; i < r.baseRate; i++ {
 		buf = append(buf, uint32(rng.Intn(r.cells)))
 	}
@@ -137,6 +139,7 @@ func newLoginStorm(cfg Config) (Source, error) {
 // AppendTick implements trace.Source.
 func (l *loginstorm) AppendTick(t int, buf []uint32) []uint32 {
 	rng := l.rng(t)
+	defer trace.PutRand(rng)
 	active := min(l.cells, l.initial+(t/stormWave)*l.cohort)
 	if t%stormWave != 0 {
 		for i := 0; i < l.idle; i++ {
@@ -190,6 +193,7 @@ func (m *migration) windowStart(t int) int {
 // AppendTick implements trace.Source.
 func (m *migration) AppendTick(t int, buf []uint32) []uint32 {
 	rng := m.rng(t)
+	defer trace.PutRand(rng)
 	start := m.windowStart(t)
 	for i := 0; i < m.rate; i++ {
 		buf = append(buf, uint32((start+m.gen.Next(rng))%m.cells))
@@ -227,6 +231,7 @@ func newFlashCrowd(cfg Config) (Source, error) {
 // AppendTick implements trace.Source.
 func (f *flashcrowd) AppendTick(t int, buf []uint32) []uint32 {
 	rng := f.rng(t)
+	defer trace.PutRand(rng)
 	if t < f.switchAt {
 		for i := 0; i < f.rate; i++ {
 			buf = append(buf, uint32(f.calm.Next(rng)))

@@ -166,7 +166,8 @@ func (b *base) NumCells() int { return b.cells }
 
 // rng returns tick t's RNG: SplitMix64-finalized mix of (seed, salt, t), the
 // same substream recipe as trace.Zipfian so consecutive ticks — and sibling
-// scenarios at the same seed — get uncorrelated streams.
+// scenarios at the same seed — get uncorrelated streams. It comes from
+// trace.SeededRand's pool: the caller gives it back with trace.PutRand.
 func (b *base) rng(t int) *rand.Rand {
 	if t < 0 || t >= b.ticks {
 		panic(fmt.Sprintf("workload: %s tick %d out of range [0,%d)", b.name, t, b.ticks))
@@ -177,5 +178,5 @@ func (b *base) rng(t int) *rand.Rand {
 	x ^= x >> 27
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
-	return rand.New(rand.NewSource(int64(x >> 1)))
+	return trace.SeededRand(int64(x >> 1))
 }

@@ -168,9 +168,9 @@ type ParallelRecoveryResult = recovery.ParallelResult
 func OpenEngine(opts EngineOptions) (*Engine, error) { return engine.Open(opts) }
 
 // RecoverEngine is OpenEngine that also returns the recovery pipeline's
-// breakdown: per-shard vectored restore overlapped with per-shard log
-// replay, gated by per-shard restore watermarks. At one shard it is the
-// paper's serial ΔTrestore + ΔTreplay.
+// breakdown: each shard restores its range of the image with vectored reads
+// page by page as it replays the log into that page. At one shard the
+// stages add up to the paper's serial ΔTrestore + ΔTreplay.
 func RecoverEngine(opts EngineOptions) (*Engine, ParallelRecoveryResult, error) {
 	return engine.RecoverFrom(opts)
 }
