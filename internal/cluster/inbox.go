@@ -176,7 +176,7 @@ func (c *Cluster) regenerate(cut uint64) {
 
 // cappedSource adapts an inbox reader into a recovery.RecordSource that ends
 // at the cut: records with tick >= end are unread, as if the log ended there.
-// Its payloads alias the reader's chunks, so the reader stays open after the
+// Its payloads alias the reader's mappings, so the reader stays open after the
 // stream ends, until the consumer calls Close.
 type cappedSource struct {
 	r    *wal.Reader

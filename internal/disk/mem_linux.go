@@ -2,7 +2,10 @@
 
 package disk
 
-import "syscall"
+import (
+	"os"
+	"syscall"
+)
 
 // madvHugepage is MADV_HUGEPAGE, the same value on every Linux architecture.
 const madvHugepage = 14
@@ -31,7 +34,25 @@ func MapZeroed(n int) ([]byte, error) {
 	return b, nil
 }
 
-// Unmap releases memory from MapZeroed. Any slice of it is invalid afterwards.
+// MapFile returns n bytes of f from off, a multiple of os.Getpagesize(), as a
+// read-only shared mapping of the file's pages, faulted in up front: a
+// reader parses the file where the page cache holds it, with no copy. The
+// mapping reaches ahead bytes further, over the slice's capacity: those
+// bytes read as the file once it has grown over them, so a follower extends
+// the slice rather than mapping again. Reading a mapped byte past the file's
+// end faults, and so does one past a truncation. Release it with Unmap.
+//
+// Race builds read into the heap instead, with nothing ahead (mem_other.go).
+func MapFile(f *os.File, off int64, n, ahead int) ([]byte, error) {
+	b, err := syscall.Mmap(int(f.Fd()), off, n+ahead, syscall.PROT_READ, syscall.MAP_SHARED|syscall.MAP_POPULATE)
+	if err != nil {
+		return nil, err
+	}
+	return b[:n], nil
+}
+
+// Unmap releases memory from MapZeroed or MapFile. Any slice of it is invalid
+// afterwards.
 func Unmap(b []byte) error {
 	if len(b) == 0 {
 		return nil

@@ -447,9 +447,16 @@ func (c *coordinator) unpin() {
 	c.pinMu.Unlock()
 }
 
+// waitPinHook, when set, is called as waitPin parks behind a pin (a test
+// hook: the caller has reached the pin and not returned).
+var waitPinHook func()
+
 func (c *coordinator) waitPin() bool {
 	if c.pinSkip == 0 {
 		return false
+	}
+	if waitPinHook != nil {
+		waitPinHook()
 	}
 	c.pinMu.Lock() // the pinner holds it until unpin
 	c.pinMu.Unlock()

@@ -341,7 +341,7 @@ func allZero(b []byte) bool {
 }
 
 // closeSource closes a record source that holds resources (a log reader's
-// read chunks) once nothing reads its payloads any more.
+// segment mappings) once nothing reads its payloads any more.
 func closeSource(src recovery.RecordSource) {
 	if c, ok := src.(io.Closer); ok {
 		c.Close() //nolint:errcheck // read-only handles

@@ -142,7 +142,7 @@ type LogFollower struct {
 	r    *wal.Reader // opened by the first Next
 	done uint64      // ticks below it are committed, so all their records are readable
 	cur  uint64      // tick of held
-	held [][]byte    // records of cur, copied out of the reader's chunk
+	held [][]byte    // records of cur, copied out of the reader's mapping
 	out  [][]byte    // the tick the last Next returned, recycled
 }
 
@@ -187,7 +187,7 @@ func (f *LogFollower) Next(floor uint64, stop <-chan struct{}) (tick uint64, rec
 			return 0, nil, false, nil
 		default:
 		}
-		// Every record read so far is copied out or skipped: its chunk can
+		// Every record read so far is copied out or skipped: its mapping can
 		// be reused.
 		f.r.Release(f.r.Records())
 		t, payload, err := f.r.Next()

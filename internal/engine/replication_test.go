@@ -261,6 +261,14 @@ func TestImagePinHoldsCutsOff(t *testing.T) {
 
 	var released atomic.Bool
 	cps := make(chan error, 1)
+	parked := make(chan struct{}, 1)
+	waitPinHook = func() {
+		select {
+		case parked <- struct{}{}:
+		default:
+		}
+	}
+	defer func() { waitPinHook = nil }()
 	go func() {
 		info, err := e.CheckpointNow()
 		if err == nil && !released.Load() {
@@ -268,7 +276,13 @@ func TestImagePinHoldsCutsOff(t *testing.T) {
 		}
 		cps <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // room for a CheckpointNow that ignores the pin to return
+	select {
+	case <-parked:
+	case err := <-cps: // a CheckpointNow that ignores the pin: never nil here
+		t.Fatal(err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("CheckpointNow neither waited on the pin nor returned")
+	}
 	released.Store(true)
 	close(d.release)
 	select {

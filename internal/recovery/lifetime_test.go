@@ -24,18 +24,23 @@ func stampRecord(slab []byte, lo, hi int, tick uint64, payload []byte) {
 	}
 }
 
-// TestRecoverParallelPayloadsOutliveTheirChunk: the log reader reuses a read
-// chunk only once every record read into it is in a window all shards are
-// done with, and closes only after the last window. Records here are large
-// and of odd sizes, so they straddle chunk boundaries, and the window budget
-// is lowered so that each window spans more than one chunk and the log
-// several windows. A chunk reused or unmapped early changes a payload under a
-// shard, and the slab then differs from a serial pass over the same records.
-// The log runs alone, and merged with an extra source that holds one record
-// in each gap between the log's ticks and one at each of the log's ticks,
-// where the log holds two: the reader holds a shared tick's log records back
-// until it has read past them, then replays the log's longer copy, so a
-// window can end between two log records while the reader has read further.
+// TestRecoverParallelPayloadsOutliveTheirChunk: a log record's payload
+// aliases its segment's mapping, which the reader unmaps once the segment is
+// done and the pipeline has released every record read from it, and the
+// reader closes only after the last window. Every tick here is split by a
+// rotation, so each segment holds the second record of one tick and the
+// first of the next, and the window budget is lowered so that a window spans
+// many segments and the log several windows. A mapping unmapped early faults
+// (in a race build, where payloads live on the heap, it is poisoned), and the
+// slab then differs from a serial pass over the same records. The log runs
+// alone, and merged with an extra source that holds one record in each gap
+// between the log's ticks and one at each of the log's ticks, where the log
+// holds two: the reader holds a shared tick's log records back until it has
+// read past them, then replays the log's longer copy. Each window but the
+// last ends after the reader has read the first record of a tick that the
+// merge then holds back, in a segment that retires before that record's
+// window runs, so a release covering every record read, not the window's
+// last mark, unmaps it.
 func TestRecoverParallelPayloadsOutliveTheirChunk(t *testing.T) {
 	defer func(b int) { windowBudget = b }(windowBudget)
 	windowBudget = 10 << 20
@@ -51,17 +56,22 @@ func TestRecoverParallelPayloadsOutliveTheirChunk(t *testing.T) {
 				rng.Read(p)
 				return p
 			}
-			// About 43 MB of log, and 65 MB of log and source merged: a window
-			// spans two or three 4 MB read chunks.
+			// About 43 MB of log in 51 segments, and 65 MB of log and source
+			// merged: a window spans about a dozen segments.
 			var logRecs, merged, extra []record
 			for tick := uint64(2); tick <= 100; tick += 2 {
 				gap := record{tick - 1, payload()}
 				extra = append(extra, gap, record{tick, payload()})
 				merged = append(merged, gap)
-				for range 2 {
+				for k := range 2 {
 					rec := record{tick, payload()}
 					if err := log.Append(tick, rec.payload); err != nil {
 						t.Fatal(err)
+					}
+					if k == 0 {
+						if err := log.Rotate(tick); err != nil { // named tick+1
+							t.Fatal(err)
+						}
 					}
 					logRecs = append(logRecs, rec)
 					merged = append(merged, rec)

@@ -30,7 +30,8 @@ type RecordSource interface {
 	// Next returns the next record in tick order; ok=false ends the stream.
 	// Each returned payload must stay valid until the pipeline completes
 	// (records are held in a replay window until every shard is done with
-	// it).
+	// it): a source over a wal.Reader keeps the reader, whose mappings the
+	// payloads alias, open until then.
 	Next() (tick uint64, payload []byte, ok bool, err error)
 }
 
@@ -135,9 +136,10 @@ type ShardTiming struct {
 // ParallelResult is a Result plus the pipeline's per-shard and per-stage
 // timings. Each stage is timed as the time spent in it: RestoreDuration is
 // the most any shard spent restoring, and ReplayDuration the log reader's
-// time plus the most any shard spent replaying. At one shard they add up to
-// TotalDuration less the image choice; across shards, one shard's restore
-// runs beside another's replay, and Overlap says how much that saved.
+// time (ReadDuration) plus the most any shard spent replaying. At one shard
+// they add up to TotalDuration less the image choice; across shards, one
+// shard's restore runs beside another's replay, and Overlap says how much
+// that saved.
 type ParallelResult struct {
 	Result
 	// TotalDuration is the pipeline wall time.
@@ -163,6 +165,9 @@ type ParallelResult struct {
 	// Windows is the number of windows the replay read the log in (one per
 	// windowBytes of payload, and one for the rest).
 	Windows int
+	// ReadDuration is the log reader's own time, waits on the shards
+	// excluded: the serial part of ReplayDuration.
+	ReadDuration time.Duration
 }
 
 // Overlap returns the recovery time saved by running the stages side by
@@ -307,9 +312,9 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 	logSkipped := 0    // stale sealed segments left unopened
 	readStart := time.Now()
 	if opts.Log != nil {
-		// The local log's reader owns the chunks the payloads alias. Once a
-		// window's shards are done, the reader may reuse the chunks of every
-		// log record up to the mark of the window's last record (see
+		// The local log's reader owns the mappings the payloads alias. Once
+		// a window's shards are done, the reader may unmap what holds only
+		// log records up to the mark of the window's last record (see
 		// TestMergeRuleAndMarks): none of them is held by the merge for a
 		// later window. It is closed only once the last window is done.
 		var logReader *wal.Reader
@@ -378,20 +383,23 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 	} else {
 		run()
 	}
-	readDur := time.Since(readStart) - inShards
+	res.ReadDuration = time.Since(readStart) - inShards
 
 	// All goroutines are joined: the per-shard slots are safe to read.
-	var replayMax time.Duration
+	var replayMax, replayMin time.Duration
 	for s := range ranges {
 		st := &res.Shards[s]
 		st.Restore = restorers[s].busy
 		res.RestoreDuration = max(res.RestoreDuration, st.Restore)
 		replayMax = max(replayMax, st.Replay)
+		if s == 0 || st.Replay < replayMin {
+			replayMin = st.Replay
+		}
 		res.ApplyBusy += st.Replay
 		res.ReplayedUpdates += updates[s]
 	}
 	if res.ReplayedTicks > 0 {
-		res.ReplayDuration = readDur + replayMax
+		res.ReplayDuration = res.ReadDuration + replayMax
 	}
 	res.TotalDuration = time.Since(start)
 	if sawTick {
@@ -417,6 +425,9 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 				telemetry.Int("log_bytes", logBytes),
 				telemetry.Int("segments_skipped", int64(logSkipped)),
 				telemetry.Int("apply_ns", int64(res.ApplyBusy)),
+				telemetry.Int("read_ns", int64(res.ReadDuration)),
+				telemetry.Int("shard_replay_max_ns", int64(replayMax)),
+				telemetry.Int("shard_replay_min_ns", int64(replayMin)),
 				telemetry.Int("windows", int64(res.Windows)))
 		}
 		telemetry.RecordSpan("recovery/pipeline", start, end,

@@ -590,6 +590,14 @@ func TestRecoverParallelWindowAccounting(t *testing.T) {
 		if res.ApplyBusy <= 0 {
 			t.Errorf("shards %d: apply busy %v", shards, res.ApplyBusy)
 		}
+		slowest, fastest := res.Shards[0].Replay, res.Shards[0].Replay
+		for _, st := range res.Shards {
+			slowest, fastest = max(slowest, st.Replay), min(fastest, st.Replay)
+		}
+		if res.ReadDuration <= 0 || res.ReplayDuration != res.ReadDuration+slowest {
+			t.Errorf("shards %d: replay %v is not the read %v plus the slowest shard's %v",
+				shards, res.ReplayDuration, res.ReadDuration, slowest)
+		}
 		for _, sp := range telemetry.Spans() {
 			if sp.Name != "recovery/replay" {
 				continue
@@ -601,6 +609,11 @@ func TestRecoverParallelWindowAccounting(t *testing.T) {
 			if attrs["apply_ns"] != int64(res.ApplyBusy) || attrs["windows"] != int64(res.Windows) {
 				t.Errorf("shards %d: replay span %v disagrees with the result (%v, %d)",
 					shards, attrs, res.ApplyBusy, res.Windows)
+			}
+			if attrs["read_ns"] != int64(res.ReadDuration) || attrs["shard_replay_max_ns"] != int64(slowest) ||
+				attrs["shard_replay_min_ns"] != int64(fastest) {
+				t.Errorf("shards %d: replay span %v disagrees with the read %v and the shards' replay %v..%v",
+					shards, attrs, res.ReadDuration, fastest, slowest)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 
 	"repro/internal/disk"
@@ -46,51 +45,69 @@ func parseFrame(b []byte) (tick uint64, payload []byte, size, need int) {
 	return binary.LittleEndian.Uint64(body), body[8:], size, 0
 }
 
-// maxChunk bounds one read of a segment. A chunk is also never larger than
-// the bytes the file still holds, so a directory of small segments costs
-// small buffers, and it grows past maxChunk only for a single frame that
-// long whose bytes are all present.
-const maxChunk = 4 << 20
+// mapAhead is how far past a segment's end the scanner maps it: a follower
+// extends its mapping over the bytes appended since, and maps again only
+// about once per mapAhead bytes of log rather than once per tick. A variable
+// so that a test can cross many mappings with a small file.
+var mapAhead = 4 << 20
 
-// segScanner walks the frames of one segment file front to back, reading it
-// in chunks and slicing frames out of them. A returned payload aliases its
-// chunk; the chunks come from the scanner's ring, which reuses one only
-// after the owner has released every record sliced from it. The partial
-// frame at the end of the old chunk is carried over by copy.
+// segScanner walks the frames of one segment file front to back. It maps the
+// segment read-only over the length it last stat'ed, and mapAhead further,
+// and parses frames in place, so a returned payload aliases the mapping.
+// When a frame runs past the bytes mapped so far and the file has grown, it
+// extends the mapping if the growth lies within its reach; otherwise it maps
+// again from the page at or below off to the new end — a straddling frame
+// needs no copy — and retires the old mapping with the count of records
+// handed out so far; a retired mapping is unmapped once the owner has
+// released that many (see DESIGN.md "Mapping lifetime").
 type segScanner struct {
 	f   *os.File
 	off int64  // file offset of the next unparsed frame
-	buf []byte // bytes read from off onwards and not yet parsed
-	// size is the file's length at the last refill: off < size after next
+	buf []byte // mapped bytes from off onwards and not yet parsed
+	// size is the file's length at the last stat: off < size after next
 	// reported no frame means bytes are there that do not parse.
-	size int64
-	read int64 // bytes read from the file
-	ring chunkRing
+	size     int64
+	end      int64     // the segment's bytes covered so far
+	read     int64     // segment bytes covered, over every segment
+	cur      []byte    // the mapping buf points into
+	base     int64     // the file offset cur starts at
+	retired  []retired // oldest first
+	returned uint64    // records handed out
+	released uint64    // records the owner holds no payload of
 }
 
-// open starts the scan of a new segment file. The ring, and the read count,
-// carry over from the previous segment.
+// retired is a mapping nothing is parsed from any more, unmapped once
+// released reaches last: the records handed out by the time it was retired.
+type retired struct {
+	buf  []byte
+	last uint64
+}
+
+// open starts the scan of a new segment file; the previous one's mapping
+// must be retired. The record counts carry over.
 func (s *segScanner) open(f *os.File) {
-	s.f, s.off, s.buf, s.size = f, 0, nil, 0
+	s.f, s.off, s.buf, s.size, s.end = f, 0, nil, 0, 0
 }
 
 // next returns the frame at off and advances past it. ok=false with a nil
 // error means no complete valid frame is there (yet): a clean end, a frame
 // still being appended, a torn tail or corruption — the caller judges which
-// from off, size and whether the segment is sealed. The scanner keeps no
-// bytes across a failed parse, so a retry re-reads the file from off. A
-// non-nil error is a device failure, never frame content.
+// from off, size and whether the segment is sealed. The scanner parses
+// nothing at or past off after a failed parse, so a truncation there
+// (openTail's) is never read; a retry maps the file again from off unless it
+// has grown past the bytes mapped. A non-nil error is a device failure,
+// never frame content.
 func (s *segScanner) next() (tick uint64, payload []byte, ok bool, err error) {
 	for {
 		tick, payload, size, need := parseFrame(s.buf)
 		if size > 0 {
 			s.buf = s.buf[size:]
 			s.off += int64(size)
-			s.ring.returned++
+			s.returned++
 			return tick, payload, true, nil
 		}
 		if need > 0 {
-			more, err := s.fill(need)
+			more, err := s.remap(need)
 			if err != nil {
 				return 0, nil, false, err
 			}
@@ -103,108 +120,67 @@ func (s *segScanner) next() (tick uint64, payload []byte, ok bool, err error) {
 	}
 }
 
-// fill replaces buf with a chunk holding at least need bytes from off,
-// reporting false when the file does not hold that many.
-func (s *segScanner) fill(need int) (bool, error) {
+// remap points buf at the file from off to its current end, if it holds at
+// least need bytes from off, reporting whether it did. A file grown within
+// the current mapping's reach only extends it: those bytes read through it
+// already. Anything else — a heap copy, growth past the reach, a file no
+// longer than what is mapped — maps the file again from the page holding off.
+func (s *segScanner) remap(need int) (bool, error) {
 	info, err := s.f.Stat()
 	if err != nil {
 		return false, err
 	}
 	s.size = info.Size()
-	avail := s.size - s.off
-	if int64(need) > avail {
+	if int64(need) > s.size-s.off {
 		return false, nil
 	}
-	n := maxChunk
-	if n < need {
-		n = need
+	if n := s.size - s.base; s.cur != nil && int64(len(s.cur)) < n && n <= int64(cap(s.cur)) {
+		s.cur = s.cur[:n]
+	} else {
+		base := s.off &^ int64(os.Getpagesize()-1)
+		m, err := disk.MapFile(s.f, base, int(s.size-base), mapAhead)
+		if err != nil {
+			return false, err
+		}
+		s.retire()
+		s.cur, s.base = m, base
 	}
-	if int64(n) > avail {
-		n = int(avail)
+	s.buf = s.cur[s.off-s.base:]
+	if s.size > s.end { // bytes a truncation cut and the log rewrote count once
+		s.read += s.size - s.end
+		telReadBytes.Add(uint64(s.size - s.end))
+		s.end = s.size
 	}
-	chunk, err := s.ring.swap(n)
-	if err != nil {
-		return false, err
-	}
-	have := copy(chunk, s.buf)
-	got, err := s.f.ReadAt(chunk[have:], s.off+int64(have))
-	s.read += int64(got)
-	telReadBytes.Add(uint64(got))
-	if err != nil && err != io.EOF {
-		return false, err
-	}
-	s.buf = chunk[:have+got]
-	return len(s.buf) >= need, nil // short only if the file shrank under us
+	return true, nil
 }
 
-// chunkRing is a scanner's supply of read chunks. Records are counted as the
-// scanner hands them out, and the owner releases them in the same order by
-// count; a retired chunk is reused once every record sliced from it is
-// released, so a reader whose caller keeps up cycles through two or three
-// chunks however long the log. Until released — or until close — a chunk's
-// bytes stay put. Chunks come from disk.MapZeroed and are never zeroed
-// again: a reused chunk is overwritten by the read that refills it.
-type chunkRing struct {
-	cur      []byte    // the chunk buf points into
-	retired  []retired // oldest first
-	free     [][]byte
-	mapped   [][]byte // every chunk the ring owns, for close
-	returned uint64   // records handed out
-	released uint64   // records the owner holds no payload of
+// retire stops parsing from the current mapping; it is unmapped once the
+// records handed out so far are released.
+func (s *segScanner) retire() {
+	if s.cur != nil {
+		s.retired = append(s.retired, retired{s.cur, s.returned})
+		s.cur, s.buf = nil, nil
+	}
+	s.release(s.released)
 }
 
-// retired is a chunk no longer read into, reusable once released reaches
-// last: the records handed out by the time it was retired.
-type retired struct {
-	buf  []byte
-	last uint64
-}
-
-// swap retires the current chunk and returns one of n bytes to read into: a
-// released chunk if one is large enough, else a new mapping of at least
-// maxChunk bytes. The retired chunk stays intact until after the refill has
-// copied the carried-over bytes out of it.
-func (r *chunkRing) swap(n int) ([]byte, error) {
+// release marks the first n records handed out as no longer held, and
+// unmaps every retired mapping they cover.
+func (s *segScanner) release(n uint64) {
+	s.released = max(s.released, min(n, s.returned))
 	k := 0
-	for k < len(r.retired) && r.retired[k].last <= r.released {
-		r.free = append(r.free, r.retired[k].buf)
+	for k < len(s.retired) && s.retired[k].last <= s.released {
+		disk.Unmap(s.retired[k].buf) //nolint:errcheck // a failed munmap only leaks the range
 		k++
 	}
-	r.retired = append(r.retired[:0], r.retired[k:]...)
-	var chunk []byte
-	for i, c := range r.free {
-		if len(c) >= n {
-			chunk = c
-			r.free = append(r.free[:i], r.free[i+1:]...)
-			break
-		}
-	}
-	if chunk == nil {
-		var err error
-		if chunk, err = disk.MapZeroed(max(n, maxChunk)); err != nil {
-			return nil, err
-		}
-		r.mapped = append(r.mapped, chunk)
-	}
-	if r.cur != nil {
-		r.retired = append(r.retired, retired{r.cur, r.returned})
-	}
-	r.cur = chunk
-	return chunk[:n], nil
+	s.retired = append(s.retired[:0], s.retired[k:]...)
 }
 
-// release marks the first n records handed out as no longer held.
-func (r *chunkRing) release(n uint64) {
-	r.released = max(r.released, min(n, r.returned))
-}
-
-// close unmaps every chunk; no payload the ring handed out may be read
+// close unmaps every mapping; no payload the scanner handed out may be read
 // afterwards.
-func (r *chunkRing) close() {
-	for _, c := range r.mapped {
-		disk.Unmap(c) //nolint:errcheck // a failed munmap only leaks the range
-	}
-	*r = chunkRing{returned: r.returned, released: r.returned}
+func (s *segScanner) close() {
+	s.retire()
+	s.release(s.returned)
 }
 
 // firstNeeded returns the index in the sorted segment start list of the

@@ -202,9 +202,9 @@ func TestReaderCorruptionKeptVersusSkipped(t *testing.T) {
 	}
 }
 
-// TestReaderChunkBoundaries: frames that straddle a chunk boundary and a
-// record larger than a whole chunk come back intact, and payloads handed out
-// earlier stay valid after the reader has moved on to later chunks.
+// TestReaderChunkBoundaries: frames whose sizes divide no page, and a record
+// of several MB, come back intact from one segment's mapping, and payloads
+// handed out earlier stay valid after the reader has moved on.
 func TestReaderChunkBoundaries(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir)
@@ -219,9 +219,9 @@ func TestReaderChunkBoundaries(t *testing.T) {
 		want = append(want, p)
 	}
 	for i := 0; i < 90; i++ {
-		add(100_003) // 9 MB of frames whose size does not divide maxChunk
+		add(100_003) // 9 MB of frames whose size divides no page
 	}
-	add(maxChunk + 12345) // larger than any chunk
+	add(4<<20 + 12345)
 	add(1)
 	must(t, l.Rotate(uint64(len(want)))) // sealed: an unread byte would be an error
 	r, err := l.NewReader(0)

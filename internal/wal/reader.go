@@ -79,14 +79,14 @@ func (l *Log) NewReader(from uint64) (*Reader, error) {
 	return r, nil
 }
 
-// Next returns the next record in log order. The payload is a slice of a
-// read chunk shared with neighbouring records: it stays valid until Release
-// covers it or the reader is closed, may be handed to another goroutine, and
-// must be treated as read-only — never append to or write through it. At the
-// end of the log it returns io.EOF; a later call returns the records
-// appended since. An error is sticky: once a sealed segment reports
-// corruption, every further Next repeats the error rather than silently
-// resuming past the hole.
+// Next returns the next record in log order. The payload is a slice of the
+// segment's read-only mapping, shared with neighbouring records: it stays
+// valid until Release covers it or the reader is closed, may be handed to
+// another goroutine, and must be treated as read-only — never append to or
+// write through it. At the end of the log it returns io.EOF; a later call
+// returns the records appended since. An error is sticky: once a sealed
+// segment reports corruption, every further Next repeats the error rather
+// than silently resuming past the hole.
 func (r *Reader) Next() (tick uint64, payload []byte, err error) {
 	if r.err != nil {
 		return 0, nil, r.err
@@ -177,8 +177,11 @@ func (r *Reader) listNewer() (bool, error) {
 	return len(r.starts) > n, nil
 }
 
+// closeSegment closes the open segment's handle and retires its mapping,
+// which stays until Release covers the records read from it.
 func (r *Reader) closeSegment() {
 	if r.sc.f != nil {
+		r.sc.retire()
 		r.sc.f.Close() //nolint:errcheck // read-only handle
 		r.sc.f = nil
 	}
@@ -188,23 +191,24 @@ func (r *Reader) closeSegment() {
 // because none of their records can be at or above from.
 func (r *Reader) Skipped() int { return r.skipped }
 
-// BytesRead returns the bytes read from segment files so far.
+// BytesRead returns the segment bytes the reader has covered so far, each
+// counted once however often it was mapped.
 func (r *Reader) BytesRead() int64 { return r.sc.read }
 
 // Records returns how many records Next has returned.
-func (r *Reader) Records() uint64 { return r.sc.ring.returned }
+func (r *Reader) Records() uint64 { return r.sc.returned }
 
 // Release tells the reader that the caller holds no payload of the first n
-// records Next returned, so the chunks they were read into can be reused.
-// Released counts only grow; a reader nobody releases keeps every chunk it
-// read until Close.
-func (r *Reader) Release(n uint64) { r.sc.ring.release(n) }
+// records Next returned, so the mappings they alias can go once the reader
+// has moved past them. Released counts only grow; a reader nobody releases
+// keeps every mapping it made until Close.
+func (r *Reader) Release(n uint64) { r.sc.release(n) }
 
-// Close releases the reader's file handle and read chunks: no payload it
+// Close releases the reader's file handle and mappings: no payload it
 // returned may be read afterwards. The reader must not be used afterwards.
 func (r *Reader) Close() error {
 	r.closeSegment()
-	r.sc.ring.close()
+	r.sc.close()
 	r.err = io.EOF
 	return nil
 }
