@@ -142,15 +142,20 @@ func codeSpans(text string) []string {
 	return spans
 }
 
-// goCommand is a go run or go test invocation up to the end of its shell
-// command.
-var goCommand = regexp.MustCompile(`go (run|test)\s([^#|;&]*)`)
+// goCommand is a go build, go run or go test invocation up to the end of its
+// shell command.
+var goCommand = regexp.MustCompile(`go (build|run|test)\s([^#|;&]*)`)
+
+// cmdPath is a command directory as a document names it: cmd/<name> or
+// ./cmd/<name>, not nested in another path.
+var cmdPath = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./-])(?:\./)?cmd/([A-Za-z0-9_-]+)`)
 
 // TestDocsRunExistingPackages fails when a document tells a reader to
-// go run a directory that holds no main package, or to go test one that
-// holds no package.
+// go run a directory that holds no main package, or to go build or go test
+// one that holds no package, or when its code names a cmd/<name> that holds
+// no main package.
 func TestDocsRunExistingPackages(t *testing.T) {
-	for _, doc := range []string{"README.md", "ARCHITECTURE.md", "docs/RUNBOOK.md", ".claude/skills/verify/SKILL.md"} {
+	for _, doc := range []string{"README.md", "ARCHITECTURE.md", "DESIGN.md", "docs/RUNBOOK.md", ".claude/skills/verify/SKILL.md"} {
 		data, err := os.ReadFile(filepath.Join("..", "..", doc))
 		if os.IsNotExist(err) {
 			t.Logf("%s: not present, skipped", doc)
@@ -178,6 +183,57 @@ func TestDocsRunExistingPackages(t *testing.T) {
 					}
 				}
 			}
+			for _, m := range cmdPath.FindAllStringSubmatch(span, -1) {
+				if name, err := packageName("cmd/" + m[1]); err != nil || name != "main" {
+					t.Errorf("%s: `%s` names cmd/%s, which holds no main package", doc, span, m[1])
+				}
+			}
+		}
+	}
+}
+
+// TestEveryCommandIsRun fails when no CI step runs or builds a command and
+// docs/RUNBOOK.md does not run it either: a binary nothing runs rots unseen.
+// cmd/experiments is exempt, as the paper's figures are its output.
+func TestEveryCommandIsRun(t *testing.T) {
+	ran := map[string]bool{"experiments": true}
+	var spans []string
+	for _, doc := range []string{".github/workflows/ci.yml", "docs/RUNBOOK.md"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasSuffix(doc, ".md") {
+			spans = append(spans, codeSpans(string(data))...)
+		} else {
+			spans = append(spans, strings.Split(string(data), "\n")...)
+		}
+	}
+	for _, span := range spans {
+		for _, m := range goCommand.FindAllStringSubmatch(span, -1) {
+			if m[1] == "test" {
+				continue
+			}
+			for _, arg := range strings.Fields(m[2]) {
+				if name, ok := strings.CutPrefix(arg, "./cmd/"); ok {
+					ran[name] = true
+				}
+				if m[1] == "run" && strings.HasPrefix(arg, "./") {
+					break // the arguments after the package are the program's
+				}
+			}
+		}
+	}
+	dirs, err := filepath.Glob(filepath.Join("..", "..", "cmd", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range dirs {
+		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+			continue
+		}
+		if name := filepath.Base(dir); !ran[name] {
+			t.Errorf("cmd/%s is run by no CI step and by nothing in docs/RUNBOOK.md", name)
 		}
 	}
 }

@@ -244,20 +244,3 @@ func quantile(sorted []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// FormatDuration renders seconds with an appropriate unit for reports.
-func FormatDuration(sec float64) string {
-	abs := math.Abs(sec)
-	switch {
-	case sec == 0:
-		return "0s"
-	case abs < 1e-6:
-		return fmt.Sprintf("%.1fns", sec*1e9)
-	case abs < 1e-3:
-		return fmt.Sprintf("%.2fµs", sec*1e6)
-	case abs < 1:
-		return fmt.Sprintf("%.2fms", sec*1e3)
-	default:
-		return fmt.Sprintf("%.3fs", sec)
-	}
-}

@@ -148,25 +148,6 @@ func TestQuantileBounds(t *testing.T) {
 	}
 }
 
-func TestFormatDuration(t *testing.T) {
-	cases := []struct {
-		sec  float64
-		want string
-	}{
-		{0, "0s"},
-		{1.5e-9, "1.5ns"},
-		{2.5e-6, "2.50µs"},
-		{0.017, "17.00ms"},
-		{0.684, "684.00ms"},
-		{1.4, "1.400s"},
-	}
-	for _, tc := range cases {
-		if got := FormatDuration(tc.sec); got != tc.want {
-			t.Errorf("FormatDuration(%v) = %q, want %q", tc.sec, got, tc.want)
-		}
-	}
-}
-
 func TestGnuplotScript(t *testing.T) {
 	f := Figure{Title: "Figure 2 (full): overhead", XLabel: "updates", YLabel: "sec"}
 	a := Series{Name: "Naive-Snapshot"}

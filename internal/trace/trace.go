@@ -1,8 +1,8 @@
 // Package trace defines the update traces that drive the checkpoint
 // simulator (Section 4.4): for every tick, the list of table cells updated
-// in that tick. Traces come from three places — the synthetic Zipfian
-// generator of Table 4, the instrumented Knights and Archers game server,
-// and binary trace files written by cmd/tracegen.
+// in that tick. Traces come from the synthetic Zipfian generator of Table 4,
+// the instrumented Knights and Archers game server and the workload
+// scenarios.
 package trace
 
 import (

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/gamestate"
 )
@@ -187,134 +186,6 @@ func TestMemoryAppendCopies(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	z, err := NewZipfian(smallZipfCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, z); err != nil {
-		t.Fatal(err)
-	}
-	m, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumTicks() != z.NumTicks() || m.NumCells() != z.NumCells() {
-		t.Fatalf("shape mismatch: %d/%d vs %d/%d",
-			m.NumTicks(), m.NumCells(), z.NumTicks(), z.NumCells())
-	}
-	var a, b []uint32
-	for tick := 0; tick < z.NumTicks(); tick++ {
-		a = z.AppendTick(tick, a[:0])
-		b = m.AppendTick(tick, b[:0])
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("tick %d differs after round trip", tick)
-		}
-	}
-}
-
-func TestCodecEmptyTrace(t *testing.T) {
-	m := NewMemory(50)
-	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumTicks() != 0 || got.NumCells() != 50 {
-		t.Errorf("round trip of empty trace: %+v", got)
-	}
-}
-
-func TestCodecDetectsCorruption(t *testing.T) {
-	m := NewMemory(100)
-	m.Append([]uint32{5, 50, 99})
-	m.Append([]uint32{0, 1})
-	var buf bytes.Buffer
-	if err := Write(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	// Flip one byte anywhere: either a structural error or a checksum
-	// mismatch must result, never silent acceptance of different data.
-	for pos := 0; pos < len(good); pos++ {
-		bad := make([]byte, len(good))
-		copy(bad, good)
-		bad[pos] ^= 0xFF
-		got, err := Read(bytes.NewReader(bad))
-		if err != nil {
-			continue
-		}
-		// Extremely unlikely, but if it parsed, it must equal the original.
-		if !reflect.DeepEqual(got.Ticks, m.Ticks) {
-			t.Fatalf("byte %d: corruption accepted silently", pos)
-		}
-	}
-
-	// Truncation at every prefix length must error.
-	for cut := 0; cut < len(good); cut++ {
-		if _, err := Read(bytes.NewReader(good[:cut])); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-}
-
-func TestCodecRejectsBadMagicAndVersion(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("NOPE\x01\x00\x00"))); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, err := Read(bytes.NewReader([]byte("MMTR\x63\x00\x00"))); err == nil {
-		t.Error("bad version accepted")
-	}
-}
-
-// Property: arbitrary traces survive the codec byte-for-byte.
-func TestQuickCodecRoundTrip(t *testing.T) {
-	f := func(seed int64, ticksRaw, cellsRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		cells := int(cellsRaw)%1000 + 1
-		ticks := int(ticksRaw) % 20
-		m := NewMemory(cells)
-		for i := 0; i < ticks; i++ {
-			n := rng.Intn(50)
-			u := make([]uint32, n)
-			for j := range u {
-				u[j] = uint32(rng.Intn(cells))
-			}
-			m.Append(u)
-		}
-		var buf bytes.Buffer
-		if err := Write(&buf, m); err != nil {
-			return false
-		}
-		got, err := Read(&buf)
-		if err != nil {
-			return false
-		}
-		if got.NumCells() != cells || got.NumTicks() != ticks {
-			return false
-		}
-		for i := range m.Ticks {
-			if len(got.Ticks[i]) != len(m.Ticks[i]) {
-				return false
-			}
-			for j := range m.Ticks[i] {
-				if got.Ticks[i][j] != m.Ticks[i][j] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkZipfianAppendTick64k(b *testing.B) {
 	cfg := DefaultZipfianConfig()
 	cfg.Ticks = 1 << 20
@@ -327,19 +198,5 @@ func BenchmarkZipfianAppendTick64k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = z.AppendTick(i%cfg.Ticks, buf[:0])
-	}
-}
-
-func BenchmarkCodecWrite(b *testing.B) {
-	cfg := smallZipfCfg()
-	cfg.Ticks = 100
-	z, _ := NewZipfian(cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := Write(&buf, z); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -8,7 +8,7 @@
 // results shift materially with skew and churn. Each scenario here is a
 // deterministic, seedable trace.Source with a name, so the same stream can
 // drive the sharded engine, the parallel recovery pipeline, the replication
-// shipper, cmd/tracegen and the recoverytime identity sweep.
+// shipper and the recoverytime identity sweep.
 //
 // Determinism contract: a Source is a pure function of (Config, tick).
 // Every scenario derives a per-tick RNG from (seed, scenario-name hash,
@@ -31,8 +31,8 @@ import (
 )
 
 // Source is a named, deterministic update trace. It extends trace.Source —
-// everything that consumes a trace (the engine experiments, the simulator,
-// the binary trace codec) consumes a workload scenario unchanged.
+// everything that consumes a trace (the engine experiments, the simulator)
+// consumes a workload scenario unchanged.
 type Source interface {
 	trace.Source
 	// Name identifies the scenario (registry key, bench report key).
@@ -112,13 +112,6 @@ func TickUpdates(src Source, t int, cells []uint32, batch []wal.Update) ([]uint3
 		batch = append(batch, wal.Update{Cell: c, Value: uint32(t)*1_000_003 + uint32(i)})
 	}
 	return cells, batch
-}
-
-// Registered reports whether a scenario name is in the registry, so CLIs
-// can distinguish "no such scenario" (list the choices) from a bad config.
-func Registered(name string) bool {
-	_, ok := builders[name]
-	return ok
 }
 
 // New builds the named scenario.

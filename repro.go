@@ -119,6 +119,10 @@ type Game = game.Game
 // NewGame deploys a battle.
 func NewGame(cfg GameConfig) (*Game, error) { return game.New(cfg) }
 
+// GameRecorderFunc receives every attribute write a battle performs, once
+// installed with Game.SetRecorder.
+type GameRecorderFunc = game.RecorderFunc
+
 // GenerateGameTrace runs a battle and records its update trace (the paper's
 // instrumented prototype game server).
 func GenerateGameTrace(cfg GameConfig, ticks int) (TraceSource, GameStats, error) {
