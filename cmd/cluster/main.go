@@ -239,8 +239,7 @@ func runWorld(table gamestate.Table, dir string, nodes int, scenario string, tic
 		}
 		log.Print(line)
 	}
-	log.Printf("world: cut at tick %d; rolled forward %v ticks per node; recovered in %v (slowest partition)",
-		wr.Cut, wr.RolledForward, wr.Wall.Round(time.Millisecond))
+	log.Printf("world: cut at tick %d; recovered in %v (slowest partition)", wr.Cut, wr.Wall.Round(time.Millisecond))
 	for t := int(wr.WorldTick); t < ticks; t++ {
 		cells, batch = workload.TickUpdates(src, t, cells, batch)
 		if err := rc.Tick(batch); err != nil {

@@ -30,9 +30,8 @@ type Options struct {
 	// owns, so a node's WAL and checkpoint images cover exactly its
 	// partition's history.
 	Table gamestate.Table
-	// Dir is the cluster root: node i lives in Dir/node-i (engine state
-	// plus, when the policy needs one, an inbox/ logged-message store), the
-	// manifest in Dir/cluster.json.
+	// Dir is the cluster root: node i lives in Dir/node-i (its engine
+	// state), the manifest in Dir/cluster.json.
 	Dir string
 	// Mode is every node's checkpoint method.
 	Mode engine.Mode
@@ -52,13 +51,14 @@ type Options struct {
 	MaxSkew int
 	// DiskBytesPerSec throttles each node's backup devices.
 	DiskBytesPerSec float64
-	// SyncEveryTick fsyncs each node's log every tick, and each inbox before
-	// its tick is dispatched. With it, the inbox-bounds-the-world invariant
-	// recovery relies on holds across hard kills; without it, only across
-	// clean crashes (Crash/Close). A hard kill that loses an inbox tail
-	// surfaces as a typed *TornError refusal; one that tears an inbox inside
-	// its last tick is repaired from the node's WAL when that holds the tick
-	// whole, and goes undetected when it does not.
+	// SyncEveryTick fsyncs each node's log every tick: in a logged world
+	// (MaxSkew > 0 or Emit) when the tick is logged at dispatch, before any
+	// node sees it, otherwise when the node applies it. With it, the
+	// logs-bound-the-world invariant recovery relies on holds across hard
+	// kills; without it, only across clean crashes (Crash/Close). A hard kill
+	// that loses or tears a log's last ticks moves the cut back to the last
+	// tick every log holds whole, or is a typed *TornError refusal when a
+	// node's image is already past that.
 	SyncEveryTick bool
 	// CheckpointEvery, when > 0, schedules uncoordinated per-node
 	// checkpoints from the node workers: node i cuts after applying tick T
@@ -78,9 +78,10 @@ type Options struct {
 	// wedged: the straggler may still hold its engine, so further tick calls
 	// fail with the same error.
 	BarrierTimeout time.Duration
-	// BeforeApply, when non-nil, runs on the node's worker immediately
-	// before each tick applies — the test hook straggler injection and the
-	// apply-ordering checks use.
+	// BeforeApply, when non-nil, runs on the node's worker as it takes each
+	// dispatched tick, before it applies the tick or, once the world has
+	// crashed, drops it — the test hook straggler injection, the
+	// apply-ordering checks and the crash-state enumeration use.
 	BeforeApply func(node int, tick uint64)
 	// DeviceFactory overrides how each node engine opens its backup devices
 	// (fault injection). The path identifies both the node and the backup.
@@ -104,9 +105,10 @@ type Options struct {
 // Emit). New, Recover and Migrate wrap it with the feature's name.
 var ErrNeedsBarrier = errors.New("proven only at MaxSkew = 0 without Emit")
 
-// logged reports whether the policy can need the durable inbox: a non-zero
+// logged reports whether the policy logs each tick at dispatch: a non-zero
 // window leaves dispatched ticks unapplied at a crash, and Emit puts
-// messages in flight. A world with neither opens no second log.
+// messages in flight. A world with neither logs each tick as its nodes
+// apply it.
 func (o *Options) logged() bool { return o.MaxSkew > 0 || o.Emit != nil }
 
 // needsBarrier is the typed refusal of feature on a logged world.
@@ -147,14 +149,11 @@ func (e *TimeoutError) Error() string {
 // Timeout marks the error as a deadline failure (net.Error convention).
 func (e *TimeoutError) Timeout() bool { return true }
 
-// Node is one cluster member: a full engine, its place in the world, and —
-// when the policy needs one — its durable inbox (the logged-message store).
+// Node is one cluster member: a full engine and its place in the world.
 type Node struct {
 	Index int
 	Dir   string
 	E     *engine.Engine
-
-	inbox *wal.Log
 }
 
 // workItem is one dispatched tick on its way to a node worker: the tick's
@@ -184,7 +183,7 @@ type tickBufs struct {
 // at a tick boundary is globally consistent by construction. Past it one
 // slow partition no longer gates every tick of every other (the paper's
 // Section 8 worry), and a crash is reconciled from logged messages instead
-// (see inbox.go).
+// (see messages.go).
 type Cluster struct {
 	opts    Options
 	nodes   []*Node
@@ -194,7 +193,6 @@ type Cluster struct {
 
 	cellsPerObj uint32
 	ring        []tickBufs
-	encBuf      []byte
 	work        []chan workItem
 	wg          sync.WaitGroup // the node workers and in-flight coordinated cuts
 	closed      bool
@@ -209,13 +207,7 @@ type Cluster struct {
 	committed uint64   // ticks every node has applied, as last signaled
 	crashed   bool
 	pending   map[uint64][]pendingMsg // delivery tick -> messages
-	// maint queues inbox rotate+prune work from cuts for the coordinator.
-	// Only the coordinator appends to the inboxes, so only it can rotate
-	// them at an exact tick boundary — a worker rotating concurrently with
-	// appends would let a just-appended tick slip into the sealed segment
-	// that prune's name-based rule then deletes.
-	maint []inboxMaint
-	cuts  map[int]NodeCut // newest recorded cut per node
+	cuts      map[int]NodeCut         // newest recorded cut per node
 
 	manMu sync.Mutex // serializes manifest writes
 
@@ -346,8 +338,7 @@ func nodeEngineOptions(opts Options, dir string) engine.Options {
 // build assembles a Cluster around an open function (fresh Open for New,
 // the recovered engines for Recover), one node per partition-map member,
 // every node having applied tick ticks and cuts the manifest's recorded
-// checkpoints; it opens the inboxes when the policy needs them and starts
-// the per-node apply workers.
+// checkpoints; it starts the per-node apply workers.
 func build(opts Options, routing *Routing, tick uint64, cuts []NodeCut,
 	open func(i int, dir string) (*engine.Engine, error)) (*Cluster, error) {
 	n := routing.Current().NumNodes
@@ -384,12 +375,6 @@ func build(opts Options, routing *Routing, tick uint64, cuts []NodeCut,
 		}
 		c.nodes = append(c.nodes, &Node{Index: i, Dir: dir, E: e})
 		c.applied[i] = tick
-		if opts.logged() {
-			if c.nodes[i].inbox, err = wal.Open(inboxDir(opts.Dir, i)); err != nil {
-				c.closeNodes()
-				return nil, fmt.Errorf("cluster: node %d inbox: %w", i, err)
-			}
-		}
 	}
 	c.work = make([]chan workItem, n)
 	for i := range c.work {
@@ -405,27 +390,39 @@ func build(opts Options, routing *Routing, tick uint64, cuts []NodeCut,
 
 // worker is node i's apply loop: ticks apply strictly in dispatch order, and
 // each completion is published under the mutex so the coordinator's wait
-// can make progress.
+// can make progress. A logged world's ticks are in the node's log already;
+// a barrier world's single envelope is logged as the node applies it.
 func (c *Cluster) worker(i int, ch <-chan workItem) {
 	defer c.wg.Done()
 	n := c.nodes[i]
+	logged := c.opts.logged()
 	for item := range ch {
+		if c.opts.BeforeApply != nil {
+			c.opts.BeforeApply(i, item.tick)
+		}
 		c.mu.Lock()
 		dead := c.crashed || c.errs[i] != nil
 		c.mu.Unlock()
 		if dead {
 			continue // drain: a crashed or failed node drops its queue
 		}
-		if c.opts.BeforeApply != nil {
-			c.opts.BeforeApply(i, item.tick)
+		var err error
+		if logged {
+			err = n.E.ApplyTickEnvelopes(item.envs)
+		} else {
+			err = n.E.ApplyTick(item.envs[0].Updates)
 		}
-		err := n.E.ApplyTickEnvelopes(item.envs)
 		if err == nil && c.opts.Emit != nil {
 			c.emit(i, item.tick)
 		}
 		if err == nil && c.cutDue(i, item.tick) {
-			if err = c.cutNode(i, item.tick); err == nil {
+			switch err = c.cutNode(i, item.tick); {
+			case err == nil:
 				err = c.writeManifest()
+			case errors.Is(err, wal.ErrAhead):
+				// A degraded node behind its log: its anchor, and so this
+				// cut, waits for a tick end where it has caught up.
+				err = nil
 			}
 		}
 		c.mu.Lock()
@@ -454,8 +451,7 @@ func (c *Cluster) cutDue(i int, tick uint64) bool {
 // cutNode checkpoints node i as of asof and records the cut in memory; the
 // caller writes the manifest. The caller must be the engine's mutator at
 // that moment: the node's own worker (the scheduled path) or CheckpointWorld
-// with the workers drained. The inbox rotate+prune is left to the
-// coordinator's next tick boundary.
+// with the workers drained.
 func (c *Cluster) cutNode(i int, asof uint64) error {
 	info, err := c.nodes[i].E.CheckpointAsOf(asof)
 	if err != nil {
@@ -463,9 +459,6 @@ func (c *Cluster) cutNode(i int, asof uint64) error {
 	}
 	c.mu.Lock()
 	c.cuts[i] = NodeCut{Node: i, Epoch: info.Epoch, AsOfTick: info.AsOfTick}
-	if c.nodes[i].inbox != nil {
-		c.maint = append(c.maint, inboxMaint{node: i, keepFrom: info.AsOfTick + 1})
-	}
 	c.mu.Unlock()
 	return nil
 }
@@ -505,9 +498,9 @@ func (c *Cluster) ready() error {
 }
 
 // Tick dispatches one world tick: route the batch by ownership at this tick,
-// merge in the cross-partition messages due, log every envelope to its
-// destination's inbox when there is a message store, hand the tick to the
-// node workers, and return once every node has applied the tick MaxSkew
+// and in a logged world merge in the cross-partition messages due and log
+// every envelope to its destination's log; then hand the tick to the node
+// workers, and return once every node has applied the tick MaxSkew
 // behind this one — at MaxSkew = 0, this tick itself (the barrier).
 func (c *Cluster) Tick(batch []wal.Update) error {
 	if err := c.ready(); err != nil {
@@ -657,11 +650,6 @@ func (c *Cluster) CheckpointWorld() (*Manifest, error) {
 	if err := c.writeManifest(); err != nil {
 		return nil, err
 	}
-	// Drained, so nothing at or past c.tick is in any inbox: the boundary the
-	// deferred rotate+prune needs.
-	if err := c.maintainInboxes(c.tick); err != nil {
-		return nil, err
-	}
 	wall := time.Since(ckptStart)
 	telCkptWall.ObserveDuration(wall)
 	telCkptLast.Set(wall.Nanoseconds())
@@ -695,7 +683,7 @@ func (c *Cluster) ReadWorld(dst []byte) error {
 // Crash simulates a crash: queued-but-unapplied ticks are dropped (each
 // worker abandons its backlog), then logs and engines shut down. At
 // MaxSkew > 0 the nodes end at genuinely different ticks — the state
-// Recover's cut reconstruction exists for: the inboxes keep every
+// Recover's cut reconstruction exists for: the node logs keep every
 // dispatched tick, so recovery rolls the laggards forward to the cut
 // instead of refusing a torn world.
 func (c *Cluster) Crash() error { return c.shutdown(true) }
@@ -733,13 +721,10 @@ func (c *Cluster) shutdown(crash bool) error {
 	return errors.Join(drainErr, c.closeNodes())
 }
 
-// closeNodes closes every opened node's inbox and engine.
+// closeNodes closes every opened node's engine.
 func (c *Cluster) closeNodes() error {
 	var errs []error
 	for _, n := range c.nodes {
-		if n.inbox != nil {
-			errs = append(errs, n.inbox.Close())
-		}
 		errs = append(errs, n.E.Close())
 	}
 	return errors.Join(errs...)

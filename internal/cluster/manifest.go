@@ -13,7 +13,6 @@ import (
 	"repro/internal/gamestate"
 	"repro/internal/recovery"
 	"repro/internal/telemetry"
-	"repro/internal/wal"
 )
 
 // manifestName is the cluster metadata file under the cluster root.
@@ -150,22 +149,18 @@ type WorldRecovery struct {
 	// WorldTick is the tick the world resumes at: C+1, or 0 for a world that
 	// crashed before any tick was dispatched.
 	WorldTick uint64
-	// RolledForward counts, per node, the ticks replayed out of the inbox
-	// store past the node's own local WAL — the roll-forward that replaces
-	// "all nodes crashed at the same tick" at MaxSkew > 0.
-	RolledForward []uint64
 }
 
 // TornError reports a node whose recovered tick disagrees with the cut, so
-// no consistent world exists to resume. Without a message store the nodes'
-// own logs disagree — some node's WAL lost its tail. With one, the node's
-// WAL holds ticks the inboxes have lost (a hard kill without SyncEveryTick
-// can drop an inbox tail), or an inbox claims ticks some node never durably
-// reached: the inbox logs no longer bound the world. Either way recovery
-// refuses rather than resume a torn world.
+// no consistent world exists to resume. In a barrier world the nodes' own
+// logs disagree — some node's WAL lost its tail. In a logged world some
+// node's image is past the last tick every node's log holds whole (a hard
+// kill without SyncEveryTick can drop or tear a log's tail): the logs no
+// longer bound the world. Either way recovery refuses rather than resume a
+// torn world.
 type TornError struct {
 	Node int    // the node that disagrees
-	Tick uint64 // the tick its recovery reached (its engine NextTick)
+	Tick uint64 // the tick its recovery reaches (its engine NextTick; at least one past its image)
 	Cut  uint64 // the tick the cut says the world resumes at (C+1)
 }
 
@@ -180,10 +175,8 @@ func (e *TornError) Error() string {
 // (Standbys[i]) when the caller attached one, then the disk pipeline, which
 // is always there. A standby that was not attached is skipped without a
 // trace; an attached one that fails is noted, counted and falls through, so
-// the returned mode is always the one that actually served. The disk rung
-// merges the node's own WAL with inbox (nil for none), the capped inbox
-// store: see engine.RecoverWith.
-func recoverNode(root string, opts Options, i int, inbox func() (recovery.RecordSource, error)) (*engine.Engine, recovery.ParallelResult, RecoveryMode, string, error) {
+// the returned mode is always the one that actually served.
+func recoverNode(root string, opts Options, i int) (*engine.Engine, recovery.ParallelResult, RecoveryMode, string, error) {
 	rung := func(m RecoveryMode) *telemetry.Span {
 		return telemetry.StartSpan("recovery/rung",
 			telemetry.Int("node", int64(i)), telemetry.Str("rung", m.String()))
@@ -205,7 +198,7 @@ func recoverNode(root string, opts Options, i int, inbox func() (recovery.Record
 		telFallthrough.With(RecoveryStandby.String()).Inc()
 	}
 	sp := rung(RecoveryDisk)
-	e, pres, err := engine.RecoverWith(nodeEngineOptions(opts, NodeDir(root, i)), inbox)
+	e, pres, err := engine.RecoverFrom(nodeEngineOptions(opts, NodeDir(root, i)))
 	if err != nil {
 		sp.End(telemetry.Str("outcome", "failed"))
 	} else {
@@ -218,25 +211,24 @@ func recoverNode(root string, opts Options, i int, inbox func() (recovery.Record
 // resumes it from a consistent cut.
 //
 // The cut is C = the minimum over nodes of each node's durable horizon.
-// Without a message store the horizon is the node's own log: the tick its
-// recovery reaches. With one it is the last tick in the node's inbox, or its
-// manifest checkpoint when that is newer (a cut prunes the inbox ticks the
-// image covers, possibly all of them): Tick logs a tick to all inboxes
-// before any node sees it, so every applied tick is in every inbox and C
-// bounds what any node can have applied.
+// In a barrier world the horizon is the tick the node's own recovery
+// reaches. In a logged world it is the last tick the node's log holds whole
+// (engine.LoggedEnd), or its manifest checkpoint when that is newer: Tick
+// logs a tick to every node's log before any node sees it, so every applied
+// tick is in every log and C bounds what any node can have applied. A node
+// whose image is past C is a *TornError before any log changes; otherwise
+// the records past C, a dispatch no node can have applied, are cut from
+// every log (engine.CutLog), and the resumed coordinator dispatches those
+// ticks again.
 //
 // Each partition then walks its own ladder, fastest first — warm-standby
 // promotion when opts.Standbys[i] is attached, then the paper's disk
-// restore+replay pipeline, always present — all nodes concurrently; a
-// standby that fails for one partition falls through for that partition
-// only, and WorldRecovery records which rung served whom. The disk
-// rung merges the node's inbox, capped at C, with its own WAL: its own
-// checkpoint image, then every tick the inbox carries from the inbox (unless
-// the WAL holds more of it: an inbox torn by a hard kill) and every other
-// tick from the WAL, which rolls the node forward past wherever
-// its WAL ended (engine.RecoverWith, which also heals the WAL so the
-// directory is self-sufficient). A node that does not land exactly on C+1
-// is a *TornError, never a silent resume.
+// restore+replay pipeline (engine.RecoverFrom), always present — all nodes
+// concurrently; a standby that fails for one partition falls through for
+// that partition only, and WorldRecovery records which rung served whom.
+// The disk rung replays the node's log from its image, which rolls a node
+// that lagged at the crash forward to C. A node that does not land exactly
+// on C+1 is a *TornError, never a silent resume.
 //
 // Messages still inside the delivery window at the crash are not recovered
 // from any log — they are regenerated by re-running opts.Emit (see
@@ -267,32 +259,34 @@ func Recover(root string, opts Options) (*Cluster, *WorldRecovery, error) {
 		return nil, nil, err
 	}
 
-	// With a message store the cut is known up front: the lowest horizon. A
-	// node with neither inbox records nor a manifest cut has horizon 0; if
-	// any other node is past that, an inbox has been lost, and the check
-	// below reports the torn world.
+	// In a logged world the cut is known up front: the lowest horizon.
 	var resume uint64
-	var inboxEnd []uint64 // per node: one past its inbox's final tick
-	inboxOf := func(int) func() (recovery.RecordSource, error) { return nil }
 	if opts.logged() {
-		inboxEnd = make([]uint64, n)
-		for i := range inboxEnd {
-			if inboxEnd[i], err = inboxHorizon(inboxDir(root, i)); err != nil {
-				return nil, nil, fmt.Errorf("cluster: node %d inbox: %w", i, err)
+		horizon := make([]uint64, n) // no lower than the node's manifest cut
+		for _, cut := range man.NodeCuts {
+			horizon[cut.Node] = cut.AsOfTick + 1
+		}
+		images := make([]uint64, n)
+		for i := range horizon {
+			dir := NodeDir(root, i)
+			if images[i], err = engine.ImageEnd(nodeEngineOptions(opts, dir)); err == nil {
+				horizon[i], err = engine.LoggedEnd(dir, horizon[i])
+			}
+			if err != nil {
+				return nil, nil, fmt.Errorf("cluster: node %d: %w", i, err)
 			}
 		}
-		horizon := slices.Clone(inboxEnd)
-		for _, cut := range man.NodeCuts {
-			horizon[cut.Node] = max(horizon[cut.Node], cut.AsOfTick+1)
-		}
 		resume = slices.Min(horizon)
-		inboxOf = func(i int) func() (recovery.RecordSource, error) {
-			return func() (recovery.RecordSource, error) {
-				r, err := wal.NewReader(inboxDir(root, i), 0)
-				if err != nil {
-					return nil, err
-				}
-				return &cappedSource{r: r, end: resume}, nil
+		// Refused before any log is cut, so that a lost log tail put back
+		// from elsewhere lets the world recover after all.
+		for i, end := range images {
+			if end > resume {
+				return nil, nil, &TornError{Node: i, Tick: end, Cut: resume}
+			}
+		}
+		for i := range horizon {
+			if err := engine.CutLog(NodeDir(root, i), resume); err != nil {
+				return nil, nil, fmt.Errorf("cluster: node %d log: %w", i, err)
 			}
 		}
 	}
@@ -300,10 +294,9 @@ func Recover(root string, opts Options) (*Cluster, *WorldRecovery, error) {
 	// Recover all partitions concurrently: each node walks its own ladder,
 	// and the world is back when the slowest node is.
 	wr := &WorldRecovery{
-		PerNode:       make([]recovery.ParallelResult, n),
-		Modes:         make([]RecoveryMode, n),
-		Fallbacks:     make([]string, n),
-		RolledForward: make([]uint64, n),
+		PerNode:   make([]recovery.ParallelResult, n),
+		Modes:     make([]RecoveryMode, n),
+		Fallbacks: make([]string, n),
 	}
 	engines := make([]*engine.Engine, n)
 	errs := make([]error, n)
@@ -313,7 +306,7 @@ func Recover(root string, opts Options) (*Cluster, *WorldRecovery, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			engines[i], wr.PerNode[i], wr.Modes[i], wr.Fallbacks[i], errs[i] = recoverNode(root, opts, i, inboxOf(i))
+			engines[i], wr.PerNode[i], wr.Modes[i], wr.Fallbacks[i], errs[i] = recoverNode(root, opts, i)
 		}(i)
 	}
 	wg.Wait()
@@ -341,8 +334,8 @@ func Recover(root string, opts Options) (*Cluster, *WorldRecovery, error) {
 		}
 	}
 
-	// Without a message store each node's horizon is where its own log took
-	// it. Either way every node must land exactly on the cut.
+	// In a barrier world each node's horizon is where its own log took it.
+	// Either way every node must land exactly on the cut.
 	if !opts.logged() {
 		resume = engines[0].NextTick()
 		for _, e := range engines[1:] {
@@ -359,22 +352,6 @@ func Recover(root string, opts Options) (*Cluster, *WorldRecovery, error) {
 	if resume > 0 {
 		wr.Cut = resume - 1
 	}
-	if opts.logged() {
-		for i := 0; i < n; i++ {
-			if resume > wr.PerNode[i].LastLogTick {
-				wr.RolledForward[i] = wr.Cut - wr.PerNode[i].LastLogTick
-			}
-			// Drop inbox records past the cut: those ticks rolled back and will
-			// be re-dispatched (identically) by the resumed coordinator.
-			if inboxEnd[i] > resume {
-				if err := rebuildInbox(inboxDir(root, i), resume); err != nil {
-					closeAll()
-					return nil, wr, fmt.Errorf("cluster: node %d inbox rebuild: %w", i, err)
-				}
-			}
-		}
-	}
-
 	routing := &Routing{cur: man.Map, fromTick: man.MapFromTick}
 	c, err := build(opts, routing, resume, man.NodeCuts, func(i int, dir string) (*engine.Engine, error) {
 		return engines[i], nil

@@ -5,12 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/disk"
 	"repro/internal/engine"
 	"repro/internal/gamestate"
 	"repro/internal/wal"
@@ -132,7 +136,7 @@ func TestSkewEquivalence(t *testing.T) {
 // TestMaxSkewZeroMatchesBarrier: with MaxSkew 0 and no messages the one
 // runtime is the plain barrier world — every node's WAL segment files are
 // byte-identical to a lone engine fed that node's routed batches through
-// ApplyTick, and no inbox is opened. ModeNone keeps the full history
+// ApplyTick, and no second log is opened. ModeNone keeps the full history
 // deterministic (the CoU checkpointer rotates and prunes segments at
 // timing-dependent ticks, which perturbs retention, not semantics; state
 // identity under CoU is TestSkewEquivalence's job).
@@ -172,7 +176,7 @@ func TestMaxSkewZeroMatchesBarrier(t *testing.T) {
 				if err := ref.Close(); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := os.Stat(inboxDir(c.opts.Dir, i)); !os.IsNotExist(err) {
+				if _, err := os.Stat(filepath.Join(NodeDir(c.opts.Dir, i), "inbox")); !os.IsNotExist(err) {
 					t.Fatalf("node %d: a barrier world without messages opened an inbox (stat: %v)", i, err)
 				}
 				got, want := c.Nodes()[i].E.WALDir(), ref.WALDir()
@@ -242,12 +246,9 @@ func TestStragglerBlocksOnlyDependents(t *testing.T) {
 	// flight as ever — but its call must block on the straggler.
 	blocked := make(chan error, 1)
 	go func() { blocked <- c.Tick(worldBatch(tab, 5+window, 20)) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for c.AppliedTick(1) != 5+window+1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("node 1 applied %d ticks, want %d (window not open)", c.AppliedTick(1), 5+window+1)
-		}
-		time.Sleep(time.Millisecond)
+	waitApplied(c, 1, 5+window+1)
+	if got := c.AppliedTick(1); got != 5+window+1 {
+		t.Fatalf("node 1 applied %d ticks, want %d (window not open)", got, 5+window+1)
 	}
 	if got := c.AppliedTick(0); got != 5 {
 		t.Fatalf("straggler applied %d ticks, want 5", got)
@@ -291,16 +292,19 @@ func TestCrashRecoverExactlyOnce(t *testing.T) {
 		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
 			dir := t.TempDir()
 			emit := testEmit(tab, 2)
+			// Skew the crash point: from tick 8 the last node applies a tick
+			// only once the test has dispatched the tick the window past it,
+			// so it lags the rest by the whole window at the crash.
+			gate := make(chan struct{}, crashAt)
 			// ModeNone: no images, so the full WAL history survives for the
 			// exactly-once scan (CoU's continuous checkpointer prunes sealed
 			// segments) and recovery is pure message-logging replay.
 			c, err := New(Options{
 				Table: tab, Dir: dir, Mode: engine.ModeNone,
 				Nodes: nodes, MaxSkew: window, Emit: emit, SyncEveryTick: true,
-				// Skew the crash point: the last node lags behind the rest.
 				BeforeApply: func(node int, tick uint64) {
 					if node == nodes-1 && tick >= 8 {
-						time.Sleep(2 * time.Millisecond)
+						<-gate
 					}
 				},
 			})
@@ -309,13 +313,14 @@ func TestCrashRecoverExactlyOnce(t *testing.T) {
 			}
 			n := len(c.Nodes())
 			for tick := uint64(0); tick < crashAt; tick++ {
+				if tick >= 8+window {
+					gate <- struct{}{}
+				}
 				if err := c.Tick(worldBatch(tab, tick, perTick)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := c.Crash(); err != nil {
-				t.Fatal(err)
-			}
+			crashGated(t, c, gate)
 
 			rc, wr, err := Recover(dir, Options{Mode: engine.ModeNone, Emit: emit, SyncEveryTick: true})
 			if err != nil {
@@ -374,12 +379,14 @@ func TestCrashRecoverExactlyOnce(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					env, err := engine.DecodeEnvelopeRecord(payload)
+					// Every record of a logged tick is a message record;
+					// the tick's head carries origin 0xFFFFFFFF.
+					origin, originTick, _, err := wal.SplitMessage(payload[1:])
 					if err != nil {
 						t.Fatal(err)
 					}
-					if env.Origin >= 0 {
-						seen[key{node: i, origin: env.Origin, tick: env.OriginTick}]++
+					if origin != math.MaxUint32 {
+						seen[key{node: i, origin: int32(origin), tick: originTick}]++
 					}
 				}
 				r.Close()
@@ -410,7 +417,7 @@ func TestCrashRecoverExactlyOnce(t *testing.T) {
 
 // TestCrashRecoverWithStaggeredCuts: the same crash/recover identity with
 // worker-side checkpoints on, so recovery starts from genuinely staggered
-// per-node images and rolls each node forward out of the inbox store.
+// per-node images and rolls each node forward through its own log.
 func TestCrashRecoverWithStaggeredCuts(t *testing.T) {
 	tab := testTable()
 	const crashAt, total, perTick, window = 17, 24, 40, 3
@@ -459,8 +466,113 @@ func TestCrashRecoverWithStaggeredCuts(t *testing.T) {
 	}
 }
 
-// TestTornRefusal: an inbox that lost its records no longer bounds the
-// world; recovery must refuse with a typed TornError instead of resuming.
+// sickDev is a backup whose medium died once sick is set: every write and
+// sync fails.
+type sickDev struct {
+	disk.Device
+	sick *atomic.Bool
+}
+
+func (d sickDev) WriteAt(p []byte, off int64) (int, error) {
+	if d.sick.Load() {
+		return 0, errors.New("disk: medium died")
+	}
+	return d.Device.WriteAt(p, off)
+}
+
+func (d sickDev) Sync() error {
+	if d.sick.Load() {
+		return errors.New("disk: medium died")
+	}
+	return d.Device.Sync()
+}
+
+// TestDegradedNodeKeepsTicking: node 0 loses a backup in a windowed world
+// whose dispatch its gate keeps MaxSkew ticks ahead of it, so its
+// scheduled cuts find its log ahead and cannot anchor. The node keeps
+// applying, degraded; the coordinated cut, with every node caught up,
+// anchors it; and the world recovers to the serial reference.
+func TestDegradedNodeKeepsTicking(t *testing.T) {
+	tab := testTable()
+	const crashAt, total, perTick, window = 20, 26, 40, 2
+	dir := t.TempDir()
+	emit := testEmit(tab, 2)
+	var sick atomic.Bool
+	behind := make(chan struct{}, crashAt) // one token per tick node 0 may apply
+	c, err := New(Options{
+		Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate,
+		Nodes: 2, MaxSkew: window, CheckpointEvery: 3, Emit: emit, SyncEveryTick: true,
+		DeviceFactory: func(path string) (disk.Device, error) {
+			dev, err := disk.OpenFile(path)
+			if err == nil && filepath.Base(filepath.Dir(path)) == "node-0" && filepath.Base(path) == "backup-a.img" {
+				return sickDev{Device: dev, sick: &sick}, nil
+			}
+			return dev, err
+		},
+		BeforeApply: func(node int, _ uint64) {
+			if node == 0 {
+				<-behind
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(c.Nodes())
+	sick.Store(true)
+	// Node 0 may apply tick T once Tick(T+window-1) has returned, so its log
+	// is ahead of it at every tick end until the coordinated cut lets it
+	// catch up.
+	for tick := uint64(0); tick < crashAt; tick++ {
+		if tick == crashAt-4 {
+			for range window - 1 {
+				behind <- struct{}{}
+			}
+			if _, err := c.CheckpointWorld(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Tick(worldBatch(tab, tick, perTick)); err != nil {
+			t.Fatal(err)
+		}
+		if tick+1 >= window {
+			behind <- struct{}{}
+		}
+	}
+	if err := c.Join(); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Nodes()[0].E.CheckpointDegraded() {
+		t.Fatal("node 0 never degraded")
+	}
+	if err := c.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	rc, wr, err := Recover(dir, Options{Mode: engine.ModeCopyOnUpdate, Emit: emit, SyncEveryTick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	for tick := wr.WorldTick; tick < total; tick++ {
+		if err := rc.Tick(worldBatch(tab, tick, perTick)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rc.Join(); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, tab.StateBytes())
+	if err := rc.ReadWorld(got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, serialReference(t, tab, n, window, total, perTick, emit)) {
+		t.Fatal("recovered world diverges from serial reference")
+	}
+}
+
+// TestTornRefusal: a node log that lost its last ticks moves the cut back
+// behind another node's image; recovery must refuse with a typed TornError
+// instead of resuming.
 func TestTornRefusal(t *testing.T) {
 	tab := testTable()
 	dir := t.TempDir()
@@ -468,28 +580,58 @@ func TestTornRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for tick := uint64(0); tick < 8; tick++ {
+	for tick := uint64(0); tick < 12; tick++ {
+		if tick == 8 {
+			if _, err := c.CheckpointWorld(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := c.Tick(worldBatch(tab, tick, 20)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// Node 1 alone checkpoints the last tick, with the workers idle.
+	if err := c.Join(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.cutNode(1, 11); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.writeManifest(); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate total inbox loss on node 0.
-	if err := os.RemoveAll(inboxDir(dir, 0)); err != nil {
-		t.Fatal(err)
+	// Node 0's log loses ticks 9 on, as a hard kill without SyncEveryTick can
+	// drop them: the world resumes at 9 at the latest (earlier where node 0's
+	// images let it prune its log), behind node 1's image at 11.
+	rewriteLog(t, filepath.Join(NodeDir(dir, 0), "wal"), 0, func(tick uint64, _ int) bool { return tick < 9 })
+	logs := func() map[string][]byte {
+		files := map[string][]byte{}
+		for i := 0; i < 2; i++ {
+			segs, _ := filepath.Glob(filepath.Join(NodeDir(dir, i), "wal", "*"))
+			for _, seg := range segs {
+				b, err := os.ReadFile(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files[seg] = b
+			}
+		}
+		return files
 	}
-	if err := os.MkdirAll(inboxDir(dir, 0), 0o755); err != nil {
-		t.Fatal(err)
-	}
+	before := logs()
 	_, _, err = Recover(dir, Options{Mode: engine.ModeCopyOnUpdate})
 	var torn *TornError
 	if !errors.As(err, &torn) {
-		t.Fatalf("recovery of a world with a lost inbox returned %v, want *TornError", err)
+		t.Fatalf("recovery of a world with a lost log tail returned %v, want *TornError", err)
 	}
-	if torn.Tick != 8 || torn.Cut != 0 {
-		t.Fatalf("torn error %+v, want tick 8 against cut 0", torn)
+	if torn.Cut > 9 || torn.Tick <= torn.Cut {
+		t.Fatalf("torn error %+v, want a node past a cut that resumes at 9 at the latest", torn)
+	}
+	if !reflect.DeepEqual(logs(), before) {
+		t.Fatal("the refused recovery changed the nodes' logs")
 	}
 }
 
@@ -572,79 +714,236 @@ func runLoggedWorld(t *testing.T, total, perTick, window int) (string, int, Emit
 	return dir, n, emit
 }
 
-// recoverWorld recovers the world under dir and returns its bytes and the
-// recovery report.
-func recoverWorld(t *testing.T, dir string, emit EmitFunc) ([]byte, *WorldRecovery) {
+// waitApplied blocks until node i has applied n ticks: every apply
+// broadcasts the cluster's cond.
+func waitApplied(c *Cluster, i int, n uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.applied[i] < n {
+		c.cond.Wait()
+	}
+}
+
+// crashGated crashes a world whose workers may be parked in a BeforeApply
+// gate: it marks the world crashed and opens the gate, so every parked
+// worker drops its tick instead of applying it, then crashes it.
+func crashGated(t *testing.T, c *Cluster, gate chan struct{}) {
 	t.Helper()
-	rc, wr, err := Recover(dir, Options{Mode: engine.ModeNone, Emit: emit, SyncEveryTick: true})
+	c.mu.Lock()
+	c.crashed = true
+	c.mu.Unlock()
+	close(gate)
+	if err := c.Crash(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// copyTree copies the directory tree under src into dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dst, rel), b, 0o644)
+		}
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, testTable().StateBytes())
-	if err := rc.ReadWorld(got); err != nil {
-		t.Fatal(err)
-	}
-	if err := rc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return got, wr
 }
 
-// TestRollForwardMergesInbox: node 1's WAL lost a whole tick and was torn
-// inside its last tick, two ticks behind the cut. Recovery merges the node's
-// inbox with its WAL — every tick the inbox carries replays from the inbox —
-// so the node rolls forward through the lost tick and the torn one, and the
-// world comes back byte-identical to the serial reference. A second recovery
-// of the healed directory reaches the same bytes with nothing rolled forward:
-// the heal appended the ticks past the WAL's torn end, and the tick lost
-// inside the WAL still replays from the inbox.
-func TestRollForwardMergesInbox(t *testing.T) {
-	const total, perTick, window = 16, 40, 2
-	dir, n, emit := runLoggedWorld(t, total, perTick, window)
+// noInbox fails the test if a node directory under root holds an inbox.
+func noInbox(t *testing.T, root string, nodes int) {
+	t.Helper()
+	for i := 0; i < nodes; i++ {
+		if _, err := os.Stat(filepath.Join(NodeDir(root, i), "inbox")); !os.IsNotExist(err) {
+			t.Fatalf("node %d holds an inbox (stat: %v)", i, err)
+		}
+	}
+}
 
-	// Rewrite node 1's WAL: drop tick last-1 and cut tick last after its
-	// first record, a frame boundary inside the tick.
-	const last = total - 3
+// TestTornTickIsCut: a hard kill left node 1's last tick torn after its
+// first record, while node 0's log holds it whole. Recovery must cut the
+// tick — no node can have applied a tick before every log held it — resume
+// byte-identical to the serial reference at the tick before it, and finish
+// the run byte-identical.
+func TestTornTickIsCut(t *testing.T) {
+	const total, perTick, window = 12, 40, 2
+	dir, n, emit := runLoggedWorld(t, total, perTick, window)
+	noInbox(t, dir, n)
+	const last = total - 1
 	atLast := rewriteLog(t, filepath.Join(NodeDir(dir, 1), "wal"), last, func(tick uint64, k int) bool {
-		return tick < last-1 || tick == last && k == 1
+		return tick < last || k == 1
 	})
 	if atLast < 2 {
 		t.Fatalf("node 1 logged %d records at tick %d, want a tick to tear", atLast, last)
 	}
-
-	want := serialReference(t, testTable(), n, window, total, perTick, emit)
-	for pass, wantRolled := range []uint64{total - 1 - last, 0} {
-		got, wr := recoverWorld(t, dir, emit)
-		if wr.WorldTick != total || wr.RolledForward[0] != 0 || wr.RolledForward[1] != wantRolled {
-			t.Errorf("pass %d: resumed at %d with %v rolled forward, want %d with [0 %d]",
-				pass, wr.WorldTick, wr.RolledForward, total, wantRolled)
+	rc, wr, err := Recover(dir, Options{Mode: engine.ModeNone, Emit: emit, SyncEveryTick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if wr.WorldTick != last || wr.Cut != last-1 {
+		t.Fatalf("resumed at %d (cut %d), want %d", wr.WorldTick, wr.Cut, last)
+	}
+	tab := testTable()
+	got := make([]byte, tab.StateBytes())
+	if err := rc.ReadWorld(got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, serialReference(t, tab, n, window, last, perTick, emit)) {
+		t.Fatal("recovered world diverges from the serial reference at the cut")
+	}
+	for tick := uint64(last); tick < total+2; tick++ {
+		if err := rc.Tick(worldBatch(tab, tick, perTick)); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("pass %d: recovered world diverges from the serial reference", pass)
-		}
+	}
+	if err := rc.Join(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.ReadWorld(got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, serialReference(t, tab, n, window, total+2, perTick, emit)) {
+		t.Fatal("resumed world diverges from the serial reference")
 	}
 }
 
-// TestTornInboxTickGivesWayToWAL: a hard kill flushed node 1's inbox only
-// part way into its last tick, while the node's WAL holds that tick whole.
-// The inbox still carries the tick, but the WAL holds more of it, so the
-// WAL's copy replays and the world comes back byte-identical to the serial
-// reference rather than silently missing the tick's lost envelopes.
-func TestTornInboxTickGivesWayToWAL(t *testing.T) {
-	const total, perTick, window = 12, 40, 2
-	dir, n, emit := runLoggedWorld(t, total, perTick, window)
-	const last = total - 1
-	atLast := rewriteLog(t, inboxDir(dir, 1), last, func(tick uint64, k int) bool {
-		return tick < last || k == 1
-	})
-	if atLast < 2 {
-		t.Fatalf("node 1's inbox held %d records at tick %d, want a tick to tear", atLast, last)
+// TestWindowCrashStates enumerates the crash states of a small logged world:
+// two nodes, a window W of 1 and 2 (1 alone under -short), d ticks
+// dispatched, staggered cuts every other tick. A BeforeApply gate holds node
+// i once it has applied a_i ticks, for every progress vector the window
+// allows at the crash (d-W <= a_i <= d); the world then crashes, and each
+// node's last dispatched tick is left whole, torn after its first record, or
+// lost, as a hard kill without SyncEveryTick can leave it (unless the node's
+// two images both cover it and its log no longer holds it). Every state must
+// either recover byte-identical to the barrier world at the cut C — the last
+// tick every node's log holds whole, or a node's manifest cut where newer —
+// and finish the run byte-identical to the serial reference, or refuse with
+// a *TornError naming a node whose image is past C.
+func TestWindowCrashStates(t *testing.T) {
+	tab := gamestate.Table{Rows: 4096, Cols: 8, CellSize: 4, ObjSize: 512}
+	const d, total, perTick, every = 6, 9, 20, 2
+	windows := []int{1, 2}
+	if testing.Short() {
+		windows = windows[:1]
 	}
-	got, wr := recoverWorld(t, dir, emit)
-	if wr.WorldTick != total || wr.RolledForward[0] != 0 || wr.RolledForward[1] != 0 {
-		t.Errorf("resumed at %d with %v rolled forward, want %d with nothing", wr.WorldTick, wr.RolledForward, total)
+	emit := testEmit(tab, 6)
+	opts := Options{Mode: engine.ModeCopyOnUpdate, CheckpointEvery: every, Emit: emit, SyncEveryTick: true}
+	const whole, tornTick, lost = 0, 1, 2
+	states, refused := 0, 0
+	for _, w := range windows {
+		for a0 := d - w; a0 <= d; a0++ {
+			for a1 := d - w; a1 <= d; a1++ {
+				progress := [2]int{a0, a1}
+				dir := t.TempDir()
+				gate := make(chan struct{})
+				o := opts
+				o.Table, o.Dir, o.Nodes, o.MaxSkew = tab, dir, 2, w
+				o.BeforeApply = func(node int, tick uint64) {
+					if tick >= uint64(progress[node]) {
+						<-gate
+					}
+				}
+				c, err := New(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for tick := uint64(0); tick < d; tick++ {
+					if err := c.Tick(worldBatch(tab, tick, perTick)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i, a := range progress {
+					waitApplied(c, i, uint64(a))
+				}
+				crashGated(t, c, gate)
+				noInbox(t, dir, 2)
+				man, err := ReadManifest(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var floor [2]uint64 // the horizon's manifest-cut raise
+				for _, cut := range man.NodeCuts {
+					floor[cut.Node] = cut.AsOfTick + 1
+				}
+				for tears := 0; tears < 9; tears++ {
+					name := fmt.Sprintf("W=%d/progress=%v/tears=%d,%d", w, progress, tears%3, tears/3)
+					states++
+					state := t.TempDir()
+					copyTree(t, dir, state)
+					resume := uint64(total)
+					for i, tear := range []int{tears % 3, tears / 3} {
+						end := uint64(d)
+						if tear != whole {
+							at := rewriteLog(t, filepath.Join(NodeDir(state, i), "wal"), d-1, func(tick uint64, k int) bool {
+								return tick < d-1 || tear == tornTick && k == 1
+							})
+							switch {
+							case at == 0: // both images cover the tick and the log is pruned past it
+							case at < 2:
+								t.Fatalf("%s: node %d logged %d records at tick %d, want a tick to tear", name, i, at, d-1)
+							default:
+								end = d - 1
+							}
+						}
+						resume = min(resume, max(end, floor[i]))
+					}
+					ro := opts
+					rc, wr, err := Recover(state, ro)
+					var torn *TornError
+					if errors.As(err, &torn) {
+						refused++
+						e, img, err := engine.RecoverFrom(nodeEngineOptions(o, NodeDir(state, torn.Node)))
+						if err != nil {
+							t.Fatal(err)
+						}
+						e.Close()
+						if torn.Cut != resume || torn.Tick != img.AsOfTick+1 || !img.Restored || img.AsOfTick < resume {
+							t.Fatalf("%s: refused with %v (image %+v), want a node whose image is past the cut at %d",
+								name, torn, img.Result, resume)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					got := make([]byte, tab.StateBytes())
+					if err := rc.ReadWorld(got); err != nil {
+						t.Fatal(err)
+					}
+					if wr.WorldTick != resume || !bytes.Equal(got, serialReference(t, tab, 2, uint64(w), resume, perTick, emit)) {
+						t.Fatalf("%s: resumed at %d, want the barrier world at %d", name, wr.WorldTick, resume)
+					}
+					for tick := resume; tick < total; tick++ {
+						if err := rc.Tick(worldBatch(tab, tick, perTick)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := rc.Join(); err != nil {
+						t.Fatal(err)
+					}
+					if err := rc.ReadWorld(got); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, serialReference(t, tab, 2, uint64(w), total, perTick, emit)) {
+						t.Fatalf("%s: resumed world diverges from the serial reference", name)
+					}
+					if err := rc.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
 	}
-	if !bytes.Equal(got, serialReference(t, testTable(), n, window, total, perTick, emit)) {
-		t.Fatal("recovered world diverges from the serial reference")
-	}
+	t.Logf("%d crash states: %d recovered byte-identical, %d refused as torn", states, states-refused, refused)
 }

@@ -100,8 +100,9 @@ func (s *CPStats) recordPause(d time.Duration) {
 // applyBatch, and with whole-word masks from a range install. endTick runs on the same goroutine at tick boundaries.
 type checkpointer interface {
 	onWord(w int32, mask uint64)
-	// endTick may begin a checkpoint; it returns the synchronous pause.
-	endTick(tick uint64) time.Duration
+	// endTick may begin a checkpoint; it returns the synchronous pause, and
+	// wal.ErrAhead when the degrade anchor held the cut off (logState).
+	endTick(tick uint64) (time.Duration, error)
 	// completed returns the channel of the writer's reports, one per
 	// checkpoint begun.
 	completed() <-chan cpEvent
@@ -145,17 +146,17 @@ type nopCheckpointer struct {
 	restored int
 }
 
-func (n *nopCheckpointer) onWord(int32, uint64)         {}
-func (n *nopCheckpointer) supersede(uint64)             {}
-func (n *nopCheckpointer) pin() int                     { return n.restored }
-func (n *nopCheckpointer) unpin()                       {}
-func (n *nopCheckpointer) waitPin() bool                { return false }
-func (n *nopCheckpointer) endTick(uint64) time.Duration { return 0 }
-func (n *nopCheckpointer) completed() <-chan cpEvent    { return n.done }
-func (n *nopCheckpointer) close() error                 { close(n.done); return nil }
-func (n *nopCheckpointer) stats() *CPStats              { return &n.st }
-func (n *nopCheckpointer) err() error                   { return nil }
-func (n *nopCheckpointer) degraded() bool               { return false }
+func (n *nopCheckpointer) onWord(int32, uint64)                  {}
+func (n *nopCheckpointer) supersede(uint64)                      {}
+func (n *nopCheckpointer) pin() int                              { return n.restored }
+func (n *nopCheckpointer) unpin()                                {}
+func (n *nopCheckpointer) waitPin() bool                         { return false }
+func (n *nopCheckpointer) endTick(uint64) (time.Duration, error) { return 0, nil }
+func (n *nopCheckpointer) completed() <-chan cpEvent             { return n.done }
+func (n *nopCheckpointer) close() error                          { close(n.done); return nil }
+func (n *nopCheckpointer) stats() *CPStats                       { return &n.st }
+func (n *nopCheckpointer) err() error                            { return nil }
+func (n *nopCheckpointer) degraded() bool                        { return false }
 
 // strategy is what Table 1 says differs between the methods: the update
 // handler (checkpointer.onWord, the one method of that interface a
@@ -264,7 +265,9 @@ type cpJob struct {
 // That first degraded cut invalidates the only complete image while the log
 // may be pruned past the state's start, so it is anchored first: the whole
 // state goes to the log as one synced install record, and from then on the
-// retained log alone rebuilds the state. A failed anchor is fatal.
+// retained log alone rebuilds the state. A failed anchor is fatal, but one
+// the log is ahead of only holds the cut off (logState): until then the
+// survivor's image and the unpruned log still rebuild the state.
 type coordinator struct {
 	method  strategy
 	store   *Store
@@ -314,15 +317,17 @@ type coordinator struct {
 // or an image pin holds the target. The pause it returns is the strategy's
 // cut and nothing else; the target is picked here, at the cut, so the dirty
 // map a strategy cuts from is the target's own.
-func (c *coordinator) endTick(tick uint64) time.Duration {
+func (c *coordinator) endTick(tick uint64) (time.Duration, error) {
 	c.pinSkip = 0
 	if c.inFlight.Load() || c.werr.get() != nil {
-		return 0
+		return 0, nil
 	}
 	if c.log != nil && c.sick.any() && !c.anchored {
-		if err := c.logState(tick + 1); err != nil {
+		if err := c.logState(tick + 1); errors.Is(err, wal.ErrAhead) {
+			return 0, err
+		} else if err != nil {
 			c.werr.set(err)
-			return 0
+			return 0, nil
 		}
 		c.anchored = true
 	}
@@ -336,7 +341,7 @@ func (c *coordinator) endTick(tick uint64) time.Duration {
 	if c.pinned.Load() == int32(target)+1 {
 		c.cutting.Store(0) // an image is being read off target
 		c.pinSkip = int32(target) + 1
-		return 0
+		return 0, nil
 	}
 	begin := time.Now()
 	c.superseded.Store(0)
@@ -353,7 +358,7 @@ func (c *coordinator) endTick(tick uint64) time.Duration {
 	// cursors) is in place before any onWord can observe the new flush.
 	c.inFlight.Store(true)
 	c.jobs <- cpJob{epoch: c.epoch, tick: tick, backup: target, begin: begin, pause: pause}
-	return pause
+	return pause, nil
 }
 
 func (c *coordinator) writer() {
@@ -468,16 +473,21 @@ func (c *coordinator) waitPin() bool {
 var anchorChunk = 64 << 20
 
 // logState is the degrade rule's anchor: the whole state, logged at tick next
-// as install records of at most anchorChunk bytes, then synced.
+// as install records of at most anchorChunk bytes, one buffer reused, then
+// synced. The records must replay before tick next's own, so a log that
+// already holds next — a logged cluster world dispatches ticks ahead of
+// their apply — refuses them with wal.ErrAhead, and the cut waits for a
+// tick end where the node has caught up with its log.
 func (c *coordinator) logState(next uint64) error {
 	var rec []byte
 	n, per := c.store.NumObjects(), max(1, anchorChunk/c.store.ObjSize())
-	for lo := 0; lo < n; lo += per {
-		hi := min(lo+per, n)
+	err := c.log.AppendFirst(next, (n+per-1)/per, func(i int) []byte {
+		lo, hi := i*per, min(i*per+per, n)
 		rec = appendInstallRecord(rec[:0], lo, hi, c.store.SlabRange(lo, hi))
-		if err := c.log.Append(next, rec); err != nil {
-			return err
-		}
+		return rec
+	})
+	if err != nil {
+		return err
 	}
 	return c.log.Sync()
 }

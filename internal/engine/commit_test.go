@@ -26,7 +26,7 @@ func TestCommitContract(t *testing.T) {
 		{"ApplyTick", false, func(e *Engine, _ uint64, b []wal.Update) error { return e.ApplyTick(b) }},
 		{"ApplyTickParallel", false, func(e *Engine, _ uint64, b []wal.Update) error { return e.ApplyTickParallel(b) }},
 		{"ApplyTickEnvelopes", false, func(e *Engine, tick uint64, b []wal.Update) error {
-			return e.ApplyTickEnvelopes([]Envelope{
+			return applyLogged(e, []Envelope{
 				{Origin: -1, Updates: b[:perTick/2]},
 				{Origin: 1, OriginTick: tick, Updates: b[perTick/2:]},
 			})

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -419,5 +420,112 @@ func TestDegradedCheckpointsNeverPrune(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDegradeAnchorWaitsForLoggedTicks: with a logged cluster world's
+// dispatch ahead of apply, the first degraded cut cannot log its anchor
+// before the next tick's records. It holds the cut off with wal.ErrAhead
+// and the engine keeps ticking; at the first tick end where the node has
+// caught up with its log the anchor goes in, in chunks, ahead of the next
+// tick's head, and recovery replays through it to the exact state.
+func TestDegradeAnchorWaitsForLoggedTicks(t *testing.T) {
+	defer func(old int) { anchorChunk = old }(anchorChunk)
+	anchorChunk = 1000 // 15 objects a record
+	table := gamestate.Table{Rows: 256, Cols: 4, CellSize: 4, ObjSize: 64}
+	var trip atomic.Bool
+	opts := Options{Table: table, Dir: t.TempDir(), Mode: ModeCopyOnUpdate, SyncEveryTick: true}
+	faulty := opts
+	faulty.DeviceFactory = func(path string) (disk.Device, error) {
+		dev, err := disk.OpenFile(path)
+		if err == nil && strings.HasSuffix(path, "backup-a.img") {
+			return &flakyDev{Device: dev, trip: &trip, err: errors.New("disk: medium died")}, nil
+		}
+		return dev, err
+	}
+	e, err := Open(faulty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newReference(table)
+	envs := func(tick uint64) []Envelope {
+		return []Envelope{{Origin: -1, Updates: []wal.Update{{Cell: uint32(tick*211) % uint32(table.NumCells()), Value: uint32(tick + 1)}}}}
+	}
+	apply := func(tick uint64) {
+		t.Helper()
+		if err := e.ApplyTickEnvelopes(envs(tick)); err != nil {
+			t.Fatalf("tick %d: %v", tick, err)
+		}
+		ref.apply(envs(tick)[0].Updates)
+	}
+	const ahead, held = 3, 8
+	for tick := uint64(0); tick < ahead; tick++ {
+		if err := e.LogTickEnvelopes(tick, envs(tick)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trip.Store(true)
+	for tick := uint64(0); tick < held; tick++ {
+		if err := e.LogTickEnvelopes(tick+ahead, envs(tick+ahead)); err != nil {
+			t.Fatal(err)
+		}
+		apply(tick)
+		if _, err := e.CheckpointNow(); !errors.Is(err, wal.ErrAhead) {
+			t.Fatalf("tick %d: degraded cut with the log ahead returned %v, want wal.ErrAhead", tick, err)
+		}
+	}
+	if !e.CheckpointDegraded() || e.cp.err() != nil {
+		t.Fatalf("degraded %v, writer error %v: want degraded and alive", e.CheckpointDegraded(), e.cp.err())
+	}
+	for tick := uint64(held); tick < held+ahead; tick++ {
+		apply(tick)
+	}
+	const anchorTick = held + ahead // the first tick the log does not hold
+	if info, err := e.CheckpointNow(); err != nil || info.AsOfTick != anchorTick-1 {
+		t.Fatalf("caught-up degraded cut: %+v, %v", info, err)
+	}
+	if err := e.LogTickEnvelopes(anchorTick, envs(anchorTick)); err != nil {
+		t.Fatal(err)
+	}
+	apply(anchorTick)
+	// Crash: stop the writer and drop the engine without Close.
+	e.cp.close() //nolint:errcheck
+	e.log.Close()
+
+	r, err := wal.NewReader(filepath.Join(opts.Dir, "wal"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	installs, heads := 0, 0
+	for {
+		tick, body, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := tickRecords(body); ok {
+			heads++
+		} else if body[0] == recInstall && (tick != anchorTick || heads != anchorTick) {
+			t.Fatalf("install record at tick %d after %d heads, want at tick %d before its head", tick, heads, anchorTick)
+		} else if body[0] == recInstall {
+			installs++
+		}
+	}
+	r.Close()
+	if want := (table.NumObjects() + 14) / 15; installs != want || heads != anchorTick+1 {
+		t.Fatalf("log holds %d install records and %d heads, want %d and %d", installs, heads, want, anchorTick+1)
+	}
+	if end, err := LoggedEnd(opts.Dir, 0); err != nil || end != anchorTick+1 {
+		t.Fatalf("log ends at %d (%v), want %d", end, err, anchorTick+1)
+	}
+	re, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.NextTick() != anchorTick+1 || !ref.matches(re.Store()) {
+		t.Fatalf("recovered to tick %d (want %d); state matches reference: %v", re.NextTick(), anchorTick+1, ref.matches(re.Store()))
 	}
 }

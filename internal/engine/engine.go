@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -102,16 +101,19 @@ type Engine struct {
 	encBuf    []byte
 	ingestBuf []wal.Update
 	// bucket and off are bucketBatch's reused counting-sort buffers: the
-	// tick's updates in bitmap-word order (under ApplyTickEnvelopes one
-	// segment per envelope, ending at bucketEnds), and the per-word counts.
-	bucket     []wal.Update
-	bucketEnds []int
-	off        []int32
-	stats      Stats
-	prevAsOf   uint64
-	havePrev   bool
-	recovered  recovery.Result
-	closed     bool
+	// batch's updates in bitmap-word order, and the per-word counts.
+	bucket []wal.Update
+	off    []int32
+	// LogTickEnvelopes' own scratch: it runs on the cluster's dispatching
+	// goroutine, beside the tick being applied.
+	logBucket []wal.Update
+	logOff    []int32
+	logRecs   [][]byte
+	stats     Stats
+	prevAsOf  uint64
+	havePrev  bool
+	recovered recovery.Result
+	closed    bool
 }
 
 // Open creates or reopens an engine in opts.Dir. If the directory holds a
@@ -132,12 +134,6 @@ func Open(opts Options) (*Engine, error) {
 // ΔTrestore + ΔTreplay sum. Every record kind is data, applied by range, so
 // the recovered state is the same at any shard count.
 func RecoverFrom(opts Options) (*Engine, recovery.ParallelResult, error) {
-	return open(opts, nil)
-}
-
-// open builds the engine and recovers it through the pipeline, with
-// records, when non-nil, merged into replay (see RecoverWith).
-func open(opts Options, records func() (recovery.RecordSource, error)) (*Engine, recovery.ParallelResult, error) {
 	if err := opts.Table.Validate(); err != nil {
 		return nil, recovery.ParallelResult{}, err
 	}
@@ -174,12 +170,8 @@ func open(opts Options, records func() (recovery.RecordSource, error)) (*Engine,
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 			return nil, pres, fmt.Errorf("engine: %w", err)
 		}
-		open := opts.DeviceFactory
-		if open == nil {
-			open = func(path string) (disk.Device, error) { return disk.OpenFile(path) }
-		}
-		for i, name := range []string{"backup-a.img", "backup-b.img"} {
-			d, err := open(filepath.Join(opts.Dir, name))
+		for i := range devs {
+			d, err := openBackupDevice(opts, i)
 			if err != nil {
 				return nil, pres, err
 			}
@@ -237,15 +229,7 @@ func open(opts Options, records func() (recovery.RecordSource, error)) (*Engine,
 				return k, n, err
 			},
 		}
-		if records != nil {
-			popts.Extra, err = records()
-		}
-		if err == nil {
-			pres, err = recovery.RecoverParallel(popts)
-		}
-		// The source's payloads stay readable until the heal below is done
-		// too: its readers close once both are.
-		defer closeSource(popts.Extra)
+		pres, err = recovery.RecoverParallel(popts)
 		if err != nil {
 			log.Close()
 			return nil, pres, err
@@ -277,12 +261,6 @@ func open(opts Options, records func() (recovery.RecordSource, error)) (*Engine,
 	}
 	e.cp = newCheckpointer(opts.Mode, store, e.backups, startEpoch, firstBackup, e.plan, seeds, e.log)
 	opened = true
-	if records != nil && e.log != nil {
-		if err := e.heal(records, pres); err != nil {
-			e.Close()
-			return nil, pres, err
-		}
-	}
 	return e, pres, nil
 }
 
@@ -340,14 +318,6 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// closeSource closes a record source that holds resources (a log reader's
-// segment mappings) once nothing reads its payloads any more.
-func closeSource(src recovery.RecordSource) {
-	if c, ok := src.(io.Closer); ok {
-		c.Close() //nolint:errcheck // read-only handles
-	}
-}
-
 // Shards returns the effective shard count of the engine's partition.
 func (e *Engine) Shards() int { return e.plan.count() }
 
@@ -372,10 +342,10 @@ func (e *Engine) Table() gamestate.Table { return e.opts.Table }
 func (e *Engine) ApplyTick(updates []wal.Update) error {
 	e.tickMu.Lock()
 	defer e.tickMu.Unlock()
-	e.bucket = e.bucketBatch(e.bucket[:0], updates)
-	return e.commit(false, 1,
-		func(int) []byte {
-			e.encBuf = appendRunRecord(e.encBuf[:0], -1, 0, e.bucket)
+	e.bucket = e.bucketBatch(e.bucket[:0], updates, e.off)
+	return e.commit(false,
+		func() []byte {
+			e.encBuf = wal.EncodeRuns(append(e.encBuf[:0], recUpdateRuns), e.bucket)
 			return e.encBuf
 		},
 		func() (int64, error) { return e.applyBucket(e.bucket), nil })
@@ -408,23 +378,22 @@ func (e *Engine) guard(standby bool) error {
 // commit runs one tick through the engine's only durability ordering (see
 // DESIGN.md, "Tick commit"): guards → append → fsync → apply → endTick →
 // stats/telemetry → advance → notify. Every entry point — update batches,
-// envelope ticks, replicated ticks — supplies just what is its own:
-// record(i) returns the i-th of nrec encoded log record bodies (kind tag
-// included; called only on a durable engine, and valid until the next call),
-// and apply mutates the slab through the checkpointer and returns the number
-// of cell writes. The caller holds tickMu. An error means the tick did not
-// commit: the tick counter has not advanced and no subscriber was told.
-func (e *Engine) commit(standby bool, nrec int, record func(i int) []byte, apply func() (int64, error)) error {
+// envelope ticks, replicated ticks — supplies just what is its own: record
+// returns the tick's encoded log record body (kind tag included; called only
+// on a durable engine), or is nil for a tick already logged
+// (ApplyTickEnvelopes), which appends and syncs nothing; apply mutates the
+// slab through the checkpointer and returns the number of cell writes. The
+// caller holds tickMu. An error means the tick did not commit: the tick
+// counter has not advanced and no subscriber was told.
+func (e *Engine) commit(standby bool, record func() []byte, apply func() (int64, error)) error {
 	if err := e.guard(standby); err != nil {
 		return err
 	}
 	// Logical logging first: a tick is replayable before its effects are in
 	// volatile memory only.
-	if e.log != nil {
-		for i := 0; i < nrec; i++ {
-			if err := e.log.Append(e.tick, record(i)); err != nil {
-				return err
-			}
+	if e.log != nil && record != nil {
+		if err := e.log.Append(e.tick, record()); err != nil {
+			return err
 		}
 		if e.opts.SyncEveryTick {
 			if err := e.log.Sync(); err != nil {
@@ -440,8 +409,8 @@ func (e *Engine) commit(standby bool, nrec int, record func(i int) []byte, apply
 	}
 	applyDur := time.Since(applyStart)
 
-	pause := e.cp.endTick(e.tick)
-	e.drainCompleted(e.tick + 1) // this tick's records are already appended
+	pause, _ := e.cp.endTick(e.tick) // a held anchor retries at the next tick end
+	e.drainCompleted(e.tick + 1)     // this tick's records are already appended
 
 	e.stats.Ticks++
 	e.stats.UpdatesApplied += applied
@@ -471,12 +440,11 @@ func (e *Engine) commit(standby bool, nrec int, record func(i int) []byte, apply
 // lies past the table is dropped: it is neither logged nor applied, exactly
 // as replay drops it from an older log. The tick's bucket is what the engine
 // logs (as runs) and what applyBucket walks.
-func (e *Engine) bucketBatch(dst, updates []wal.Update) []wal.Update {
+func (e *Engine) bucketBatch(dst, updates []wal.Update, off []int32) []wal.Update {
 	cpw := 64 * e.store.cellsPerObj
 	limit := uint32(len(e.store.slab) / 4)
 	// Count at word+2, so that after the prefix sum off[w+1] is where word w
 	// starts; placing through off[w+1]++ then leaves off[w] at word w's start.
-	off := e.off
 	clear(off)
 	for _, u := range updates {
 		if u.Cell < limit {
@@ -526,7 +494,7 @@ func (e *Engine) applyBucket(bucket []wal.Update) int64 {
 // applyBatch buckets and applies one batch: the apply half of ApplyTick for
 // a batch that is already logged (a replicated tick).
 func (e *Engine) applyBatch(updates []wal.Update) int64 {
-	e.bucket = e.bucketBatch(e.bucket[:0], updates)
+	e.bucket = e.bucketBatch(e.bucket[:0], updates, e.off)
 	return e.applyBucket(e.bucket)
 }
 
@@ -601,8 +569,10 @@ func (e *Engine) CheckpointNow() (CheckpointInfo, error) {
 		// abandoned flush loops: after a superseded one the next cut rewrites
 		// its backup; after a backup went sick mid-write it targets the
 		// survivor, or the check finds the fatal error (a failed anchor
-		// included).
-		e.cp.endTick(e.tick - 1)
+		// included). An anchor the log is ahead of returns at once.
+		if _, err := e.cp.endTick(e.tick - 1); err != nil {
+			return CheckpointInfo{}, fmt.Errorf("engine: checkpoint: degrade anchor held off: %w", err)
+		}
 		if err := e.cp.err(); err != nil {
 			return CheckpointInfo{}, fmt.Errorf("engine: checkpoint writer failed: %w", err)
 		}
@@ -678,6 +648,40 @@ func (e *Engine) Close() error {
 	// other slab reader holds tickMu and checks closed.
 	e.store.release()
 	return cmp.Or(cpErr, logErr, e.closeDevices())
+}
+
+// openBackupDevice opens backup i's device (0: a, 1: b) in opts.Dir,
+// through opts.DeviceFactory when it is set.
+func openBackupDevice(opts Options, i int) (disk.Device, error) {
+	path := filepath.Join(opts.Dir, [2]string{"backup-a.img", "backup-b.img"}[i])
+	if opts.DeviceFactory != nil {
+		return opts.DeviceFactory(path)
+	}
+	return disk.OpenFile(path)
+}
+
+// ImageEnd returns one past the tick of the image RecoverFrom(opts) would
+// restore, or 0 when there is none, reading only the backups' headers.
+func ImageEnd(opts Options) (uint64, error) {
+	if opts.InMemory {
+		return 0, nil
+	}
+	var bs [2]*disk.Backup
+	for i := range bs {
+		d, err := openBackupDevice(opts, i)
+		if err != nil {
+			return 0, err
+		}
+		defer d.Close()
+		if bs[i], err = disk.NewBackup(d, opts.Table.NumObjects(), opts.Table.ObjSize); err != nil {
+			return 0, err
+		}
+	}
+	h, ok, err := recovery.NewestImage(bs[0], bs[1])
+	if err != nil || !ok {
+		return 0, err
+	}
+	return h.AsOfTick + 1, nil
 }
 
 // closeDevices closes the backup devices open has opened and returns the

@@ -2,14 +2,72 @@ package engine
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
-	"repro/internal/recovery"
 	"repro/internal/wal"
 )
+
+// varintRecord is env's record body in the varint kinds older logs hold.
+func varintRecord(env Envelope) []byte {
+	if env.Origin < 0 {
+		return wal.EncodeUpdates([]byte{recUpdates}, env.Updates)
+	}
+	return wal.EncodeUpdates(wal.AppendMessageHeader([]byte{recMessage}, uint32(env.Origin), env.OriginTick), env.Updates)
+}
+
+// runRecord is env's record body in the run kinds the engine logs.
+func runRecord(env Envelope) []byte {
+	if env.Origin < 0 {
+		return wal.EncodeRuns([]byte{recUpdateRuns}, env.Updates)
+	}
+	return wal.EncodeRuns(wal.AppendMessageHeader([]byte{recMessageRuns}, uint32(env.Origin), env.OriginTick), env.Updates)
+}
+
+// decodeEnvelopeRecord parses an update or message record body of either
+// encoding (an update record, and a logged tick's head, decode with Origin
+// -1: the world's input carries no origin stamp; its tick is the record's
+// own tick). Other record kinds are an error.
+func decodeEnvelopeRecord(body []byte) (Envelope, error) {
+	if len(body) == 0 {
+		return Envelope{}, errors.New("engine: empty envelope record")
+	}
+	kind, payload := body[0], body[1:]
+	switch kind {
+	case recUpdates:
+		upds, err := wal.DecodeUpdates(nil, payload)
+		return Envelope{Origin: -1, Updates: upds}, err
+	case recUpdateRuns:
+		upds, err := wal.DecodeRuns(nil, payload)
+		return Envelope{Origin: -1, Updates: upds}, err
+	case recMessage:
+		origin, originTick, upds, err := wal.DecodeMessage(nil, payload)
+		return Envelope{Origin: int32(origin), OriginTick: originTick, Updates: upds}, err
+	case recMessageRuns:
+		origin, originTick, batch, err := wal.SplitMessage(payload)
+		if err != nil {
+			return Envelope{}, err
+		}
+		upds, err := wal.DecodeRuns(nil, batch)
+		return Envelope{Origin: int32(origin), OriginTick: originTick, Updates: upds}, err
+	default:
+		return Envelope{}, fmt.Errorf("engine: record kind %d is not an envelope", kind)
+	}
+}
+
+// applyLogged logs envs at the engine's next tick and applies them, as a
+// logged cluster world's dispatch and node worker do.
+func applyLogged(e *Engine, envs []Envelope) error {
+	if err := e.LogTickEnvelopes(e.NextTick(), envs); err != nil {
+		return err
+	}
+	return e.ApplyTickEnvelopes(envs)
+}
 
 func TestEnvelopeRecordRoundtrip(t *testing.T) {
 	cases := []Envelope{
@@ -18,14 +76,14 @@ func TestEnvelopeRecordRoundtrip(t *testing.T) {
 		{Origin: 2, OriginTick: 41, Updates: []wal.Update{{Cell: 12, Value: 0xdead}}},
 		{Origin: 0, OriginTick: 0, Updates: nil},
 	}
-	// Each case twice: as the inbox encodes it, and as the engine logs it.
+	// Each case twice: in the varint kinds and in the run kinds.
 	var bodies [][]byte
 	for _, env := range cases {
-		bodies = append(bodies, EncodeEnvelopeRecord(nil, env), appendRunRecord(nil, env.Origin, env.OriginTick, env.Updates))
+		bodies = append(bodies, varintRecord(env), runRecord(env))
 	}
 	for i, body := range bodies {
 		env := cases[i/2]
-		got, err := DecodeEnvelopeRecord(body)
+		got, err := decodeEnvelopeRecord(body)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
@@ -46,7 +104,7 @@ func TestEnvelopeRecordRoundtrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := DecodeEnvelopeRecord([]byte{recInstall, 0, 0}); err == nil {
+	if _, err := decodeEnvelopeRecord([]byte{recInstall, 0, 0}); err == nil {
 		t.Fatal("install record decoded as envelope")
 	}
 }
@@ -70,7 +128,7 @@ func TestEnvelopeTicksRecover(t *testing.T) {
 			{Origin: -1, Updates: world},
 			{Origin: 1, OriginTick: uint64(tick), Updates: msg},
 		}
-		if err := e.ApplyTickEnvelopes(envs); err != nil {
+		if err := applyLogged(e, envs); err != nil {
 			t.Fatal(err)
 		}
 		ref.apply(world)
@@ -103,107 +161,144 @@ func TestEnvelopeTicksRecover(t *testing.T) {
 	}
 }
 
-// tailFromLog adapts a wal directory into a recovery.RecordSource.
-type tailFromLog struct{ r *wal.Reader }
-
-func (s *tailFromLog) Next() (uint64, []byte, bool, error) {
-	tick, payload, err := s.r.Next()
-	if err == io.EOF {
-		return 0, nil, false, nil
-	}
-	if err != nil {
-		return 0, nil, false, err
-	}
-	return tick, payload, true, nil
-}
-
-func (s *tailFromLog) Close() error { return s.r.Close() }
-
-// TestRecoverWithTail feeds an engine only a prefix of the dispatched ticks,
-// crashes it, and recovers with the full dispatch stream as the extra record
-// source: the engine must roll forward to the end of the stream, and the
-// healed WAL must make a second, source-less recovery reach the same tick
-// and bytes.
-func TestRecoverWithTail(t *testing.T) {
+// TestLoggedTicks: LogTickEnvelopes writes each tick's head first with the
+// tick's record count and the world input decoding as origin -1; LoggedEnd
+// finds the last whole tick of a log whose final tick a crash tore after its
+// head, stepping over a degrade anchor's install record in front of a head,
+// and, after CutLog drops the torn tick, recovery reaches exactly the ticks
+// before it and the log takes that tick again. Misordered envelopes are
+// refused.
+func TestLoggedTicks(t *testing.T) {
 	table := testTable()
 	rng := rand.New(rand.NewSource(11))
 	dir := t.TempDir()
-	inboxDir := filepath.Join(dir, "inbox")
-	inbox, err := wal.Open(inboxDir)
+	e, err := Open(Options{Table: table, Dir: dir, Mode: ModeNone, SyncEveryTick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := Open(Options{Table: table, Dir: dir, Mode: ModeCopyOnUpdate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := newReference(table)
 	cells := table.NumObjects() * table.CellsPerObject()
-	const total, applied = 10, 6
-	for tick := 0; tick < total; tick++ {
-		world := randomBatch(rng, cells, 30)
-		msg := randomBatch(rng, cells, 2)
-		envs := []Envelope{
-			{Origin: -1, Updates: world},
-			{Origin: 0, OriginTick: uint64(tick), Updates: msg},
+	const total = 8
+	ticks := make([][]Envelope, total)
+	ref := newReference(table)
+	var anchor []byte // the state after tick 2, as the degrade rule logs it at tick 3
+	for tick := range ticks {
+		ticks[tick] = []Envelope{
+			{Origin: -1, Updates: randomBatch(rng, cells, 30)},
+			{Origin: 0, OriginTick: uint64(tick), Updates: randomBatch(rng, cells, 2)},
+			{Origin: 1, OriginTick: uint64(tick), Updates: randomBatch(rng, cells, 3)},
 		}
-		var buf []byte
-		for _, env := range envs {
-			buf = EncodeEnvelopeRecord(buf[:0], env)
-			if err := inbox.Append(uint64(tick), buf); err != nil {
-				t.Fatal(err)
+		if err := applyLogged(e, ticks[tick]); err != nil {
+			t.Fatal(err)
+		}
+		if tick < total-1 {
+			for _, env := range ticks[tick] {
+				ref.apply(env.Updates)
 			}
 		}
-		if tick < applied {
-			if err := e.ApplyTickEnvelopes(envs); err != nil {
-				t.Fatal(err)
-			}
+		if tick == 2 {
+			n := e.Store().NumObjects()
+			anchor = appendInstallRecord(nil, 0, n, bytes.Clone(e.Store().SlabRange(0, n)))
 		}
-		ref.apply(world)
-		ref.apply(msg)
 	}
-	if err := inbox.Close(); err != nil {
-		t.Fatal(err)
+	for _, bad := range [][]Envelope{nil, ticks[0][1:], {ticks[0][0], ticks[0][0]}} {
+		if err := e.LogTickEnvelopes(total, bad); err == nil {
+			t.Errorf("logged a tick of %d envelopes without one world input first", len(bad))
+		}
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	tail := func() (recovery.RecordSource, error) {
-		r, err := wal.NewReader(inboxDir, 0)
-		if err != nil {
-			return nil, err
-		}
-		return &tailFromLog{r: r}, nil
-	}
-	r, pres, err := RecoverWith(Options{Table: table, Dir: dir, Mode: ModeCopyOnUpdate, Shards: 2}, tail)
+	// Read the log back, then tear the last tick after its head.
+	walDir := filepath.Join(dir, "wal")
+	r, err := wal.NewReader(walDir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NextTick() != total {
-		t.Fatalf("rolled forward to tick %d, want %d", r.NextTick(), total)
+	var kept [][]byte
+	var keptTicks []uint64
+	for k := 0; ; k++ {
+		tick, body, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, ok := tickRecords(body); ok != (k%3 == 0) || ok && n != 3 {
+			t.Fatalf("record %d: tickRecords = %d, %v", k, n, ok)
+		}
+		if env, err := decodeEnvelopeRecord(body); err != nil || (env.Origin < 0) != (k%3 == 0) {
+			t.Fatalf("record %d decodes with origin %d (%v)", k, env.Origin, err)
+		}
+		if tick < total-1 || k%3 == 0 {
+			kept, keptTicks = append(kept, bytes.Clone(body)), append(keptTicks, tick)
+		}
 	}
-	if pres.LastLogTick != applied-1 {
-		t.Fatalf("local log ended at %d, want %d", pres.LastLogTick, applied-1)
+	r.Close()
+	if end, err := LoggedEnd(dir, 0); err != nil || end != total {
+		t.Fatalf("whole log ends at %d (%v), want %d", end, err, total)
 	}
-	if !ref.matches(r.Store()) {
-		t.Fatal("rolled-forward state diverges from reference")
+	if err := os.RemoveAll(walDir); err != nil {
+		t.Fatal(err)
 	}
-	want := append([]byte(nil), r.Store().Slab()...)
-	if err := r.Close(); err != nil {
+	log, err := wal.Open(walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, body := range kept {
+		if keptTicks[i] == 3 && i%3 == 0 {
+			if err := log.Append(3, anchor); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := log.Append(keptTicks[i], body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for from, want := range map[uint64]uint64{0: total - 1, 3: total - 1, total + 2: total + 2} {
+		if end, err := LoggedEnd(dir, from); err != nil || end != want {
+			t.Errorf("torn log read from %d ends at %d (%v), want %d", from, end, err, want)
+		}
+	}
+	if err := CutLog(dir, total-1); err != nil {
+		t.Fatal(err)
+	}
+	if end, err := LoggedEnd(dir, 0); err != nil || end != total-1 {
+		t.Fatalf("cut log ends at %d (%v), want %d", end, err, total-1)
+	}
+	r2, err := Open(Options{Table: table, Dir: dir, Mode: ModeNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r2.NextTick() != total-1 || !ref.matches(r2.Store()) {
+		t.Fatalf("recovered to tick %d, want %d with the ticks before it", r2.NextTick(), total-1)
+	}
+	if err := applyLogged(r2, ticks[total-1]); err != nil {
+		t.Fatalf("the cut log does not take the torn tick again: %v", err)
+	}
+	if err := r2.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The heal must have made the directory self-sufficient.
-	r2, _, err := RecoverFrom(Options{Table: table, Dir: dir, Mode: ModeCopyOnUpdate})
+	// A log whose last record is an anchor, logged at the next tick before
+	// that tick's head, ends where its last whole tick does.
+	log, err = wal.Open(walDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r2.Close()
-	if r2.NextTick() != total {
-		t.Fatalf("healed log recovers to tick %d, want %d", r2.NextTick(), total)
+	if err := log.Append(total, anchor); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(r2.Store().Slab(), want) {
-		t.Fatal("healed-log recovery diverges from the rolled-forward recovery")
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, from := range []uint64{5, total} {
+		if end, err := LoggedEnd(dir, from); err != nil || end != total {
+			t.Errorf("log ending in an anchor, read from %d, ends at %d (%v), want %d", from, end, err, total)
+		}
 	}
 }

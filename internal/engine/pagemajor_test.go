@@ -78,7 +78,7 @@ func pmHistory(rng *rand.Rand, tab gamestate.Table, bad bool) []pmRecord {
 		if tick%3 == 0 {
 			origin = 1 // a message record
 		}
-		return pmRecord{body: appendRunRecord(nil, origin, tick-1, upds), updates: upds}
+		return pmRecord{body: runRecord(Envelope{Origin: origin, OriginTick: tick - 1, Updates: upds}), updates: upds}
 	}
 	varint := func() pmRecord {
 		var upds []wal.Update

@@ -16,26 +16,15 @@ import (
 //
 // The engine logs a tick's updates as runs (wal.EncodeRuns) in the
 // bitmap-word order its apply sorts them into, so a replay worker stores its
-// own runs and jumps over the rest. The varint kinds 0 and 3 are what the
-// cluster's inbox holds and what logs before the run kinds hold; a heal
-// appends them to a run log, and replay reads both.
+// own runs and jumps over the rest. The varint kinds 0 and 3 are what logs
+// before the run kinds hold; replay reads both.
 const (
 	recUpdates     byte = 0 // payload: wal.EncodeUpdates batch, arrival order
 	recInstall     byte = 2 // payload: u64 lo, u64 hi, raw object bytes (range.go)
-	recMessage     byte = 3 // payload: wal.EncodeMessage cross-partition batch (envelope.go)
+	recMessage     byte = 3 // payload: wal.AppendMessageHeader, then a wal.EncodeUpdates batch
 	recUpdateRuns  byte = 4 // payload: wal.EncodeRuns batch, word-ordered
 	recMessageRuns byte = 5 // payload: wal.AppendMessageHeader, then a wal.EncodeRuns batch
 )
-
-// appendRunRecord appends the record body the engine logs for one bucketed
-// batch — world input (origin < 0) or a message — and returns the buffer.
-func appendRunRecord(buf []byte, origin int32, originTick uint64, bucket []wal.Update) []byte {
-	if origin < 0 {
-		return wal.EncodeRuns(append(buf, recUpdateRuns), bucket)
-	}
-	buf = wal.AppendMessageHeader(append(buf, recMessageRuns), uint32(origin), originTick)
-	return wal.EncodeRuns(buf, bucket)
-}
 
 // recordBatch returns the update batch inside an update or message record
 // of either encoding and whether it is runs. Other kinds are an error.

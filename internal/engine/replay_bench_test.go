@@ -109,8 +109,8 @@ func BenchmarkReplayPipeline(b *testing.B) {
 }
 
 // BenchmarkEncodeTick is the live encode of one 6,400-update hotspot tick on
-// the 40 MB table: the varint batch in arrival order (the inbox's record,
-// and the engine's log record before runs) against the run record the
+// the 40 MB table: the varint batch in arrival order (the engine's log
+// record before runs) against the run record the
 // engine logs, encoded from the bucket its apply sorts anyway. It reports
 // the log bytes per update.
 func BenchmarkEncodeTick(b *testing.B) {
@@ -131,14 +131,14 @@ func BenchmarkEncodeTick(b *testing.B) {
 	var cells []uint32
 	for t := range batches {
 		cells, batches[t] = workload.TickUpdates(src, t, cells, nil)
-		buckets[t] = e.bucketBatch(nil, batches[t])
+		buckets[t] = e.bucketBatch(nil, batches[t], e.off)
 	}
 	for _, c := range []struct {
 		name   string
 		encode func(buf []byte, t int) []byte
 	}{
 		{"varint", func(buf []byte, t int) []byte { return wal.EncodeUpdates(append(buf, recUpdates), batches[t]) }},
-		{"runs", func(buf []byte, t int) []byte { return appendRunRecord(buf, -1, 0, buckets[t]) }},
+		{"runs", func(buf []byte, t int) []byte { return wal.EncodeRuns(append(buf, recUpdateRuns), buckets[t]) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var buf []byte

@@ -15,8 +15,8 @@ import (
 
 // writeMixedLog runs a fixed, seeded 32-tick history through a ModeNone
 // engine in dir (no checkpoint: the log is the whole state) that uses every
-// record kind — update batches, world + message envelopes, message-only
-// ticks and a range install — and abandons it crash-style. It returns the
+// record kind — update batches, world + message envelopes, ticks whose
+// world input is empty and a range install — and abandons it crash-style. It returns the
 // slab the never-crashed engine ended with.
 func writeMixedLog(t *testing.T, dir string) []byte {
 	t.Helper()
@@ -32,13 +32,13 @@ func writeMixedLog(t *testing.T, dir string) []byte {
 		case 0:
 			err = e.ApplyTick(randomBatch(rng, cells, 50))
 		case 1:
-			err = e.ApplyTickEnvelopes([]Envelope{
+			err = applyLogged(e, []Envelope{
 				{Origin: -1, Updates: randomBatch(rng, cells, 40)},
 				{Origin: 1, OriginTick: uint64(tick - 1), Updates: randomBatch(rng, cells, 5)},
 				{Origin: 2, OriginTick: uint64(tick - 1)}, // an empty message
 			})
-		case 2: // a tick that is one message and no world input
-			err = e.ApplyTickEnvelopes([]Envelope{{Origin: 3, OriginTick: uint64(tick - 2), Updates: randomBatch(rng, cells, 20)}})
+		case 2: // a tick that is one message and an empty world input
+			err = applyLogged(e, []Envelope{{Origin: -1}, {Origin: 3, OriginTick: uint64(tick - 2), Updates: randomBatch(rng, cells, 20)}})
 		case 3:
 			// An install that straddles the 2- and 8-shard boundaries at
 			// object 256, then the tick it is logged at.
@@ -112,7 +112,7 @@ func TestMixedLogRecoversAtEveryWidth(t *testing.T) {
 
 // TestLegacyAndRunRecordsMixInOneLog: a log whose ticks alternate between
 // run records (the engine's own) and varint records in arrival order (what
-// a heal appends from a cluster inbox) — updates, messages, a cell past the
+// logs before the run kinds hold) — updates, messages, a cell past the
 // table — recovers at every width to the state of an engine that logged
 // every tick as runs, with the same replayed-update count.
 func TestLegacyAndRunRecordsMixInOneLog(t *testing.T) {
@@ -135,7 +135,7 @@ func TestLegacyAndRunRecordsMixInOneLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, envs := range ticks {
-		if err := ref.ApplyTickEnvelopes(envs); err != nil {
+		if err := applyLogged(ref, envs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func TestLegacyAndRunRecordsMixInOneLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The mixed log: ticks in blocks of four, the engine logging the even
-	// blocks and a heal-style append the odd ones, between recoveries.
+	// blocks and a varint append the odd ones, between recoveries.
 	for block := 0; block < len(ticks)/4; block++ {
 		if block%2 == 0 {
 			e, err := Open(Options{Table: tab, Dir: mixed, Mode: ModeNone, Shards: 2})
@@ -152,7 +152,7 @@ func TestLegacyAndRunRecordsMixInOneLog(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, envs := range ticks[4*block : 4*block+4] {
-				if err := e.ApplyTickEnvelopes(envs); err != nil {
+				if err := applyLogged(e, envs); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -167,7 +167,7 @@ func TestLegacyAndRunRecordsMixInOneLog(t *testing.T) {
 		}
 		for i := 4 * block; i < 4*block+4; i++ {
 			for _, env := range ticks[i] {
-				if err := log.Append(uint64(i), EncodeEnvelopeRecord(nil, env)); err != nil {
+				if err := log.Append(uint64(i), varintRecord(env)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -298,8 +298,8 @@ func TestReplayDropsCellsPastTheTable(t *testing.T) {
 	end := uint32(tab.NumObjects() * tab.CellsPerObject())
 	dir := handWrittenLog(t,
 		updatesRecord(wal.Update{Cell: 7, Value: 1}, wal.Update{Cell: end, Value: 2}, wal.Update{Cell: end - 1, Value: 3}),
-		wal.EncodeMessage([]byte{recMessage}, 1, 0, []wal.Update{{Cell: 1<<32 - 1, Value: 4}, {Cell: 40_000, Value: 5}}),
-		appendRunRecord(nil, -1, 0, []wal.Update{{Cell: end - 2, Value: 6}, {Cell: end + 70_000, Value: 7}, {Cell: 1<<32 - 1, Value: 8}}),
+		wal.EncodeUpdates(wal.AppendMessageHeader([]byte{recMessage}, 1, 0), []wal.Update{{Cell: 1<<32 - 1, Value: 4}, {Cell: 40_000, Value: 5}}),
+		runRecord(Envelope{Origin: -1, Updates: []wal.Update{{Cell: end - 2, Value: 6}, {Cell: end + 70_000, Value: 7}, {Cell: 1<<32 - 1, Value: 8}}}),
 	)
 	opts := Options{Table: tab, Dir: dir, Mode: ModeNone}
 	recoverEveryWay(t, opts)
@@ -326,7 +326,7 @@ func TestUndecodableRecordNamesItsTick(t *testing.T) {
 	torn := updatesRecord(wal.Update{Cell: 70_000, Value: 1}, wal.Update{Cell: 3, Value: 2})
 	shortMsg := []byte{recMessage, 1, 2, 3}
 	action := []byte{1, 9, 0, 0, 0, 1, 0, 0, 0}
-	tornRuns := appendRunRecord(nil, -1, 0, []wal.Update{{Cell: 3, Value: 2}, {Cell: 70_000, Value: 1}})
+	tornRuns := runRecord(Envelope{Origin: -1, Updates: []wal.Update{{Cell: 3, Value: 2}, {Cell: 70_000, Value: 1}}})
 	for name, bad := range map[string][]byte{
 		"truncated batch": torn[:len(torn)-2], "short message": shortMsg, "action": action,
 		"truncated runs": tornRuns[:len(tornRuns)-2], "short run message": {recMessageRuns, 1, 2, 3},

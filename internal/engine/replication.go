@@ -382,7 +382,7 @@ func (e *Engine) IngestReplicated(tick uint64, body []byte) error {
 	default:
 		return fmt.Errorf("engine: unknown replicated record kind %d at tick %d", kind, tick)
 	}
-	return e.commit(true, 1, func(int) []byte { return body }, apply)
+	return e.commit(true, func() []byte { return body }, apply)
 }
 
 // Promote seals the standby and makes it a primary: ingested ticks are

@@ -32,15 +32,7 @@ func stampRecord(slab []byte, lo, hi int, tick uint64, payload []byte) {
 // first of the next, and the window budget is lowered so that a window spans
 // many segments and the log several windows. A mapping unmapped early faults
 // (in a race build, where payloads live on the heap, it is poisoned), and the
-// slab then differs from a serial pass over the same records. The log runs
-// alone, and merged with an extra source that holds one record in each gap
-// between the log's ticks and one at each of the log's ticks, where the log
-// holds two: the reader holds a shared tick's log records back until it has
-// read past them, then replays the log's longer copy. Each window but the
-// last ends after the reader has read the first record of a tick that the
-// merge then holds back, in a segment that retires before that record's
-// window runs, so a release covering every record read, not the window's
-// last mark, unmaps it.
+// slab then differs from a serial pass over the same records.
 func TestRecoverParallelPayloadsOutliveTheirChunk(t *testing.T) {
 	defer func(b int) { windowBudget = b }(windowBudget)
 	windowBudget = 10 << 20
@@ -56,13 +48,10 @@ func TestRecoverParallelPayloadsOutliveTheirChunk(t *testing.T) {
 				rng.Read(p)
 				return p
 			}
-			// About 43 MB of log in 51 segments, and 65 MB of log and source
-			// merged: a window spans about a dozen segments.
-			var logRecs, merged, extra []record
+			// About 43 MB of log in 51 segments: a window spans about a
+			// dozen segments.
+			var logRecs []record
 			for tick := uint64(2); tick <= 100; tick += 2 {
-				gap := record{tick - 1, payload()}
-				extra = append(extra, gap, record{tick, payload()})
-				merged = append(merged, gap)
 				for k := range 2 {
 					rec := record{tick, payload()}
 					if err := log.Append(tick, rec.payload); err != nil {
@@ -74,37 +63,29 @@ func TestRecoverParallelPayloadsOutliveTheirChunk(t *testing.T) {
 						}
 					}
 					logRecs = append(logRecs, rec)
-					merged = append(merged, rec)
 				}
 			}
 
-			for _, withExtra := range []bool{false, true} {
-				stream, src := logRecs, records(nil)
-				if withExtra {
-					stream, src = merged, slices.Clone(extra)
-				}
-				serial := slices.Clone(image)
-				for _, rec := range stream {
-					stampRecord(serial, 0, pObj, rec.tick, rec.payload)
-				}
-
-				slab := make([]byte, pObj*pObjSize)
-				ranges := evenRanges(pObj, shards)
-				res, err := RecoverParallel(perRecord(ParallelOptions{
-					A: a, B: b, Slab: slab, Log: log, Ranges: ranges, Extra: &src,
-				}, func(shard int, tick uint64, payload []byte) (int64, error) {
-					stampRecord(slab, ranges[shard].Lo, ranges[shard].Hi, tick, payload)
-					return 1, nil
-				}))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Windows < 4 {
-					t.Errorf("extra=%v: %d windows, want several", withExtra, res.Windows)
-				}
-				if !bytes.Equal(slab, serial) {
-					t.Fatalf("extra=%v: parallel recovery differs from a serial pass: a payload changed under its applier", withExtra)
-				}
+			serial := slices.Clone(image)
+			for _, rec := range logRecs {
+				stampRecord(serial, 0, pObj, rec.tick, rec.payload)
+			}
+			slab := make([]byte, pObj*pObjSize)
+			ranges := evenRanges(pObj, shards)
+			res, err := RecoverParallel(perRecord(ParallelOptions{
+				A: a, B: b, Slab: slab, Log: log, Ranges: ranges,
+			}, func(shard int, tick uint64, payload []byte) (int64, error) {
+				stampRecord(slab, ranges[shard].Lo, ranges[shard].Hi, tick, payload)
+				return 1, nil
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Windows < 4 {
+				t.Errorf("%d windows, want several", res.Windows)
+			}
+			if !bytes.Equal(slab, serial) {
+				t.Fatal("parallel recovery differs from a serial pass: a payload changed under its applier")
 			}
 		})
 	}

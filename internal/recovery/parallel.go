@@ -21,20 +21,6 @@ import (
 // ShardRange is one shard's contiguous object range [Lo, Hi).
 type ShardRange struct{ Lo, Hi int }
 
-// RecordSource streams tick-ordered log records from outside the local WAL:
-// a cluster node's logged inbox. The pipeline
-// merges it with the local log by tick (see ParallelOptions.Extra), which
-// assumes both carry each tick's records in the same order, so that a copy
-// torn by a crash is a prefix of the whole one.
-type RecordSource interface {
-	// Next returns the next record in tick order; ok=false ends the stream.
-	// Each returned payload must stay valid until the pipeline completes
-	// (records are held in a replay window until every shard is done with
-	// it): a source over a wal.Reader keeps the reader, whose mappings the
-	// payloads alias, open until then.
-	Next() (tick uint64, payload []byte, ok bool, err error)
-}
-
 // Record is one log record of a replay window.
 type Record struct {
 	Tick    uint64
@@ -54,29 +40,18 @@ type ParallelOptions struct {
 	// Ranges partitions the object space into one range per shard; the
 	// ranges must tile [0, objects) in order.
 	Ranges []ShardRange
-	// Replay applies one window of log records — consecutive in replay order,
-	// the log's merged with Extra — to shard's object range, and returns how
-	// many of the records it applied and the updates they wrote. It restores
-	// the range through restore as it goes: no record may write an object
-	// restore has not covered, and when Replay returns without error restore
-	// must cover the whole range. Every shard gets every window, in order, on
-	// one goroutine at a time; the shards of a window run concurrently, and
-	// the next window waits for all of them. An error stops replay, so Replay
-	// must apply every record before the one it refuses and none after it,
-	// for the shards to stop at the same record. The payloads are read-only
-	// and valid until Replay returns. Required when Log is set.
+	// Replay applies one window of log records, consecutive in log order, to
+	// shard's object range, and returns how many of the records it applied
+	// and the updates they wrote. It restores the range through restore as
+	// it goes: no record may write an object restore has not covered, and
+	// when Replay returns without error restore must cover the whole range.
+	// Every shard gets every window, in order, on one goroutine at a time;
+	// the shards of a window run concurrently, and the next window waits for
+	// all of them. An error stops replay, so Replay must apply every record
+	// before the one it refuses and none after it, for the shards to stop at
+	// the same record. The payloads are read-only and valid until Replay
+	// returns. Required when Log is set.
 	Replay func(shard int, window []Record, restore *Restorer) (records int, updates int64, err error)
-	// Extra, when non-nil, is a second record source merged with the local
-	// log by tick, under one rule: a tick at or above the image floor that
-	// Extra carries replays from Extra, and the log's records for that tick
-	// are skipped — unless the log holds more records at that tick, when the
-	// log's copy replays and Extra's is skipped. Every other tick replays from
-	// the log. Each tick thus has exactly one source, so updates never apply
-	// out of tick order, and a copy a crash tore (the log's final tick, or
-	// Extra's) gives way to the other side's whole one. The log is still read
-	// to its end (LastLogTick and LastTickRecords describe it alone). Requires
-	// Log.
-	Extra RecordSource
 }
 
 // Restorer brings one shard's range of the chosen image into the slab, in
@@ -146,19 +121,6 @@ type ParallelResult struct {
 	TotalDuration time.Duration
 	// Shards holds one entry per shard range.
 	Shards []ShardTiming
-	// LastLogTick is the highest tick present in the local Log, counted
-	// before any skip (records below the image floor or superseded by Extra
-	// included): it marks where the local WAL's durable history ends, which
-	// the heal after a recovery with an extra source needs to know.
-	LastLogTick uint64
-	// SawLogTick reports whether the Log held any record at all.
-	SawLogTick bool
-	// LastTickRecords is the number of records the local Log holds at
-	// LastLogTick. A crash can tear the log's final tick (e.g. a range
-	// install flushed without the tick's update batch that follows it);
-	// comparing this count against an extra source's complete copy of the
-	// same tick detects the tear.
-	LastTickRecords int
 	// ApplyBusy is the replay stage's work, summed over the shards: the time
 	// spent inside Replay, restores excluded.
 	ApplyBusy time.Duration
@@ -204,12 +166,11 @@ const windowBytes = 64 << 20
 var windowBudget = windowBytes
 
 // RecoverParallel restores the newest complete checkpoint image and replays
-// the logical log (merged with opts.Extra by tick) with one goroutine per
-// shard. A single reader fixes the order: it reads the merged log into
-// windows and hands each to every shard at once; shard s — the only
-// goroutine that writes shard s's range of the slab — restores the range and
-// applies the window to it through Replay. A shard never waits for another
-// shard's restore.
+// the logical log with one goroutine per shard. A single reader fixes the
+// order: it reads the log into windows and hands each to every shard at
+// once; shard s — the only goroutine that writes shard s's range of the
+// slab — restores the range and applies the window to it through Replay. A
+// shard never waits for another shard's restore.
 func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 	start := time.Now()
 	var res ParallelResult
@@ -233,9 +194,6 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 	}
 	if opts.Log != nil && opts.Replay == nil {
 		return res, fmt.Errorf("recovery: Log set without Replay")
-	}
-	if opts.Extra != nil && opts.Log == nil {
-		return res, fmt.Errorf("recovery: Extra set without Log")
 	}
 
 	idx, h, maps, err := chooseBackup(opts.A, opts.B)
@@ -308,68 +266,33 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 	var lastTick uint64
 	sawTick := false
 	var readerErr error
-	var logBytes int64 // bytes of the local log read
+	var logBytes int64 // bytes of the log read
 	logSkipped := 0    // stale sealed segments left unopened
 	readStart := time.Now()
 	if opts.Log != nil {
-		// The local log's reader owns the mappings the payloads alias. Once
-		// a window's shards are done, the reader may unmap what holds only
-		// log records up to the mark of the window's last record (see
-		// TestMergeRuleAndMarks): none of them is held by the merge for a
-		// later window. It is closed only once the last window is done.
-		var logReader *wal.Reader
-		fan := func(tick uint64, payload []byte, mark uint64) {
+		// The reader owns the mappings the payloads alias. Once a window's
+		// shards are done, it may unmap what holds only the window's records;
+		// it is closed only once the last window is done. It starts at the
+		// first segment that can hold a record at or above from: sealed
+		// segments before it are never opened.
+		r, err := opts.Log.NewReader(from)
+		for err == nil && !failed {
+			var tick uint64
+			var payload []byte
+			if tick, payload, err = r.Next(); err != nil || tick < from {
+				continue
+			}
 			if !sawTick || tick != lastTick {
 				res.ReplayedTicks++
 			}
-			sawTick = true
-			lastTick = tick
-			if !failed { // a failed replay reads on only to find the log's end
-				window = append(window, Record{tick, payload})
-				windowLen += len(payload)
-				if windowLen < windowBudget {
-					return
-				}
+			sawTick, lastTick = true, tick
+			window = append(window, Record{tick, payload})
+			if windowLen += len(payload); windowLen >= windowBudget {
 				run()
-			}
-			logReader.Release(mark)
-		}
-		// The reader starts at the first segment that can hold a record at or
-		// above from; sealed segments before it are never opened.
-		var end logEnd
-		logReader, err = opts.Log.NewReader(from)
-		if err == nil {
-			ex := merge{src: opts.Extra, from: from, fan: fan}
-			ex.advance()
-			end, err = scanLog(logReader, func(tick uint64, payload []byte) error {
-				switch {
-				case tick < from:
-					return nil
-				case opts.Extra == nil:
-					fan(tick, payload, logReader.Records())
-					return nil
-				}
-				return ex.log(tick, payload, logReader.Records())
-			})
-			if err == nil {
-				err = ex.finish(logReader.Records()) // the ticks past the log's end
-			}
-			logBytes, logSkipped = end.bytes, end.skipped
-		}
-		// The log's last tick is counted before any skip. When it is at or
-		// above from, every record carrying it was in a segment just read.
-		// Otherwise (a crash right after a checkpoint rotated the log) it may
-		// sit in a skipped segment, and only an unskipped read tells.
-		if err == nil && end.skipped > 0 && !(end.saw && end.lastTick >= from) {
-			var r *wal.Reader
-			if r, err = opts.Log.NewReader(0); err == nil {
-				end, err = scanLog(r, func(uint64, []byte) error { r.Release(r.Records()); return nil })
-				r.Close() //nolint:errcheck // read-only handles
-				logBytes += end.bytes
+				r.Release(r.Records())
 			}
 		}
-		res.LastLogTick, res.SawLogTick, res.LastTickRecords = end.lastTick, end.saw, end.lastRecords
-		if err != nil {
+		if err != nil && err != io.EOF {
 			readerErr = fmt.Errorf("recovery: replay: %w", err)
 		}
 		// The last window, and the only one of a log shorter than the budget
@@ -377,8 +300,9 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 		if !failed && (len(window) > 0 || res.Windows == 0) {
 			run()
 		}
-		if logReader != nil {
-			logReader.Close() //nolint:errcheck // read-only handles
+		if r != nil {
+			logBytes, logSkipped = r.BytesRead(), r.Skipped()
+			r.Close() //nolint:errcheck // read-only handles
 		}
 	} else {
 		run()
@@ -444,139 +368,4 @@ func RecoverParallel(opts ParallelOptions) (ParallelResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// logEnd is what one read of the local log found: where its records end
-// (ParallelResult's LastLogTick, SawLogTick and LastTickRecords) and how
-// much of it the read touched.
-type logEnd struct {
-	lastTick    uint64
-	saw         bool
-	lastRecords int
-	bytes       int64 // read from segment files
-	skipped     int   // sealed segments below from, left unopened
-}
-
-// scanLog hands every record r returns to each, in log order, until each
-// fails. The caller closes r.
-func scanLog(r *wal.Reader, each func(tick uint64, payload []byte) error) (end logEnd, err error) {
-	defer func() { end.bytes, end.skipped = r.BytesRead(), r.Skipped() }()
-	for {
-		tick, payload, err := r.Next()
-		if err == io.EOF {
-			return end, nil
-		}
-		if err != nil {
-			return end, err
-		}
-		if !end.saw || tick > end.lastTick {
-			end.lastTick, end.saw, end.lastRecords = tick, true, 0
-		}
-		end.lastRecords++
-		if err := each(tick, payload); err != nil {
-			return end, err
-		}
-	}
-}
-
-// merge is the reader's view of ParallelOptions.Extra: the source read one
-// record ahead, so the reader can interleave it with the local log by tick. A
-// tick both carry is held back until the log has moved past it, then replays
-// from one side only (see settle).
-type merge struct {
-	src  RecordSource // nil: the log alone
-	from uint64       // the image floor; records below it are skipped
-	fan  func(tick uint64, payload []byte, mark uint64)
-	// tick and payload are the source's next record when ok.
-	tick    uint64
-	payload []byte
-	ok      bool
-	err     error
-	// held reports a tick both carry whose log records are still being read:
-	// shared is the tick, srcRecs the source's records at it and logRecs the
-	// log's, each with its release mark.
-	held    bool
-	shared  uint64
-	srcRecs [][]byte
-	logRecs []heldRecord
-}
-
-// heldRecord is a log record held back at a shared tick, with the log's
-// record count through it (the mark it is fanned with if the log wins).
-type heldRecord struct {
-	payload []byte
-	mark    uint64
-}
-
-// advance reads the source's next record.
-func (m *merge) advance() {
-	if m.src != nil {
-		m.tick, m.payload, m.ok, m.err = m.src.Next()
-	}
-}
-
-// log takes the local log's next record at or above the floor; n counts the
-// log records read, this one included, so the first n-1 are done with once
-// the held tick is settled.
-func (m *merge) log(tick uint64, payload []byte, n uint64) error {
-	if !m.held || tick != m.shared {
-		m.settle(n - 1)
-		// The source's ticks below this one replay first.
-		for ; m.err == nil && m.ok && m.tick < tick; m.advance() {
-			if m.tick >= m.from {
-				m.fan(m.tick, m.payload, n-1)
-			}
-		}
-		for ; m.err == nil && m.ok && m.tick == tick; m.advance() {
-			m.held, m.shared = true, tick
-			m.srcRecs = append(m.srcRecs, m.payload)
-		}
-		if m.err != nil {
-			return fmt.Errorf("extra source: %w", m.err)
-		}
-	}
-	if m.held {
-		m.logRecs = append(m.logRecs, heldRecord{payload, n})
-		return nil
-	}
-	m.fan(tick, payload, n)
-	return nil
-}
-
-// settle replays the held tick from one side: the source's copy, unless the
-// log holds more records at that tick. Either copy is complete unless a crash
-// tore it, and a torn copy is a prefix of the whole one, so the longer copy is
-// the whole tick. done counts the log records no longer needed once the
-// source's copy replays in place of the log's.
-func (m *merge) settle(done uint64) {
-	if !m.held {
-		return
-	}
-	if len(m.srcRecs) >= len(m.logRecs) {
-		for _, p := range m.srcRecs {
-			m.fan(m.shared, p, done)
-		}
-	} else {
-		for _, r := range m.logRecs {
-			m.fan(m.shared, r.payload, r.mark)
-		}
-	}
-	clear(m.srcRecs)
-	clear(m.logRecs)
-	m.srcRecs, m.logRecs, m.held = m.srcRecs[:0], m.logRecs[:0], false
-}
-
-// finish replays what is left once the log has ended: the held tick, then
-// the source's ticks past the log. done counts the log records read.
-func (m *merge) finish(done uint64) error {
-	m.settle(done)
-	for ; m.err == nil && m.ok; m.advance() {
-		if m.tick >= m.from {
-			m.fan(m.tick, m.payload, done)
-		}
-	}
-	if m.err != nil {
-		return fmt.Errorf("extra source: %w", m.err)
-	}
-	return nil
 }

@@ -75,6 +75,13 @@ func chooseBackup(a, b *disk.Backup) (int, disk.Header, [2]disk.Populated, error
 	return idx, best, maps, nil
 }
 
+// NewestImage returns the header of the image recovery restores from the
+// double backup a, b (chooseBackup), and false when neither holds one.
+func NewestImage(a, b *disk.Backup) (disk.Header, bool, error) {
+	idx, h, _, err := chooseBackup(a, b)
+	return h, idx >= 0, err
+}
+
 // readImage is the restore's run walker: it reads the objects
 // [lo, hi) of src's image that lie in words p covers into slab, one vectored
 // read of restoreChunk slices per run of consecutive covered words, and

@@ -14,8 +14,7 @@ import (
 // tick, update batch). Recovery uses the origin tick to re-derive which
 // messages were still in flight at the crash; replay treats the batch exactly
 // like a tick's own updates. The header codec lives here, next to the batch
-// codecs it prefixes, so the engine's records and the cluster's message
-// store frame a message alike.
+// codecs it prefixes.
 
 // MessageHeaderLen is the length of the origin header (u32 node, u64 tick)
 // in front of a message's update batch.
@@ -37,14 +36,9 @@ func SplitMessage(payload []byte) (origin uint32, originTick uint64, batch []byt
 	return binary.LittleEndian.Uint32(payload[0:]), binary.LittleEndian.Uint64(payload[4:]), payload[MessageHeaderLen:], nil
 }
 
-// EncodeMessage appends the message encoding to buf and returns it: the
-// origin node, the origin tick, then the update batch in EncodeUpdates form.
-func EncodeMessage(buf []byte, origin uint32, originTick uint64, updates []Update) []byte {
-	return EncodeUpdates(AppendMessageHeader(buf, origin, originTick), updates)
-}
-
-// DecodeMessage parses a payload encoded by EncodeMessage, appending the
-// update batch to dst.
+// DecodeMessage parses a varint message payload — the origin header, then
+// an EncodeUpdates batch, as logs written before the run encoding hold
+// them — appending the update batch to dst.
 func DecodeMessage(dst []Update, payload []byte) (origin uint32, originTick uint64, updates []Update, err error) {
 	origin, originTick, batch, err := SplitMessage(payload)
 	if err != nil {

@@ -6,7 +6,7 @@ import "repro/internal/telemetry"
 // every open log). Append and Sync only call time.Now while telemetry is
 // enabled, so the disabled tick path keeps its exact instruction count.
 var (
-	telAppend      = telemetry.NewHistogram("wal_append_ns", "Latency of one logical-log record append (buffered write, no fsync), in nanoseconds.")
+	telAppend      = telemetry.NewHistogram("wal_append_ns", "Latency of one logical-log Append, one tick's records (buffered write, no fsync), in nanoseconds.")
 	telFsync       = telemetry.NewHistogram("wal_fsync_ns", "Latency of one logical-log Sync (buffer flush + fsync), in nanoseconds.")
 	telSeal        = telemetry.NewHistogram("wal_seal_ns", "Latency of sealing a logical-log segment in Rotate (buffer flush + fsync), in nanoseconds. Not counted in wal_fsync_ns.")
 	telAppendBytes = telemetry.NewCounter("wal_append_bytes_total", "Bytes appended to logical logs, framing included.")

@@ -184,25 +184,78 @@ func (l *Log) openTail(validLen int64, lastTick uint64, hasTick bool) error {
 	return nil
 }
 
-// Append writes one tick record. Ticks must be non-decreasing.
-func (l *Log) Append(tick uint64, payload []byte) error {
+// ErrAhead is AppendFirst's refusal: the log already holds a record at or
+// past the tick.
+var ErrAhead = errors.New("wal: log already holds the tick")
+
+// Append writes one tick's records, in order, one frame each. They go in
+// under one hold of the log's lock, so no Rotate lands between them. Ticks
+// must be non-decreasing.
+func (l *Log) Append(tick uint64, payloads ...[]byte) error {
+	t0 := l.begin()
+	defer l.mu.Unlock()
+	if err := l.admit(tick, false); err != nil {
+		return err
+	}
+	for _, payload := range payloads {
+		if err := l.frame(tick, payload); err != nil {
+			return err
+		}
+	}
+	telAppend.ObserveSince(t0)
+	return nil
+}
+
+// AppendFirst is Append for n records that must replay before every other
+// record of tick: it refuses with ErrAhead when the log already holds a
+// record at or past tick. record(i) makes the i-th record, and each is
+// written before the next is made, so record may reuse one buffer.
+func (l *Log) AppendFirst(tick uint64, n int, record func(i int) []byte) error {
+	t0 := l.begin()
+	defer l.mu.Unlock()
+	if err := l.admit(tick, true); err != nil {
+		return err
+	}
+	for i := range n {
+		if err := l.frame(tick, record(i)); err != nil {
+			return err
+		}
+	}
+	telAppend.ObserveSince(t0)
+	return nil
+}
+
+// begin takes the log's lock for an append and returns its start time when
+// telemetry is on.
+func (l *Log) begin() time.Time {
 	var t0 time.Time
 	if telemetry.Enabled() {
 		t0 = time.Now()
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	return t0
+}
+
+// admit checks, under the lock, that the log can take records at tick.
+func (l *Log) admit(tick uint64, first bool) error {
 	if l.closed {
 		return ErrClosed
 	}
 	if err := l.ensureTail(); err != nil {
 		return err
 	}
+	if first && l.hasTick && tick <= l.lastTick {
+		return ErrAhead
+	}
 	if l.hasTick && tick < l.lastTick {
 		return fmt.Errorf("wal: tick %d before last appended %d", tick, l.lastTick)
 	}
-	// Frame: u32 length | u32 crc | u64 tick | payload, the CRC taken over
-	// tick and payload in place — no staging copy of the record.
+	return nil
+}
+
+// frame writes one record: u32 length | u32 crc | u64 tick | payload, the
+// CRC taken over tick and payload in place — no staging copy of the record.
+func (l *Log) frame(tick uint64, payload []byte) error {
 	hdr := l.hdr[:]
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(8+len(payload)))
 	binary.LittleEndian.PutUint64(hdr[8:], tick)
@@ -217,8 +270,22 @@ func (l *Log) Append(tick uint64, payload []byte) error {
 	l.lastTick = tick
 	l.hasTick = true
 	telAppendBytes.Add(uint64(16 + len(payload)))
-	telAppend.ObserveSince(t0)
 	return nil
+}
+
+// LastTick returns the tick of the last record the log holds as far as the
+// writer knows — the last appended, or after Open the final segment's last —
+// and false when it knows of none.
+func (l *Log) LastTick() (uint64, bool, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return 0, false, ErrClosed
+	}
+	if err := l.ensureTail(); err != nil {
+		return 0, false, err
+	}
+	return l.lastTick, l.hasTick, nil
 }
 
 // Flush writes buffered records through to the active segment file without
@@ -329,6 +396,52 @@ func (l *Log) Prune(keepFrom uint64) error {
 		}
 	}
 	return nil
+}
+
+// Cut removes every record at or past tick end from the log in dir, which
+// no Log may hold open: it finds the first such record, removes the
+// segments after the one that holds it, then truncates that one in front of
+// it and syncs it. A crash part way leaves a prefix of the log.
+func Cut(dir string, end uint64) error {
+	r, err := NewReader(dir, end)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	for {
+		tick, payload, err := r.Next()
+		if err == io.EOF {
+			return nil // nothing at or past end
+		}
+		if err != nil {
+			return err
+		}
+		if tick < end {
+			continue
+		}
+		seg, off := r.starts[0], r.sc.off-int64(frameHdrLen+8+len(payload))
+		starts, err := segments(dir)
+		if err != nil {
+			return fmt.Errorf("wal: cut: %w", err)
+		}
+		for i := len(starts) - 1; i >= 0 && starts[i] > seg; i-- {
+			if err := os.Remove(filepath.Join(dir, segName(starts[i]))); err != nil {
+				return fmt.Errorf("wal: cut: %w", err)
+			}
+		}
+		f, err := os.OpenFile(filepath.Join(dir, segName(seg)), os.O_RDWR, 0)
+		if err != nil {
+			return fmt.Errorf("wal: cut: %w", err)
+		}
+		err = f.Truncate(off)
+		if err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}
 }
 
 // Close flushes and closes the log.

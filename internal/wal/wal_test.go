@@ -230,6 +230,73 @@ func TestRotateAndPrune(t *testing.T) {
 	}
 }
 
+// TestTickAppendsCutAndAppendFirst: one Append writes a tick's records
+// together, LastTick follows them, AppendFirst refuses a tick the log already
+// holds, and Cut drops every record at or past its tick — later segments
+// whole, the holding one truncated in front of the tick — leaving a log that
+// takes that tick again.
+func TestTickAppendsCutAndAppendFirst(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := l.LastTick(); ok || err != nil {
+		t.Fatalf("empty log: LastTick ok=%v, %v", ok, err)
+	}
+	for tick := uint64(0); tick < 10; tick++ {
+		if err := l.Append(tick, []byte{byte('a' + tick)}, []byte{byte('A' + tick)}); err != nil {
+			t.Fatal(err)
+		}
+		if tick == 3 || tick == 6 {
+			if err := l.Rotate(tick + 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if last, ok, err := l.LastTick(); last != 9 || !ok || err != nil {
+		t.Fatalf("LastTick = %d, %v, %v; want 9", last, ok, err)
+	}
+	records := func(rs ...string) func(int) []byte {
+		return func(i int) []byte { return []byte(rs[i]) }
+	}
+	if err := l.AppendFirst(9, 1, records("x")); err != ErrAhead {
+		t.Fatalf("AppendFirst at the last tick = %v, want ErrAhead", err)
+	}
+	if err := l.AppendFirst(10, 2, records("k", "K")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := Cut(dir, 99); err != nil {
+		t.Fatal(err)
+	}
+	if err := Cut(dir, 5); err != nil {
+		t.Fatal(err)
+	}
+	if starts, _ := segments(dir); !reflect.DeepEqual(starts, []uint64{0, 4}) {
+		t.Fatalf("segments after the cut start at %v, want [0 4]", starts)
+	}
+	r, err := NewReader(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticks, payloads := readAll(t, r)
+	r.Close()
+	if len(ticks) != 10 || ticks[9] != 4 || payloads[8] != "e" || payloads[9] != "E" {
+		t.Fatalf("cut log holds ticks %v %v, want 0..4 twice each", ticks, payloads)
+	}
+	l, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Append(5, []byte("f")); err != nil {
+		t.Fatalf("the cut log does not take tick 5 again: %v", err)
+	}
+}
+
 func TestClosedLogErrors(t *testing.T) {
 	l, err := Open(t.TempDir())
 	if err != nil {
