@@ -1,60 +1,30 @@
-// Command cluster runs a tick-synchronized multi-node world as real
-// processes over TCP: N node processes each serve a full engine over their
-// partition of the object space, and one coordinator routes every tick's
-// updates to the owner nodes, enforcing the tick barrier (no node applies
-// tick T+1 before all acknowledged T), driving coordinated checkpoints at
-// common cut ticks, and verifying the world against a locally computed
-// single-node reference.
+// Command cluster runs a multi-node world's whole lifecycle in one process
+// to demonstrate the recovery ladder:
 //
-// Terminal 1..N (one per node):
-//
-//	cluster -role node -listen :7801 -dir /tmp/cluster-node-0
-//	cluster -role node -listen :7802 -dir /tmp/cluster-node-1
-//
-// Terminal 0 (the coordinator):
-//
-//	cluster -role coord -nodes localhost:7801,localhost:7802 \
+//	cluster -world-nodes 4 \
 //	    -scenario hotspot -ticks 200 -updates 6400 -checkpoint-every 64
 //
-// Restarting the same command line after killing the nodes recovers the
-// world: each node crash-recovers its partition on startup (image + own
-// WAL) and reports its recovered tick. Nodes killed mid-run may disagree —
-// an unsynced WAL tail dies with its process — so the coordinator heals
-// the skew instead of refusing it: the workload is a pure function of
-// (config, tick), so it re-drives each lagging node from that node's own
-// recovered tick (nodes already past a tick are simply not sent it) until
-// the world is aligned, then continues the scenario. Verification hashes
-// each node's owned ranges against the reference; a mismatch exits
-// non-zero.
+// runs the scenario on an in-process cluster (cluster.Cluster: every tick's
+// updates routed to the owner nodes, the tick barrier, coordinated
+// checkpoints at common cut ticks) with a warm standby attached to the
+// even-numbered nodes, crashes it at the final tick barrier, recovers every
+// partition down its ladder (standby → disk), prints which rung actually
+// served each partition and why a standby fell through, and verifies the
+// recovered world byte-for-byte against the single-node reference: standby
+// serves the even partitions, disk the odd ones. A mismatch exits non-zero.
 //
-// A third role runs the whole lifecycle in one process to demonstrate the
-// recovery ladder (a warm standby needs a live primary to mirror, which the
-// TCP roles' independent process restarts cannot model):
-//
-//	cluster -role world -world-nodes 4 \
-//	    -scenario hotspot -ticks 200 -updates 6400 -checkpoint-every 64
-//
-// runs the scenario on an in-process cluster with a warm standby attached to
-// the even-numbered nodes, crashes it at the final tick barrier, recovers
-// every partition down its ladder (standby → disk), prints which rung
-// actually served each partition and why a standby fell through, and
-// verifies the recovered world byte-for-byte against the single-node
-// reference: standby serves the even partitions, disk the odd ones.
-//
-// -max-skew W (default 0, the lock-step barrier) runs the world role with
-// the nodes ticking up to W apart: checkpoints become per-node and staggered
-// (-checkpoint-every, no coordinated cut), the crash leaves the nodes at
-// different ticks on purpose, and recovery reconstructs the consistent cut
-// from the logged-message store, rolls the laggards forward, re-dispatches
-// the rolled-back ticks and verifies the same byte identity. Only the disk
-// rung is proven there, so the role attaches no standbys.
+// -max-skew W (default 0, the lock-step barrier) runs the nodes ticking up
+// to W apart: checkpoints become per-node and staggered (-checkpoint-every,
+// no coordinated cut), the crash leaves the nodes at different ticks on
+// purpose, and recovery reconstructs the consistent cut from the nodes'
+// logs, re-dispatches the rolled-back ticks and verifies the same byte
+// identity. Only the disk rung is proven there, so nothing is attached.
 package main
 
 import (
 	"bytes"
 	"flag"
 	"fmt"
-	"hash/crc32"
 	"log"
 	"net"
 	"os"
@@ -72,26 +42,19 @@ import (
 
 func main() {
 	var (
-		role     = flag.String("role", "", "node | coord | world")
-		listen   = flag.String("listen", ":7801", "node: address to accept the coordinator on")
-		dir      = flag.String("dir", "", "node: engine directory (recovered if it holds prior state)")
-		nodes    = flag.String("nodes", "", "coord: comma-separated node addresses, partition order")
+		dir      = flag.String("dir", "", "world root directory, which must not hold a world yet (empty = a temporary directory, removed at exit)")
 		rows     = flag.Int("rows", 100_000, "table rows (quick-scale default)")
 		cols     = flag.Int("cols", 10, "table columns")
-		scenario = flag.String("scenario", "hotspot", "coord: workload scenario, one of "+strings.Join(workload.Names(), ", "))
-		ticks    = flag.Int("ticks", 200, "coord: scenario length in ticks")
-		updates  = flag.Int("updates", 6400, "coord: baseline updates per tick")
-		skew     = flag.Float64("skew", 0.8, "coord: scenario skew in [0,1)")
-		seed     = flag.Int64("seed", 1, "coord: workload seed")
-		ckptEach = flag.Int("checkpoint-every", 64, "coord: coordinated world checkpoint interval in ticks (0 = only at the end)")
-		shards   = flag.Int("shards", 1, "node: engine shards")
-		mode     = flag.String("mode", "cou", "node: checkpoint method (cou | naive)")
-		wnodes   = flag.Int("world-nodes", 2, "world: in-process node count")
-		maxSkew  = flag.Int("max-skew", 0, "world: coordination window in ticks, how far apart nodes may tick (0 = the lock-step barrier)")
-		netTO    = flag.Duration("net-timeout", 30*time.Second,
-			"bound on dial/accept and on any single command-stream read; a dead peer "+
-				"surfaces a typed timeout error instead of hanging (0 = wait forever)")
-		telAddr = flag.String("telemetry-addr", "",
+		scenario = flag.String("scenario", "hotspot", "workload scenario, one of "+strings.Join(workload.Names(), ", "))
+		ticks    = flag.Int("ticks", 200, "scenario length in ticks")
+		updates  = flag.Int("updates", 6400, "baseline updates per tick")
+		skew     = flag.Float64("skew", 0.8, "scenario skew in [0,1)")
+		seed     = flag.Int64("seed", 1, "workload seed")
+		ckptEach = flag.Int("checkpoint-every", 64, "checkpoint interval in ticks: coordinated world checkpoints at -max-skew 0, staggered per-node ones past it (0 = none before the crash)")
+		shards   = flag.Int("shards", 1, "engine shards per node")
+		wnodes   = flag.Int("world-nodes", 2, "in-process node count")
+		maxSkew  = flag.Int("max-skew", 0, "coordination window in ticks, how far apart nodes may tick (0 = the lock-step barrier)")
+		telAddr  = flag.String("telemetry-addr", "",
 			"serve live telemetry (/metrics, /spans.json, /debug/pprof) on this address; "+
 				"empty keeps collection off with zero overhead")
 	)
@@ -105,18 +68,7 @@ func main() {
 		log.Printf("cluster: telemetry on http://%s/metrics", ts.Addr)
 	}
 	table := gamestate.Table{Rows: *rows, Cols: *cols, CellSize: 4, ObjSize: 512}
-	switch *role {
-	case "node":
-		runNode(table, *listen, *dir, *shards, *mode, *netTO)
-	case "coord":
-		runCoord(table, *nodes, *scenario, *ticks, *updates, *skew, *seed, *ckptEach, *netTO)
-	case "world":
-		runWorld(table, *dir, *wnodes, *scenario, *ticks, *updates, *skew, *seed, *ckptEach, *shards, *maxSkew)
-	default:
-		fmt.Fprintln(os.Stderr, "cluster: -role must be node, coord or world")
-		flag.Usage()
-		os.Exit(2)
-	}
+	runWorld(table, *dir, *wnodes, *scenario, *ticks, *updates, *skew, *seed, *ckptEach, *shards, *maxSkew)
 }
 
 // runWorld runs the scenario on an in-process cluster, crashes it — at the
@@ -280,164 +232,4 @@ func referenceSlab(table gamestate.Table, src workload.Source, ticks int) []byte
 		}
 	}
 	return append([]byte(nil), ref.Store().Slab()...)
-}
-
-func runNode(table gamestate.Table, listen, dir string, shards int, mode string, netTO time.Duration) {
-	if dir == "" {
-		log.Fatal("cluster: -dir is required for a node")
-	}
-	m := engine.ModeCopyOnUpdate
-	if mode == "naive" {
-		m = engine.ModeNaiveSnapshot
-	}
-	e, pres, err := engine.RecoverFrom(engine.Options{Table: table, Dir: dir, Mode: m, Shards: shards})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer e.Close()
-	if pres.Restored || pres.NextTick > 0 {
-		log.Printf("node: recovered to tick %d in %v (restore %v ∥ replay %v)",
-			pres.NextTick, pres.TotalDuration.Round(time.Millisecond),
-			pres.RestoreDuration.Round(time.Millisecond), pres.ReplayDuration.Round(time.Millisecond))
-	}
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("node: serving partition on %s (world tick %d)", listen, e.NextTick())
-	conn, err := replication.AcceptWithin(ln, netTO)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ln.Close()
-	// The coordinator sends commands at tick pacing; a read stalled past
-	// the idle bound means it died mid-run — fail typed instead of hanging.
-	if err := cluster.ServeNode(replication.NewIdleConn(conn, netTO), e); err != nil {
-		log.Fatalf("node: session failed: %v", err)
-	}
-	log.Printf("node: coordinator session over; world tick %d, state durable in %s", e.NextTick(), dir)
-}
-
-func runCoord(table gamestate.Table, nodeList, scenario string, ticks, updates int,
-	skew float64, seed int64, ckptEach int, netTO time.Duration) {
-	addrs := strings.Split(nodeList, ",")
-	if nodeList == "" || len(addrs) == 0 {
-		log.Fatal("cluster: -nodes is required for the coordinator")
-	}
-	src, err := workload.New(scenario, workload.Config{
-		Table: table, UpdatesPerTick: updates, Ticks: ticks, Skew: skew, Seed: seed,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	m := cluster.Uniform(table.NumObjects(), len(addrs))
-	if m.NumNodes != len(addrs) {
-		log.Fatalf("cluster: %d nodes given but the %d-object world partitions into %d (power-of-two spans of ≥64 objects; use exactly that many node processes)",
-			len(addrs), table.NumObjects(), m.NumNodes)
-	}
-
-	remotes := make([]*cluster.RemoteNode, m.NumNodes)
-	nexts := make([]uint64, m.NumNodes)
-	for i, addr := range addrs {
-		conn, err := replication.Dial(strings.TrimSpace(addr), netTO)
-		if err != nil {
-			log.Fatalf("cluster: node %d (%s): %v", i, addr, err)
-		}
-		// Barrier acks arrive within a tick's apply time; bound the wait so
-		// a node that died mid-tick fails the run typed instead of wedging it.
-		rn, next, err := cluster.Attach(replication.NewIdleConn(conn, netTO), table)
-		if err != nil {
-			log.Fatalf("cluster: node %d (%s): %v", i, addr, err)
-		}
-		remotes[i] = rn
-		nexts[i] = next
-	}
-	start, aligned := nexts[0], nexts[0]
-	for _, n := range nexts {
-		if n < start {
-			start = n
-		}
-		if n > aligned {
-			aligned = n
-		}
-	}
-	if aligned > 0 {
-		log.Printf("coord: resuming a recovered world (node ticks %v)", nexts)
-	}
-	if start != aligned {
-		// Nodes killed mid-run lose their unsynced WAL tails unevenly; the
-		// deterministic workload lets lagging nodes re-apply exactly the
-		// ticks they lost.
-		log.Printf("coord: healing %d ticks of skew: re-driving lagging nodes from tick %d to %d",
-			aligned-start, start, aligned)
-	}
-	if int(start) >= ticks {
-		log.Fatalf("coord: world already at tick %d, scenario ends at %d", start, ticks)
-	}
-
-	perNode := make([][]wal.Update, m.NumNodes)
-	var cells []uint32
-	var batch []wal.Update
-	cellsPerObj := uint32(table.CellsPerObject())
-	barrier := time.Duration(0)
-	t0 := time.Now()
-	for t := int(start); t < ticks; t++ {
-		cells, batch = workload.TickUpdates(src, t, cells, batch)
-		perNode = cluster.RouteTick(m, cellsPerObj, batch, perNode)
-		b0 := time.Now()
-		for i, rn := range remotes { // send to all behind this tick…
-			if nexts[i] > uint64(t) {
-				continue // already applied pre-crash; healing skew
-			}
-			if err := rn.SendTick(uint64(t), perNode[i]); err != nil {
-				log.Fatalf("coord: node %d: %v", i, err)
-			}
-		}
-		for i, rn := range remotes { // …await all of them: the barrier
-			if nexts[i] > uint64(t) {
-				continue
-			}
-			if err := rn.AwaitTick(uint64(t)); err != nil {
-				log.Fatalf("coord: node %d: %v", i, err)
-			}
-		}
-		barrier += time.Since(b0)
-		if (ckptEach > 0 && (t+1)%ckptEach == 0) || t == ticks-1 {
-			c0 := time.Now()
-			for i, rn := range remotes {
-				_, asOf, err := rn.Checkpoint(uint64(t))
-				if err != nil {
-					log.Fatalf("coord: node %d checkpoint: %v", i, err)
-				}
-				if asOf < uint64(t) {
-					log.Fatalf("coord: node %d image as-of %d below cut %d", i, asOf, t)
-				}
-			}
-			log.Printf("coord: coordinated world checkpoint, cut tick %d (%v)",
-				t, time.Since(c0).Round(time.Millisecond))
-		}
-	}
-	ran := ticks - int(start)
-	log.Printf("coord: %d ticks in %v (barrier tick mean %v)",
-		ran, time.Since(t0).Round(time.Millisecond),
-		(barrier / time.Duration(ran)).Round(time.Microsecond))
-
-	// Verify the world per owned range against a locally applied reference.
-	slab := referenceSlab(table, src, ticks)
-	sz := table.ObjSize
-	for i, rn := range remotes {
-		for _, r := range m.NodeRanges(i) {
-			got, err := rn.HashRange(r.Lo, r.Hi)
-			if err != nil {
-				log.Fatalf("coord: node %d: %v", i, err)
-			}
-			if want := crc32.ChecksumIEEE(slab[r.Lo*sz : r.Hi*sz]); got != want {
-				log.Fatalf("coord: node %d range [%d,%d) hash %08x != reference %08x — WORLD DIVERGED",
-					i, r.Lo, r.Hi, got, want)
-			}
-		}
-		rn.Bye() //nolint:errcheck // session teardown
-	}
-	fmt.Printf("world verified: %d nodes, %d objects, tick %d — every owned range matches the single-node reference\n",
-		m.NumNodes, table.NumObjects(), ticks)
 }

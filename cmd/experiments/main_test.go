@@ -577,12 +577,11 @@ func TestDocsNameExistingIdentifiers(t *testing.T) {
 // to the file declaring its frame constants.
 var frameProtocols = map[string]string{
 	"standby":                     "internal/replication/protocol.go",
-	"cluster node":                "internal/cluster/serve.go",
 	"client session (`MMOGATE1`)": "internal/session/net.go",
 }
 
 // frameConst is a frame-type constant's name.
-var frameConst = regexp.MustCompile(`^(ft|Frame|cmd|frame)[A-Z]`)
+var frameConst = regexp.MustCompile(`^(ft|Frame|frame)[A-Z]`)
 
 // TestFrameRegistryMatchesConstants fails when a value in DESIGN.md's
 // frame-type registry has no frame constant of that value in the named

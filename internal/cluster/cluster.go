@@ -293,7 +293,9 @@ func (c *Cluster) notifyCommit(tick uint64) {
 }
 
 // New creates a fresh cluster: N empty node directories under opts.Dir, a
-// uniform partition map, and the initial manifest.
+// uniform partition map, and the initial manifest. A node directory that
+// already holds state is refused before any manifest is written: a world
+// that exists is opened with Recover.
 func New(opts Options) (*Cluster, error) {
 	if err := opts.Table.Validate(); err != nil {
 		return nil, err
@@ -310,7 +312,12 @@ func New(opts Options) (*Cluster, error) {
 		return nil, err
 	}
 	c, err := build(opts, routing, 0, nil, func(i int, dir string) (*engine.Engine, error) {
-		return engine.Open(nodeEngineOptions(opts, dir))
+		e, err := engine.Open(nodeEngineOptions(opts, dir))
+		if err == nil && (e.NextTick() > 0 || e.Recovery().Restored) {
+			e.Close()
+			return nil, fmt.Errorf("%s holds a world's state (recovered to tick %d); open it with Recover", dir, e.NextTick())
+		}
+		return e, err
 	})
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -349,11 +350,14 @@ func TestCheckpointWorldNamesSegmentsByFirstRecord(t *testing.T) {
 // TestRecoverFoldsNodeRequest: New folds a 3-node request to 2 (Uniform
 // rounds down to a power of two), so Recover must fold the same request the
 // same way before comparing it with the manifest — and still refuse a
-// request that folds to a different count.
+// request that folds to a different count, a different geometry or a
+// different MaxSkew. A second New on the closed world's root is refused
+// before it touches the manifest, and Recover still opens the world.
 func TestRecoverFoldsNodeRequest(t *testing.T) {
 	tab := testTable()
 	dir := t.TempDir()
-	c, err := New(Options{Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: 3})
+	opts := Options{Table: tab, Dir: dir, Mode: engine.ModeCopyOnUpdate, Nodes: 3}
+	c, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,8 +373,32 @@ func TestRecoverFoldsNodeRequest(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Recover(dir, Options{Mode: engine.ModeCopyOnUpdate, Nodes: 4}); err == nil {
-		t.Fatal("a 4-node request recovered a 2-node world")
+	manifest, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := New(opts); err == nil {
+		c.Close()
+		t.Fatal("New took over the world it found")
+	} else if !strings.Contains(err.Error(), "Recover") {
+		t.Fatalf("New's refusal does not name Recover: %v", err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || !bytes.Equal(got, manifest) {
+		t.Fatalf("the refused New changed %s (err %v)", manifestName, err)
+	}
+	wider := tab
+	wider.Rows *= 2
+	for _, req := range []struct {
+		opts Options
+		want string // in the refusal
+	}{
+		{Options{Mode: engine.ModeCopyOnUpdate, Nodes: 4}, "4 nodes"},
+		{Options{Mode: engine.ModeCopyOnUpdate, Table: wider}, "geometry"},
+		{Options{Mode: engine.ModeCopyOnUpdate, MaxSkew: 2}, "MaxSkew 2"},
+	} {
+		if _, _, err := Recover(dir, req.opts); err == nil || !strings.Contains(err.Error(), req.want) {
+			t.Fatalf("a request differing in %q from the manifest: err %v", req.want, err)
+		}
 	}
 	rc, wr, err := Recover(dir, Options{Mode: engine.ModeCopyOnUpdate, Nodes: 3})
 	if err != nil {

@@ -203,8 +203,7 @@ func (r *Routing) Cut(fromTick uint64, m PartitionMap) error {
 // RouteTick partitions one tick's update batch into per-node batches by
 // ownership under m, preserving batch order within each node (updates to
 // one cell always land on one node, so per-cell order is global order).
-// perNode is reused across ticks. It is the router shared by the
-// in-process Cluster and the TCP coordinator.
+// perNode is reused across ticks.
 func RouteTick(m PartitionMap, cellsPerObj uint32, batch []wal.Update, perNode [][]wal.Update) [][]wal.Update {
 	for i := range perNode {
 		perNode[i] = perNode[i][:0]

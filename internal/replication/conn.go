@@ -10,12 +10,12 @@ import (
 )
 
 // Frame layout, the same under every protocol in this repository (standby,
-// cluster node, client session): u32 length, u32 CRC32-IEEE of the body,
+// client session): u32 length, u32 CRC32-IEEE of the body,
 // body. Both integers are little-endian, length counts the body only, and
 // the body's first byte is the frame type.
 const frameHeader = 8
 
-// MaxFrameSize bounds one frame body on replication and cluster links;
+// MaxFrameSize bounds one frame body on replication links;
 // larger lengths mark a corrupt or hostile stream. It must accommodate a
 // whole tick record (mirrors wal's record bound) plus the frame type byte
 // and an image run.
