@@ -7,6 +7,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -416,9 +417,13 @@ func definedFlags(t *testing.T, dir string) map[string]bool {
 }
 
 // TestRunbookTypedErrorsAreDeclared fails when an identifier in RUNBOOK's
-// typed-error table is not declared in the package its row names.
+// typed-error table is not declared in the package its row names, and when
+// an exported …Error struct type in non-test internal/ code has no row
+// (chaos.Error, the fault type behind chaos.ErrInjected's row, has no
+// prefix and is not one).
 func TestRunbookTypedErrorsAreDeclared(t *testing.T) {
 	decls := map[string]map[string]bool{}
+	rows := map[string]bool{} // package/name
 	for _, row := range docTable(t, "docs/RUNBOOK.md", "## Typed errors, one place") {
 		name := strings.TrimSuffix(strings.TrimPrefix(strings.Trim(row[0], "`"), "*"), "()")
 		if i := strings.LastIndex(name, "."); i >= 0 {
@@ -431,6 +436,34 @@ func TestRunbookTypedErrorsAreDeclared(t *testing.T) {
 		if !decls[pkg][name] {
 			t.Errorf("RUNBOOK.md's typed-error table names %s, which %s does not declare", row[0], pkg)
 		}
+		rows[pkg+"/"+name] = true
+	}
+	root := filepath.Join("..", "..")
+	err := filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg, _ := filepath.Rel(root, filepath.Dir(path))
+		for _, d := range f.Decls {
+			if d, ok := d.(*ast.GenDecl); ok && d.Tok == token.TYPE {
+				for _, spec := range d.Specs {
+					ts := spec.(*ast.TypeSpec)
+					name := ts.Name.Name
+					if _, ok := ts.Type.(*ast.StructType); ok && ts.Name.IsExported() && strings.HasSuffix(name, "Error") &&
+						name != "Error" && !rows[filepath.ToSlash(pkg)+"/"+name] {
+						t.Errorf("%s declares the error type %s, which RUNBOOK.md's typed-error table has no row for", pkg, name)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

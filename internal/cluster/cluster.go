@@ -311,13 +311,16 @@ func New(opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := build(opts, routing, 0, nil, func(i int, dir string) (*engine.Engine, error) {
-		e, err := engine.Open(nodeEngineOptions(opts, dir))
-		if err == nil && (e.NextTick() > 0 || e.Recovery().Restored) {
-			e.Close()
-			return nil, fmt.Errorf("%s holds a world's state (recovered to tick %d); open it with Recover", dir, e.NextTick())
+	for i := 0; i < m.NumNodes; i++ {
+		dir := NodeDir(opts.Dir, i)
+		if used, err := engine.HoldsState(nodeEngineOptions(opts, dir)); err != nil {
+			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
+		} else if used {
+			return nil, fmt.Errorf("cluster: node %d: %s holds a world's state; open it with Recover", i, dir)
 		}
-		return e, err
+	}
+	c, err := build(opts, routing, 0, nil, func(_ int, dir string) (*engine.Engine, error) {
+		return engine.Open(nodeEngineOptions(opts, dir))
 	})
 	if err != nil {
 		return nil, err

@@ -352,7 +352,8 @@ func TestCheckpointWorldNamesSegmentsByFirstRecord(t *testing.T) {
 // same way before comparing it with the manifest — and still refuse a
 // request that folds to a different count, a different geometry or a
 // different MaxSkew. A second New on the closed world's root is refused
-// before it touches the manifest, and Recover still opens the world.
+// from the backups' image headers and the log's sizes, reading no image
+// byte, before it touches the manifest, and Recover still opens the world.
 func TestRecoverFoldsNodeRequest(t *testing.T) {
 	tab := testTable()
 	dir := t.TempDir()
@@ -377,11 +378,20 @@ func TestRecoverFoldsNodeRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, err := New(opts); err == nil {
+	// The refusal reads the backups' image headers and nothing past them.
+	reads := &imageReads{n: map[string]int64{}}
+	refused := opts
+	refused.DeviceFactory = reads.factory
+	if c, err := New(refused); err == nil {
 		c.Close()
 		t.Fatal("New took over the world it found")
 	} else if !strings.Contains(err.Error(), "Recover") {
 		t.Fatalf("New's refusal does not name Recover: %v", err)
+	}
+	for i := range 2 {
+		if n := reads.take(NodeDir(dir, i)); n != 0 {
+			t.Errorf("New's refusal read %d image bytes of node %d", n, i)
+		}
 	}
 	if got, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || !bytes.Equal(got, manifest) {
 		t.Fatalf("the refused New changed %s (err %v)", manifestName, err)
@@ -407,6 +417,40 @@ func TestRecoverFoldsNodeRequest(t *testing.T) {
 	defer rc.Close()
 	if wr.WorldTick != ticks || !bytes.Equal(world(t, rc), referenceWorld(t, tab, ticks, 100)) {
 		t.Fatalf("recovered world at tick %d diverges from the reference", wr.WorldTick)
+	}
+}
+
+// TestRecoverRefusesAnotherLogFormat: a one-node world whose node log is
+// engine/testdata/parent-wal — written before the segment header, in the
+// varint record kinds — is refused by Recover, barrier and logged alike,
+// with the log's own *wal.FormatError (no header, this build's version 1)
+// before any node resumes.
+func TestRecoverRefusesAnotherLogFormat(t *testing.T) {
+	parent, err := os.ReadFile(filepath.Join("..", "engine", "testdata", "parent-wal", "wal-00000000000000000000.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, skew := range []int{0, 2} {
+		dir := t.TempDir()
+		c, err := New(Options{Table: testTable(), Dir: dir, Mode: engine.ModeNone, Nodes: 1, MaxSkew: skew})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		seg := filepath.Join(NodeDir(dir, 0), "wal", "wal-00000000000000000000.seg")
+		if err := os.WriteFile(seg, parent, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rc, _, err := Recover(dir, Options{Mode: engine.ModeNone})
+		if err == nil {
+			rc.Close()
+		}
+		var fe *wal.FormatError
+		if !errors.As(err, &fe) || fe.Found != 0 || fe.Want != 1 || fe.Segment != seg {
+			t.Errorf("MaxSkew %d: Recover: %v, want a *wal.FormatError naming %s, version 0 and 1", skew, err, seg)
+		}
 	}
 }
 

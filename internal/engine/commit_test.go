@@ -32,7 +32,7 @@ func TestCommitContract(t *testing.T) {
 			})
 		}},
 		{"IngestReplicated", true, func(e *Engine, tick uint64, b []wal.Update) error {
-			return e.IngestReplicated(tick, wal.EncodeUpdates([]byte{recUpdates}, b))
+			return e.IngestReplicated(tick, wal.EncodeRuns([]byte{recUpdateRuns}, b))
 		}},
 	}
 	was := telemetry.Enabled()

@@ -174,7 +174,7 @@ func TestImageCommitOrder(t *testing.T) {
 				// separate runs.
 				batch := []wal.Update{{Cell: i, Value: i}, {Cell: 700 + 9*i, Value: i}, {Cell: uint32(tab.NumCells()) - 1 - i, Value: i}}
 				if c.standby {
-					err = e.IngestReplicated(e.NextTick(), wal.EncodeUpdates([]byte{recUpdates}, batch))
+					err = e.IngestReplicated(e.NextTick(), wal.EncodeRuns([]byte{recUpdateRuns}, batch))
 				} else {
 					err = e.ApplyTick(batch)
 				}

@@ -684,6 +684,22 @@ func ImageEnd(opts Options) (uint64, error) {
 	return h.AsOfTick + 1, nil
 }
 
+// HoldsState reports whether opts.Dir holds an engine's state — a complete
+// backup image, or a log segment with anything past its header — from the
+// image headers and the segment sizes alone: nothing is restored or replayed.
+func HoldsState(opts Options) (bool, error) {
+	if opts.InMemory || opts.Dir == "" {
+		return false, nil
+	}
+	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+		return false, fmt.Errorf("engine: %w", err)
+	}
+	if end, err := ImageEnd(opts); err != nil || end > 0 {
+		return end > 0, err
+	}
+	return wal.HoldsRecords(filepath.Join(opts.Dir, "wal"))
+}
+
 // closeDevices closes the backup devices open has opened and returns the
 // first error.
 func (e *Engine) closeDevices() error {

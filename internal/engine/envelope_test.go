@@ -13,14 +13,6 @@ import (
 	"repro/internal/wal"
 )
 
-// varintRecord is env's record body in the varint kinds older logs hold.
-func varintRecord(env Envelope) []byte {
-	if env.Origin < 0 {
-		return wal.EncodeUpdates([]byte{recUpdates}, env.Updates)
-	}
-	return wal.EncodeUpdates(wal.AppendMessageHeader([]byte{recMessage}, uint32(env.Origin), env.OriginTick), env.Updates)
-}
-
 // runRecord is env's record body in the run kinds the engine logs.
 func runRecord(env Envelope) []byte {
 	if env.Origin < 0 {
@@ -29,25 +21,19 @@ func runRecord(env Envelope) []byte {
 	return wal.EncodeRuns(wal.AppendMessageHeader([]byte{recMessageRuns}, uint32(env.Origin), env.OriginTick), env.Updates)
 }
 
-// decodeEnvelopeRecord parses an update or message record body of either
-// encoding (an update record, and a logged tick's head, decode with Origin
-// -1: the world's input carries no origin stamp; its tick is the record's
-// own tick). Other record kinds are an error.
+// decodeEnvelopeRecord parses an update or message record body (an update
+// record, and a logged tick's head, decode with Origin -1: the world's input
+// carries no origin stamp; its tick is the record's own tick). Other record
+// kinds are an error.
 func decodeEnvelopeRecord(body []byte) (Envelope, error) {
 	if len(body) == 0 {
 		return Envelope{}, errors.New("engine: empty envelope record")
 	}
 	kind, payload := body[0], body[1:]
 	switch kind {
-	case recUpdates:
-		upds, err := wal.DecodeUpdates(nil, payload)
-		return Envelope{Origin: -1, Updates: upds}, err
 	case recUpdateRuns:
 		upds, err := wal.DecodeRuns(nil, payload)
 		return Envelope{Origin: -1, Updates: upds}, err
-	case recMessage:
-		origin, originTick, upds, err := wal.DecodeMessage(nil, payload)
-		return Envelope{Origin: int32(origin), OriginTick: originTick, Updates: upds}, err
 	case recMessageRuns:
 		origin, originTick, batch, err := wal.SplitMessage(payload)
 		if err != nil {
@@ -76,14 +62,8 @@ func TestEnvelopeRecordRoundtrip(t *testing.T) {
 		{Origin: 2, OriginTick: 41, Updates: []wal.Update{{Cell: 12, Value: 0xdead}}},
 		{Origin: 0, OriginTick: 0, Updates: nil},
 	}
-	// Each case twice: in the varint kinds and in the run kinds.
-	var bodies [][]byte
-	for _, env := range cases {
-		bodies = append(bodies, varintRecord(env), runRecord(env))
-	}
-	for i, body := range bodies {
-		env := cases[i/2]
-		got, err := decodeEnvelopeRecord(body)
+	for i, env := range cases {
+		got, err := decodeEnvelopeRecord(runRecord(env))
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}

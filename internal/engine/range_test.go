@@ -132,8 +132,7 @@ func TestIngestReplicatedInstall(t *testing.T) {
 	var records [][]byte
 	var updBuf []byte
 	appendTick := func(tick uint64, batch []wal.Update) {
-		updBuf = append(updBuf[:0], recUpdates)
-		updBuf = wal.EncodeUpdates(updBuf, batch)
+		updBuf = wal.EncodeRuns(append(updBuf[:0], recUpdateRuns), batch)
 		records = append(records, append([]byte(nil), updBuf...))
 		if err := p.ApplyTick(batch); err != nil {
 			t.Fatal(err)
@@ -153,8 +152,7 @@ func TestIngestReplicatedInstall(t *testing.T) {
 	if err := p.ApplyTick(batch); err != nil {
 		t.Fatal(err)
 	}
-	updBuf = append(updBuf[:0], recUpdates)
-	updBuf = wal.EncodeUpdates(updBuf, batch)
+	updBuf = wal.EncodeRuns(append(updBuf[:0], recUpdateRuns), batch)
 	if err := s.IngestReplicated(next, updBuf); err != nil {
 		t.Fatal(err)
 	}

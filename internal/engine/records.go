@@ -10,40 +10,35 @@ import (
 
 // Engine log records carry a one-byte kind tag, so update ticks, cluster
 // messages and range installs mix freely in one log. Every kind is data:
-// replay copies bytes and re-executes nothing. Kind 1 (an opaque action
-// payload re-executed through a caller's function) is retired; a log that
-// still holds one fails recovery with an error naming its tick.
+// replay copies bytes and re-executes nothing. These three are log format
+// version 1 (the segment header's); any other kind (the retired 0, 1 and 3)
+// fails recovery with an error naming its kind and tick.
 //
 // The engine logs a tick's updates as runs (wal.EncodeRuns) in the
 // bitmap-word order its apply sorts them into, so a replay worker stores its
-// own runs and jumps over the rest. The varint kinds 0 and 3 are what logs
-// before the run kinds hold; replay reads both.
+// own runs and jumps over the rest.
 const (
-	recUpdates     byte = 0 // payload: wal.EncodeUpdates batch, arrival order
 	recInstall     byte = 2 // payload: u64 lo, u64 hi, raw object bytes (range.go)
-	recMessage     byte = 3 // payload: wal.AppendMessageHeader, then a wal.EncodeUpdates batch
 	recUpdateRuns  byte = 4 // payload: wal.EncodeRuns batch, word-ordered
 	recMessageRuns byte = 5 // payload: wal.AppendMessageHeader, then a wal.EncodeRuns batch
 )
 
-// recordBatch returns the update batch inside an update or message record
-// of either encoding and whether it is runs. Other kinds are an error.
-func recordBatch(body []byte, tick uint64) (batch []byte, runs bool, err error) {
-	if len(body) == 0 {
-		return nil, false, fmt.Errorf("engine: empty log record at tick %d", tick)
+// recordBatch returns the run batch inside an update or message record.
+// Other kinds are an error.
+func recordBatch(body []byte, tick uint64) ([]byte, error) {
+	switch {
+	case len(body) == 0:
+		return nil, fmt.Errorf("engine: empty log record at tick %d", tick)
+	case body[0] == recUpdateRuns:
+		return body[1:], nil
+	case body[0] != recMessageRuns:
+		return nil, fmt.Errorf("engine: unknown log record kind %d at tick %d", body[0], tick)
 	}
-	kind, payload := body[0], body[1:]
-	switch kind {
-	case recUpdates, recUpdateRuns:
-		return payload, kind == recUpdateRuns, nil
-	case recMessage, recMessageRuns:
-		if _, _, batch, err = wal.SplitMessage(payload); err != nil {
-			return nil, false, fmt.Errorf("engine: tick %d: %w", tick, err)
-		}
-		return batch, kind == recMessageRuns, nil
-	default:
-		return nil, false, fmt.Errorf("engine: unknown log record kind %d at tick %d", kind, tick)
+	_, _, batch, err := wal.SplitMessage(body[1:])
+	if err != nil {
+		return nil, fmt.Errorf("engine: tick %d: %w", tick, err)
 	}
+	return batch, nil
 }
 
 // replayer replays logged records into one shard's object range [lo, hi)
@@ -65,7 +60,6 @@ type replayer struct {
 	plo         uint64
 	pages       [][][]byte
 	first, last int
-	scratch     []wal.Update
 }
 
 // replayers returns one replayer per shard range.
@@ -84,12 +78,12 @@ func (e *Engine) replayers(ranges []recovery.ShardRange) []*replayer {
 }
 
 // replay applies a window of records to the shard's range and returns how
-// many it applied and the cells they wrote. A record the index cannot take —
-// a varint batch, an install, a kind it does not know — ends the segment
-// and is applied alone once the walk has restored the whole range. A run
-// record whose framing is bad ends the segment too, and replay stops there
-// with the records before it applied: every shard checks every record, so
-// all stop at the same one.
+// many it applied and the cells they wrote. An install record ends the
+// segment the index takes and is applied alone once the walk has restored
+// the whole range. A record the index refuses — a run record whose framing
+// is bad, a kind this format does not have — ends the segment too, and
+// replay stops there with the records before it applied: every shard checks
+// every record, so all stop at the same one.
 func (r *replayer) replay(window []recovery.Record, restore *recovery.Restorer) (int, int64, error) {
 	var n int64
 	for i := 0; ; i++ {
@@ -101,26 +95,26 @@ func (r *replayer) replay(window []recovery.Record, restore *recovery.Restorer) 
 		if i = j; err != nil || i == len(window) {
 			return i, n, err
 		}
-		m, err = r.apply(window[i].Tick, window[i].Payload)
+		m, err = r.e.replayInstall(window[i].Payload[1:], r.lo, r.hi)
 		if n += m; err != nil {
 			return i, n, err
 		}
 	}
 }
 
-// index adds the runs on the range's pages of the run records from
-// window[i] on to the page index, up to the first record it cannot take, and
-// returns that record's position (len(window) past the last) with the error
-// that refuses it if it is a run record that does not parse.
+// index adds the runs on the range's pages of the records from window[i] on
+// to the page index, up to the first install record, and returns that
+// record's position (len(window) past the last). A record it cannot read
+// stops it there too, with the error that refuses the record.
 func (r *replayer) index(window []recovery.Record, i int) (int, error) {
 	cpo := uint64(r.e.store.cellsPerObj)
 	clo, chi := uint64(r.lo)*cpo, uint64(r.hi)*cpo
 	for ; i < len(window); i++ {
 		tick, body := window[i].Tick, window[i].Payload
-		if len(body) == 0 || body[0] != recUpdateRuns && body[0] != recMessageRuns {
+		if len(body) > 0 && body[0] == recInstall {
 			return i, nil
 		}
-		batch, _, err := recordBatch(body, tick)
+		batch, err := recordBatch(body, tick)
 		if err != nil {
 			return i, err
 		}
@@ -185,32 +179,5 @@ func (r *replayer) walk(restore *recovery.Restorer) (int64, error) {
 		r.pages[p] = r.pages[p][:0]
 	}
 	r.first, r.last = len(r.pages), -1
-	return n, nil
-}
-
-// apply replays one record the index does not take, keeping only the
-// shard's objects, and returns the number of cells written (objects, for a
-// range install). A varint record is decoded whole first, so every shard
-// refuses a bad record at the same place and none applies any of it.
-func (r *replayer) apply(tick uint64, body []byte) (int64, error) {
-	if len(body) > 0 && body[0] == recInstall {
-		return r.e.replayInstall(body[1:], r.lo, r.hi)
-	}
-	batch, _, err := recordBatch(body, tick)
-	if err != nil {
-		return 0, err
-	}
-	if r.scratch, err = wal.DecodeUpdates(r.scratch[:0], batch); err != nil {
-		return 0, fmt.Errorf("engine: tick %d: %w", tick, err)
-	}
-	cpo := uint64(r.e.store.cellsPerObj)
-	clo, chi := uint64(r.lo)*cpo, uint64(r.hi)*cpo
-	var n int64
-	for _, u := range r.scratch {
-		if c := uint64(u.Cell); c >= clo && c < chi {
-			binary.LittleEndian.PutUint32(r.e.store.slab[c*4:], u.Value)
-			n++
-		}
-	}
 	return n, nil
 }

@@ -109,10 +109,8 @@ func BenchmarkReplayPipeline(b *testing.B) {
 }
 
 // BenchmarkEncodeTick is the live encode of one 6,400-update hotspot tick on
-// the 40 MB table: the varint batch in arrival order (the engine's log
-// record before runs) against the run record the
-// engine logs, encoded from the bucket its apply sorts anyway. It reports
-// the log bytes per update.
+// the 40 MB table: the run record the engine logs, encoded from the bucket
+// its apply sorts anyway. It reports the log bytes per update.
 func BenchmarkEncodeTick(b *testing.B) {
 	const rotating, perTick = 64, 6400
 	tab := gamestate.Default()
@@ -133,22 +131,13 @@ func BenchmarkEncodeTick(b *testing.B) {
 		cells, batches[t] = workload.TickUpdates(src, t, cells, nil)
 		buckets[t] = e.bucketBatch(nil, batches[t], e.off)
 	}
-	for _, c := range []struct {
-		name   string
-		encode func(buf []byte, t int) []byte
-	}{
-		{"varint", func(buf []byte, t int) []byte { return wal.EncodeUpdates(append(buf, recUpdates), batches[t]) }},
-		{"runs", func(buf []byte, t int) []byte { return wal.EncodeRuns(append(buf, recUpdateRuns), buckets[t]) }},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			var buf []byte
-			var bytes, updates int
-			for i := 0; i < b.N; i++ {
-				buf = c.encode(buf[:0], i%rotating)
-				bytes += len(buf)
-				updates += len(batches[i%rotating])
-			}
-			b.ReportMetric(float64(bytes)/float64(updates), "B/update")
-		})
+	var buf []byte
+	var bytes, updates int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = wal.EncodeRuns(append(buf[:0], recUpdateRuns), buckets[i%rotating])
+		bytes += len(buf)
+		updates += len(batches[i%rotating])
 	}
+	b.ReportMetric(float64(bytes)/float64(updates), "B/update")
 }

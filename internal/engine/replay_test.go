@@ -2,6 +2,8 @@ package engine
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -9,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/gamestate"
 	"repro/internal/wal"
 )
 
@@ -110,104 +111,49 @@ func TestMixedLogRecoversAtEveryWidth(t *testing.T) {
 	}
 }
 
-// TestLegacyAndRunRecordsMixInOneLog: a log whose ticks alternate between
-// run records (the engine's own) and varint records in arrival order (what
-// logs before the run kinds hold) — updates, messages, a cell past the
-// table — recovers at every width to the state of an engine that logged
-// every tick as runs, with the same replayed-update count.
-func TestLegacyAndRunRecordsMixInOneLog(t *testing.T) {
-	// 7.6 pages of cells: at two shards the boundary falls inside a page, so
-	// a worker skips pages, stores whole ones and filters the shared one.
-	tab := gamestate.Table{Rows: 50_000, Cols: 10, CellSize: 4, ObjSize: 512}
-	rng := rand.New(rand.NewSource(46))
-	cells := tab.NumCells()
-	past := wal.Update{Cell: uint32(tab.NumObjects()*tab.CellsPerObject()) + 7, Value: 9}
-	ticks := make([][]Envelope, 24)
-	for i := range ticks {
-		ticks[i] = []Envelope{
-			{Origin: -1, Updates: append(randomBatch(rng, cells, 40), past)},
-			{Origin: 2, OriginTick: uint64(i), Updates: randomBatch(rng, cells, 6)},
-		}
-	}
-	runsOnly, mixed := t.TempDir(), t.TempDir()
-	ref, err := Open(Options{Table: tab, Dir: runsOnly, Mode: ModeNone, Shards: 2})
+// TestParentWrittenLogIsRefused: testdata/parent-wal is writeMixedLog's
+// directory as the engine wrote it before the segment header — varint update
+// and message records in arrival order. Open, RecoverFrom at every width and
+// a bare wal reader each refuse it with a *wal.FormatError that names no
+// header (version 0) and this build's version 1, before any update is
+// replayed, and leave its bytes as they were.
+func TestParentWrittenLogIsRefused(t *testing.T) {
+	dir := fixtureDir(t, "parent-wal")
+	seg := filepath.Join(dir, "wal", "wal-00000000000000000000.seg")
+	before, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, envs := range ticks {
-		if err := applyLogged(ref, envs); err != nil {
-			t.Fatal(err)
+	refused := func(what string, err error) {
+		t.Helper()
+		var fe *wal.FormatError
+		if !errors.As(err, &fe) || fe.Found != 0 || fe.Want != 1 || fe.Segment != seg {
+			t.Errorf("%s: %v, want a *wal.FormatError naming %s, version 0 and 1", what, err, seg)
 		}
 	}
-	live := bytes.Clone(ref.Store().Slab())
-	if err := ref.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The mixed log: ticks in blocks of four, the engine logging the even
-	// blocks and a varint append the odd ones, between recoveries.
-	for block := 0; block < len(ticks)/4; block++ {
-		if block%2 == 0 {
-			e, err := Open(Options{Table: tab, Dir: mixed, Mode: ModeNone, Shards: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, envs := range ticks[4*block : 4*block+4] {
-				if err := applyLogged(e, envs); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := e.Close(); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		log, err := wal.Open(filepath.Join(mixed, "wal"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 4 * block; i < 4*block+4; i++ {
-			for _, env := range ticks[i] {
-				if err := log.Append(uint64(i), varintRecord(env)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := log.Close(); err != nil {
-			t.Fatal(err)
+	opts := Options{Table: shardTable(), Dir: dir, Mode: ModeNone}
+	_, err = Open(opts)
+	refused("Open", err)
+	for _, shards := range []int{1, 2, 8} {
+		opts.Shards = shards
+		_, pres, err := RecoverFrom(opts)
+		refused(fmt.Sprintf("%d-shard RecoverFrom", shards), err)
+		if pres.ReplayedUpdates != 0 || pres.ReplayedTicks != 0 {
+			t.Errorf("%d shards: replayed %d updates over %d ticks of the refused log", shards, pres.ReplayedUpdates, pres.ReplayedTicks)
 		}
 	}
-	want := recoverEveryWay(t, Options{Table: tab, Dir: runsOnly, Mode: ModeNone})
-	got := recoverEveryWay(t, Options{Table: tab, Dir: mixed, Mode: ModeNone})
-	if !bytes.Equal(want, live) || !bytes.Equal(got, live) {
-		t.Fatalf("recovered slabs differ from the live engine's (runs only %v, mixed %v)",
-			bytes.Equal(want, live), bytes.Equal(got, live))
-	}
-	a, err := Open(Options{Table: tab, Dir: runsOnly, Mode: ModeNone})
+	r, err := wal.NewReader(filepath.Join(dir, "wal"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Close()
-	b, err := Open(Options{Table: tab, Dir: mixed, Mode: ModeNone})
-	if err != nil {
-		t.Fatal(err)
+	defer r.Close()
+	_, _, err = r.Next()
+	refused("wal.Reader", err)
+	if r.Records() != 0 {
+		t.Errorf("the reader returned %d records of the refused segment", r.Records())
 	}
-	defer b.Close()
-	if ra, rb := a.Recovery(), b.Recovery(); ra.ReplayedUpdates != rb.ReplayedUpdates || ra.NextTick != rb.NextTick ||
-		ra.ReplayedUpdates != int64(len(ticks)*46) {
-		t.Errorf("runs-only log replayed %d updates to tick %d, mixed log %d to %d; want %d in-table updates",
-			ra.ReplayedUpdates, ra.NextTick, rb.ReplayedUpdates, rb.NextTick, len(ticks)*46)
-	}
-}
-
-// TestParentWrittenLogRecovers: testdata/parent-wal is writeMixedLog's
-// directory as the engine wrote it before it logged runs — varint update and
-// message records in arrival order. The checked-in bytes must recover, on
-// every path, to the state the live engine holds.
-func TestParentWrittenLogRecovers(t *testing.T) {
-	live := writeMixedLog(t, t.TempDir())
-	got := recoverEveryWay(t, Options{Table: shardTable(), Dir: fixtureDir(t, "parent-wal"), Mode: ModeNone})
-	if !bytes.Equal(got, live) {
-		t.Error("the parent-written log recovers to a different state")
+	if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("the refused segment was changed (%v)", err)
 	}
 }
 
@@ -286,19 +232,21 @@ func handWrittenLog(t *testing.T, bodies ...[]byte) string {
 	return dir
 }
 
+// updatesRecord is the update record of the given updates, in arrival order.
 func updatesRecord(updates ...wal.Update) []byte {
-	return wal.EncodeUpdates([]byte{recUpdates}, updates)
+	return runRecord(Envelope{Origin: -1, Updates: updates})
 }
 
 // TestReplayDropsCellsPastTheTable: a logged update to a cell beyond the
-// last object — in a varint record, or in a run record's pages past the
-// table — is dropped and not counted at every pipeline width alike.
+// last object — in an update or message record, on the table's last page
+// or on pages past it — is dropped and not counted at every pipeline width
+// alike.
 func TestReplayDropsCellsPastTheTable(t *testing.T) {
 	tab := shardTable()
 	end := uint32(tab.NumObjects() * tab.CellsPerObject())
 	dir := handWrittenLog(t,
 		updatesRecord(wal.Update{Cell: 7, Value: 1}, wal.Update{Cell: end, Value: 2}, wal.Update{Cell: end - 1, Value: 3}),
-		wal.EncodeUpdates(wal.AppendMessageHeader([]byte{recMessage}, 1, 0), []wal.Update{{Cell: 1<<32 - 1, Value: 4}, {Cell: 40_000, Value: 5}}),
+		runRecord(Envelope{Origin: 1, Updates: []wal.Update{{Cell: 1<<32 - 1, Value: 4}, {Cell: 40_000, Value: 5}}}),
 		runRecord(Envelope{Origin: -1, Updates: []wal.Update{{Cell: end - 2, Value: 6}, {Cell: end + 70_000, Value: 7}, {Cell: 1<<32 - 1, Value: 8}}}),
 	)
 	opts := Options{Table: tab, Dir: dir, Mode: ModeNone}
@@ -317,23 +265,24 @@ func TestReplayDropsCellsPastTheTable(t *testing.T) {
 }
 
 // TestUndecodableRecordNamesItsTick: a record whose frame is intact but
-// whose body does not decode — a truncated batch of either encoding, a
-// message too short for its header, a record of the retired action kind 1 —
-// fails recovery, through Open and at every width, with an error that says
-// which tick it was.
+// whose body does not decode — a truncated run batch, a message too short
+// for its header, a record of a kind this format does not have (the retired
+// action kind 1, the varint kinds 0 and 3 of logs before the segment header)
+// — fails recovery, through Open and at every width, with an error that
+// says which tick it was.
 func TestUndecodableRecordNamesItsTick(t *testing.T) {
 	good := updatesRecord(wal.Update{Cell: 9, Value: 9})
-	torn := updatesRecord(wal.Update{Cell: 70_000, Value: 1}, wal.Update{Cell: 3, Value: 2})
-	shortMsg := []byte{recMessage, 1, 2, 3}
-	action := []byte{1, 9, 0, 0, 0, 1, 0, 0, 0}
 	tornRuns := runRecord(Envelope{Origin: -1, Updates: []wal.Update{{Cell: 3, Value: 2}, {Cell: 70_000, Value: 1}}})
+	varint := []wal.Update{{Cell: 70_000, Value: 1}, {Cell: 3, Value: 2}}
 	for name, bad := range map[string][]byte{
-		"truncated batch": torn[:len(torn)-2], "short message": shortMsg, "action": action,
 		"truncated runs": tornRuns[:len(tornRuns)-2], "short run message": {recMessageRuns, 1, 2, 3},
+		"kind 0": wal.EncodeUpdates([]byte{0}, varint),
+		"kind 1": {1, 9, 0, 0, 0, 1, 0, 0, 0},
+		"kind 3": wal.EncodeUpdates(wal.AppendMessageHeader([]byte{3}, 1, 2), varint),
 	} {
 		want := "tick 3"
-		if name == "action" {
-			want = "record kind 1 at tick 3"
+		if strings.HasPrefix(name, "kind") {
+			want = "record " + name + " at tick 3"
 		}
 		dir := handWrittenLog(t, good, good, good, bad, good)
 		opts := Options{Table: shardTable(), Dir: dir, Mode: ModeNone}
@@ -361,8 +310,9 @@ func TestRecoveryOfActionLogWithoutReplayFuncFails(t *testing.T) {
 }
 
 // TestIngestRefusesRetiredActionKind: a standby refuses a replicated record
-// of the retired action kind 1 with an error naming its tick, and the record
-// never reaches the standby's log.
+// of a retired kind — the action kind 1, the varint kinds 0 and 3 — with an
+// error naming its kind and tick, and the record never reaches the standby's
+// log.
 func TestIngestRefusesRetiredActionKind(t *testing.T) {
 	tab := shardTable()
 	dir := t.TempDir()
@@ -370,9 +320,16 @@ func TestIngestRefusesRetiredActionKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = e.IngestReplicated(0, []byte{1, 9, 0, 0, 0, 1, 0, 0, 0})
-	if err == nil || !strings.Contains(err.Error(), "record kind 1 at tick 0") {
-		t.Errorf("ingest of a kind-1 record: %v", err)
+	varint := []wal.Update{{Cell: 3, Value: 2}}
+	for kind, body := range map[int][]byte{
+		0: wal.EncodeUpdates([]byte{0}, varint),
+		1: {1, 9, 0, 0, 0, 1, 0, 0, 0},
+		3: wal.EncodeUpdates(wal.AppendMessageHeader([]byte{3}, 1, 0), varint),
+	} {
+		err = e.IngestReplicated(0, body)
+		if want := fmt.Sprintf("record kind %d at tick 0", kind); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ingest of a kind-%d record: %v", kind, err)
+		}
 	}
 	if e.NextTick() != 0 {
 		t.Errorf("refused record advanced the standby to tick %d", e.NextTick())

@@ -319,14 +319,14 @@ func OpenStandby(opts Options, install func(*disk.Backup) error) (*Engine, error
 	if opts.InMemory && install != nil {
 		return nil, errors.New("engine: a standby bootstrapped from an image needs a directory (not InMemory)")
 	}
+	if used, err := HoldsState(opts); err != nil {
+		return nil, err
+	} else if used {
+		return nil, fmt.Errorf("engine: standby dir %s holds previous state; a standby starts in an empty directory", opts.Dir)
+	}
 	e, err := Open(opts)
 	if err != nil {
 		return nil, err
-	}
-	if e.recovered.Restored || e.recovered.NextTick != 0 {
-		e.Close()
-		return nil, fmt.Errorf("engine: standby dir %s holds previous state (recovered to tick %d)",
-			opts.Dir, e.recovered.NextTick)
 	}
 	if install != nil {
 		err = install(e.backups[0])
@@ -362,27 +362,21 @@ func (e *Engine) IngestReplicated(tick uint64, body []byte) error {
 	}
 	// The record is interpreted before it is logged, so a body this engine
 	// cannot apply never reaches its WAL.
-	var apply func() (int64, error)
-	switch kind, payload := body[0], body[1:]; kind {
+	switch body[0] {
 	case recInstall:
 		// A range install is logged at the primary's next tick but does not
 		// advance it (InstallRange); mirror that — the tick's regular
 		// record follows at the same tick number.
 		return e.ingestInstall(tick, body)
-	case recUpdates, recUpdateRuns:
-		decode := wal.DecodeUpdates
-		if kind == recUpdateRuns {
-			decode = wal.DecodeRuns
-		}
-		var err error
-		if e.ingestBuf, err = decode(e.ingestBuf[:0], payload); err != nil {
-			return fmt.Errorf("engine: replicated tick %d: %w", tick, err)
-		}
-		apply = func() (int64, error) { return e.applyBatch(e.ingestBuf), nil }
+	case recUpdateRuns:
 	default:
-		return fmt.Errorf("engine: unknown replicated record kind %d at tick %d", kind, tick)
+		return fmt.Errorf("engine: unknown replicated record kind %d at tick %d", body[0], tick)
 	}
-	return e.commit(true, func() []byte { return body }, apply)
+	var err error
+	if e.ingestBuf, err = wal.DecodeRuns(e.ingestBuf[:0], body[1:]); err != nil {
+		return fmt.Errorf("engine: replicated tick %d: %w", tick, err)
+	}
+	return e.commit(true, func() []byte { return body }, func() (int64, error) { return e.applyBatch(e.ingestBuf), nil })
 }
 
 // Promote seals the standby and makes it a primary: ingested ticks are

@@ -184,6 +184,19 @@ func (d *pinDev) ReadAt(p []byte, off int64) (int, error) {
 	return d.Device.ReadAt(p, off)
 }
 
+// pastHeader counts the bytes read past a backup's image header.
+type pastHeader struct {
+	disk.Device
+	n *atomic.Int64
+}
+
+func (d pastHeader) ReadAt(p []byte, off int64) (int, error) {
+	if end := off + int64(len(p)); end > disk.HeaderSize {
+		d.n.Add(end - max(off, disk.HeaderSize))
+	}
+	return d.Device.ReadAt(p, off)
+}
+
 // TestImagePinHoldsCutsOff holds the bootstrap's image read on a channel.
 // Meanwhile every tick completes, checkpoints go on back to back but never
 // write the pinned backup, and a CheckpointNow that needs that backup
@@ -408,8 +421,7 @@ func TestStandbyLifecycle(t *testing.T) {
 
 	// Feed three more primary ticks through both engines.
 	enc := func(batch []wal.Update) []byte {
-		body := []byte{recUpdates}
-		return wal.EncodeUpdates(body, batch)
+		return wal.EncodeRuns([]byte{recUpdateRuns}, batch)
 	}
 	for tick := 6; tick < 9; tick++ {
 		batch := randomBatch(rng, tab.NumCells(), 24)
@@ -482,8 +494,30 @@ func TestOpenStandbyRejectsUsedDirAndBadGeometry(t *testing.T) {
 
 	landed := false
 	land := func(*disk.Backup) error { landed = true; return nil }
-	if _, err := OpenStandby(Options{Table: tab, Dir: dir, Mode: ModeCopyOnUpdate}, land); err == nil || landed {
-		t.Fatalf("OpenStandby accepted a directory with prior state (image landed: %v)", landed)
+	// Refused for its log record alone, then for its image too: from the
+	// backups' image headers and the log's sizes, reading no image byte.
+	var past atomic.Int64
+	counted := Options{Table: tab, Dir: dir, Mode: ModeCopyOnUpdate,
+		DeviceFactory: func(path string) (disk.Device, error) {
+			d, err := disk.OpenFile(path)
+			return pastHeader{d, &past}, err
+		}}
+	for image := range 2 {
+		if image == 1 {
+			if e, err = Open(Options{Table: tab, Dir: dir, Mode: ModeCopyOnUpdate}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.CheckpointAsOf(0); err != nil {
+				t.Fatal(err)
+			}
+			e.Close()
+		}
+		if _, err := OpenStandby(counted, land); err == nil || landed {
+			t.Fatalf("OpenStandby accepted a directory with prior state (image %d, landed: %v)", image, landed)
+		}
+		if n := past.Load(); n != 0 {
+			t.Fatalf("OpenStandby's refusal read %d image bytes (image %d)", n, image)
+		}
 	}
 	if _, err := OpenStandby(Options{Table: tab, InMemory: true, Mode: ModeCopyOnUpdate}, land); err == nil || landed {
 		t.Fatal("OpenStandby landed an image on an InMemory engine")

@@ -106,9 +106,10 @@ func TestTailFollowConcurrentAppend(t *testing.T) {
 	caughtUp(t, r)
 }
 
-// TestTailTornFrameInvisible writes a frame in two halves directly to the
-// segment file: the reader must return nothing until the second half lands,
-// then the whole record — never a torn read.
+// TestTailTornFrameInvisible writes a segment's header and first frame in
+// growing prefixes directly to the segment file: the reader must return
+// nothing until the last byte lands — a header still short reads as an
+// empty segment — then the whole record, never a torn read.
 func TestTailTornFrameInvisible(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, segName(0))
@@ -116,10 +117,9 @@ func TestTailTornFrameInvisible(t *testing.T) {
 	body := make([]byte, 8+5)
 	binary.LittleEndian.PutUint64(body, 7)
 	copy(body[8:], "hello")
-	frame := make([]byte, 8+len(body))
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(body))
-	copy(frame[8:], body)
+	frame := binary.LittleEndian.AppendUint32(appendSegHeader(nil), uint32(len(body)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(body))
+	frame = append(frame, body...)
 
 	r, err := NewReader(dir, 0)
 	if err != nil {

@@ -62,7 +62,7 @@ var mapAhead = 4 << 20
 // released that many (see DESIGN.md "Mapping lifetime").
 type segScanner struct {
 	f   *os.File
-	off int64  // file offset of the next unparsed frame
+	off int64  // file offset of the next unparsed frame; 0: the header's
 	buf []byte // mapped bytes from off onwards and not yet parsed
 	// size is the file's length at the last stat: off < size after next
 	// reported no frame means bytes are there that do not parse.
@@ -87,6 +87,18 @@ type retired struct {
 // must be retired. The record counts carry over.
 func (s *segScanner) open(f *os.File) {
 	s.f, s.off, s.buf, s.size, s.end = f, 0, nil, 0, 0
+}
+
+// header steps over the segment header and returns the format version it
+// states, 0 without the magic; ok=false means the file is shorter yet.
+func (s *segScanner) header() (version uint16, ok bool, err error) {
+	if ok, err = s.remap(segHdrLen); ok {
+		if string(s.buf[:len(segMagic)]) == segMagic {
+			version = binary.LittleEndian.Uint16(s.buf[len(segMagic):])
+		}
+		s.buf, s.off = s.buf[segHdrLen:], int64(segHdrLen)
+	}
+	return version, ok, err
 }
 
 // next returns the frame at off and advances past it. ok=false with a nil

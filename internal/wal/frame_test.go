@@ -56,7 +56,7 @@ func threeSegments(t *testing.T, dir string) *Log {
 func TestAppendWritesTheReferenceFrame(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir)
-	var want []byte
+	want := appendSegHeader(nil)
 	for tick, p := range [][]byte{nil, []byte("a"), bytes.Repeat([]byte{0xAB}, 70000)} {
 		must(t, l.Append(uint64(tick), p))
 		want = append(want, encodeFrame(uint64(tick), p)...)
@@ -149,7 +149,7 @@ func TestReaderSkipsSealedSegmentsBelowFrom(t *testing.T) {
 		if r.Skipped() != tc.skipped {
 			t.Errorf("from %d: skipped %d segments, want %d", tc.from, r.Skipped(), tc.skipped)
 		}
-		if want := int64(len(ticks) * len(encodeFrame(0, []byte{0}))); r.BytesRead() != want {
+		if want := int64(len(ticks)*len(encodeFrame(0, []byte{0})) + (3-tc.skipped)*segHdrLen); r.BytesRead() != want {
 			t.Errorf("from %d: read %d bytes, want %d", tc.from, r.BytesRead(), want)
 		}
 	}

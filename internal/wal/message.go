@@ -13,15 +13,15 @@ import (
 // tick, and it is logged with its origin pinned on it: (origin node, origin
 // tick, update batch). Recovery uses the origin tick to re-derive which
 // messages were still in flight at the crash; replay treats the batch exactly
-// like a tick's own updates. The header codec lives here, next to the batch
-// codecs it prefixes.
+// like a tick's own updates. The header codec lives here, next to the run
+// batch codec it prefixes.
 
 // MessageHeaderLen is the length of the origin header (u32 node, u64 tick)
 // in front of a message's update batch.
 const MessageHeaderLen = 12
 
-// AppendMessageHeader appends a message's origin header to buf; the batch,
-// in either encoding, follows it.
+// AppendMessageHeader appends a message's origin header to buf; the run
+// batch follows it.
 func AppendMessageHeader(buf []byte, origin uint32, originTick uint64) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, origin)
 	return binary.LittleEndian.AppendUint64(buf, originTick)
@@ -34,16 +34,4 @@ func SplitMessage(payload []byte) (origin uint32, originTick uint64, batch []byt
 		return 0, 0, nil, fmt.Errorf("wal: message payload %d bytes, want >= %d", len(payload), MessageHeaderLen)
 	}
 	return binary.LittleEndian.Uint32(payload[0:]), binary.LittleEndian.Uint64(payload[4:]), payload[MessageHeaderLen:], nil
-}
-
-// DecodeMessage parses a varint message payload — the origin header, then
-// an EncodeUpdates batch, as logs written before the run encoding hold
-// them — appending the update batch to dst.
-func DecodeMessage(dst []Update, payload []byte) (origin uint32, originTick uint64, updates []Update, err error) {
-	origin, originTick, batch, err := SplitMessage(payload)
-	if err != nil {
-		return 0, 0, dst, err
-	}
-	updates, err = DecodeUpdates(dst, batch)
-	return origin, originTick, updates, err
 }

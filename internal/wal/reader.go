@@ -25,7 +25,9 @@ import (
 // does not parse is corruption, reported as a sticky error — records that
 // were acknowledged durable are never skipped silently. A torn or corrupt
 // tail in the newest segment reads as the end of the log (those ticks were
-// never acknowledged). Skipped segments are never opened.
+// never acknowledged). Skipped segments are never opened. A segment of
+// another log format is a sticky *FormatError before any of its records; a
+// newest segment shorter than its header is empty, a sealed one corrupt.
 type Reader struct {
 	dir     string
 	starts  []uint64 // the open segment, then the newer ones known, in order
@@ -134,7 +136,7 @@ func (r *Reader) Next() (tick uint64, payload []byte, err error) {
 				return tick, payload, err
 			}
 		}
-		if r.sc.off < r.sc.size {
+		if r.sc.off < r.sc.size || r.sc.off == 0 {
 			r.err = corruptErr(r.starts[0], r.sc.off, r.sc.size)
 			return 0, nil, r.err
 		}
@@ -143,13 +145,22 @@ func (r *Reader) Next() (tick uint64, payload []byte, err error) {
 	}
 }
 
-// scan returns the frame at the open segment's read offset. ok=false with a
-// nil error means no complete valid frame is there; an error is a device
-// read failure, not frame content, and is sticky like sealed-segment
-// corruption.
+// scan returns the frame at the open segment's read offset, the segment's
+// header checked first. ok=false with a nil error means no complete valid
+// frame is there; an error is a device read failure, not frame content, or
+// a *FormatError, and is sticky like sealed-segment corruption.
 func (r *Reader) scan() (tick uint64, payload []byte, ok bool, err error) {
 	off := r.sc.off
-	tick, payload, ok, err = r.sc.next()
+	if off == 0 {
+		var version uint16
+		if version, ok, err = r.sc.header(); ok && version != formatVersion {
+			r.err = &FormatError{Segment: filepath.Join(r.dir, segName(r.starts[0])), Found: version, Want: formatVersion}
+			return 0, nil, false, r.err
+		}
+	}
+	if r.sc.off > 0 && err == nil {
+		tick, payload, ok, err = r.sc.next()
+	}
 	if err != nil {
 		r.err = fmt.Errorf("wal: segment %s at offset %d: %w", segName(r.starts[0]), off, err)
 		return 0, nil, false, r.err

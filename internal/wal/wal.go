@@ -4,11 +4,12 @@
 // describing the tick's updates, and recovery replays those records on top
 // of the newest complete checkpoint to reach the exact crash tick.
 //
-// The log is a directory of append-only segment files. Records are CRC
-// framed; a torn tail (crash mid-append) is detected and truncated before
-// the first byte is appended after a reopen. Segments rotate when a
-// checkpoint completes, so segments wholly covered by the double backup can
-// be pruned — and skipped by a recovery that does not need them.
+// The log is a directory of append-only segment files, each opening with
+// its format version. Records are CRC framed; a torn tail (crash
+// mid-append) is detected and truncated before the first byte is appended
+// after a reopen. Segments rotate when a checkpoint completes, so segments
+// wholly covered by the double backup can be pruned — and skipped by a
+// recovery that does not need them.
 package wal
 
 import (
@@ -35,7 +36,32 @@ const (
 
 	// maxRecordSize bounds a single record; larger lengths mark corruption.
 	maxRecordSize = 1 << 28
+
+	// Every segment opens with segMagic and its u16 format version. Version
+	// 1 holds the engine's record kinds 2, 4 and 5, a logged tick opening
+	// with its head; a change to a record's layout or meaning bumps it.
+	segMagic      = "MMOWAL"
+	formatVersion = 1
+	segHdrLen     = len(segMagic) + 2
 )
+
+// FormatError refuses a segment of another log format, before any of its
+// records: its header states another version, or it has none (Found 0).
+type FormatError struct {
+	Segment string // the segment file's path
+	Found   uint16 // the version the segment states; 0 for no header
+	Want    uint16 // the version this build reads and writes
+}
+
+// Error names the segment and both versions.
+func (e *FormatError) Error() string {
+	return fmt.Sprintf("wal: segment %s is log format version %d (0: no header); this build reads version %d", e.Segment, e.Found, e.Want)
+}
+
+// appendSegHeader appends the header this build writes to b.
+func appendSegHeader(b []byte) []byte {
+	return binary.LittleEndian.AppendUint16(append(b, segMagic...), formatVersion)
+}
 
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log is closed")
@@ -107,26 +133,13 @@ func Open(dir string) (*Log, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	if len(starts) == 0 {
-		if err := l.openSegment(0); err != nil {
+		if err := l.openTail(0, 0, false); err != nil { // segment 0
 			return nil, err
 		}
 		return l, nil
 	}
 	l.segStart = starts[len(starts)-1]
 	return l, nil
-}
-
-func (l *Log) openSegment(start uint64) error {
-	path := filepath.Join(l.dir, segName(start))
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	l.f = f
-	l.bw = bufio.NewWriterSize(f, 1<<16)
-	l.segStart = start
-	l.segEmpty = true
-	return nil
 }
 
 // ensureTail makes the log writable after Open: unless a reader already
@@ -162,9 +175,11 @@ func (l *Log) tailScanned(start uint64, validLen int64, lastTick uint64, hasTick
 }
 
 // openTail opens the final segment for appending after validLen bytes,
-// cutting off whatever a crash left beyond them. Caller holds mu.
+// creating it if need be and cutting off whatever a crash left beyond them;
+// at 0 — a new segment, or one shorter than its header — it writes the
+// header. Caller holds mu.
 func (l *Log) openTail(validLen int64, lastTick uint64, hasTick bool) error {
-	f, err := os.OpenFile(filepath.Join(l.dir, segName(l.segStart)), os.O_RDWR, 0o644)
+	f, err := os.OpenFile(filepath.Join(l.dir, segName(l.segStart)), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -178,10 +193,13 @@ func (l *Log) openTail(validLen int64, lastTick uint64, hasTick bool) error {
 	}
 	l.f = f
 	l.bw = bufio.NewWriterSize(f, 1<<16)
-	l.segEmpty = validLen == 0
+	l.segEmpty = validLen <= int64(segHdrLen)
 	l.lastTick = lastTick
 	l.hasTick = hasTick
-	return nil
+	if validLen == 0 {
+		_, err = l.bw.Write(appendSegHeader(l.hdr[:0]))
+	}
+	return err
 }
 
 // ErrAhead is AppendFirst's refusal: the log already holds a record at or
@@ -369,7 +387,8 @@ func (l *Log) Rotate(nextTick uint64) error {
 	if err := l.f.Close(); err != nil {
 		return err
 	}
-	return l.openSegment(nextTick)
+	l.segStart = nextTick
+	return l.openTail(0, l.lastTick, l.hasTick)
 }
 
 // Prune removes sealed segments that cannot contain any record with
@@ -396,6 +415,21 @@ func (l *Log) Prune(keepFrom uint64) error {
 		}
 	}
 	return nil
+}
+
+// HoldsRecords reports whether the log in dir holds anything past a segment
+// header, from the listing and the sizes alone. A missing dir holds nothing.
+func HoldsRecords(dir string) (bool, error) {
+	starts, err := segments(dir)
+	if os.IsNotExist(err) {
+		return false, nil
+	}
+	for _, s := range starts {
+		if info, err := os.Stat(filepath.Join(dir, segName(s))); err != nil || info.Size() > int64(segHdrLen) {
+			return err == nil, err
+		}
+	}
+	return false, err
 }
 
 // Cut removes every record at or past tick end from the log in dir, which
